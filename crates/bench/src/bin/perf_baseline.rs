@@ -43,6 +43,7 @@ use s2m3_serve::{
 };
 use s2m3_sim::engine::{simulate, SimConfig};
 use s2m3_sim::kernel::{Device, Driver, Kernel, Policy, RequestSlot};
+use s2m3_sim::workload::{latency_stats, ArrivalProcess, ModelMix, ModelWeight, WorkloadSpec};
 use s2m3_sweep::{run_sweep, SweepSpec};
 
 const OUT_PATH: &str = "BENCH_serve.json";
@@ -192,6 +193,28 @@ fn main() {
             .collect();
         Plan::greedy(&single, requests).expect("plan builds")
     };
+    // The bounded path end to end at the repo benchmark's `offline_burst`
+    // shape: 150k Poisson arrivals over the five-model mix, every one
+    // pushed before the clock starts (the only row past the scheduler's
+    // spill threshold), routed per request and recorded span by span.
+    let burst_spec = {
+        let mut spec = WorkloadSpec::single_source(
+            ArrivalProcess::Poisson { rate_per_s: 1000.0 },
+            "perf/150k_burst",
+        );
+        spec.mix = ModelMix::Weighted {
+            weights: multi
+                .deployments()
+                .iter()
+                .enumerate()
+                .map(|(i, d)| ModelWeight {
+                    model: d.model.name.clone(),
+                    weight: (i + 1) as f64,
+                })
+                .collect(),
+        };
+        spec
+    };
     let fifo = serve_scenario(500, AdmissionPolicy::Fifo, false);
     let edf = serve_scenario(500, AdmissionPolicy::EarliestDeadlineFirst, false);
     let churn = serve_scenario(500, AdmissionPolicy::ShedOnOverload { max_queue: 48 }, true);
@@ -220,7 +243,7 @@ fn main() {
             AdmissionPolicy::ShedOnOverload { max_queue: 48 },
             true,
         );
-        s.arrivals = s2m3_sim::workload::ArrivalProcess::Poisson { rate_per_s: 3.0 };
+        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 3.0 };
         s.streaming = Some(StreamingConfig::default());
         s.max_windows = Some(64);
         s
@@ -295,6 +318,20 @@ fn main() {
         iters * 4,
         Box::new(|| {
             std::hint::black_box(simulate(&single, &sim_plan, &SimConfig::default()).unwrap());
+        }),
+    ));
+    benches.push((
+        "simulate/150k_burst",
+        if quick { 3 } else { 5 },
+        Box::new(|| {
+            let (requests, arrivals) = burst_spec.materialize(&multi, 150_000).unwrap();
+            let plan = Plan::greedy(&multi, requests).unwrap();
+            let config = SimConfig {
+                arrivals: Some(arrivals),
+                ..SimConfig::default()
+            };
+            let report = simulate(&multi, &plan, &config).unwrap();
+            std::hint::black_box(latency_stats(&report));
         }),
     ));
     benches.push((

@@ -26,6 +26,13 @@ pub enum ArgError {
     MissingValue(String),
     /// A positional argument appeared after the subcommand.
     UnexpectedPositional(String),
+    /// A numeric flag's value does not parse.
+    BadValue {
+        /// The flag, without dashes.
+        flag: String,
+        /// What was given.
+        value: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -34,11 +41,21 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::MissingValue(flag) => write!(f, "flag --{flag} expects a value"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
+            ArgError::BadValue { flag, value } => {
+                write!(f, "flag --{flag}: '{value}' is not a valid number")
+            }
         }
     }
 }
 
 impl std::error::Error for ArgError {}
+
+/// Commands report errors as messages.
+impl From<ArgError> for String {
+    fn from(e: ArgError) -> Self {
+        e.to_string()
+    }
+}
 
 /// Parses `argv` (without the program name). `switches` names the
 /// boolean flags that take no value.
@@ -73,12 +90,30 @@ impl Args {
         self.flags.get(name).map(String::as_str).unwrap_or(default)
     }
 
-    /// A parsed numeric flag with a default.
-    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+    /// A parsed numeric flag, if given.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when the value does not parse.
+    pub fn get_opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
         self.flags
             .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+            .map(|v| {
+                v.parse().map_err(|_| ArgError::BadValue {
+                    flag: name.to_string(),
+                    value: v.clone(),
+                })
+            })
+            .transpose()
+    }
+
+    /// A parsed numeric flag with a default for when it is absent.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when the value does not parse.
+    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+        Ok(self.get_opt_num(name)?.unwrap_or(default))
     }
 
     /// Whether a boolean switch was given.
@@ -111,7 +146,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.command, "plan");
         assert_eq!(a.get_or("model", ""), "CLIP ViT-B/16");
-        assert_eq!(a.get_num("candidates", 0usize), 101);
+        assert_eq!(a.get_num("candidates", 0usize), Ok(101));
         assert!(a.has("upper"));
         assert!(!a.has("replicate"));
     }
@@ -120,7 +155,32 @@ mod tests {
     fn defaults_apply() {
         let a = parse(&v(&["zoo"]), &[]).unwrap();
         assert_eq!(a.get_or("fleet", "edge"), "edge");
-        assert_eq!(a.get_num("samples", 300usize), 300);
+        assert_eq!(a.get_num("samples", 300usize), Ok(300));
+        assert_eq!(a.get_opt_num::<usize>("batch"), Ok(None));
+    }
+
+    #[test]
+    fn unparsable_number_is_an_error_naming_flag_and_value() {
+        let a = parse(
+            &v(&["simulate", "--requests", "10k", "--rate", "fast"]),
+            &[],
+        )
+        .unwrap();
+        let err = a.get_num("requests", 20usize).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::BadValue {
+                flag: "requests".into(),
+                value: "10k".into()
+            }
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("--requests") && msg.contains("10k"), "{msg}");
+        assert!(a.get_num("rate", 0.5f64).is_err());
+        assert!(a.get_opt_num::<usize>("requests").is_err());
+        // A negative count is unparsable for an unsigned flag too.
+        let a = parse(&v(&["simulate", "--requests", "-3"]), &[]).unwrap();
+        assert!(a.get_num("requests", 20usize).is_err());
     }
 
     #[test]

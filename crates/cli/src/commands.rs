@@ -107,7 +107,7 @@ fn instance_for(args: &Args) -> Result<(Instance, String, usize), String> {
         .get("model")
         .ok_or("--model is required (see `s2m3 zoo`)")?
         .clone();
-    let candidates = args.get_num("candidates", 101usize);
+    let candidates = args.get_num("candidates", 101usize)?;
     let instance =
         Instance::on_fleet(fleet_for(args)?, &[(&model, candidates)]).map_err(|e| e.to_string())?;
     Ok((instance, model, candidates))
@@ -191,9 +191,9 @@ pub fn plan(args: &Args) -> CmdResult {
 /// `s2m3 simulate`.
 pub fn simulate_cmd(args: &Args) -> CmdResult {
     let (instance, _, _) = instance_for(args)?;
-    let n = args.get_num("requests", 20usize);
-    let rate = args.get_num("rate", 0.5f64);
-    let batch = args.flags.get("batch").and_then(|v| v.parse().ok());
+    let n = args.get_num("requests", 20usize)?;
+    let rate = args.get_num("rate", 0.5f64)?;
+    let batch = args.get_opt_num("batch")?;
     let requests = mixed_stream(&instance, n).map_err(|e| e.to_string())?;
     let plan = Plan::greedy(&instance, requests).map_err(|e| e.to_string())?;
     let arrivals = ArrivalProcess::Poisson { rate_per_s: rate }.arrivals(n, "cli");
@@ -441,7 +441,7 @@ pub fn evaluate_cmd(args: &Args) -> CmdResult {
         .ok_or("--model is required")?
         .clone();
     let bench_name = args.get_or("benchmark", "cifar10");
-    let samples = args.get_num("samples", 300usize);
+    let samples = args.get_num("samples", 300usize)?;
     let bench = Benchmark::by_name(bench_name)
         .ok_or_else(|| format!("unknown benchmark '{bench_name}'"))?;
     let zoo = Zoo::standard();
@@ -494,7 +494,7 @@ pub fn compare(args: &Args) -> CmdResult {
         .get("model")
         .ok_or("--model is required")?
         .clone();
-    let candidates = args.get_num("candidates", 101usize);
+    let candidates = args.get_num("candidates", 101usize)?;
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(&model, candidates)])
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -627,6 +627,22 @@ mod tests {
         ])
         .unwrap();
         assert!(batched.contains("batching x4"));
+    }
+
+    #[test]
+    fn unparsable_numeric_flags_fail_instead_of_running_the_default() {
+        let model = ["--model", "CLIP ViT-B/16"];
+        for (cmd, flag, value) in [
+            ("simulate", "--requests", "10k"),
+            ("simulate", "--rate", "fast"),
+            ("simulate", "--batch", "four"),
+            ("plan", "--candidates", "1e2"),
+            ("compare", "--candidates", "-1"),
+            ("evaluate", "--samples", "many"),
+        ] {
+            let err = run(&[cmd, model[0], model[1], flag, value]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{cmd}: {err}");
+        }
     }
 
     #[test]

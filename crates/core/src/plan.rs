@@ -4,6 +4,8 @@
 //! substrates (`s2m3-sim` replays them in virtual time; `s2m3-runtime`
 //! executes them with real computation).
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -48,6 +50,10 @@ impl Plan {
 
     /// Routes `requests` over an existing placement and validates.
     ///
+    /// With the placement fixed, Eq. 7 depends only on a request's model
+    /// and workload profile, so each distinct pair is routed once and
+    /// later requests clone that route under their own id.
+    ///
     /// # Errors
     ///
     /// See [`Plan::greedy`].
@@ -56,9 +62,28 @@ impl Plan {
         placement: Placement,
         requests: Vec<Request>,
     ) -> Result<Self, CoreError> {
+        let mut memo: BTreeMap<(usize, u64, u64), Route> = BTreeMap::new();
         let mut routed = Vec::with_capacity(requests.len());
         for q in requests {
-            let r = route_request(instance, &placement, &q)?;
+            let model = instance
+                .deployments()
+                .iter()
+                .position(|d| d.model.name == q.model)
+                .ok_or_else(|| CoreError::UnknownModel(q.model.clone()))?;
+            let key = (
+                model,
+                q.profile.text_units.to_bits(),
+                q.profile.llm_tokens.to_bits(),
+            );
+            let mut r = match memo.get(&key) {
+                Some(r) => r.clone(),
+                None => {
+                    let r = route_request(instance, &placement, &q)?;
+                    memo.insert(key, r.clone());
+                    r
+                }
+            };
+            r.request_id = q.id;
             routed.push((q, r));
         }
         validate(instance, &placement, &routed)?;

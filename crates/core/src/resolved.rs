@@ -4,17 +4,20 @@
 //! brute-force Upper bound, Eq. 1–4 objective evaluation, and both
 //! discrete-event engines — needs `t_comp(m, n)`, `t_comm(a, b, bytes)`,
 //! memory footprints, and adjacency for (module, device) pairs. Keying
-//! those lookups by `DeviceId(String)` / `ModuleId(String)` makes string
-//! hashing/ordering the dominant cost per event. [`ResolvedInstance`]
-//! interns both id spaces into dense `u32` indices at construction time
-//! and precomputes flat tables, so the hot loops do array arithmetic
-//! only.
+//! those lookups by `DeviceId` / `ModuleId` makes string hashing/ordering
+//! the dominant cost per event. [`ResolvedInstance`] interns both id
+//! spaces into dense `u32` indices at construction time and precomputes
+//! flat tables, so the hot loops do array arithmetic only.
 //!
 //! ## String at the boundary, index in the core
 //!
 //! Public artifacts (`Plan`, `SimReport`, `ServeReport`) keep string ids
 //! and serialize exactly as before; [`ResolvedInstance::device_name`] /
-//! [`ResolvedInstance::module_name`] translate back at the boundary.
+//! [`ResolvedInstance::module_name`] translate back at the boundary. The
+//! ids are shared strings (`Arc<str>`), so handing one to an artifact —
+//! a route entry, a Gantt span — is a reference-count bump, never a
+//! copy of the name; comparing two of them still compares names, which
+//! is why the hot loops work on indices and not on the ids.
 //! Nothing about the *numerical* behavior changes either: every table
 //! stores the same operands the string path used and evaluates the same
 //! formula in the same order, so results are bitwise identical (the

@@ -5,6 +5,8 @@
 //! Upper bound, the replan controller) route on interned indices via
 //! [`crate::resolved::ResolvedInstance::route_model`] instead, which
 //! applies the same Eq. 7 rule with the same name-order tie-break.
+//! [`crate::plan::Plan::route_all`] stays on this path but calls
+//! [`route_request`] once per distinct (model, profile), not per request.
 
 use s2m3_models::module::{ModuleId, ModuleSpec};
 use s2m3_net::device::DeviceId;

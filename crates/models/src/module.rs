@@ -6,6 +6,7 @@
 //! the actual computation lives in [`crate::exec`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -17,13 +18,16 @@ use crate::input::Modality;
 /// (e.g. the frozen `ViT-B/16` vision tower reused by CLIP retrieval,
 /// encoder-only VQA, and image captioning). Sharing across tasks — the
 /// "share" half of split-and-share — keys on this identity.
+///
+/// The name is a shared string: a clone is a reference-count bump, while
+/// equality, ordering, hashing and JSON all follow the string content.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct ModuleId(String);
+pub struct ModuleId(Arc<str>);
 
 impl ModuleId {
     /// Creates an id from a canonical module name (e.g. `"vision/ViT-B-16"`).
     pub fn new(name: impl Into<String>) -> Self {
-        ModuleId(name.into())
+        ModuleId(Arc::from(name.into()))
     }
 
     /// The canonical name.
@@ -234,6 +238,43 @@ mod tests {
             gflops_per_unit: gflops,
             precision: Precision::Fp32,
         }
+    }
+
+    #[test]
+    fn module_id_serializes_as_the_bare_name() {
+        use serde::value::Value;
+        let id = ModuleId::new("vision/ViT-B-16");
+        let value = serde::to_value(&id).unwrap();
+        assert_eq!(value, Value::Str("vision/ViT-B-16".into()));
+        assert_eq!(serde::from_value::<ModuleId>(value).unwrap(), id);
+        assert!(serde::from_value::<ModuleId>(Value::UInt(7)).is_err());
+    }
+
+    #[test]
+    fn module_id_identity_is_the_name_not_the_allocation() {
+        use std::collections::{BTreeMap, HashMap};
+        use std::hash::{BuildHasher, RandomState};
+        // Two separately built ids share no allocation.
+        let a = ModuleId::new("text/CLIP-B-16");
+        let b = ModuleId::new(format!("text/{}", "CLIP-B-16"));
+        assert!(!std::ptr::eq(a.as_str(), b.as_str()));
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let mut tree = BTreeMap::from([(a.clone(), 1)]);
+        assert_eq!(tree.insert(b.clone(), 2), Some(1));
+        let mut hashed = HashMap::from([(a.clone(), 1)]);
+        assert_eq!(hashed.insert(b, 2), Some(1));
+        // Order is the names', whatever order the ids were built in.
+        let mut ids = [ModuleId::new("vision/x"), ModuleId::new("head/x"), a];
+        ids.sort();
+        assert_eq!(
+            ids.iter().map(ModuleId::as_str).collect::<Vec<_>>(),
+            ["head/x", "text/CLIP-B-16", "vision/x"]
+        );
+        // A clone shares the name.
+        assert!(std::ptr::eq(ids[0].as_str(), ids[0].clone().as_str()));
     }
 
     #[test]

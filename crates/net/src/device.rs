@@ -1,5 +1,7 @@
 //! Device compute model.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use s2m3_models::module::{ModuleKind, ModuleSpec};
@@ -52,13 +54,16 @@ impl KindEfficiency {
 
 /// Stable device identity (`"server"`, `"desktop"`, `"laptop"`,
 /// `"jetson-a"`, `"jetson-b"`).
+///
+/// The name is a shared string: a clone is a reference-count bump, while
+/// equality, ordering, hashing and JSON all follow the string content.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct DeviceId(String);
+pub struct DeviceId(Arc<str>);
 
 impl DeviceId {
     /// Creates a device id.
     pub fn new(name: impl Into<String>) -> Self {
-        DeviceId(name.into())
+        DeviceId(Arc::from(name.into()))
     }
 
     /// The canonical name.
@@ -240,6 +245,52 @@ mod tests {
 
     fn module(name: &str) -> ModuleSpec {
         Catalog::standard().get_by_name(name).unwrap().clone()
+    }
+
+    #[test]
+    fn device_id_serializes_as_the_bare_name() {
+        let id = DeviceId::new("jetson-a");
+        let json = serde_json::to_string(&id).unwrap();
+        assert_eq!(json, "\"jetson-a\"");
+        let back: DeviceId = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, id);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // As a map key it is the object key, unquoted further.
+        let map = std::collections::BTreeMap::from([(id, 1u8)]);
+        assert_eq!(
+            serde_json::to_string(&map)
+                .unwrap()
+                .replace([' ', '\n'], ""),
+            "{\"jetson-a\":1}"
+        );
+        assert!(serde_json::from_str::<DeviceId>("7").is_err());
+    }
+
+    #[test]
+    fn device_id_identity_is_the_name_not_the_allocation() {
+        use std::collections::{BTreeMap, HashMap};
+        use std::hash::{BuildHasher, RandomState};
+        // Two separately built ids share no allocation.
+        let a = DeviceId::new("laptop");
+        let b = DeviceId::new(format!("lap{}", "top"));
+        assert!(!std::ptr::eq(a.as_str(), b.as_str()));
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&a), hasher.hash_one(&b));
+        let mut tree = BTreeMap::from([(a.clone(), 1)]);
+        assert_eq!(tree.insert(b.clone(), 2), Some(1));
+        let mut hashed = HashMap::from([(a.clone(), 1)]);
+        assert_eq!(hashed.insert(b, 2), Some(1));
+        // Order is the names', whatever order the ids were built in.
+        let mut ids = [DeviceId::new("server"), DeviceId::new("desktop"), a];
+        ids.sort();
+        assert_eq!(
+            ids.iter().map(DeviceId::as_str).collect::<Vec<_>>(),
+            ["desktop", "laptop", "server"]
+        );
+        // A clone shares the name.
+        assert!(std::ptr::eq(ids[0].as_str(), ids[0].clone().as_str()));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! idle. The online counterpart (`s2m3-serve`) layers admission control
 //! and live replanning over the *same* kernel.
 
+use std::collections::BTreeMap;
+
 use s2m3_core::error::CoreError;
 use s2m3_core::plan::Plan;
 use s2m3_core::problem::{Instance, Request, Route};
@@ -50,6 +52,14 @@ pub enum SimError {
         /// Arrival entries supplied.
         got: usize,
     },
+    /// An arrival time is NaN, infinite, negative, or too late to fit
+    /// the nanosecond clock.
+    BadArrival {
+        /// Position in `arrivals`.
+        index: usize,
+        /// The offending value, seconds.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -60,6 +70,12 @@ impl std::fmt::Display for SimError {
                 write!(
                     f,
                     "plan has {expected} requests but {got} arrivals were given"
+                )
+            }
+            SimError::BadArrival { index, value } => {
+                write!(
+                    f,
+                    "arrival {index} is {value} s: must be finite, non-negative and at most {MAX_ARRIVAL_S} s"
                 )
             }
         }
@@ -75,6 +91,10 @@ impl From<CoreError> for SimError {
 }
 
 const NS: f64 = 1.0e9;
+
+/// Latest accepted arrival: 2^63 ns, half the `u64` nanosecond clock, so
+/// no time derived from an arrival can saturate `ns`.
+const MAX_ARRIVAL_S: f64 = (1u64 << 63) as f64 / NS;
 
 fn ns(t: f64) -> u64 {
     (t * NS).round() as u64
@@ -109,7 +129,12 @@ struct Bounded<'a> {
     /// Per-request `(id, arrival)` (index-aligned with
     /// `Kernel::requests`).
     req_info: Vec<(u64, f64)>,
-    report: SimReport,
+    /// Every span: those known before the clock starts (loading, input
+    /// transfers), then the ones the hooks below stamp with the kernel's
+    /// monotone `now`.
+    spans: Vec<GanttSpan>,
+    /// `(id, timing)` per finished request, in completion order.
+    timings: Vec<(u64, RequestTiming)>,
 }
 
 impl Driver for Bounded<'_> {
@@ -130,7 +155,7 @@ impl Driver for Bounded<'_> {
         let end = start + dur;
         for &g in group {
             let module = k.tasks.module(g);
-            self.report.spans.push(GanttSpan {
+            self.spans.push(GanttSpan {
                 device: self.resolved.device_name(device as u32).clone(),
                 request: Some(k.tasks.payload(g).request),
                 phase: if k.tasks.is_head(g) {
@@ -155,7 +180,7 @@ impl Driver for Bounded<'_> {
         if info.output_tx > 0.0 {
             let req = k.tasks.req(tid);
             let head_dev = k.tasks.device(k.requests[req].head_task);
-            self.report.spans.push(GanttSpan {
+            self.spans.push(GanttSpan {
                 device: self.resolved.device_name(head_dev as u32).clone(),
                 request: Some(info.request),
                 phase: Phase::OutputTx(self.resolved.module_name(k.tasks.module(tid)).clone()),
@@ -173,15 +198,60 @@ impl Driver for Bounded<'_> {
         now: u64,
     ) -> Result<(), SimError> {
         let (id, arrival) = self.req_info[req];
-        self.report.requests.insert(
+        self.timings.push((
             id,
             RequestTiming {
                 arrival,
                 completion: secs(now),
             },
-        );
+        ));
         Ok(())
     }
+}
+
+/// The report's span order: by `start`, then device name. Starts are
+/// never NaN (arrivals are validated, the clock is integral).
+fn span_order(a: &GanttSpan, b: &GanttSpan) -> std::cmp::Ordering {
+    a.start
+        .partial_cmp(&b.start)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then_with(|| a.device.cmp(&b.device))
+}
+
+/// Stable-sorts every run of adjacent spans sharing a `start` by device
+/// name: all a stream already non-decreasing in `start` needs to be in
+/// [`span_order`].
+pub(crate) fn order_tie_groups(spans: &mut [GanttSpan]) {
+    for group in spans.chunk_by_mut(|a, b| a.start == b.start) {
+        if group.len() > 1 {
+            group.sort_by(|a, b| a.device.cmp(&b.device));
+        }
+    }
+}
+
+/// Stable-sorts `spans` by [`span_order`], in linear time on the shape
+/// the engine produces. `spans[built..]` were stamped with the kernel's
+/// monotone clock and `spans[..built]` follow the arrivals, so each part
+/// is non-decreasing in `start` already (the first whenever arrivals
+/// are) and only its tie groups are out of place; once those are fixed
+/// the slice is two sorted runs, which the standard stable sort detects
+/// and merges in one pass. Regrouping ties never reorders spans with
+/// equal keys, so the result is that of the plain sort on any input —
+/// an unsorted part only costs the time back.
+pub(crate) fn order_spans(spans: &mut [GanttSpan], built: usize) {
+    let (before, during) = spans.split_at_mut(built);
+    order_tie_groups(before);
+    order_tie_groups(during);
+    spans.sort_by(span_order);
+}
+
+/// The devices `route` assigns a model's modules to, as indices.
+struct ResolvedRoute<'a> {
+    /// The route these indices were resolved from.
+    route: &'a Route,
+    head: u32,
+    /// Aligned with the model's `encoders`.
+    encoders: Vec<u32>,
 }
 
 /// Resolves the routed device of module `m` for `route`, with the same
@@ -211,8 +281,9 @@ fn source_index(resolved: &ResolvedInstance, request: &Request) -> Result<u32, C
 ///
 /// # Errors
 ///
-/// [`SimError::ArrivalsMismatch`] on bad config; [`SimError::Core`] if the
-/// plan references unknown models/devices (a validated plan cannot).
+/// [`SimError::ArrivalsMismatch`] / [`SimError::BadArrival`] on bad
+/// config; [`SimError::Core`] if the plan references unknown
+/// models/devices (a validated plan cannot).
 pub fn simulate(
     instance: &Instance,
     plan: &Plan,
@@ -229,15 +300,31 @@ pub fn simulate(
 ///
 /// # Errors
 ///
-/// [`SimError::ArrivalsMismatch`] on bad config; [`SimError::Core`] if the
-/// plan references unknown models/devices (a validated plan cannot).
+/// [`SimError::ArrivalsMismatch`] / [`SimError::BadArrival`] on bad
+/// config; [`SimError::Core`] if the plan references unknown
+/// models/devices (a validated plan cannot).
 pub fn simulate_shared(
     instance: &Instance,
     resolved: &ResolvedInstance,
     plan: &Plan,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let arrivals: Vec<f64> = match &config.arrivals {
+    let (mut report, built) = simulate_recorded(instance, resolved, plan, config)?;
+    order_spans(&mut report.spans, built);
+    Ok(report)
+}
+
+/// [`simulate_shared`] short of ordering the spans: the report with
+/// `spans` as recorded, and how many of them were recorded before the
+/// clock started.
+pub(crate) fn simulate_recorded(
+    instance: &Instance,
+    resolved: &ResolvedInstance,
+    plan: &Plan,
+    config: &SimConfig,
+) -> Result<(SimReport, usize), SimError> {
+    let simultaneous;
+    let arrivals: &[f64] = match &config.arrivals {
         Some(a) => {
             if a.len() != plan.routed.len() {
                 return Err(SimError::ArrivalsMismatch {
@@ -245,14 +332,38 @@ pub fn simulate_shared(
                     got: a.len(),
                 });
             }
-            a.clone()
+            // `ns` would silently turn NaN and negatives into 0 and
+            // saturate past the clock's range.
+            if let Some((index, &value)) = a
+                .iter()
+                .enumerate()
+                .find(|(_, &t)| !(0.0..=MAX_ARRIVAL_S).contains(&t))
+            {
+                return Err(SimError::BadArrival { index, value });
+            }
+            a
         }
-        None => vec![0.0; plan.routed.len()],
+        None => {
+            simultaneous = vec![0.0; plan.routed.len()];
+            &simultaneous
+        }
     };
 
     let devices = instance.fleet().devices();
 
-    let mut report = SimReport::default();
+    let mut loading_done = 0.0;
+    // One head task per request plus its encoders: exact table sizes.
+    let tasks_cap: usize = plan
+        .routed
+        .iter()
+        .map(|(r, _)| {
+            1 + resolved
+                .model_index(&r.model)
+                .map_or(0, |m| resolved.models()[m].encoders.len())
+        })
+        .sum();
+    // Input transfers: at most one span per encoder task.
+    let mut spans: Vec<GanttSpan> = Vec::with_capacity(tasks_cap - plan.routed.len());
 
     // --- Model loading: each device streams its placed modules (largest
     //     first, deterministic) sequentially from t=0.
@@ -271,7 +382,7 @@ pub fn simulate_shared(
                 continue;
             }
             let start = secs(open_at[di]);
-            report.spans.push(GanttSpan {
+            spans.push(GanttSpan {
                 device: n.clone(),
                 request: None,
                 phase: Phase::ModelLoading(m.clone()),
@@ -280,19 +391,9 @@ pub fn simulate_shared(
             });
             open_at[di] = ns(start + dur);
         }
-        report.loading_done = open_at.iter().copied().map(secs).fold(0.0, f64::max);
+        loading_done = open_at.iter().copied().map(secs).fold(0.0, f64::max);
     }
 
-    // One head task per request plus its encoders: exact table sizes.
-    let tasks_cap: usize = plan
-        .routed
-        .iter()
-        .map(|(r, _)| {
-            1 + resolved
-                .model_index(&r.model)
-                .map_or(0, |m| resolved.models()[m].encoders.len())
-        })
-        .sum();
     let mut kernel: Kernel<NoCustom, TaskInfo> = Kernel::with_capacity(
         devices
             .iter()
@@ -305,8 +406,10 @@ pub fn simulate_shared(
             // The Gantt chart indexes spans by task id; ids must stay
             // append-only.
             recycle_tasks: false,
-            // Bounded sims seed a small event set and drain once; the
-            // wheel's frontier bookkeeping buys nothing there.
+            // Every arrival is pushed before the clock starts, so a large
+            // plan holds far more pending events than the online driver
+            // ever does; `Auto` keeps the heap for small plans and spills
+            // to the wheel past its pending-event threshold.
             scheduler: Scheduler::Auto,
         },
         tasks_cap,
@@ -316,24 +419,43 @@ pub fn simulate_shared(
         resolved,
         exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
         req_info: Vec::with_capacity(plan.routed.len()),
-        report,
+        spans,
+        timings: Vec::with_capacity(plan.routed.len()),
     };
 
     // --- Build tasks and initial events.
-    for (req_idx, ((request, route), &arrival)) in plan.routed.iter().zip(&arrivals).enumerate() {
-        let model = driver
-            .resolved
+    // Requests of one model overwhelmingly share one route (Eq. 7 picks
+    // the same hosts for the same profile), so each model remembers the
+    // last route it resolved to device indices.
+    let mut last_route: Vec<Option<ResolvedRoute>> = Vec::new();
+    last_route.resize_with(resolved.models().len(), || None);
+    let mut order: Vec<(u32, u32, f64)> = Vec::new();
+    // Spans the run will record: one per task, plus one per encoder
+    // whose embedding has to travel.
+    let mut run_spans = tasks_cap;
+    for (req_idx, ((request, route), &arrival)) in plan.routed.iter().zip(arrivals).enumerate() {
+        let model = resolved
             .model_index(&request.model)
             .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
-        let rmodel = &driver.resolved.models()[model];
-        let source = source_index(driver.resolved, request)?;
+        let rmodel = &resolved.models()[model];
+        let source = source_index(resolved, request)?;
+        let devs = match &mut last_route[model] {
+            Some(r) if r.route.iter().eq(route.iter()) => r,
+            slot => slot.insert(ResolvedRoute {
+                route,
+                head: routed_device(resolved, route, rmodel.head)?,
+                encoders: rmodel
+                    .encoders
+                    .iter()
+                    .map(|&m| routed_device(resolved, route, m))
+                    .collect::<Result<_, _>>()?,
+            }),
+        };
         let head_m = rmodel.head;
-        let head_kind = driver.resolved.module_kind(head_m);
-        let head_di = routed_device(driver.resolved, route, head_m)?;
+        let head_kind = resolved.module_kind(head_m);
+        let head_di = devs.head;
         let head_dur =
-            driver
-                .resolved
-                .compute_time_units(head_m, head_di, request.profile.units(head_kind));
+            resolved.compute_time_units(head_m, head_di, request.profile.units(head_kind));
         let head_task = kernel.spawn_task(
             req_idx,
             head_m,
@@ -349,7 +471,7 @@ pub fn simulate_shared(
         // Raw-query transfer for generative heads (travels immediately).
         let mut head_ready = ns(arrival);
         if head_kind == ModuleKind::LanguageModel {
-            let q_tx = driver.resolved.transfer_time(
+            let q_tx = resolved.transfer_time(
                 source,
                 head_di,
                 request.profile.input_bytes(ModuleKind::LanguageModel),
@@ -359,11 +481,10 @@ pub fn simulate_shared(
 
         // Dispatch order: longest-running encoder first, module id (==
         // index) breaking ties — Algorithm 1's send rule.
-        let mut order: Vec<(u32, u32, f64)> = Vec::with_capacity(rmodel.encoders.len());
-        for &m in &rmodel.encoders {
-            let di = routed_device(driver.resolved, route, m)?;
-            let units = request.profile.units(driver.resolved.module_kind(m));
-            order.push((m, di, driver.resolved.compute_time_units(m, di, units)));
+        order.clear();
+        for (&m, &di) in rmodel.encoders.iter().zip(&devs.encoders) {
+            let units = request.profile.units(resolved.module_kind(m));
+            order.push((m, di, resolved.compute_time_units(m, di, units)));
         }
         order.sort_by(|a, b| {
             b.2.partial_cmp(&a.2)
@@ -371,27 +492,23 @@ pub fn simulate_shared(
                 .then_with(|| a.0.cmp(&b.0))
         });
 
-        let mut pending = 0usize;
         for &(m, di, dur) in &order {
-            let kind = driver.resolved.module_kind(m);
+            let kind = resolved.module_kind(m);
             let units = request.profile.units(kind);
-            let input_tx =
-                driver
-                    .resolved
-                    .transfer_time(source, di, request.profile.input_bytes(kind));
-            let output_tx = driver.resolved.transfer_time(
-                di,
-                head_di,
-                driver.resolved.module_spec(m).output_bytes(units),
-            );
+            let input_tx = resolved.transfer_time(source, di, request.profile.input_bytes(kind));
+            let output_tx =
+                resolved.transfer_time(di, head_di, resolved.module_spec(m).output_bytes(units));
             if input_tx > 0.0 {
-                driver.report.spans.push(GanttSpan {
-                    device: driver.resolved.device_name(di).clone(),
+                driver.spans.push(GanttSpan {
+                    device: resolved.device_name(di).clone(),
                     request: Some(request.id),
-                    phase: Phase::InputTx(driver.resolved.module_name(m).clone()),
+                    phase: Phase::InputTx(resolved.module_name(m).clone()),
                     start: arrival,
                     end: arrival + input_tx,
                 });
+            }
+            if output_tx > 0.0 {
+                run_spans += 1;
             }
             let tid = kernel.spawn_task(
                 req_idx,
@@ -405,21 +522,20 @@ pub fn simulate_shared(
                 },
             );
             kernel.push_ready(ns(arrival + input_tx), tid);
-            pending += 1;
         }
 
         driver.req_info.push((request.id, arrival));
         kernel.set_request(
             req_idx,
             RequestSlot {
-                pending_encoders: pending,
+                pending_encoders: order.len(),
                 head_ready_ns: head_ready,
                 head_task,
             },
         );
         // Encoder-less models cannot exist (ModelSpec validates ≥1), but
         // guard anyway: head fires directly.
-        if pending == 0 {
+        if order.is_empty() {
             kernel.push_ready(head_ready, head_task);
         }
     }
@@ -431,21 +547,24 @@ pub fn simulate_shared(
     }
 
     // --- Run the shared event loop to idle.
+    let built = driver.spans.len();
+    driver.spans.reserve_exact(run_spans);
     kernel.run_until_idle(&mut driver)?;
 
-    let mut report = driver.report;
-    report.spans.sort_by(|a, b| {
-        a.start
-            .partial_cmp(&b.start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.device.cmp(&b.device))
-    });
-    report.makespan = report
-        .requests
+    // Bulk-built from the completion-ordered list: on a repeated id the
+    // later completion wins, as with one insert per completion.
+    let requests: BTreeMap<u64, RequestTiming> = driver.timings.into_iter().collect();
+    let makespan = requests
         .values()
         .map(|r| r.completion)
-        .fold(report.loading_done, f64::max);
-    Ok(report)
+        .fold(loading_done, f64::max);
+    let report = SimReport {
+        spans: driver.spans,
+        requests,
+        loading_done,
+        makespan,
+    };
+    Ok((report, built))
 }
 
 #[cfg(test)]
@@ -580,6 +699,86 @@ mod tests {
                 got: 1
             }
         );
+    }
+
+    fn bad_arrival(value: f64) -> SimError {
+        let (i, plan) = plan_for("CLIP ViT-B/16", 10, 3);
+        simulate(
+            &i,
+            &plan,
+            &SimConfig {
+                arrivals: Some(vec![0.0, value, 1.0]),
+                ..SimConfig::default()
+            },
+        )
+        .unwrap_err()
+    }
+
+    #[test]
+    fn nan_arrival_is_rejected() {
+        // `assert_eq!` cannot compare the NaN payload.
+        match bad_arrival(f64::NAN) {
+            SimError::BadArrival { index: 1, value } => assert!(value.is_nan()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn infinite_arrival_is_rejected() {
+        for value in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(bad_arrival(value), SimError::BadArrival { index: 1, value });
+        }
+    }
+
+    #[test]
+    fn negative_arrival_is_rejected() {
+        for value in [-1.0e-9, -3.5] {
+            assert_eq!(bad_arrival(value), SimError::BadArrival { index: 1, value });
+        }
+    }
+
+    #[test]
+    fn arrival_past_the_clock_range_is_rejected() {
+        for value in [MAX_ARRIVAL_S * 1.001, 1.0e19, f64::MAX] {
+            assert_eq!(bad_arrival(value), SimError::BadArrival { index: 1, value });
+        }
+        let msg = bad_arrival(1.0e19).to_string();
+        assert!(msg.contains("arrival 1 is 1"), "{msg}");
+    }
+
+    #[test]
+    fn arrivals_at_the_range_ends_are_accepted() {
+        let (i, plan) = plan_for("CLIP ViT-B/16", 10, 2);
+        let r = simulate(
+            &i,
+            &plan,
+            &SimConfig {
+                // -0.0 is zero, not a negative time.
+                arrivals: Some(vec![-0.0, 4.0e9]),
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        assert!(r.requests[&1].completion > 4.0e9);
+        assert_eq!(ns(MAX_ARRIVAL_S), 1 << 63);
+    }
+
+    #[test]
+    fn repeated_request_id_keeps_the_later_completion() {
+        let (i, mut plan) = plan_for("CLIP ViT-B/16", 10, 2);
+        plan.routed[1].0.id = 0;
+        plan.routed[1].1.request_id = 0;
+        let r = simulate(
+            &i,
+            &plan,
+            &SimConfig {
+                arrivals: Some(vec![50.0, 0.0]),
+                ..SimConfig::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(r.requests.len(), 1);
+        assert_eq!(r.requests[&0].arrival, 50.0);
     }
 
     #[test]

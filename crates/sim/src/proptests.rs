@@ -2,15 +2,30 @@
 
 use proptest::prelude::*;
 
+use s2m3_core::placement::PlacementOptions;
 use s2m3_core::plan::Plan;
 use s2m3_core::problem::Instance;
+use s2m3_core::resolved::ResolvedInstance;
+use s2m3_net::fleet::Fleet;
 
+use crate::engine::{order_spans, order_tie_groups, simulate_recorded, simulate_shared};
 use crate::kernel::wheel::TimingWheel;
 use crate::kernel::KeyHeap;
+use crate::report::GanttSpan;
 use crate::workload::{
     latency_stats, mixed_stream, ArrivalProcess, ModelMix, ModelWeight, SourceSpec, WorkloadSpec,
 };
 use crate::{simulate, SimConfig};
+
+/// Deployments the span-order property draws subsets of: shared and
+/// unshared encoders, one to three encoders per model, a generative head.
+const MODELS: [(&str, usize); 5] = [
+    ("CLIP ViT-B/16", 101),
+    ("Encoder-only VQA (Small)", 1),
+    ("AlignBind-B", 16),
+    ("CLIP-Classifier Food-101", 0),
+    ("Flint-v0.5-1B", 1),
+];
 
 fn instance() -> Instance {
     Instance::single_model("CLIP ViT-B/16", 32).unwrap()
@@ -352,6 +367,79 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The engine's linear span ordering (tie groups, then one merge of
+    /// the pre-clock and run-time streams) yields exactly what a stable
+    /// `sort_by(start, device)` over the recorded spans yields — the
+    /// order every `SimReport` golden was captured with. Covers mixed
+    /// models on both fleets, replicated placements, every arrival
+    /// process, same-instant bursts, out-of-order arrivals, batching
+    /// and model loading.
+    #[test]
+    fn merge_ordered_spans_equal_reference_sort(
+        models in proptest::sample::subsequence(MODELS.to_vec(), 1..=MODELS.len()),
+        standard_fleet in 0u8..2,
+        replicate in 0u8..2,
+        n in 1usize..48,
+        process in arb_arrival_process(),
+        burst_s in prop_oneof![Just(0.0), Just(0.5), Just(5.0)],
+        reversed in 0u8..2,
+        max_batch in 0usize..6,
+        include_loading in 0u8..2,
+    ) {
+        let fleet = if standard_fleet == 1 {
+            Fleet::standard_testbed()
+        } else {
+            Fleet::edge_testbed()
+        };
+        let i = Instance::on_fleet(fleet, &models).unwrap();
+        let requests = mixed_stream(&i, n).unwrap();
+        let plan =
+            Plan::greedy_with(&i, requests, PlacementOptions { replicate: replicate == 1 }).unwrap();
+        let mut arrivals = process.arrivals(n, "spans");
+        if burst_s > 0.0 {
+            // Collapse arrivals onto a coarse grid: same-instant bursts.
+            for t in &mut arrivals {
+                *t = (*t / burst_s).floor() * burst_s;
+            }
+        }
+        if reversed == 1 {
+            arrivals.reverse();
+        }
+        let config = SimConfig {
+            include_loading: include_loading == 1,
+            arrivals: Some(arrivals),
+            max_batch: (max_batch > 0).then_some(max_batch),
+        };
+        let resolved = ResolvedInstance::new(&i).unwrap();
+
+        let reference = |a: &GanttSpan, b: &GanttSpan| {
+            a.start
+                .partial_cmp(&b.start)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.device.cmp(&b.device))
+        };
+        let (recorded, built) = simulate_recorded(&i, &resolved, &plan, &config).unwrap();
+        let mut expected = recorded.spans.clone();
+        expected.sort_by(reference);
+
+        // The linear path's premise: the kernel's clock is monotone, so
+        // fixing tie groups alone sorts the run-time stream (and the
+        // pre-clock one when arrivals are in order and nothing loads).
+        let mut during = recorded.spans[built..].to_vec();
+        order_tie_groups(&mut during);
+        prop_assert!(during.is_sorted_by(|a, b| reference(a, b).is_le()));
+        if reversed == 0 && include_loading == 0 {
+            let mut before = recorded.spans[..built].to_vec();
+            order_tie_groups(&mut before);
+            prop_assert!(before.is_sorted_by(|a, b| reference(a, b).is_le()));
+        }
+
+        let mut ordered = recorded.spans;
+        order_spans(&mut ordered, built);
+        prop_assert_eq!(&ordered, &expected);
+        prop_assert_eq!(simulate_shared(&i, &resolved, &plan, &config).unwrap().spans, expected);
+    }
 
     /// The timing wheel is a drop-in replacement for the packed-key
     /// heap: under arbitrary interleaved push/pop schedules — same-tick

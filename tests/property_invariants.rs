@@ -208,6 +208,64 @@ proptest! {
         }
     }
 
+    /// `Plan::route_all` routes each distinct (model, profile) once and
+    /// reuses the answer; the plan must equal routing every request on
+    /// its own, for interleaved models, repeated and one-off profiles,
+    /// and replicated placements (where the profile decides the host).
+    #[test]
+    fn memoised_route_all_equals_per_request_routing(
+        models in proptest::sample::subsequence(vec![
+            ("CLIP ViT-B/16", 101usize),
+            ("Encoder-only VQA (Small)", 1),
+            ("AlignBind-B", 16),
+            ("CLIP-Classifier Food-101", 0),
+            ("Flint-v0.5-1B", 1),
+        ], 1..=5),
+        replicate in 0u8..2,
+        picks in proptest::collection::vec(
+            (0usize..5, prop_oneof![Just(None), Just(Some(0.0)), Just(Some(-0.0)), Just(Some(1.0)),
+                Just(Some(7.0)), (0.0f64..500.0).prop_map(Some)]),
+            1..80,
+        ),
+    ) {
+        let instance = Instance::on_fleet(Fleet::standard_testbed(), &models).unwrap();
+        let placement = s2m3::core::placement::greedy_place_with(
+            &instance,
+            s2m3::core::placement::PlacementOptions { replicate: replicate == 1 },
+        )
+        .unwrap();
+        let requests: Vec<_> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &(model, units))| {
+                let mut q = instance.request(id as u64, models[model % models.len()].0).unwrap();
+                if let Some(units) = units {
+                    q.profile.text_units = units;
+                    q.profile.llm_tokens = units;
+                }
+                q
+            })
+            .collect();
+        let expected: Vec<_> = requests
+            .iter()
+            .map(|q| {
+                let r = s2m3::core::routing::route_request(&instance, &placement, q).unwrap();
+                (q.clone(), r)
+            })
+            .collect();
+        let plan = Plan::route_all(&instance, placement.clone(), requests.clone()).unwrap();
+        prop_assert_eq!(plan.routed, expected);
+
+        // An undeployed model is the same error at the same request.
+        let mut requests = requests;
+        let last = requests.len() - 1;
+        requests[last].model = "ghost".into();
+        prop_assert_eq!(
+            Plan::route_all(&instance, placement, requests),
+            Err(s2m3::core::CoreError::UnknownModel("ghost".into()))
+        );
+    }
+
     /// Replanning onto an unchanged fleet is a no-op; replanning onto a
     /// strictly larger fleet never increases latency.
     #[test]
