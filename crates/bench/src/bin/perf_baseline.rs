@@ -38,8 +38,8 @@ use s2m3_core::plan::Plan;
 use s2m3_core::problem::Instance;
 use s2m3_core::upper::optimal_placement;
 use s2m3_serve::{
-    serve, AdmissionPolicy, BatchPolicy, BudgetEnforcement, BudgetPolicy, ServeScenario,
-    StreamingConfig,
+    serve, AdmissionPolicy, BatchPolicy, BudgetEnforcement, BudgetPolicy, ModelDeployment,
+    ServeScenario, SloReplanTrigger, StreamingConfig,
 };
 use s2m3_sim::engine::{simulate, SimConfig};
 use s2m3_sim::kernel::{Device, Driver, Kernel, Policy, RequestSlot};
@@ -176,17 +176,15 @@ fn main() {
     let iters = if quick { 5 } else { 21 };
 
     let single = Instance::single_model("CLIP ViT-B/16", 101).expect("zoo model");
-    let multi = Instance::on_fleet(
-        s2m3_net::fleet::Fleet::standard_testbed(),
-        &[
-            ("CLIP ViT-B/16", 101),
-            ("Encoder-only VQA (Small)", 1),
-            ("AlignBind-B", 16),
-            ("CLIP-Classifier Food-101", 0),
-            ("Flint-v0.5-1B", 1),
-        ],
-    )
-    .expect("zoo models");
+    let five_models = [
+        ("CLIP ViT-B/16", 101),
+        ("Encoder-only VQA (Small)", 1),
+        ("AlignBind-B", 16),
+        ("CLIP-Classifier Food-101", 0),
+        ("Flint-v0.5-1B", 1),
+    ];
+    let multi = Instance::on_fleet(s2m3_net::fleet::Fleet::standard_testbed(), &five_models)
+        .expect("zoo models");
     let sim_plan = {
         let requests: Vec<_> = (0..32)
             .map(|k| single.request(k, "CLIP ViT-B/16").unwrap())
@@ -215,6 +213,7 @@ fn main() {
         };
         spec
     };
+    let burst_mix = burst_spec.mix.clone();
     let fifo = serve_scenario(500, AdmissionPolicy::Fifo, false);
     let edf = serve_scenario(500, AdmissionPolicy::EarliestDeadlineFirst, false);
     let churn = serve_scenario(500, AdmissionPolicy::ShedOnOverload { max_queue: 48 }, true);
@@ -235,6 +234,33 @@ fn main() {
         let mut policy = BudgetPolicy::device_seconds(6.0);
         policy.enforcement = BudgetEnforcement::DeferThenShed;
         s.budget = Some(policy);
+        s
+    };
+    // Exact mode at the repo benchmark's `exact_budget` shape: the five
+    // models through both churn events with batching, a binding budget
+    // and SLO-breach replans — the request-lifetime tables, the replan
+    // trigger and the sorted latency report in one row.
+    let exact_budget = {
+        let mut s = serve_scenario(500_000, AdmissionPolicy::EarliestDeadlineFirst, true);
+        s.models = five_models
+            .iter()
+            .map(|&(name, candidates)| ModelDeployment {
+                name: name.to_string(),
+                candidates,
+            })
+            .collect();
+        s.mix = Some(burst_mix);
+        s.arrivals = ArrivalProcess::Mmpp {
+            rates_per_s: vec![0.25, 1.0],
+            mean_dwell_s: 120.0,
+        };
+        s.batch = Some(BatchPolicy {
+            max_batch: 4,
+            per_kind: vec![],
+        });
+        s.budget = Some(BudgetPolicy::device_seconds(30.0));
+        s.replan.slo_trigger = Some(SloReplanTrigger::default());
+        s.seed = "perf/500k_exact_budget".to_string();
         s
     };
     let streaming_scenario = |requests: usize| {
@@ -371,6 +397,13 @@ fn main() {
         iters,
         Box::new(|| {
             std::hint::black_box(serve(&budget).unwrap());
+        }),
+    ));
+    benches.push((
+        "serve_loop/500k_exact_budget",
+        if quick { 3 } else { 5 },
+        Box::new(|| {
+            std::hint::black_box(serve(&exact_budget).unwrap());
         }),
     ));
     // Memory-flat streaming mode: slab recycling + sketch aggregation

@@ -1,9 +1,10 @@
-//! Heap-profile comparison of the serving loop's two latency paths:
-//! exact (O(arrivals) request table + latency buffers) versus
-//! memory-flat streaming (slab recycling + histogram sketch). Runs the
-//! same churn scenario in both modes at increasing request counts and
-//! prints the peak-heap delta of each run, making the O(arrivals) vs
-//! O(in-flight) asymptotics directly visible:
+//! Heap-profile comparison of the serving loop's two latency
+//! aggregations over the one (slab-recycling) request-lifetime path:
+//! exact (every latency sample kept) versus streaming (histogram
+//! sketch). Runs the same churn scenario in both modes at increasing
+//! request counts and prints the peak-heap delta of each run: exact
+//! grows by its samples — 8 bytes per completion — and nothing else,
+//! streaming stays flat:
 //!
 //! ```text
 //! cargo run --release -p s2m3-bench --bin serve_memory [-- --requests N]
@@ -75,6 +76,6 @@ fn main() {
     }
     println!(
         "\nstreaming peak is O(in-flight): it should stay ~constant down \
-         the column while the exact peak grows with the request count"
+         the column while the exact peak grows by its latency samples only"
     );
 }

@@ -33,6 +33,14 @@ pub enum ArgError {
         /// What was given.
         value: String,
     },
+    /// A `--flag` or `--switch` the subcommand does not read.
+    UnknownFlag {
+        /// The flag, without dashes.
+        flag: String,
+        /// The command's closest known flag, when one is near enough
+        /// to be a plausible typo.
+        suggestion: Option<String>,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -43,6 +51,13 @@ impl std::fmt::Display for ArgError {
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
             ArgError::BadValue { flag, value } => {
                 write!(f, "flag --{flag}: '{value}' is not a valid number")
+            }
+            ArgError::UnknownFlag { flag, suggestion } => {
+                write!(f, "unknown flag --{flag}")?;
+                match suggestion {
+                    Some(s) => write!(f, " (did you mean --{s}?)"),
+                    None => Ok(()),
+                }
             }
         }
     }
@@ -120,6 +135,47 @@ impl Args {
     pub fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
     }
+
+    /// Checks every given flag and switch against `known`, the names
+    /// the subcommand reads.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::UnknownFlag`] for the first name not in `known`,
+    /// suggesting the known name within a third of its length in edits
+    /// (at least one) when there is one.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        let mut given = self.flags.keys().chain(&self.switches);
+        let Some(flag) = given.find(|f| !known.contains(&f.as_str())) else {
+            return Ok(());
+        };
+        let suggestion = known
+            .iter()
+            .map(|k| (edit_distance(flag, k), *k))
+            .min()
+            .filter(|&(d, k)| d <= (k.len() / 3).max(1))
+            .map(|(_, k)| k.to_string());
+        Err(ArgError::UnknownFlag {
+            flag: flag.clone(),
+            suggestion,
+        })
+    }
+}
+
+/// Levenshtein distance between two flag names (bytes; flags are ASCII).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.iter().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let substitute = diag + usize::from(ca != cb);
+            diag = row[j + 1];
+            row[j + 1] = substitute.min(diag + 1).min(row[j] + 1);
+        }
+    }
+    row[b.len()]
 }
 
 #[cfg(test)]
@@ -181,6 +237,41 @@ mod tests {
         // A negative count is unparsable for an unsigned flag too.
         let a = parse(&v(&["simulate", "--requests", "-3"]), &[]).unwrap();
         assert!(a.get_num("requests", 20usize).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_a_suggestion() {
+        let known = ["requests", "rate", "json", "budget-cap"];
+        let a = parse(&v(&["serve", "--requests", "5", "--json"]), &["json"]).unwrap();
+        assert_eq!(a.reject_unknown(&known), Ok(()));
+
+        let a = parse(&v(&["serve", "--request", "5"]), &["json"]).unwrap();
+        let err = a.reject_unknown(&known).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::UnknownFlag {
+                flag: "request".into(),
+                suggestion: Some("requests".into())
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "unknown flag --request (did you mean --requests?)"
+        );
+
+        // A switch the command does not read is unknown too; nothing
+        // near it means no suggestion.
+        let a = parse(&v(&["serve", "--upper"]), &["upper"]).unwrap();
+        assert_eq!(
+            a.reject_unknown(&known),
+            Err(ArgError::UnknownFlag {
+                flag: "upper".into(),
+                suggestion: None
+            })
+        );
+        assert_eq!(edit_distance("budget-cap", "budgetcap"), 1);
+        assert_eq!(edit_distance("", "rate"), 4);
+        assert_eq!(edit_distance("rate", "rate"), 0);
     }
 
     #[test]

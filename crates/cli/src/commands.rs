@@ -542,8 +542,60 @@ pub fn experiments(_args: &Args) -> CmdResult {
     )
 }
 
+/// Every `--flag` and `--switch` a command reads (`None`: not a
+/// command). [`dispatch`] rejects anything else, so a typo cannot
+/// silently run the default.
+fn known_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "zoo" | "experiments" | "help" | "--help" | "-h" => &[],
+        "fleet" => &["fleet"],
+        "plan" => &["model", "candidates", "fleet", "replicate", "upper"],
+        "simulate" => &["model", "candidates", "fleet", "requests", "rate", "batch"],
+        "serve" => &[
+            "config",
+            "requests",
+            "rate",
+            "deadline",
+            "seed",
+            "policy",
+            "queue",
+            "slo-replan",
+            "mix",
+            "batch",
+            "streaming",
+            "sink",
+            "max-windows",
+            "threads",
+            "budget-cap",
+            "budget-metric",
+            "budget-window",
+            "budget-mode",
+            "trace",
+            "capture-trace",
+            "print-config",
+            "json",
+        ],
+        "sweep" => &[
+            "config",
+            "seeds",
+            "requests",
+            "threads",
+            "budget",
+            "print-config",
+            "json",
+        ],
+        "evaluate" => &["model", "benchmark", "samples"],
+        "infer" => &["model", "candidates", "fleet", "label"],
+        "compare" => &["model", "candidates"],
+        _ => return None,
+    })
+}
+
 /// Dispatches a parsed command.
 pub fn dispatch(args: &Args) -> CmdResult {
+    if let Some(known) = known_flags(&args.command) {
+        args.reject_unknown(known)?;
+    }
     match args.command.as_str() {
         "zoo" => zoo(args),
         "experiments" => experiments(args),
@@ -573,6 +625,36 @@ mod tests {
         )
         .map_err(|e| e.to_string())?;
         dispatch(&args)
+    }
+
+    #[test]
+    fn unknown_flags_fail_instead_of_running_the_default() {
+        let err = run(&["serve", "--request", "50"]).unwrap_err();
+        assert_eq!(err, "unknown flag --request (did you mean --requests?)");
+        // A flag another command reads is still unknown here.
+        let err = run(&["sweep", "--rate", "2.0"]).unwrap_err();
+        assert!(err.starts_with("unknown flag --rate"), "{err}");
+        assert!(run(&["zoo", "--json"]).is_err());
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_is_known_to_its_command() {
+        // USAGE lists each command's flags after its name, up to the
+        // next command entry (two-space indent, lowercase name).
+        let mut command = "";
+        for line in USAGE.lines().skip_while(|l| *l != "COMMANDS:").skip(1) {
+            if let Some(entry) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                command = entry.split_whitespace().next().unwrap();
+            }
+            let Some(known) = known_flags(command) else {
+                continue;
+            };
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--").filter(|f| !f.is_empty()) {
+                    assert!(known.contains(&flag), "{command}: --{flag} not known");
+                }
+            }
+        }
     }
 
     #[test]

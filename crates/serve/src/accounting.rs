@@ -14,10 +14,11 @@ use crate::engine::ServeError;
 use crate::report::LatencySummary;
 use crate::slo::{DeviceUsage, Outcome, SloWindow, WindowSnapshot};
 
-/// Latency accumulator behind [`LatencySummary`]: the exact path keeps
+/// Latency accumulator behind [`LatencySummary`]: exact mode keeps
 /// every sample (sorted once at `finish`, byte-identical to the golden
-/// fixtures), the streaming path folds into a fixed-size
-/// [`LatencySketch`] so memory stays flat over unbounded runs.
+/// fixtures) — the only O(requests) state a run holds — and streaming
+/// mode folds into a fixed-size [`LatencySketch`] so memory stays flat
+/// over unbounded runs.
 #[derive(Debug, Clone)]
 pub(crate) enum LatAgg {
     /// Every sample, summarized by an in-place sort at the end.
@@ -50,11 +51,14 @@ impl LatAgg {
     }
 
     /// Folds the accumulator into a summary. Sorts the exact buffer in
-    /// place — one pass, no clone or reallocation.
+    /// place — one pass, no clone or reallocation. Latencies are finite
+    /// and ≥ +0.0, where `total_cmp` agrees with `<` and equal samples
+    /// are bit-equal, so the unstable sort yields the stable sort's bytes.
     pub(crate) fn summarize(&mut self) -> LatencySummary {
         match self {
             LatAgg::Exact(samples) => {
-                samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                debug_assert!(samples.iter().all(|v| !v.is_nan()), "NaN latency sample");
+                samples.sort_unstable_by(f64::total_cmp);
                 LatencySummary::from_sorted(samples)
             }
             LatAgg::Sketch(sketch) => LatencySummary::from_sketch(sketch),

@@ -35,6 +35,19 @@
 //! request is ever silently lost: every arrival ends as exactly one
 //! completion or one shed.
 //!
+//! ## One request-lifetime path
+//!
+//! Exact and streaming runs drive the same request lifetime: the
+//! driver's request [`Slab`] always recycles, the kernel's task and
+//! request tables start at the in-flight scale and grow on demand, and
+//! a completed or shed request's slot (with its task buffer) is reused
+//! by a later arrival. Ordering keys on the arrival sequence
+//! (`ReqInfo::seq`), never on the slot, so slot numbering is invisible
+//! to every report. [`ServeScenario::streaming`] selects only how
+//! latencies are *aggregated* — every sample (exact percentiles; the
+//! one O(requests) table an exact run keeps) or a fixed-size sketch —
+//! and whether a completion sink is attached.
+//!
 //! ## Hot-path representation
 //!
 //! The loop runs entirely on [`ResolvedInstance`] indices: devices and
@@ -48,7 +61,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use s2m3_core::adaptive::replan;
+use s2m3_core::adaptive::{replan, ReplanDecision};
 use s2m3_core::error::CoreError;
 use s2m3_core::placement::{greedy_place_resolved, PlacementOptions};
 use s2m3_core::problem::{Instance, Placement};
@@ -115,8 +128,8 @@ fn secs(t: u64) -> f64 {
 enum ServeEv {
     /// A scheduled fleet change (index into the time-sorted event list).
     Fleet(usize),
-    /// Request `rid` arrives.
-    Arrival(usize),
+    /// The next buffered request arrives (`Online::next_seq` numbers it).
+    Arrival,
     /// A fresh budget window opens: re-admit deferred requests.
     BudgetWake,
 }
@@ -149,8 +162,8 @@ struct TaskInfo {
 struct ReqInfo {
     /// Arrival sequence number: unique and monotone in arrival order.
     /// Queue ordering and re-admission tie-breaks key on this, never on
-    /// the (recyclable) slab slot, so streaming-mode slot reuse cannot
-    /// perturb dispatch order.
+    /// the (recyclable) slab slot, so slot reuse cannot perturb dispatch
+    /// order.
     seq: u64,
     arrival_ns: u64,
     deadline_ns: u64,
@@ -224,6 +237,24 @@ struct ModelRoute {
     enc_len: u32,
 }
 
+/// A replan outcome plus the gate's budget-feasibility input, which is
+/// priced at most once per decision.
+struct PricedReplan {
+    decision: ReplanDecision,
+    /// [`Online::mean_route_cost`] of `decision.placement` (`None` until
+    /// the gate first needs it).
+    mean_route_cost: Option<f64>,
+}
+
+impl PricedReplan {
+    fn new(decision: ReplanDecision) -> Self {
+        PricedReplan {
+            decision,
+            mean_route_cost: None,
+        }
+    }
+}
+
 /// The online driver: everything scenario-specific the kernel does not
 /// own.
 struct Online {
@@ -271,8 +302,8 @@ struct Online {
     /// merges runs (mirrors the bounded engine's batch arithmetic).
     exec_overhead_s: Vec<f64>,
     /// Driver-side request table. Slot-indexed (the kernel's request
-    /// ids are slots); streaming mode recycles completed/shed slots
-    /// through the slab's free list so the table stays O(in-flight).
+    /// ids are slots); completed/shed slots recycle through the slab's
+    /// free list so the table stays O(in-flight).
     requests: Slab<ReqInfo>,
     // --- workload ---
     /// The lazily pulled merged arrival stream: the driver holds at
@@ -317,6 +348,13 @@ struct Online {
     slo_trigger: Option<SloReplanTrigger>,
     /// Last virtual time the SLO trigger sampled the window, ns.
     last_slo_eval_ns: u64,
+    /// The SLO trigger's memoised `replan(&instance, &placement)`: a
+    /// pure function of two values that change only in
+    /// [`Online::rebuild_instance`] (which clears it) and on an accepted
+    /// switch (the trigger takes the entry out to gate it and restores
+    /// it only when rejected), so every breach evaluation in between
+    /// reuses one greedy solve (debug builds re-solve and compare).
+    slo_replan: Option<PricedReplan>,
     // --- accounting ---
     /// The extracted accounting state ([`crate::accounting`]): applied
     /// inline here in sequential mode, streamed to a worker in sharded
@@ -443,8 +481,8 @@ impl Driver for Online {
                 self.events[idx].kind = kind;
                 out
             }
-            ServeEv::Arrival(rid) => {
-                self.arrival(k, rid, now);
+            ServeEv::Arrival => {
+                self.arrival(k, now);
                 Ok(())
             }
             ServeEv::BudgetWake => {
@@ -483,6 +521,7 @@ impl Online {
         )
         .map_err(ServeError::BadScenario)?;
         self.instance = self.instance.with_fleet(fleet)?;
+        self.slo_replan = None;
         self.resolved = Arc::new(ResolvedInstance::new(&self.instance)?);
         self.res_of_uni = vec![None; self.uni_names.len()];
         for (ri, &ui) in uni_of_res.iter().enumerate() {
@@ -729,17 +768,16 @@ impl Online {
     /// a request the new window still cannot afford simply re-parks
     /// (via the drained scratch, never the live heap — no livelock).
     fn budget_wake(&mut self, k: &mut K, now: u64) {
-        let mut scratch = std::mem::take(&mut self.budget_wake_scratch);
-        {
-            let Some(budget) = self.budget.as_mut() else {
-                return;
-            };
-            if budget.wake_at == Some(now) {
-                budget.wake_at = None;
-            }
-            budget.roll(now);
-            budget.drain_deferred_into(&mut scratch);
+        let Some(budget) = self.budget.as_mut() else {
+            return;
+        };
+        if budget.wake_at == Some(now) {
+            budget.wake_at = None;
         }
+        budget.roll(now);
+        // Taken only past the guard, so no return path drops the buffer.
+        let mut scratch = std::mem::take(&mut self.budget_wake_scratch);
+        budget.drain_deferred_into(&mut scratch);
         for d in &scratch {
             let handle = ReqHandle::unpack(d.handle);
             // Parked requests can be resolved elsewhere (an early
@@ -895,8 +933,7 @@ impl Online {
             self.drain_admission(k, ui, now);
         }
         self.maybe_slo_replan(k, now)?;
-        // The request is fully accounted: release its slot (a no-op in
-        // exact mode, where the slab is append-only).
+        // The request is fully accounted: release its slot.
         self.requests.free(rid);
         Ok(())
     }
@@ -1109,9 +1146,10 @@ impl Online {
         // (`rebuild_instance` never touches the placement and the gate
         // only swaps it on accept, so replanning reads the current
         // placement in place — no clone.)
-        let decision =
-            replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?;
-        let accepted = self.gate_and_apply_replan(k, decision, description, at_s, now, 0);
+        let mut priced = PricedReplan::new(
+            replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?,
+        );
+        let accepted = self.gate_and_apply_replan(k, &mut priced, description, at_s, now, 0);
         if !accepted {
             // Keep serving on the surviving subset of the old
             // placement: drop departed hosts in place.
@@ -1196,12 +1234,13 @@ impl Online {
     /// depth. The record keeps the steady-state break-even so both
     /// paths stay comparable in reports.
     ///
-    /// [`ReplanDecision::break_even_requests_with_queue`]:
-    /// s2m3_core::adaptive::ReplanDecision::break_even_requests_with_queue
+    /// `priced` is borrowed: a rejected candidate stays intact (and keeps
+    /// its route price) for the caller to reuse; an accepted one has its
+    /// placement and migrations moved out.
     fn gate_and_apply_replan(
         &mut self,
         k: &mut K,
-        decision: s2m3_core::adaptive::ReplanDecision,
+        priced: &mut PricedReplan,
         trigger: String,
         at_s: f64,
         now: u64,
@@ -1213,8 +1252,9 @@ impl Online {
             self.report.arrived as f64 / secs(now)
         };
         let expected_in_horizon = observed_rate * self.horizon_s;
-        let break_even = decision.break_even_requests();
-        let effective = decision.break_even_requests_with_queue(queued);
+        let mandatory = priced.decision.mandatory();
+        let break_even = priced.decision.break_even_requests();
+        let effective = priced.decision.break_even_requests_with_queue(queued);
         // Budget-feasibility term: a candidate whose steady-state spend
         // (observed rate × window × mean route cost) would breach the
         // cap is rejected before the latency comparison. Mandatory
@@ -1224,18 +1264,22 @@ impl Online {
             .as_ref()
             .map(|b| (b.policy.window_s, b.policy.cap_per_window))
         {
-            Some((window_s, cap)) if !decision.mandatory() => {
-                observed_rate * window_s * self.mean_route_cost(&decision.placement) <= cap
+            Some((window_s, cap)) if !mandatory => {
+                let mean_cost = *priced
+                    .mean_route_cost
+                    .get_or_insert_with(|| self.mean_route_cost(&priced.decision.placement));
+                observed_rate * window_s * mean_cost <= cap
             }
             _ => true,
         };
-        let accepted = decision.mandatory()
+        let accepted = mandatory
             || (budget_feasible
                 && matches!(effective, Some(b) if (b as f64) <= expected_in_horizon));
+        let decision = &mut priced.decision;
         self.report.replans.push(ReplanRecord {
             at_s,
             trigger,
-            mandatory: decision.mandatory(),
+            mandatory,
             break_even_requests: break_even,
             observed_rate_per_s: observed_rate,
             accepted,
@@ -1251,8 +1295,8 @@ impl Online {
             },
         });
         if accepted {
-            let migrations = decision.migrations;
-            self.placement = decision.placement;
+            let migrations = std::mem::take(&mut decision.migrations);
+            self.placement = std::mem::take(&mut decision.placement);
             if self.charge_switching_downtime {
                 self.charge_migrations(k, now, &migrations);
             }
@@ -1275,34 +1319,47 @@ impl Online {
         // threshold would otherwise never evaluate.
         let arm_at = trig.min_window.max(1).min(self.acct.slo.capacity());
         if self.acct.slo.len() < arm_at
-            || now
-                < self
-                    .last_slo_eval_ns
-                    .saturating_add(ns(trig.cooldown_s.max(0.0)))
+            || now < self.last_slo_eval_ns.saturating_add(ns(trig.cooldown_s))
         {
             return Ok(());
         }
         self.last_slo_eval_ns = now;
-        let snap = self.acct.slo.snapshot(secs(now));
-        if snap.p95_s <= self.deadline_s {
+        if !self.acct.slo.p95_exceeds(self.deadline_s) {
             return Ok(());
         }
-        let decision =
-            replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?;
-        if decision.migrations.is_empty() {
-            // The breach is real but greedy has nothing better to offer
-            // (pure overload): no decision to record.
-            return Ok(());
-        }
-        let trigger = format!(
-            "SLO breach: rolling p95 {:.2}s exceeds {:.2}s deadline",
-            snap.p95_s, self.deadline_s
-        );
-        let queued = self.total_queued();
-        if self.gate_and_apply_replan(k, decision, trigger, secs(now), now, queued) {
+        let mut priced = match self.slo_replan.take() {
+            Some(priced) => {
+                debug_assert_eq!(
+                    Ok(&priced.decision),
+                    replan(&self.instance, &self.placement).as_ref(),
+                    "memoised replan decision went stale"
+                );
+                priced
+            }
+            None => PricedReplan::new(
+                replan(&self.instance, &self.placement)
+                    .map_err(|e| Box::new(ServeError::Core(e)))?,
+            ),
+        };
+        // The breach may be real while greedy has nothing better to
+        // offer (pure overload): then there is no decision to record.
+        let accepted = !priced.decision.migrations.is_empty() && {
+            let trigger = format!(
+                "SLO breach: rolling p95 {:.2}s exceeds {:.2}s deadline",
+                self.acct.slo.snapshot(secs(now)).p95_s,
+                self.deadline_s
+            );
+            let queued = self.total_queued();
+            self.gate_and_apply_replan(k, &mut priced, trigger, secs(now), now, queued)
+        };
+        if accepted {
+            // The placement the memo was solved against is gone: the
+            // taken entry is dropped, not restored.
             self.refresh_model_routes();
             self.rekey_waiting(k, now);
             self.kick_all(k, now)?;
+        } else {
+            self.slo_replan = Some(priced);
         }
         Ok(())
     }
@@ -1341,7 +1398,7 @@ impl Online {
         self.arrival_buf.get(self.arrival_cursor)
     }
 
-    fn arrival(&mut self, k: &mut K, rid: usize, now: u64) {
+    fn arrival(&mut self, k: &mut K, now: u64) {
         self.report.arrived += 1;
         let rec = *self
             .arrival_buf
@@ -1350,7 +1407,6 @@ impl Online {
         self.arrival_cursor += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        debug_assert_eq!(seq as usize, rid);
         // A classed request carries its own SLO; unclassed requests use
         // the scenario-wide deadline at priority 0.
         let (deadline_ns, priority) = match rec.class {
@@ -1381,7 +1437,7 @@ impl Online {
         // Schedule the next arrival lazily: the event queue holds at
         // most one future arrival at a time.
         if let Some(at_ns) = self.peek_arrival().map(|r| r.at_ns) {
-            k.push_custom(at_ns, ServeEv::Arrival(rid + 1));
+            k.push_custom(at_ns, ServeEv::Arrival);
         }
         self.admit(k, slot, now);
     }
@@ -1404,10 +1460,9 @@ impl Online {
         for rid in leftover {
             self.record_shed(rid, now);
         }
-        // Mid-flight requests, shed oldest arrival first: seq order is
-        // slot order in exact mode (byte-identical to the historic
-        // scan) and keeps streaming mode deterministic under slot
-        // reuse.
+        // Mid-flight requests, shed oldest arrival first: seq order
+        // keeps the flush deterministic under slot reuse. The slab
+        // holds only in-flight slots, so the scan is O(in-flight).
         let mut inflight: Vec<(u64, usize)> = self
             .requests
             .iter_occupied()
@@ -1756,6 +1811,17 @@ impl ServeSession {
             })
             .collect();
 
+        // A NaN or negative cooldown would silently mean "evaluate on
+        // every completion" (`NaN.max(0.0)` is 0).
+        if let Some(trig) = scenario.replan.slo_trigger {
+            if !trig.cooldown_s.is_finite() || trig.cooldown_s < 0.0 {
+                return Err(ServeError::BadScenario(format!(
+                    "replan.slo_trigger.cooldown_s must be finite and >= 0 (got {})",
+                    trig.cooldown_s
+                )));
+            }
+        }
+
         // --- Budget enforcement: validate the policy and price every
         //     universe device once (rates never change mid-run). ---
         let budget = match &scenario.budget {
@@ -1854,17 +1920,12 @@ impl ServeSession {
                 .collect(),
             _ => Vec::new(),
         };
-        // Streaming runs are unbounded by design: capacity hints clamp
-        // to the in-flight scale (tables recycle and stay small)
-        // instead of pre-pinning O(requests) memory up front. Task-slot
-        // recycling is on in both modes — task ids are invisible to
-        // every report, so the exact path stays byte-identical while
-        // the table keeps O(in-flight) growth.
-        let cap_requests = if streaming {
-            scenario.requests.min(1024)
-        } else {
-            scenario.requests
-        };
+        // One sizing rule for every request-lifetime table (request
+        // slab, kernel task/request tables): the in-flight scale, grown
+        // on demand. Slots and task ids recycle and are invisible to
+        // every report, so the only O(requests) state a run keeps is
+        // what its report needs — exact mode's latency samples.
+        let cap_requests = scenario.requests.min(1024);
         let sink = match scenario.streaming.as_ref().and_then(|c| c.sink.as_deref()) {
             Some(path) => {
                 let file = std::fs::File::create(path)
@@ -1918,7 +1979,7 @@ impl ServeSession {
             n_models,
             devices,
             exec_overhead_s,
-            requests: Slab::new(streaming, cap_requests),
+            requests: Slab::new(true, cap_requests),
             stream: Some(stream),
             feed: None,
             enc: None,
@@ -1936,6 +1997,7 @@ impl ServeSession {
             charge_switching_downtime: scenario.replan.charge_switching_downtime,
             slo_trigger: scenario.replan.slo_trigger,
             last_slo_eval_ns: 0,
+            slo_replan: None,
             acct: Accounting {
                 slo: SloWindow::new(scenario.slo_window.max(1)),
                 snapshot_stride: scenario.snapshot_every.max(1) as u64,
@@ -1971,7 +2033,7 @@ impl ServeSession {
             .peek_arrival()
             .expect("a non-empty stream yields a first arrival")
             .at_ns;
-        kernel.push_custom(first_at_ns, ServeEv::Arrival(0));
+        kernel.push_custom(first_at_ns, ServeEv::Arrival);
 
         let mut session = ServeSession {
             kernel,
@@ -2466,6 +2528,25 @@ mod tests {
             candidates: 1,
         }];
         assert!(matches!(serve(&unknown_model), Err(ServeError::Core(_))));
+
+        for cooldown_s in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut bad_cooldown = small_scenario(10);
+            bad_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
+                min_window: 4,
+                cooldown_s,
+            });
+            let err = serve(&bad_cooldown).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadScenario(m) if m.contains("cooldown_s")),
+                "{cooldown_s}: {err}"
+            );
+        }
+        let mut zero_cooldown = small_scenario(10);
+        zero_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
+            min_window: 4,
+            cooldown_s: 0.0,
+        });
+        assert!(serve(&zero_cooldown).is_ok(), "0 = every completion");
     }
 
     #[test]
@@ -2566,6 +2647,8 @@ mod tests {
         })))
         .unwrap();
         assert_eq!(with.completed + with.shed, with.arrived);
+        // Exactly two: the window stays in breach after the switch, and
+        // a memoised decision surviving the accept would keep recording.
         assert_eq!(with.replans.len(), 2, "{:#?}", with.replans);
         let event_replan = &with.replans[0];
         assert!(event_replan.trigger.contains("joins"));
@@ -2604,6 +2687,85 @@ mod tests {
         })))
         .unwrap();
         assert_eq!(with, again);
+    }
+
+    #[test]
+    fn fleet_event_between_slo_evaluations_invalidates_the_memoised_replan() {
+        // Join after breach: overloaded from the start, the desktop
+        // joins at 40 s and the server at 150 s, both rejected (the
+        // horizon is too short for anything to amortize), so the
+        // trigger re-evaluates the same rejected candidate every
+        // cooldown — until the second join changes the instance.
+        let mut s = small_scenario(600);
+        s.seed = "serve/join-after-breach".to_string();
+        s.initial_devices = ["laptop", "jetson-b", "jetson-a"]
+            .map(String::from)
+            .to_vec();
+        s.deadline_s = 8.0;
+        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 2.0 };
+        s.admission = AdmissionPolicy::ShedOnOverload { max_queue: 2 };
+        s.slo_window = 32;
+        s.events = [(40.0, "desktop"), (150.0, "server")]
+            .map(|(at_s, device)| FleetEvent {
+                at_s,
+                kind: FleetEventKind::DeviceJoin {
+                    device: device.to_string(),
+                },
+            })
+            .to_vec();
+        s.replan = ReplanPolicy {
+            horizon_s: 1e-3,
+            charge_switching_downtime: true,
+            slo_trigger: Some(SloReplanTrigger {
+                min_window: 8,
+                cooldown_s: 10.0,
+            }),
+        };
+        let report = serve(&s).unwrap();
+
+        // What an unmemoised controller records: a fresh `replan` of
+        // the (never switched) starting placement on each phase's fleet.
+        let universe = Fleet::standard_testbed();
+        let fresh = |active: &[&str]| {
+            let devices = universe
+                .devices()
+                .iter()
+                .filter(|d| active.contains(&d.id.as_str()))
+                .cloned()
+                .collect();
+            let fleet = Fleet::new(
+                devices,
+                universe.topology().clone(),
+                universe.requester().clone(),
+            )
+            .unwrap();
+            let instance = Instance::on_fleet(fleet, &[("CLIP ViT-B/16", 101)]).unwrap();
+            replan(&instance, &prepare(&s).unwrap().placement).unwrap()
+        };
+        let pre_join = fresh(&["laptop", "jetson-b", "jetson-a", "desktop"]);
+        let post_join = fresh(&["laptop", "jetson-b", "jetson-a", "desktop", "server"]);
+        assert_ne!(
+            pre_join.break_even_requests(),
+            post_join.break_even_requests(),
+            "the server must change the candidate, or the test shows nothing"
+        );
+
+        let slo_records = |from_s: f64, to_s: f64| {
+            report.replans.iter().filter(move |r| {
+                r.trigger.contains("SLO breach") && (from_s..to_s).contains(&r.at_s)
+            })
+        };
+        assert!(slo_records(40.0, 150.0).count() >= 2, "memo is reused");
+        assert!(slo_records(150.0, f64::MAX).count() >= 2);
+        for (records, want) in [
+            (slo_records(40.0, 150.0), &pre_join),
+            (slo_records(150.0, f64::MAX), &post_join),
+        ] {
+            for r in records {
+                assert_eq!(r.break_even_requests, want.break_even_requests(), "{r:?}");
+                assert!(!r.accepted && !r.mandatory, "{r:?}");
+            }
+        }
     }
 
     #[test]
@@ -2984,18 +3146,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_mode_matches_exact_within_sketch_error() {
-        // The full churn scenario — fleet events, replans, classes —
-        // exact vs memory-flat. Streaming changes only how latency
-        // percentiles are aggregated (sketch vs exact sort), so every
-        // counter, event, replan, window, and device row must agree
-        // bit-for-bit, and percentiles within the sketch's <= 1% bound.
-        let mut exact = ServeScenario::churn_default();
-        exact.requests = 600;
+    /// Streaming changes only how latency percentiles are aggregated
+    /// (sketch vs exact sort) — both modes ride one request-lifetime
+    /// path — so every counter, event, replan, window, budget and
+    /// device row must agree bit-for-bit, and percentiles within the
+    /// sketch's <= 1% bound.
+    fn assert_streaming_matches_exact(exact: &ServeScenario) {
         let mut streaming = exact.clone();
         streaming.streaming = Some(crate::config::StreamingConfig::default());
-        let e = serve(&exact).unwrap();
+        let e = serve(exact).unwrap();
         let s = serve(&streaming).unwrap();
         assert_eq!(s, serve(&streaming).unwrap(), "streaming is deterministic");
 
@@ -3006,25 +3165,88 @@ mod tests {
         }
         assert_eq!(s_cmp, e, "streaming may differ only in latency summaries");
 
-        assert_eq!(s.latency.completed, e.latency.completed);
-        assert!(
-            rel_err(s.latency.mean_s, e.latency.mean_s) < 1e-9,
-            "mean is exact"
+        let summaries = std::iter::once((&s.latency, &e.latency)).chain(
+            s.classes
+                .iter()
+                .zip(&e.classes)
+                .map(|(cs, ce)| (&cs.latency, &ce.latency)),
         );
-        assert!(
-            rel_err(s.latency.max_s, e.latency.max_s) < 1e-9,
-            "max is exact"
-        );
-        for (got, want) in [
-            (s.latency.p50_s, e.latency.p50_s),
-            (s.latency.p95_s, e.latency.p95_s),
-            (s.latency.p99_s, e.latency.p99_s),
-        ] {
-            assert!(
-                rel_err(got, want) < 0.01,
-                "sketch percentile {got} vs exact {want} breaks the 1% bound"
-            );
+        for (got, want) in summaries {
+            assert_eq!(got.completed, want.completed);
+            assert!(rel_err(got.mean_s, want.mean_s) < 1e-9, "mean is exact");
+            assert!(rel_err(got.max_s, want.max_s) < 1e-9, "max is exact");
+            for (got, want) in [
+                (got.p50_s, want.p50_s),
+                (got.p95_s, want.p95_s),
+                (got.p99_s, want.p99_s),
+            ] {
+                assert!(
+                    rel_err(got, want) < 0.01,
+                    "sketch percentile {got} vs exact {want} breaks the 1% bound"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn streaming_mode_matches_exact_within_sketch_error() {
+        // The churn scenario up to its forced replan.
+        let mut churn = ServeScenario::churn_default();
+        churn.requests = 600;
+        assert_streaming_matches_exact(&churn);
+
+        // Every request-lifetime feature at once, through both fleet
+        // events: two models under a weighted mix, deadline classes,
+        // EDF, batching, a binding budget (defers, wakes, sheds) and
+        // SLO-breach replans across MMPP calm and storm phases.
+        use s2m3_core::problem::DeadlineClass;
+        use s2m3_sim::workload::{ClassShare, ModelMix, ModelWeight};
+        let mut full = two_model_scenario(3_000);
+        full.events = ServeScenario::churn_default().events;
+        full.mix = Some(ModelMix::Weighted {
+            weights: [("CLIP ViT-B/16", 1.0), ("CLIP-Classifier Food-101", 2.0)]
+                .map(|(model, weight)| ModelWeight {
+                    model: model.to_string(),
+                    weight,
+                })
+                .to_vec(),
+        });
+        full.classes = [("interactive", 8.0, 2, 1.0), ("batch", 60.0, 0, 3.0)]
+            .map(|(name, deadline_s, priority, weight)| ClassShare {
+                class: DeadlineClass {
+                    name: name.to_string(),
+                    deadline_s,
+                    priority,
+                },
+                weight,
+            })
+            .to_vec();
+        full.arrivals = ArrivalProcess::Mmpp {
+            rates_per_s: vec![0.25, 1.0],
+            mean_dwell_s: 120.0,
+        };
+        full.admission = AdmissionPolicy::EarliestDeadlineFirst;
+        full.batch = Some(crate::config::BatchPolicy {
+            max_batch: 4,
+            per_kind: vec![],
+        });
+        full.budget = Some(crate::budget::BudgetPolicy::device_seconds(30.0));
+        // A short horizon rejects the server join, so the breaches
+        // after it re-evaluate the same migration until the backlog
+        // credit clears the gate.
+        full.deadline_s = 8.0;
+        full.replan.horizon_s = 10.0;
+        full.replan.slo_trigger = Some(SloReplanTrigger::default());
+        let report = serve(&full).unwrap();
+        let budget = report.budget.as_ref().expect("budget report");
+        assert!(budget.deferred > 0 && budget.shed > 0, "{budget:?}");
+        let breaches = report
+            .replans
+            .iter()
+            .filter(|r| r.trigger.contains("SLO breach"));
+        assert!(breaches.count() >= 2, "{:#?}", report.replans);
+        assert_eq!(report.events.len(), 2, "ran through both fleet events");
+        assert_streaming_matches_exact(&full);
     }
 
     #[test]

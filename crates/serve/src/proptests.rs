@@ -24,6 +24,7 @@ use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetPolicy};
 use crate::config::{AdmissionPolicy, FleetEvent, FleetEventKind, ReplanPolicy, ServeScenario};
 use crate::engine::{serve, ServeSession};
 use crate::report::LatencySummary;
+use crate::slo::{percentile_sorted, Outcome, SloWindow, WindowSnapshot};
 
 fn arb_policy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![
@@ -586,6 +587,84 @@ proptest! {
         ] {
             let err = (got - want).abs() / want;
             prop_assert!(err < 0.01, "sketch {} vs exact {}: {}% error", got, want, 100.0 * err);
+        }
+    }
+}
+
+/// Outcome sequences over a coarse latency grid (many ties), long
+/// enough relative to the capacities below to leave the ring empty,
+/// partially filled, exactly full, or wrapped at any head position.
+fn arb_outcomes() -> impl Strategy<Value = Vec<Outcome>> {
+    proptest::collection::vec((0u8..12, 0u8..2), 0..100).prop_map(|raw| {
+        raw.into_iter()
+            .enumerate()
+            .map(|(i, (grid, missed))| Outcome {
+                completed_at_s: i as f64,
+                latency_s: f64::from(grid) * 0.25,
+                missed: missed == 1,
+            })
+            .collect()
+    })
+}
+
+/// The allocate-and-stable-sort snapshot the selection replaced, taken
+/// over the last `capacity` outcomes of `history`.
+fn reference_snapshot(history: &[Outcome], capacity: usize, now_s: f64) -> WindowSnapshot {
+    let held = &history[history.len().saturating_sub(capacity)..];
+    let mut latencies: Vec<f64> = held.iter().map(|o| o.latency_s).collect();
+    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let missed = held.iter().filter(|o| o.missed).count();
+    WindowSnapshot {
+        at_s: now_s,
+        window: held.len(),
+        p50_s: percentile_sorted(&latencies, 0.50),
+        p95_s: percentile_sorted(&latencies, 0.95),
+        p99_s: percentile_sorted(&latencies, 0.99),
+        miss_rate: if held.is_empty() {
+            0.0
+        } else {
+            missed as f64 / held.len() as f64
+        },
+        utilization: 0.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The sort-free snapshot is the sorted one, after every push (so at
+    /// every fill level and head position), and asking twice changes
+    /// nothing (the scratch buffer carries no state between calls).
+    #[test]
+    fn slo_snapshot_by_selection_equals_the_sorted_reference(
+        capacity in 1usize..24,
+        outcomes in arb_outcomes(),
+    ) {
+        let mut w = SloWindow::new(capacity);
+        prop_assert_eq!(w.snapshot(0.5), reference_snapshot(&[], capacity, 0.5));
+        for (i, &o) in outcomes.iter().enumerate() {
+            w.push(o);
+            let want = reference_snapshot(&outcomes[..=i], capacity, o.completed_at_s);
+            prop_assert_eq!(w.snapshot(o.completed_at_s), want);
+            prop_assert_eq!(w.snapshot(o.completed_at_s), want);
+        }
+    }
+
+    /// The one-pass trigger gate answers exactly what the full snapshot
+    /// would, for bounds on, between, below and above the samples.
+    #[test]
+    fn slo_p95_exceeds_agrees_with_the_snapshot(
+        capacity in 1usize..24,
+        outcomes in arb_outcomes(),
+        bound_grid in 0u8..14,
+        off_grid in 0u8..2,
+    ) {
+        let bound = f64::from(bound_grid) * 0.25 - 0.25 + f64::from(off_grid) * 0.125;
+        let mut w = SloWindow::new(capacity);
+        prop_assert_eq!(w.p95_exceeds(bound), w.snapshot(0.0).p95_s > bound);
+        for &o in &outcomes {
+            w.push(o);
+            prop_assert_eq!(w.p95_exceeds(bound), w.snapshot(0.0).p95_s > bound);
         }
     }
 }

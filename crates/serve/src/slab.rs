@@ -8,12 +8,15 @@
 //! [`ReqHandle`] held across a free/reuse boundary is detectably stale
 //! instead of silently aliasing the new occupant.
 //!
-//! Recycling is a mode, not a given: with `recycle = false` the slab is
-//! a pure append-only `Vec` — slot i is always the i-th insertion — so
-//! the exact (non-streaming) serve path runs through the *same* code
-//! with byte-identical slot numbering to the historic `Vec<ReqInfo>`.
-//! In that mode every generation is 0, which gives the hot handle
-//! checks a branch-free fast path (see [`Slab::is_current`]).
+//! Recycling is the only production mode: the serving driver builds
+//! `Slab::new(true, _)` whether or not the scenario streams, because
+//! nothing a report carries depends on slot numbering (ordering keys on
+//! the arrival sequence, never on the slot). `Slab::new(false, _)` — a
+//! pure append-only `Vec` where slot i is the i-th insertion and `free`
+//! is a no-op — survives solely because `benchmark/src/replay.rs`
+//! constructs it for its exact-mode slab replay; the next `benchmark`
+//! PR switches that replay to the recycling slab and deletes the mode
+//! (ROADMAP item 2c).
 //!
 //! Values and slot state live in separate arrays (`values` /
 //! packed `gen | occupied` words), so handle validation never pulls a
@@ -63,9 +66,10 @@ pub struct Slab<T> {
 }
 
 impl<T: Default> Slab<T> {
-    /// An empty slab. With `recycle` unset, slots are append-only
-    /// (slot == insertion rank); with it set, freed slots are reused
-    /// LIFO before the table grows.
+    /// An empty slab. With `recycle` set (what the serving driver always
+    /// passes), freed slots are reused LIFO before the table grows;
+    /// unset, slots are append-only (slot == insertion rank) — kept for
+    /// the benchmark's replay only, see the module docs.
     pub fn new(recycle: bool, capacity: usize) -> Self {
         Slab {
             values: Vec::with_capacity(capacity),

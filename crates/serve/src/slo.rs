@@ -26,6 +26,9 @@ pub struct SloWindow {
     head: usize,
     /// Total outcomes ever recorded.
     seen: u64,
+    /// Latency scratch [`SloWindow::snapshot`] selects percentiles in:
+    /// sized once, so a snapshot never allocates.
+    scratch: Vec<f64>,
 }
 
 impl SloWindow {
@@ -37,6 +40,7 @@ impl SloWindow {
             buf: Vec::with_capacity(capacity),
             head: 0,
             seen: 0,
+            scratch: Vec::with_capacity(capacity),
         }
     }
 
@@ -74,18 +78,55 @@ impl SloWindow {
         self.buf.is_empty()
     }
 
+    /// Whether the window's p95 latency is above `bound_s` — the same
+    /// answer as `snapshot(..).p95_s > bound_s` in one pass over the
+    /// ring, with no selection: the ceil-rank p95 exceeds the bound
+    /// exactly when fewer than `rank` latencies are at or below it.
+    pub fn p95_exceeds(&self, bound_s: f64) -> bool {
+        let n = self.buf.len();
+        if n == 0 {
+            return 0.0 > bound_s;
+        }
+        let at_or_below = self.buf.iter().filter(|o| o.latency_s <= bound_s).count();
+        at_or_below < ceil_rank(n, 0.95)
+    }
+
     /// Summarizes the current window contents at virtual time `now_s`.
-    pub fn snapshot(&self, now_s: f64) -> WindowSnapshot {
-        let mut latencies: Vec<f64> = self.buf.iter().map(|o| o.latency_s).collect();
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let n = latencies.len();
+    /// O(window) and allocation-free: the percentiles are selected
+    /// (highest first, each inside the prefix the previous selection
+    /// left below it) rather than read off a full sort — the values
+    /// [`percentile_sorted`] returns on the sorted window.
+    pub fn snapshot(&mut self, now_s: f64) -> WindowSnapshot {
+        self.scratch.clear();
+        self.scratch.extend(self.buf.iter().map(|o| o.latency_s));
+        let n = self.scratch.len();
         let missed = self.buf.iter().filter(|o| o.missed).count();
+        // Called with descending `p`: each selection partitions only
+        // the prefix the previous one left below its rank.
+        let mut below = n;
+        let mut value = 0.0;
+        let mut select = |p: f64| {
+            if n > 0 {
+                let idx = ceil_rank(n, p) - 1;
+                // Equal ranks (small windows) share the selected value.
+                if idx < below {
+                    value = *self.scratch[..below]
+                        .select_nth_unstable_by(idx, f64::total_cmp)
+                        .1;
+                    below = idx;
+                }
+            }
+            value
+        };
+        let p99_s = select(0.99);
+        let p95_s = select(0.95);
+        let p50_s = select(0.50);
         WindowSnapshot {
             at_s: now_s,
             window: n,
-            p50_s: percentile_sorted(&latencies, 0.50),
-            p95_s: percentile_sorted(&latencies, 0.95),
-            p99_s: percentile_sorted(&latencies, 0.99),
+            p50_s,
+            p95_s,
+            p99_s,
             miss_rate: if n == 0 {
                 0.0
             } else {
@@ -106,7 +147,12 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    sorted[((p * n as f64).ceil() as usize).clamp(1, n) - 1]
+    sorted[ceil_rank(n, p) - 1]
+}
+
+/// 1-based ceil rank of percentile `p` among `n ≥ 1` samples.
+fn ceil_rank(n: usize, p: f64) -> usize {
+    ((p * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// A point-in-time summary of the rolling window.
@@ -196,7 +242,9 @@ mod tests {
 
     #[test]
     fn empty_window_snapshot_is_zero() {
-        let s = SloWindow::new(8).snapshot(1.0);
+        let mut w = SloWindow::new(8);
+        assert!(!w.p95_exceeds(0.0));
+        let s = w.snapshot(1.0);
         assert_eq!(s.window, 0);
         assert_eq!(s.p95_s, 0.0);
         assert_eq!(s.miss_rate, 0.0);

@@ -1,28 +1,34 @@
-//! Heap-bound proof for memory-flat streaming serve: with
-//! `ServeScenario::streaming` on, peak heap growth is O(in-flight),
-//! not O(arrivals).
+//! Heap-bound proof for the one request-lifetime path: request and
+//! kernel state is O(in-flight), not O(arrivals), in both serve modes.
+//! With `ServeScenario::streaming` on the whole run is flat; exact mode
+//! adds exactly what its report needs — the latency samples.
 //!
 //! The whole test binary runs under the counting [`PeakAlloc`] global
 //! allocator (its counters are process-wide, which is why these
 //! measurements live in their own integration-test binary: `cargo`
 //! gives each `tests/*.rs` file its own process, so no other test's
-//! allocations pollute the peaks; the two measurements within are
-//! serialized through one `#[test]`).
+//! allocations pollute the peaks; the tests within serialize on
+//! [`MEASURING`]).
 //!
 //! The assertion style is *ratio*, not absolute bytes: scale requests
-//! by 25–50× and require the peak-heap delta to stay within a small
+//! by 10–50× and require the peak-heap delta to stay within a small
 //! constant factor, so the test is insensitive to allocator slop and
 //! debug-vs-release layout while still catching any O(arrivals)
-//! regression (which would scale the peak by ~25×). The exact path,
-//! measured alongside, demonstrates the contrast: its peak grows with
-//! the request count.
+//! regression (which would scale the peak by the same 10–50×).
+
+use std::sync::Mutex;
 
 use peak_alloc::PeakAlloc;
-use s2m3::serve::{AdmissionPolicy, ServeScenario, StreamingConfig};
-use s2m3::sim::workload::ArrivalProcess;
+use s2m3::core::problem::DeadlineClass;
+use s2m3::serve::{AdmissionPolicy, ServeReport, ServeScenario, StreamingConfig};
+use s2m3::sim::workload::{ArrivalProcess, ClassShare};
 
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Held for a whole test: the allocator's peak is process-wide, and
+/// `cargo test` runs the tests of one binary on parallel threads.
+static MEASURING: Mutex<()> = Mutex::new(());
 
 fn scenario(n: usize, streaming: bool) -> ServeScenario {
     let mut s = ServeScenario::churn_default();
@@ -39,19 +45,25 @@ fn scenario(n: usize, streaming: bool) -> ServeScenario {
     s
 }
 
-/// Runs the scenario and returns the run's peak-heap delta in bytes
-/// (peak live bytes during the run minus live bytes before it).
-fn peak_delta_of(s: &ServeScenario) -> usize {
+/// Runs the scenario and returns its report with the run's peak-heap
+/// delta in bytes (peak live bytes during the run minus live bytes
+/// before it).
+fn measure(s: &ServeScenario) -> (ServeReport, usize) {
     let before = ALLOC.live_bytes();
     ALLOC.reset_peak();
     let report = s2m3::serve::serve(s).unwrap();
     assert_eq!(report.arrived, s.requests as u64);
     assert_eq!(report.completed + report.shed, report.arrived);
-    ALLOC.peak_bytes().saturating_sub(before)
+    (report, ALLOC.peak_bytes().saturating_sub(before))
+}
+
+fn peak_delta_of(s: &ServeScenario) -> usize {
+    measure(s).1
 }
 
 #[test]
 fn streaming_peak_heap_is_flat_in_request_count() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // `cargo test -q` (tier-1) is a debug build — keep it minutes-free
     // there; the release run covers the ISSUE's 5M-request bound.
     let (small_n, big_n) = if cfg!(debug_assertions) {
@@ -73,15 +85,43 @@ fn streaming_peak_heap_is_flat_in_request_count() {
          {small} B but {big_n} requests peaked at {big} B ({scale}x more \
          arrivals must not mean more than ~constant heap)"
     );
+}
 
-    // Contrast: the exact path keeps per-request state for the whole
-    // run, so its peak grows with the request count and overtakes the
-    // streaming path's.
-    let exact_big = peak_delta_of(&scenario(big_n, false));
+#[test]
+fn exact_peak_heap_is_flat_beyond_latency_samples() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    // Exact mode keeps every latency sample — once for the run and once
+    // for the request's class — and nothing else per request.
+    let classed = |n: usize| {
+        let mut s = scenario(n, false);
+        s.classes = [("interactive", 8.0, 2), ("batch", 60.0, 0)]
+            .map(|(name, deadline_s, priority)| ClassShare {
+                class: DeadlineClass {
+                    name: name.to_string(),
+                    deadline_s,
+                    priority,
+                },
+                weight: 1.0,
+            })
+            .to_vec();
+        s
+    };
+    let sample_bytes = |r: &ServeReport| 8 * r.completed as usize * 2;
+    let _ = measure(&classed(512));
+
+    let (small_n, big_n) = (20_000, 200_000);
+    let (small_report, small) = measure(&classed(small_n));
+    let (big_report, big) = measure(&classed(big_n));
+    assert!(big_report.completed > 8 * small_report.completed);
+    // A growing `Vec` holds at most twice its length, plus the buffer
+    // it is moving out of while it grows: three times the sample bytes
+    // bounds what the vectors can pin; the rest must not scale.
+    let beyond_samples = big.saturating_sub(3 * sample_bytes(&big_report));
     assert!(
-        exact_big > big.saturating_mul(2),
-        "exact-mode peak ({exact_big} B at {big_n} requests) should dwarf \
-         the streaming peak ({big} B); if not, the exact path stopped \
-         retaining per-request state and the contrast baseline is stale"
+        beyond_samples < small.saturating_mul(3) + (1 << 20),
+        "exact mode must keep only latency samples per request: {small_n} \
+         requests peaked at {small} B, {big_n} requests at {big} B of which \
+         {beyond_samples} B is not attributable to {} completions' samples",
+        big_report.completed
     );
 }
