@@ -33,6 +33,13 @@ pub enum ArgError {
         /// What was given.
         value: String,
     },
+    /// A rate flag's value parses but is NaN, infinite, zero or negative.
+    BadRate {
+        /// The flag, without dashes.
+        flag: String,
+        /// What was given.
+        value: String,
+    },
     /// A `--flag` or `--switch` the subcommand does not read.
     UnknownFlag {
         /// The flag, without dashes.
@@ -51,6 +58,9 @@ impl std::fmt::Display for ArgError {
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
             ArgError::BadValue { flag, value } => {
                 write!(f, "flag --{flag}: '{value}' is not a valid number")
+            }
+            ArgError::BadRate { flag, value } => {
+                write!(f, "flag --{flag}: '{value}' is not a finite rate above 0")
             }
             ArgError::UnknownFlag { flag, suggestion } => {
                 write!(f, "unknown flag --{flag}")?;
@@ -129,6 +139,23 @@ impl Args {
     /// [`ArgError::BadValue`] when the value does not parse.
     pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
         Ok(self.get_opt_num(name)?.unwrap_or(default))
+    }
+
+    /// A parsed arrival-rate flag, if given: finite and above zero (a
+    /// Poisson process has no other rates).
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::BadValue`] when the value does not parse,
+    /// [`ArgError::BadRate`] when it is NaN, infinite, zero or negative.
+    pub fn get_opt_rate(&self, name: &str) -> Result<Option<f64>, ArgError> {
+        match self.get_opt_num::<f64>(name)? {
+            Some(r) if !(r.is_finite() && r > 0.0) => Err(ArgError::BadRate {
+                flag: name.to_string(),
+                value: self.flags[name].clone(),
+            }),
+            rate => Ok(rate),
+        }
     }
 
     /// Whether a boolean switch was given.

@@ -36,6 +36,8 @@ COMMANDS:
                                greedy placement + predicted latency
   simulate   --model M [--requests N] [--rate R] [--batch B] [--candidates N]
                                sustained-load simulation with p50/p95/p99
+                               (--rate R, here and in serve: Poisson
+                               arrivals per second, finite and above 0)
   serve      [--config FILE] [--requests N] [--rate R] [--deadline S]
              [--policy fifo|edf|shed] [--queue N] [--seed S] [--json]
              [--slo-replan COOLDOWN_S] [--mix M=W,M=W,...] [--batch N]
@@ -192,7 +194,7 @@ pub fn plan(args: &Args) -> CmdResult {
 pub fn simulate_cmd(args: &Args) -> CmdResult {
     let (instance, _, _) = instance_for(args)?;
     let n = args.get_num("requests", 20usize)?;
-    let rate = args.get_num("rate", 0.5f64)?;
+    let rate = args.get_opt_rate("rate")?.unwrap_or(0.5);
     let batch = args.get_opt_num("batch")?;
     let requests = mixed_stream(&instance, n).map_err(|e| e.to_string())?;
     let plan = Plan::greedy(&instance, requests).map_err(|e| e.to_string())?;
@@ -236,15 +238,14 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
         None => ServeScenario::churn_default(),
     };
     // Flag overrides on top of the config (or the default scenario).
-    if let Some(n) = args.flags.get("requests") {
-        scenario.requests = n.parse().map_err(|_| "bad --requests")?;
+    if let Some(n) = args.get_opt_num("requests")? {
+        scenario.requests = n;
     }
-    if let Some(r) = args.flags.get("rate") {
-        let rate_per_s = r.parse().map_err(|_| "bad --rate")?;
+    if let Some(rate_per_s) = args.get_opt_rate("rate")? {
         scenario.arrivals = ArrivalProcess::Poisson { rate_per_s };
     }
-    if let Some(d) = args.flags.get("deadline") {
-        scenario.deadline_s = d.parse().map_err(|_| "bad --deadline")?;
+    if let Some(d) = args.get_opt_num("deadline")? {
+        scenario.deadline_s = d;
     }
     if let Some(s) = args.flags.get("seed") {
         scenario.seed = s.clone();
@@ -261,8 +262,7 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             other => return Err(format!("unknown policy `{other}` (fifo|edf|shed)")),
         };
     }
-    if let Some(q) = args.flags.get("queue") {
-        let q = q.parse::<usize>().map_err(|_| "bad --queue")?;
+    if let Some(q) = args.get_opt_num::<usize>("queue")? {
         match &mut scenario.admission {
             AdmissionPolicy::ShedOnOverload { max_queue } => *max_queue = q,
             _ => {
@@ -273,9 +273,9 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             }
         }
     }
-    if let Some(cooldown) = args.flags.get("slo-replan") {
+    if let Some(cooldown_s) = args.get_opt_num("slo-replan")? {
         scenario.replan.slo_trigger = Some(SloReplanTrigger {
-            cooldown_s: cooldown.parse().map_err(|_| "bad --slo-replan cooldown")?,
+            cooldown_s,
             ..SloReplanTrigger::default()
         });
     }
@@ -299,9 +299,9 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             .collect::<Result<_, String>>()?;
         scenario.mix = Some(ModelMix::Weighted { weights });
     }
-    if let Some(batch) = args.flags.get("batch") {
+    if let Some(max_batch) = args.get_opt_num("batch")? {
         scenario.batch = Some(BatchPolicy {
-            max_batch: batch.parse().map_err(|_| "bad --batch")?,
+            max_batch,
             per_kind: vec![],
         });
     }
@@ -316,17 +316,17 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             .get_or_insert_with(StreamingConfig::default);
         streaming.sink = Some(path.clone());
     }
-    if let Some(w) = args.flags.get("max-windows") {
-        scenario.max_windows = Some(w.parse().map_err(|_| "bad --max-windows")?);
+    if let Some(w) = args.get_opt_num("max-windows")? {
+        scenario.max_windows = Some(w);
     }
-    if let Some(t) = args.flags.get("threads") {
-        scenario.threads = t.parse().map_err(|_| "bad --threads")?;
+    if let Some(t) = args.get_opt_num("threads")? {
+        scenario.threads = t;
     }
-    if let Some(cap) = args.flags.get("budget-cap") {
+    if let Some(cap) = args.get_opt_num("budget-cap")? {
         let policy = scenario
             .budget
             .get_or_insert_with(|| s2m3_serve::BudgetPolicy::device_seconds(0.0));
-        policy.cap_per_window = cap.parse().map_err(|_| "bad --budget-cap")?;
+        policy.cap_per_window = cap;
     }
     if let Some(metric) = args.flags.get("budget-metric") {
         let policy = scenario
@@ -346,12 +346,12 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             },
         };
     }
-    if let Some(w) = args.flags.get("budget-window") {
+    if let Some(w) = args.get_opt_num("budget-window")? {
         let policy = scenario
             .budget
             .as_mut()
             .ok_or("--budget-window needs --budget-cap (or a config with a budget)")?;
-        policy.window_s = w.parse().map_err(|_| "bad --budget-window")?;
+        policy.window_s = w;
     }
     if let Some(mode) = args.flags.get("budget-mode") {
         let policy = scenario
@@ -410,17 +410,17 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
             SweepSpec::quick(base)
         }
     };
-    if let Some(n) = args.flags.get("seeds") {
-        spec.seeds = n.parse().map_err(|_| "bad --seeds")?;
+    if let Some(n) = args.get_opt_num("seeds")? {
+        spec.seeds = n;
     }
-    if let Some(n) = args.flags.get("requests") {
-        spec.base.requests = n.parse().map_err(|_| "bad --requests")?;
+    if let Some(n) = args.get_opt_num("requests")? {
+        spec.base.requests = n;
     }
-    if let Some(n) = args.flags.get("threads") {
-        spec.threads = n.parse().map_err(|_| "bad --threads")?;
+    if let Some(n) = args.get_opt_num("threads")? {
+        spec.threads = n;
     }
-    if let Some(b) = args.flags.get("budget") {
-        spec.miss_budget = b.parse().map_err(|_| "bad --budget")?;
+    if let Some(b) = args.get_opt_num("budget")? {
+        spec.miss_budget = b;
     }
     if args.has("print-config") {
         return spec.to_json();
@@ -724,6 +724,37 @@ mod tests {
         ] {
             let err = run(&[cmd, model[0], model[1], flag, value]).unwrap_err();
             assert!(err.contains(flag) && err.contains(value), "{cmd}: {err}");
+        }
+        for (cmd, flag, value) in [
+            ("serve", "--requests", "10k"),
+            ("serve", "--rate", "fast"),
+            ("serve", "--deadline", "soon"),
+            ("serve", "--queue", "-4"),
+            ("serve", "--slo-replan", "45s"),
+            ("serve", "--batch", "four"),
+            ("serve", "--max-windows", "1.5"),
+            ("serve", "--threads", "two"),
+            ("serve", "--budget-cap", "lots"),
+            ("sweep", "--seeds", "none"),
+            ("sweep", "--budget", "1%"),
+        ] {
+            let err = run(&[cmd, flag, value]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{cmd}: {err}");
+        }
+        // A rate that parses but no Poisson process has: these used to
+        // run at the 1e-9 req/s floor.
+        for value in ["nan", "inf", "-inf", "0", "-0.0", "-3"] {
+            for cmd in [
+                &["simulate", model[0], model[1], "--requests", "4"][..],
+                &["serve", "--requests", "4"][..],
+            ] {
+                let argv = [cmd, &["--rate", value][..]].concat();
+                let err = run(&argv).unwrap_err();
+                assert!(
+                    err.contains("--rate") && err.contains(value) && err.contains("above 0"),
+                    "{argv:?}: {err}"
+                );
+            }
         }
     }
 

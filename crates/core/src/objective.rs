@@ -7,7 +7,7 @@ use s2m3_models::module::ModuleKind;
 use s2m3_net::device::DeviceId;
 
 use crate::error::CoreError;
-use crate::problem::{Instance, Placement, Request, Route};
+use crate::problem::{Deployment, Instance, Placement, Request, Route};
 use crate::routing::head_assignment;
 
 fn comm(instance: &Instance, from: &DeviceId, to: &DeviceId, bytes: u64) -> Result<f64, CoreError> {
@@ -203,6 +203,27 @@ pub fn total_latency_sequential(
         + head_latency(instance, route, request)?)
 }
 
+/// Checks (4b) and (4c) for one route of `deployment`'s model: every
+/// module the model requires is routed, to a device hosting it.
+fn check_route(
+    deployment: &Deployment,
+    placement: &Placement,
+    route: &Route,
+) -> Result<(), CoreError> {
+    for m in deployment.model.modules() {
+        let n = route
+            .device_for(&m.id)
+            .ok_or_else(|| CoreError::Unrouted(m.id.clone()))?;
+        if !placement.is_placed(&m.id, n) {
+            return Err(CoreError::NotHosted {
+                module: m.id.clone(),
+                device: n.clone(),
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Validates constraints (4b)–(4e) for a placement and a set of routed
 /// requests:
 ///
@@ -213,6 +234,17 @@ pub fn total_latency_sequential(
 /// (4e) — binary variables — holds by construction of the types. The
 /// capacity term `a_{m,n}` of (4b) bounds *concurrent batch* admission and
 /// is enforced dynamically by the simulator's queues rather than here.
+///
+/// The (4b)/(4c) verdict on a request reads its deployment, its route's
+/// assignment table and the placement — nothing else of the request — so
+/// each deployment remembers the last table that passed and a request
+/// whose route [shares](Route::shares_assignments) it is not re-checked.
+/// The memo is keyed on the (deployment, table) pair: a table that passed
+/// for one model is checked again for another, and a route that does not
+/// share the remembered table is checked in full and replaces it. Every
+/// distinct pair is therefore still checked, the first bad request still
+/// fails with its own error, and debug builds check the skipped requests
+/// as well.
 ///
 /// # Errors
 ///
@@ -245,22 +277,17 @@ pub fn validate(
         }
     }
 
-    // (4b) + (4c) per request.
+    // (4b) + (4c) per request, once per (deployment, table).
+    let deployments = instance.deployments();
+    let mut passed: Vec<Option<&Route>> = vec![None; deployments.len()];
     for (request, route) in routed {
-        let deployment = instance
-            .deployment(&request.model)
-            .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
-        for m in deployment.model.modules() {
-            let n = route
-                .device_for(&m.id)
-                .ok_or_else(|| CoreError::Unrouted(m.id.clone()))?;
-            if !placement.is_placed(&m.id, n) {
-                return Err(CoreError::NotHosted {
-                    module: m.id.clone(),
-                    device: n.clone(),
-                });
-            }
+        let d = instance.deployment_index(&request.model)?;
+        if passed[d].is_some_and(|seen| seen.shares_assignments(route)) {
+            debug_assert_eq!(check_route(&deployments[d], placement, route), Ok(()));
+            continue;
         }
+        check_route(&deployments[d], placement, route)?;
+        passed[d] = Some(route);
     }
     Ok(())
 }

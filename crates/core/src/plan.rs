@@ -52,7 +52,8 @@ impl Plan {
     ///
     /// With the placement fixed, Eq. 7 depends only on a request's model
     /// and workload profile, so each distinct pair is routed once and
-    /// later requests clone that route under their own id.
+    /// later requests share that route's assignment table under their
+    /// own id (see [`Route`]): the plan holds one table per Eq. 7 answer.
     ///
     /// # Errors
     ///
@@ -65,11 +66,7 @@ impl Plan {
         let mut memo: BTreeMap<(usize, u64, u64), Route> = BTreeMap::new();
         let mut routed = Vec::with_capacity(requests.len());
         for q in requests {
-            let model = instance
-                .deployments()
-                .iter()
-                .position(|d| d.model.name == q.model)
-                .ok_or_else(|| CoreError::UnknownModel(q.model.clone()))?;
+            let model = instance.deployment_index(&q.model)?;
             let key = (
                 model,
                 q.profile.text_units.to_bits(),

@@ -1,6 +1,7 @@
 //! Problem formulation: instances, requests, placements, routes (Sec. V-A).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -215,11 +216,21 @@ impl Placement {
 
 /// Routing decision `y^q` for one request: exactly one hosting device per
 /// required module.
+///
+/// The assignment table is held behind an [`Arc`]: with the placement
+/// fixed, Eq. 7 gives every request of one (model, profile) the same
+/// hosts, so [`crate::plan::Plan::route_all`] hands them all one table
+/// under their own `request_id` and a clone or drop is a reference-count
+/// step, not a tree copy. Sharing is invisible through the API:
+/// [`Route::assign`] copies the table first when anyone else holds it
+/// (copy-on-write), and equality and JSON read the table's contents.
+/// [`Route::shares_assignments`] is the cheap identity test caches use
+/// before falling back to comparing contents.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Route {
     /// The request this route serves.
     pub request_id: u64,
-    assignments: BTreeMap<ModuleId, DeviceId>,
+    assignments: Arc<BTreeMap<ModuleId, DeviceId>>,
 }
 
 impl Route {
@@ -227,13 +238,13 @@ impl Route {
     pub fn new(request_id: u64) -> Self {
         Route {
             request_id,
-            assignments: BTreeMap::new(),
+            assignments: Arc::default(),
         }
     }
 
     /// Routes module `m` to device `n` (`y^q_{m,n} = 1`).
     pub fn assign(&mut self, m: ModuleId, n: DeviceId) {
-        self.assignments.insert(m, n);
+        Arc::make_mut(&mut self.assignments).insert(m, n);
     }
 
     /// The device serving `m`, if routed.
@@ -244,6 +255,12 @@ impl Route {
     /// All `(module, device)` routing pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&ModuleId, &DeviceId)> {
         self.assignments.iter()
+    }
+
+    /// Whether both routes hold the *same* assignment table, not merely
+    /// equal ones: `true` implies equal pairs, `false` implies nothing.
+    pub fn shares_assignments(&self, other: &Route) -> bool {
+        Arc::ptr_eq(&self.assignments, &other.assignments)
     }
 }
 
@@ -327,6 +344,18 @@ impl Instance {
     /// Looks up a deployment by model name.
     pub fn deployment(&self, model: &str) -> Option<&Deployment> {
         self.deployments.iter().find(|d| d.model.name == model)
+    }
+
+    /// Position in [`Instance::deployments`] of the deployment of `model`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnknownModel`] if `model` is not deployed here.
+    pub(crate) fn deployment_index(&self, model: &str) -> Result<usize, CoreError> {
+        self.deployments
+            .iter()
+            .position(|d| d.model.name == model)
+            .ok_or_else(|| CoreError::UnknownModel(model.to_string()))
     }
 
     /// The distinct module set `M = ∪_k M_k`, in stable id order.

@@ -12,8 +12,32 @@
 //! bookkeeping through the [`Driver`] hooks, and runs the machine to
 //! idle. The online counterpart (`s2m3-serve`) layers admission control
 //! and live replanning over the *same* kernel.
+//!
+//! # Spans are recorded in report order
+//!
+//! A report lists spans by `start`, ties by device name — by definition
+//! what a stable sort of `[loading, input-transfer, run-time]` spans, as
+//! recorded, gives. The engine never holds that unsorted list. Three
+//! streams feed `spans`, each already non-decreasing in `start`:
+//! model-loading spans (a handful, sorted once), input-transfer spans
+//! (they start at their request's arrival, so visiting requests in stable
+//! arrival order yields them in order — an index permutation is built
+//! only when the arrivals are not sorted) and the spans the driver hooks
+//! stamp with the kernel's monotone clock. The first two are known before
+//! the clock starts but are not stored: before a hook pushes a span
+//! starting at `t`, the driver records every pre-clock span starting at or
+//! before `t`, loading ahead of input on a tie, and generates a request's
+//! input-transfer spans at that moment from its rows of the task table.
+//! That is a three-way stable merge carried out while recording, so
+//! `spans` — reserved once at its exact final length — is non-decreasing
+//! in `start` as recorded (debug builds assert it) with equal starts in
+//! `[loading, input, run-time]` order. Regrouping each run of equal
+//! starts by device name, stably, is then exactly the global sort's
+//! result and the only ordering pass left; sorted or unsorted arrivals,
+//! loading and batching all take this one path. The global sort itself
+//! survives only as the test oracle (`simulate_reference`).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use s2m3_core::error::CoreError;
 use s2m3_core::plan::Plan;
@@ -108,19 +132,22 @@ fn secs(t: u64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum NoCustom {}
 
-/// Per-task payload stored inline in the kernel's task table.
+/// Per-task payload stored inline in the kernel's task table. The
+/// owning request's id is not repeated here: it is
+/// `Bounded::requests[k.tasks.req(tid)]`.
 #[derive(Debug, Clone, Copy)]
 struct TaskInfo {
-    /// Request id, for the report boundary.
-    request: u64,
     /// Execution duration, seconds (fixed at task creation).
     dur: f64,
+    /// For encoders: raw-input transfer time from the request's source,
+    /// seconds — the length of the task's input-transfer span.
+    input_tx: f64,
     /// For encoders: embedding transfer time to the head device, seconds.
     output_tx: f64,
 }
 
 /// The bounded (offline) driver: fixed durations, Gantt spans, request
-/// timings.
+/// timings. The module docs say how `spans` comes out in report order.
 struct Bounded<'a> {
     resolved: &'a ResolvedInstance,
     /// Per-device execution overhead, amortized when batching merges
@@ -128,13 +155,124 @@ struct Bounded<'a> {
     exec_overhead: Vec<f64>,
     /// Per-request `(id, arrival)` (index-aligned with
     /// `Kernel::requests`).
-    req_info: Vec<(u64, f64)>,
-    /// Every span: those known before the clock starts (loading, input
-    /// transfers), then the ones the hooks below stamp with the kernel's
-    /// monotone `now`.
+    requests: Vec<(u64, f64)>,
+    /// Model-loading spans not yet in `spans`, front first.
+    loading: VecDeque<GanttSpan>,
+    /// Request indices by arrival (stable) when the arrivals are not
+    /// already in order; `None` = index order.
+    by_arrival: Option<Vec<u32>>,
+    /// How many requests, in that order, have their input-transfer
+    /// spans in `spans`.
+    inputs_done: usize,
+    /// `start` of the front of `loading` and of the next request's
+    /// input-transfer spans; infinite when that stream is exhausted (or,
+    /// before [`Bounded::begin_merge`], not yet opened).
+    next_loading: f64,
+    next_input: f64,
+    /// Every span recorded so far.
     spans: Vec<GanttSpan>,
     /// `(id, timing)` per finished request, in completion order.
     timings: Vec<(u64, RequestTiming)>,
+    /// When the last device finishes loading its modules, seconds.
+    loading_done: f64,
+}
+
+impl Bounded<'_> {
+    /// Opens the two pre-clock streams for merging: loading spans sorted
+    /// by `start` (stably, like everything here), requests in arrival
+    /// order.
+    fn begin_merge(&mut self) {
+        // Loading starts come off the integral clock and arrivals are
+        // validated: no NaN on either side. `partial_cmp`, not
+        // `total_cmp`, because the report's order takes -0.0 for 0.0.
+        let by_start = |a: f64, b: f64| a.partial_cmp(&b).expect("span starts are never NaN");
+        self.loading
+            .make_contiguous()
+            .sort_by(|a, b| by_start(a.start, b.start));
+        let arrival = |r: usize| self.requests[r].1;
+        if !self.requests.is_sorted_by(|a, b| a.1 <= b.1) {
+            let mut order: Vec<u32> = (0..self.requests.len() as u32).collect();
+            order.sort_by(|&a, &b| by_start(arrival(a as usize), arrival(b as usize)));
+            self.by_arrival = Some(order);
+        }
+        self.next_loading = self.loading.front().map_or(f64::INFINITY, |s| s.start);
+        self.next_input = self.input_arrival();
+    }
+
+    /// The request whose input-transfer spans are emitted next.
+    fn input_request(&self) -> Option<usize> {
+        match &self.by_arrival {
+            Some(order) => order.get(self.inputs_done).map(|&r| r as usize),
+            None => (self.inputs_done < self.requests.len()).then_some(self.inputs_done),
+        }
+    }
+
+    /// Its arrival; infinite when every request's spans are out.
+    fn input_arrival(&self) -> f64 {
+        self.input_request()
+            .map_or(f64::INFINITY, |r| self.requests[r].1)
+    }
+
+    /// Pushes request `req`'s input-transfer spans. The build loop spawns
+    /// a request's head task and then its encoders in dispatch order into
+    /// an append-only table, so they are the rows after `head_task` that
+    /// still belong to `req`.
+    fn push_input_spans(&mut self, k: &Kernel<NoCustom, TaskInfo>, req: usize) {
+        let (id, arrival) = self.requests[req];
+        let mut tid = k.requests[req].head_task + 1;
+        while tid < k.tasks.len() && k.tasks.req(tid) == req {
+            let input_tx = k.tasks.payload(tid).input_tx;
+            if input_tx > 0.0 {
+                self.spans.push(GanttSpan {
+                    device: self
+                        .resolved
+                        .device_name(k.tasks.device(tid) as u32)
+                        .clone(),
+                    request: Some(id),
+                    phase: Phase::InputTx(self.resolved.module_name(k.tasks.module(tid)).clone()),
+                    start: arrival,
+                    end: arrival + input_tx,
+                });
+            }
+            tid += 1;
+        }
+    }
+
+    /// Records every pre-clock span starting at or before `upto`, in
+    /// `start` order with loading ahead of input on a tie. The hooks call
+    /// this before pushing spans that start at `upto`.
+    #[inline]
+    fn emit_due(&mut self, k: &Kernel<NoCustom, TaskInfo>, upto: f64) {
+        while self.next_loading.min(self.next_input) <= upto {
+            if self.next_loading <= self.next_input {
+                self.spans.extend(self.loading.pop_front());
+                self.next_loading = self.loading.front().map_or(f64::INFINITY, |s| s.start);
+            } else {
+                let req = self.input_request().expect("a finite arrival");
+                self.push_input_spans(k, req);
+                self.inputs_done += 1;
+                self.next_input = self.input_arrival();
+            }
+        }
+    }
+
+    /// The finished run's report, `spans` as they stand.
+    fn into_report(self) -> SimReport {
+        let loading_done = self.loading_done;
+        // Bulk-built from the completion-ordered list: on a repeated id
+        // the later completion wins, as with one insert per completion.
+        let requests: BTreeMap<u64, RequestTiming> = self.timings.into_iter().collect();
+        let makespan = requests
+            .values()
+            .map(|r| r.completion)
+            .fold(loading_done, f64::max);
+        SimReport {
+            spans: self.spans,
+            requests,
+            loading_done,
+            makespan,
+        }
+    }
 }
 
 impl Driver for Bounded<'_> {
@@ -153,11 +291,12 @@ impl Driver for Bounded<'_> {
             - (group.len() as f64 - 1.0) * self.exec_overhead[device];
         let start = secs(now);
         let end = start + dur;
+        self.emit_due(k, start);
         for &g in group {
             let module = k.tasks.module(g);
             self.spans.push(GanttSpan {
                 device: self.resolved.device_name(device as u32).clone(),
-                request: Some(k.tasks.payload(g).request),
+                request: Some(self.requests[k.tasks.req(g)].0),
                 phase: if k.tasks.is_head(g) {
                     Phase::Head(self.resolved.module_name(module).clone())
                 } else {
@@ -176,19 +315,20 @@ impl Driver for Bounded<'_> {
         tid: usize,
         now: u64,
     ) -> Result<u64, SimError> {
-        let info = *k.tasks.payload(tid);
-        if info.output_tx > 0.0 {
+        let output_tx = k.tasks.payload(tid).output_tx;
+        if output_tx > 0.0 {
             let req = k.tasks.req(tid);
             let head_dev = k.tasks.device(k.requests[req].head_task);
+            self.emit_due(k, secs(now));
             self.spans.push(GanttSpan {
                 device: self.resolved.device_name(head_dev as u32).clone(),
-                request: Some(info.request),
+                request: Some(self.requests[req].0),
                 phase: Phase::OutputTx(self.resolved.module_name(k.tasks.module(tid)).clone()),
                 start: secs(now),
-                end: secs(now) + info.output_tx,
+                end: secs(now) + output_tx,
             });
         }
-        Ok(ns(secs(now) + info.output_tx))
+        Ok(ns(secs(now) + output_tx))
     }
 
     fn head_done(
@@ -197,7 +337,7 @@ impl Driver for Bounded<'_> {
         req: usize,
         now: u64,
     ) -> Result<(), SimError> {
-        let (id, arrival) = self.req_info[req];
+        let (id, arrival) = self.requests[req];
         self.timings.push((
             id,
             RequestTiming {
@@ -209,40 +349,15 @@ impl Driver for Bounded<'_> {
     }
 }
 
-/// The report's span order: by `start`, then device name. Starts are
-/// never NaN (arrivals are validated, the clock is integral).
-fn span_order(a: &GanttSpan, b: &GanttSpan) -> std::cmp::Ordering {
-    a.start
-        .partial_cmp(&b.start)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then_with(|| a.device.cmp(&b.device))
-}
-
 /// Stable-sorts every run of adjacent spans sharing a `start` by device
 /// name: all a stream already non-decreasing in `start` needs to be in
-/// [`span_order`].
-pub(crate) fn order_tie_groups(spans: &mut [GanttSpan]) {
+/// the report's order (by `start`, then device name).
+fn order_tie_groups(spans: &mut [GanttSpan]) {
     for group in spans.chunk_by_mut(|a, b| a.start == b.start) {
         if group.len() > 1 {
             group.sort_by(|a, b| a.device.cmp(&b.device));
         }
     }
-}
-
-/// Stable-sorts `spans` by [`span_order`], in linear time on the shape
-/// the engine produces. `spans[built..]` were stamped with the kernel's
-/// monotone clock and `spans[..built]` follow the arrivals, so each part
-/// is non-decreasing in `start` already (the first whenever arrivals
-/// are) and only its tie groups are out of place; once those are fixed
-/// the slice is two sorted runs, which the standard stable sort detects
-/// and merges in one pass. Regrouping ties never reorders spans with
-/// equal keys, so the result is that of the plain sort on any input —
-/// an unsorted part only costs the time back.
-pub(crate) fn order_spans(spans: &mut [GanttSpan], built: usize) {
-    let (before, during) = spans.split_at_mut(built);
-    order_tie_groups(before);
-    order_tie_groups(during);
-    spans.sort_by(span_order);
 }
 
 /// The devices `route` assigns a model's modules to, as indices.
@@ -309,20 +424,59 @@ pub fn simulate_shared(
     plan: &Plan,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let (mut report, built) = simulate_recorded(instance, resolved, plan, config)?;
-    order_spans(&mut report.spans, built);
-    Ok(report)
+    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config)?;
+    let reserved = driver.spans.capacity();
+    driver.begin_merge();
+    kernel.run_until_idle(&mut driver)?;
+    // Whatever starts after the last run-time span (loading spans of a
+    // plan without requests).
+    driver.emit_due(&kernel, f64::MAX);
+    debug_assert!(driver.spans.is_sorted_by(|a, b| a.start <= b.start));
+    debug_assert_eq!(
+        driver.spans.capacity(),
+        reserved,
+        "spans outgrew their reservation"
+    );
+    order_tie_groups(&mut driver.spans);
+    Ok(driver.into_report())
 }
 
-/// [`simulate_shared`] short of ordering the spans: the report with
-/// `spans` as recorded, and how many of them were recorded before the
-/// clock started.
-pub(crate) fn simulate_recorded(
+/// The oracle [`simulate_shared`]'s span order is tested against, sharing
+/// none of its ordering code: every pre-clock span is recorded before the
+/// clock starts (loading spans in placement order, input transfers in
+/// request order), the run's spans follow as stamped, and one plain
+/// stable sort by `(start, device)` orders the lot.
+#[cfg(test)]
+pub(crate) fn simulate_reference(
     instance: &Instance,
     resolved: &ResolvedInstance,
     plan: &Plan,
     config: &SimConfig,
-) -> Result<(SimReport, usize), SimError> {
+) -> Result<SimReport, SimError> {
+    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config)?;
+    driver.spans.extend(std::mem::take(&mut driver.loading));
+    for req in 0..driver.requests.len() {
+        driver.push_input_spans(&kernel, req);
+    }
+    kernel.run_until_idle(&mut driver)?;
+    driver.spans.sort_by(|a, b| {
+        a.start
+            .partial_cmp(&b.start)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.device.cmp(&b.device))
+    });
+    Ok(driver.into_report())
+}
+
+/// Validates `config` against `plan`, builds every task and initial
+/// event, and returns the loaded kernel and its driver — pre-clock
+/// streams not yet opened, `spans` empty at its final capacity.
+fn prepare<'a>(
+    instance: &Instance,
+    resolved: &'a ResolvedInstance,
+    plan: &Plan,
+    config: &SimConfig,
+) -> Result<(Kernel<NoCustom, TaskInfo>, Bounded<'a>), SimError> {
     let simultaneous;
     let arrivals: &[f64] = match &config.arrivals {
         Some(a) => {
@@ -362,11 +516,10 @@ pub(crate) fn simulate_recorded(
                 .map_or(0, |m| resolved.models()[m].encoders.len())
         })
         .sum();
-    // Input transfers: at most one span per encoder task.
-    let mut spans: Vec<GanttSpan> = Vec::with_capacity(tasks_cap - plan.routed.len());
 
     // --- Model loading: each device streams its placed modules (largest
     //     first, deterministic) sequentially from t=0.
+    let mut loading = VecDeque::new();
     let mut open_at = vec![0u64; devices.len()];
     if config.include_loading {
         for (m, n) in plan.placement.iter() {
@@ -382,7 +535,7 @@ pub(crate) fn simulate_recorded(
                 continue;
             }
             let start = secs(open_at[di]);
-            spans.push(GanttSpan {
+            loading.push_back(GanttSpan {
                 device: n.clone(),
                 request: None,
                 phase: Phase::ModelLoading(m.clone()),
@@ -403,8 +556,8 @@ pub(crate) fn simulate_recorded(
         Policy {
             immediate_head_fire: true,
             max_batch: config.max_batch,
-            // The Gantt chart indexes spans by task id; ids must stay
-            // append-only.
+            // Spans index the task table (a request's input transfers are
+            // read back from its rows); ids must stay append-only.
             recycle_tasks: false,
             // Every arrival is pushed before the clock starts, so a large
             // plan holds far more pending events than the online driver
@@ -415,24 +568,20 @@ pub(crate) fn simulate_recorded(
         tasks_cap,
         plan.routed.len(),
     );
-    let mut driver = Bounded {
-        resolved,
-        exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
-        req_info: Vec::with_capacity(plan.routed.len()),
-        spans,
-        timings: Vec::with_capacity(plan.routed.len()),
-    };
+    let mut requests = Vec::with_capacity(plan.routed.len());
 
     // --- Build tasks and initial events.
     // Requests of one model overwhelmingly share one route (Eq. 7 picks
-    // the same hosts for the same profile), so each model remembers the
-    // last route it resolved to device indices.
+    // the same hosts for the same profile, and `Plan::route_all` hands
+    // them one table), so each model remembers the last route it resolved
+    // to device indices.
     let mut last_route: Vec<Option<ResolvedRoute>> = Vec::new();
     last_route.resize_with(resolved.models().len(), || None);
     let mut order: Vec<(u32, u32, f64)> = Vec::new();
-    // Spans the run will record: one per task, plus one per encoder
-    // whose embedding has to travel.
-    let mut run_spans = tasks_cap;
+    // Spans the report will hold: the loading spans, one per task, one
+    // per encoder whose input has to travel and one per encoder whose
+    // embedding has to.
+    let mut n_spans = loading.len() + tasks_cap;
     for (req_idx, ((request, route), &arrival)) in plan.routed.iter().zip(arrivals).enumerate() {
         let model = resolved
             .model_index(&request.model)
@@ -440,7 +589,7 @@ pub(crate) fn simulate_recorded(
         let rmodel = &resolved.models()[model];
         let source = source_index(resolved, request)?;
         let devs = match &mut last_route[model] {
-            Some(r) if r.route.iter().eq(route.iter()) => r,
+            Some(r) if r.route.shares_assignments(route) || r.route.iter().eq(route.iter()) => r,
             slot => slot.insert(ResolvedRoute {
                 route,
                 head: routed_device(resolved, route, rmodel.head)?,
@@ -462,8 +611,8 @@ pub(crate) fn simulate_recorded(
             head_di as usize,
             true,
             TaskInfo {
-                request: request.id,
                 dur: head_dur,
+                input_tx: 0.0,
                 output_tx: 0.0,
             },
         );
@@ -498,33 +647,22 @@ pub(crate) fn simulate_recorded(
             let input_tx = resolved.transfer_time(source, di, request.profile.input_bytes(kind));
             let output_tx =
                 resolved.transfer_time(di, head_di, resolved.module_spec(m).output_bytes(units));
-            if input_tx > 0.0 {
-                driver.spans.push(GanttSpan {
-                    device: resolved.device_name(di).clone(),
-                    request: Some(request.id),
-                    phase: Phase::InputTx(resolved.module_name(m).clone()),
-                    start: arrival,
-                    end: arrival + input_tx,
-                });
-            }
-            if output_tx > 0.0 {
-                run_spans += 1;
-            }
+            n_spans += usize::from(input_tx > 0.0) + usize::from(output_tx > 0.0);
             let tid = kernel.spawn_task(
                 req_idx,
                 m,
                 di as usize,
                 false,
                 TaskInfo {
-                    request: request.id,
                     dur,
+                    input_tx,
                     output_tx,
                 },
             );
             kernel.push_ready(ns(arrival + input_tx), tid);
         }
 
-        driver.req_info.push((request.id, arrival));
+        requests.push((request.id, arrival));
         kernel.set_request(
             req_idx,
             RequestSlot {
@@ -546,25 +684,20 @@ pub(crate) fn simulate_recorded(
         }
     }
 
-    // --- Run the shared event loop to idle.
-    let built = driver.spans.len();
-    driver.spans.reserve_exact(run_spans);
-    kernel.run_until_idle(&mut driver)?;
-
-    // Bulk-built from the completion-ordered list: on a repeated id the
-    // later completion wins, as with one insert per completion.
-    let requests: BTreeMap<u64, RequestTiming> = driver.timings.into_iter().collect();
-    let makespan = requests
-        .values()
-        .map(|r| r.completion)
-        .fold(loading_done, f64::max);
-    let report = SimReport {
-        spans: driver.spans,
+    let driver = Bounded {
+        resolved,
+        exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
+        timings: Vec::with_capacity(requests.len()),
         requests,
+        loading,
+        by_arrival: None,
+        inputs_done: 0,
+        next_loading: f64::INFINITY,
+        next_input: f64::INFINITY,
+        spans: Vec::with_capacity(n_spans),
         loading_done,
-        makespan,
     };
-    Ok((report, built))
+    Ok((kernel, driver))
 }
 
 #[cfg(test)]
@@ -806,6 +939,68 @@ mod tests {
         // Gantt renders with something on multiple devices.
         let g = r.render_gantt(60);
         assert!(g.matches('|').count() >= 4);
+    }
+
+    #[test]
+    fn loading_spans_outlive_the_last_run_time_span() {
+        // No request ever catches the merge up with the loading stream:
+        // the end-of-run flush has to, and in (start, device) order.
+        let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
+        let plan = Plan::greedy(&i, Vec::new()).unwrap();
+        let config = SimConfig {
+            include_loading: true,
+            ..SimConfig::default()
+        };
+        let resolved = ResolvedInstance::new(&i).unwrap();
+        let r = simulate_shared(&i, &resolved, &plan, &config).unwrap();
+        assert!(!r.spans.is_empty());
+        assert!(r
+            .spans
+            .iter()
+            .all(|s| matches!(s.phase, Phase::ModelLoading(_))));
+        assert_eq!(r.makespan, r.loading_done);
+        assert_eq!(
+            r,
+            simulate_reference(&i, &resolved, &plan, &config).unwrap()
+        );
+    }
+
+    #[test]
+    fn an_arrival_tied_with_a_run_time_span_sorts_ahead_of_it() {
+        // Request 1 arrives at the very instant request 0's remote encoder
+        // starts, and ships its own input to the same device: equal
+        // (start, device), where the report's order is recording order —
+        // pre-clock first.
+        let (i, plan) = plan_for("CLIP ViT-B/16", 101, 2);
+        let resolved = ResolvedInstance::new(&i).unwrap();
+        let alone = simulate(&i, &plan, &SimConfig::default()).unwrap();
+        let input = alone
+            .spans
+            .iter()
+            .find(|s| matches!(s.phase, Phase::InputTx(_)))
+            .expect("a remote encoder");
+        let encode = alone
+            .spans
+            .iter()
+            .find(|s| matches!(s.phase, Phase::Encode(_)) && s.device == input.device)
+            .unwrap();
+        assert!(encode.start > 0.0);
+        let config = SimConfig {
+            arrivals: Some(vec![0.0, encode.start]),
+            ..SimConfig::default()
+        };
+        let r = simulate_shared(&i, &resolved, &plan, &config).unwrap();
+        let tied: Vec<_> = r
+            .spans
+            .iter()
+            .filter(|s| s.start == encode.start && s.device == encode.device)
+            .map(|s| (s.request, matches!(s.phase, Phase::InputTx(_))))
+            .collect();
+        assert_eq!(tied, [(Some(1), true), (Some(0), false)]);
+        assert_eq!(
+            r,
+            simulate_reference(&i, &resolved, &plan, &config).unwrap()
+        );
     }
 
     #[test]

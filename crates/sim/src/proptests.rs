@@ -8,10 +8,9 @@ use s2m3_core::problem::Instance;
 use s2m3_core::resolved::ResolvedInstance;
 use s2m3_net::fleet::Fleet;
 
-use crate::engine::{order_spans, order_tie_groups, simulate_recorded, simulate_shared};
+use crate::engine::{simulate_reference, simulate_shared};
 use crate::kernel::wheel::TimingWheel;
 use crate::kernel::KeyHeap;
-use crate::report::GanttSpan;
 use crate::workload::{
     latency_stats, mixed_stream, ArrivalProcess, ModelMix, ModelWeight, SourceSpec, WorkloadSpec,
 };
@@ -368,13 +367,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The engine's linear span ordering (tie groups, then one merge of
-    /// the pre-clock and run-time streams) yields exactly what a stable
-    /// `sort_by(start, device)` over the recorded spans yields — the
-    /// order every `SimReport` golden was captured with. Covers mixed
-    /// models on both fleets, replicated placements, every arrival
-    /// process, same-instant bursts, out-of-order arrivals, batching
-    /// and model loading.
+    /// The engine's span order — pre-clock spans merged in as the run
+    /// records, then tie groups regrouped by device — is exactly what a
+    /// stable `sort_by(start, device)` over the legacy two-part recording
+    /// (every pre-clock span, then the run's) yields: the order every
+    /// `SimReport` golden was captured with. The oracle shares no
+    /// ordering code with the engine. Covers mixed models on both fleets,
+    /// replicated placements, every arrival process, same-instant
+    /// bursts, out-of-order arrivals, batching and model loading.
     #[test]
     fn merge_ordered_spans_equal_reference_sort(
         models in proptest::sample::subsequence(MODELS.to_vec(), 1..=MODELS.len()),
@@ -413,32 +413,10 @@ proptest! {
         };
         let resolved = ResolvedInstance::new(&i).unwrap();
 
-        let reference = |a: &GanttSpan, b: &GanttSpan| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.device.cmp(&b.device))
-        };
-        let (recorded, built) = simulate_recorded(&i, &resolved, &plan, &config).unwrap();
-        let mut expected = recorded.spans.clone();
-        expected.sort_by(reference);
-
-        // The linear path's premise: the kernel's clock is monotone, so
-        // fixing tie groups alone sorts the run-time stream (and the
-        // pre-clock one when arrivals are in order and nothing loads).
-        let mut during = recorded.spans[built..].to_vec();
-        order_tie_groups(&mut during);
-        prop_assert!(during.is_sorted_by(|a, b| reference(a, b).is_le()));
-        if reversed == 0 && include_loading == 0 {
-            let mut before = recorded.spans[..built].to_vec();
-            order_tie_groups(&mut before);
-            prop_assert!(before.is_sorted_by(|a, b| reference(a, b).is_le()));
-        }
-
-        let mut ordered = recorded.spans;
-        order_spans(&mut ordered, built);
-        prop_assert_eq!(&ordered, &expected);
-        prop_assert_eq!(simulate_shared(&i, &resolved, &plan, &config).unwrap().spans, expected);
+        let expected = simulate_reference(&i, &resolved, &plan, &config).unwrap();
+        let report = simulate_shared(&i, &resolved, &plan, &config).unwrap();
+        prop_assert_eq!(report.spans.len(), report.spans.capacity());
+        prop_assert_eq!(report, expected);
     }
 
     /// The timing wheel is a drop-in replacement for the packed-key

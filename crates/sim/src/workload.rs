@@ -1000,7 +1000,11 @@ pub struct LatencyStats {
 /// Computes latency statistics from a simulation report.
 pub fn latency_stats(report: &SimReport) -> LatencyStats {
     let mut latencies: Vec<f64> = report.requests.values().map(|r| r.latency()).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // Completion never precedes arrival, so latencies are finite and at
+    // least +0.0, where `total_cmp` is the numeric order; a NaN would
+    // sort last instead of corrupting the order around it.
+    debug_assert!(latencies.iter().all(|l| !l.is_nan()));
+    latencies.sort_unstable_by(f64::total_cmp);
     let n = latencies.len();
     if n == 0 {
         return LatencyStats {

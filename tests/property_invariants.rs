@@ -266,6 +266,194 @@ proptest! {
         );
     }
 
+    /// A route's assignment table may be shared between routes; nothing
+    /// observable may depend on whether it is. A clone shares its
+    /// original's table, `assign` on either leaves the other untouched
+    /// (copy-on-write), and equality and JSON bytes are those of a route
+    /// built privately from the same pairs.
+    #[test]
+    fn shared_route_tables_behave_like_private_ones(
+        pairs in proptest::collection::vec(("[a-e]{1,1}", "[v-z]{1,1}"), 0..6),
+        extra in ("[a-g]{1,1}", "[v-z]{1,1}"),
+        id in 0u64..1000,
+    ) {
+        let build = |id: u64, pairs: &[(String, String)]| {
+            let mut r = Route::new(id);
+            for (m, d) in pairs {
+                r.assign(m.as_str().into(), d.as_str().into());
+            }
+            r
+        };
+        let original = build(id, &pairs);
+        let mut sibling = original.clone();
+        prop_assert!(sibling.shares_assignments(&original));
+        prop_assert_eq!(&sibling, &original);
+
+        // Another request's route over the same table: shared, equal
+        // only once the ids agree.
+        sibling.request_id = id + 1;
+        prop_assert!(sibling.shares_assignments(&original));
+        prop_assert_ne!(&sibling, &original);
+
+        // Writing through one holder copies first.
+        sibling.assign(extra.0.as_str().into(), extra.1.as_str().into());
+        prop_assert!(!sibling.shares_assignments(&original));
+        prop_assert_eq!(&original, &build(id, &pairs));
+        let mut with_extra = pairs.clone();
+        with_extra.push(extra.clone());
+        let private = build(id + 1, &with_extra);
+        prop_assert!(!sibling.shares_assignments(&private));
+        prop_assert_eq!(&sibling, &private);
+        prop_assert_eq!(
+            serde_json::to_string(&sibling).unwrap(),
+            serde_json::to_string(&private).unwrap()
+        );
+        // ... and the other way round: the original writes, the clone
+        // taken before keeps what it had.
+        let snapshot = original.clone();
+        let mut original = original;
+        original.assign(extra.0.as_str().into(), extra.1.as_str().into());
+        prop_assert_eq!(&snapshot, &build(id, &pairs));
+        prop_assert_eq!(&original, &build(id, &with_extra));
+
+        let back: Route = serde_json::from_str(&serde_json::to_string(&snapshot).unwrap()).unwrap();
+        prop_assert_eq!(&back, &snapshot);
+    }
+
+    /// `Plan::route_all` hands every request of a (model, profile) one
+    /// table; the plan's JSON is that of a plan whose routes were each
+    /// built privately, and it round-trips.
+    #[test]
+    fn plans_over_shared_tables_serialize_like_private_ones(
+        picks in proptest::collection::vec((0usize..3, prop_oneof![Just(None), Just(Some(7.0))]), 1..40),
+    ) {
+        let models = [("CLIP ViT-B/16", 101usize), ("AlignBind-B", 16), ("Flint-v0.5-1B", 1)];
+        let instance = Instance::on_fleet(Fleet::standard_testbed(), &models).unwrap();
+        let requests: Vec<_> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &(model, units))| {
+                let mut q = instance.request(id as u64, models[model].0).unwrap();
+                if let Some(units) = units {
+                    q.profile.text_units = units;
+                }
+                q
+            })
+            .collect();
+        let plan = Plan::greedy(&instance, requests).unwrap();
+
+        // One table per distinct (model, profile) — no more, no fewer.
+        let mut tables: Vec<&Route> = Vec::new();
+        for (_, r) in &plan.routed {
+            if !tables.iter().any(|t| t.shares_assignments(r)) {
+                tables.push(r);
+            }
+        }
+        let distinct: std::collections::BTreeSet<_> = plan
+            .routed
+            .iter()
+            .map(|(q, _)| (q.model.clone(), q.profile.text_units.to_bits()))
+            .collect();
+        prop_assert_eq!(tables.len(), distinct.len());
+
+        let private = Plan {
+            placement: plan.placement.clone(),
+            routed: plan
+                .routed
+                .iter()
+                .map(|(q, r)| {
+                    let mut own = Route::new(r.request_id);
+                    for (m, d) in r.iter() {
+                        own.assign(m.clone(), d.clone());
+                    }
+                    (q.clone(), own)
+                })
+                .collect(),
+        };
+        prop_assert_eq!(&plan, &private);
+        let json = serde_json::to_string(&plan).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&private).unwrap());
+        let back: Plan = serde_json::from_str(&json).unwrap();
+        prop_assert_eq!(&back, &plan);
+    }
+
+    /// `validate` checks (4b)/(4c) once per (deployment, table) rather
+    /// than once per request. Whatever is wrong with one request's route
+    /// — planted at a random position among requests that share tables —
+    /// it must report exactly what checking every request on its own
+    /// reports: the same first error, or none.
+    #[test]
+    fn validate_once_per_table_equals_validate_per_request(
+        picks in proptest::collection::vec(0usize..4, 1..40),
+        at in 0usize..40,
+        fault in 0u8..6,
+    ) {
+        let models = [
+            ("CLIP ViT-B/16", 101usize),
+            ("Encoder-only VQA (Small)", 1),
+            ("AlignBind-B", 16),
+            ("Flint-v0.5-1B", 1),
+        ];
+        let instance = Instance::on_fleet(Fleet::standard_testbed(), &models).unwrap();
+        let requests: Vec<_> = picks
+            .iter()
+            .enumerate()
+            .map(|(id, &m)| instance.request(id as u64, models[m].0).unwrap())
+            .collect();
+        let Plan { placement, mut routed } = Plan::greedy(&instance, requests).unwrap();
+
+        let at = at % routed.len();
+        let module = routed[at].1.iter().next().unwrap().0.clone();
+        match fault {
+            // A private table routing one module to a device that does
+            // not host it.
+            0 => {
+                let wrong = instance
+                    .fleet()
+                    .devices()
+                    .iter()
+                    .map(|d| d.id.clone())
+                    .find(|d| !placement.is_placed(&module, d))
+                    .unwrap();
+                routed[at].1.assign(module, wrong);
+            }
+            // A private table missing every module but one.
+            1 => {
+                let host = routed[at].1.device_for(&module).unwrap().clone();
+                let mut partial = Route::new(routed[at].1.request_id);
+                partial.assign(module, host);
+                routed[at].1 = partial;
+            }
+            // Another request's table, shared: valid for that request's
+            // model, (usually) not for this one.
+            2 => {
+                let other = (at + 1) % routed.len();
+                let mut borrowed = routed[other].1.clone();
+                borrowed.request_id = routed[at].1.request_id;
+                routed[at].1 = borrowed;
+            }
+            3 => routed[at].0.model = "ghost".into(),
+            // A private but correct copy: the memo must not mind.
+            4 => {
+                let (m, d) = routed[at].1.iter().next().map(|(m, d)| (m.clone(), d.clone())).unwrap();
+                routed[at].1.assign(m, d);
+            }
+            _ => {}
+        }
+
+        let per_request = routed
+            .iter()
+            .try_for_each(|pair| validate(&instance, &placement, std::slice::from_ref(pair)));
+        prop_assert_eq!(validate(&instance, &placement, &routed), per_request.clone());
+        match fault {
+            0 => prop_assert!(matches!(per_request, Err(s2m3::core::CoreError::NotHosted { .. }))),
+            1 => prop_assert!(matches!(per_request, Err(s2m3::core::CoreError::Unrouted(_)))),
+            3 => prop_assert_eq!(per_request, Err(s2m3::core::CoreError::UnknownModel("ghost".into()))),
+            2 => {}
+            _ => prop_assert_eq!(per_request, Ok(())),
+        }
+    }
+
     /// Replanning onto an unchanged fleet is a no-op; replanning onto a
     /// strictly larger fleet never increases latency.
     #[test]

@@ -1,0 +1,112 @@
+//! Heap bound for the bounded path, the one place in the repo whose heap
+//! is O(requests) by design: `materialize` → `Plan::greedy` → `simulate`
+//! → `latency_stats` over a five-model stream keeps the plan, the task
+//! table and every Gantt span alive at once. What it must *not* keep is
+//! a private copy of a route table per request, or the pre-clock spans
+//! twice — this pins the per-request price and the sharing that buys it.
+//!
+//! Own binary, like `serve_memory_flat.rs`: the counting allocator's
+//! peak is process-wide.
+
+use std::sync::Mutex;
+
+use peak_alloc::PeakAlloc;
+use s2m3::prelude::*;
+use s2m3::sim::workload::{
+    latency_stats, ArrivalProcess, LatencyStats, ModelMix, ModelWeight, WorkloadSpec,
+};
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Held for a whole test: `cargo test` runs a binary's tests on parallel
+/// threads and the peak is process-wide.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+const FIVE_MODELS: [(&str, usize); 5] = [
+    ("CLIP ViT-B/16", 101),
+    ("Encoder-only VQA (Small)", 1),
+    ("AlignBind-B", 16),
+    ("CLIP-Classifier Food-101", 0),
+    ("Flint-v0.5-1B", 1),
+];
+
+/// A 1:2:3:4:5 mix of the five models arriving far faster than the fleet
+/// serves: every arrival is pending before the first completion.
+fn burst() -> (Instance, WorkloadSpec) {
+    let instance = Instance::on_fleet(Fleet::standard_testbed(), &FIVE_MODELS).unwrap();
+    let mut spec =
+        WorkloadSpec::single_source(ArrivalProcess::Poisson { rate_per_s: 1000.0 }, "sim-memory");
+    spec.mix = ModelMix::Weighted {
+        weights: FIVE_MODELS
+            .iter()
+            .enumerate()
+            .map(|(i, &(name, _))| ModelWeight {
+                model: name.to_string(),
+                weight: (i + 1) as f64,
+            })
+            .collect(),
+    };
+    (instance, spec)
+}
+
+/// Runs the bounded path over `n` requests; returns the plan, the stats
+/// and the peak heap above what was live before, in bytes.
+fn run(instance: &Instance, spec: &WorkloadSpec, n: usize) -> (Plan, LatencyStats, usize) {
+    let before = ALLOC.live_bytes();
+    ALLOC.reset_peak();
+    let (requests, arrivals) = spec.materialize(instance, n).unwrap();
+    let plan = Plan::greedy(instance, requests).unwrap();
+    let config = SimConfig {
+        arrivals: Some(arrivals),
+        ..SimConfig::default()
+    };
+    let report = simulate(instance, &plan, &config).unwrap();
+    let stats = latency_stats(&report);
+    (plan, stats, ALLOC.peak_bytes().saturating_sub(before))
+}
+
+#[test]
+fn bounded_path_peaks_under_a_kilobyte_per_request() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (instance, spec) = burst();
+    // Warm-up: one-time lazy allocations stay out of the measurement.
+    let _ = run(&instance, &spec, 512);
+    for n in [20_000, 100_000] {
+        let (_, stats, peak) = run(&instance, &spec, n);
+        assert_eq!(stats.n, n);
+        let per_request = peak / n;
+        // 1,229 B/request with a private route table per request and
+        // the pre-clock spans buffered and then sorted.
+        assert!(
+            per_request <= 1_000,
+            "{n} requests peaked at {peak} B = {per_request} B/request"
+        );
+    }
+}
+
+#[test]
+fn a_plan_holds_one_route_table_per_model_and_profile() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (instance, spec) = burst();
+    let (plan, _, _) = run(&instance, &spec, 20_000);
+    let mut tables: Vec<&Route> = Vec::new();
+    for (_, route) in &plan.routed {
+        if !tables.iter().any(|t| t.shares_assignments(route)) {
+            tables.push(route);
+        }
+    }
+    let pairs: std::collections::BTreeSet<_> = plan
+        .routed
+        .iter()
+        .map(|(q, _)| {
+            (
+                q.model.as_str(),
+                q.profile.text_units.to_bits(),
+                q.profile.llm_tokens.to_bits(),
+            )
+        })
+        .collect();
+    assert_eq!(pairs.len(), FIVE_MODELS.len());
+    assert_eq!(tables.len(), pairs.len());
+}
