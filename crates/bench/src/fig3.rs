@@ -109,7 +109,7 @@ mod tests {
             .filter(|s| matches!(s.phase, Phase::Encode(_)))
             .collect();
         assert_eq!(encodes.len(), 2);
-        let (a, b) = (encodes[0], encodes[1]);
+        let (a, b) = (&encodes[0], &encodes[1]);
         assert_ne!(a.device, b.device);
         let overlap = a.start.max(b.start) < a.end.min(b.end);
         assert!(overlap, "encoder spans must overlap: {a:?} vs {b:?}");

@@ -3,7 +3,9 @@
 //! factors for the battery life of edge devices").
 //!
 //! Per-device power is modeled as `idle + (active − idle)` during busy
-//! spans; transfers charge the radio at a fixed power on both endpoints.
+//! spans; a transfer charges the radio at a fixed power on the span's
+//! device, which is the *receiving* end (a span records one device —
+//! see `GanttSpan::device` — so the sender's radio is not charged).
 //! The profile numbers are typical published figures for the Table III
 //! hardware class (Jetson Nano 10 W mode, M-series laptop package power,
 //! desktop CPU under AVX load, P40 server board + host).
@@ -20,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use s2m3_net::device::DeviceId;
 
-use crate::report::{Phase, SimReport};
+use crate::report::{PhaseTag, SimReport};
 
 /// Power profile of one device, watts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -115,22 +117,39 @@ impl EnergyReport {
 /// Computes the energy of a simulated timeline under `profiles`.
 /// Devices missing from `profiles` contribute nothing.
 pub fn energy(report: &SimReport, profiles: &BTreeMap<DeviceId, PowerProfile>) -> EnergyReport {
-    let mut out = EnergyReport::default();
-    for span in &report.spans {
-        let Some(p) = profiles.get(&span.device) else {
+    // Joules per device of the span table, summed in span order; `None`
+    // until something is charged, so an untouched device gets no entry.
+    let devices = report.spans.devices();
+    let profile_of: Vec<Option<&PowerProfile>> = devices.iter().map(|d| profiles.get(d)).collect();
+    let mut active: Vec<Option<f64>> = vec![None; devices.len()];
+    let mut radio = active.clone();
+    for span in report.spans.rows() {
+        let d = span.device as usize;
+        let Some(p) = profile_of[d] else {
             continue;
         };
         let dur = (span.end - span.start).max(0.0);
         match span.phase {
-            Phase::Encode(_) | Phase::Head(_) | Phase::ModelLoading(_) => {
-                *out.active_j.entry(span.device.clone()).or_default() +=
-                    (p.active_w - p.idle_w) * dur;
+            PhaseTag::Encode | PhaseTag::Head | PhaseTag::ModelLoading => {
+                *active[d].get_or_insert(0.0) += (p.active_w - p.idle_w) * dur;
             }
-            Phase::InputTx(_) | Phase::OutputTx(_) => {
-                *out.radio_j.entry(span.device.clone()).or_default() += p.radio_w * dur;
+            PhaseTag::InputTx | PhaseTag::OutputTx => {
+                *radio[d].get_or_insert(0.0) += p.radio_w * dur;
             }
         }
     }
+    let by_name = |joules: Vec<Option<f64>>| {
+        devices
+            .iter()
+            .zip(joules)
+            .filter_map(|(d, j)| Some((d.clone(), j?)))
+            .collect()
+    };
+    let mut out = EnergyReport {
+        active_j: by_name(active),
+        radio_j: by_name(radio),
+        idle_j: BTreeMap::new(),
+    };
     for (d, p) in profiles {
         *out.idle_j.entry(d.clone()).or_default() += p.idle_w * report.makespan;
     }
@@ -140,7 +159,7 @@ pub fn energy(report: &SimReport, profiles: &BTreeMap<DeviceId, PowerProfile>) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, SimConfig};
+    use crate::{simulate, GanttSpan, Phase, SimConfig};
     use s2m3_core::plan::Plan;
     use s2m3_core::problem::Instance;
 
@@ -178,6 +197,28 @@ mod tests {
             "edge {:.1} J vs cloud {cloud_joules:.1} J",
             edge.marginal_j()
         );
+    }
+
+    #[test]
+    fn a_transfer_charges_only_the_receiving_device() {
+        let r = SimReport {
+            spans: vec![GanttSpan {
+                device: "laptop".into(),
+                request: Some(0),
+                phase: Phase::OutputTx("vision/ViT-B-16".into()),
+                start: 1.0,
+                end: 3.5,
+            }]
+            .into(),
+            makespan: 3.5,
+            ..SimReport::default()
+        };
+        let profiles = default_profiles();
+        let e = energy(&r, &profiles);
+        let laptop: DeviceId = "laptop".into();
+        let expected = BTreeMap::from([(laptop.clone(), profiles[&laptop].radio_w * 2.5)]);
+        assert_eq!(e.radio_j, expected);
+        assert!(e.active_j.is_empty());
     }
 
     #[test]

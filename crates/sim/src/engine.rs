@@ -17,26 +17,35 @@
 //!
 //! A report lists spans by `start`, ties by device name — by definition
 //! what a stable sort of `[loading, input-transfer, run-time]` spans, as
-//! recorded, gives. The engine never holds that unsorted list. Three
-//! streams feed `spans`, each already non-decreasing in `start`:
-//! model-loading spans (a handful, sorted once), input-transfer spans
+//! recorded, gives. The engine never holds that unsorted list, and never
+//! a name: it records [`report`](crate::report) *rows* — `Copy` plain
+//! data carrying the request, device and module indices the kernel's
+//! task table already holds — so a hook's recording is one store with no
+//! reference count touched, and the names and request ids join the rows
+//! once, when the finished run becomes a `Spans` table.
+//!
+//! Three streams feed `spans`, each already non-decreasing in `start`:
+//! model-loading rows (a handful, sorted once), input-transfer rows
 //! (they start at their request's arrival, so visiting requests in stable
 //! arrival order yields them in order — an index permutation is built
-//! only when the arrivals are not sorted) and the spans the driver hooks
+//! only when the arrivals are not sorted) and the rows the driver hooks
 //! stamp with the kernel's monotone clock. The first two are known before
-//! the clock starts but are not stored: before a hook pushes a span
-//! starting at `t`, the driver records every pre-clock span starting at or
+//! the clock starts but are not stored: before a hook pushes a row
+//! starting at `t`, the driver records every pre-clock row starting at or
 //! before `t`, loading ahead of input on a tie, and generates a request's
-//! input-transfer spans at that moment from its rows of the task table.
+//! input-transfer rows at that moment from its rows of the task table.
 //! That is a three-way stable merge carried out while recording, so
 //! `spans` — reserved once at its exact final length — is non-decreasing
 //! in `start` as recorded (debug builds assert it) with equal starts in
 //! `[loading, input, run-time]` order. Regrouping each run of equal
 //! starts by device name, stably, is then exactly the global sort's
-//! result and the only ordering pass left; sorted or unsorted arrivals,
-//! loading and batching all take this one path. The global sort itself
+//! result and the only ordering pass left; it compares
+//! `ResolvedInstance::device_rank`, the names' lexicographic rank, not
+//! the names. Sorted or unsorted arrivals, loading and batching all take
+//! this one path. The global sort itself — by name, never by rank —
 //! survives only as the test oracle (`simulate_reference`).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 
 use s2m3_core::error::CoreError;
@@ -46,7 +55,7 @@ use s2m3_core::resolved::ResolvedInstance;
 use s2m3_models::module::ModuleKind;
 
 use crate::kernel::{Device, Driver, Kernel, Policy, RequestSlot, Scheduler};
-use crate::report::{GanttSpan, Phase, RequestTiming, SimReport};
+use crate::report::{PhaseTag, RequestTiming, SimReport, SpanRow, Spans, NO_REQUEST};
 
 /// Simulation options.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -133,8 +142,8 @@ fn secs(t: u64) -> f64 {
 enum NoCustom {}
 
 /// Per-task payload stored inline in the kernel's task table. The
-/// owning request's id is not repeated here: it is
-/// `Bounded::requests[k.tasks.req(tid)]`.
+/// owning request is not repeated here: `k.tasks.req(tid)` indexes
+/// `Bounded::ids` and `Bounded::arrivals`.
 #[derive(Debug, Clone, Copy)]
 struct TaskInfo {
     /// Execution duration, seconds (fixed at task creation).
@@ -149,15 +158,15 @@ struct TaskInfo {
 /// The bounded (offline) driver: fixed durations, Gantt spans, request
 /// timings. The module docs say how `spans` comes out in report order.
 struct Bounded<'a> {
-    resolved: &'a ResolvedInstance,
     /// Per-device execution overhead, amortized when batching merges
     /// runs.
     exec_overhead: Vec<f64>,
-    /// Per-request `(id, arrival)` (index-aligned with
-    /// `Kernel::requests`).
-    requests: Vec<(u64, f64)>,
+    /// Per-request id and arrival (index-aligned with
+    /// `Kernel::requests`); a span row's `request` indexes both.
+    ids: Vec<u64>,
+    arrivals: Cow<'a, [f64]>,
     /// Model-loading spans not yet in `spans`, front first.
-    loading: VecDeque<GanttSpan>,
+    loading: VecDeque<SpanRow>,
     /// Request indices by arrival (stable) when the arrivals are not
     /// already in order; `None` = index order.
     by_arrival: Option<Vec<u32>>,
@@ -169,8 +178,9 @@ struct Bounded<'a> {
     /// before [`Bounded::begin_merge`], not yet opened).
     next_loading: f64,
     next_input: f64,
-    /// Every span recorded so far.
-    spans: Vec<GanttSpan>,
+    /// Every span recorded so far, as rows over the resolved instance's
+    /// device and module indices.
+    spans: Vec<SpanRow>,
     /// `(id, timing)` per finished request, in completion order.
     timings: Vec<(u64, RequestTiming)>,
     /// When the last device finishes loading its modules, seconds.
@@ -189,10 +199,10 @@ impl Bounded<'_> {
         self.loading
             .make_contiguous()
             .sort_by(|a, b| by_start(a.start, b.start));
-        let arrival = |r: usize| self.requests[r].1;
-        if !self.requests.is_sorted_by(|a, b| a.1 <= b.1) {
-            let mut order: Vec<u32> = (0..self.requests.len() as u32).collect();
-            order.sort_by(|&a, &b| by_start(arrival(a as usize), arrival(b as usize)));
+        let arrivals = &*self.arrivals;
+        if !arrivals.is_sorted() {
+            let mut order: Vec<u32> = (0..arrivals.len() as u32).collect();
+            order.sort_by(|&a, &b| by_start(arrivals[a as usize], arrivals[b as usize]));
             self.by_arrival = Some(order);
         }
         self.next_loading = self.loading.front().map_or(f64::INFINITY, |s| s.start);
@@ -203,14 +213,14 @@ impl Bounded<'_> {
     fn input_request(&self) -> Option<usize> {
         match &self.by_arrival {
             Some(order) => order.get(self.inputs_done).map(|&r| r as usize),
-            None => (self.inputs_done < self.requests.len()).then_some(self.inputs_done),
+            None => (self.inputs_done < self.arrivals.len()).then_some(self.inputs_done),
         }
     }
 
     /// Its arrival; infinite when every request's spans are out.
     fn input_arrival(&self) -> f64 {
         self.input_request()
-            .map_or(f64::INFINITY, |r| self.requests[r].1)
+            .map_or(f64::INFINITY, |r| self.arrivals[r])
     }
 
     /// Pushes request `req`'s input-transfer spans. The build loop spawns
@@ -218,20 +228,18 @@ impl Bounded<'_> {
     /// an append-only table, so they are the rows after `head_task` that
     /// still belong to `req`.
     fn push_input_spans(&mut self, k: &Kernel<NoCustom, TaskInfo>, req: usize) {
-        let (id, arrival) = self.requests[req];
+        let arrival = self.arrivals[req];
         let mut tid = k.requests[req].head_task + 1;
         while tid < k.tasks.len() && k.tasks.req(tid) == req {
             let input_tx = k.tasks.payload(tid).input_tx;
             if input_tx > 0.0 {
-                self.spans.push(GanttSpan {
-                    device: self
-                        .resolved
-                        .device_name(k.tasks.device(tid) as u32)
-                        .clone(),
-                    request: Some(id),
-                    phase: Phase::InputTx(self.resolved.module_name(k.tasks.module(tid)).clone()),
+                self.spans.push(SpanRow {
                     start: arrival,
                     end: arrival + input_tx,
+                    request: req as u32,
+                    device: k.tasks.device(tid) as u32,
+                    module: k.tasks.module(tid),
+                    phase: PhaseTag::InputTx,
                 });
             }
             tid += 1;
@@ -256,8 +264,9 @@ impl Bounded<'_> {
         }
     }
 
-    /// The finished run's report, `spans` as they stand.
-    fn into_report(self) -> SimReport {
+    /// The finished run's report: `spans` as they stand, over
+    /// `resolved`'s names and this run's request ids.
+    fn into_report(self, resolved: &ResolvedInstance) -> SimReport {
         let loading_done = self.loading_done;
         // Bulk-built from the completion-ordered list: on a repeated id
         // the later completion wins, as with one insert per completion.
@@ -267,7 +276,16 @@ impl Bounded<'_> {
             .map(|r| r.completion)
             .fold(loading_done, f64::max);
         SimReport {
-            spans: self.spans,
+            spans: Spans::from_parts(
+                (0..resolved.device_count() as u32)
+                    .map(|d| resolved.device_name(d).clone())
+                    .collect(),
+                (0..resolved.module_count() as u32)
+                    .map(|m| resolved.module_name(m).clone())
+                    .collect(),
+                self.ids,
+                self.spans,
+            ),
             requests,
             loading_done,
             makespan,
@@ -293,17 +311,17 @@ impl Driver for Bounded<'_> {
         let end = start + dur;
         self.emit_due(k, start);
         for &g in group {
-            let module = k.tasks.module(g);
-            self.spans.push(GanttSpan {
-                device: self.resolved.device_name(device as u32).clone(),
-                request: Some(self.requests[k.tasks.req(g)].0),
-                phase: if k.tasks.is_head(g) {
-                    Phase::Head(self.resolved.module_name(module).clone())
-                } else {
-                    Phase::Encode(self.resolved.module_name(module).clone())
-                },
+            self.spans.push(SpanRow {
                 start,
                 end,
+                request: k.tasks.req(g) as u32,
+                device: device as u32,
+                module: k.tasks.module(g),
+                phase: if k.tasks.is_head(g) {
+                    PhaseTag::Head
+                } else {
+                    PhaseTag::Encode
+                },
             });
         }
         Ok(ns(end))
@@ -320,12 +338,13 @@ impl Driver for Bounded<'_> {
             let req = k.tasks.req(tid);
             let head_dev = k.tasks.device(k.requests[req].head_task);
             self.emit_due(k, secs(now));
-            self.spans.push(GanttSpan {
-                device: self.resolved.device_name(head_dev as u32).clone(),
-                request: Some(self.requests[req].0),
-                phase: Phase::OutputTx(self.resolved.module_name(k.tasks.module(tid)).clone()),
+            self.spans.push(SpanRow {
                 start: secs(now),
                 end: secs(now) + output_tx,
+                request: req as u32,
+                device: head_dev as u32,
+                module: k.tasks.module(tid),
+                phase: PhaseTag::OutputTx,
             });
         }
         Ok(ns(secs(now) + output_tx))
@@ -337,11 +356,10 @@ impl Driver for Bounded<'_> {
         req: usize,
         now: u64,
     ) -> Result<(), SimError> {
-        let (id, arrival) = self.requests[req];
         self.timings.push((
-            id,
+            self.ids[req],
             RequestTiming {
-                arrival,
+                arrival: self.arrivals[req],
                 completion: secs(now),
             },
         ));
@@ -350,12 +368,13 @@ impl Driver for Bounded<'_> {
 }
 
 /// Stable-sorts every run of adjacent spans sharing a `start` by device
-/// name: all a stream already non-decreasing in `start` needs to be in
-/// the report's order (by `start`, then device name).
-fn order_tie_groups(spans: &mut [GanttSpan]) {
+/// name — by its rank, which orders as the names do: all a stream already
+/// non-decreasing in `start` needs to be in the report's order (by
+/// `start`, then device name).
+fn order_tie_groups(spans: &mut [SpanRow], resolved: &ResolvedInstance) {
     for group in spans.chunk_by_mut(|a, b| a.start == b.start) {
         if group.len() > 1 {
-            group.sort_by(|a, b| a.device.cmp(&b.device));
+            group.sort_by_key(|s| resolved.device_rank(s.device));
         }
     }
 }
@@ -437,15 +456,15 @@ pub fn simulate_shared(
         reserved,
         "spans outgrew their reservation"
     );
-    order_tie_groups(&mut driver.spans);
-    Ok(driver.into_report())
+    order_tie_groups(&mut driver.spans, resolved);
+    Ok(driver.into_report(resolved))
 }
 
 /// The oracle [`simulate_shared`]'s span order is tested against, sharing
 /// none of its ordering code: every pre-clock span is recorded before the
 /// clock starts (loading spans in placement order, input transfers in
 /// request order), the run's spans follow as stamped, and one plain
-/// stable sort by `(start, device)` orders the lot.
+/// stable sort by `(start, device name)` orders the lot.
 #[cfg(test)]
 pub(crate) fn simulate_reference(
     instance: &Instance,
@@ -455,7 +474,7 @@ pub(crate) fn simulate_reference(
 ) -> Result<SimReport, SimError> {
     let (mut kernel, mut driver) = prepare(instance, resolved, plan, config)?;
     driver.spans.extend(std::mem::take(&mut driver.loading));
-    for req in 0..driver.requests.len() {
+    for req in 0..driver.ids.len() {
         driver.push_input_spans(&kernel, req);
     }
     kernel.run_until_idle(&mut driver)?;
@@ -463,9 +482,13 @@ pub(crate) fn simulate_reference(
         a.start
             .partial_cmp(&b.start)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.device.cmp(&b.device))
+            .then_with(|| {
+                resolved
+                    .device_name(a.device)
+                    .cmp(resolved.device_name(b.device))
+            })
     });
-    Ok(driver.into_report())
+    Ok(driver.into_report(resolved))
 }
 
 /// Validates `config` against `plan`, builds every task and initial
@@ -473,12 +496,11 @@ pub(crate) fn simulate_reference(
 /// streams not yet opened, `spans` empty at its final capacity.
 fn prepare<'a>(
     instance: &Instance,
-    resolved: &'a ResolvedInstance,
+    resolved: &ResolvedInstance,
     plan: &Plan,
-    config: &SimConfig,
+    config: &'a SimConfig,
 ) -> Result<(Kernel<NoCustom, TaskInfo>, Bounded<'a>), SimError> {
-    let simultaneous;
-    let arrivals: &[f64] = match &config.arrivals {
+    let arrivals: Cow<'a, [f64]> = match &config.arrivals {
         Some(a) => {
             if a.len() != plan.routed.len() {
                 return Err(SimError::ArrivalsMismatch {
@@ -495,12 +517,9 @@ fn prepare<'a>(
             {
                 return Err(SimError::BadArrival { index, value });
             }
-            a
+            Cow::Borrowed(a)
         }
-        None => {
-            simultaneous = vec![0.0; plan.routed.len()];
-            &simultaneous
-        }
+        None => Cow::Owned(vec![0.0; plan.routed.len()]),
     };
 
     let devices = instance.fleet().devices();
@@ -535,12 +554,13 @@ fn prepare<'a>(
                 continue;
             }
             let start = secs(open_at[di]);
-            loading.push_back(GanttSpan {
-                device: n.clone(),
-                request: None,
-                phase: Phase::ModelLoading(m.clone()),
+            loading.push_back(SpanRow {
                 start,
                 end: start + dur,
+                request: NO_REQUEST,
+                device: di as u32,
+                module: mi,
+                phase: PhaseTag::ModelLoading,
             });
             open_at[di] = ns(start + dur);
         }
@@ -568,7 +588,7 @@ fn prepare<'a>(
         tasks_cap,
         plan.routed.len(),
     );
-    let mut requests = Vec::with_capacity(plan.routed.len());
+    let mut ids = Vec::with_capacity(plan.routed.len());
 
     // --- Build tasks and initial events.
     // Requests of one model overwhelmingly share one route (Eq. 7 picks
@@ -582,7 +602,9 @@ fn prepare<'a>(
     // per encoder whose input has to travel and one per encoder whose
     // embedding has to.
     let mut n_spans = loading.len() + tasks_cap;
-    for (req_idx, ((request, route), &arrival)) in plan.routed.iter().zip(arrivals).enumerate() {
+    for (req_idx, ((request, route), &arrival)) in
+        plan.routed.iter().zip(arrivals.iter()).enumerate()
+    {
         let model = resolved
             .model_index(&request.model)
             .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
@@ -662,7 +684,7 @@ fn prepare<'a>(
             kernel.push_ready(ns(arrival + input_tx), tid);
         }
 
-        requests.push((request.id, arrival));
+        ids.push(request.id);
         kernel.set_request(
             req_idx,
             RequestSlot {
@@ -685,10 +707,10 @@ fn prepare<'a>(
     }
 
     let driver = Bounded {
-        resolved,
         exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
-        timings: Vec::with_capacity(requests.len()),
-        requests,
+        timings: Vec::with_capacity(ids.len()),
+        ids,
+        arrivals,
         loading,
         by_arrival: None,
         inputs_done: 0,
@@ -703,6 +725,7 @@ fn prepare<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Phase;
     use s2m3_core::objective::total_latency;
     use s2m3_net::fleet::Fleet;
 
@@ -1015,6 +1038,7 @@ mod tests {
 #[cfg(test)]
 mod batching_tests {
     use super::*;
+    use crate::report::Phase;
 
     fn burst_plan(n: usize) -> (Instance, Plan) {
         let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();

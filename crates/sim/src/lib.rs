@@ -50,7 +50,7 @@ pub mod workload;
 mod proptests;
 
 pub use engine::{simulate, simulate_shared, SimConfig, SimError};
-pub use report::{GanttSpan, Phase, SimReport};
+pub use report::{GanttSpan, Phase, SimReport, Spans};
 pub use workload::{
     ArrivalProcess, ClassShare, ModelMix, ModelWeight, SourceSpec, WorkloadError, WorkloadRequest,
     WorkloadSpec,
