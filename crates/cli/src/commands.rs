@@ -21,7 +21,7 @@ use s2m3_sim::workload::{latency_stats, mixed_stream, ArrivalProcess, ModelMix, 
 use s2m3_sim::{simulate, SimConfig};
 use s2m3_sweep::{run_sweep, SweepSpec};
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -37,7 +37,8 @@ COMMANDS:
   simulate   --model M [--requests N] [--rate R] [--batch B] [--candidates N]
                                sustained-load simulation with p50/p95/p99
                                (--rate R, here and in serve: Poisson
-                               arrivals per second, finite and above 0)
+                               arrivals per second, finite and above 0;
+                               --batch, here and in serve: at least 1)
   serve      [--config FILE] [--requests N] [--rate R] [--deadline S]
              [--policy fifo|edf|shed] [--queue N] [--seed S] [--json]
              [--slo-replan COOLDOWN_S] [--mix M=W,M=W,...] [--batch N]
@@ -190,12 +191,21 @@ pub fn plan(args: &Args) -> CmdResult {
     Ok(out)
 }
 
+/// `--batch`, if given: at least 1. The kernel and the serve engine clamp
+/// a cap of 0 to 1 (old configs must load), so `--batch 0` would run
+/// unbatched while claiming otherwise.
+fn batch_cap(args: &Args) -> Result<Option<usize>, ArgError> {
+    Ok(args
+        .get_opt_num::<std::num::NonZeroUsize>("batch")?
+        .map(std::num::NonZeroUsize::get))
+}
+
 /// `s2m3 simulate`.
 pub fn simulate_cmd(args: &Args) -> CmdResult {
     let (instance, _, _) = instance_for(args)?;
     let n = args.get_num("requests", 20usize)?;
     let rate = args.get_opt_rate("rate")?.unwrap_or(0.5);
-    let batch = args.get_opt_num("batch")?;
+    let batch = batch_cap(args)?;
     let requests = mixed_stream(&instance, n).map_err(|e| e.to_string())?;
     let plan = Plan::greedy(&instance, requests).map_err(|e| e.to_string())?;
     let arrivals = ArrivalProcess::Poisson { rate_per_s: rate }.arrivals(n, "cli");
@@ -299,7 +309,7 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
             .collect::<Result<_, String>>()?;
         scenario.mix = Some(ModelMix::Weighted { weights });
     }
-    if let Some(max_batch) = args.get_opt_num("batch")? {
+    if let Some(max_batch) = batch_cap(args)? {
         scenario.batch = Some(BatchPolicy {
             max_batch,
             per_kind: vec![],
@@ -718,6 +728,7 @@ mod tests {
             ("simulate", "--requests", "10k"),
             ("simulate", "--rate", "fast"),
             ("simulate", "--batch", "four"),
+            ("simulate", "--batch", "0"),
             ("plan", "--candidates", "1e2"),
             ("compare", "--candidates", "-1"),
             ("evaluate", "--samples", "many"),
@@ -732,6 +743,7 @@ mod tests {
             ("serve", "--queue", "-4"),
             ("serve", "--slo-replan", "45s"),
             ("serve", "--batch", "four"),
+            ("serve", "--batch", "0"),
             ("serve", "--max-windows", "1.5"),
             ("serve", "--threads", "two"),
             ("serve", "--budget-cap", "lots"),

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::partition::greedy_place_partitioned;
     pub use crate::placement::greedy_place;
     pub use crate::plan::Plan;
-    pub use crate::problem::{Instance, Placement, Request, RequestProfile, Route};
+    pub use crate::problem::{Instance, Placement, Request, RequestProfile, RequestShape, Route};
     pub use crate::resolved::ResolvedInstance;
     pub use crate::routing::route_request;
     pub use crate::sharing::SharingReport;
@@ -89,4 +89,4 @@ pub mod prelude {
 
 pub use cost::CostModel;
 pub use error::CoreError;
-pub use problem::{Instance, Placement, Request, RequestProfile, Route};
+pub use problem::{Instance, Placement, Request, RequestProfile, RequestShape, Route};

@@ -7,7 +7,7 @@ use s2m3_models::module::ModuleKind;
 use s2m3_net::device::DeviceId;
 
 use crate::error::CoreError;
-use crate::problem::{Deployment, Instance, Placement, Request, Route};
+use crate::problem::{Deployment, Instance, Placement, Request, Route, ShapeMemo};
 use crate::routing::head_assignment;
 
 fn comm(instance: &Instance, from: &DeviceId, to: &DeviceId, bytes: u64) -> Result<f64, CoreError> {
@@ -239,6 +239,10 @@ fn check_route(
 /// assignment table and the placement — nothing else of the request — so
 /// each deployment remembers the last table that passed and a request
 /// whose route [shares](Route::shares_assignments) it is not re-checked.
+/// The deployment itself is found by model name once per distinct
+/// [shape](Request::shares_shape): a request holding a shape already met
+/// takes that shape's deployment by pointer, any other is looked up by
+/// name (and fails there if its model is not deployed).
 /// The memo is keyed on the (deployment, table) pair: a table that passed
 /// for one model is checked again for another, and a route that does not
 /// share the remembered table is checked in full and replaces it. Every
@@ -279,9 +283,12 @@ pub fn validate(
 
     // (4b) + (4c) per request, once per (deployment, table).
     let deployments = instance.deployments();
+    let mut deployment_of: ShapeMemo<usize> = ShapeMemo::new();
     let mut passed: Vec<Option<&Route>> = vec![None; deployments.len()];
     for (request, route) in routed {
-        let d = instance.deployment_index(&request.model)?;
+        let d = deployment_of
+            .get_or_try_insert_with(request, || instance.deployment_index(&request.model))?;
+        debug_assert_eq!(Ok(d), instance.deployment_index(&request.model));
         if passed[d].is_some_and(|seen| seen.shares_assignments(route)) {
             debug_assert_eq!(check_route(&deployments[d], placement, route), Ok(()));
             continue;

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::objective::validate;
 use crate::placement::{greedy_place_with, PlacementOptions};
-use crate::problem::{Instance, Placement, Request, Route};
+use crate::problem::{Instance, Placement, Request, Route, ShapeMemo};
 use crate::routing::route_request;
 
 /// Placement + routed requests.
@@ -55,6 +55,16 @@ impl Plan {
     /// later requests share that route's assignment table under their
     /// own id (see [`Route`]): the plan holds one table per Eq. 7 answer.
     ///
+    /// Two memos, both of that pure function. A request whose
+    /// [shape](crate::problem::RequestShape) has been seen — the same
+    /// shape by pointer, as every request of a materialised stream's
+    /// (model, source, class) is — takes the answer found for it without
+    /// looking anything up by name. Any other request finds its
+    /// deployment by name and its answer under (deployment, profile
+    /// bits), routing on a miss; requests with equal but private shapes
+    /// therefore still share one table. Debug builds route every request
+    /// afresh and compare.
+    ///
     /// # Errors
     ///
     /// See [`Plan::greedy`].
@@ -63,23 +73,31 @@ impl Plan {
         placement: Placement,
         requests: Vec<Request>,
     ) -> Result<Self, CoreError> {
-        let mut memo: BTreeMap<(usize, u64, u64), Route> = BTreeMap::new();
+        let mut by_shape: ShapeMemo<Route> = ShapeMemo::new();
+        let mut by_profile: BTreeMap<(usize, u64, u64), Route> = BTreeMap::new();
         let mut routed = Vec::with_capacity(requests.len());
         for q in requests {
-            let model = instance.deployment_index(&q.model)?;
-            let key = (
-                model,
-                q.profile.text_units.to_bits(),
-                q.profile.llm_tokens.to_bits(),
+            let mut r = by_shape.get_or_try_insert_with(&q, || {
+                let key = (
+                    instance.deployment_index(&q.model)?,
+                    q.profile.text_units.to_bits(),
+                    q.profile.llm_tokens.to_bits(),
+                );
+                Ok(match by_profile.get(&key) {
+                    Some(r) => r.clone(),
+                    None => {
+                        let r = route_request(instance, &placement, &q)?;
+                        by_profile.insert(key, r.clone());
+                        r
+                    }
+                })
+            })?;
+            debug_assert!(
+                route_request(instance, &placement, &q)
+                    .is_ok_and(|fresh| fresh.iter().eq(r.iter())),
+                "memoised route of request {} differs from a fresh one",
+                q.id
             );
-            let mut r = match memo.get(&key) {
-                Some(r) => r.clone(),
-                None => {
-                    let r = route_request(instance, &placement, &q)?;
-                    memo.insert(key, r.clone());
-                    r
-                }
-            };
             r.request_id = q.id;
             routed.push((q, r));
         }

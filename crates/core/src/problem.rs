@@ -1,4 +1,33 @@
 //! Problem formulation: instances, requests, placements, routes (Sec. V-A).
+//!
+//! # What is identical is held once
+//!
+//! A plan pairs every request with a route, and a stream of 150,000
+//! requests has five (model, source, profile, class) combinations and five
+//! Eq. 7 answers. Both halves of the pair are therefore an id plus a
+//! shared part: a [`Request`] is `id` + an `Arc<`[`RequestShape`]`>`, a
+//! [`Route`] is `request_id` + an `Arc` of its assignment table — 16 bytes
+//! each, no allocation per request, and the model name (still a `String`)
+//! lives once per shape.
+//!
+//! Sharing is invisible through the API. Reads go through `Deref`
+//! (`request.model`) or accessors (`route.device_for`); writes go through
+//! one copy-on-write accessor each ([`Request::shape_mut`],
+//! [`Route::assign`]) that copies the shared part first when anyone else
+//! holds it; equality and JSON read contents, so two requests compare and
+//! serialise the same whether they share a shape or hold equal ones.
+//! What sharing buys besides bytes is a cheap identity test
+//! ([`Request::shares_shape`], [`Route::shares_assignments`]): a pass over
+//! a plan resolves each distinct shape or table once and recognises it
+//! again by pointer, falling back to contents for anything it has not
+//! seen. `true` implies equal contents; `false` implies nothing.
+//!
+//! Who shares: a clone shares with its original;
+//! `WorkloadSpec::materialize` builds one shape per (model, source, class)
+//! it emits; [`crate::plan::Plan::route_all`] hands out one table per
+//! Eq. 7 answer. [`Instance::request`] allocates a shape per call — a loop
+//! that builds many requests of one kind should build one and clone it
+//! under new ids.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -102,15 +131,13 @@ pub struct DeadlineClass {
     pub priority: u32,
 }
 
-/// An inference request `q`: which model it needs, where it originates.
-///
-/// Serialization note: `class` is omitted when `None` (hand-written
-/// impls below) so plans from class-free workloads keep the exact JSON
-/// shape pinned by `tests/fixtures/plan_*.json`.
+/// What a request asks for, apart from which request it is: the model,
+/// where it originates, its workload and its service class. A stream of
+/// 150,000 requests has a handful of these — one per (model, source,
+/// class) it emits — so [`Request`] holds one behind an [`Arc`] and the
+/// stream's requests share it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Request {
-    /// Request identifier.
-    pub id: u64,
+pub struct RequestShape {
     /// Model name (`k(q)`).
     pub model: String,
     /// Source device (`n_q`).
@@ -119,6 +146,114 @@ pub struct Request {
     pub profile: RequestProfile,
     /// Service class, when the workload assigns one.
     pub class: Option<DeadlineClass>,
+}
+
+/// An inference request `q`: an id plus a shared [`RequestShape`] (which
+/// model it needs, where it originates, its workload and class).
+///
+/// The shape's fields read through [`Deref`](std::ops::Deref)
+/// (`request.model`, `request.source`, …) and are written through
+/// [`Request::shape_mut`], which copies the shape first when anyone else
+/// holds it (copy-on-write, the [`Route::assign`] rule) — so sharing is
+/// invisible through the API. Equality compares the id and the shape's
+/// *contents*; JSON is the flat `{id, model, source, profile[, class]}`
+/// object whether or not the shape is shared. [`Request::shares_shape`] is
+/// the pointer-identity test the per-request passes
+/// ([`crate::plan::Plan::route_all`], [`crate::objective::validate`], the
+/// simulator's task builder) use to recognise a shape they have already
+/// resolved, with the by-content path as their fallback.
+///
+/// The [module docs](self) say who shares shapes and why a loop should
+/// clone a template rather than call [`Instance::request`] per request.
+///
+/// Serialization note: `class` is omitted when `None` (hand-written
+/// impls below) so plans from class-free workloads keep the exact JSON
+/// shape pinned by `tests/fixtures/plan_*.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// Request identifier.
+    pub id: u64,
+    shape: Arc<RequestShape>,
+}
+
+// The plan holds one of these per request: an id and a pointer each.
+const _: () = assert!(std::mem::size_of::<Request>() <= 16);
+const _: () = assert!(std::mem::size_of::<(Request, Route)>() <= 32);
+
+impl Request {
+    /// A request with a shape of its own.
+    pub fn new(id: u64, shape: RequestShape) -> Self {
+        Request {
+            id,
+            shape: Arc::new(shape),
+        }
+    }
+
+    /// The shape, for writing: copied first if another request shares it.
+    pub fn shape_mut(&mut self) -> &mut RequestShape {
+        Arc::make_mut(&mut self.shape)
+    }
+
+    /// Whether both requests hold the *same* shape, not merely equal
+    /// ones: `true` implies equal contents, `false` implies nothing.
+    pub fn shares_shape(&self, other: &Request) -> bool {
+        Arc::ptr_eq(&self.shape, &other.shape)
+    }
+}
+
+/// What a pass over a request list has worked out per distinct
+/// [`RequestShape`], found again by pointer identity: a hit costs a few
+/// pointer compares instead of a lookup by model name. Bounded — past
+/// [`ShapeMemo::CAPACITY`] shapes (a list of requests that share nothing)
+/// it stops remembering and every further shape takes the caller's
+/// by-content path, which must therefore always give the same answer.
+pub(crate) struct ShapeMemo<T> {
+    // Holding the `Arc` keeps the shape alive, so its address cannot be
+    // reused by another shape while it is a key here.
+    seen: Vec<(Arc<RequestShape>, T)>,
+}
+
+impl<T> ShapeMemo<T> {
+    /// Distinct shapes remembered; real streams have models × sources ×
+    /// classes of them.
+    const CAPACITY: usize = 32;
+
+    pub(crate) fn new() -> Self {
+        ShapeMemo { seen: Vec::new() }
+    }
+
+    /// What was remembered for the shape `request` holds; failing that,
+    /// what `resolve` — the caller's by-content path — makes of it,
+    /// remembered for the shape's next holder if there is room.
+    pub(crate) fn get_or_try_insert_with<E>(
+        &mut self,
+        request: &Request,
+        resolve: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E>
+    where
+        T: Clone,
+    {
+        if let Some((_, value)) = self
+            .seen
+            .iter()
+            .find(|(shape, _)| Arc::ptr_eq(shape, &request.shape))
+        {
+            return Ok(value.clone());
+        }
+        let value = resolve()?;
+        if self.seen.len() < Self::CAPACITY {
+            self.seen.push((Arc::clone(&request.shape), value.clone()));
+        }
+        Ok(value)
+    }
+}
+
+impl std::ops::Deref for Request {
+    type Target = RequestShape;
+
+    fn deref(&self) -> &RequestShape {
+        &self.shape
+    }
 }
 
 impl Serialize for Request {
@@ -143,13 +278,15 @@ impl<'de> serde::Deserialize<'de> for Request {
             .as_object()
             .ok_or_else(|| serde::Error::msg(format!("expected object for Request, got {v:?}")))?;
         let field = |name: &str| serde::value::get_field(obj, name);
-        Ok(Request {
-            id: serde::from_value(field("id")?)?,
-            model: serde::from_value(field("model")?)?,
-            source: serde::from_value(field("source")?)?,
-            profile: serde::from_value(field("profile")?)?,
-            class: serde::from_value(serde::value::get_field_or_null(obj, "class"))?,
-        })
+        Ok(Request::new(
+            serde::from_value(field("id")?)?,
+            RequestShape {
+                model: serde::from_value(field("model")?)?,
+                source: serde::from_value(field("source")?)?,
+                profile: serde::from_value(field("profile")?)?,
+                class: serde::from_value(serde::value::get_field_or_null(obj, "class"))?,
+            },
+        ))
     }
 }
 
@@ -415,7 +552,9 @@ impl Instance {
             .ok_or_else(|| CoreError::UnknownDevice(id.clone()))
     }
 
-    /// Builds a request for `model` originating at the fleet's requester.
+    /// Builds a request for `model` originating at the fleet's requester,
+    /// with a [`RequestShape`] of its own (clone the result under new ids
+    /// to build many alike).
     ///
     /// # Errors
     ///
@@ -424,13 +563,15 @@ impl Instance {
         let d = self
             .deployment(model)
             .ok_or_else(|| CoreError::UnknownModel(model.to_string()))?;
-        Ok(Request {
+        Ok(Request::new(
             id,
-            model: d.model.name.clone(),
-            source: self.fleet.requester().clone(),
-            profile: d.profile,
-            class: None,
-        })
+            RequestShape {
+                model: d.model.name.clone(),
+                source: self.fleet.requester().clone(),
+                profile: d.profile,
+                class: None,
+            },
+        ))
     }
 
     /// A *dedicated* (no-sharing) variant of this instance: every model's

@@ -244,7 +244,7 @@ mod tests {
         let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
         let p = greedy_place(&i).unwrap();
         let mut q = i.request(0, "CLIP ViT-B/16").unwrap();
-        q.model = "ghost".into();
+        q.shape_mut().model = "ghost".into();
         assert!(matches!(
             route_request(&i, &p, &q),
             Err(CoreError::UnknownModel(_))

@@ -13,6 +13,28 @@
 //! idle. The online counterpart (`s2m3-serve`) layers admission control
 //! and live replanning over the *same* kernel.
 //!
+//! # Requests are priced once per (shape, table)
+//!
+//! Which tasks a request spawns, on which devices, for how long, and how
+//! long its inputs and embeddings travel is a function of its
+//! [`RequestShape`](s2m3_core::problem::RequestShape) (model, source,
+//! profile) and its route's assignment table — not of its id or arrival.
+//! A plan built from a materialised workload by `Plan::route_all` holds a
+//! handful of each, shared by pointer, so `prepare` computes that
+//! *pricing* — model and source indices, routed device indices, head
+//! duration, raw-query transfer, the encoders in dispatch order with
+//! their durations and transfer times — once per distinct pair and a
+//! request whose shape and table are both the remembered ones (pointer
+//! identity: [`Request::shares_shape`], [`Route::shares_assignments`])
+//! spawns from it with nothing looked up by name. The key is the whole
+//! pair: the same shape over another table, or the same table under
+//! another shape, is priced on its own. Anything not remembered — a
+//! request with a private shape or table, or one past the small fixed
+//! number of pairs kept — is priced from scratch by the same function, so
+//! there is one pricing path and the cache only decides how often it
+//! runs. Debug builds re-price every hit and compare; the test oracle
+//! (`simulate_reference`) prices every request from scratch.
+//!
 //! # Spans are recorded in report order
 //!
 //! A report lists spans by `start`, ties by device name — by definition
@@ -144,7 +166,7 @@ enum NoCustom {}
 /// Per-task payload stored inline in the kernel's task table. The
 /// owning request is not repeated here: `k.tasks.req(tid)` indexes
 /// `Bounded::ids` and `Bounded::arrivals`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TaskInfo {
     /// Execution duration, seconds (fixed at task creation).
     dur: f64,
@@ -379,14 +401,35 @@ fn order_tie_groups(spans: &mut [SpanRow], resolved: &ResolvedInstance) {
     }
 }
 
-/// The devices `route` assigns a model's modules to, as indices.
-struct ResolvedRoute<'a> {
-    /// The route these indices were resolved from.
-    route: &'a Route,
-    head: u32,
-    /// Aligned with the model's `encoders`.
-    encoders: Vec<u32>,
+/// One encoder task of a priced request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct PricedEncoder {
+    module: u32,
+    device: u32,
+    info: TaskInfo,
 }
+
+/// Everything [`prepare`] derives from a request's shape and its route's
+/// assignment table — nothing of its id or arrival: the tasks to spawn,
+/// their devices, durations and transfer times.
+#[derive(Debug, Clone, PartialEq)]
+struct Priced {
+    head_module: u32,
+    head_device: u32,
+    head_dur: f64,
+    /// Raw-query transfer to a generative head (travels at arrival),
+    /// seconds; zero for every other head.
+    query_tx: f64,
+    /// Dispatch order: longest-running encoder first, module id (==
+    /// index) breaking ties — Algorithm 1's send rule.
+    encoders: Vec<PricedEncoder>,
+    /// Input- and output-transfer spans the request will record.
+    transfer_spans: usize,
+}
+
+/// Most (shape, table) pairs [`prepare`] remembers a pricing for; a plan
+/// of requests that share nothing prices each of the rest from scratch.
+const PRICED_CAPACITY: usize = 32;
 
 /// Resolves the routed device of module `m` for `route`, with the same
 /// error split as the string path: missing from the route is
@@ -401,10 +444,87 @@ fn routed_device(resolved: &ResolvedInstance, route: &Route, m: u32) -> Result<u
         .ok_or_else(|| CoreError::UnknownDevice(dev.clone()))
 }
 
-fn source_index(resolved: &ResolvedInstance, request: &Request) -> Result<u32, CoreError> {
-    resolved
+/// Prices `request` over `route` from scratch: every name looked up,
+/// every duration and transfer time computed.
+fn price(
+    resolved: &ResolvedInstance,
+    request: &Request,
+    route: &Route,
+) -> Result<Priced, CoreError> {
+    let model = resolved
+        .model_index(&request.model)
+        .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
+    let rmodel = &resolved.models()[model];
+    let source = resolved
         .device_index(&request.source)
-        .ok_or_else(|| CoreError::UnknownDevice(request.source.clone()))
+        .ok_or_else(|| CoreError::UnknownDevice(request.source.clone()))?;
+    let profile = &request.profile;
+    let head_module = rmodel.head;
+    let head_kind = resolved.module_kind(head_module);
+    let head_device = routed_device(resolved, route, head_module)?;
+    let query_tx = if head_kind == ModuleKind::LanguageModel {
+        resolved.transfer_time(
+            source,
+            head_device,
+            profile.input_bytes(ModuleKind::LanguageModel),
+        )
+    } else {
+        0.0
+    };
+    let mut transfer_spans = 0;
+    let mut encoders = rmodel
+        .encoders
+        .iter()
+        .map(|&m| {
+            let di = routed_device(resolved, route, m)?;
+            let kind = resolved.module_kind(m);
+            let units = profile.units(kind);
+            let input_tx = resolved.transfer_time(source, di, profile.input_bytes(kind));
+            let output_tx = resolved.transfer_time(
+                di,
+                head_device,
+                resolved.module_spec(m).output_bytes(units),
+            );
+            transfer_spans += usize::from(input_tx > 0.0) + usize::from(output_tx > 0.0);
+            Ok(PricedEncoder {
+                module: m,
+                device: di,
+                info: TaskInfo {
+                    dur: resolved.compute_time_units(m, di, units),
+                    input_tx,
+                    output_tx,
+                },
+            })
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    encoders.sort_by(|a, b| {
+        b.info
+            .dur
+            .partial_cmp(&a.info.dur)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.module.cmp(&b.module))
+    });
+    Ok(Priced {
+        head_module,
+        head_device,
+        head_dur: resolved.compute_time_units(head_module, head_device, profile.units(head_kind)),
+        query_tx,
+        encoders,
+        transfer_spans,
+    })
+}
+
+/// The pricing remembered for the (shape, table) pair `request` and
+/// `route` hold, by pointer identity on both.
+fn priced_for<'p>(
+    cache: &'p [(&Request, &Route, Priced)],
+    request: &Request,
+    route: &Route,
+) -> Option<&'p Priced> {
+    cache
+        .iter()
+        .find(|(q, r, _)| q.shares_shape(request) && r.shares_assignments(route))
+        .map(|(_, _, priced)| priced)
 }
 
 /// Runs a plan to completion in virtual time.
@@ -443,7 +563,18 @@ pub fn simulate_shared(
     plan: &Plan,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config)?;
+    simulate_caching(instance, resolved, plan, config, PRICED_CAPACITY)
+}
+
+/// [`simulate_shared`] remembering at most `capacity` pricings.
+pub(crate) fn simulate_caching(
+    instance: &Instance,
+    resolved: &ResolvedInstance,
+    plan: &Plan,
+    config: &SimConfig,
+    capacity: usize,
+) -> Result<SimReport, SimError> {
+    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config, capacity)?;
     let reserved = driver.spans.capacity();
     driver.begin_merge();
     kernel.run_until_idle(&mut driver)?;
@@ -460,11 +591,12 @@ pub fn simulate_shared(
     Ok(driver.into_report(resolved))
 }
 
-/// The oracle [`simulate_shared`]'s span order is tested against, sharing
-/// none of its ordering code: every pre-clock span is recorded before the
-/// clock starts (loading spans in placement order, input transfers in
-/// request order), the run's spans follow as stamped, and one plain
-/// stable sort by `(start, device name)` orders the lot.
+/// The oracle [`simulate_shared`]'s span order and pricing cache are
+/// tested against, sharing none of its ordering code and remembering no
+/// pricing: every request is priced from scratch, every pre-clock span is
+/// recorded before the clock starts (loading spans in placement order,
+/// input transfers in request order), the run's spans follow as stamped,
+/// and one plain stable sort by `(start, device name)` orders the lot.
 #[cfg(test)]
 pub(crate) fn simulate_reference(
     instance: &Instance,
@@ -472,7 +604,7 @@ pub(crate) fn simulate_reference(
     plan: &Plan,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config)?;
+    let (mut kernel, mut driver) = prepare(instance, resolved, plan, config, 0)?;
     driver.spans.extend(std::mem::take(&mut driver.loading));
     for req in 0..driver.ids.len() {
         driver.push_input_spans(&kernel, req);
@@ -494,11 +626,19 @@ pub(crate) fn simulate_reference(
 /// Validates `config` against `plan`, builds every task and initial
 /// event, and returns the loaded kernel and its driver — pre-clock
 /// streams not yet opened, `spans` empty at its final capacity.
+///
+/// What a request's tasks look like depends on its shape and its route's
+/// table only, so the first `capacity` distinct (shape, table) pairs are
+/// [priced](price) once and every later request holding such a pair — by
+/// pointer, both — spawns from that pricing; debug builds price each hit
+/// afresh and compare. Any other request is priced from scratch, which is
+/// also what `capacity: 0` makes of every request.
 fn prepare<'a>(
     instance: &Instance,
     resolved: &ResolvedInstance,
     plan: &Plan,
     config: &'a SimConfig,
+    capacity: usize,
 ) -> Result<(Kernel<NoCustom, TaskInfo>, Bounded<'a>), SimError> {
     let arrivals: Cow<'a, [f64]> = match &config.arrivals {
         Some(a) => {
@@ -524,20 +664,9 @@ fn prepare<'a>(
 
     let devices = instance.fleet().devices();
 
-    let mut loading_done = 0.0;
-    // One head task per request plus its encoders: exact table sizes.
-    let tasks_cap: usize = plan
-        .routed
-        .iter()
-        .map(|(r, _)| {
-            1 + resolved
-                .model_index(&r.model)
-                .map_or(0, |m| resolved.models()[m].encoders.len())
-        })
-        .sum();
-
     // --- Model loading: each device streams its placed modules (largest
     //     first, deterministic) sequentially from t=0.
+    let mut loading_done = 0.0;
     let mut loading = VecDeque::new();
     let mut open_at = vec![0u64; devices.len()];
     if config.include_loading {
@@ -567,6 +696,30 @@ fn prepare<'a>(
         loading_done = open_at.iter().copied().map(secs).fold(0.0, f64::max);
     }
 
+    // --- Price the plan's distinct (shape, table) pairs and size the
+    //     tables exactly: one head task per request plus its encoders;
+    //     one span per loaded module, per task, per encoder whose input
+    //     has to travel and per encoder whose embedding has to.
+    let mut cache: Vec<(&Request, &Route, Priced)> = Vec::new();
+    let mut tasks_cap = 0;
+    let mut n_spans = loading.len();
+    for (request, route) in &plan.routed {
+        let fresh;
+        let priced = match priced_for(&cache, request, route) {
+            Some(priced) => priced,
+            None => {
+                fresh = price(resolved, request, route)?;
+                if cache.len() < capacity {
+                    cache.push((request, route, fresh.clone()));
+                }
+                &fresh
+            }
+        };
+        tasks_cap += 1 + priced.encoders.len();
+        n_spans += priced.transfer_spans;
+    }
+    n_spans += tasks_cap;
+
     let mut kernel: Kernel<NoCustom, TaskInfo> = Kernel::with_capacity(
         devices
             .iter()
@@ -591,111 +744,49 @@ fn prepare<'a>(
     let mut ids = Vec::with_capacity(plan.routed.len());
 
     // --- Build tasks and initial events.
-    // Requests of one model overwhelmingly share one route (Eq. 7 picks
-    // the same hosts for the same profile, and `Plan::route_all` hands
-    // them one table), so each model remembers the last route it resolved
-    // to device indices.
-    let mut last_route: Vec<Option<ResolvedRoute>> = Vec::new();
-    last_route.resize_with(resolved.models().len(), || None);
-    let mut order: Vec<(u32, u32, f64)> = Vec::new();
-    // Spans the report will hold: the loading spans, one per task, one
-    // per encoder whose input has to travel and one per encoder whose
-    // embedding has to.
-    let mut n_spans = loading.len() + tasks_cap;
     for (req_idx, ((request, route), &arrival)) in
         plan.routed.iter().zip(arrivals.iter()).enumerate()
     {
-        let model = resolved
-            .model_index(&request.model)
-            .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
-        let rmodel = &resolved.models()[model];
-        let source = source_index(resolved, request)?;
-        let devs = match &mut last_route[model] {
-            Some(r) if r.route.shares_assignments(route) || r.route.iter().eq(route.iter()) => r,
-            slot => slot.insert(ResolvedRoute {
-                route,
-                head: routed_device(resolved, route, rmodel.head)?,
-                encoders: rmodel
-                    .encoders
-                    .iter()
-                    .map(|&m| routed_device(resolved, route, m))
-                    .collect::<Result<_, _>>()?,
-            }),
+        let fresh;
+        let priced = match priced_for(&cache, request, route) {
+            Some(priced) => {
+                debug_assert_eq!(Ok(priced), price(resolved, request, route).as_ref());
+                priced
+            }
+            None => {
+                fresh = price(resolved, request, route)?;
+                &fresh
+            }
         };
-        let head_m = rmodel.head;
-        let head_kind = resolved.module_kind(head_m);
-        let head_di = devs.head;
-        let head_dur =
-            resolved.compute_time_units(head_m, head_di, request.profile.units(head_kind));
         let head_task = kernel.spawn_task(
             req_idx,
-            head_m,
-            head_di as usize,
+            priced.head_module,
+            priced.head_device as usize,
             true,
             TaskInfo {
-                dur: head_dur,
+                dur: priced.head_dur,
                 input_tx: 0.0,
                 output_tx: 0.0,
             },
         );
-
-        // Raw-query transfer for generative heads (travels immediately).
-        let mut head_ready = ns(arrival);
-        if head_kind == ModuleKind::LanguageModel {
-            let q_tx = resolved.transfer_time(
-                source,
-                head_di,
-                request.profile.input_bytes(ModuleKind::LanguageModel),
-            );
-            head_ready = ns(arrival + q_tx);
-        }
-
-        // Dispatch order: longest-running encoder first, module id (==
-        // index) breaking ties — Algorithm 1's send rule.
-        order.clear();
-        for (&m, &di) in rmodel.encoders.iter().zip(&devs.encoders) {
-            let units = request.profile.units(resolved.module_kind(m));
-            order.push((m, di, resolved.compute_time_units(m, di, units)));
-        }
-        order.sort_by(|a, b| {
-            b.2.partial_cmp(&a.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-
-        for &(m, di, dur) in &order {
-            let kind = resolved.module_kind(m);
-            let units = request.profile.units(kind);
-            let input_tx = resolved.transfer_time(source, di, request.profile.input_bytes(kind));
-            let output_tx =
-                resolved.transfer_time(di, head_di, resolved.module_spec(m).output_bytes(units));
-            n_spans += usize::from(input_tx > 0.0) + usize::from(output_tx > 0.0);
-            let tid = kernel.spawn_task(
-                req_idx,
-                m,
-                di as usize,
-                false,
-                TaskInfo {
-                    dur,
-                    input_tx,
-                    output_tx,
-                },
-            );
-            kernel.push_ready(ns(arrival + input_tx), tid);
+        for e in &priced.encoders {
+            let tid = kernel.spawn_task(req_idx, e.module, e.device as usize, false, e.info);
+            kernel.push_ready(ns(arrival + e.info.input_tx), tid);
         }
 
         ids.push(request.id);
+        let head_ready = ns(arrival + priced.query_tx);
         kernel.set_request(
             req_idx,
             RequestSlot {
-                pending_encoders: order.len(),
+                pending_encoders: priced.encoders.len(),
                 head_ready_ns: head_ready,
                 head_task,
             },
         );
         // Encoder-less models cannot exist (ModelSpec validates ≥1), but
         // guard anyway: head fires directly.
-        if order.is_empty() {
+        if priced.encoders.is_empty() {
             kernel.push_ready(head_ready, head_task);
         }
     }
@@ -727,6 +818,7 @@ mod tests {
     use super::*;
     use crate::report::Phase;
     use s2m3_core::objective::total_latency;
+    use s2m3_core::placement::PlacementOptions;
     use s2m3_net::fleet::Fleet;
 
     fn plan_for(name: &str, candidates: usize, n_requests: usize) -> (Instance, Plan) {
@@ -1024,6 +1116,70 @@ mod tests {
             r,
             simulate_reference(&i, &resolved, &plan, &config).unwrap()
         );
+    }
+
+    #[test]
+    fn a_pricing_is_reused_only_for_its_own_shape_and_table() {
+        // Two shapes of one model (different sources, so different input
+        // transfers) and, for the first, two route tables (the text
+        // encoder moved), alternating. Whatever the cache holds — nothing,
+        // the first pair only (so every other request is a miss between
+        // two hits), all of them — each request gets its own pair's
+        // pricing: the report is the from-scratch oracle's.
+        let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
+        let from_requester = i.request(0, "CLIP ViT-B/16").unwrap();
+        let mut from_desktop = from_requester.clone();
+        from_desktop.shape_mut().source = "desktop".into();
+        let requests: Vec<_> = (0..9u64)
+            .map(|k| {
+                let mut q = [&from_requester, &from_desktop][(k % 2) as usize].clone();
+                q.id = k;
+                q
+            })
+            .collect();
+        let placement =
+            s2m3_core::placement::greedy_place_with(&i, PlacementOptions { replicate: true })
+                .unwrap();
+        let mut plan = Plan::route_all(&i, placement, requests).unwrap();
+        let text = "text/CLIP-B-16".into();
+        let elsewhere = plan
+            .placement
+            .hosts(&text)
+            .find(|d| Some(*d) != plan.routed[0].1.device_for(&text))
+            .expect("a replica")
+            .clone();
+        let mut moved = plan.routed[0].1.clone();
+        moved.assign(text, elsewhere);
+        for k in [4, 8] {
+            moved.request_id = k as u64;
+            plan.routed[k].1 = moved.clone();
+        }
+        assert!(plan.routed[0].0.shares_shape(&plan.routed[4].0));
+        assert!(plan.routed[4].1.shares_assignments(&plan.routed[8].1));
+        assert!(!plan.routed[0].1.shares_assignments(&plan.routed[4].1));
+
+        let resolved = ResolvedInstance::new(&i).unwrap();
+        let config = SimConfig::default();
+        let expected = simulate_reference(&i, &resolved, &plan, &config).unwrap();
+        // The three pairs really are priced differently.
+        let input_spans = |req: u64| -> Vec<_> {
+            expected
+                .spans
+                .iter()
+                .filter(|s| s.request == Some(req) && matches!(s.phase, Phase::InputTx(_)))
+                .map(|s| (s.device.clone(), s.end - s.start))
+                .collect()
+        };
+        assert_ne!(input_spans(0), input_spans(1));
+        assert_ne!(input_spans(0), input_spans(4));
+        assert_eq!(input_spans(0), input_spans(2));
+        for capacity in [0, 1, 2, PRICED_CAPACITY] {
+            assert_eq!(
+                simulate_caching(&i, &resolved, &plan, &config, capacity).unwrap(),
+                expected,
+                "capacity {capacity}"
+            );
+        }
     }
 
     #[test]

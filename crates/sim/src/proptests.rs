@@ -4,15 +4,16 @@ use proptest::prelude::*;
 
 use s2m3_core::placement::PlacementOptions;
 use s2m3_core::plan::Plan;
-use s2m3_core::problem::Instance;
+use s2m3_core::problem::{DeadlineClass, Instance, Request, RequestShape};
 use s2m3_core::resolved::ResolvedInstance;
 use s2m3_net::fleet::Fleet;
 
-use crate::engine::{simulate_reference, simulate_shared};
+use crate::engine::{simulate_caching, simulate_reference, simulate_shared};
 use crate::kernel::wheel::TimingWheel;
 use crate::kernel::KeyHeap;
 use crate::workload::{
-    latency_stats, mixed_stream, ArrivalProcess, ModelMix, ModelWeight, SourceSpec, WorkloadSpec,
+    latency_stats, mixed_stream, ArrivalProcess, ClassShare, ModelMix, ModelWeight, SourceSpec,
+    WorkloadSpec,
 };
 use crate::{simulate, SimConfig};
 
@@ -375,9 +376,15 @@ proptest! {
     /// ordering code with the engine and compares device *names*, where
     /// the engine regroups by `device_rank` (ranking by device index
     /// instead fails this: the standard fleet lists `jetson-b` ahead of
-    /// `jetson-a`). Covers mixed models on both fleets,
-    /// replicated placements, every arrival process, same-instant
-    /// bursts, out-of-order arrivals, batching and model loading.
+    /// `jetson-a`). It also prices every request from scratch, where the
+    /// engine reuses one pricing per (shape, table) pair. Covers mixed
+    /// models on both fleets, replicated placements, every arrival
+    /// process, same-instant bursts, out-of-order arrivals, batching and
+    /// model loading; one to three sources and zero to two classes (up
+    /// to 30 shapes, shared as `materialize` shares them), every other
+    /// request holding a private copy of its shape, two shapes of one
+    /// model alternating request by request, and a cache smaller than the
+    /// plan's pairs.
     #[test]
     fn merge_ordered_spans_equal_reference_sort(
         models in proptest::sample::subsequence(MODELS.to_vec(), 1..=MODELS.len()),
@@ -389,6 +396,9 @@ proptest! {
         reversed in 0u8..2,
         max_batch in 0usize..6,
         include_loading in 0u8..2,
+        n_sources in 1usize..4,
+        n_classes in 0usize..3,
+        layout in 0u8..3,
     ) {
         let fleet = if standard_fleet == 1 {
             Fleet::standard_testbed()
@@ -396,7 +406,53 @@ proptest! {
             Fleet::edge_testbed()
         };
         let i = Instance::on_fleet(fleet, &models).unwrap();
-        let requests = mixed_stream(&i, n).unwrap();
+        let spec = WorkloadSpec {
+            sources: [None, Some("laptop"), Some("desktop")][..n_sources]
+                .iter()
+                .enumerate()
+                .map(|(rank, device)| SourceSpec {
+                    device: device.map(str::to_string),
+                    arrivals: ArrivalProcess::Poisson { rate_per_s: 1.0 + rank as f64 },
+                    label: format!("spans/source-{rank}"),
+                    weight: None,
+                    mix: None,
+                })
+                .collect(),
+            mix: ModelMix::LegacyRoundRobin,
+            classes: ["interactive", "batch"][..n_classes]
+                .iter()
+                .map(|name| ClassShare {
+                    class: DeadlineClass {
+                        name: name.to_string(),
+                        deadline_s: 10.0,
+                        priority: 0,
+                    },
+                    weight: 1.0,
+                })
+                .collect(),
+            seed: "spans".to_string(),
+        };
+        let (mut requests, _) = spec.materialize(&i, n).unwrap();
+        match layout {
+            // Every other request holds an equal shape of its own.
+            1 => {
+                for q in requests.iter_mut().step_by(2) {
+                    *q = Request::new(q.id, RequestShape::clone(q));
+                }
+            }
+            // Two shapes of the first model, turn and turn about.
+            2 => {
+                let near = i.request(0, models[0].0).unwrap();
+                let mut far = near.clone();
+                far.shape_mut().source = "desktop".into();
+                for (k, q) in requests.iter_mut().enumerate() {
+                    let id = q.id;
+                    *q = [&near, &far][k % 2].clone();
+                    q.id = id;
+                }
+            }
+            _ => {}
+        }
         let plan =
             Plan::greedy_with(&i, requests, PlacementOptions { replicate: replicate == 1 }).unwrap();
         let mut arrivals = process.arrivals(n, "spans");
@@ -419,7 +475,10 @@ proptest! {
         let expected = simulate_reference(&i, &resolved, &plan, &config).unwrap();
         let report = simulate_shared(&i, &resolved, &plan, &config).unwrap();
         prop_assert_eq!(report.spans.len(), report.spans.row_capacity());
-        prop_assert_eq!(report, expected);
+        prop_assert_eq!(&report, &expected);
+        // A cache too small for the plan's pairs prices the rest afresh.
+        let report = simulate_caching(&i, &resolved, &plan, &config, 1 + n % 3).unwrap();
+        prop_assert_eq!(&report, &expected);
     }
 
     /// The timing wheel is a drop-in replacement for the packed-key

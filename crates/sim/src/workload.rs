@@ -910,6 +910,14 @@ impl WorkloadSpec {
     /// resolved to a fleet device) plus their arrival times for
     /// `SimConfig::arrivals`.
     ///
+    /// The stream is consumed as it is generated (nothing but the result
+    /// is ever `n` long), and the requests hold one shared
+    /// [`RequestShape`](s2m3_core::problem::RequestShape) per (model,
+    /// source, class) the stream actually emits, built the first time
+    /// that combination comes up: a request costs its id and a
+    /// reference-count step, and the passes downstream recognise a shape
+    /// they have resolved before by pointer.
+    ///
     /// # Errors
     ///
     /// [`WorkloadError`] on an invalid spec, unknown source devices, or
@@ -924,9 +932,8 @@ impl WorkloadSpec {
             .iter()
             .map(|d| d.model.name.clone())
             .collect();
-        let stream = self.generate(n, &models)?;
-        // Resolve each source's origin device once, up front — the
-        // per-request loop then just clones interned ids.
+        let stream = self.stream(n, &models)?;
+        // Resolve each source's origin device once, up front.
         let source_ids: Vec<Option<s2m3_net::device::DeviceId>> = self
             .sources
             .iter()
@@ -942,16 +949,32 @@ impl WorkloadSpec {
                 }
             })
             .collect::<Result<_, _>>()?;
-        let mut requests = Vec::with_capacity(stream.len());
-        let mut arrivals = Vec::with_capacity(stream.len());
-        for (i, wr) in stream.iter().enumerate() {
-            let mut request = instance.request(i as u64, &models[wr.model as usize])?;
-            if let Some(id) = &source_ids[wr.source as usize] {
-                request.source = id.clone();
-            }
-            if let Some(ci) = wr.class {
-                request.class = Some(self.classes[ci as usize].class.clone());
-            }
+        // One template per (model, source, class), class slot 0 being
+        // "no class"; its clones share its shape.
+        let class_slots = self.classes.len() + 1;
+        let mut templates: Vec<Option<Request>> =
+            vec![None; models.len() * self.sources.len() * class_slots];
+        let mut requests = Vec::with_capacity(stream.remaining);
+        let mut arrivals = Vec::with_capacity(stream.remaining);
+        for (i, wr) in stream.enumerate() {
+            let slot = (wr.model as usize * self.sources.len() + wr.source as usize) * class_slots
+                + wr.class.map_or(0, |ci| ci as usize + 1);
+            let template = match &mut templates[slot] {
+                Some(template) => template,
+                empty => {
+                    let mut request = instance.request(0, &models[wr.model as usize])?;
+                    let shape = request.shape_mut();
+                    if let Some(id) = &source_ids[wr.source as usize] {
+                        shape.source = id.clone();
+                    }
+                    if let Some(ci) = wr.class {
+                        shape.class = Some(self.classes[ci as usize].class.clone());
+                    }
+                    empty.insert(request)
+                }
+            };
+            let mut request = template.clone();
+            request.id = i as u64;
             requests.push(request);
             arrivals.push(wr.at_s);
         }
@@ -967,14 +990,11 @@ impl WorkloadSpec {
 ///
 /// # Errors
 ///
-/// [`CoreError`] if a deployment cannot build requests.
-pub fn mixed_stream(instance: &Instance, n: usize) -> Result<Vec<Request>, CoreError> {
+/// [`WorkloadError::Empty`] if the instance deploys no model;
+/// [`WorkloadError::Core`] if a deployment cannot build requests.
+pub fn mixed_stream(instance: &Instance, n: usize) -> Result<Vec<Request>, WorkloadError> {
     let spec = WorkloadSpec::single_source(ArrivalProcess::Simultaneous, "mixed");
-    let (requests, _) = spec.materialize(instance, n).map_err(|e| match e {
-        WorkloadError::Core(e) => e,
-        // The legacy spec validates unless the instance has no models.
-        other => CoreError::UnknownModel(other.to_string()),
-    })?;
+    let (requests, _) = spec.materialize(instance, n)?;
     Ok(requests)
 }
 
@@ -1325,6 +1345,81 @@ mod tests {
         assert!(requests.iter().all(|r| r.class.is_some()));
         let (again, _) = spec.materialize(&i, 2000).unwrap();
         assert_eq!(requests, again);
+    }
+
+    #[test]
+    fn materialize_shares_one_shape_per_model_source_and_class() {
+        let i = two_model_instance();
+        let spec = WorkloadSpec {
+            sources: ["laptop", "desktop"]
+                .iter()
+                .map(|device| SourceSpec {
+                    device: Some(device.to_string()),
+                    arrivals: ArrivalProcess::Poisson { rate_per_s: 2.0 },
+                    label: format!("shapes/{device}"),
+                    weight: None,
+                    mix: None,
+                })
+                .collect(),
+            mix: ModelMix::LegacyRoundRobin,
+            classes: ["interactive", "batch"]
+                .iter()
+                .map(|name| ClassShare {
+                    class: DeadlineClass {
+                        name: name.to_string(),
+                        deadline_s: 5.0,
+                        priority: 1,
+                    },
+                    weight: 1.0,
+                })
+                .collect(),
+            seed: "shapes".to_string(),
+        };
+        let (requests, _) = spec.materialize(&i, 400).unwrap();
+
+        // Field for field what building every request on its own gives.
+        let models = names(&i);
+        for (k, (r, wr)) in requests
+            .iter()
+            .zip(spec.generate(400, &models).unwrap())
+            .enumerate()
+        {
+            let mut own = i.request(k as u64, &models[wr.model as usize]).unwrap();
+            own.shape_mut().source = spec.sources[wr.source as usize]
+                .device
+                .as_deref()
+                .unwrap()
+                .into();
+            own.shape_mut().class = wr.class.map(|c| spec.classes[c as usize].class.clone());
+            assert_eq!(*r, own);
+        }
+
+        // Requests share a shape exactly when they agree on (model,
+        // source, class): 2 x 2 x 2 shapes for 400 requests.
+        let mut shapes: Vec<&Request> = Vec::new();
+        for r in &requests {
+            match shapes.iter().find(|s| s.shares_shape(r)) {
+                Some(s) => assert_eq!(
+                    (&s.model, &s.source, &s.class),
+                    (&r.model, &r.source, &r.class)
+                ),
+                None => {
+                    assert!(shapes.iter().all(
+                        |s| (&s.model, &s.source, &s.class) != (&r.model, &r.source, &r.class)
+                    ));
+                    shapes.push(r);
+                }
+            }
+        }
+        assert_eq!(shapes.len(), 8);
+    }
+
+    #[test]
+    fn mixed_stream_over_no_deployments_is_an_empty_workload() {
+        let bare = Instance::new(s2m3_net::fleet::Fleet::edge_testbed(), vec![]).unwrap();
+        let err = mixed_stream(&bare, 3).unwrap_err();
+        assert_eq!(err, WorkloadError::Empty("no deployed models".into()));
+        assert_eq!(err.to_string(), "empty workload: no deployed models");
     }
 
     #[test]

@@ -209,9 +209,12 @@ proptest! {
     }
 
     /// `Plan::route_all` routes each distinct (model, profile) once and
-    /// reuses the answer; the plan must equal routing every request on
-    /// its own, for interleaved models, repeated and one-off profiles,
-    /// and replicated placements (where the profile decides the host).
+    /// reuses the answer — found by shape pointer for requests that
+    /// share a shape, by (deployment, profile) for the rest; the plan
+    /// must equal routing every request on its own, for interleaved
+    /// models, repeated and one-off profiles, replicated placements
+    /// (where the profile decides the host), and request lists that mix
+    /// shared shapes with equal-but-private ones.
     #[test]
     fn memoised_route_all_equals_per_request_routing(
         models in proptest::sample::subsequence(vec![
@@ -224,9 +227,11 @@ proptest! {
         replicate in 0u8..2,
         picks in proptest::collection::vec(
             (0usize..5, prop_oneof![Just(None), Just(Some(0.0)), Just(Some(-0.0)), Just(Some(1.0)),
-                Just(Some(7.0)), (0.0f64..500.0).prop_map(Some)]),
+                Just(Some(7.0)), (0.0f64..500.0).prop_map(Some)], 0u8..2),
             1..80,
         ),
+        ghost_at in 0usize..80,
+        ghost_shared in 0u8..2,
     ) {
         let instance = Instance::on_fleet(Fleet::standard_testbed(), &models).unwrap();
         let placement = s2m3::core::placement::greedy_place_with(
@@ -234,15 +239,35 @@ proptest! {
             s2m3::core::placement::PlacementOptions { replicate: replicate == 1 },
         )
         .unwrap();
+        // One template per distinct (model, units) picked; a pick either
+        // shares its shape or builds an equal one of its own.
+        let mut templates: Vec<((usize, Option<u64>), Request)> = Vec::new();
         let requests: Vec<_> = picks
             .iter()
             .enumerate()
-            .map(|(id, &(model, units))| {
-                let mut q = instance.request(id as u64, models[model % models.len()].0).unwrap();
-                if let Some(units) = units {
-                    q.profile.text_units = units;
-                    q.profile.llm_tokens = units;
+            .map(|(id, &(model, units, shared))| {
+                let model = model % models.len();
+                let build = || {
+                    let mut q = instance.request(id as u64, models[model].0).unwrap();
+                    if let Some(units) = units {
+                        q.shape_mut().profile.text_units = units;
+                        q.shape_mut().profile.llm_tokens = units;
+                    }
+                    q
+                };
+                if shared == 0 {
+                    return build();
                 }
+                let key = (model, units.map(f64::to_bits));
+                let template = match templates.iter().find(|(k, _)| *k == key) {
+                    Some((_, t)) => t,
+                    None => {
+                        templates.push((key, build()));
+                        &templates.last().unwrap().1
+                    }
+                };
+                let mut q = template.clone();
+                q.id = id as u64;
                 q
             })
             .collect();
@@ -254,16 +279,144 @@ proptest! {
             })
             .collect();
         let plan = Plan::route_all(&instance, placement.clone(), requests.clone()).unwrap();
-        prop_assert_eq!(plan.routed, expected);
+        prop_assert_eq!(&plan.routed, &expected);
+        // Sharing survives routing: the plan's requests are the ones
+        // handed in, not copies.
+        for ((planned, _), given) in plan.routed.iter().zip(&requests) {
+            prop_assert!(planned.shares_shape(given));
+        }
 
-        // An undeployed model is the same error at the same request.
+        // An undeployed model — on a shape of its own, or on one that
+        // later requests share — is the same error at the same request:
+        // everything before it routes, and it does not.
         let mut requests = requests;
-        let last = requests.len() - 1;
-        requests[last].model = "ghost".into();
+        let at = ghost_at % requests.len();
+        let ghost_name = format!("ghost-{at}");
+        requests[at].shape_mut().model = ghost_name.clone();
+        if ghost_shared == 1 {
+            let ghost = requests[at].clone();
+            for later in requests.iter_mut().skip(at + 2).step_by(2) {
+                let id = later.id;
+                *later = ghost.clone();
+                later.id = id;
+            }
+        }
+        let first_bad = requests
+            .iter()
+            .position(|q| s2m3::core::routing::route_request(&instance, &placement, q).is_err());
+        prop_assert_eq!(first_bad, Some(at));
         prop_assert_eq!(
-            Plan::route_all(&instance, placement, requests),
-            Err(s2m3::core::CoreError::UnknownModel("ghost".into()))
+            Plan::route_all(&instance, placement.clone(), requests[..at].to_vec()).map(|p| p.routed),
+            Ok(expected[..at].to_vec())
         );
+        prop_assert_eq!(
+            Plan::route_all(&instance, placement, requests[..=at].to_vec()),
+            Err(s2m3::core::CoreError::UnknownModel(ghost_name))
+        );
+    }
+
+    /// A request's shape may be shared between requests; nothing
+    /// observable may depend on whether it is. A clone shares its
+    /// original's shape, a write through `shape_mut` on either leaves the
+    /// other untouched (copy-on-write), and equality and JSON are those
+    /// of a request built privately from the same fields — the flat
+    /// object the plan goldens hold, `class` present only when set.
+    #[test]
+    fn shared_request_shapes_behave_like_private_ones(
+        id in 0u64..1000,
+        model in "[a-z ]{1,8}",
+        source in "[a-z]{1,6}",
+        text_units in prop_oneof![Just(0.0f64), Just(1.0), 0.0f64..500.0],
+        llm_tokens in prop_oneof![Just(0.0f64), Just(128.0)],
+        class in prop_oneof![
+            Just(None),
+            ("[a-z]{1,6}", 0.1f64..100.0, 0u32..4).prop_map(Some),
+        ],
+        other_model in "[A-Z]{1,4}",
+    ) {
+        let shape = RequestShape {
+            model: model.clone(),
+            source: source.as_str().into(),
+            profile: RequestProfile { text_units, llm_tokens },
+            class: class.clone().map(|(name, deadline_s, priority)| {
+                s2m3::core::problem::DeadlineClass { name, deadline_s, priority }
+            }),
+        };
+        let build = |id: u64, shape: &RequestShape| Request::new(id, shape.clone());
+        let original = build(id, &shape);
+        let mut sibling = original.clone();
+        prop_assert!(sibling.shares_shape(&original));
+        prop_assert_eq!(&sibling, &original);
+        prop_assert!(!build(id, &shape).shares_shape(&original));
+        prop_assert_eq!(&build(id, &shape), &original);
+
+        // Another request over the same shape: shared, equal only once
+        // the ids agree.
+        sibling.id = id + 1;
+        prop_assert!(sibling.shares_shape(&original));
+        prop_assert_ne!(&sibling, &original);
+
+        // Writing through one holder copies first.
+        sibling.shape_mut().model = other_model.clone();
+        prop_assert!(!sibling.shares_shape(&original));
+        prop_assert_eq!(&original, &build(id, &shape));
+        let mut renamed = shape.clone();
+        renamed.model = other_model.clone();
+        prop_assert_eq!(&sibling, &build(id + 1, &renamed));
+        // ... and the other way round: the original writes, the clone
+        // taken before keeps what it had.
+        let snapshot = original.clone();
+        let mut original = original;
+        original.shape_mut().model = other_model;
+        prop_assert_eq!(&snapshot, &build(id, &shape));
+        prop_assert_eq!(&original, &build(id, &renamed));
+        // JSON reads contents: the flat object, key for key.
+        let expected = format!(
+            "{{\"id\":{},\"model\":{},\"source\":{},\"profile\":{}{}}}",
+            id,
+            serde_json::to_string(&shape.model).unwrap(),
+            serde_json::to_string(&shape.source).unwrap(),
+            serde_json::to_string(&shape.profile).unwrap(),
+            shape.class.as_ref().map_or(String::new(), |c| format!(
+                ",\"class\":{}",
+                serde_json::to_string(c).unwrap()
+            )),
+        );
+        let shared_json = serde_json::to_string(&snapshot).unwrap();
+        prop_assert_eq!(&shared_json, &expected);
+        prop_assert_eq!(&serde_json::to_string(&build(id, &shape)).unwrap(), &expected);
+        prop_assert_eq!(shared_json.contains("\"class\""), class.is_some());
+        let back: Request = serde_json::from_str(&shared_json).unwrap();
+        prop_assert_eq!(&back, &snapshot);
+        prop_assert!(!back.shares_shape(&snapshot));
+
+        // A plan over shared shapes is, to JSON and `==`, the plan over
+        // private copies, and round-trips.
+        let route = |id: u64| {
+            let mut r = Route::new(id);
+            r.assign("m".into(), "d".into());
+            r
+        };
+        let shared_plan = Plan {
+            placement: Placement::new(),
+            routed: (0..4)
+                .map(|k| {
+                    let mut q = snapshot.clone();
+                    q.id = k;
+                    (q, route(k))
+                })
+                .collect(),
+        };
+        let private_plan = Plan {
+            placement: Placement::new(),
+            routed: (0..4).map(|k| (build(k, &shape), route(k))).collect(),
+        };
+        prop_assert!(shared_plan.routed[0].0.shares_shape(&shared_plan.routed[3].0));
+        prop_assert_eq!(&shared_plan, &private_plan);
+        let plan_json = serde_json::to_string(&shared_plan).unwrap();
+        prop_assert_eq!(&plan_json, &serde_json::to_string(&private_plan).unwrap());
+        let back: Plan = serde_json::from_str(&plan_json).unwrap();
+        prop_assert_eq!(&back, &shared_plan);
     }
 
     /// A route's assignment table may be shared between routes; nothing
@@ -335,7 +488,7 @@ proptest! {
             .map(|(id, &(model, units))| {
                 let mut q = instance.request(id as u64, models[model].0).unwrap();
                 if let Some(units) = units {
-                    q.profile.text_units = units;
+                    q.shape_mut().profile.text_units = units;
                 }
                 q
             })
@@ -378,15 +531,17 @@ proptest! {
     }
 
     /// `validate` checks (4b)/(4c) once per (deployment, table) rather
-    /// than once per request. Whatever is wrong with one request's route
-    /// — planted at a random position among requests that share tables —
-    /// it must report exactly what checking every request on its own
-    /// reports: the same first error, or none.
+    /// than once per request, and finds the deployment once per shape.
+    /// Whatever is wrong with one request — planted at a random position
+    /// among requests that share shapes and tables, or hold equal but
+    /// private shapes — it must report exactly what checking every
+    /// request on its own reports: the same first error at the same
+    /// request, or none.
     #[test]
     fn validate_once_per_table_equals_validate_per_request(
-        picks in proptest::collection::vec(0usize..4, 1..40),
+        picks in proptest::collection::vec((0usize..4, 0u8..2), 1..40),
         at in 0usize..40,
-        fault in 0u8..6,
+        fault in 0u8..8,
     ) {
         let models = [
             ("CLIP ViT-B/16", 101usize),
@@ -395,10 +550,22 @@ proptest! {
             ("Flint-v0.5-1B", 1),
         ];
         let instance = Instance::on_fleet(Fleet::standard_testbed(), &models).unwrap();
+        let templates: Vec<Request> = models
+            .iter()
+            .map(|(name, _)| instance.request(0, name).unwrap())
+            .collect();
         let requests: Vec<_> = picks
             .iter()
             .enumerate()
-            .map(|(id, &m)| instance.request(id as u64, models[m].0).unwrap())
+            .map(|(id, &(m, shared))| {
+                if shared == 1 {
+                    let mut q = templates[m].clone();
+                    q.id = id as u64;
+                    q
+                } else {
+                    instance.request(id as u64, models[m].0).unwrap()
+                }
+            })
             .collect();
         let Plan { placement, mut routed } = Plan::greedy(&instance, requests).unwrap();
 
@@ -432,11 +599,30 @@ proptest! {
                 borrowed.request_id = routed[at].1.request_id;
                 routed[at].1 = borrowed;
             }
-            3 => routed[at].0.model = "ghost".into(),
+            // An undeployed model on a shape of its own.
+            3 => routed[at].0.shape_mut().model = "ghost".into(),
             // A private but correct copy: the memo must not mind.
             4 => {
                 let (m, d) = routed[at].1.iter().next().map(|(m, d)| (m.clone(), d.clone())).unwrap();
                 routed[at].1.assign(m, d);
+            }
+            // An undeployed model on a shape later requests share.
+            5 => {
+                routed[at].0.shape_mut().model = "ghost".into();
+                let ghost = routed[at].0.clone();
+                for (later, _) in routed.iter_mut().skip(at + 2).step_by(2) {
+                    let id = later.id;
+                    *later = ghost.clone();
+                    later.id = id;
+                }
+            }
+            // Another request's *shape*, shared, under this request's
+            // table: a shape seen before says nothing about the table.
+            6 => {
+                let other = (at + 1) % routed.len();
+                let id = routed[at].0.id;
+                routed[at].0 = routed[other].0.clone();
+                routed[at].0.id = id;
             }
             _ => {}
         }
@@ -445,11 +631,20 @@ proptest! {
             .iter()
             .try_for_each(|pair| validate(&instance, &placement, std::slice::from_ref(pair)));
         prop_assert_eq!(validate(&instance, &placement, &routed), per_request.clone());
+        // ... and at the same request: the prefix before the first bad
+        // one passes, the prefix ending with it does not.
+        if let Some(bad) = routed
+            .iter()
+            .position(|pair| validate(&instance, &placement, std::slice::from_ref(pair)).is_err())
+        {
+            prop_assert_eq!(validate(&instance, &placement, &routed[..bad]), Ok(()));
+            prop_assert_eq!(validate(&instance, &placement, &routed[..=bad]), per_request.clone());
+        }
         match fault {
             0 => prop_assert!(matches!(per_request, Err(s2m3::core::CoreError::NotHosted { .. }))),
             1 => prop_assert!(matches!(per_request, Err(s2m3::core::CoreError::Unrouted(_)))),
-            3 => prop_assert_eq!(per_request, Err(s2m3::core::CoreError::UnknownModel("ghost".into()))),
-            2 => {}
+            3 | 5 => prop_assert_eq!(per_request, Err(s2m3::core::CoreError::UnknownModel("ghost".into()))),
+            2 | 6 => {}
             _ => prop_assert_eq!(per_request, Ok(())),
         }
     }

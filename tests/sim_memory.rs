@@ -2,8 +2,9 @@
 //! is O(requests) by design: `materialize` → `Plan::greedy` → `simulate`
 //! → `latency_stats` over a five-model stream keeps the plan, the task
 //! table and every Gantt span alive at once. What it must *not* keep is
-//! a private copy of a route table per request, or the pre-clock spans
-//! twice — this pins the per-request price and the sharing that buys it.
+//! a private copy of a route table or of a model name per request, or the
+//! pre-clock spans twice — this pins the per-request price and the
+//! sharing that buys it.
 //!
 //! Own binary, like `serve_memory_flat.rs`: the counting allocator's
 //! peak is process-wide.
@@ -76,15 +77,28 @@ fn bounded_path_peaks_under_a_kilobyte_per_request() {
         let (_, stats, peak) = run(&instance, &spec, n);
         assert_eq!(stats.n, n);
         let per_request = peak / n;
-        // 855 B/request with each span owning its two names (72 B, two
-        // reference counts) instead of a 32 B row over one name table;
-        // 1,229 with a private route table per request and the
+        // 508 measured. 623 B/request with each request owning its model
+        // name (104 B and a `String`) instead of sharing one shape per
+        // (model, source, class); 855 with each span owning its two names
+        // (72 B, two reference counts) instead of a 32 B row over one name
+        // table; 1,229 with a private route table per request and the
         // pre-clock spans buffered and then sorted as well.
         assert!(
-            per_request <= 700,
+            per_request <= 560,
             "{n} requests peaked at {peak} B = {per_request} B/request"
         );
     }
+}
+
+/// How many of `items` are distinct under the identity test `same`.
+fn distinct<T>(items: impl Iterator<Item = T>, same: impl Fn(&T, &T) -> bool) -> usize {
+    let mut seen: Vec<T> = Vec::new();
+    for item in items {
+        if !seen.iter().any(|s| same(s, &item)) {
+            seen.push(item);
+        }
+    }
+    seen.len()
 }
 
 #[test]
@@ -92,12 +106,6 @@ fn a_plan_holds_one_route_table_per_model_and_profile() {
     let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let (instance, spec) = burst();
     let (plan, _, _) = run(&instance, &spec, 20_000);
-    let mut tables: Vec<&Route> = Vec::new();
-    for (_, route) in &plan.routed {
-        if !tables.iter().any(|t| t.shares_assignments(route)) {
-            tables.push(route);
-        }
-    }
     let pairs: std::collections::BTreeSet<_> = plan
         .routed
         .iter()
@@ -110,5 +118,53 @@ fn a_plan_holds_one_route_table_per_model_and_profile() {
         })
         .collect();
     assert_eq!(pairs.len(), FIVE_MODELS.len());
-    assert_eq!(tables.len(), pairs.len());
+    // One source, no classes: five shapes and five Eq. 7 answers for
+    // 20,000 requests, each held once.
+    let tables = distinct(plan.routed.iter().map(|(_, r)| r), |a, b| {
+        a.shares_assignments(b)
+    });
+    assert_eq!(tables, pairs.len());
+    let shapes = distinct(plan.routed.iter().map(|(q, _)| q), |a, b| a.shares_shape(b));
+    assert_eq!(shapes, pairs.len());
+}
+
+#[test]
+fn a_materialised_workload_holds_one_shape_per_triple_it_emits() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let (instance, mut spec) = burst();
+    // Two sources and two classes: up to 5 x 2 x 2 shapes, fewer if the
+    // stream never draws a combination.
+    let mut second = spec.sources[0].clone();
+    second.device = Some("laptop".to_string());
+    second.label = "sim-memory/laptop".to_string();
+    spec.sources.push(second);
+    spec.classes = ["interactive", "batch"]
+        .iter()
+        .map(|name| s2m3::sim::workload::ClassShare {
+            class: s2m3::core::problem::DeadlineClass {
+                name: name.to_string(),
+                deadline_s: 8.0,
+                priority: 0,
+            },
+            weight: 1.0,
+        })
+        .collect();
+    for n in [7, 5_000] {
+        let (requests, _) = spec.materialize(&instance, n).unwrap();
+        let triples: std::collections::BTreeSet<_> = requests
+            .iter()
+            .map(|q| {
+                (
+                    q.model.as_str(),
+                    q.source.as_str(),
+                    q.class.as_ref().map(|c| c.name.as_str()),
+                )
+            })
+            .collect();
+        let shapes = distinct(requests.iter(), |a, b| a.shares_shape(b));
+        assert_eq!(shapes, triples.len(), "{n} requests");
+        if n == 5_000 {
+            assert_eq!(shapes, 20);
+        }
+    }
 }
