@@ -284,22 +284,6 @@ fn main() {
     } else {
         Some(streaming_scenario(5_000_000))
     };
-    // The same scenarios through the sharded backend (`threads: 4` = S
-    // + A workers + encoder shard). Tracked honestly: on this paper's
-    // workloads the per-event cost (~tens of ns) sits far below channel
-    // round-trip cost, so the parallel rows measure the protocol's
-    // synchronization overhead, not a speedup — the row exists so that
-    // overhead is pinned and regressions in the conservative-sync path
-    // (horizon ratchets, lost wakeups) show up as wall-clock jumps.
-    let parallel_50k = {
-        let mut s = streaming_scenario(50_000);
-        s.threads = 4;
-        s
-    };
-    let parallel_5m = streaming_5m.clone().map(|mut s| {
-        s.threads = 4;
-        s
-    });
     // The sweep harness end to end: 64 replicas (4 seeds x 4 rates x 4
     // fleet sizes) of a short churn stream through the thread pool,
     // shared-start preparation and aggregation included.
@@ -431,27 +415,6 @@ fn main() {
             3,
             Box::new(|| {
                 std::hint::black_box(serve(s5m).unwrap());
-            }),
-        ));
-    }
-    // Sharded-backend counterparts (interleaved with the sequential
-    // rows above so thermal / frequency drift hits both alike). These
-    // pin conservative-sync overhead; see the scenario comment.
-    benches.push((
-        "serve_loop/50k_req_parallel",
-        if quick { 2 } else { 3 },
-        Box::new(|| {
-            std::hint::black_box(serve(&parallel_50k).unwrap());
-        }),
-    ));
-    if let Some(p5m) = &parallel_5m {
-        // Tens of seconds per run (sync-bound): one sample keeps the
-        // full bench pass tolerable while still pinning the number.
-        benches.push((
-            "serve_loop/5M_req_parallel",
-            1,
-            Box::new(|| {
-                std::hint::black_box(serve(p5m).unwrap());
             }),
         ));
     }

@@ -42,7 +42,7 @@ COMMANDS:
   serve      [--config FILE] [--requests N] [--rate R] [--deadline S]
              [--policy fifo|edf|shed] [--queue N] [--seed S] [--json]
              [--slo-replan COOLDOWN_S] [--mix M=W,M=W,...] [--batch N]
-             [--streaming] [--sink FILE] [--max-windows N] [--threads N]
+             [--streaming] [--sink FILE] [--max-windows N]
              [--budget-cap COST] [--budget-metric energy|device-seconds|custom:RATE]
              [--budget-window S] [--budget-mode defer|shed|defer-shed]
              [--trace FILE] [--capture-trace FILE] [--print-config]
@@ -59,10 +59,8 @@ COMMANDS:
                                O(in-flight) memory (sketch percentiles,
                                <=1% error), --sink streams per-completion
                                rows to a columnar file, --max-windows
-                               caps snapshot history; --threads N shards
-                               the event loop across N threads (identical
-                               bytes, 0|1 = sequential); --trace replays
-                               a recorded workload file, --capture-trace
+                               caps snapshot history; --trace replays a
+                               recorded workload file, --capture-trace
                                records this run's arrivals for replay;
                                --budget-cap enforces a per-window
                                fleet-wide cost cap online (deferring or
@@ -329,9 +327,6 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
     if let Some(w) = args.get_opt_num("max-windows")? {
         scenario.max_windows = Some(w);
     }
-    if let Some(t) = args.get_opt_num("threads")? {
-        scenario.threads = t;
-    }
     if let Some(cap) = args.get_opt_num("budget-cap")? {
         let policy = scenario
             .budget
@@ -575,7 +570,6 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
             "streaming",
             "sink",
             "max-windows",
-            "threads",
             "budget-cap",
             "budget-metric",
             "budget-window",
@@ -644,6 +638,8 @@ mod tests {
         // A flag another command reads is still unknown here.
         let err = run(&["sweep", "--rate", "2.0"]).unwrap_err();
         assert!(err.starts_with("unknown flag --rate"), "{err}");
+        let err = run(&["serve", "--threads", "2"]).unwrap_err();
+        assert!(err.starts_with("unknown flag --threads"), "{err}");
         assert!(run(&["zoo", "--json"]).is_err());
     }
 
@@ -745,9 +741,9 @@ mod tests {
             ("serve", "--batch", "four"),
             ("serve", "--batch", "0"),
             ("serve", "--max-windows", "1.5"),
-            ("serve", "--threads", "two"),
             ("serve", "--budget-cap", "lots"),
             ("sweep", "--seeds", "none"),
+            ("sweep", "--threads", "two"),
             ("sweep", "--budget", "1%"),
         ] {
             let err = run(&[cmd, flag, value]).unwrap_err();
@@ -804,6 +800,7 @@ mod tests {
         assert!(json.contains("\"arrived\": 60"));
         let config = run(&["serve", "--print-config"]).unwrap();
         assert!(config.contains("\"requests\": 10000"));
+        assert!(!config.contains("\"threads\""));
         assert!(run(&["serve", "--policy", "bogus"]).is_err());
         assert!(run(&["serve", "--config", "/nonexistent.json"]).is_err());
         // --slo-replan enables the rolling-p95 trigger with the given
@@ -1113,26 +1110,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert!(!rows.is_empty());
         assert!(run(&["serve", "--max-windows", "zero?"]).is_err());
-    }
-
-    #[test]
-    fn serve_threads_flag_shards_without_changing_bytes() {
-        let baseline = run(&["serve", "--requests", "300", "--seed", "cli-par", "--json"]).unwrap();
-        let sharded = run(&[
-            "serve",
-            "--requests",
-            "300",
-            "--seed",
-            "cli-par",
-            "--threads",
-            "4",
-            "--json",
-        ])
-        .unwrap();
-        assert_eq!(baseline, sharded, "parallel serve must be byte-identical");
-        let config = run(&["serve", "--threads", "2", "--print-config"]).unwrap();
-        assert!(config.contains("\"threads\": 2"));
-        assert!(run(&["serve", "--threads", "many"]).is_err());
     }
 
     #[test]

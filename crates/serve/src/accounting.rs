@@ -1,11 +1,7 @@
-//! Run accounting as a *record stream consumer*: SLO windows, latency
-//! aggregation, per-class counters, per-device usage, and the optional
-//! columnar completion sink, extracted from the serving driver so the
-//! same math can run either inline (sequential mode) or on a dedicated
-//! accounting worker fed a FIFO of [`ARec`]s (sharded mode). The
-//! records carry everything the math needs, in the exact order the
-//! sequential loop would have produced it, so both homes are
-//! byte-identical by construction.
+//! Run accounting: SLO windows, latency aggregation, per-class
+//! counters, per-device usage, and the optional columnar completion
+//! sink — everything the report derives from completions, kept apart
+//! from the serving driver that feeds it.
 
 use s2m3_core::sketch::LatencySketch;
 use s2m3_data::sink::{ColumnWriter, CompletionRow};
@@ -77,42 +73,6 @@ pub(crate) struct ClassStats {
     pub latencies: LatAgg,
 }
 
-/// One accounting record: a compact, order-preserving replay of the
-/// bookkeeping a driver event performed. Sequential mode applies these
-/// inline as it goes; sharded mode batches them over a channel to the
-/// accounting worker. Either way [`Accounting::apply`] is the only
-/// consumer, so the two modes cannot diverge.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ARec {
-    /// A request completed (drives counters, latency aggregation, the
-    /// SLO window, and the optional sink row).
-    Complete {
-        arrival_ns: u64,
-        finish_ns: u64,
-        /// Universe index of the head device (`u32::MAX`: none).
-        device: u32,
-        class: Option<u32>,
-        missed: bool,
-        latency_s: f64,
-    },
-    /// A request was shed at `at_s` (counters + SLO window only — no
-    /// latency sample, no sink row).
-    Shed {
-        at_s: f64,
-        latency_s: f64,
-        class: Option<u32>,
-    },
-    /// A classed request arrived.
-    ClassArrived { class: u32 },
-    /// A device finished an execution whose lane survived: charge busy
-    /// time and bump the execution count.
-    Charge { ui: u32, dur_ns: u64 },
-    /// A device joined the fleet at `at_s`.
-    Join { ui: u32, at_s: f64 },
-    /// A device left the fleet at `at_s`.
-    Leave { ui: u32, at_s: f64 },
-}
-
 /// The accounting state of one serving run. Owns everything the report
 /// derives from completions: the SLO ring, snapshot cadence, latency
 /// aggregators, class counters, per-device usage/executions, and the
@@ -150,88 +110,100 @@ pub(crate) struct Accounting {
 }
 
 impl Accounting {
-    /// Applies one record. The only mutation path for accounting state
-    /// in both execution modes.
+    /// A request completed: counters, latency aggregation, the SLO
+    /// window, and the optional sink row. `device` is the universe
+    /// index of the head device (`u32::MAX`: none).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Sink`] when the sink row cannot be written.
     #[inline]
-    pub fn apply(&mut self, rec: ARec) -> Result<(), ServeError> {
-        match rec {
-            ARec::Complete {
+    pub fn complete(
+        &mut self,
+        arrival_ns: u64,
+        finish_ns: u64,
+        device: u32,
+        class: Option<u32>,
+        missed: bool,
+        latency_s: f64,
+    ) -> Result<(), ServeError> {
+        if let Some(w) = self.sink.as_mut() {
+            w.push(CompletionRow {
                 arrival_ns,
                 finish_ns,
                 device,
                 class,
-                missed,
                 latency_s,
-            } => {
-                if let Some(w) = self.sink.as_mut() {
-                    w.push(CompletionRow {
-                        arrival_ns,
-                        finish_ns,
-                        device,
-                        class,
-                        latency_s,
-                    })
-                    .map_err(|e| ServeError::Sink(e.to_string()))?;
-                }
-                self.completed += 1;
-                if missed {
-                    self.late += 1;
-                }
-                if let Some(ci) = class {
-                    let cs = &mut self.class_stats[ci as usize];
-                    cs.completed += 1;
-                    if missed {
-                        cs.late += 1;
-                    }
-                    cs.latencies.record(latency_s);
-                }
-                self.latencies.record(latency_s);
-                self.last_completion_ns = self.last_completion_ns.max(finish_ns);
-                self.outcome(Outcome {
-                    completed_at_s: finish_ns as f64 / 1.0e9,
-                    latency_s,
-                    missed,
-                });
-            }
-            ARec::Shed {
-                at_s,
-                latency_s,
-                class,
-            } => {
-                self.shed += 1;
-                if let Some(ci) = class {
-                    self.class_stats[ci as usize].shed += 1;
-                }
-                // A shed request is an SLO miss; the window records it
-                // at the deadline bound so percentiles reflect the
-                // rejection.
-                self.outcome(Outcome {
-                    completed_at_s: at_s,
-                    latency_s,
-                    missed: true,
-                });
-            }
-            ARec::ClassArrived { class } => {
-                self.class_stats[class as usize].arrived += 1;
-            }
-            ARec::Charge { ui, dur_ns } => {
-                self.usage[ui as usize].busy_s += dur_ns as f64 / 1.0e9;
-                self.executions[ui as usize] += 1;
-            }
-            ARec::Join { ui, at_s } => {
-                let u = &mut self.usage[ui as usize];
-                u.active = true;
-                u.active_since_s = at_s;
-            }
-            ARec::Leave { ui, at_s } => {
-                let u = &mut self.usage[ui as usize];
-                if u.active {
-                    u.active = false;
-                    u.active_s += (at_s - u.active_since_s).max(0.0);
-                }
-            }
+            })
+            .map_err(|e| ServeError::Sink(e.to_string()))?;
         }
+        self.completed += 1;
+        if missed {
+            self.late += 1;
+        }
+        if let Some(ci) = class {
+            let cs = &mut self.class_stats[ci as usize];
+            cs.completed += 1;
+            if missed {
+                cs.late += 1;
+            }
+            cs.latencies.record(latency_s);
+        }
+        self.latencies.record(latency_s);
+        self.last_completion_ns = self.last_completion_ns.max(finish_ns);
+        self.outcome(Outcome {
+            completed_at_s: finish_ns as f64 / 1.0e9,
+            latency_s,
+            missed,
+        });
         Ok(())
+    }
+
+    /// A request was shed at `at_s`: counters and the SLO window only —
+    /// no latency sample, no sink row. A shed request is an SLO miss;
+    /// the window records it at `latency_s` (the deadline bound) so
+    /// percentiles reflect the rejection.
+    #[inline]
+    pub fn shed(&mut self, at_s: f64, latency_s: f64, class: Option<u32>) {
+        self.shed += 1;
+        if let Some(ci) = class {
+            self.class_stats[ci as usize].shed += 1;
+        }
+        self.outcome(Outcome {
+            completed_at_s: at_s,
+            latency_s,
+            missed: true,
+        });
+    }
+
+    /// A classed request arrived.
+    #[inline]
+    pub fn class_arrived(&mut self, class: u32) {
+        self.class_stats[class as usize].arrived += 1;
+    }
+
+    /// Device `ui` finished an execution whose lane survived: charge
+    /// busy time and bump the execution count.
+    #[inline]
+    pub fn charge(&mut self, ui: usize, dur_ns: u64) {
+        self.usage[ui].busy_s += dur_ns as f64 / 1.0e9;
+        self.executions[ui] += 1;
+    }
+
+    /// Device `ui` joined the fleet at `at_s`.
+    pub fn join(&mut self, ui: usize, at_s: f64) {
+        let u = &mut self.usage[ui];
+        u.active = true;
+        u.active_since_s = at_s;
+    }
+
+    /// Device `ui` left the fleet at `at_s`.
+    pub fn leave(&mut self, ui: usize, at_s: f64) {
+        let u = &mut self.usage[ui];
+        if u.active {
+            u.active = false;
+            u.active_s += (at_s - u.active_since_s).max(0.0);
+        }
     }
 
     /// Pushes one outcome into the SLO ring and emits a window snapshot

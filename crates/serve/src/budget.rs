@@ -31,10 +31,6 @@
 //! parked. Both land in the final [`BudgetReport`], next to per-window
 //! rows and per-class defer/shed counts, so a sweep can chart the
 //! cost × SLO trade-off frontier.
-//!
-//! All budget decisions run on the session thread (dispatch is always
-//! head-side), so budget-capped reports stay byte-identical at any
-//! thread count — the same contract every other serve feature holds.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -224,8 +220,7 @@ impl WindowAccum {
 }
 
 /// The engine-side budget state: window accounting, the deferred heap,
-/// and the running totals the final [`BudgetReport`] folds from. Lives
-/// on the session thread only.
+/// and the running totals the final [`BudgetReport`] folds from.
 #[derive(Debug)]
 pub(crate) struct BudgetState {
     pub policy: BudgetPolicy,

@@ -188,24 +188,6 @@ mod vec_or_empty {
     }
 }
 
-/// `#[serde(with)]` adapter treating a missing/`null` numeric field as
-/// zero, so scenario JSON predating the field keeps parsing (same
-/// contract as [`vec_or_empty`], for counters whose zero means "off").
-mod zero_or_count {
-    use serde::{Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &usize, s: S) -> Result<S::Ok, S::Error> {
-        v.serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<usize, D::Error> {
-        match d.into_value()? {
-            serde::value::Value::Null => Ok(0),
-            v => serde::from_value(v).map_err(D::Error::from),
-        }
-    }
-}
-
 /// Memory-flat streaming mode for the serving loop (see the README's
 /// "Memory-flat serving" section). When set on a scenario:
 ///
@@ -291,16 +273,6 @@ pub struct ServeScenario {
     /// stride doubles, bounding `report.windows` for unbounded runs.
     /// `None` (the default) retains every snapshot.
     pub max_windows: Option<usize>,
-    /// Worker-thread budget for the sharded serving backend (total,
-    /// including the calling thread): `0` or `1` runs the classic
-    /// sequential loop; `2+` offloads workload generation, accounting,
-    /// and — when the partition is viable — the encoder-device shard
-    /// onto dedicated workers. Any thread count produces a report
-    /// byte-identical to the sequential run (ambiguous schedules are
-    /// detected and replayed sequentially), so this knob only ever
-    /// trades threads for wall-clock. Absent/`null` parses as `0`.
-    #[serde(with = "zero_or_count")]
-    pub threads: usize,
     /// Optional per-window fleet-wide cost cap (see [`crate::budget`]).
     /// `None` (the default, and what every pre-budget scenario JSON
     /// parses as) serves uncapped — byte-identical to the golden
@@ -356,7 +328,6 @@ impl ServeScenario {
             snapshot_every: 500,
             streaming: None,
             max_windows: None,
-            threads: 0,
             budget: None,
         }
     }
@@ -442,7 +413,7 @@ mod tests {
     fn streaming_fields_roundtrip_and_default_off() {
         let mut s = ServeScenario::churn_default();
         // Pre-streaming scenario JSON — no `streaming`/`max_windows`/
-        // `threads` keys at all — must parse with every knob off.
+        // `budget` keys at all — must parse with every knob off.
         let legacy_json = s
             .to_json()
             .unwrap()
@@ -450,7 +421,6 @@ mod tests {
             .filter(|l| {
                 !l.contains("\"streaming\"")
                     && !l.contains("\"max_windows\"")
-                    && !l.contains("\"threads\"")
                     && !l.contains("\"budget\"")
             })
             .collect::<Vec<_>>()
@@ -459,9 +429,17 @@ mod tests {
         let parsed = ServeScenario::from_json(&legacy_json).unwrap();
         assert_eq!(parsed.streaming, None);
         assert_eq!(parsed.max_windows, None);
-        assert_eq!(parsed.threads, 0);
         assert_eq!(parsed.budget, None);
         assert_eq!(parsed, s);
+
+        // A scenario written while `threads` was a field still loads:
+        // unknown keys are ignored.
+        let with_threads = s
+            .to_json()
+            .unwrap()
+            .replace("\"budget\": null", "\"threads\": 4,\n  \"budget\": null");
+        assert!(with_threads.contains("\"threads\": 4"));
+        assert_eq!(ServeScenario::from_json(&with_threads).unwrap(), s);
 
         s.streaming = Some(StreamingConfig {
             sink: Some("completions.bin".to_string()),

@@ -74,15 +74,13 @@ use s2m3_sim::kernel::{
 };
 use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
-use crate::accounting::{ARec, Accounting, ClassStats, LatAgg};
+use crate::accounting::{Accounting, ClassStats, LatAgg};
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetState, Deferred};
 use crate::config::{FleetEventKind, ServeScenario, SloReplanTrigger};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
 use crate::report::{ClassReport, DeviceReport, EventRecord, ReplanRecord, ServeReport};
 use crate::slab::{ReqHandle, Slab};
 use crate::slo::{DeviceUsage, SloWindow};
-
-mod parallel;
 
 /// Errors surfaced by the serving loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -309,19 +307,8 @@ struct Online {
     /// The lazily pulled merged arrival stream: the driver holds at
     /// most one sampled batch (in `arrival_buf`) plus the
     /// constant-size per-source stream states — never the full
-    /// materialized schedule. `None` while a stream worker owns it
-    /// (sharded mode; see [`parallel`]).
-    stream: Option<WorkloadStream>,
-    /// Pre-sampled arrival batches from the stream worker, when one is
-    /// installed (replaces direct `stream` pulls, same draw order).
-    feed: Option<parallel::FeedLink>,
-    /// The encoder-shard hand-off link, once a shard is active:
-    /// dispatches route owned-device encoder tasks here instead of the
-    /// local event queue.
-    enc: Option<parallel::EncLink>,
-    /// The accounting off-load link, when an accounting worker owns
-    /// `acct` (records stream to it in apply order).
-    acct_tx: Option<parallel::AcctLink>,
+    /// materialized schedule.
+    stream: WorkloadStream,
     /// Upcoming arrivals, sampled in batches so the per-source stream
     /// merge amortizes; the event queue still holds at most one future
     /// arrival at a time, and draw order matches one-at-a-time pulls
@@ -356,15 +343,11 @@ struct Online {
     /// reuses one greedy solve (debug builds re-solve and compare).
     slo_replan: Option<PricedReplan>,
     // --- accounting ---
-    /// The extracted accounting state ([`crate::accounting`]): applied
-    /// inline here in sequential mode, streamed to a worker in sharded
-    /// mode.
+    /// The extracted accounting state ([`crate::accounting`]).
     acct: Accounting,
     // --- budget ---
     /// Budget-enforcement state (`scenario.budget`); `None` serves
-    /// uncapped, byte-identical to the pre-budget engine. Lives on the
-    /// session thread only: dispatch is always head-side, so budget
-    /// decisions never reach the encoder shard.
+    /// uncapped, byte-identical to the pre-budget engine.
     budget: Option<BudgetState>,
     /// Per-universe-device cost rate (spend units per busy second),
     /// priced from the policy's metric. Empty without a budget.
@@ -443,10 +426,8 @@ impl Driver for Online {
         // completions do not charge busy seconds the departed device
         // never finished serving.
         if lane_live {
-            self.acct_infallible(ARec::Charge {
-                ui: k.tasks.device(tid) as u32,
-                dur_ns: k.tasks.payload(tid).dur_ns,
-            });
+            self.acct
+                .charge(k.tasks.device(tid), k.tasks.payload(tid).dur_ns);
         }
         Ok(())
     }
@@ -842,26 +823,7 @@ impl Online {
                 },
             );
             task_ids.push(tid);
-            // An encoder on a shard-owned device executes remotely: the
-            // ready event ships over the link (stamped with the same
-            // arrival time the local push would have used) instead of
-            // entering this kernel's queue. The local task slot stays
-            // reserved so ids, fan-in state, and the free list match
-            // the sequential run exactly.
-            match self.enc.as_mut() {
-                Some(link) if link.owned[e.uni] => link.send_ready(
-                    now + e.input_tx_ns,
-                    parallel::ReadyMsg {
-                        tid: tid as u32,
-                        req: rid as u32,
-                        module: e.module,
-                        uni: e.uni as u32,
-                        units: e.units,
-                        output_tx_ns: e.output_tx_ns,
-                    },
-                ),
-                _ => k.push_ready(now + e.input_tx_ns, tid),
-            }
+            k.push_ready(now + e.input_tx_ns, tid);
             pending += 1;
         }
 
@@ -885,31 +847,6 @@ impl Online {
         }
     }
 
-    /// Applies a record that carries no sink row (those are the only
-    /// fallible kind) to the accounting stream.
-    #[inline]
-    fn acct_infallible(&mut self, rec: ARec) {
-        if let Some(link) = self.acct_tx.as_mut() {
-            link.push(rec);
-            return;
-        }
-        self.acct
-            .apply(rec)
-            .expect("only completion records can fail");
-    }
-
-    /// Applies any record to the accounting stream: inline in
-    /// sequential mode, via the off-load link in sharded mode (where
-    /// sink errors surface asynchronously at the next slice boundary).
-    #[inline]
-    fn acct_apply(&mut self, rec: ARec) -> Result<(), BoxedErr> {
-        if let Some(link) = self.acct_tx.as_mut() {
-            link.push(rec);
-            return Ok(());
-        }
-        self.acct.apply(rec).map_err(Box::new)
-    }
-
     fn complete_request(&mut self, k: &mut K, rid: usize, now: u64) -> Result<(), BoxedErr> {
         let (arrival_ns, deadline_ns, head_dev, class) = {
             let r = &mut self.requests[rid];
@@ -921,14 +858,16 @@ impl Online {
         }
         let latency = secs(now - arrival_ns);
         let missed = now > deadline_ns;
-        self.acct_apply(ARec::Complete {
-            arrival_ns,
-            finish_ns: now,
-            device: head_dev.map_or(u32::MAX, |u| u as u32),
-            class,
-            missed,
-            latency_s: latency,
-        })?;
+        self.acct
+            .complete(
+                arrival_ns,
+                now,
+                head_dev.map_or(u32::MAX, |u| u as u32),
+                class,
+                missed,
+                latency,
+            )
+            .map_err(Box::new)?;
         if let Some(ui) = head_dev {
             self.drain_admission(k, ui, now);
         }
@@ -946,11 +885,11 @@ impl Online {
         };
         // A shed request is an SLO miss; the window records it at the
         // deadline bound so percentiles reflect the rejection.
-        self.acct_infallible(ARec::Shed {
-            at_s: secs(now),
-            latency_s: secs(deadline_ns.saturating_sub(arrival_ns)),
+        self.acct.shed(
+            secs(now),
+            secs(deadline_ns.saturating_sub(arrival_ns)),
             class,
-        });
+        );
         self.requests.free(rid);
     }
 
@@ -1066,10 +1005,7 @@ impl Online {
                     ))));
                 }
                 k.devices[ui].active = true;
-                self.acct_infallible(ARec::Join {
-                    ui: ui as u32,
-                    at_s,
-                });
+                self.acct.join(ui, at_s);
                 format!("{device} joins")
             }
             FleetEventKind::DeviceLeave { device } => {
@@ -1090,10 +1026,7 @@ impl Online {
                     ))));
                 };
                 k.devices[ui].active = false;
-                self.acct_infallible(ARec::Leave {
-                    ui: ui as u32,
-                    at_s,
-                });
+                self.acct.leave(ui, at_s);
                 format!("{device} leaves")
             }
             FleetEventKind::DeviceSlowdown { device, factor } => {
@@ -1373,25 +1306,11 @@ impl Online {
     fn peek_arrival(&mut self) -> Option<&WorkloadRequest> {
         if self.arrival_cursor == self.arrival_buf.len() {
             self.arrival_cursor = 0;
-            if let Some(feed) = self.feed.as_ref() {
-                // Sharded mode: swap in the stream worker's next
-                // pre-sampled batch and return the spent buffer as a
-                // credit. A closed channel (stream dry, worker gone)
-                // reads as an empty batch.
-                let batch = feed.rx.recv().unwrap_or_default();
-                let spent = std::mem::replace(&mut self.arrival_buf, batch);
-                let _ = feed.credit.send(spent);
-            } else {
-                self.arrival_buf.clear();
-                let stream = self
-                    .stream
-                    .as_mut()
-                    .expect("sequential mode retains the stream");
-                for _ in 0..Self::ARRIVAL_BATCH {
-                    match stream.next_request() {
-                        Some(r) => self.arrival_buf.push(r),
-                        None => break,
-                    }
+            self.arrival_buf.clear();
+            for _ in 0..Self::ARRIVAL_BATCH {
+                match self.stream.next_request() {
+                    Some(r) => self.arrival_buf.push(r),
+                    None => break,
                 }
             }
         }
@@ -1414,7 +1333,7 @@ impl Online {
             None => (self.deadline_ns, 0),
         };
         if let Some(ci) = rec.class {
-            self.acct_infallible(ARec::ClassArrived { class: ci });
+            self.acct.class_arrived(ci);
         }
         // `insert_with` resets every field in place: a recycled slot
         // keeps its task buffer's capacity instead of dropping it.
@@ -1715,9 +1634,6 @@ pub fn prepare(scenario: &ServeScenario) -> Result<SharedStart, ServeError> {
 pub struct ServeSession {
     kernel: K,
     driver: Online,
-    /// Parallel backend state (`ServeScenario::threads ≥ 2`). Declared
-    /// after `driver` so the links disconnect before the pool joins.
-    par: Option<parallel::Par>,
 }
 
 impl ServeSession {
@@ -1980,10 +1896,7 @@ impl ServeSession {
             devices,
             exec_overhead_s,
             requests: Slab::new(true, cap_requests),
-            stream: Some(stream),
-            feed: None,
-            enc: None,
-            acct_tx: None,
+            stream,
             arrival_buf: Vec::new(),
             arrival_cursor: 0,
             next_seq: 0,
@@ -2035,17 +1948,7 @@ impl ServeSession {
             .at_ns;
         kernel.push_custom(first_at_ns, ServeEv::Arrival);
 
-        let mut session = ServeSession {
-            kernel,
-            driver,
-            par: None,
-        };
-        // `threads ≥ 2` installs the parallel backend (workload
-        // pre-sampling, accounting off-load, and — once the fleet
-        // stops churning — the encoder shard). Reports stay
-        // byte-identical to the sequential run either way.
-        parallel::install(&mut session, scenario, shared);
-        Ok(session)
+        Ok(ServeSession { kernel, driver })
     }
 
     /// Processes every event up to `until_s` seconds of virtual time,
@@ -2055,11 +1958,9 @@ impl ServeSession {
     ///
     /// Scenario errors surfaced by fleet events or replanning.
     pub fn run_until(&mut self, until_s: f64) -> Result<u64, ServeError> {
-        let cap = ns(until_s.max(0.0));
-        if self.par.is_some() {
-            return self.par_run(cap);
-        }
-        self.kernel.run_until(&mut self.driver, cap).map_err(|e| *e)
+        self.kernel
+            .run_until(&mut self.driver, ns(until_s.max(0.0)))
+            .map_err(|e| *e)
     }
 
     /// Runs the session to idle (no events left).
@@ -2068,33 +1969,17 @@ impl ServeSession {
     ///
     /// Scenario errors surfaced by fleet events or replanning.
     pub fn run_to_idle(&mut self) -> Result<u64, ServeError> {
-        if self.par.is_some() {
-            return self.par_run(u64::MAX);
-        }
         self.kernel.run_until_idle(&mut self.driver).map_err(|e| *e)
     }
 
-    /// Whether every event has been processed (on every shard, in
-    /// sharded mode).
+    /// Whether every event has been processed.
     pub fn is_idle(&self) -> bool {
         self.kernel.pending_events() == 0
-            && self.driver.enc.as_ref().is_none_or(|l| l.outstanding == 0)
-            && self
-                .par
-                .as_ref()
-                .and_then(|p| p.enc.as_ref())
-                .is_none_or(|st| st.staged.is_empty() && st.e_promise == u64::MAX)
     }
 
-    /// Virtual time of the last processed event, seconds (the furthest
-    /// shard's clock, in sharded mode).
+    /// Virtual time of the last processed event, seconds.
     pub fn now_s(&self) -> f64 {
-        let e_now = self
-            .par
-            .as_ref()
-            .and_then(|p| p.enc.as_ref())
-            .map_or(0, |st| st.e_now_ns);
-        secs(self.kernel.now().max(e_now))
+        secs(self.kernel.now())
     }
 
     /// Consumes the session and produces the final report. Normally
@@ -2103,15 +1988,7 @@ impl ServeSession {
     /// events die with the session), so `arrived == completed + shed`
     /// holds in every report this type produces.
     pub fn finish(self) -> ServeReport {
-        let ServeSession {
-            kernel: _,
-            mut driver,
-            par,
-        } = self;
-        if let Some(par) = par {
-            parallel::shutdown(&mut driver, par);
-        }
-        driver.finish()
+        self.driver.finish()
     }
 }
 
@@ -2154,48 +2031,6 @@ mod tests {
         assert!(report.latency.p50_s > 0.0);
         assert!(report.throughput_per_s > 0.0);
         assert!(!report.windows.is_empty());
-    }
-
-    #[test]
-    #[ignore]
-    fn time_parallel_configs() {
-        let rate: f64 = std::env::var("PAR_RATE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.3);
-        let requests: usize = std::env::var("PAR_REQ")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(2000);
-        let mut scenario = ServeScenario {
-            requests,
-            ..ServeScenario::churn_default()
-        };
-        scenario.arrivals = ArrivalProcess::Poisson { rate_per_s: rate };
-        scenario.streaming = Some(crate::config::StreamingConfig::default());
-        scenario.max_windows = Some(64);
-        if let Ok(q) = std::env::var("PAR_QUEUE") {
-            scenario.admission = AdmissionPolicy::ShedOnOverload {
-                max_queue: q.parse().unwrap(),
-            };
-        }
-        if let Ok(i) = std::env::var("PAR_INFLIGHT") {
-            scenario.max_inflight_per_device = i.parse().unwrap();
-        }
-        for threads in [0usize, 2, 4] {
-            let s = ServeScenario {
-                threads,
-                ..scenario.clone()
-            };
-            let t0 = std::time::Instant::now();
-            let r = serve(&s).unwrap();
-            eprintln!(
-                "threads={threads}: {:?} completed={} shed={}",
-                t0.elapsed(),
-                r.completed,
-                r.shed
-            );
-        }
     }
 
     fn budget_policy(
@@ -2278,48 +2113,6 @@ mod tests {
         assert!(r.shed >= b.shed, "budget sheds are sheds");
         for w in &b.windows {
             assert!(w.spend <= b.cap_per_window + 1e-9);
-        }
-    }
-
-    #[test]
-    fn budget_reports_match_across_thread_counts() {
-        let uncapped = serve(&small_scenario(200)).unwrap();
-        let busy: f64 = uncapped.devices.iter().map(|d| d.busy_s).sum();
-        let cost_per_req = busy / uncapped.completed as f64;
-        let mut scenario = ServeScenario {
-            requests: 1000,
-            ..ServeScenario::churn_default()
-        };
-        scenario.budget = Some(budget_policy(
-            4.0 * cost_per_req,
-            uncapped.makespan_s / 10.0,
-            BudgetEnforcement::DeferThenShed,
-        ));
-        let seq = serde_json::to_string(&serve(&scenario).unwrap()).unwrap();
-        for threads in [2usize, 4] {
-            let par = ServeScenario {
-                threads,
-                ..scenario.clone()
-            };
-            let got = serde_json::to_string(&serve(&par).unwrap()).unwrap();
-            assert_eq!(got, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_serve_matches_sequential_bytes() {
-        let scenario = ServeScenario {
-            requests: 2000,
-            ..ServeScenario::churn_default()
-        };
-        let seq = serde_json::to_string(&serve(&scenario).unwrap()).unwrap();
-        for threads in [2usize, 3, 4] {
-            let par = ServeScenario {
-                threads,
-                ..scenario.clone()
-            };
-            let got = serde_json::to_string(&serve(&par).unwrap()).unwrap();
-            assert_eq!(got, seq, "threads={threads}");
         }
     }
 

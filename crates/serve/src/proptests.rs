@@ -252,72 +252,6 @@ proptest! {
         prop_assert_eq!(&resumed, &uninterrupted);
     }
 
-    /// Sharded serving is invisible in the output: for arbitrary
-    /// policies, traffic, churn schedules, and request counts, the
-    /// report JSON at 2 and 4 threads is byte-identical to the
-    /// sequential run. This is the parallel backend's contract — any
-    /// protocol change that reorders even one event fails here.
-    #[test]
-    fn parallel_serve_is_byte_identical_at_any_thread_count(
-        policy in arb_policy(),
-        arrivals in arb_arrivals(),
-        events in arb_events(),
-        n in 20usize..120,
-        seed in "[a-z]{1,8}",
-    ) {
-        let s = scenario(policy, arrivals, events, n, format!("prop/par/{seed}"));
-        let sequential = serve(&s).unwrap().to_json().unwrap();
-        for threads in [1, 2, 4] {
-            let mut sharded = s.clone();
-            sharded.threads = threads;
-            let report = serve(&sharded).unwrap().to_json().unwrap();
-            prop_assert_eq!(
-                &report,
-                &sequential,
-                "threads={} diverged from sequential",
-                threads
-            );
-        }
-    }
-
-    /// Pause/resume stays invisible *under sharding*: slicing a
-    /// parallel session at arbitrary virtual times (which replays the
-    /// caps through the conservative-sync protocol) still reproduces
-    /// the uninterrupted sequential report byte for byte.
-    #[test]
-    fn pause_resume_under_sharding_is_byte_invisible(
-        policy in arb_policy(),
-        events in arb_events(),
-        n in 20usize..80,
-        threads in 2usize..5,
-        mut pauses in proptest::collection::vec(0.0f64..2_000.0, 1..5),
-    ) {
-        let mut s = scenario(
-            policy,
-            ArrivalProcess::Poisson { rate_per_s: 1.5 },
-            events,
-            n,
-            "prop/par-resume".to_string(),
-        );
-        let uninterrupted = serve(&s).unwrap();
-        s.threads = threads;
-        let mut session = ServeSession::new(&s).unwrap();
-        pauses.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for t in pauses {
-            session.run_until(t).unwrap();
-            prop_assert!(session.now_s() <= t + 1e-9 || session.is_idle());
-        }
-        session.run_to_idle().unwrap();
-        prop_assert!(session.is_idle());
-        let resumed = session.finish();
-        prop_assert_eq!(&resumed, &uninterrupted);
-        prop_assert_eq!(
-            resumed.to_json().unwrap(),
-            uninterrupted.to_json().unwrap(),
-            "JSON export must be identical too"
-        );
-    }
-
     /// Windows are time-ordered with coherent percentiles, and device
     /// utilization stays in [0, 1] whatever the churn.
     #[test]
@@ -523,38 +457,6 @@ proptest! {
                 b.classes[1].shed + 1 >= batch_arrived,
                 "interactive shed but only {} of {} batch requests shed",
                 b.classes[1].shed, batch_arrived
-            );
-        }
-    }
-
-    /// Budget enforcement stays byte-deterministic under sharding: the
-    /// report JSON at 1/2/4 threads matches the sequential run with a
-    /// budget active (all budget decisions run on the session thread).
-    #[test]
-    fn budget_reports_are_byte_identical_at_any_thread_count(
-        policy in arb_policy(),
-        events in arb_events(),
-        budget in arb_budget(),
-        n in 20usize..90,
-    ) {
-        let mut s = scenario(
-            policy,
-            ArrivalProcess::Poisson { rate_per_s: 1.5 },
-            events,
-            n,
-            "prop/budget-par".to_string(),
-        );
-        s.budget = Some(budget);
-        let sequential = serve(&s).unwrap().to_json().unwrap();
-        for threads in [1, 2, 4] {
-            let mut sharded = s.clone();
-            sharded.threads = threads;
-            let report = serve(&sharded).unwrap().to_json().unwrap();
-            prop_assert_eq!(
-                &report,
-                &sequential,
-                "threads={} diverged from sequential under budget",
-                threads
             );
         }
     }

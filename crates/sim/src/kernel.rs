@@ -47,7 +47,6 @@
 //! and resuming later is indistinguishable from an uninterrupted run —
 //! the property `s2m3-serve` pins with its pause/resume proptest.
 
-pub mod shard;
 pub mod wheel;
 
 use std::collections::VecDeque;
@@ -100,7 +99,7 @@ struct TaskMeta {
 /// [`TaskMeta`] records (the serve driver's payload alone is twice
 /// that), and a payload is only loaded inside the driver hook that
 /// actually prices the task.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TaskTable<P> {
     entries: Vec<TaskEntry<P>>,
 }
@@ -339,7 +338,7 @@ pub struct Policy {
 ///
 /// Ordering is bit-exact with the old `BinaryHeap<Reverse<(u64, u64,
 /// Event)>>`: keys are unique, min-first by time then push sequence.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct KeyHeap<T> {
     keys: Vec<u128>,
     items: Vec<T>,
@@ -429,7 +428,7 @@ const WHEEL_SPILL_LEN: usize = 4096;
 /// default that starts as a heap and spills into a wheel, per
 /// [`Policy::scheduler`] — dispatched through one enum so the run loop
 /// stays monomorphic over drivers (no dyn indirection per event).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum EventQueue<X> {
     Heap(KeyHeap<Event<X>>),
     Wheel(wheel::TimingWheel<Event<X>>),
@@ -553,26 +552,6 @@ pub trait Driver: Sized {
         now: u64,
     ) -> Result<u64, Self::Error>;
 
-    /// Non-cancelled encoder task `tid` completed at `now`. The default
-    /// folds its readiness contribution into the request's fan-in slot
-    /// and fires the head once the last encoder lands — the historic
-    /// inline behavior, byte-for-byte (the fan-in math itself lives in
-    /// [`Kernel::apply_encoder_contribution`]). Override only to
-    /// *relocate* that bookkeeping, e.g. a sharded backend forwarding
-    /// the completion to the shard that owns the request.
-    fn encoder_finished(
-        &mut self,
-        k: &mut Kernel<Self::Custom, Self::Payload>,
-        tid: usize,
-        now: u64,
-    ) -> Result<(), Self::Error> {
-        let contrib = self.encoder_ready_ns(k, tid, now)?;
-        if let Some(hdi) = k.apply_encoder_contribution(tid, contrib, now) {
-            k.try_dispatch(hdi, now, self)?;
-        }
-        Ok(())
-    }
-
     /// Request `req`'s head execution completed at `now`.
     fn head_done(
         &mut self,
@@ -614,7 +593,7 @@ pub trait Driver: Sized {
 /// `u128` heap key — and the sequence number makes every key unique, so
 /// same-time events fire in push order and a run is a pure function of
 /// the pushes (the determinism both report formats rely on).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Kernel<X, P> {
     queue: EventQueue<X>,
     seq: u64,
@@ -790,124 +769,6 @@ impl<X, P> Kernel<X, P> {
             self.requests.resize(req + 1, RequestSlot::default());
         }
         self.requests[req] = slot;
-    }
-
-    /// Folds encoder `tid`'s readiness contribution into its request's
-    /// fan-in slot; when the last encoder lands, schedules the head
-    /// task (or, under [`Policy::immediate_head_fire`], enqueues it
-    /// directly so it wins the lane this encoder just freed). Returns a
-    /// device needing a dispatch round when the fast path enqueued the
-    /// head on a device *other* than the encoder's — the caller runs
-    /// that round so its driver observes it.
-    ///
-    /// This is the body of the default [`Driver::encoder_finished`];
-    /// sharded backends call it on the shard that owns the request's
-    /// fan-in state.
-    pub fn apply_encoder_contribution(
-        &mut self,
-        tid: usize,
-        contrib_ns: u64,
-        now: u64,
-    ) -> Option<usize> {
-        let req = self.tasks.req(tid);
-        let di = self.tasks.device(tid);
-        let slot = &mut self.requests[req];
-        slot.head_ready_ns = slot.head_ready_ns.max(contrib_ns);
-        slot.pending_encoders -= 1;
-        if slot.pending_encoders == 0 {
-            let (head_task, at) = (slot.head_task, slot.head_ready_ns);
-            if self.policy.immediate_head_fire && at <= now {
-                let hdi = self.tasks.device(head_task);
-                self.devices[hdi].fifo_heads.push_back(head_task);
-                if hdi != di {
-                    return Some(hdi);
-                }
-            } else {
-                self.push(at.max(now), Event::Ready(head_task));
-            }
-        }
-        None
-    }
-
-    /// Marks `tid` finished and returns its slot to the free list: the
-    /// retirement a sharded backend applies to a *mirror* task whose
-    /// real completion event fired on another shard. Callers guarantee
-    /// no queue entry or heap event still names `tid`.
-    pub fn retire_task(&mut self, tid: usize) {
-        self.tasks.mark_finished(tid);
-        self.release_task(tid);
-    }
-
-    /// Installs a task at slot `tid` exactly, growing the table with
-    /// inert (cancelled + finished) filler slots as needed: the
-    /// receiving half of a sharded spawn, where the slot index was
-    /// assigned by the shard that owns the request and both sides must
-    /// agree on it so completion messages can name tasks by id alone.
-    pub fn put_task(
-        &mut self,
-        tid: usize,
-        req: usize,
-        module: u32,
-        device: usize,
-        is_head: bool,
-        payload: P,
-    ) where
-        P: Default,
-    {
-        while self.tasks.len() <= tid {
-            self.tasks.entries.push(TaskEntry {
-                meta: TaskMeta {
-                    req: 0,
-                    module: 0,
-                    device: 0,
-                    flags: TASK_CANCELLED | TASK_FINISHED,
-                    lane_epoch: 0,
-                },
-                payload: P::default(),
-            });
-        }
-        self.tasks.entries[tid] = TaskEntry {
-            meta: TaskMeta {
-                req: req as u32,
-                module,
-                device: device as u32,
-                flags: if is_head { TASK_HEAD } else { 0 },
-                lane_epoch: 0,
-            },
-            payload,
-        };
-    }
-
-    /// Splits the event queue by shard ownership: keeps exactly the
-    /// events whose owning device satisfies `owned[device] ==
-    /// keep_owned` (task events belong to their task's device,
-    /// [`Event::DeviceOpen`] to its device, and `Custom` events always
-    /// to the un-owned / coordinator side). Called on each half of a
-    /// [`Clone`]d kernel when a sharded run splits off a worker.
-    /// Surviving events keep their original `(time, seq)` keys, so
-    /// relative order — and therefore determinism — is preserved
-    /// exactly.
-    pub fn retain_events_where_device(&mut self, owned: &[bool], keep_owned: bool) {
-        let mut kept: Vec<(u128, Event<X>)> = Vec::with_capacity(self.queue.len());
-        while let Some((key, ev)) = self.queue.pop() {
-            let mine = match &ev {
-                Event::Ready(t) | Event::Done(t) | Event::BatchedDone(t) => {
-                    owned[self.tasks.device(*t)]
-                }
-                Event::DeviceOpen(di) => owned[*di],
-                Event::Custom(_) => false,
-            };
-            if mine == keep_owned {
-                kept.push((key, ev));
-            }
-        }
-        // A fresh queue sidesteps any frontier state the drain left in
-        // a timing wheel; keys re-insert in sorted order.
-        let mut fresh = EventQueue::for_policy(&self.policy, kept.len().min(4096));
-        for (key, ev) in kept {
-            fresh.push(key, ev);
-        }
-        self.queue = fresh;
     }
 
     /// Dispatches one popped event to its handler.
@@ -1179,7 +1040,25 @@ impl<X, P> Kernel<X, P> {
         if is_head {
             driver.head_done(self, req, now)?;
         } else {
-            driver.encoder_finished(self, tid, now)?;
+            let contrib = driver.encoder_ready_ns(self, tid, now)?;
+            let slot = &mut self.requests[req];
+            slot.head_ready_ns = slot.head_ready_ns.max(contrib);
+            slot.pending_encoders -= 1;
+            if slot.pending_encoders == 0 {
+                let (head_task, at) = (slot.head_task, slot.head_ready_ns);
+                if self.policy.immediate_head_fire && at <= now {
+                    // Enqueue directly so the head wins the lane this
+                    // encoder just freed, ahead of later requests'
+                    // queued work.
+                    let hdi = self.tasks.device(head_task);
+                    self.devices[hdi].fifo_heads.push_back(head_task);
+                    if hdi != di {
+                        self.try_dispatch(hdi, now, driver)?;
+                    }
+                } else {
+                    self.push(at.max(now), Event::Ready(head_task));
+                }
+            }
         }
         self.try_dispatch(di, now, driver)?;
         // The completion event just consumed was this task's last

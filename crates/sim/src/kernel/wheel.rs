@@ -68,7 +68,7 @@ fn shift(level: usize) -> u32 {
     SHIFT0 + SLOT_BITS * level as u32
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Level<T> {
     /// Bit `b` set iff `buckets[b]` is non-empty.
     occupied: u64,
@@ -80,7 +80,7 @@ struct Level<T> {
 /// A min-priority queue over packed `(time_ns << 64) | seq` keys with
 /// the same pop order as [`KeyHeap`] and O(1) insertion for events
 /// beyond the imminent window. See the module docs for the layout.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TimingWheel<T> {
     /// Fully-ordered events with `time < frontier`.
     near: KeyHeap<T>,

@@ -170,20 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replicas_match_sequential_replicas() {
-        // `base.threads` flows into every replica scenario, so each
-        // replica serves on the sharded event loop — and the sweep
-        // report must still be byte-identical to sequential replicas
-        // (the serve-level contract composed with the pool-level one).
-        let sequential = tiny_spec();
-        let mut sharded = tiny_spec();
-        sharded.base.threads = 2;
-        let a = run_sweep(&sequential).unwrap().to_json().unwrap();
-        let b = run_sweep(&sharded).unwrap().to_json().unwrap();
-        assert_eq!(a, b, "sharded replicas must not change sweep bytes");
-    }
-
-    #[test]
     fn budgeted_base_scenario_flows_into_every_cell() {
         let mut spec = tiny_spec();
         spec.base.budget = Some(s2m3_serve::BudgetPolicy::device_seconds(2.0));

@@ -368,5 +368,13 @@ mod tests {
         let s = spec();
         let back = SweepSpec::from_json(&s.to_json().unwrap()).unwrap();
         assert_eq!(s, back);
+        // A spec whose `base` was written while the scenario had a
+        // `threads` field still loads: unknown keys are ignored.
+        let old = s
+            .to_json()
+            .unwrap()
+            .replace("\"budget\": null", "\"threads\": 4,\n    \"budget\": null");
+        assert!(old.contains("\"threads\": 4,"));
+        assert_eq!(SweepSpec::from_json(&old).unwrap(), s);
     }
 }
