@@ -1,14 +1,15 @@
 //! Property-based invariants over randomized instances: the constraints
 //! of Problem (4) hold for every greedy plan, greedy never beats the
-//! brute-force optimum, parallel never loses to sequential, and the
-//! simulator agrees with the analytic objective in the single-request
-//! case.
+//! brute-force optimum, parallel never loses to sequential, and both
+//! drivers agree with the analytic objective in the single-request case.
 
 use proptest::prelude::*;
 
 use s2m3::core::objective::{total_latency, total_latency_sequential, validate};
+use s2m3::core::resolved::ResolvedInstance;
 use s2m3::core::upper::optimal_placement;
 use s2m3::prelude::*;
+use s2m3::serve::config::ModelDeployment;
 
 /// Models spanning all task families, paired with sensible candidate
 /// ranges.
@@ -104,22 +105,65 @@ proptest! {
         prop_assert!(par <= seq + 1e-9, "parallel {} > sequential {}", par, seq);
     }
 
-    /// Single-request simulation matches the analytic objective within
-    /// scheduler resolution, for any model and fleet.
+    /// One uncontended request is Eqs. 1–3: the index-path objective
+    /// equals the string path bit for bit, and both drivers — the
+    /// bounded simulator and the online server — finish it within the
+    /// nanosecond clock's rounding of the analytic latency. The one
+    /// exception is a device hosting more of the request's encoders than
+    /// it has lanes: the drivers run whichever input lands first, while
+    /// the objective's lane refinement runs the longest encoder first
+    /// (Encoder-only VQA on {laptop, jetson-a} finishes 34.1 ms early),
+    /// so those cases keep the old bound.
     #[test]
     fn simulator_agrees_with_objective(
         (model, candidates) in arb_model(),
         fleet in arb_fleet(),
     ) {
+        const NS_BOUND: f64 = 10.0e-9;
+        let names: Vec<String> =
+            fleet.devices().iter().map(|d| d.id.as_str().to_string()).collect();
         let Ok(instance) = Instance::on_fleet(fleet, &[(model, candidates)]) else { return Ok(()); };
         let Ok(request) = instance.request(0, model) else { return Ok(()); };
         let Ok(plan) = Plan::greedy(&instance, vec![request.clone()]) else { return Ok(()); };
-        let analytic = total_latency(&instance, &plan.routed[0].1, &request).unwrap();
+        let route = &plan.routed[0].1;
+        let analytic = total_latency(&instance, route, &request).unwrap();
+
+        let resolved = ResolvedInstance::new(&instance).unwrap();
+        let routed = resolved.resolve_route(route);
+        let source = resolved.device_index(&request.source).unwrap();
+        let via_index = resolved.total_latency(0, &request.profile, source, |m| routed[m as usize]);
+        prop_assert_eq!(
+            via_index.to_bits(), analytic.to_bits(),
+            "index {} vs string {}", via_index, analytic
+        );
+
         let report = simulate(&instance, &plan, &SimConfig::default()).unwrap();
         let simulated = report.request_latency(0).unwrap();
+        let encoders = instance.deployment(model).unwrap().model.encoders();
+        let oversubscribed = instance.fleet().devices().iter().any(|d| {
+            encoders.iter().filter(|m| route.device_for(&m.id) == Some(&d.id)).count()
+                > d.parallelism.max(1)
+        });
+        let bound = if oversubscribed { 0.05 + 0.01 * analytic } else { NS_BOUND };
         prop_assert!(
-            (simulated - analytic).abs() < 0.05 + 0.01 * analytic,
+            (simulated - analytic).abs() <= bound,
             "sim {} vs analytic {}", simulated, analytic
+        );
+
+        let scenario = ServeScenario {
+            fleet: "standard".into(),
+            initial_devices: names,
+            models: vec![ModelDeployment { name: model.into(), candidates }],
+            requests: 1,
+            admission: AdmissionPolicy::Fifo,
+            events: Vec::new(),
+            ..ServeScenario::churn_default()
+        };
+        let served = serve(&scenario).unwrap();
+        prop_assert_eq!(served.completed, 1);
+        prop_assert!(
+            (served.latency.max_s - simulated).abs() <= NS_BOUND,
+            "serve {} vs sim {}", served.latency.max_s, simulated
         );
     }
 
