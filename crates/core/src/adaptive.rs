@@ -28,7 +28,7 @@ use s2m3_net::device::DeviceId;
 use crate::error::CoreError;
 use crate::placement::{greedy_place_resolved, PlacementOptions};
 use crate::problem::{Instance, Placement};
-use crate::resolved::ResolvedInstance;
+use crate::resolved::{PricedRoute, ResolvedInstance};
 
 /// One module migration.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,19 +186,16 @@ pub fn replan(
 /// host (the placement cannot serve — migration is mandatory).
 fn mean_latency(resolved: &ResolvedInstance, placement: &Placement) -> Option<f64> {
     let hosts = resolved.resolve_placement(placement);
-    let source = resolved.requester();
+    let mut route = Vec::new();
+    let mut priced = PricedRoute::default();
     let mut sum = 0.0;
     let mut n = 0usize;
-    for k in 0..resolved.models().len() {
-        let profile = resolved.models()[k].profile;
-        let route = resolved.route_model(k, &profile, &hosts)?;
-        sum += resolved.total_latency(k, &profile, source, |m| {
-            route
-                .iter()
-                .find(|(rm, _)| *rm == m)
-                .map(|(_, d)| *d)
-                .expect("route covers every model module")
-        });
+    for (k, model) in resolved.models().iter().enumerate() {
+        if !resolved.route_model_into(k, &model.profile, &hosts, &mut route) {
+            return None;
+        }
+        resolved.price_route(&model.profile, resolved.requester(), &route, &mut priced);
+        sum += resolved.route_latency(&mut priced);
         n += 1;
     }
     if n == 0 {

@@ -33,6 +33,15 @@
 //! - **Modules** are numbered in `Instance::distinct_modules()` order,
 //!   which *is* sorted by id — module-index order and module-id order
 //!   coincide, so index comparisons replace id comparisons directly.
+//!
+//! ## One pricing of a routed request
+//!
+//! [`ResolvedInstance::price_route`] turns a routed request into Eq. 2's
+//! and Eq. 3's terms in Algorithm 1's send order, once, for every
+//! index-path consumer: [`ResolvedInstance::route_latency`] schedules
+//! them into `t_total` for the Upper search and replanning, and both
+//! drivers turn them into task durations and transfer delays. The
+//! string-path [`crate::objective`] is the reference it is pinned to.
 
 use std::collections::BTreeMap;
 
@@ -42,11 +51,6 @@ use s2m3_net::link::LinkSpec;
 
 use crate::error::CoreError;
 use crate::problem::{Instance, Placement, RequestProfile, Route};
-
-/// Upper bound on encoders per model / lanes per device that the
-/// zero-allocation objective path handles on the stack. The standard
-/// zoo tops out at 3 encoders (vision + text + audio) and 2 lanes.
-const MAX_FANOUT: usize = 8;
 
 /// One deployed model with its module references interned.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,6 +63,17 @@ pub struct ResolvedModel {
     pub head: u32,
     /// The deployment's canonical request profile.
     pub profile: RequestProfile,
+}
+
+impl ResolvedModel {
+    /// Every module of the model, encoders first and the head last — the
+    /// order of a routed request's `(module, device)` pairs.
+    pub fn modules(&self) -> impl Iterator<Item = u32> + '_ {
+        self.encoders
+            .iter()
+            .copied()
+            .chain(std::iter::once(self.head))
+    }
 }
 
 /// A dense-index mirror of an [`Instance`]: interned device/module ids
@@ -336,29 +351,12 @@ impl ResolvedInstance {
     }
 
     /// Routes one canonical request of `model` over per-module host
-    /// lists (Eq. 7): each module to the hosting device with the
-    /// smallest `t_comp` for `profile`, names breaking ties. Returns the
-    /// chosen device per module of the model, `(module, device)` pairs
-    /// in `encoders ++ [head]` order, or `None` if a required module has
-    /// no host (the caller sheds or declares the placement unservable).
-    pub fn route_model(
-        &self,
-        model: usize,
-        profile: &RequestProfile,
-        hosts: &[Vec<u32>],
-    ) -> Option<Vec<(u32, u32)>> {
-        let rm = &self.models[model];
-        let mut out = Vec::with_capacity(rm.encoders.len() + 1);
-        if self.route_model_into(model, profile, hosts, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
-
-    /// [`Self::route_model`] into a caller-owned buffer (cleared
-    /// first). Returns whether the model is routable; on `false` the
-    /// buffer is left empty. Selection is identical to `route_model`.
+    /// lists (Eq. 7) into `out` (cleared first): each module to the
+    /// hosting device with the smallest `t_comp` for `profile`, names
+    /// breaking ties, as `(module, device)` pairs in `encoders ++ [head]`
+    /// order. Returns `false`, leaving `out` empty, if a required module
+    /// has no host (the caller sheds or declares the placement
+    /// unservable).
     pub fn route_model_into(
         &self,
         model: usize,
@@ -366,9 +364,8 @@ impl ResolvedInstance {
         hosts: &[Vec<u32>],
         out: &mut Vec<(u32, u32)>,
     ) -> bool {
-        let rm = &self.models[model];
         out.clear();
-        for &m in rm.encoders.iter().chain(std::iter::once(&rm.head)) {
+        for m in self.models[model].modules() {
             let units = profile.units(self.module_kinds[m as usize]);
             let mut best: Option<(f64, u32)> = None;
             for &d in &hosts[m as usize] {
@@ -392,14 +389,99 @@ impl ResolvedInstance {
         true
     }
 
-    /// End-to-end latency `t_total` (Eq. 1) of one `profile`-shaped
-    /// request of `model` originating at `source`, with `device_of`
-    /// giving the routed device per module index. Mirrors
-    /// [`crate::objective::total_latency`]'s arithmetic exactly
-    /// (including the co-located-encoder lane scheduling refinement);
-    /// allocation-free on stack buffers for models with up to 8
-    /// encoders (the zoo tops out at 3), falling back to heap buffers
-    /// beyond that.
+    /// Prices one `profile`-shaped request from `source` over `route` —
+    /// `(module, device)` pairs, encoders first and the head last, as
+    /// [`Self::route_model_into`] yields them — into `out`, refilled in
+    /// place. The operands and their order are [`crate::objective`]'s, so
+    /// every term is bitwise the string path's.
+    pub fn price_route(
+        &self,
+        profile: &RequestProfile,
+        source: u32,
+        route: &[(u32, u32)],
+        out: &mut PricedRoute,
+    ) {
+        let (&(head, head_device), encoders) =
+            route.split_last().expect("a route ends with its head");
+        let head_kind = self.module_kinds[head as usize];
+        let head_units = profile.units(head_kind);
+        out.head = PricedTask {
+            module: head,
+            device: head_device,
+            units: head_units,
+            compute: self.compute_time_units(head, head_device, head_units),
+            // Generative heads receive the raw query concurrently with
+            // the encoders (Eq. 2's refinement).
+            input_tx: if head_kind == ModuleKind::LanguageModel {
+                self.transfer_time(source, head_device, profile.input_bytes(head_kind))
+            } else {
+                0.0
+            },
+            output_tx: 0.0,
+        };
+        out.encoders.clear();
+        out.encoders.extend(encoders.iter().map(|&(m, d)| {
+            let kind = self.module_kinds[m as usize];
+            let units = profile.units(kind);
+            PricedTask {
+                module: m,
+                device: d,
+                units,
+                compute: self.compute_time_units(m, d, units),
+                input_tx: self.transfer_time(source, d, profile.input_bytes(kind)),
+                output_tx: self.transfer_time(
+                    d,
+                    head_device,
+                    self.module_specs[m as usize].output_bytes(units),
+                ),
+            }
+        }));
+        out.encoders.sort_by(|a, b| {
+            b.compute
+                .partial_cmp(&a.compute)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.module.cmp(&b.module))
+        });
+    }
+
+    /// End-to-end latency `t_total` (Eq. 1) of a priced route: each
+    /// device runs its encoders on its lanes in send order (on distinct
+    /// devices, Eq. 2's max), then the head runs once the last embedding
+    /// and the raw query have landed — [`crate::objective::total_latency`]'s
+    /// arithmetic exactly, allocation-free once `priced` has been through it.
+    pub fn route_latency(&self, priced: &mut PricedRoute) -> f64 {
+        let (encoders, lanes) = (&priced.encoders, &mut priced.lanes);
+        let mut t = 0.0f64;
+        for (i, first) in encoders.iter().enumerate() {
+            // A device's encoders are scheduled together, when its
+            // first (longest) one comes up.
+            if encoders[..i].iter().any(|e| e.device == first.device) {
+                continue;
+            }
+            lanes.clear();
+            lanes.resize(self.parallelism(first.device), 0.0);
+            for e in encoders[i..].iter().filter(|e| e.device == first.device) {
+                // Earliest-free lane (first minimal, as `min_by` picks);
+                // execution cannot begin before the input arrives.
+                let mut idx = 0;
+                for (l, &free_at) in lanes.iter().enumerate().skip(1) {
+                    if free_at < lanes[idx] {
+                        idx = l;
+                    }
+                }
+                let done = lanes[idx].max(e.input_tx) + e.compute;
+                lanes[idx] = done;
+                t = t.max(done + e.output_tx);
+            }
+        }
+        // `t` is never NaN and at least 0, so a non-generative head's
+        // zero query transfer leaves it as it is.
+        t.max(priced.head.input_tx) + priced.head.compute
+    }
+
+    /// [`Self::route_latency`] of one `profile`-shaped request of `model`
+    /// from `source`, `device_of` giving each module's routed device,
+    /// priced into a fresh buffer (loops reuse one instead).
     pub fn total_latency(
         &self,
         model: usize,
@@ -407,145 +489,52 @@ impl ResolvedInstance {
         source: u32,
         device_of: impl Fn(u32) -> u32,
     ) -> f64 {
-        let n_enc = self.models[model].encoders.len();
-        if n_enc <= MAX_FANOUT {
-            let mut enc_mod = [0u32; MAX_FANOUT];
-            let mut enc_dev = [0u32; MAX_FANOUT];
-            let mut input_tx = [0.0f64; MAX_FANOUT];
-            let mut compute = [0.0f64; MAX_FANOUT];
-            let mut output_tx = [0.0f64; MAX_FANOUT];
-            let mut grouped = [false; MAX_FANOUT];
-            let mut group = [0usize; MAX_FANOUT];
-            let mut lanes = [0.0f64; MAX_FANOUT];
-            self.total_latency_impl(
-                model,
-                profile,
-                source,
-                &device_of,
-                &mut enc_mod[..n_enc],
-                &mut enc_dev[..n_enc],
-                &mut input_tx[..n_enc],
-                &mut compute[..n_enc],
-                &mut output_tx[..n_enc],
-                &mut grouped[..n_enc],
-                &mut group[..n_enc],
-                &mut lanes[..n_enc],
-            )
-        } else {
-            self.total_latency_impl(
-                model,
-                profile,
-                source,
-                &device_of,
-                &mut vec![0u32; n_enc],
-                &mut vec![0u32; n_enc],
-                &mut vec![0.0f64; n_enc],
-                &mut vec![0.0f64; n_enc],
-                &mut vec![0.0f64; n_enc],
-                &mut vec![false; n_enc],
-                &mut vec![0usize; n_enc],
-                &mut vec![0.0f64; n_enc],
-            )
-        }
+        let route: Vec<(u32, u32)> = self.models[model]
+            .modules()
+            .map(|m| (m, device_of(m)))
+            .collect();
+        let mut priced = PricedRoute::default();
+        self.price_route(profile, source, &route, &mut priced);
+        self.route_latency(&mut priced)
     }
+}
 
-    /// The Eq. 1–3 evaluation over caller-provided scratch buffers, all
-    /// of length `encoders.len()`.
-    #[allow(clippy::too_many_arguments)]
-    fn total_latency_impl(
-        &self,
-        model: usize,
-        profile: &RequestProfile,
-        source: u32,
-        device_of: &impl Fn(u32) -> u32,
-        enc_mod: &mut [u32],
-        enc_dev: &mut [u32],
-        input_tx: &mut [f64],
-        compute: &mut [f64],
-        output_tx: &mut [f64],
-        grouped: &mut [bool],
-        group: &mut [usize],
-        lanes: &mut [f64],
-    ) -> f64 {
-        let rm = &self.models[model];
-        let n_enc = rm.encoders.len();
-        let head = rm.head;
-        let head_dev = device_of(head);
-        let head_kind = self.module_kinds[head as usize];
+/// One module execution of a [`PricedRoute`], all times in seconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PricedTask {
+    /// Module index.
+    pub module: u32,
+    /// Routed device index.
+    pub device: u32,
+    /// Work units of the request on this module.
+    pub units: f64,
+    /// `t_comp(m, n)`.
+    pub compute: f64,
+    /// Encoders: raw-input transfer from the request's source. Head: the
+    /// raw-query transfer of a generative head, zero for any other.
+    pub input_tx: f64,
+    /// Encoders: embedding transfer to the head's device. Head: zero.
+    pub output_tx: f64,
+}
 
-        // Per-encoder path terms (Eq. 2), in encoder order.
-        for (i, &m) in rm.encoders.iter().enumerate() {
-            let kind = self.module_kinds[m as usize];
-            let n = device_of(m);
-            let units = profile.units(kind);
-            enc_mod[i] = m;
-            enc_dev[i] = n;
-            input_tx[i] = self.transfer_time(source, n, profile.input_bytes(kind));
-            compute[i] = self.compute_time_units(m, n, units);
-            output_tx[i] = self.transfer_time(
-                n,
-                head_dev,
-                self.module_specs[m as usize].output_bytes(units),
-            );
-        }
+/// A routed request priced once by [`ResolvedInstance::price_route`]:
+/// what each task runs on, for how long, and how long its inputs and
+/// embeddings travel. A caller-owned buffer, refilled in place.
+#[derive(Debug, Clone, Default)]
+pub struct PricedRoute {
+    /// The head (Eq. 3).
+    pub head: PricedTask,
+    /// The encoders (Eq. 2) in Algorithm 1's send order: longest compute
+    /// first, module id (== index) breaking ties.
+    pub encoders: Vec<PricedTask>,
+    /// Lane free times: [`ResolvedInstance::route_latency`]'s scratch,
+    /// not part of the pricing.
+    lanes: Vec<f64>,
+}
 
-        // Lane-schedule co-located encoders per device; on distinct
-        // devices this reduces to Eq. 2's max. Group order is free (the
-        // result is a max); within a group, longest compute first, module
-        // id (== index) breaking ties — the dispatch rule.
-        let mut t = 0.0f64;
-        grouped[..n_enc].fill(false);
-        for i in 0..n_enc {
-            if grouped[i] {
-                continue;
-            }
-            let dev = enc_dev[i];
-            let mut k = 0;
-            for (j, &d) in enc_dev[..n_enc].iter().enumerate() {
-                if d == dev {
-                    grouped[j] = true;
-                    group[k] = j;
-                    k += 1;
-                }
-            }
-            group[..k].sort_by(|&a, &b| {
-                compute[b]
-                    .partial_cmp(&compute[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| enc_mod[a].cmp(&enc_mod[b]))
-            });
-            // A group of k tasks never uses more than k lanes, and with
-            // spare lanes the first-minimal rule always lands on a fresh
-            // (0.0) lane — so clamping to k lanes is schedule-identical
-            // to the device's full `parallelism` and bounds the buffer.
-            let lanes_n = self.device_parallelism[dev as usize].min(k);
-            lanes[..lanes_n].fill(0.0);
-            for &p in &group[..k] {
-                // Earliest-free lane (first minimal, as `min_by` picks).
-                let mut idx = 0;
-                for (l, &free_at) in lanes[..lanes_n].iter().enumerate().skip(1) {
-                    if free_at < lanes[idx] {
-                        idx = l;
-                    }
-                }
-                let start = lanes[idx].max(input_tx[p]);
-                let done = start + compute[p];
-                lanes[idx] = done;
-                t = t.max(done + output_tx[p]);
-            }
-        }
-
-        // Generative heads receive the raw query concurrently (Eq. 2's
-        // refinement), then the head itself runs (Eq. 3).
-        if head_kind == ModuleKind::LanguageModel {
-            let q_tx = self.transfer_time(
-                source,
-                head_dev,
-                profile.input_bytes(ModuleKind::LanguageModel),
-            );
-            t = t.max(q_tx);
-        }
-        t + self.compute_time_units(head, head_dev, profile.units(head_kind))
+impl PartialEq for PricedRoute {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.encoders == other.encoders
     }
 }
 
@@ -659,6 +648,7 @@ mod tests {
         let r = ResolvedInstance::new(&i).unwrap();
         let p = greedy_place(&i).unwrap();
         let hosts = r.resolve_placement(&p);
+        let (mut routed, mut reused) = (Vec::new(), PricedRoute::default());
         for (k, dep) in i.deployments().iter().enumerate() {
             let q = i.request(k as u64, &dep.model.name).unwrap();
             let route = route_request(&i, &p, &q).unwrap();
@@ -675,14 +665,35 @@ mod tests {
             );
 
             // Eq. 7 routing agrees with the string router, pair by pair.
-            let routed = r.route_model(k, &q.profile, &hosts).unwrap();
-            for (m, d) in routed {
+            assert!(r.route_model_into(k, &q.profile, &hosts, &mut routed));
+            for &(m, d) in &routed {
                 assert_eq!(
                     route.device_for(r.module_name(m)).unwrap(),
                     r.device_name(d)
                 );
             }
+            // A buffer reused across models of every fan-out prices and
+            // schedules like the fresh one above.
+            r.price_route(&q.profile, r.requester(), &routed, &mut reused);
+            assert_eq!(r.route_latency(&mut reused).to_bits(), via_index.to_bits());
         }
+    }
+
+    #[test]
+    fn price_route_sends_the_longest_encoder_first() {
+        let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
+        let r = ResolvedInstance::new(&i).unwrap();
+        let hosts = r.resolve_placement(&greedy_place(&i).unwrap());
+        let profile = i.deployments()[0].profile;
+        let mut route = Vec::new();
+        assert!(r.route_model_into(0, &profile, &hosts, &mut route));
+        let mut priced = PricedRoute::default();
+        r.price_route(&profile, r.requester(), &route, &mut priced);
+        assert_eq!(priced.encoders.len(), 2);
+        // 101-prompt text encoding dominates single-image vision encoding.
+        let first = r.module_name(priced.encoders[0].module);
+        assert_eq!(first.as_str(), "text/CLIP-B-16");
+        assert!(priced.encoders[0].compute >= priced.encoders[1].compute);
     }
 
     #[test]
@@ -690,8 +701,8 @@ mod tests {
         let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
         let r = ResolvedInstance::new(&i).unwrap();
         let hosts = vec![Vec::new(); r.module_count()];
-        assert!(r
-            .route_model(0, &i.deployments()[0].profile, &hosts)
-            .is_none());
+        let mut route = vec![(0, 0)];
+        assert!(!r.route_model_into(0, &i.deployments()[0].profile, &hosts, &mut route));
+        assert!(route.is_empty());
     }
 }

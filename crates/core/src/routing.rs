@@ -8,7 +8,7 @@
 //! [`crate::plan::Plan::route_all`] stays on this path but calls
 //! [`route_request`] once per distinct (model, profile), not per request.
 
-use s2m3_models::module::{ModuleId, ModuleSpec};
+use s2m3_models::module::ModuleSpec;
 use s2m3_net::device::DeviceId;
 
 use crate::error::CoreError;
@@ -97,40 +97,6 @@ pub fn route_requests_balanced(
     Ok(routes)
 }
 
-/// The dispatch order for a routed request's encoders: *longest first*
-/// ("we send the data with a modality that takes longer in the encoding
-/// first to initiate the longest encoding as early as possible").
-///
-/// Returns `(module id, device, t_comp)` triples, slowest encoder first.
-///
-/// # Errors
-///
-/// [`CoreError::UnknownModel`] / [`CoreError::Unrouted`] as in
-/// [`route_request`].
-pub fn dispatch_order(
-    instance: &Instance,
-    route: &Route,
-    request: &Request,
-) -> Result<Vec<(ModuleId, DeviceId, f64)>, CoreError> {
-    let deployment = instance
-        .deployment(&request.model)
-        .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
-    let mut order = Vec::new();
-    for m in deployment.model.encoders() {
-        let n = route
-            .device_for(&m.id)
-            .ok_or_else(|| CoreError::Unrouted(m.id.clone()))?;
-        let t = instance.compute_time_for(m, n, &request.profile)?;
-        order.push((m.id.clone(), n.clone(), t));
-    }
-    order.sort_by(|a, b| {
-        b.2.partial_cmp(&a.2)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    Ok(order)
-}
-
 /// Looks up the head module and its routed device for a request.
 ///
 /// # Errors
@@ -156,6 +122,7 @@ pub fn head_assignment<'a>(
 mod tests {
     use super::*;
     use crate::placement::{greedy_place, greedy_place_with, PlacementOptions};
+    use s2m3_models::module::ModuleId;
 
     #[test]
     fn routes_cover_every_model_module() {
@@ -213,19 +180,6 @@ mod tests {
             route_request(&i, &p, &q),
             Err(CoreError::Unrouted(_))
         ));
-    }
-
-    #[test]
-    fn dispatch_order_is_longest_encoder_first() {
-        let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
-        let p = greedy_place(&i).unwrap();
-        let q = i.request(0, "CLIP ViT-B/16").unwrap();
-        let r = route_request(&i, &p, &q).unwrap();
-        let order = dispatch_order(&i, &r, &q).unwrap();
-        assert_eq!(order.len(), 2);
-        // 101-prompt text encoding dominates single-image vision encoding.
-        assert_eq!(order[0].0.as_str(), "text/CLIP-B-16");
-        assert!(order[0].2 >= order[1].2);
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //!
 //! The search runs entirely on [`ResolvedInstance`] indices: the DFS
 //! carries a dense `u32` assignment vector and an incrementally
-//! maintained remaining-memory vector, and leaves are evaluated with the
-//! allocation-free [`ResolvedInstance::total_latency`] — no `Placement`
-//! or `Route` maps are materialized until the single best assignment is
-//! translated back to string ids at the end.
+//! maintained remaining-memory vector, and leaves are evaluated with
+//! [`ResolvedInstance::price_route`] into buffers the search reuses — no
+//! allocation per leaf, and no `Placement` or `Route` maps until the
+//! single best assignment is translated back to string ids at the end.
 
 use crate::error::CoreError;
 use crate::problem::{Instance, Placement};
-use crate::resolved::ResolvedInstance;
+use crate::resolved::{PricedRoute, ResolvedInstance};
 
 /// Result of the exhaustive search.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +51,8 @@ pub fn optimal_placement(instance: &Instance) -> Result<OptimalResult, CoreError
         resolved: &'a ResolvedInstance,
         needs: Vec<u64>,
         assignment: Vec<u32>,
+        route: Vec<(u32, u32)>,
+        priced: PricedRoute,
         best_latency: f64,
         best_assignment: Option<Vec<u32>>,
     }
@@ -58,13 +60,19 @@ pub fn optimal_placement(instance: &Instance) -> Result<OptimalResult, CoreError
     impl Search<'_> {
         fn dfs(&mut self, idx: usize, remaining: &mut [u64]) {
             if idx == self.assignment.len() {
-                let source = self.resolved.requester();
+                let resolved = self.resolved;
                 let mut latency = 0.0;
-                for k in 0..self.resolved.models().len() {
-                    let profile = self.resolved.models()[k].profile;
-                    latency += self
-                        .resolved
-                        .total_latency(k, &profile, source, |m| self.assignment[m as usize]);
+                for model in resolved.models() {
+                    self.route.clear();
+                    self.route
+                        .extend(model.modules().map(|m| (m, self.assignment[m as usize])));
+                    resolved.price_route(
+                        &model.profile,
+                        resolved.requester(),
+                        &self.route,
+                        &mut self.priced,
+                    );
+                    latency += resolved.route_latency(&mut self.priced);
                 }
                 // The first feasible leaf always records (even if its
                 // latency is infinite or NaN under a degenerate
@@ -91,6 +99,8 @@ pub fn optimal_placement(instance: &Instance) -> Result<OptimalResult, CoreError
         resolved: &resolved,
         needs,
         assignment: vec![u32::MAX; nm],
+        route: Vec::new(),
+        priced: PricedRoute::default(),
         best_latency: f64::INFINITY,
         best_assignment: None,
     };

@@ -65,9 +65,8 @@ use s2m3_core::adaptive::{replan, ReplanDecision};
 use s2m3_core::error::CoreError;
 use s2m3_core::placement::{greedy_place_resolved, PlacementOptions};
 use s2m3_core::problem::{Instance, Placement};
-use s2m3_core::resolved::ResolvedInstance;
+use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
 use s2m3_data::sink::ColumnWriter;
-use s2m3_models::module::ModuleKind;
 use s2m3_net::fleet::Fleet;
 use s2m3_sim::kernel::{
     Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
@@ -286,9 +285,8 @@ struct Online {
     hosts_scratch: Vec<Vec<u32>>,
     /// Module-route scratch reused across route refreshes.
     route_scratch: Vec<(u32, u32)>,
-    /// Dispatch-order scratch (`(module, device, t_compute)`) reused
-    /// across route refreshes.
-    encs_scratch: Vec<(u32, u32, f64)>,
+    /// Pricing scratch reused across route refreshes.
+    priced_scratch: PricedRoute,
     /// Universe-indexed migration-cost accumulator
     /// ([`Online::charge_migrations`] scratch).
     migrate_cost: Vec<f64>,
@@ -514,9 +512,9 @@ impl Online {
 
     /// Recomputes the per-(model, source) route cache against the
     /// current placement and instance. Called after every placement
-    /// change. Allocation-free after warm-up: the host table, the
-    /// route/dispatch-order scratch, and the flattened encoder pool all
-    /// refill in place.
+    /// change. Each pair is priced by [`ResolvedInstance::price_route`].
+    /// Allocation-free after warm-up: the host table, the route and
+    /// pricing scratch, and the flattened encoder pool all refill in place.
     fn refresh_model_routes(&mut self) {
         self.resolved
             .resolve_placement_into(&self.placement, &mut self.hosts_scratch);
@@ -525,7 +523,7 @@ impl Online {
         self.route_encs.clear();
         self.route_costs.clear();
         let mut route = std::mem::take(&mut self.route_scratch);
-        let mut encs = std::mem::take(&mut self.encs_scratch);
+        let mut priced = std::mem::take(&mut self.priced_scratch);
         for m in 0..self.n_models {
             let profile = self.resolved.models()[m].profile;
             if !self
@@ -540,76 +538,42 @@ impl Online {
                 }
                 continue;
             }
-            let &(head_m, head_d) = route.last().expect("route includes the head");
-            let head_kind = self.resolved.module_kind(head_m);
-            // Dispatch order: longest compute first, module id (==
-            // index) breaking ties — Algorithm 1's send rule. Shared by
-            // every source (routing ignores the query's origin).
-            encs.clear();
-            encs.extend(route[..route.len() - 1].iter().map(|&(em, ed)| {
-                let units = profile.units(self.resolved.module_kind(em));
-                (em, ed, self.resolved.compute_time_units(em, ed, units))
-            }));
-            encs.sort_by(|a, b| {
-                b.2.partial_cmp(&a.2)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.0.cmp(&b.0))
-            });
-            if self.budget.is_some() {
-                // Price the route once per model (routing ignores the
-                // query's origin, so every source shares the cost).
-                let head_t =
-                    self.resolved
-                        .compute_time_units(head_m, head_d, profile.units(head_kind));
-                let mut cost = head_t * self.cost_rates[self.uni_of_res[head_d as usize]];
-                for &(_, ed, t) in encs.iter() {
-                    cost += t * self.cost_rates[self.uni_of_res[ed as usize]];
-                }
-                self.route_costs.push(cost);
-            }
-            for src in &self.sources {
+            for (rank, src) in self.sources.iter().enumerate() {
                 let source = self.res_of_uni[src.uni].expect("sources never leave the fleet");
-                let head_query_tx_ns = if head_kind == ModuleKind::LanguageModel {
-                    ns(self.resolved.transfer_time(
-                        source,
-                        head_d,
-                        profile.input_bytes(ModuleKind::LanguageModel),
-                    ))
-                } else {
-                    0
-                };
-                let enc_start = self.route_encs.len() as u32;
-                self.route_encs.extend(encs.iter().map(|&(em, ed, _)| {
-                    let kind = self.resolved.module_kind(em);
-                    let units = profile.units(kind);
-                    EncRoute {
-                        module: em,
-                        uni: self.uni_of_res[ed as usize],
-                        units,
-                        input_tx_ns: ns(self.resolved.transfer_time(
-                            source,
-                            ed,
-                            profile.input_bytes(kind),
-                        )),
-                        output_tx_ns: ns(self.resolved.transfer_time(
-                            ed,
-                            head_d,
-                            self.resolved.module_spec(em).output_bytes(units),
-                        )),
+                self.resolved
+                    .price_route(&profile, source, &route, &mut priced);
+                if rank == 0 && self.budget.is_some() {
+                    // Price the route once per model: compute times
+                    // ignore the query's origin, so every source shares
+                    // the cost — head first, then encoders in send order.
+                    let rate = |d: u32| self.cost_rates[self.uni_of_res[d as usize]];
+                    let mut cost = priced.head.compute * rate(priced.head.device);
+                    for e in &priced.encoders {
+                        cost += e.compute * rate(e.device);
                     }
-                }));
+                    self.route_costs.push(cost);
+                }
+                let enc_start = self.route_encs.len() as u32;
+                self.route_encs
+                    .extend(priced.encoders.iter().map(|e| EncRoute {
+                        module: e.module,
+                        uni: self.uni_of_res[e.device as usize],
+                        units: e.units,
+                        input_tx_ns: ns(e.input_tx),
+                        output_tx_ns: ns(e.output_tx),
+                    }));
                 self.model_routes.push(Some(ModelRoute {
-                    head_module: head_m,
-                    head_uni: self.uni_of_res[head_d as usize],
-                    head_units: profile.units(head_kind),
-                    head_query_tx_ns,
+                    head_module: priced.head.module,
+                    head_uni: self.uni_of_res[priced.head.device as usize],
+                    head_units: priced.head.units,
+                    head_query_tx_ns: ns(priced.head.input_tx),
                     enc_start,
                     enc_len: self.route_encs.len() as u32 - enc_start,
                 }));
             }
         }
         self.route_scratch = route;
-        self.encs_scratch = encs;
+        self.priced_scratch = priced;
     }
 
     /// Offers a request to its head device's admission queue.
@@ -1889,7 +1853,7 @@ impl ServeSession {
             route_encs: Vec::new(),
             hosts_scratch: Vec::new(),
             route_scratch: Vec::new(),
-            encs_scratch: Vec::new(),
+            priced_scratch: PricedRoute::default(),
             migrate_cost: vec![0.0; n_uni],
             migrate_hit: vec![false; n_uni],
             n_models,

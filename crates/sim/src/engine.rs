@@ -21,9 +21,9 @@
 //! profile) and its route's assignment table — not of its id or arrival.
 //! A plan built from a materialised workload by `Plan::route_all` holds a
 //! handful of each, shared by pointer, so `prepare` computes that
-//! *pricing* — model and source indices, routed device indices, head
-//! duration, raw-query transfer, the encoders in dispatch order with
-//! their durations and transfer times — once per distinct pair and a
+//! *pricing* — names resolved to indices, then the durations and transfer
+//! times of [`ResolvedInstance::price_route`], in Algorithm 1's send
+//! order — once per distinct pair and a
 //! request whose shape and table are both the remembered ones (pointer
 //! identity: [`Request::shares_shape`], [`Route::shares_assignments`])
 //! spawns from it with nothing looked up by name. The key is the whole
@@ -73,8 +73,7 @@ use std::collections::{BTreeMap, VecDeque};
 use s2m3_core::error::CoreError;
 use s2m3_core::plan::Plan;
 use s2m3_core::problem::{Instance, Request, Route};
-use s2m3_core::resolved::ResolvedInstance;
-use s2m3_models::module::ModuleKind;
+use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
 
 use crate::kernel::{Device, Driver, Kernel, Policy, RequestSlot, Scheduler};
 use crate::report::{PhaseTag, RequestTiming, SimReport, SpanRow, Spans, NO_REQUEST};
@@ -401,32 +400,6 @@ fn order_tie_groups(spans: &mut [SpanRow], resolved: &ResolvedInstance) {
     }
 }
 
-/// One encoder task of a priced request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PricedEncoder {
-    module: u32,
-    device: u32,
-    info: TaskInfo,
-}
-
-/// Everything [`prepare`] derives from a request's shape and its route's
-/// assignment table — nothing of its id or arrival: the tasks to spawn,
-/// their devices, durations and transfer times.
-#[derive(Debug, Clone, PartialEq)]
-struct Priced {
-    head_module: u32,
-    head_device: u32,
-    head_dur: f64,
-    /// Raw-query transfer to a generative head (travels at arrival),
-    /// seconds; zero for every other head.
-    query_tx: f64,
-    /// Dispatch order: longest-running encoder first, module id (==
-    /// index) breaking ties — Algorithm 1's send rule.
-    encoders: Vec<PricedEncoder>,
-    /// Input- and output-transfer spans the request will record.
-    transfer_spans: usize,
-}
-
 /// Most (shape, table) pairs [`prepare`] remembers a pricing for; a plan
 /// of requests that share nothing prices each of the rest from scratch.
 const PRICED_CAPACITY: usize = 32;
@@ -444,13 +417,14 @@ fn routed_device(resolved: &ResolvedInstance, route: &Route, m: u32) -> Result<u
         .ok_or_else(|| CoreError::UnknownDevice(dev.clone()))
 }
 
-/// Prices `request` over `route` from scratch: every name looked up,
-/// every duration and transfer time computed.
+/// Prices `request` over `route` from scratch: every name looked up in
+/// the string path's order (so the first bad one fails with its error),
+/// then [`ResolvedInstance::price_route`].
 fn price(
     resolved: &ResolvedInstance,
     request: &Request,
     route: &Route,
-) -> Result<Priced, CoreError> {
+) -> Result<PricedRoute, CoreError> {
     let model = resolved
         .model_index(&request.model)
         .ok_or_else(|| CoreError::UnknownModel(request.model.clone()))?;
@@ -458,69 +432,24 @@ fn price(
     let source = resolved
         .device_index(&request.source)
         .ok_or_else(|| CoreError::UnknownDevice(request.source.clone()))?;
-    let profile = &request.profile;
-    let head_module = rmodel.head;
-    let head_kind = resolved.module_kind(head_module);
-    let head_device = routed_device(resolved, route, head_module)?;
-    let query_tx = if head_kind == ModuleKind::LanguageModel {
-        resolved.transfer_time(
-            source,
-            head_device,
-            profile.input_bytes(ModuleKind::LanguageModel),
-        )
-    } else {
-        0.0
-    };
-    let mut transfer_spans = 0;
-    let mut encoders = rmodel
-        .encoders
-        .iter()
-        .map(|&m| {
-            let di = routed_device(resolved, route, m)?;
-            let kind = resolved.module_kind(m);
-            let units = profile.units(kind);
-            let input_tx = resolved.transfer_time(source, di, profile.input_bytes(kind));
-            let output_tx = resolved.transfer_time(
-                di,
-                head_device,
-                resolved.module_spec(m).output_bytes(units),
-            );
-            transfer_spans += usize::from(input_tx > 0.0) + usize::from(output_tx > 0.0);
-            Ok(PricedEncoder {
-                module: m,
-                device: di,
-                info: TaskInfo {
-                    dur: resolved.compute_time_units(m, di, units),
-                    input_tx,
-                    output_tx,
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, CoreError>>()?;
-    encoders.sort_by(|a, b| {
-        b.info
-            .dur
-            .partial_cmp(&a.info.dur)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.module.cmp(&b.module))
-    });
-    Ok(Priced {
-        head_module,
-        head_device,
-        head_dur: resolved.compute_time_units(head_module, head_device, profile.units(head_kind)),
-        query_tx,
-        encoders,
-        transfer_spans,
-    })
+    let head = (rmodel.head, routed_device(resolved, route, rmodel.head)?);
+    let mut routed = Vec::with_capacity(rmodel.encoders.len() + 1);
+    for &m in &rmodel.encoders {
+        routed.push((m, routed_device(resolved, route, m)?));
+    }
+    routed.push(head);
+    let mut priced = PricedRoute::default();
+    resolved.price_route(&request.profile, source, &routed, &mut priced);
+    Ok(priced)
 }
 
 /// The pricing remembered for the (shape, table) pair `request` and
 /// `route` hold, by pointer identity on both.
 fn priced_for<'p>(
-    cache: &'p [(&Request, &Route, Priced)],
+    cache: &'p [(&Request, &Route, PricedRoute)],
     request: &Request,
     route: &Route,
-) -> Option<&'p Priced> {
+) -> Option<&'p PricedRoute> {
     cache
         .iter()
         .find(|(q, r, _)| q.shares_shape(request) && r.shares_assignments(route))
@@ -700,7 +629,7 @@ fn prepare<'a>(
     //     tables exactly: one head task per request plus its encoders;
     //     one span per loaded module, per task, per encoder whose input
     //     has to travel and per encoder whose embedding has to.
-    let mut cache: Vec<(&Request, &Route, Priced)> = Vec::new();
+    let mut cache: Vec<(&Request, &Route, PricedRoute)> = Vec::new();
     let mut tasks_cap = 0;
     let mut n_spans = loading.len();
     for (request, route) in &plan.routed {
@@ -716,7 +645,11 @@ fn prepare<'a>(
             }
         };
         tasks_cap += 1 + priced.encoders.len();
-        n_spans += priced.transfer_spans;
+        n_spans += priced
+            .encoders
+            .iter()
+            .map(|e| usize::from(e.input_tx > 0.0) + usize::from(e.output_tx > 0.0))
+            .sum::<usize>();
     }
     n_spans += tasks_cap;
 
@@ -758,24 +691,31 @@ fn prepare<'a>(
                 &fresh
             }
         };
+        let head = &priced.head;
         let head_task = kernel.spawn_task(
             req_idx,
-            priced.head_module,
-            priced.head_device as usize,
+            head.module,
+            head.device as usize,
             true,
             TaskInfo {
-                dur: priced.head_dur,
+                dur: head.compute,
                 input_tx: 0.0,
                 output_tx: 0.0,
             },
         );
         for e in &priced.encoders {
-            let tid = kernel.spawn_task(req_idx, e.module, e.device as usize, false, e.info);
-            kernel.push_ready(ns(arrival + e.info.input_tx), tid);
+            let info = TaskInfo {
+                dur: e.compute,
+                input_tx: e.input_tx,
+                output_tx: e.output_tx,
+            };
+            let tid = kernel.spawn_task(req_idx, e.module, e.device as usize, false, info);
+            kernel.push_ready(ns(arrival + e.input_tx), tid);
         }
 
         ids.push(request.id);
-        let head_ready = ns(arrival + priced.query_tx);
+        // A generative head's raw query travels at arrival.
+        let head_ready = ns(arrival + head.input_tx);
         kernel.set_request(
             req_idx,
             RequestSlot {
