@@ -5,6 +5,7 @@
 
 use s2m3_core::sketch::LatencySketch;
 use s2m3_data::sink::{ColumnWriter, CompletionRow};
+use s2m3_sim::kernel::secs;
 
 use crate::engine::ServeError;
 use crate::report::LatencySummary;
@@ -152,7 +153,7 @@ impl Accounting {
         self.latencies.record(latency_s);
         self.last_completion_ns = self.last_completion_ns.max(finish_ns);
         self.outcome(Outcome {
-            completed_at_s: finish_ns as f64 / 1.0e9,
+            completed_at_s: secs(finish_ns),
             latency_s,
             missed,
         });
@@ -186,7 +187,7 @@ impl Accounting {
     /// busy time and bump the execution count.
     #[inline]
     pub fn charge(&mut self, ui: usize, dur_ns: u64) {
-        self.usage[ui].busy_s += dur_ns as f64 / 1.0e9;
+        self.usage[ui].busy_s += secs(dur_ns);
         self.executions[ui] += 1;
     }
 

@@ -35,6 +35,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use s2m3_sim::kernel::{ns, secs};
 use serde::{Deserialize, Serialize};
 
 /// What a unit of spend measures.
@@ -247,7 +248,7 @@ pub(crate) struct BudgetState {
 impl BudgetState {
     /// Builds the engine state for a validated policy.
     pub fn new(policy: BudgetPolicy, n_classes: usize) -> Self {
-        let window_ns = ((policy.window_s * 1.0e9).round() as u64).max(1);
+        let window_ns = ns(policy.window_s).max(1);
         BudgetState {
             policy,
             window_ns,
@@ -401,7 +402,7 @@ impl BudgetState {
             dispatched: self.dispatched,
             deferred: self.deferred_total,
             shed: self.shed_total,
-            latency_price_s: self.latency_price_ns as f64 / 1.0e9,
+            latency_price_s: secs(self.latency_price_ns),
             classes,
             windows: self.windows,
         }

@@ -69,7 +69,7 @@ use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
 use s2m3_data::sink::ColumnWriter;
 use s2m3_net::fleet::Fleet;
 use s2m3_sim::kernel::{
-    Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
+    ns, secs, Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
 };
 use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
@@ -108,16 +108,6 @@ impl From<CoreError> for ServeError {
     fn from(e: CoreError) -> Self {
         ServeError::Core(e)
     }
-}
-
-const NS: f64 = 1.0e9;
-
-fn ns(t: f64) -> u64 {
-    (t * NS).round() as u64
-}
-
-fn secs(t: u64) -> f64 {
-    t as f64 / NS
 }
 
 /// Driver-defined events injected into the kernel.

@@ -75,7 +75,9 @@ use s2m3_core::plan::Plan;
 use s2m3_core::problem::{Instance, Request, Route};
 use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
 
-use crate::kernel::{Device, Driver, Kernel, Policy, RequestSlot, Scheduler};
+use crate::kernel::{
+    ns, secs, Device, Driver, Kernel, Policy, RequestSlot, Scheduler, MAX_ARRIVAL_S,
+};
 use crate::report::{PhaseTag, RequestTiming, SimReport, SpanRow, Spans, NO_REQUEST};
 
 /// Simulation options.
@@ -142,20 +144,6 @@ impl From<CoreError> for SimError {
     fn from(e: CoreError) -> Self {
         SimError::Core(e)
     }
-}
-
-const NS: f64 = 1.0e9;
-
-/// Latest accepted arrival: 2^63 ns, half the `u64` nanosecond clock, so
-/// no time derived from an arrival can saturate `ns`.
-const MAX_ARRIVAL_S: f64 = (1u64 << 63) as f64 / NS;
-
-fn ns(t: f64) -> u64 {
-    (t * NS).round() as u64
-}
-
-fn secs(t: u64) -> f64 {
-    t as f64 / NS
 }
 
 /// The bounded driver never schedules custom events.

@@ -51,6 +51,29 @@ pub mod wheel;
 
 use std::collections::VecDeque;
 
+/// Nanoseconds per second.
+const NS_PER_S: f64 = 1.0e9;
+
+/// The clock's range: 2^63 ns (≈ 292 years), half the `u64`
+/// nanosecond clock, so a time within it plus another never saturates
+/// [`ns`]. Seconds entering the clock from outside — arrivals, fleet-event
+/// times, deadlines — are checked against it.
+pub const MAX_ARRIVAL_S: f64 = (1u64 << 63) as f64 / NS_PER_S;
+
+/// Seconds to the kernel's `u64` nanosecond clock, rounded to nearest.
+/// NaN and negatives become 0 and anything past `u64::MAX` saturates, so
+/// inputs are validated against [`MAX_ARRIVAL_S`] first.
+#[inline]
+pub fn ns(t: f64) -> u64 {
+    (t * NS_PER_S).round() as u64
+}
+
+/// The nanosecond clock back to seconds.
+#[inline]
+pub fn secs(t: u64) -> f64 {
+    t as f64 / NS_PER_S
+}
+
 /// A kernel event. `X` is the driver's custom-event payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event<X> {

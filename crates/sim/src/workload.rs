@@ -32,6 +32,7 @@ use s2m3_core::error::CoreError;
 use s2m3_core::problem::{DeadlineClass, Instance, Request};
 use s2m3_tensor::seed::seed_from_label;
 
+use crate::kernel::ns;
 use crate::report::SimReport;
 
 /// An arrival process.
@@ -488,7 +489,7 @@ impl SourceStream {
                 m
             }
         };
-        self.head = Some(((t * 1.0e9).round() as u64, t, model));
+        self.head = Some((ns(t), t, model));
     }
 }
 
