@@ -70,6 +70,7 @@ use s2m3_data::sink::ColumnWriter;
 use s2m3_net::fleet::Fleet;
 use s2m3_sim::kernel::{
     ns, secs, Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
+    MAX_ARRIVAL_S,
 };
 use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
@@ -1663,6 +1664,33 @@ impl ServeSession {
             }
             sources.push(SourceState { name, uni: ui });
         }
+
+        // Seconds that become clock times must fit the clock: `ns` makes
+        // NaN 0 and saturates ∞ (a saturated deadline wraps `now +
+        // deadline`). Finite values keep their clamps below. A NaN
+        // slowdown factor would silently become the 1e-3 floor.
+        let on_clock = |field: &dyn std::fmt::Display, value: f64| {
+            if value.is_finite() && value <= MAX_ARRIVAL_S {
+                return Ok(());
+            }
+            Err(ServeError::BadScenario(format!(
+                "{field} must be finite and at most {MAX_ARRIVAL_S} s (got {value:e})"
+            )))
+        };
+        on_clock(&"deadline_s", scenario.deadline_s)?;
+        for (i, c) in workload.classes.iter().enumerate() {
+            on_clock(&format_args!("classes[{i}].deadline_s"), c.class.deadline_s)?;
+        }
+        for (i, ev) in scenario.events.iter().enumerate() {
+            on_clock(&format_args!("events[{i}].at_s"), ev.at_s)?;
+            if let FleetEventKind::DeviceSlowdown { factor, .. } = ev.kind {
+                if !factor.is_finite() {
+                    return Err(ServeError::BadScenario(format!(
+                        "events[{i}].factor must be finite (got {factor})"
+                    )));
+                }
+            }
+        }
         let class_table: Vec<(u64, u32)> = workload
             .classes
             .iter()
@@ -2294,6 +2322,59 @@ mod tests {
             cooldown_s: 0.0,
         });
         assert!(serve(&zero_cooldown).is_ok(), "0 = every completion");
+
+        // Times past the clock's range, or not numbers at all, are
+        // rejected by name rather than saturated or clamped.
+        let slowdown = |factor| FleetEventKind::DeviceSlowdown {
+            device: "desktop".to_string(),
+            factor,
+        };
+        let mut cases: Vec<(ServeScenario, &str)> = Vec::new();
+        for value in [f64::NAN, f64::INFINITY, 1.0e300] {
+            let mut s = small_scenario(10);
+            s.deadline_s = value;
+            cases.push((s, "deadline_s"));
+            let mut s = small_scenario(10);
+            s.classes = vec![s2m3_sim::workload::ClassShare {
+                class: s2m3_core::problem::DeadlineClass {
+                    name: "far".to_string(),
+                    deadline_s: value,
+                    priority: 0,
+                },
+                weight: 1.0,
+            }];
+            // The workload layer already rejects a non-finite one.
+            cases.push((s, "deadline"));
+            let mut s = small_scenario(10);
+            s.events = vec![FleetEvent {
+                at_s: value,
+                kind: slowdown(0.5),
+            }];
+            cases.push((s, "events[0].at_s"));
+        }
+        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = small_scenario(10);
+            s.events = vec![FleetEvent {
+                at_s: 1.0,
+                kind: slowdown(factor),
+            }];
+            cases.push((s, "events[0].factor"));
+        }
+        for (s, field) in cases {
+            let err = serve(&s).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadScenario(m) if m.contains(field)),
+                "{field}: {err}"
+            );
+        }
+        // Finite values keep their clamps.
+        let mut clamped = small_scenario(10);
+        clamped.deadline_s = -1.0;
+        clamped.events = vec![FleetEvent {
+            at_s: -5.0,
+            kind: slowdown(0.0),
+        }];
+        assert!(serve(&clamped).is_ok());
     }
 
     #[test]
