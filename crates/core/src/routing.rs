@@ -3,7 +3,7 @@
 //! These are the string-id boundary entry points, convenient for one-off
 //! routing and tests. Hot loops (the serve engine's admission path, the
 //! Upper bound, the replan controller) route on interned indices via
-//! [`crate::resolved::ResolvedInstance::route_model`] instead, which
+//! [`crate::resolved::ResolvedInstance::route_model_into`] instead, which
 //! applies the same Eq. 7 rule with the same name-order tie-break.
 //! [`crate::plan::Plan::route_all`] stays on this path but calls
 //! [`route_request`] once per distinct (model, profile), not per request.

@@ -40,7 +40,7 @@ struct WireFrame {
     payload: Vec<u8>,
 }
 
-/// serde helper: Vec<u8> as a JSON array is wasteful but dependency-free;
+/// serde helper: `Vec<u8>` as a JSON array is wasteful but dependency-free;
 /// keep it behind a module so a binary codec can swap in later.
 mod serde_bytes_compat {
     use serde::{Deserialize, Deserializer, Serialize, Serializer};

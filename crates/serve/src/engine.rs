@@ -54,7 +54,7 @@
 //! modules are dense `u32`/`usize` ids, per-device state lives in `Vec`s
 //! indexed by *universe* device index, events carry indices, and the
 //! per-model, per-source route (placement and instance change only at
-//! replans) is cached as a [`ModelRoute`] of precomputed transfer
+//! replans) is cached as a `ModelRoute` of precomputed transfer
 //! times. String ids survive only at the boundary: scenario parsing,
 //! replan diffs, and the serialized [`ServeReport`].
 

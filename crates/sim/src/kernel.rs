@@ -119,7 +119,7 @@ struct TaskMeta {
 ///
 /// The split keeps the event loop's working set tight: dispatch,
 /// cancellation scans, and fan-in bookkeeping walk 24-byte
-/// [`TaskMeta`] records (the serve driver's payload alone is twice
+/// `TaskMeta` records (the serve driver's payload alone is twice
 /// that), and a payload is only loaded inside the driver hook that
 /// actually prices the task.
 #[derive(Debug)]
@@ -295,7 +295,7 @@ pub struct RequestSlot {
 pub enum Scheduler {
     /// Adapt to the workload at runtime: start on the heap and spill
     /// into the timing wheel only if the pending set ever exceeds
-    /// [`WHEEL_SPILL_LEN`]. Interleaved A/B runs measured the heap
+    /// `WHEEL_SPILL_LEN` (4,096). Interleaved A/B runs measured the heap
     /// fastest for the steady-state serve loop (a handful of in-flight
     /// events — heap depth ~2, while every wheel event still pays
     /// bucket routing plus a frontier advance) and the two at parity
@@ -534,7 +534,8 @@ impl<X> EventQueue<X> {
 pub trait Driver: Sized {
     /// Driver-defined event payload.
     type Custom;
-    /// Driver-defined per-task payload stored inline in [`Task`].
+    /// Driver-defined per-task payload, stored inline in the
+    /// [`TaskTable`].
     type Payload;
     /// Error surfaced out of [`Kernel::step`] and the run helpers.
     type Error;

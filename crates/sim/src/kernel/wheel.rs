@@ -3,7 +3,7 @@
 //!
 //! ## Why a wheel
 //!
-//! The 4-ary [`KeyHeap`] pays `O(log n)` compares per operation and,
+//! The 4-ary `KeyHeap` pays `O(log n)` compares per operation and,
 //! more importantly on the serve hot path, a sift through cold heap
 //! levels per pop. An online run's events are overwhelmingly
 //! *near-future* (dispatch completions a few ms out) with a thin tail
@@ -14,9 +14,9 @@
 //!
 //! ## Structure
 //!
-//! - a **near heap** (the same 4-ary [`KeyHeap`]) holding every event
+//! - a **near heap** (the same 4-ary `KeyHeap`) holding every event
 //!   with `time < frontier` — the imminent window, fully ordered;
-//! - [`LEVELS`] wheel levels of [`SLOTS`] power-of-two-ns buckets.
+//! - `LEVELS` wheel levels of `SLOTS` power-of-two-ns buckets.
 //!   Level 0 buckets span 2^21 ns ≈ 2.1 ms (window ≈ 134 ms); each
 //!   higher level is 64× coarser, topping out at a ≈ 9.8 h horizon.
 //!   A `u64` occupancy bitmap per level finds the earliest non-empty
@@ -27,7 +27,7 @@
 //! ## Ordering contract
 //!
 //! [`TimingWheel::pop`] yields keys in exactly ascending `u128` order —
-//! byte-identical to draining a [`KeyHeap`] — which the kernel's golden
+//! byte-identical to draining a `KeyHeap` — which the kernel's golden
 //! fixtures and the differential proptest below pin. The invariants
 //! that carry it:
 //!
@@ -78,7 +78,7 @@ struct Level<T> {
 }
 
 /// A min-priority queue over packed `(time_ns << 64) | seq` keys with
-/// the same pop order as [`KeyHeap`] and O(1) insertion for events
+/// the same pop order as `KeyHeap` and O(1) insertion for events
 /// beyond the imminent window. See the module docs for the layout.
 #[derive(Debug)]
 pub struct TimingWheel<T> {

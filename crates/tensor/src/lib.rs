@@ -3,7 +3,7 @@
 //! Minimal, dependency-light, fully deterministic `f32` tensor kernels.
 //!
 //! This crate is the computational substrate for the synthetic functional
-//! modules in [`s2m3-models`]. The S2M3 paper never modifies model weights —
+//! modules in `s2m3-models`. The S2M3 paper never modifies model weights —
 //! its contribution is *where* modules run, not *what* they compute — so the
 //! reproduction only needs module computation that is:
 //!

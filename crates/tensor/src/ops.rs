@@ -2,7 +2,7 @@
 //!
 //! All row-oriented: a `batch x dim` matrix holds one sample per row.
 //! Every fallible operation validates shapes and returns
-//! [`TensorError`](crate::TensorError) instead of panicking
+//! [`TensorError`] instead of panicking
 //! (guideline C-VALIDATE).
 
 use crate::{Matrix, Result, TensorError};
