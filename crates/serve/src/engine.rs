@@ -54,9 +54,11 @@
 //! modules are dense `u32`/`usize` ids, per-device state lives in `Vec`s
 //! indexed by *universe* device index, events carry indices, and the
 //! per-model, per-source route (placement and instance change only at
-//! replans) is cached as a `ModelRoute` of precomputed transfer
-//! times. String ids survive only at the boundary: scenario parsing,
-//! replan diffs, and the serialized [`ServeReport`].
+//! replans) is priced by [`ResolvedInstance::price_route`] — the same
+//! arithmetic the bounded simulator and the replan objective use — and
+//! cached in nanoseconds as a `ModelRoute`, along with the budget's
+//! per-model route cost. String ids survive only at the boundary:
+//! scenario parsing, replan diffs, and the serialized [`ServeReport`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -529,21 +531,10 @@ impl Online {
                 }
                 continue;
             }
-            for (rank, src) in self.sources.iter().enumerate() {
+            for src in &self.sources {
                 let source = self.res_of_uni[src.uni].expect("sources never leave the fleet");
                 self.resolved
                     .price_route(&profile, source, &route, &mut priced);
-                if rank == 0 && self.budget.is_some() {
-                    // Price the route once per model: compute times
-                    // ignore the query's origin, so every source shares
-                    // the cost — head first, then encoders in send order.
-                    let rate = |d: u32| self.cost_rates[self.uni_of_res[d as usize]];
-                    let mut cost = priced.head.compute * rate(priced.head.device);
-                    for e in &priced.encoders {
-                        cost += e.compute * rate(e.device);
-                    }
-                    self.route_costs.push(cost);
-                }
                 let enc_start = self.route_encs.len() as u32;
                 self.route_encs
                     .extend(priced.encoders.iter().map(|e| EncRoute {
@@ -561,6 +552,17 @@ impl Online {
                     enc_start,
                     enc_len: self.route_encs.len() as u32 - enc_start,
                 }));
+            }
+            if self.budget.is_some() {
+                // Compute times ignore the query's origin, so the last
+                // source's pricing costs the route for all of them: head
+                // first, then encoders in send order.
+                let rate = |d: u32| self.cost_rates[self.uni_of_res[d as usize]];
+                let mut cost = priced.head.compute * rate(priced.head.device);
+                for e in &priced.encoders {
+                    cost += e.compute * rate(e.device);
+                }
+                self.route_costs.push(cost);
             }
         }
         self.route_scratch = route;
