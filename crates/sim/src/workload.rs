@@ -37,6 +37,9 @@ use crate::report::SimReport;
 
 /// An arrival process.
 ///
+/// Every number must be finite, within the bounds each field states;
+/// [`WorkloadSpec::validate`] rejects the rest by source and field.
+///
 /// The serving control plane in `s2m3-serve` consumes these as its
 /// request source; the bursty and time-varying variants exist so churn
 /// experiments can stress admission control the way real traffic does.
@@ -46,12 +49,12 @@ pub enum ArrivalProcess {
     Simultaneous,
     /// Evenly spaced at the given interval, seconds.
     Uniform {
-        /// Gap between consecutive arrivals.
+        /// Gap between consecutive arrivals (≥ 0).
         interval_s: f64,
     },
     /// Poisson arrivals at the given mean rate, requests/second.
     Poisson {
-        /// Mean arrival rate λ.
+        /// Mean arrival rate λ (> 0).
         rate_per_s: f64,
     },
     /// A Markov-modulated Poisson process: the arrival rate jumps between
@@ -59,20 +62,21 @@ pub enum ArrivalProcess {
     /// `mean_dwell_s` in each before moving to the next (cyclically).
     /// The classic bursty-traffic model: calm and storm phases alternate.
     Mmpp {
-        /// Per-state arrival rates, requests/second (≥1 state).
+        /// Per-state arrival rates, requests/second (each ≥ 0, at least
+        /// one > 0).
         rates_per_s: Vec<f64>,
-        /// Mean dwell time in each state, seconds.
+        /// Mean dwell time in each state, seconds (> 0).
         mean_dwell_s: f64,
     },
     /// A diurnal (sinusoidal) rate profile: the instantaneous rate swings
     /// between `base_rate_per_s` and `peak_rate_per_s` over `period_s`,
     /// sampled by thinning a peak-rate Poisson stream.
     Diurnal {
-        /// Trough arrival rate, requests/second.
+        /// Trough arrival rate, requests/second (≥ 0).
         base_rate_per_s: f64,
-        /// Peak arrival rate, requests/second.
+        /// Peak arrival rate, requests/second (> 0).
         peak_rate_per_s: f64,
-        /// Length of one base→peak→base cycle, seconds.
+        /// Length of one base→peak→base cycle, seconds (> 0).
         period_s: f64,
     },
     /// Replays recorded inter-arrival gaps, cycling when the trace is
@@ -588,6 +592,18 @@ pub enum WorkloadError {
     UnknownModel(String),
     /// A weight is non-finite, non-positive, or the weights are empty.
     BadWeight(String),
+    /// A source's arrival process has a parameter the generator cannot
+    /// honour.
+    BadArrival {
+        /// Rank of the source.
+        source: usize,
+        /// The process field, e.g. `rate_per_s`.
+        field: &'static str,
+        /// What the field must be.
+        expected: &'static str,
+        /// The value given.
+        got: String,
+    },
     /// Materializing requests against an instance failed.
     Core(CoreError),
 }
@@ -598,6 +614,15 @@ impl std::fmt::Display for WorkloadError {
             WorkloadError::Empty(msg) => write!(f, "empty workload: {msg}"),
             WorkloadError::UnknownModel(m) => write!(f, "workload references unknown model `{m}`"),
             WorkloadError::BadWeight(msg) => write!(f, "bad workload weight: {msg}"),
+            WorkloadError::BadArrival {
+                source,
+                field,
+                expected,
+                got,
+            } => write!(
+                f,
+                "source {source} arrivals: {field} must be {expected} (got {got})"
+            ),
             WorkloadError::Core(e) => write!(f, "workload materialization failed: {e}"),
         }
     }
@@ -696,6 +721,90 @@ fn validate_mix(mix: &ModelMix, models: &[String], at: &str) -> Result<(), Workl
     }
 }
 
+/// Checks one source's arrival process. The generator would otherwise
+/// run a rate of 0 or below at 1e-9 req/s (past the clock's range
+/// within a few requests), an empty or all-zero MMPP at 1 req/s, and a
+/// negative interval as one burst. Trace gaps keep their documented
+/// clamp of negatives to 0.
+fn validate_arrivals(process: &ArrivalProcess, source: usize) -> Result<(), WorkloadError> {
+    let bad = |field, expected, got: String| {
+        Err(WorkloadError::BadArrival {
+            source,
+            field,
+            expected,
+            got,
+        })
+    };
+    let check = |field, value: f64, ok: bool, expected| {
+        if value.is_finite() && ok {
+            Ok(())
+        } else {
+            bad(field, expected, value.to_string())
+        }
+    };
+    match process {
+        ArrivalProcess::Simultaneous => Ok(()),
+        ArrivalProcess::Uniform { interval_s } => check(
+            "interval_s",
+            *interval_s,
+            *interval_s >= 0.0,
+            "finite and >= 0",
+        ),
+        ArrivalProcess::Poisson { rate_per_s } => check(
+            "rate_per_s",
+            *rate_per_s,
+            *rate_per_s > 0.0,
+            "finite and > 0",
+        ),
+        ArrivalProcess::Mmpp {
+            rates_per_s,
+            mean_dwell_s,
+        } => {
+            for &rate in rates_per_s {
+                check("rates_per_s", rate, rate >= 0.0, "finite and >= 0")?;
+            }
+            if !rates_per_s.iter().any(|&rate| rate > 0.0) {
+                return bad(
+                    "rates_per_s",
+                    "at least one state with a rate > 0",
+                    format!("{rates_per_s:?}"),
+                );
+            }
+            check(
+                "mean_dwell_s",
+                *mean_dwell_s,
+                *mean_dwell_s > 0.0,
+                "finite and > 0",
+            )
+        }
+        ArrivalProcess::Diurnal {
+            base_rate_per_s,
+            peak_rate_per_s,
+            period_s,
+        } => {
+            check(
+                "base_rate_per_s",
+                *base_rate_per_s,
+                *base_rate_per_s >= 0.0,
+                "finite and >= 0",
+            )?;
+            check(
+                "peak_rate_per_s",
+                *peak_rate_per_s,
+                *peak_rate_per_s > 0.0,
+                "finite and > 0",
+            )?;
+            check("period_s", *period_s, *period_s > 0.0, "finite and > 0")
+        }
+        ArrivalProcess::Trace { inter_arrival_s } => {
+            for &gap in inter_arrival_s {
+                check("inter_arrival_s", gap, true, "finite")?;
+            }
+            Ok(())
+        }
+    }
+}
+
 impl WorkloadSpec {
     /// The classic single-source workload: the consumer's default origin
     /// emits `arrivals` under `seed`, models round-robin, no classes —
@@ -730,6 +839,7 @@ impl WorkloadSpec {
         }
         validate_mix(&self.mix, models, "spec mix")?;
         for (i, s) in self.sources.iter().enumerate() {
+            validate_arrivals(&s.arrivals, i)?;
             if let Some(w) = s.weight {
                 if !w.is_finite() || w <= 0.0 {
                     return Err(WorkloadError::BadWeight(format!("source {i} weight {w}")));
@@ -1596,6 +1706,97 @@ mod tests {
             overflow.validate(&models),
             Err(WorkloadError::BadWeight(_))
         ));
+    }
+
+    #[test]
+    fn arrival_processes_the_generator_cannot_honour_are_rejected() {
+        let models = names(&two_model_instance());
+        let mmpp = |rates_per_s: Vec<f64>, mean_dwell_s| ArrivalProcess::Mmpp {
+            rates_per_s,
+            mean_dwell_s,
+        };
+        let diurnal = |base_rate_per_s, peak_rate_per_s, period_s| ArrivalProcess::Diurnal {
+            base_rate_per_s,
+            peak_rate_per_s,
+            period_s,
+        };
+        // One case per rule, each naming the field it breaks.
+        let cases = [
+            // Every number finite.
+            (
+                ArrivalProcess::Poisson {
+                    rate_per_s: f64::NAN,
+                },
+                "rate_per_s",
+            ),
+            (
+                ArrivalProcess::Uniform {
+                    interval_s: f64::INFINITY,
+                },
+                "interval_s",
+            ),
+            (mmpp(vec![1.0], f64::NAN), "mean_dwell_s"),
+            (diurnal(1.0, 2.0, f64::INFINITY), "period_s"),
+            (
+                ArrivalProcess::Trace {
+                    inter_arrival_s: vec![1.0, f64::NAN],
+                },
+                "inter_arrival_s",
+            ),
+            // Poisson rate > 0.
+            (ArrivalProcess::Poisson { rate_per_s: 0.0 }, "rate_per_s"),
+            (ArrivalProcess::Poisson { rate_per_s: -2.0 }, "rate_per_s"),
+            // Uniform interval >= 0.
+            (ArrivalProcess::Uniform { interval_s: -1.0 }, "interval_s"),
+            // MMPP: a state, rates >= 0, one rate > 0, dwell > 0.
+            (mmpp(vec![], 5.0), "rates_per_s"),
+            (mmpp(vec![1.0, -0.5], 5.0), "rates_per_s"),
+            (mmpp(vec![0.0, 0.0], 5.0), "rates_per_s"),
+            (mmpp(vec![1.0], 0.0), "mean_dwell_s"),
+            // Diurnal: base >= 0, peak > 0, period > 0.
+            (diurnal(-1.0, 2.0, 60.0), "base_rate_per_s"),
+            (diurnal(0.0, 0.0, 60.0), "peak_rate_per_s"),
+            (diurnal(1.0, 2.0, 0.0), "period_s"),
+        ];
+        for (arrivals, field) in cases {
+            let mut spec = WorkloadSpec::single_source(ArrivalProcess::Simultaneous, "ok");
+            spec.sources.push(SourceSpec {
+                device: None,
+                arrivals: arrivals.clone(),
+                label: "bad".to_string(),
+                weight: None,
+                mix: None,
+            });
+            match spec.validate(&models) {
+                Err(WorkloadError::BadArrival {
+                    source: 1,
+                    field: got,
+                    ..
+                }) => assert_eq!(got, field, "{arrivals:?}"),
+                other => panic!("{arrivals:?}: {other:?}"),
+            }
+        }
+        // The edges of each rule are valid, and trace gaps keep their
+        // clamp of negatives to 0.
+        for arrivals in [
+            ArrivalProcess::Uniform { interval_s: 0.0 },
+            mmpp(vec![0.0, 1.0], 5.0),
+            diurnal(0.0, 1.0, 60.0),
+            ArrivalProcess::Trace {
+                inter_arrival_s: vec![-1.0, 0.0],
+            },
+        ] {
+            let spec = WorkloadSpec::single_source(arrivals, "edge");
+            assert_eq!(spec.validate(&models), Ok(()), "{spec:?}");
+        }
+        let msg = WorkloadSpec::single_source(ArrivalProcess::Poisson { rate_per_s: 0.0 }, "m")
+            .validate(&models)
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            msg,
+            "source 0 arrivals: rate_per_s must be finite and > 0 (got 0)"
+        );
     }
 
     #[test]
