@@ -166,28 +166,6 @@ pub struct KindBatchCap {
     pub max_batch: usize,
 }
 
-/// `#[serde(with)]` adapter treating a missing/`null` field as an empty
-/// list, so scenario JSON predating a list-valued field keeps parsing
-/// (the vendored serde derive has no `#[serde(default)]`; it hands the
-/// adapter `Null` for absent fields). Generic: the `with` call sites
-/// infer the element type.
-mod vec_or_empty {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<T: Serialize, S: Serializer>(v: &[T], s: S) -> Result<S::Ok, S::Error> {
-        v.serialize(s)
-    }
-
-    pub fn deserialize<'de, T: Deserialize<'de>, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<Vec<T>, D::Error> {
-        match d.into_value()? {
-            serde::value::Value::Null => Ok(Vec::new()),
-            v => serde::from_value(v).map_err(D::Error::from),
-        }
-    }
-}
-
 /// Memory-flat streaming mode for the serving loop (see the README's
 /// "Memory-flat serving" section). When set on a scenario:
 ///
@@ -228,8 +206,9 @@ pub struct ServeScenario {
     /// Non-empty replaces it: each listed device emits its own seeded
     /// stream and the union is merged deterministically by
     /// `(arrival time, source rank, per-source id)`, where rank is the
-    /// position in this list.
-    #[serde(with = "vec_or_empty")]
+    /// position in this list. Scenario JSON without the key (written
+    /// before sources existed) parses as empty.
+    #[serde(default)]
     pub sources: Vec<TrafficSource>,
     /// Scenario-wide model mix for sources without their own. `null`
     /// (the default) is [`ModelMix::LegacyRoundRobin`]: request `rid`
@@ -239,9 +218,10 @@ pub struct ServeScenario {
     /// Weighted deadline/priority classes sampled per request (seeded by
     /// the scenario seed). A classed request's deadline replaces
     /// [`ServeScenario::deadline_s`], and its priority orders EDF
-    /// admission ahead of the deadline. Empty (and `null`): every
-    /// request uses the scenario deadline at priority 0.
-    #[serde(with = "vec_or_empty")]
+    /// admission ahead of the deadline. Empty (and what JSON without the
+    /// key parses as): every request uses the scenario deadline at
+    /// priority 0.
+    #[serde(default)]
     pub classes: Vec<ClassShare>,
     /// Module-level batching in the serve loop. `None` (the default)
     /// dispatches singletons — the byte-pinned historic behavior.

@@ -135,10 +135,10 @@ pub struct DeviceReport {
 
 /// The full, deterministic output of a serving run.
 ///
-/// Serialization note: `budget` is omitted when `None` (hand-written
-/// `Serialize` below), so budget-free runs keep the exact JSON shape
-/// pinned by `tests/fixtures/serve_churn_*.json`.
-#[derive(Debug, Clone, PartialEq, Deserialize, Default)]
+/// Serialization note: `budget` is omitted when `None`, so budget-free
+/// runs keep the exact JSON shape pinned by
+/// `tests/fixtures/serve_churn_*.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ServeReport {
     /// Scenario seed label (same seed ⇒ identical report).
     pub seed: String,
@@ -173,36 +173,8 @@ pub struct ServeReport {
     pub devices: Vec<DeviceReport>,
     /// Budget-enforcement summary; present only when the scenario ran
     /// with a [`BudgetPolicy`](crate::budget::BudgetPolicy).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub budget: Option<crate::budget::BudgetReport>,
-}
-
-impl Serialize for ServeReport {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut obj: Vec<(String, serde::value::Value)> = vec![
-            ("seed".to_string(), serde::to_value(&self.seed)?),
-            ("arrived".to_string(), serde::to_value(&self.arrived)?),
-            ("completed".to_string(), serde::to_value(&self.completed)?),
-            ("shed".to_string(), serde::to_value(&self.shed)?),
-            ("late".to_string(), serde::to_value(&self.late)?),
-            ("miss_rate".to_string(), serde::to_value(&self.miss_rate)?),
-            ("retried".to_string(), serde::to_value(&self.retried)?),
-            ("latency".to_string(), serde::to_value(&self.latency)?),
-            (
-                "throughput_per_s".to_string(),
-                serde::to_value(&self.throughput_per_s)?,
-            ),
-            ("makespan_s".to_string(), serde::to_value(&self.makespan_s)?),
-            ("classes".to_string(), serde::to_value(&self.classes)?),
-            ("windows".to_string(), serde::to_value(&self.windows)?),
-            ("events".to_string(), serde::to_value(&self.events)?),
-            ("replans".to_string(), serde::to_value(&self.replans)?),
-            ("devices".to_string(), serde::to_value(&self.devices)?),
-        ];
-        if let Some(budget) = &self.budget {
-            obj.push(("budget".to_string(), serde::to_value(budget)?));
-        }
-        s.serialize_value(serde::value::Value::Object(obj))
-    }
 }
 
 impl ServeReport {
