@@ -100,14 +100,22 @@ impl BudgetPolicy {
     /// non-positive window, or a non-finite custom rate.
     pub fn validate(&self) -> Result<(), String> {
         if !self.cap_per_window.is_finite() || self.cap_per_window < 0.0 {
-            return Err("budget cap_per_window must be finite and >= 0".into());
+            return Err(format!(
+                "budget.cap_per_window: must be finite and >= 0 (got {})",
+                self.cap_per_window
+            ));
         }
         if !self.window_s.is_finite() || self.window_s <= 0.0 {
-            return Err("budget window_s must be finite and > 0".into());
+            return Err(format!(
+                "budget.window_s: must be finite and > 0 (got {})",
+                self.window_s
+            ));
         }
         if let BudgetMetric::Custom { per_device_rate } = self.metric {
             if !per_device_rate.is_finite() || per_device_rate < 0.0 {
-                return Err("budget per_device_rate must be finite and >= 0".into());
+                return Err(format!(
+                    "budget.metric.per_device_rate: must be finite and >= 0 (got {per_device_rate})"
+                ));
             }
         }
         Ok(())

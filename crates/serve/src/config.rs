@@ -1,10 +1,28 @@
 //! Serving-scenario configuration: what to deploy, how requests arrive,
 //! what the SLO is, and how the fleet churns.
+//!
+//! A [`ServeScenario`] is checked in one place. The crate-private
+//! `ServeScenario::validate` runs every input check the engine has
+//! before the first event — fleet and device names, traffic, clock
+//! ranges, the budget, and a replay of the fleet schedule's membership
+//! in firing order — and reports every problem it finds, one line each,
+//! as `<path>: <what> (got <value>)`. What it resolves on the way (the
+//! universe fleet, source and event device indices, the class table,
+//! clock times) comes back as a `ValidScenario`, the only input the
+//! online driver is built from.
+
+use std::fmt::Display;
 
 use serde::{Deserialize, Serialize};
 
 use s2m3_models::module::ModuleKind;
-use s2m3_sim::workload::{ArrivalProcess, ClassShare, ModelMix, SourceSpec, WorkloadSpec};
+use s2m3_net::fleet::Fleet;
+use s2m3_sim::kernel::{ns, MAX_ARRIVAL_S};
+use s2m3_sim::workload::{
+    ArrivalProcess, ClassShare, ModelMix, SourceSpec, WorkloadError, WorkloadSpec,
+};
+
+use crate::engine::ServeError;
 
 /// How a device's admission queue orders and bounds waiting requests.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -365,6 +383,264 @@ impl ServeScenario {
     pub fn to_json(&self) -> Result<String, String> {
         serde_json::to_string_pretty(self).map_err(|e| e.to_string())
     }
+
+    /// Checks the whole scenario in one pass and resolves what serving
+    /// it needs. Every problem is reported, one line each, except that
+    /// an unknown fleet stops the pass (nothing else can be resolved
+    /// without it). The fleet schedule is replayed in the order the
+    /// kernel fires it; an invalid event is reported, skipped, and the
+    /// replay continues.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadScenario`] listing every problem found.
+    pub(crate) fn validate(&self) -> Result<ValidScenario<'_>, ServeError> {
+        let fleet = &self.fleet;
+        let universe = match fleet.as_str() {
+            "edge" => Fleet::edge_testbed(),
+            "standard" => Fleet::standard_testbed(),
+            other => {
+                return Err(ServeError::BadScenario(format!(
+                    "fleet: must be edge or standard (got `{other}`)"
+                )))
+            }
+        };
+        let names: Vec<&str> = universe.devices().iter().map(|d| d.id.as_str()).collect();
+        let index = |name: &str| names.iter().position(|n| *n == name);
+        let requester = universe.requester().as_str();
+        let mut problems: Vec<String> = Vec::new();
+
+        if self.models.is_empty() {
+            problems.push("models: no models deployed (got [])".into());
+        }
+        if self.requests == 0 {
+            problems.push("requests: must be > 0 (got 0)".into());
+        }
+        let mut active = vec![false; names.len()];
+        for (i, name) in self.initial_devices.iter().enumerate() {
+            match index(name) {
+                Some(ui) => active[ui] = true,
+                None => problems.push(format!(
+                    "initial_devices[{i}]: not in the {fleet} fleet (got `{name}`)"
+                )),
+            }
+        }
+        if !index(requester).is_some_and(|ui| active[ui]) {
+            problems.push(format!(
+                "initial_devices: must include the requester `{requester}` (got {:?})",
+                self.initial_devices
+            ));
+        }
+
+        // An empty `sources` list is the classic single source: the
+        // requester emits `arrivals` under the scenario seed.
+        let workload = self.workload();
+        let model_names: Vec<String> = self.models.iter().map(|m| m.name.clone()).collect();
+        if !model_names.is_empty() {
+            match workload.validate(&model_names) {
+                Ok(()) => {}
+                Err(WorkloadError::BadArrival {
+                    source,
+                    field,
+                    expected,
+                    got,
+                }) => {
+                    let at = if self.sources.is_empty() {
+                        "arrivals".to_string()
+                    } else {
+                        format!("sources[{source}].arrivals")
+                    };
+                    problems.push(format!("{at}.{field}: must be {expected} (got {got})"));
+                }
+                Err(e) => problems.push(format!("workload: {e}")),
+            }
+        }
+        let mut sources = Vec::with_capacity(workload.sources.len());
+        for (i, spec) in workload.sources.iter().enumerate() {
+            let name = spec.device.as_deref().unwrap_or(requester);
+            match index(name) {
+                Some(ui) if active[ui] || spec.device.is_none() => sources.push(ui),
+                Some(_) => problems.push(format!(
+                    "sources[{i}].device: must be active at t = 0 (got `{name}`)"
+                )),
+                None => problems.push(format!(
+                    "sources[{i}].device: not in the {fleet} fleet (got `{name}`)"
+                )),
+            }
+        }
+
+        // Seconds that become clock times must fit the clock: `ns` makes
+        // NaN 0 and saturates ∞ (a saturated deadline wraps `now +
+        // deadline`). Finite values keep their clamps.
+        on_clock(&mut problems, "deadline_s", self.deadline_s);
+        for (i, c) in workload.classes.iter().enumerate() {
+            on_clock(
+                &mut problems,
+                format_args!("classes[{i}].deadline_s"),
+                c.class.deadline_s,
+            );
+        }
+        // A NaN or negative cooldown would silently mean "evaluate on
+        // every completion" (`NaN.max(0.0)` is 0), and a NaN horizon
+        // would reject every optional replan.
+        if let Some(trig) = self.replan.slo_trigger {
+            if !trig.cooldown_s.is_finite() || trig.cooldown_s < 0.0 {
+                problems.push(format!(
+                    "replan.slo_trigger.cooldown_s: must be finite and >= 0 (got {})",
+                    trig.cooldown_s
+                ));
+            }
+        }
+        if !self.replan.horizon_s.is_finite() {
+            problems.push(format!(
+                "replan.horizon_s: must be finite (got {})",
+                self.replan.horizon_s
+            ));
+        }
+        if let Some(policy) = &self.budget {
+            if let Err(msg) = policy.validate() {
+                problems.push(msg);
+            }
+        }
+
+        // The schedule fires in stable `at_s` order (equal clock times
+        // pop in push order), so membership is replayed in that order.
+        let mut order: Vec<usize> = (0..self.events.len()).collect();
+        order.sort_by(|&a, &b| {
+            self.events[a]
+                .at_s
+                .partial_cmp(&self.events[b].at_s)
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        let mut events = Vec::with_capacity(order.len());
+        let mut member = active.clone();
+        for i in order {
+            let ev = &self.events[i];
+            on_clock(&mut problems, format_args!("events[{i}].at_s"), ev.at_s);
+            let (name, change) = match &ev.kind {
+                FleetEventKind::DeviceJoin { device } => (device, FleetChange::Join),
+                FleetEventKind::DeviceLeave { device } => (device, FleetChange::Leave),
+                FleetEventKind::DeviceSlowdown { device, factor } => {
+                    if !factor.is_finite() {
+                        problems.push(format!("events[{i}].factor: must be finite (got {factor})"));
+                    }
+                    (device, FleetChange::Slowdown(*factor))
+                }
+            };
+            let what = match (change, index(name)) {
+                (FleetChange::Leave, _) if name == requester => {
+                    "the requester cannot leave the fleet"
+                }
+                (FleetChange::Leave, Some(ui)) if sources.contains(&ui) => {
+                    "a traffic source cannot leave the fleet"
+                }
+                (_, None) => "names a device outside the fleet",
+                (FleetChange::Join, Some(ui)) if member[ui] => "joins a device already active",
+                (FleetChange::Leave, Some(ui)) if !member[ui] => "leaves a device not active",
+                (FleetChange::Slowdown(_), Some(ui)) if !member[ui] => "slows a device not active",
+                (_, Some(device)) => {
+                    match change {
+                        FleetChange::Join => member[device] = true,
+                        FleetChange::Leave => member[device] = false,
+                        FleetChange::Slowdown(_) => {}
+                    }
+                    events.push(ValidEvent {
+                        at_s: ev.at_s,
+                        at_ns: ns(ev.at_s.max(0.0)),
+                        device,
+                        change,
+                    });
+                    continue;
+                }
+            };
+            problems.push(format!("events[{i}]: {what} (got `{name}`)"));
+        }
+
+        if !problems.is_empty() {
+            return Err(ServeError::BadScenario(problems.join("\n")));
+        }
+        let deadline_s = self.deadline_s.max(1e-3);
+        Ok(ValidScenario {
+            scenario: self,
+            class_table: workload
+                .classes
+                .iter()
+                .map(|c| (ns(c.class.deadline_s.max(1e-3)), c.class.priority))
+                .collect(),
+            class_names: workload
+                .classes
+                .iter()
+                .map(|c| c.class.name.clone())
+                .collect(),
+            universe,
+            active,
+            sources,
+            workload,
+            model_names,
+            deadline_s,
+            deadline_ns: ns(deadline_s),
+            slo_cooldown_ns: self.replan.slo_trigger.map_or(0, |t| ns(t.cooldown_s)),
+            events,
+            _checked: (),
+        })
+    }
+}
+
+/// Records `path` as a problem unless `value` seconds fit the clock.
+fn on_clock(problems: &mut Vec<String>, path: impl Display, value: f64) {
+    if !(value.is_finite() && value <= MAX_ARRIVAL_S) {
+        problems.push(format!(
+            "{path}: must be finite and at most {MAX_ARRIVAL_S} s (got {value:e})"
+        ));
+    }
+}
+
+/// What a validated fleet event does to its device.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FleetChange {
+    Join,
+    Leave,
+    /// Speed multiplier as written (the engine floors it at 1e-3).
+    Slowdown(f64),
+}
+
+/// A fleet event whose device exists and whose membership change is
+/// legal at its place in the schedule.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ValidEvent {
+    /// Event time as written, seconds (what the report records).
+    pub(crate) at_s: f64,
+    /// Clock time the kernel fires it at (negative times clamp to 0).
+    pub(crate) at_ns: u64,
+    /// Universe device index.
+    pub(crate) device: usize,
+    pub(crate) change: FleetChange,
+}
+
+/// A [`ServeScenario`] that passed `ServeScenario::validate`, with
+/// what set-up resolves from it resolved once. Only `validate` can
+/// build one, so the online driver, built from this alone, holds no
+/// input checks.
+pub(crate) struct ValidScenario<'a> {
+    pub(crate) scenario: &'a ServeScenario,
+    pub(crate) universe: Fleet,
+    /// Membership at t = 0, by universe index.
+    pub(crate) active: Vec<bool>,
+    /// Universe index of each traffic source, by rank.
+    pub(crate) sources: Vec<usize>,
+    pub(crate) workload: WorkloadSpec,
+    pub(crate) model_names: Vec<String>,
+    /// Per-class `(deadline_ns, priority)`, by class id.
+    pub(crate) class_table: Vec<(u64, u32)>,
+    pub(crate) class_names: Vec<String>,
+    /// The scenario deadline, floored at 1 ms.
+    pub(crate) deadline_s: f64,
+    pub(crate) deadline_ns: u64,
+    /// The SLO trigger's cooldown (0 without a trigger).
+    pub(crate) slo_cooldown_ns: u64,
+    /// The fleet schedule in firing order.
+    pub(crate) events: Vec<ValidEvent>,
+    _checked: (),
 }
 
 #[cfg(test)]

@@ -35,6 +35,18 @@
 //! request is ever silently lost: every arrival ends as exactly one
 //! completion or one shed.
 //!
+//! ## Checked before the first event
+//!
+//! [`prepare`], [`ServeSession::new`] and [`ServeSession::with_shared`]
+//! all validate the scenario in one pass (see [`crate::config`]) and
+//! report every problem at once. The driver is built from the
+//! validated scenario alone: fleet events arrive with their universe
+//! device index and a membership change already known to be legal,
+//! sources are universe indices, and times are clock nanoseconds, so
+//! the driver holds no input checks. The one exception is an arrival
+//! past the clock's range: the stream is lazy, so that fault is found
+//! where the arrival is scheduled.
+//!
 //! ## One request-lifetime path
 //!
 //! Exact and streaming runs drive the same request lifetime: the
@@ -78,7 +90,7 @@ use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
 use crate::accounting::{Accounting, ClassStats, LatAgg};
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetState, Deferred};
-use crate::config::{FleetEventKind, ServeScenario, SloReplanTrigger};
+use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
 use crate::report::{ClassReport, DeviceReport, EventRecord, ReplanRecord, ServeReport};
 use crate::slab::{ReqHandle, Slab};
@@ -190,14 +202,6 @@ struct DevExtra {
     admission: AdmissionQueue,
 }
 
-/// One resolved traffic source.
-#[derive(Debug, Clone)]
-struct SourceState {
-    name: String,
-    /// Universe device index.
-    uni: usize,
-}
-
 /// One routed encoder of a cached per-model route.
 #[derive(Debug, Clone, Copy)]
 struct EncRoute {
@@ -264,8 +268,8 @@ struct Online {
     /// Resolved index of each universe device (`None` while inactive).
     res_of_uni: Vec<Option<u32>>,
     placement: Placement,
-    /// Traffic sources, in scenario order (rank = index).
-    sources: Vec<SourceState>,
+    /// Universe index of each traffic source, by rank.
+    sources: Vec<usize>,
     /// Cached route per deployed model and source rank, flattened as
     /// `model * n_sources + source` (`None` = placement cannot serve
     /// it; arrivals shed).
@@ -317,13 +321,15 @@ struct Online {
     class_table: Vec<(u64, u32)>,
     /// Class names, indexed by class id (report boundary).
     class_names: Vec<String>,
-    events: Vec<crate::config::FleetEvent>,
+    /// The fleet schedule in firing order (`ServeEv::Fleet` indexes it).
+    events: Vec<ValidEvent>,
     deadline_ns: u64,
     deadline_s: f64,
     max_inflight: usize,
     horizon_s: f64,
     charge_switching_downtime: bool,
-    slo_trigger: Option<SloReplanTrigger>,
+    /// The SLO trigger's `(min_window, cooldown ns)`, when set.
+    slo_trigger: Option<(usize, u64)>,
     /// Last virtual time the SLO trigger sampled the window, ns.
     last_slo_eval_ns: u64,
     /// The SLO trigger's memoised `replan(&instance, &placement)`: a
@@ -439,24 +445,8 @@ impl Driver for Online {
 
     fn custom(&mut self, k: &mut K, event: ServeEv, now: u64) -> Result<(), BoxedErr> {
         match event {
-            ServeEv::Fleet(idx) => {
-                // Lend the event's kind to the handler without cloning
-                // its strings: swap a placeholder in, restore after.
-                let at_s = self.events[idx].at_s;
-                let kind = std::mem::replace(
-                    &mut self.events[idx].kind,
-                    FleetEventKind::DeviceJoin {
-                        device: String::new(),
-                    },
-                );
-                let out = self.fleet_event(k, &kind, at_s, now);
-                self.events[idx].kind = kind;
-                out
-            }
-            ServeEv::Arrival => {
-                self.arrival(k, now);
-                Ok(())
-            }
+            ServeEv::Fleet(idx) => self.fleet_event(k, self.events[idx], now),
+            ServeEv::Arrival => self.arrival(k, now),
             ServeEv::BudgetWake => {
                 self.budget_wake(k, now);
                 Ok(())
@@ -491,7 +481,7 @@ impl Online {
             self.universe.topology().clone(),
             self.universe.requester().clone(),
         )
-        .map_err(ServeError::BadScenario)?;
+        .expect("a validated schedule never removes the requester");
         self.instance = self.instance.with_fleet(fleet)?;
         self.slo_replan = None;
         self.resolved = Arc::new(ResolvedInstance::new(&self.instance)?);
@@ -531,8 +521,8 @@ impl Online {
                 }
                 continue;
             }
-            for src in &self.sources {
-                let source = self.res_of_uni[src.uni].expect("sources never leave the fleet");
+            for &src in &self.sources {
+                let source = self.res_of_uni[src].expect("sources never leave the fleet");
                 self.resolved
                     .price_route(&profile, source, &route, &mut priced);
                 let enc_start = self.route_encs.len() as u32;
@@ -941,64 +931,29 @@ impl Online {
         Ok(())
     }
 
-    /// Applies one fleet event and runs the replan controller.
-    fn fleet_event(
-        &mut self,
-        k: &mut K,
-        kind: &FleetEventKind,
-        at_s: f64,
-        now: u64,
-    ) -> Result<(), BoxedErr> {
-        let description = match kind {
-            FleetEventKind::DeviceJoin { device } => {
-                let Some(ui) = self.uni_index(device) else {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "unknown device `{device}` in join event"
-                    ))));
-                };
-                if k.devices[ui].active {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "device `{device}` joined but was already active"
-                    ))));
-                }
+    /// Applies one validated fleet event and runs the replan controller.
+    /// Fails only when replanning does.
+    fn fleet_event(&mut self, k: &mut K, ev: ValidEvent, now: u64) -> Result<(), BoxedErr> {
+        let ui = ev.device;
+        let device = &self.uni_names[ui];
+        let description = match ev.change {
+            FleetChange::Join => {
                 k.devices[ui].active = true;
-                self.acct.join(ui, at_s);
+                self.acct.join(ui, ev.at_s);
                 format!("{device} joins")
             }
-            FleetEventKind::DeviceLeave { device } => {
-                if device == self.universe.requester().as_str() {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "requester {device} cannot leave the fleet"
-                    ))));
-                }
-                if self.sources.iter().any(|s| &s.name == device) {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "traffic source {device} cannot leave the fleet"
-                    ))));
-                }
-                let leaving = self.uni_index(device).filter(|&ui| k.devices[ui].active);
-                let Some(ui) = leaving else {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "device `{device}` left but was not active"
-                    ))));
-                };
+            FleetChange::Leave => {
                 k.devices[ui].active = false;
-                self.acct.leave(ui, at_s);
+                self.acct.leave(ui, ev.at_s);
                 format!("{device} leaves")
             }
-            FleetEventKind::DeviceSlowdown { device, factor } => {
-                let slowed = self.uni_index(device).filter(|&ui| k.devices[ui].active);
-                let Some(ui) = slowed else {
-                    return Err(Box::new(ServeError::BadScenario(format!(
-                        "device `{device}` slowed but is not active"
-                    ))));
-                };
+            FleetChange::Slowdown(factor) => {
                 self.slowdown[ui] = Some(factor.max(1e-3));
                 format!("{device} slows to {factor:.2}x")
             }
         };
         self.report.events.push(EventRecord {
-            at_s,
+            at_s: ev.at_s,
             description: description.clone(),
         });
 
@@ -1007,8 +962,7 @@ impl Online {
         // Keyed `(seq, handle)` so re-admission runs oldest-arrival
         // first regardless of slab slot numbering.
         let mut disturbed: BTreeSet<(u64, u64)> = BTreeSet::new();
-        if let FleetEventKind::DeviceLeave { device } = kind {
-            let ui = self.uni_index(device).expect("validated above");
+        if let FleetChange::Leave = ev.change {
             for qr in self.devices[ui].admission.drain() {
                 disturbed.insert((qr.id, qr.handle));
             }
@@ -1039,7 +993,7 @@ impl Online {
         let mut priced = PricedReplan::new(
             replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?,
         );
-        let accepted = self.gate_and_apply_replan(k, &mut priced, description, at_s, now, 0);
+        let accepted = self.gate_and_apply_replan(k, &mut priced, description, ev.at_s, now, 0);
         if !accepted {
             // Keep serving on the surviving subset of the old
             // placement: drop departed hosts in place.
@@ -1201,16 +1155,14 @@ impl Online {
     ///
     /// [`ReplanPolicy::slo_trigger`]: crate::config::ReplanPolicy
     fn maybe_slo_replan(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
-        let Some(trig) = self.slo_trigger else {
+        let Some((min_window, cooldown_ns)) = self.slo_trigger else {
             return Ok(());
         };
         // `min_window` is clamped to the ring's capacity: a scenario
         // whose `slo_window` is smaller than the trigger's arming
         // threshold would otherwise never evaluate.
-        let arm_at = trig.min_window.max(1).min(self.acct.slo.capacity());
-        if self.acct.slo.len() < arm_at
-            || now < self.last_slo_eval_ns.saturating_add(ns(trig.cooldown_s))
-        {
+        let arm_at = min_window.max(1).min(self.acct.slo.capacity());
+        if self.acct.slo.len() < arm_at || now < self.last_slo_eval_ns.saturating_add(cooldown_ns) {
             return Ok(());
         }
         self.last_slo_eval_ns = now;
@@ -1274,7 +1226,7 @@ impl Online {
         self.arrival_buf.get(self.arrival_cursor)
     }
 
-    fn arrival(&mut self, k: &mut K, now: u64) {
+    fn arrival(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
         self.report.arrived += 1;
         let rec = *self
             .arrival_buf
@@ -1312,10 +1264,11 @@ impl Online {
         k.set_request(slot, RequestSlot::default());
         // Schedule the next arrival lazily: the event queue holds at
         // most one future arrival at a time.
-        if let Some(at_ns) = self.peek_arrival().map(|r| r.at_ns) {
-            k.push_custom(at_ns, ServeEv::Arrival);
+        if let Some(&next) = self.peek_arrival() {
+            k.push_custom(arrival_ns(&next, self.next_seq)?, ServeEv::Arrival);
         }
         self.admit(k, slot, now);
+        Ok(())
     }
 
     fn finish(mut self) -> ServeReport {
@@ -1442,44 +1395,18 @@ fn budget_cost_model(metric: &BudgetMetric) -> s2m3_core::CostModel {
     }
 }
 
-/// Resolves the scenario's universe fleet by name.
-fn universe_fleet(fleet: &str) -> Result<Fleet, ServeError> {
-    match fleet {
-        "edge" => Ok(Fleet::edge_testbed()),
-        "standard" => Ok(Fleet::standard_testbed()),
-        other => Err(ServeError::BadScenario(format!(
-            "unknown fleet `{other}` (edge|standard)"
-        ))),
+/// The clock time of a sampled arrival. The stream is lazy, so an
+/// arrival past the clock's range is the one scenario fault that can
+/// only show when it is drawn; `index` numbers it in arrival order.
+#[inline]
+fn arrival_ns(arrival: &WorkloadRequest, index: u64) -> Result<u64, BoxedErr> {
+    if arrival.at_ns > 1 << 63 {
+        return Err(Box::new(ServeError::BadScenario(format!(
+            "arrival {index}: at_s must be at most {MAX_ARRIVAL_S} s (got {:e})",
+            arrival.at_s
+        ))));
     }
-}
-
-/// Resolves the scenario's initial membership over `uni_names`,
-/// validating every name and that the requester starts active.
-fn initial_active(
-    scenario: &ServeScenario,
-    uni_names: &[String],
-    requester: &str,
-) -> Result<Vec<bool>, ServeError> {
-    let mut active = vec![false; uni_names.len()];
-    for name in &scenario.initial_devices {
-        let Some(ui) = uni_names.iter().position(|n| n == name) else {
-            return Err(ServeError::BadScenario(format!(
-                "initial device `{name}` is not in the {} fleet",
-                scenario.fleet
-            )));
-        };
-        active[ui] = true;
-    }
-    let requester_active = uni_names
-        .iter()
-        .position(|n| n == requester)
-        .is_some_and(|ui| active[ui]);
-    if !requester_active {
-        return Err(ServeError::BadScenario(format!(
-            "initial devices must include the requester `{requester}`"
-        )));
-    }
-    Ok(active)
+    Ok(arrival.at_ns)
 }
 
 /// The replica-invariant prefix of a serving run: the initial instance,
@@ -1531,35 +1458,28 @@ impl SharedStart {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadScenario`] on inconsistent configuration;
+/// [`ServeError::BadScenario`] listing every problem with the scenario;
 /// [`ServeError::Core`] if placement fails.
 pub fn prepare(scenario: &ServeScenario) -> Result<SharedStart, ServeError> {
-    let universe = universe_fleet(&scenario.fleet)?;
-    if scenario.models.is_empty() {
-        return Err(ServeError::BadScenario("no models deployed".into()));
-    }
-    let uni_names: Vec<String> = universe
+    prepare_valid(&scenario.validate()?)
+}
+
+fn prepare_valid(valid: &ValidScenario) -> Result<SharedStart, ServeError> {
+    let scenario = valid.scenario;
+    let universe = &valid.universe;
+    let devices: Vec<_> = universe
         .devices()
         .iter()
-        .map(|d| d.id.as_str().to_string())
+        .zip(&valid.active)
+        .filter(|(_, &a)| a)
+        .map(|(d, _)| d.clone())
         .collect();
-    let requester = universe.requester().as_str().to_string();
-    let active = initial_active(scenario, &uni_names, &requester)?;
-    let initial_fleet = {
-        let devices: Vec<_> = universe
-            .devices()
-            .iter()
-            .zip(&active)
-            .filter(|(_, &a)| a)
-            .map(|(d, _)| d.clone())
-            .collect();
-        Fleet::new(
-            devices,
-            universe.topology().clone(),
-            universe.requester().clone(),
-        )
-        .map_err(ServeError::BadScenario)?
-    };
+    let initial_fleet = Fleet::new(
+        devices,
+        universe.topology().clone(),
+        universe.requester().clone(),
+    )
+    .expect("a validated scenario starts with its requester");
     let model_pairs: Vec<(&str, usize)> = scenario
         .models
         .iter()
@@ -1595,14 +1515,15 @@ pub struct ServeSession {
 
 impl ServeSession {
     /// Builds the session: universe fleet, initial placement, merged
-    /// arrival stream, kernel state.
+    /// arrival stream, kernel state. The scenario is validated once.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadScenario`] on inconsistent configuration;
-    /// [`ServeError::Core`] if placement or routing fails.
+    /// [`ServeError::BadScenario`] listing every problem with the
+    /// scenario; [`ServeError::Core`] if placement or routing fails.
     pub fn new(scenario: &ServeScenario) -> Result<Self, ServeError> {
-        ServeSession::with_shared(scenario, &prepare(scenario)?)
+        let valid = scenario.validate()?;
+        ServeSession::start(&valid, &prepare_valid(&valid)?)
     }
 
     /// Builds the session from a prepared [`SharedStart`], sharing its
@@ -1613,19 +1534,22 @@ impl ServeSession {
     /// # Errors
     ///
     /// [`ServeError::BadScenario`] when `shared` was prepared for a
-    /// different fleet/devices/models (or the scenario is otherwise
-    /// inconsistent); [`ServeError::Core`] if routing fails.
+    /// different fleet/devices/models, or listing every problem with
+    /// the scenario; [`ServeError::Core`] if routing fails.
     pub fn with_shared(scenario: &ServeScenario, shared: &SharedStart) -> Result<Self, ServeError> {
         if !shared.matches(scenario) {
             return Err(ServeError::BadScenario(
                 "shared start was prepared for a different fleet/devices/models".into(),
             ));
         }
-        // --- Universe fleet and initial membership. ---
-        let universe = universe_fleet(&scenario.fleet)?;
-        if scenario.requests == 0 {
-            return Err(ServeError::BadScenario("empty request stream".into()));
-        }
+        ServeSession::start(&scenario.validate()?, shared)
+    }
+
+    /// Builds the kernel and the online driver from a validated
+    /// scenario and its shared start.
+    fn start(valid: &ValidScenario, shared: &SharedStart) -> Result<Self, ServeError> {
+        let scenario = valid.scenario;
+        let universe = valid.universe.clone();
         let uni_names: Vec<String> = universe
             .devices()
             .iter()
@@ -1636,101 +1560,29 @@ impl ServeSession {
             order.sort_by(|&a, &b| uni_names[a].cmp(&uni_names[b]));
             order
         };
-        let requester = universe.requester().as_str().to_string();
-        let active = initial_active(scenario, &uni_names, &requester)?;
+        let active = &valid.active;
 
-        // --- The merged arrival stream, from the unified workload
-        //     layer: sim and serve share this generator (see
-        //     `s2m3_sim::workload::WorkloadSpec`). An empty source list
-        //     is the classic single-source scenario: the requester
-        //     emits `scenario.arrivals` under the scenario seed
-        //     (bit-for-bit the pre-workload stream).
-        let workload = scenario.workload();
-        let model_names: Vec<String> = scenario.models.iter().map(|m| m.name.clone()).collect();
-        let stream = workload
-            .stream(scenario.requests, &model_names)
+        // The merged arrival stream, from the unified workload layer:
+        // sim and serve share this generator (see
+        // `s2m3_sim::workload::WorkloadSpec`).
+        let stream = valid
+            .workload
+            .stream(scenario.requests, &valid.model_names)
             .map_err(|e| ServeError::BadScenario(e.to_string()))?;
-        let mut sources = Vec::with_capacity(workload.sources.len());
-        for spec in &workload.sources {
-            let name = spec.device.clone().unwrap_or_else(|| requester.clone());
-            let Some(ui) = uni_names.iter().position(|n| *n == name) else {
-                return Err(ServeError::BadScenario(format!(
-                    "traffic source `{name}` is not in the {} fleet",
-                    scenario.fleet
-                )));
-            };
-            if !active[ui] {
-                return Err(ServeError::BadScenario(format!(
-                    "traffic source `{name}` must be active at t = 0"
-                )));
-            }
-            sources.push(SourceState { name, uni: ui });
-        }
-
-        // Seconds that become clock times must fit the clock: `ns` makes
-        // NaN 0 and saturates ∞ (a saturated deadline wraps `now +
-        // deadline`). Finite values keep their clamps below. A NaN
-        // slowdown factor would silently become the 1e-3 floor.
-        let on_clock = |field: &dyn std::fmt::Display, value: f64| {
-            if value.is_finite() && value <= MAX_ARRIVAL_S {
-                return Ok(());
-            }
-            Err(ServeError::BadScenario(format!(
-                "{field} must be finite and at most {MAX_ARRIVAL_S} s (got {value:e})"
-            )))
-        };
-        on_clock(&"deadline_s", scenario.deadline_s)?;
-        for (i, c) in workload.classes.iter().enumerate() {
-            on_clock(&format_args!("classes[{i}].deadline_s"), c.class.deadline_s)?;
-        }
-        for (i, ev) in scenario.events.iter().enumerate() {
-            on_clock(&format_args!("events[{i}].at_s"), ev.at_s)?;
-            if let FleetEventKind::DeviceSlowdown { factor, .. } = ev.kind {
-                if !factor.is_finite() {
-                    return Err(ServeError::BadScenario(format!(
-                        "events[{i}].factor must be finite (got {factor})"
-                    )));
-                }
-            }
-        }
-        let class_table: Vec<(u64, u32)> = workload
-            .classes
-            .iter()
-            .map(|c| (ns(c.class.deadline_s.max(1e-3)), c.class.priority))
-            .collect();
-        let class_names: Vec<String> = workload
-            .classes
-            .iter()
-            .map(|c| c.class.name.clone())
-            .collect();
         let streaming = scenario.streaming.is_some();
-        let class_stats: Vec<ClassStats> = (0..class_names.len())
+        let class_stats: Vec<ClassStats> = (0..valid.class_names.len())
             .map(|_| ClassStats {
                 latencies: LatAgg::new(streaming, 0),
                 ..ClassStats::default()
             })
             .collect();
 
-        // A NaN or negative cooldown would silently mean "evaluate on
-        // every completion" (`NaN.max(0.0)` is 0).
-        if let Some(trig) = scenario.replan.slo_trigger {
-            if !trig.cooldown_s.is_finite() || trig.cooldown_s < 0.0 {
-                return Err(ServeError::BadScenario(format!(
-                    "replan.slo_trigger.cooldown_s must be finite and >= 0 (got {})",
-                    trig.cooldown_s
-                )));
-            }
-        }
-
-        // --- Budget enforcement: validate the policy and price every
-        //     universe device once (rates never change mid-run). ---
-        let budget = match &scenario.budget {
-            Some(policy) => {
-                policy.validate().map_err(ServeError::BadScenario)?;
-                Some(BudgetState::new(policy.clone(), class_names.len()))
-            }
-            None => None,
-        };
+        // Budget enforcement: price every universe device once (rates
+        // never change mid-run).
+        let budget = scenario
+            .budget
+            .as_ref()
+            .map(|policy| BudgetState::new(policy.clone(), valid.class_names.len()));
         let cost_rates: Vec<f64> = match &scenario.budget {
             Some(policy) => {
                 let cost_model = budget_cost_model(&policy.metric);
@@ -1785,13 +1637,6 @@ impl ServeSession {
                 lanes: d.parallelism.max(1),
             })
             .collect();
-
-        let mut events = scenario.events.clone();
-        events.sort_by(|a, b| {
-            a.at_s
-                .partial_cmp(&b.at_s)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
 
         // Tasks per request: one head plus one per encoder; size for
         // the largest deployed fan-out so the table never reallocates.
@@ -1868,7 +1713,7 @@ impl ServeSession {
             uni_of_res,
             res_of_uni,
             placement,
-            sources,
+            sources: valid.sources.clone(),
             model_routes: Vec::new(),
             route_encs: Vec::new(),
             hosts_scratch: Vec::new(),
@@ -1884,15 +1729,18 @@ impl ServeSession {
             arrival_buf: Vec::new(),
             arrival_cursor: 0,
             next_seq: 0,
-            class_table,
-            class_names,
-            events,
-            deadline_ns: ns(scenario.deadline_s.max(1e-3)),
-            deadline_s: scenario.deadline_s.max(1e-3),
+            class_table: valid.class_table.clone(),
+            class_names: valid.class_names.clone(),
+            events: valid.events.clone(),
+            deadline_ns: valid.deadline_ns,
+            deadline_s: valid.deadline_s,
             max_inflight: scenario.max_inflight_per_device.max(1),
             horizon_s: scenario.replan.horizon_s.max(0.0),
             charge_switching_downtime: scenario.replan.charge_switching_downtime,
-            slo_trigger: scenario.replan.slo_trigger,
+            slo_trigger: scenario
+                .replan
+                .slo_trigger
+                .map(|t| (t.min_window, valid.slo_cooldown_ns)),
             last_slo_eval_ns: 0,
             slo_replan: None,
             acct: Accounting {
@@ -1924,13 +1772,12 @@ impl ServeSession {
         driver.refresh_model_routes();
 
         for (idx, ev) in driver.events.iter().enumerate() {
-            kernel.push_custom(ns(ev.at_s.max(0.0)), ServeEv::Fleet(idx));
+            kernel.push_custom(ev.at_ns, ServeEv::Fleet(idx));
         }
-        let first_at_ns = driver
+        let first = *driver
             .peek_arrival()
-            .expect("a non-empty stream yields a first arrival")
-            .at_ns;
-        kernel.push_custom(first_at_ns, ServeEv::Arrival);
+            .expect("a non-empty stream yields a first arrival");
+        kernel.push_custom(arrival_ns(&first, 0).map_err(|e| *e)?, ServeEv::Arrival);
 
         Ok(ServeSession { kernel, driver })
     }
@@ -1940,7 +1787,12 @@ impl ServeSession {
     ///
     /// # Errors
     ///
-    /// Scenario errors surfaced by fleet events or replanning.
+    /// The scenario was checked in full when the session was built, so
+    /// a run fails only with [`ServeError::Core`] when a replan fails,
+    /// [`ServeError::Sink`] when the completion sink cannot be written,
+    /// or [`ServeError::BadScenario`] for an arrival sampled past the
+    /// clock's range (the stream is lazy, so that one input fault shows
+    /// only when the arrival is drawn).
     pub fn run_until(&mut self, until_s: f64) -> Result<u64, ServeError> {
         self.kernel
             .run_until(&mut self.driver, ns(until_s.max(0.0)))
@@ -1951,7 +1803,7 @@ impl ServeSession {
     ///
     /// # Errors
     ///
-    /// Scenario errors surfaced by fleet events or replanning.
+    /// As [`ServeSession::run_until`].
     pub fn run_to_idle(&mut self) -> Result<u64, ServeError> {
         self.kernel.run_until_idle(&mut self.driver).map_err(|e| *e)
     }
@@ -1981,10 +1833,11 @@ impl ServeSession {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadScenario`] on inconsistent configuration (unknown
-/// fleet/devices/models, requester or a traffic source leaving, empty
-/// stream); [`ServeError::Core`] if placement or routing fails
-/// irrecoverably.
+/// [`ServeError::BadScenario`] listing every problem with the scenario
+/// (unknown fleet/devices, requester or a traffic source leaving, empty
+/// stream, times off the clock, ...) before the first event;
+/// [`ServeError::Core`] if a model is unknown or placement or routing
+/// fails irrecoverably; otherwise as [`ServeSession::run_until`].
 pub fn serve(scenario: &ServeScenario) -> Result<ServeReport, ServeError> {
     let mut session = ServeSession::new(scenario)?;
     session.run_to_idle()?;
@@ -1995,7 +1848,8 @@ pub fn serve(scenario: &ServeScenario) -> Result<ServeReport, ServeError> {
 mod tests {
     use super::*;
     use crate::config::{
-        AdmissionPolicy, FleetEvent, ModelDeployment, ReplanPolicy, TrafficSource,
+        AdmissionPolicy, FleetEvent, FleetEventKind, ModelDeployment, ReplanPolicy,
+        SloReplanTrigger, TrafficSource,
     };
     use s2m3_sim::workload::ArrivalProcess;
 
@@ -2362,6 +2216,14 @@ mod tests {
             }];
             cases.push((s, "events[0].factor"));
         }
+        // A NaN horizon would clamp to 0 and reject every optional
+        // replan; a zero arrival rate would run at 1e-9 req/s.
+        let mut s = small_scenario(10);
+        s.replan.horizon_s = f64::NAN;
+        cases.push((s, "replan.horizon_s"));
+        let mut s = small_scenario(10);
+        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
+        cases.push((s, "arrivals.rate_per_s"));
         for (s, field) in cases {
             let err = serve(&s).unwrap_err();
             assert!(
@@ -2372,11 +2234,89 @@ mod tests {
         // Finite values keep their clamps.
         let mut clamped = small_scenario(10);
         clamped.deadline_s = -1.0;
+        clamped.replan.horizon_s = -1.0;
         clamped.events = vec![FleetEvent {
             at_s: -5.0,
             kind: slowdown(0.0),
         }];
         assert!(serve(&clamped).is_ok());
+
+        // Every problem is reported, one line each, not only the first.
+        let mut three = small_scenario(10);
+        three.deadline_s = f64::NAN;
+        three.sources = vec![TrafficSource {
+            device: "mars".to_string(),
+            arrivals: ArrivalProcess::Poisson { rate_per_s: 0.5 },
+            weight: None,
+            mix: None,
+        }];
+        three.events = vec![FleetEvent {
+            at_s: 5.0,
+            kind: FleetEventKind::DeviceJoin {
+                device: "laptop".to_string(),
+            },
+        }];
+        let Err(ServeError::BadScenario(msg)) = serve(&three) else {
+            panic!("three faults must be a bad scenario");
+        };
+        let lines: Vec<&str> = msg.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "sources[0].device: not in the standard fleet (got `mars`)",
+                "deadline_s: must be finite and at most 9223372036.854776 s (got NaN)",
+                "events[0]: joins a device already active (got `laptop`)",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_late_fleet_event_fault_fails_before_the_first_event() {
+        // The desktop leaves at 1800 s, so slowing it at 9e9 s is a
+        // fault, and it must be found before the 2M-request stream is
+        // served, not after.
+        let mut late = ServeScenario {
+            requests: 2_000_000,
+            ..ServeScenario::churn_default()
+        };
+        late.events.push(FleetEvent {
+            at_s: 9.0e9,
+            kind: FleetEventKind::DeviceSlowdown {
+                device: "desktop".to_string(),
+                factor: 0.5,
+            },
+        });
+        let shared = prepare(&ServeScenario::churn_default()).unwrap();
+        assert!(shared.matches(&late));
+        let err = ServeSession::with_shared(&late, &shared)
+            .err()
+            .expect("the constructor rejects the schedule");
+        assert_eq!(
+            err,
+            ServeError::BadScenario(
+                "events[2]: slows a device not active (got `desktop`)".to_string()
+            )
+        );
+        assert_eq!(prepare(&late).err(), Some(err));
+    }
+
+    #[test]
+    fn an_arrival_past_the_clock_range_is_an_error_not_a_saturated_time() {
+        // A valid but tiny rate: within 50 arrivals one lands past
+        // 2^63 ns, where `ns` saturates.
+        let mut s = small_scenario(50);
+        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 1e-12 };
+        let err = serve(&s).unwrap_err();
+        let ServeError::BadScenario(msg) = &err else {
+            panic!("{err}");
+        };
+        let (index, rest) = msg
+            .strip_prefix("arrival ")
+            .and_then(|m| m.split_once(": at_s must be at most 9223372036.854776 s (got "))
+            .unwrap_or_else(|| panic!("{msg}"));
+        assert!(index.parse::<usize>().is_ok_and(|i| i < 50), "{msg}");
+        let at_s: f64 = rest.trim_end_matches(')').parse().unwrap();
+        assert!(at_s > MAX_ARRIVAL_S, "{msg}");
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! at arbitrary virtual times and resuming is invisible — the final
 //! report is byte-identical to an uninterrupted run.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use s2m3_sim::workload::ArrivalProcess;
@@ -21,8 +23,10 @@ use s2m3_sim::workload::ArrivalProcess;
 use s2m3_core::sketch::LatencySketch;
 
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetPolicy};
-use crate::config::{AdmissionPolicy, FleetEvent, FleetEventKind, ReplanPolicy, ServeScenario};
-use crate::engine::{serve, ServeSession};
+use crate::config::{
+    AdmissionPolicy, FleetEvent, FleetEventKind, ReplanPolicy, ServeScenario, TrafficSource,
+};
+use crate::engine::{serve, ServeError, ServeSession};
 use crate::report::LatencySummary;
 use crate::slo::{percentile_sorted, Outcome, SloWindow, WindowSnapshot};
 
@@ -92,6 +96,57 @@ fn arb_events() -> impl Strategy<Value = Vec<FleetEvent>> {
                 })
                 .collect()
         })
+}
+
+/// The standard fleet's devices; `jetson-a` is the requester.
+const STANDARD_DEVICES: [&str; 5] = ["server", "desktop", "laptop", "jetson-b", "jetson-a"];
+
+/// Any 0–6 joins, leaves and slowdowns over the standard fleet, on a
+/// coarse time grid so ties are common.
+fn arb_schedule() -> impl Strategy<Value = Vec<FleetEvent>> {
+    proptest::collection::vec((0u8..8, 0u8..3, 0usize..5), 0..=6).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(slot, kind, device)| {
+                let device = STANDARD_DEVICES[device].to_string();
+                FleetEvent {
+                    at_s: f64::from(slot) * 50.0,
+                    kind: match kind {
+                        0 => FleetEventKind::DeviceJoin { device },
+                        1 => FleetEventKind::DeviceLeave { device },
+                        _ => FleetEventKind::DeviceSlowdown {
+                            device,
+                            factor: 0.5,
+                        },
+                    },
+                }
+            })
+            .collect()
+    })
+}
+
+/// The reference: the membership rules as a name-keyed replay in
+/// stable time order that skips what it refuses. Returns the indices of
+/// the refused events.
+fn name_replay_refusals(s: &ServeScenario, requester: &str, sources: &[&str]) -> BTreeSet<usize> {
+    let mut active: BTreeSet<&str> = s.initial_devices.iter().map(String::as_str).collect();
+    let mut order: Vec<usize> = (0..s.events.len()).collect();
+    order.sort_by(|&a, &b| s.events[a].at_s.partial_cmp(&s.events[b].at_s).unwrap());
+    let mut refused = BTreeSet::new();
+    for i in order {
+        let ok = match &s.events[i].kind {
+            FleetEventKind::DeviceJoin { device } => active.insert(device.as_str()),
+            FleetEventKind::DeviceLeave { device } => {
+                device != requester
+                    && !sources.contains(&device.as_str())
+                    && active.remove(device.as_str())
+            }
+            FleetEventKind::DeviceSlowdown { device, .. } => active.contains(device.as_str()),
+        };
+        if !ok {
+            refused.insert(i);
+        }
+    }
+    refused
 }
 
 fn arb_enforcement() -> impl Strategy<Value = BudgetEnforcement> {
@@ -489,6 +544,59 @@ proptest! {
         ] {
             let err = (got - want).abs() / want;
             prop_assert!(err < 0.01, "sketch {} vs exact {}: {}% error", got, want, 100.0 * err);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The validator refuses exactly the fleet events the name-keyed
+    /// reference refuses — joins of active devices, leaves of the
+    /// requester, of a traffic source or of an inactive device,
+    /// slowdowns of inactive devices — and a schedule it accepts serves
+    /// to idle without losing a request.
+    #[test]
+    fn fleet_schedules_validate_like_a_name_replay(
+        events in arb_schedule(),
+        n in 10usize..40,
+    ) {
+        let mut s = scenario(
+            AdmissionPolicy::Fifo,
+            ArrivalProcess::Simultaneous,
+            events,
+            n,
+            "prop/schedule".to_string(),
+        );
+        s.sources = ["jetson-a", "laptop"]
+            .map(|device| TrafficSource {
+                device: device.to_string(),
+                arrivals: ArrivalProcess::Poisson { rate_per_s: 0.3 },
+                weight: None,
+                mix: None,
+            })
+            .to_vec();
+        let want = name_replay_refusals(&s, "jetson-a", &["jetson-a", "laptop"]);
+        match s.validate() {
+            Ok(_) => {
+                prop_assert!(want.is_empty(), "the replay refuses {:?}", want);
+                let report = serve(&s).unwrap();
+                prop_assert_eq!(report.arrived as usize, n);
+                prop_assert_eq!(report.completed + report.shed, report.arrived);
+            }
+            Err(ServeError::BadScenario(msg)) => {
+                let got: BTreeSet<usize> = msg
+                    .lines()
+                    .map(|line| {
+                        line.strip_prefix("events[")
+                            .and_then(|l| l.split_once("]: "))
+                            .and_then(|(i, _)| i.parse().ok())
+                            .unwrap_or_else(|| panic!("not an event fault: {line}"))
+                    })
+                    .collect();
+                prop_assert_eq!(got, want, "{}", msg);
+            }
+            Err(e) => prop_assert!(false, "{}", e),
         }
     }
 }
