@@ -1,10 +1,8 @@
 //! Wire envelopes: the framing the distributed runtime exchanges.
 //!
 //! The payload is opaque bytes (the runtime serializes its own message
-//! enum with serde); the envelope carries addressing and enough metadata
-//! for the transport to account transfer costs.
+//! enum with serde); the envelope adds the addressing the bus routes by.
 
-use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::device::DeviceId;
@@ -19,7 +17,7 @@ pub struct Envelope {
     /// Application-level tag (e.g. `"raw-input"`, `"embedding"`).
     pub tag: String,
     /// Serialized payload.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 impl Envelope {
@@ -38,7 +36,7 @@ impl Envelope {
             src,
             dst,
             tag: tag.into(),
-            payload: Bytes::from(serde_json::to_vec(value)?),
+            payload: serde_json::to_vec(value)?,
         })
     }
 
@@ -49,11 +47,6 @@ impl Envelope {
     /// Propagates deserialization failure.
     pub fn decode<'a, T: Deserialize<'a>>(&'a self) -> Result<T, serde_json::Error> {
         serde_json::from_slice(&self.payload)
-    }
-
-    /// Wire size in bytes (payload plus a small framing overhead).
-    pub fn wire_bytes(&self) -> u64 {
-        self.payload.len() as u64 + 64
     }
 }
 
@@ -76,7 +69,6 @@ mod tests {
         let env = Envelope::encode("jetson-a".into(), "laptop".into(), "ping", &msg).unwrap();
         assert_eq!(env.tag, "ping");
         assert_eq!(env.decode::<Ping>().unwrap(), msg);
-        assert!(env.wire_bytes() > 64);
     }
 
     #[test]

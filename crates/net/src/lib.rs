@@ -43,7 +43,6 @@ pub mod device;
 pub mod envelope;
 pub mod fleet;
 pub mod link;
-pub mod tcp;
 pub mod topology;
 pub mod transport;
 

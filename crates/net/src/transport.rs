@@ -1,22 +1,18 @@
-//! Transports: how envelopes move between device workers.
+//! The in-process message bus device workers exchange envelopes over.
 //!
 //! The paper's implementation uses socket programming between physical
 //! machines. The runtime here hosts every "device" as a thread in one
-//! process, so the default transport is an in-process message bus built on
-//! crossbeam channels. It can optionally *shape* traffic — injecting real
-//! sleeps proportional to the modeled transfer time — when the runtime is
-//! used to observe wall-clock behaviour rather than just correctness.
+//! process, so the bus is a registry of std channels: one mailbox per
+//! device, delivering each sender's envelopes in send order. Transfer
+//! *time* is the simulator's business ([`crate::Topology::transfer_time`]);
+//! the bus only moves the bytes.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::device::DeviceId;
 use crate::envelope::Envelope;
-use crate::topology::Topology;
 
 /// Transport errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,69 +37,30 @@ impl std::error::Error for TransportError {}
 /// A device's mailbox.
 pub type Mailbox = Receiver<Envelope>;
 
-/// Anything that can move envelopes between registered devices.
-///
-/// Implemented by [`InMemoryNetwork`] (crossbeam channels, default) and
-/// [`crate::tcp::TcpNetwork`] (length-prefixed frames over localhost
-/// sockets, the paper's own mechanism). The runtime in `s2m3-runtime` is
-/// generic over this trait.
-pub trait NetworkBus: Clone + Send + Sync + 'static {
-    /// Registers a device and returns its mailbox. Re-registering
-    /// replaces the previous mailbox.
-    fn register(&self, device: DeviceId) -> Mailbox;
-
-    /// Sends an envelope to its destination.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError`] when the destination is unknown or gone.
-    fn send(&self, env: Envelope) -> Result<(), TransportError>;
-}
-
-/// In-process message bus with optional traffic shaping.
+/// In-process message bus.
 ///
 /// Cloneable handle; all clones share the same registry.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct InMemoryNetwork {
-    inner: Arc<Inner>,
-}
-
-struct Inner {
-    topology: Topology,
-    /// Fraction of the modeled transfer time to actually sleep before
-    /// delivery (0.0 = deliver immediately; 1.0 = real-time shaping).
-    shaping: f64,
-    registry: RwLock<HashMap<DeviceId, Sender<Envelope>>>,
+    registry: Arc<RwLock<HashMap<DeviceId, Sender<Envelope>>>>,
 }
 
 impl InMemoryNetwork {
-    /// Creates a bus over `topology`. `shaping` scales modeled transfer
-    /// times into real sleeps (use `0.0` in tests).
-    pub fn new(topology: Topology, shaping: f64) -> Self {
-        InMemoryNetwork {
-            inner: Arc::new(Inner {
-                topology,
-                shaping,
-                registry: RwLock::new(HashMap::new()),
-            }),
-        }
+    /// Creates an empty bus.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Registers a device and returns its mailbox.
     ///
     /// Re-registering replaces the previous mailbox.
     pub fn register(&self, device: DeviceId) -> Mailbox {
-        let (tx, rx) = unbounded();
-        self.inner.registry.write().insert(device, tx);
+        let (tx, rx) = channel();
+        self.registry
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(device, tx);
         rx
-    }
-
-    /// The modeled transfer time for an envelope, seconds.
-    pub fn modeled_transfer_time(&self, env: &Envelope) -> f64 {
-        self.inner
-            .topology
-            .transfer_time(&env.src, &env.dst, env.wire_bytes())
-            .unwrap_or(0.0)
     }
 
     /// Sends an envelope to its destination.
@@ -113,53 +70,23 @@ impl InMemoryNetwork {
     /// [`TransportError::UnknownDevice`] if the destination never
     /// registered; [`TransportError::Disconnected`] if its mailbox is gone.
     pub fn send(&self, env: Envelope) -> Result<(), TransportError> {
-        if self.inner.shaping > 0.0 {
-            let t = self.modeled_transfer_time(&env) * self.inner.shaping;
-            if t > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(t));
-            }
+        let registry = self.registry.read().unwrap_or_else(PoisonError::into_inner);
+        match registry.get(&env.dst) {
+            Some(tx) => tx
+                .send(env)
+                .map_err(|e| TransportError::Disconnected(e.0.dst)),
+            None => Err(TransportError::UnknownDevice(env.dst)),
         }
-        let registry = self.inner.registry.read();
-        let tx = registry
-            .get(&env.dst)
-            .ok_or_else(|| TransportError::UnknownDevice(env.dst.clone()))?;
-        tx.send(env.clone())
-            .map_err(|_| TransportError::Disconnected(env.dst.clone()))
-    }
-
-    /// Devices currently registered.
-    pub fn registered(&self) -> Vec<DeviceId> {
-        let mut v: Vec<_> = self.inner.registry.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-}
-
-impl NetworkBus for InMemoryNetwork {
-    fn register(&self, device: DeviceId) -> Mailbox {
-        InMemoryNetwork::register(self, device)
-    }
-
-    fn send(&self, env: Envelope) -> Result<(), TransportError> {
-        InMemoryNetwork::send(self, env)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
-
-    fn net() -> InMemoryNetwork {
-        let mut topo = Topology::new();
-        topo.set_access("a".into(), LinkSpec::new(100.0e6, 0.001));
-        topo.set_access("b".into(), LinkSpec::new(100.0e6, 0.001));
-        InMemoryNetwork::new(topo, 0.0)
-    }
 
     #[test]
     fn send_and_receive() {
-        let net = net();
+        let net = InMemoryNetwork::new();
         let rx = net.register("b".into());
         let env = Envelope::encode("a".into(), "b".into(), "ping", &1u32).unwrap();
         net.send(env.clone()).unwrap();
@@ -169,7 +96,7 @@ mod tests {
 
     #[test]
     fn unknown_destination_errors() {
-        let net = net();
+        let net = InMemoryNetwork::new();
         let env = Envelope::encode("a".into(), "ghost".into(), "ping", &1u32).unwrap();
         assert!(matches!(
             net.send(env),
@@ -179,7 +106,7 @@ mod tests {
 
     #[test]
     fn dropped_mailbox_reports_disconnected() {
-        let net = net();
+        let net = InMemoryNetwork::new();
         let rx = net.register("b".into());
         drop(rx);
         let env = Envelope::encode("a".into(), "b".into(), "ping", &1u32).unwrap();
@@ -190,21 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_lists_devices() {
-        let net = net();
-        let _rx1 = net.register("b".into());
-        let _rx2 = net.register("a".into());
-        let names: Vec<_> = net
-            .registered()
-            .iter()
-            .map(|d| d.as_str().to_string())
-            .collect();
-        assert_eq!(names, vec!["a", "b"]);
-    }
-
-    #[test]
     fn cross_thread_delivery() {
-        let net = net();
+        let net = InMemoryNetwork::new();
         let rx = net.register("b".into());
         let sender = net;
         let handle = std::thread::spawn(move || {
@@ -219,13 +133,5 @@ mod tests {
         }
         handle.join().unwrap();
         assert_eq!(got, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn modeled_time_uses_topology() {
-        let net = net();
-        let env = Envelope::encode("a".into(), "b".into(), "big", &vec![0u8; 10_000]).unwrap();
-        let t = net.modeled_transfer_time(&env);
-        assert!(t > 0.002, "{t}"); // two 1 ms access hops + serialization
     }
 }

@@ -12,7 +12,7 @@ use s2m3_models::module::{ModuleId, ModuleKind};
 use s2m3_models::zoo::ModelSpec;
 use s2m3_net::device::DeviceId;
 use s2m3_net::envelope::Envelope;
-use s2m3_net::transport::{InMemoryNetwork, Mailbox, NetworkBus, TransportError};
+use s2m3_net::transport::{InMemoryNetwork, Mailbox, TransportError};
 use s2m3_tensor::Matrix;
 
 use crate::input::RequestInput;
@@ -38,10 +38,18 @@ pub enum RuntimeError {
         /// The worker's reason.
         reason: String,
     },
-    /// No result arrived within the timeout.
-    Timeout(u64),
+    /// The timeout passed with no further result while waiting for
+    /// `expected` results, of which `arrived` had come in.
+    Timeout {
+        /// Results received before the wait gave up.
+        arrived: usize,
+        /// Results the wait was for.
+        expected: usize,
+    },
     /// The request input lacks a payload for an encoder kind.
     MissingInput(ModuleKind),
+    /// A plan's request has no entry in the inputs map.
+    NoInput(u64),
     /// A module the route needs is not in the placement.
     NotPlaced(ModuleId),
     /// Serialization failed.
@@ -57,8 +65,11 @@ impl std::fmt::Display for RuntimeError {
             RuntimeError::Worker { request, reason } => {
                 write!(f, "worker failure for request {request}: {reason}")
             }
-            RuntimeError::Timeout(id) => write!(f, "request {id} timed out"),
+            RuntimeError::Timeout { arrived, expected } => {
+                write!(f, "timed out with {arrived} of {expected} results")
+            }
             RuntimeError::MissingInput(k) => write!(f, "no input payload for {k}"),
+            RuntimeError::NoInput(id) => write!(f, "no input for request {id}"),
             RuntimeError::NotPlaced(m) => write!(f, "module {m} is not placed"),
             RuntimeError::Serde(e) => write!(f, "serialization: {e}"),
         }
@@ -80,10 +91,9 @@ impl From<TransportError> for RuntimeError {
 }
 
 /// A running fleet of device workers executing one plan's placement,
-/// generic over the message transport (in-process channels by default;
-/// [`s2m3_net::tcp::TcpNetwork`] for the paper's real-socket path).
-pub struct Runtime<B: NetworkBus = InMemoryNetwork> {
-    net: B,
+/// one thread per device, connected by an [`InMemoryNetwork`].
+pub struct Runtime {
+    net: InMemoryNetwork,
     coordinator: Mailbox,
     devices: Vec<DeviceId>,
     handles: Vec<JoinHandle<()>>,
@@ -91,27 +101,14 @@ pub struct Runtime<B: NetworkBus = InMemoryNetwork> {
     timeout: Duration,
 }
 
-impl Runtime<InMemoryNetwork> {
-    /// Boots one worker thread per fleet device over the default
-    /// in-process transport.
+impl Runtime {
+    /// Boots one worker thread per fleet device on a fresh bus.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Exec`] if an executable module cannot be built.
     pub fn start(instance: &Instance, plan: &Plan) -> Result<Self, RuntimeError> {
-        let net = InMemoryNetwork::new(instance.fleet().topology().clone(), 0.0);
-        Self::start_with(instance, plan, net)
-    }
-}
-
-impl<B: NetworkBus> Runtime<B> {
-    /// Boots one worker thread per fleet device over a caller-supplied
-    /// transport (e.g. [`s2m3_net::tcp::TcpNetwork`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Exec`] if an executable module cannot be built.
-    pub fn start_with(instance: &Instance, plan: &Plan, net: B) -> Result<Self, RuntimeError> {
+        let net = InMemoryNetwork::new();
         let coordinator = net.register(COORDINATOR.into());
 
         let specs: BTreeMap<ModuleId, _> = instance
@@ -220,10 +217,13 @@ impl<B: NetworkBus> Runtime<B> {
     pub fn collect(&self, n: usize) -> Result<BTreeMap<u64, Matrix>, RuntimeError> {
         let mut out = BTreeMap::new();
         while out.len() < n {
-            let env = self
-                .coordinator
-                .recv_timeout(self.timeout)
-                .map_err(|_| RuntimeError::Timeout(u64::MAX))?;
+            let env =
+                self.coordinator
+                    .recv_timeout(self.timeout)
+                    .map_err(|_| RuntimeError::Timeout {
+                        arrived: out.len(),
+                        expected: n,
+                    })?;
             match env.decode::<RuntimeMsg>() {
                 Ok(RuntimeMsg::Result { request, output }) => {
                     out.insert(request, output);
@@ -249,10 +249,13 @@ impl<B: NetworkBus> Runtime<B> {
         input: &RequestInput,
     ) -> Result<Matrix, RuntimeError> {
         self.submit(request, route, input)?;
-        let mut results = self.collect(1)?;
-        results
-            .remove(&request.id)
-            .ok_or(RuntimeError::Timeout(request.id))
+        // A result for another request (submitted but never collected)
+        // is skipped: this call waits for its own.
+        loop {
+            if let Some(output) = self.collect(1)?.remove(&request.id) {
+                return Ok(output);
+            }
+        }
     }
 
     /// Executes every routed request of a plan (submitted concurrently,
@@ -261,7 +264,8 @@ impl<B: NetworkBus> Runtime<B> {
     ///
     /// # Errors
     ///
-    /// See [`Runtime::submit`] and [`Runtime::collect`].
+    /// [`RuntimeError::NoInput`] for a request `inputs` lacks; otherwise
+    /// see [`Runtime::submit`] and [`Runtime::collect`].
     pub fn execute_plan(
         &self,
         plan: &Plan,
@@ -270,7 +274,7 @@ impl<B: NetworkBus> Runtime<B> {
         for (request, route) in &plan.routed {
             let input = inputs
                 .get(&request.id)
-                .ok_or(RuntimeError::Timeout(request.id))?;
+                .ok_or(RuntimeError::NoInput(request.id))?;
             self.submit(request, route, input)?;
         }
         self.collect(plan.routed.len())
@@ -422,32 +426,27 @@ mod tests {
         rt_b.shutdown();
         assert_eq!(out_a, out_b);
     }
-}
-
-#[cfg(test)]
-mod tcp_tests {
-    use super::*;
-    use crate::reference;
-    use s2m3_net::tcp::TcpNetwork;
 
     #[test]
-    fn distributed_inference_over_real_tcp_sockets() {
-        // The paper's actual transport: length-prefixed frames over TCP.
-        // Same request, same placement — same bits as the in-memory bus
-        // and the centralized reference.
-        let i = Instance::single_model("CLIP ViT-B/16", 8).unwrap();
-        let q = i.request(0, "CLIP ViT-B/16").unwrap();
-        let plan = Plan::greedy(&i, vec![q.clone()]).unwrap();
-        let model = i.deployment("CLIP ViT-B/16").unwrap().model.clone();
-        let input = RequestInput::synthetic(&model, "tcp", 8);
-
-        let bus = TcpNetwork::new();
-        let rt = Runtime::start_with(&i, &plan, bus.clone()).unwrap();
-        let out = rt.infer(&q, &plan.routed[0].1, &input).unwrap();
+    fn timeout_counts_the_results_that_arrived() {
+        let (i, plan, _) = setup("CLIP ViT-B/16", 8);
+        let mut rt = Runtime::start(&i, &plan).unwrap();
+        rt.set_timeout(Duration::from_millis(10));
+        let err = rt.collect(1).unwrap_err();
         rt.shutdown();
-        bus.shutdown();
+        assert_eq!(err.to_string(), "timed out with 0 of 1 results");
+    }
 
-        let central = reference::run_model(&model, &input).unwrap();
-        assert_eq!(out, central);
+    #[test]
+    fn missing_request_input_names_the_request() {
+        let (i, plan, q) = setup("CLIP ViT-B/16", 8);
+        let rt = Runtime::start(&i, &plan).unwrap();
+        let err = rt.execute_plan(&plan, &BTreeMap::new()).unwrap_err();
+        rt.shutdown();
+        assert!(
+            matches!(err, RuntimeError::NoInput(id) if id == q.id),
+            "{err}"
+        );
+        assert_eq!(err.to_string(), format!("no input for request {}", q.id));
     }
 }

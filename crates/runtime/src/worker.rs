@@ -7,7 +7,7 @@ use s2m3_models::exec::Executable;
 use s2m3_models::module::{ModuleId, ModuleKind};
 use s2m3_net::device::DeviceId;
 use s2m3_net::envelope::Envelope;
-use s2m3_net::transport::{Mailbox, NetworkBus};
+use s2m3_net::transport::{InMemoryNetwork, Mailbox};
 use s2m3_tensor::Matrix;
 
 use crate::messages::{HeadContext, RuntimeMsg, COORDINATOR, TAG};
@@ -17,19 +17,19 @@ struct Aggregation {
     head: HeadContext,
 }
 
-pub(crate) struct Worker<B: NetworkBus> {
+pub(crate) struct Worker {
     device: DeviceId,
     modules: BTreeMap<ModuleId, Executable>,
-    net: B,
+    net: InMemoryNetwork,
     mailbox: Mailbox,
     pending: HashMap<u64, Aggregation>,
 }
 
-impl<B: NetworkBus> Worker<B> {
+impl Worker {
     pub(crate) fn spawn(
         device: DeviceId,
         modules: BTreeMap<ModuleId, Executable>,
-        net: B,
+        net: InMemoryNetwork,
         mailbox: Mailbox,
     ) -> JoinHandle<()> {
         std::thread::spawn(move || {

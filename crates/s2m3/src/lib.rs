@@ -15,8 +15,8 @@
 //!   Fig. 3 timelines);
 //! - [`serve`] — the online serving control plane: admission control,
 //!   rolling SLO windows, and live adaptive replanning under fleet churn;
-//! - [`sweep`] — parallel Monte Carlo sweeps: seeded replica grids on a
-//!   work-stealing pool, aggregated into deterministic distribution
+//! - [`sweep`] — parallel Monte Carlo sweeps: seeded replica grids on
+//!   scoped threads, aggregated into deterministic distribution
 //!   bands and a capacity frontier;
 //! - [`runtime`] — an executable distributed runtime over real threads
 //!   and channels with bit-identical split-vs-centralized outputs;

@@ -3,8 +3,8 @@
 //! Parallel Monte Carlo sweeps over the S2M3 serving stack: a
 //! [`SweepSpec`] fans one base [`ServeScenario`](s2m3_serve::ServeScenario)
 //! across a (seed × arrival-rate-scale × fleet-size) grid, executes
-//! every seeded replica on a work-stealing thread pool
-//! ([`rayon_lite`]), and folds the replica reports into one
+//! every seeded replica on `threads` scoped threads that claim replicas
+//! one at a time, and folds the replica reports into one
 //! deterministic [`SweepReport`]:
 //!
 //! - **per-timestep bands** — p50/p95/p99 across replicas of rolling
@@ -25,7 +25,7 @@
 //!
 //! The same spec produces a byte-identical JSON report at **any**
 //! thread count. Replica execution order varies with scheduling, but
-//! `par_map` returns results in submission order and every aggregate
+//! each result lands in its replica's slot and every aggregate
 //! (floating-point sums included) folds in replica-index order. The
 //! thread-invariance proptest pins this.
 //!
@@ -61,7 +61,7 @@ pub use report::{
     bootstrap_ci95, cost_slo_frontier, replan_gain, Band, CellReport, CellScalars, Ci95,
     CostSloPoint, FrontierPoint, ReplicaSummary, SweepReport, TimeBand,
 };
-pub use run::{run_sweep, run_sweep_on};
+pub use run::run_sweep;
 pub use spec::{scale_arrivals, SweepSpec};
 
 /// Sweep failure.
@@ -86,7 +86,8 @@ impl std::fmt::Display for SweepError {
 impl std::error::Error for SweepError {}
 
 // Compile-time proof that replica execution is Send-clean end to end:
-// the pool moves these across threads.
+// replica threads share the spec and the start, and each builds its own
+// session and report.
 const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_send_sync<T: Send + Sync>() {}

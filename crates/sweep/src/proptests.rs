@@ -3,11 +3,10 @@
 //! replicas (cells × seeds, each run exactly once).
 
 use proptest::prelude::*;
-use rayon_lite::ThreadPoolBuilder;
 
 use s2m3_serve::{ServeScenario, StreamingConfig};
 
-use crate::run::run_sweep_on;
+use crate::run::run_sweep;
 use crate::spec::SweepSpec;
 
 fn arb_spec() -> impl Strategy<Value = SweepSpec> {
@@ -44,12 +43,11 @@ proptest! {
     /// in both latency-aggregation modes (`arb_spec` flips streaming),
     /// since per-replica sketches are merged in deterministic order.
     #[test]
-    fn report_is_thread_count_invariant(spec in arb_spec()) {
+    fn report_is_thread_count_invariant(mut spec in arb_spec()) {
         let mut reports = Vec::new();
         for threads in [1usize, 2, 4] {
-            let pool = ThreadPoolBuilder::new().num_threads(threads).build();
-            let report = run_sweep_on(&spec, &pool).unwrap();
-            reports.push(report.to_json().unwrap());
+            spec.threads = threads;
+            reports.push(run_sweep(&spec).unwrap().to_json().unwrap());
         }
         prop_assert_eq!(&reports[0], &reports[1]);
         prop_assert_eq!(&reports[0], &reports[2]);
@@ -58,9 +56,9 @@ proptest! {
     /// Replica conservation: every cell aggregates exactly `seeds`
     /// replicas and the report totals match the grid.
     #[test]
-    fn replicas_are_conserved(spec in arb_spec()) {
-        let pool = ThreadPoolBuilder::new().num_threads(2).build();
-        let report = run_sweep_on(&spec, &pool).unwrap();
+    fn replicas_are_conserved(mut spec in arb_spec()) {
+        spec.threads = 2;
+        let report = run_sweep(&spec).unwrap();
         prop_assert_eq!(report.cells.len(), spec.cell_count());
         prop_assert_eq!(report.replicas, spec.replica_count());
         prop_assert_eq!(report.seeds_per_cell, spec.seeds);

@@ -487,40 +487,42 @@ pub fn aggregate_cell(
         budget_spend_mean_per_window: mean_of(&spends),
         budget_latency_price_mean_s: mean_of(&prices),
     };
-    let max_bin = replicas
+    // Only the bins some replica occupies, ascending: a tiny `bin_s`
+    // spreads a run over indices far too many to walk one by one.
+    let mut occupied: Vec<usize> = replicas
         .iter()
         .flat_map(|r| r.bins.iter().map(|b| b.0))
-        .max();
+        .collect();
+    occupied.sort_unstable();
+    occupied.dedup();
     let mut bands = Vec::new();
-    if let Some(max_bin) = max_bin {
-        for idx in 0..=max_bin {
-            // Replica-index order again: each replica contributes at
-            // most one snapshot per bin.
-            let mut lat = Vec::new();
-            let mut miss = Vec::new();
-            let mut util = Vec::new();
-            for r in replicas {
-                if let Some(b) = r.bins.iter().find(|b| b.0 == idx) {
-                    lat.push(b.1);
-                    miss.push(b.2);
-                    util.push(b.3);
-                }
+    for idx in occupied {
+        // Replica-index order again: each replica contributes at
+        // most one snapshot per bin.
+        let mut lat = Vec::new();
+        let mut miss = Vec::new();
+        let mut util = Vec::new();
+        for r in replicas {
+            if let Some(b) = r.bins.iter().find(|b| b.0 == idx) {
+                lat.push(b.1);
+                miss.push(b.2);
+                util.push(b.3);
             }
-            let (Some(latency_p95_s), Some(miss_rate), Some(utilization)) = (
-                Band::from_samples(&lat),
-                Band::from_samples(&miss),
-                Band::from_samples(&util),
-            ) else {
-                continue;
-            };
-            bands.push(TimeBand {
-                t_s: (idx + 1) as f64 * bin_s,
-                replicas: lat.len(),
-                latency_p95_s,
-                miss_rate,
-                utilization,
-            });
         }
+        let (Some(latency_p95_s), Some(miss_rate), Some(utilization)) = (
+            Band::from_samples(&lat),
+            Band::from_samples(&miss),
+            Band::from_samples(&util),
+        ) else {
+            continue;
+        };
+        bands.push(TimeBand {
+            t_s: (idx + 1) as f64 * bin_s,
+            replicas: lat.len(),
+            latency_p95_s,
+            miss_rate,
+            utilization,
+        });
     }
     CellReport {
         fleet_size,
@@ -645,6 +647,23 @@ mod tests {
         assert_eq!(cell.bands[1].replicas, 1);
         assert!((cell.scalars.miss_rate_mean - 0.1).abs() < 1e-12);
         assert_eq!(cell.scalars.miss_rate_max, 0.2);
+    }
+
+    #[test]
+    fn aggregate_visits_only_occupied_bins() {
+        let far = 1_000_000_000_000;
+        let cell = aggregate_cell(
+            3,
+            1.0,
+            None,
+            &[
+                summary(0.0, vec![(0, 1.0, 0.0, 0.5), (far, 2.0, 0.1, 0.6)]),
+                summary(0.0, vec![(far, 3.0, 0.2, 0.7)]),
+            ],
+            1.0,
+        );
+        let at: Vec<(f64, usize)> = cell.bands.iter().map(|b| (b.t_s, b.replicas)).collect();
+        assert_eq!(at, vec![(1.0, 1), ((far + 1) as f64, 2)]);
     }
 
     fn cell(fleet: usize, scale: f64, miss: f64) -> CellReport {

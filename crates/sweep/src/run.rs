@@ -1,12 +1,13 @@
-//! Replica execution: the grid fanned over a work-stealing pool, with
+//! Replica execution: the grid fanned over scoped threads, with
 //! results re-assembled in replica-index order so the aggregate is
 //! byte-identical at any thread count.
 
-use std::sync::Arc;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread;
 
-use rayon_lite::{ThreadPool, ThreadPoolBuilder};
-
-use s2m3_serve::{prepare, ServeSession, SharedStart};
+use s2m3_serve::{prepare, ServeError, ServeSession, SharedStart};
 
 use crate::report::{
     aggregate_cell, capacity_frontier, cost_slo_frontier, CellReport, ReplicaSummary, SweepReport,
@@ -14,82 +15,66 @@ use crate::report::{
 use crate::spec::SweepSpec;
 use crate::SweepError;
 
-/// One replica's work order: grid coordinates, the derived scenario,
-/// and the cell-shared start (instance + interned tables + placement,
-/// built once per fleet size and shared via [`Arc`]).
+/// One replica's work order: its grid coordinates and the cell-shared
+/// start (instance + interned tables + placement, built once per fleet
+/// size and shared via [`Arc`]). The worker derives the scenario.
 struct ReplicaJob {
     cell: usize,
-    scenario: s2m3_serve::ServeScenario,
+    seed_idx: usize,
     shared: Arc<SharedStart>,
 }
 
-/// Runs the sweep on a fresh pool of `spec.threads` threads
-/// (0 = all available cores).
+/// Runs the sweep on `spec.threads` threads (0 = all available cores).
+///
+/// The thread count is an execution detail only: the returned report is
+/// byte-identical at any thread count (the thread-invariance proptest
+/// pins this).
 ///
 /// # Errors
 ///
 /// [`SweepError::BadSpec`] for an invalid grid; [`SweepError::Serve`]
 /// when any replica fails to prepare or execute.
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
-    let pool = ThreadPoolBuilder::new().num_threads(spec.threads).build();
-    run_sweep_on(spec, &pool)
-}
-
-/// Runs the sweep on a caller-provided pool.
-///
-/// The pool is an execution detail only: the returned report is
-/// byte-identical for any pool size (the thread-invariance proptest
-/// pins this).
-///
-/// # Errors
-///
-/// As [`run_sweep`].
-pub fn run_sweep_on(spec: &SweepSpec, pool: &ThreadPool) -> Result<SweepReport, SweepError> {
     spec.validate()?;
 
     // Cells are fleet-size-major so one SharedStart (the replica-
     // invariant prefix: instance, interned view, greedy placement)
     // serves every rate scale and seed of that fleet size — rate
     // scaling touches arrivals only, which with_shared re-reads from
-    // the scenario.
+    // the scenario. Deriving the representative here also surfaces a
+    // cell that cannot be derived before any replica runs: only the
+    // fleet size decides whether `cell_scenario` fails.
     let mut jobs: Vec<ReplicaJob> = Vec::with_capacity(spec.replica_count());
     let mut cells_meta: Vec<(usize, f64)> = Vec::with_capacity(spec.cell_count());
     for &fleet_size in &spec.fleet_sizes {
         let representative = spec.cell_scenario(spec.rate_scales[0], fleet_size, 0)?;
-        let shared =
-            Arc::new(prepare(&representative).map_err(|e| SweepError::Serve(e.to_string()))?);
+        let shared = Arc::new(prepare(&representative).map_err(serve_error)?);
         for &rate_scale in &spec.rate_scales {
             let cell = cells_meta.len();
             cells_meta.push((fleet_size, rate_scale));
             for seed_idx in 0..spec.seeds {
                 jobs.push(ReplicaJob {
                     cell,
-                    scenario: spec.cell_scenario(rate_scale, fleet_size, seed_idx)?,
+                    seed_idx,
                     shared: Arc::clone(&shared),
                 });
             }
         }
     }
 
-    let bin_s = spec.bin_s;
-    // par_map returns results in job order regardless of which worker
-    // ran what; each result carries its cell index so aggregation below
-    // is a deterministic in-order pass.
-    let outcomes = pool.par_map(
-        jobs,
-        move |job| -> Result<(usize, ReplicaSummary), String> {
-            let mut session =
-                ServeSession::with_shared(&job.scenario, &job.shared).map_err(|e| e.to_string())?;
-            session.run_to_idle().map_err(|e| e.to_string())?;
-            let report = session.finish();
-            Ok((job.cell, ReplicaSummary::from_report(&report, bin_s)))
-        },
-    );
+    let outcomes = par_map(&jobs, spec.threads, |job| {
+        let (fleet_size, rate_scale) = cells_meta[job.cell];
+        let scenario = spec.cell_scenario(rate_scale, fleet_size, job.seed_idx)?;
+        let mut session = ServeSession::with_shared(&scenario, &job.shared).map_err(serve_error)?;
+        session.run_to_idle().map_err(serve_error)?;
+        Ok(ReplicaSummary::from_report(&session.finish(), spec.bin_s))
+    });
 
+    // Outcomes are in job order, so each cell's replicas land in
+    // replica-index order and the first failure in job order wins.
     let mut per_cell: Vec<Vec<ReplicaSummary>> = cells_meta.iter().map(|_| Vec::new()).collect();
-    for outcome in outcomes {
-        let (cell, summary) = outcome.map_err(SweepError::Serve)?;
-        per_cell[cell].push(summary);
+    for (job, outcome) in jobs.iter().zip(outcomes) {
+        per_cell[job.cell].push(outcome?);
     }
 
     let cells: Vec<CellReport> = cells_meta
@@ -101,7 +86,7 @@ pub fn run_sweep_on(spec: &SweepSpec, pool: &ThreadPool) -> Result<SweepReport, 
                 rate_scale,
                 spec.offered_rate_per_s(rate_scale),
                 replicas,
-                bin_s,
+                spec.bin_s,
             )
         })
         .collect();
@@ -118,6 +103,46 @@ pub fn run_sweep_on(spec: &SweepSpec, pool: &ThreadPool) -> Result<SweepReport, 
         frontier,
         cost_slo,
     })
+}
+
+fn serve_error(e: ServeError) -> SweepError {
+    SweepError::Serve(e.to_string())
+}
+
+/// Maps `items` through `f` on `threads` scoped threads (0 = all
+/// available cores), the caller among them, capped at the item count.
+/// Each thread claims the next unclaimed index and fills that index's
+/// slot, so the returned results are in input order at any thread
+/// count. A panicking item panics the caller once every thread stops.
+fn par_map<T: Sync, R: Send + Sync>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = match threads {
+        0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        n => n,
+    }
+    .min(items.len());
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
+    // `Relaxed` suffices: the cursor only hands out indices; results
+    // publish through their `OnceLock`s and the scope's join.
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let _ = slots[i].set(f(item));
+    };
+    thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index is claimed once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -161,12 +186,15 @@ mod tests {
     }
 
     #[test]
-    fn explicit_pool_matches_fresh_pool() {
-        let spec = tiny_spec();
-        let pool = ThreadPoolBuilder::new().num_threads(3).build();
-        let a = run_sweep_on(&spec, &pool).unwrap().to_json().unwrap();
-        let b = run_sweep(&spec).unwrap().to_json().unwrap();
-        assert_eq!(a, b, "report never depends on the executing pool");
+    fn zero_threads_match_one_thread() {
+        let one = tiny_spec();
+        let all = SweepSpec {
+            threads: 0,
+            ..tiny_spec()
+        };
+        let a = run_sweep(&all).unwrap().to_json().unwrap();
+        let b = run_sweep(&one).unwrap().to_json().unwrap();
+        assert_eq!(a, b, "report never depends on the thread count");
     }
 
     #[test]
@@ -196,5 +224,38 @@ mod tests {
         let mut spec = tiny_spec();
         spec.rate_scales.clear();
         assert!(matches!(run_sweep(&spec), Err(SweepError::BadSpec(_))));
+    }
+
+    #[test]
+    fn par_map_preserves_input_order() {
+        // Uneven per-item cost so the threads interleave.
+        let work =
+            |&x: &u64| (0..(x % 7) * 50).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k));
+        let items: Vec<u64> = (0..64).collect();
+        let expected: Vec<u64> = items.iter().map(work).collect();
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                par_map(&items, threads, work),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_handles_empty_and_singleton_inputs() {
+        assert_eq!(par_map(&[] as &[u8], 4, |&x| x), Vec::<u8>::new());
+        // More threads than items.
+        assert_eq!(par_map(&[41], 4, |&x| x + 1), vec![42]);
+        assert_eq!(par_map(&[1, 2, 3], 8, |&x| x * 2), vec![2, 4, 6]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn panics_propagate_to_the_caller() {
+        par_map(&(0..32u32).collect::<Vec<_>>(), 4, |&x| {
+            assert_ne!(x, 13, "boom at 13");
+            x
+        });
     }
 }

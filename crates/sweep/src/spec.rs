@@ -81,8 +81,8 @@ impl SweepSpec {
         if self.fleet_sizes.is_empty() {
             return Err(SweepError::BadSpec("fleet_sizes is empty".into()));
         }
-        if self.bin_s <= 0.0 || self.bin_s.is_nan() {
-            return Err(SweepError::BadSpec("bin_s must be > 0".into()));
+        if !self.bin_s.is_finite() || self.bin_s <= 0.0 {
+            return Err(SweepError::BadSpec("bin_s must be finite and > 0".into()));
         }
         if !self.miss_budget.is_finite() || self.miss_budget < 0.0 {
             return Err(SweepError::BadSpec(
@@ -351,6 +351,12 @@ mod tests {
         let mut s = spec();
         s.fleet_sizes = vec![99];
         assert!(s.validate().is_err());
+        let mut s = spec();
+        s.bin_s = f64::INFINITY;
+        assert!(
+            s.validate().is_err(),
+            "an infinite bin would stamp t_s = inf"
+        );
         let mut s = spec();
         s.base.initial_devices = vec!["desktop".to_string()];
         assert!(s.validate().is_err(), "requester must be derivable");

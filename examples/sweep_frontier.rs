@@ -1,10 +1,10 @@
 //! Capacity-frontier sweep: how much traffic each fleet size sustains.
 //!
 //! Fans the churn serving scenario over a (seed × arrival-rate ×
-//! fleet-size) grid, runs every seeded replica on a work-stealing
-//! thread pool, and prints the cross-replica distribution bands plus
-//! the capacity frontier — the largest arrival-rate scale each fleet
-//! size carries while keeping the deadline-miss rate under 1%.
+//! fleet-size) grid, runs every seeded replica on scoped threads, and
+//! prints the cross-replica distribution bands plus the capacity
+//! frontier — the largest arrival-rate scale each fleet size carries
+//! while keeping the deadline-miss rate under 1%.
 //!
 //! The report is deterministic: the same grid produces byte-identical
 //! JSON at any thread count.
