@@ -57,6 +57,36 @@ pub mod spec;
 #[cfg(test)]
 mod proptests;
 
+#[cfg(test)]
+mod tests {
+    use crate::run::par_map;
+
+    #[test]
+    fn par_map_preserves_input_order() {
+        let items: Vec<u64> = (0..100).collect();
+        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for threads in [1, 2, 4, 9] {
+            assert_eq!(
+                par_map(&items, threads, |x| x * x),
+                expected,
+                "{threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn results_are_identical_across_thread_counts() {
+        // Uneven per-item cost so the threads interleave.
+        let work =
+            |&x: &u64| (0..(x % 7) * 50).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k));
+        let items: Vec<u64> = (0..64).collect();
+        let baseline = par_map(&items, 1, work);
+        for threads in [2, 3, 8] {
+            assert_eq!(par_map(&items, threads, work), baseline, "{threads} threads");
+        }
+    }
+}
+
 pub use report::{
     bootstrap_ci95, cost_slo_frontier, replan_gain, Band, CellReport, CellScalars, Ci95,
     CostSloPoint, FrontierPoint, ReplicaSummary, SweepReport, TimeBand,
