@@ -258,16 +258,16 @@ impl std::ops::Deref for Request {
 
 impl Serialize for Request {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let mut obj: Vec<(String, serde::value::Value)> = vec![
-            ("id".to_string(), serde::to_value(&self.id)?),
-            ("model".to_string(), serde::to_value(&self.model)?),
-            ("source".to_string(), serde::to_value(&self.source)?),
-            ("profile".to_string(), serde::to_value(&self.profile)?),
-        ];
+        use serde::ser::SerializeStruct;
+        let mut st = s.serialize_struct("Request", 4 + usize::from(self.class.is_some()))?;
+        st.serialize_field("id", &self.id)?;
+        st.serialize_field("model", &self.model)?;
+        st.serialize_field("source", &self.source)?;
+        st.serialize_field("profile", &self.profile)?;
         if let Some(class) = &self.class {
-            obj.push(("class".to_string(), serde::to_value(class)?));
+            st.serialize_field("class", class)?;
         }
-        s.serialize_value(serde::value::Value::Object(obj))
+        st.end()
     }
 }
 

@@ -1188,7 +1188,7 @@ impl Online {
         let accepted = !priced.decision.migrations.is_empty() && {
             let trigger = format!(
                 "SLO breach: rolling p95 {:.2}s exceeds {:.2}s deadline",
-                self.acct.slo.snapshot(secs(now)).p95_s,
+                self.acct.slo.p95(),
                 self.deadline_s
             );
             let queued = self.total_queued();

@@ -677,4 +677,31 @@ proptest! {
             prop_assert_eq!(w.p95_exceeds(bound), w.snapshot(0.0).p95_s > bound);
         }
     }
+
+    /// The one-selection p95 the SLO trigger prints is the snapshot's,
+    /// bit for bit, at every fill level and head position of rings up to
+    /// the default 256, over tied latencies and the deadline values shed
+    /// requests are recorded at.
+    #[test]
+    fn slo_p95_equals_the_snapshot(
+        capacity in 1usize..=256,
+        raw in proptest::collection::vec((0u8..16, 0u8..2), 1..=300),
+    ) {
+        let mut w = SloWindow::new(capacity);
+        prop_assert_eq!(w.p95(), w.snapshot(0.0).p95_s);
+        for (i, (grid, missed)) in raw.into_iter().enumerate() {
+            let (latency_s, shed) = match grid {
+                12 => (8.0, true),
+                13 => (15.0, true),
+                14 => (60.0, true),
+                g => (f64::from(g) * 0.25, false),
+            };
+            w.push(Outcome {
+                completed_at_s: i as f64,
+                latency_s,
+                missed: shed || missed == 1,
+            });
+            prop_assert_eq!(w.p95().to_bits(), w.snapshot(i as f64).p95_s.to_bits());
+        }
+    }
 }

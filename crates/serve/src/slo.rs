@@ -91,6 +91,21 @@ impl SloWindow {
         at_or_below < ceil_rank(n, 0.95)
     }
 
+    /// The window's p95 latency (0 when empty): `snapshot(..).p95_s`
+    /// from one selection, for callers that need no other percentile.
+    pub fn p95(&mut self) -> f64 {
+        let n = self.buf.len();
+        if n == 0 {
+            return 0.0;
+        }
+        self.scratch.clear();
+        self.scratch.extend(self.buf.iter().map(|o| o.latency_s));
+        *self
+            .scratch
+            .select_nth_unstable_by(ceil_rank(n, 0.95) - 1, f64::total_cmp)
+            .1
+    }
+
     /// Summarizes the current window contents at virtual time `now_s`.
     /// O(window) and allocation-free: the percentiles are selected
     /// (highest first, each inside the prefix the previous selection

@@ -63,9 +63,16 @@ pub const MAX_ARRIVAL_S: f64 = (1u64 << 63) as f64 / NS_PER_S;
 /// Seconds to the kernel's `u64` nanosecond clock, rounded to nearest.
 /// NaN and negatives become 0 and anything past `u64::MAX` saturates, so
 /// inputs are validated against [`MAX_ARRIVAL_S`] first.
+///
+/// Equal to `(t * 1e9).round() as u64` for every `f64` — the saturating
+/// cast truncates and `x - whole` is exact, so halves round up — but
+/// without a call to libm's `round`, which x86-64 without SSE4.1 cannot
+/// inline.
 #[inline]
 pub fn ns(t: f64) -> u64 {
-    (t * NS_PER_S).round() as u64
+    let x = t * NS_PER_S;
+    let whole = x as u64;
+    whole.saturating_add((x - whole as f64 >= 0.5) as u64)
 }
 
 /// The nanosecond clock back to seconds.

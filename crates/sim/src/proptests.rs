@@ -10,7 +10,7 @@ use s2m3_net::fleet::Fleet;
 
 use crate::engine::{simulate_caching, simulate_reference, simulate_shared};
 use crate::kernel::wheel::TimingWheel;
-use crate::kernel::KeyHeap;
+use crate::kernel::{ns, KeyHeap, MAX_ARRIVAL_S};
 use crate::workload::{
     latency_stats, mixed_stream, ArrivalProcess, ClassShare, ModelMix, ModelWeight, SourceSpec,
     WorkloadSpec,
@@ -529,4 +529,61 @@ proptest! {
         }
         prop_assert!(wheel.is_empty());
     }
+}
+
+/// The expression [`ns`] replaced.
+fn ns_by_round(t: f64) -> u64 {
+    (t * 1e9).round() as u64
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `ns` without libm's `round` equals the old expression on
+    /// arbitrary bit patterns (either sign) and on fractions near a
+    /// half across the clock's working range.
+    #[test]
+    fn ns_equals_round_on_any_float(
+        bits in 0u64..u64::MAX,
+        whole in 0u64..1 << 40,
+        sixteenths in 0u8..16,
+    ) {
+        let t = f64::from_bits(bits);
+        prop_assert_eq!(ns(t), ns_by_round(t));
+        prop_assert_eq!(ns(-t), ns_by_round(-t));
+        let t = (whole as f64 + f64::from(sixteenths) / 16.0) / 1e9;
+        prop_assert_eq!(ns(t), ns_by_round(t));
+    }
+}
+
+#[test]
+fn ns_equals_round_on_edge_values() {
+    let edges = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -0.4e-9,
+        -0.5e-9,
+        -1.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        MAX_ARRIVAL_S,
+        2.0 * MAX_ARRIVAL_S,
+        u64::MAX as f64 / 1e9,
+        (1u64 << 53) as f64 / 1e9,
+    ];
+    for t in edges {
+        assert_eq!(ns(t), ns_by_round(t), "t = {t:e}");
+    }
+    // Exact halves round up, like `f64::round` (half away from zero).
+    let mut halves = 0;
+    for k in 0..2_000u32 {
+        let t = (f64::from(k) + 0.5) / 1e9;
+        halves += usize::from((t * 1e9).fract() == 0.5);
+        assert_eq!(ns(t), ns_by_round(t), "t = {t:e}");
+    }
+    assert!(halves > 1_000, "only {halves} exact halves reached");
 }

@@ -259,7 +259,7 @@ impl From<Vec<GanttSpan>> for Spans {
 
 impl Serialize for Spans {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.iter().collect::<Vec<GanttSpan>>().serialize(s)
+        s.collect_seq(self.iter())
     }
 }
 

@@ -82,7 +82,11 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         let baseline = par_map(&items, 1, work);
         for threads in [2, 3, 8] {
-            assert_eq!(par_map(&items, threads, work), baseline, "{threads} threads");
+            assert_eq!(
+                par_map(&items, threads, work),
+                baseline,
+                "{threads} threads"
+            );
         }
     }
 }

@@ -125,3 +125,32 @@ fn exact_peak_heap_is_flat_beyond_latency_samples() {
         big_report.completed
     );
 }
+
+#[test]
+fn printing_a_report_holds_only_its_text() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    // An exact-mode run that snapshots its SLO window every 20
+    // completions: a thousand float-heavy window rows make a report of
+    // a few hundred kB.
+    let mut s = scenario(20_000, false);
+    s.snapshot_every = 20;
+    let report = s2m3::serve::serve(&s).unwrap();
+
+    let before = ALLOC.live_bytes();
+    ALLOC.reset_peak();
+    let json = report.to_json().unwrap();
+    let held = ALLOC.peak_bytes().saturating_sub(before);
+    assert!(
+        json.len() > 100_000,
+        "report too small to measure: {} B",
+        json.len()
+    );
+    // A streamed print holds only the output `String`, whose capacity
+    // stays under twice its length; a value tree copied first costs
+    // about three times the text on top of it.
+    assert!(
+        held * 2 < json.len() * 5,
+        "printing {} B of JSON held {held} B of heap above the live report",
+        json.len()
+    );
+}
