@@ -1,5 +1,5 @@
-//! Streaming quantile sketch: a fixed-size log-spaced histogram for
-//! memory-flat latency summaries.
+//! Streaming quantile sketch: a log-spaced histogram for memory-flat
+//! latency summaries.
 //!
 //! The online serving driver must summarize millions of latencies
 //! without holding them: this sketch buckets values on a geometric
@@ -8,8 +8,15 @@
 //! within **√GROWTH − 1 ≈ 0.995% < 1% relative error** of the exact
 //! order statistic. Count and sum are tracked exactly (the mean is
 //! exact), as are the minimum and maximum, and quantile answers are
-//! clamped into `[min, max]`. The whole sketch is ~16 KiB regardless
-//! of how many values it absorbs.
+//! clamped into `[min, max]`.
+//!
+//! Only the window of buckets between the lowest and highest one
+//! recorded so far is stored, so the sketch is sized by the spread of
+//! its values, not their number: latencies spanning two decades hold
+//! ~230 counters (~2 KiB; growth reserves less than twice the window),
+//! and no sketch ever reserves more than the full grid's [`BUCKETS`]
+//! counters (~16 KiB). Every answer is the one the full grid gives, bit
+//! for bit.
 //!
 //! Quantile semantics match
 //! [`percentile_sorted`](../../s2m3_serve/slo/fn.percentile_sorted.html)'s
@@ -30,21 +37,34 @@ pub const MIN_VALUE: f64 = 1.0e-9;
 /// last bucket.
 pub const MAX_VALUE: f64 = 1.0e9;
 
-/// Number of geometric buckets covering `[MIN_VALUE, MAX_VALUE]`.
-/// `ceil(ln(MAX/MIN) / ln(GROWTH))` = 2094 at the constants above.
-fn bucket_count() -> usize {
-    ((MAX_VALUE / MIN_VALUE).ln() / GROWTH.ln()).ceil() as usize
+/// Number of geometric buckets covering `[MIN_VALUE, MAX_VALUE]`:
+/// `ceil(ln(MAX/MIN) / ln(GROWTH))` at the constants above
+/// (`ln(1e18) / ln(1.02)` ≈ 2092.99).
+pub const BUCKETS: usize = 2093;
+
+/// Grid bucket holding `v`, clamped to the covered range.
+fn bucket_of(v: f64) -> usize {
+    if v.is_nan() || v <= MIN_VALUE {
+        return 0;
+    }
+    let i = ((v / MIN_VALUE).ln() / GROWTH.ln()).floor() as usize;
+    i.min(BUCKETS - 1)
 }
 
-/// A fixed-memory log-spaced histogram over positive latencies.
+/// A log-spaced histogram over positive latencies, stored as the window
+/// of grid buckets its values have reached.
 ///
-/// Records are `O(1)`; quantiles are one pass over the (constant-size)
-/// bucket array. See the module docs for the error bound.
+/// Records are `O(1)` (amortized over the window's doubling growth);
+/// quantiles are one pass over the window. See the module docs for the
+/// error bound.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySketch {
-    /// Per-bucket counts; bucket `i` covers
+    /// Counts of grid buckets `lo..lo + counts.len()`, empty until the
+    /// first record; grid bucket `i` covers
     /// `[MIN_VALUE·GROWTH^i, MIN_VALUE·GROWTH^(i+1))`.
     counts: Vec<u64>,
+    /// Grid index of `counts[0]`.
+    lo: usize,
     /// Total values recorded (exact).
     count: u64,
     /// Sum of recorded values (exact mean numerator).
@@ -62,10 +82,11 @@ impl Default for LatencySketch {
 }
 
 impl LatencySketch {
-    /// An empty sketch (~16 KiB, fixed).
+    /// An empty sketch; it allocates nothing until the first record.
     pub fn new() -> Self {
         LatencySketch {
-            counts: vec![0; bucket_count()],
+            counts: Vec::new(),
+            lo: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -73,21 +94,42 @@ impl LatencySketch {
         }
     }
 
-    /// Bucket index for `v`, clamped to the covered range.
-    fn bucket_of(&self, v: f64) -> usize {
-        if v.is_nan() || v <= MIN_VALUE {
-            return 0;
+    /// Widens the window to cover grid buckets `lo..=hi`. Capacity
+    /// doubles, clamped to the full grid, so it never exceeds
+    /// [`BUCKETS`].
+    fn cover(&mut self, lo: usize, hi: usize) {
+        let n = self.counts.len();
+        let (new_lo, new_hi) = if n == 0 {
+            (lo, hi)
+        } else {
+            (lo.min(self.lo), hi.max(self.lo + n - 1))
+        };
+        let len = new_hi - new_lo + 1;
+        if len > self.counts.capacity() {
+            let cap = len.max(2 * self.counts.capacity()).min(BUCKETS);
+            self.counts.reserve_exact(cap - n);
         }
-        let i = ((v / MIN_VALUE).ln() / GROWTH.ln()).floor() as usize;
-        i.min(self.counts.len() - 1)
+        self.counts.resize(len, 0);
+        if n > 0 {
+            // Buckets below the old window were appended: move them
+            // to the front.
+            self.counts.rotate_right(self.lo - new_lo);
+        }
+        self.lo = new_lo;
     }
 
     /// Records one value. Non-finite and negative values clamp to the
     /// range edges (latencies are non-negative by construction).
     pub fn record(&mut self, v: f64) {
         let v = if v.is_finite() { v } else { MAX_VALUE };
-        let idx = self.bucket_of(v);
-        self.counts[idx] += 1;
+        let idx = bucket_of(v);
+        // One unsigned compare tests both sides of the window.
+        let mut at = idx.wrapping_sub(self.lo);
+        if at >= self.counts.len() {
+            self.cover(idx, idx);
+            at = idx - self.lo;
+        }
+        self.counts[at] += 1;
         self.count += 1;
         self.sum += v;
         if v < self.min {
@@ -144,7 +186,7 @@ impl LatencySketch {
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= k {
-                let mid = MIN_VALUE * GROWTH.powf(i as f64 + 0.5);
+                let mid = MIN_VALUE * GROWTH.powf((self.lo + i) as f64 + 0.5);
                 return mid.clamp(self.min, self.max);
             }
         }
@@ -153,8 +195,12 @@ impl LatencySketch {
 
     /// Merges another sketch into this one (bucket-wise).
     pub fn merge(&mut self, other: &LatencySketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        if let Some(last) = other.counts.len().checked_sub(1) {
+            self.cover(other.lo, other.lo + last);
+            let at = other.lo - self.lo;
+            for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -171,6 +217,8 @@ impl LatencySketch {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     /// Exact ceil-rank order statistic over a sorted slice — the
@@ -182,12 +230,21 @@ mod tests {
     }
 
     #[test]
+    fn bucket_count_is_the_grid_formula() {
+        assert_eq!(
+            ((MAX_VALUE / MIN_VALUE).ln() / GROWTH.ln()).ceil() as usize,
+            BUCKETS
+        );
+    }
+
+    #[test]
     fn empty_sketch_reports_zeroes() {
         let s = LatencySketch::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.quantile(0.5), 0.0);
+        assert_eq!(s.counts.capacity(), 0, "an empty sketch allocates nothing");
     }
 
     #[test]
@@ -273,5 +330,229 @@ mod tests {
         assert!(s.quantile(0.0) >= 5.0 * (1.0 - 0.01));
         assert!(s.quantile(1.0) <= 5.0 * (1.0 + 0.01));
         assert!(s.quantile(1.0) >= s.quantile(0.0));
+    }
+
+    #[test]
+    fn storage_follows_the_spread_not_the_count() {
+        // A hundred thousand serving-scale latencies, 10 ms to 10 s:
+        // three decades of grid, a sixth of its buckets.
+        let mut s = LatencySketch::new();
+        for i in 0..100_000u64 {
+            s.record(0.01 * 1000f64.powf((i % 997) as f64 / 996.0));
+        }
+        assert_eq!(s.counts.len(), bucket_of(s.max()) - bucket_of(s.min()) + 1);
+        assert!(s.counts.capacity() <= 2 * s.counts.len());
+        assert!(s.counts.capacity() < BUCKETS / 4);
+    }
+
+    /// The fixed full-grid sketch the windowed one replaced, kept as
+    /// its oracle.
+    mod reference {
+        use super::super::{GROWTH, MAX_VALUE, MIN_VALUE};
+
+        fn bucket_count() -> usize {
+            ((MAX_VALUE / MIN_VALUE).ln() / GROWTH.ln()).ceil() as usize
+        }
+
+        pub(super) struct LatencySketch {
+            counts: Vec<u64>,
+            count: u64,
+            sum: f64,
+            min: f64,
+            max: f64,
+        }
+
+        impl LatencySketch {
+            pub(super) fn new() -> Self {
+                LatencySketch {
+                    counts: vec![0; bucket_count()],
+                    count: 0,
+                    sum: 0.0,
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                }
+            }
+
+            fn bucket_of(&self, v: f64) -> usize {
+                if v.is_nan() || v <= MIN_VALUE {
+                    return 0;
+                }
+                let i = ((v / MIN_VALUE).ln() / GROWTH.ln()).floor() as usize;
+                i.min(self.counts.len() - 1)
+            }
+
+            pub(super) fn record(&mut self, v: f64) {
+                let v = if v.is_finite() { v } else { MAX_VALUE };
+                let idx = self.bucket_of(v);
+                self.counts[idx] += 1;
+                self.count += 1;
+                self.sum += v;
+                if v < self.min {
+                    self.min = v;
+                }
+                if v > self.max {
+                    self.max = v;
+                }
+            }
+
+            pub(super) fn count(&self) -> u64 {
+                self.count
+            }
+
+            pub(super) fn mean(&self) -> f64 {
+                if self.count == 0 {
+                    0.0
+                } else {
+                    self.sum / self.count as f64
+                }
+            }
+
+            pub(super) fn max(&self) -> f64 {
+                if self.count == 0 {
+                    0.0
+                } else {
+                    self.max
+                }
+            }
+
+            pub(super) fn min(&self) -> f64 {
+                if self.count == 0 {
+                    0.0
+                } else {
+                    self.min
+                }
+            }
+
+            pub(super) fn quantile(&self, p: f64) -> f64 {
+                if self.count == 0 {
+                    return 0.0;
+                }
+                let k = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
+                let mut cum = 0u64;
+                for (i, &c) in self.counts.iter().enumerate() {
+                    cum += c;
+                    if cum >= k {
+                        let mid = MIN_VALUE * GROWTH.powf(i as f64 + 0.5);
+                        return mid.clamp(self.min, self.max);
+                    }
+                }
+                self.max()
+            }
+
+            pub(super) fn merge(&mut self, other: &LatencySketch) {
+                for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+                    *a += b;
+                }
+                self.count += other.count;
+                self.sum += other.sum;
+                if other.count > 0 {
+                    if other.min < self.min {
+                        self.min = other.min;
+                    }
+                    if other.max > self.max {
+                        self.max = other.max;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One value from anywhere the sketch can be fed: the edge cases
+    /// that clamp (0, −0, negatives, NaN, ±∞, far outside the grid),
+    /// exact bucket boundaries, and log-uniform spreads over the grid.
+    fn arb_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(1e-12),
+            Just(1e12),
+            -1e3f64..0.0,
+            (0..=BUCKETS).prop_map(|i| MIN_VALUE * GROWTH.powi(i as i32)),
+            (-10.0f64..10.0).prop_map(|e| 10f64.powf(e)),
+        ]
+    }
+
+    /// Value sets in random order: either anything [`arb_value`] yields
+    /// or positive latencies over six decades, whose window grows both
+    /// up and down as values arrive.
+    fn arb_values() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            proptest::collection::vec(arb_value(), 0..48),
+            proptest::collection::vec((-6.0f64..3.0).prop_map(|e| 10f64.powf(e)), 0..48),
+        ]
+    }
+
+    /// Every answer of `s` is the oracle's, bit for bit.
+    fn assert_answers_match(s: &LatencySketch, oracle: &reference::LatencySketch, p: f64) {
+        assert_eq!(s.count(), oracle.count());
+        assert_eq!(s.mean().to_bits(), oracle.mean().to_bits());
+        assert_eq!(s.min().to_bits(), oracle.min().to_bits());
+        assert_eq!(s.max().to_bits(), oracle.max().to_bits());
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0, p] {
+            assert_eq!(
+                s.quantile(q).to_bits(),
+                oracle.quantile(q).to_bits(),
+                "quantile({q})"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windowed sketch answers exactly what the full grid does,
+        /// part-way and at the end, and never holds more than the grid.
+        #[test]
+        fn windowed_sketch_answers_like_the_full_grid(
+            values in arb_values(),
+            cut in 0.0f64..1.0,
+            p in 0.0f64..1.0,
+        ) {
+            let mid = (cut * values.len() as f64) as usize;
+            let mut s = LatencySketch::new();
+            let mut oracle = reference::LatencySketch::new();
+            for (i, &v) in values.iter().enumerate() {
+                if i == mid {
+                    assert_answers_match(&s, &oracle, p);
+                }
+                s.record(v);
+                oracle.record(v);
+                prop_assert!(s.counts.capacity() <= BUCKETS);
+            }
+            assert_answers_match(&s, &oracle, p);
+        }
+
+        /// Merging two sketches equals recording everything into one
+        /// (the mean is the oracle's merge: sums add per part), and the
+        /// merged window stays within the grid.
+        #[test]
+        fn merge_answers_like_recording_into_one(
+            values in arb_values(),
+            cut in 0.0f64..1.0,
+            p in 0.0f64..1.0,
+        ) {
+            let (left, right) = values.split_at((cut * values.len() as f64) as usize);
+            let sketch_of = |vs: &[f64]| {
+                let mut s = LatencySketch::new();
+                vs.iter().for_each(|&v| s.record(v));
+                s
+            };
+            let oracle_of = |vs: &[f64]| {
+                let mut s = reference::LatencySketch::new();
+                vs.iter().for_each(|&v| s.record(v));
+                s
+            };
+            let mut merged = sketch_of(left);
+            merged.merge(&sketch_of(right));
+            let mut oracle = oracle_of(left);
+            oracle.merge(&oracle_of(right));
+            assert_answers_match(&merged, &oracle, p);
+            let all = sketch_of(&values);
+            prop_assert_eq!((&merged.counts, merged.lo), (&all.counts, all.lo));
+            prop_assert!(merged.counts.capacity() <= BUCKETS);
+        }
     }
 }

@@ -14,13 +14,13 @@ use crate::slo::{DeviceUsage, Outcome, SloWindow, WindowSnapshot};
 /// Latency accumulator behind [`LatencySummary`]: exact mode keeps
 /// every sample (sorted once at `finish`, byte-identical to the golden
 /// fixtures) — the only O(requests) state a run holds — and streaming
-/// mode folds into a fixed-size [`LatencySketch`] so memory stays flat
-/// over unbounded runs.
+/// mode folds into a [`LatencySketch`] so memory stays flat over
+/// unbounded runs. Both start empty and grow with what they hold.
 #[derive(Debug, Clone)]
 pub(crate) enum LatAgg {
     /// Every sample, summarized by an in-place sort at the end.
     Exact(Vec<f64>),
-    /// Fixed-memory log-bucket histogram (≤ 1% quantile error).
+    /// Bounded-memory log-bucket histogram (≤ 1% quantile error).
     Sketch(LatencySketch),
 }
 
@@ -31,11 +31,11 @@ impl Default for LatAgg {
 }
 
 impl LatAgg {
-    pub(crate) fn new(streaming: bool, capacity: usize) -> Self {
+    pub(crate) fn new(streaming: bool) -> Self {
         if streaming {
             LatAgg::Sketch(LatencySketch::new())
         } else {
-            LatAgg::Exact(Vec::with_capacity(capacity))
+            LatAgg::Exact(Vec::new())
         }
     }
 

@@ -192,7 +192,7 @@ pub struct KindBatchCap {
 /// - driver-side request slots recycle through a free-list slab, and
 ///   the kernel recycles its task table, so resident state is
 ///   proportional to *in-flight* work rather than total arrivals,
-/// - latency summaries (global and per-class) come from the fixed-size
+/// - latency summaries (global and per-class) come from the bounded
 ///   [`LatencySketch`](s2m3_core::sketch::LatencySketch): count, mean,
 ///   and max stay exact, percentiles carry a ≤ 1% relative error.
 ///
@@ -258,7 +258,9 @@ pub struct ServeScenario {
     pub replan: ReplanPolicy,
     /// Scheduled fleet churn.
     pub events: Vec<FleetEvent>,
-    /// SLO ring-buffer window size, in completed requests.
+    /// SLO ring-buffer window size, in completed requests. The ring
+    /// grows to it on demand, so a window past the run's length keeps
+    /// every outcome.
     pub slo_window: usize,
     /// Emit a windowed SLO snapshot every this many completions.
     pub snapshot_every: usize,

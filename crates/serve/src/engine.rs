@@ -50,15 +50,15 @@
 //! ## One request-lifetime path
 //!
 //! Exact and streaming runs drive the same request lifetime: the
-//! driver's request [`Slab`] always recycles, the kernel's task and
-//! request tables start at the in-flight scale and grow on demand, and
-//! a completed or shed request's slot (with its task buffer) is reused
-//! by a later arrival. Ordering keys on the arrival sequence
+//! driver's request [`Slab`] always recycles, the kernel's task,
+//! request and event tables start empty and grow to the in-flight
+//! peak, and a completed or shed request's slot (with its task buffer)
+//! is reused by a later arrival. Ordering keys on the arrival sequence
 //! (`ReqInfo::seq`), never on the slot, so slot numbering is invisible
 //! to every report. [`ServeScenario::streaming`] selects only how
 //! latencies are *aggregated* — every sample (exact percentiles; the
-//! one O(requests) table an exact run keeps) or a fixed-size sketch —
-//! and whether a completion sink is attached.
+//! one O(requests) table an exact run keeps) or a sketch sized by the
+//! latencies' spread — and whether a completion sink is attached.
 //!
 //! ## Hot-path representation
 //!
@@ -1572,7 +1572,7 @@ impl ServeSession {
         let streaming = scenario.streaming.is_some();
         let class_stats: Vec<ClassStats> = (0..valid.class_names.len())
             .map(|_| ClassStats {
-                latencies: LatAgg::new(streaming, 0),
+                latencies: LatAgg::new(streaming),
                 ..ClassStats::default()
             })
             .collect();
@@ -1638,14 +1638,6 @@ impl ServeSession {
             })
             .collect();
 
-        // Tasks per request: one head plus one per encoder; size for
-        // the largest deployed fan-out so the table never reallocates.
-        let max_fanout = 1 + resolved
-            .models()
-            .iter()
-            .map(|m| m.encoders.len())
-            .max()
-            .unwrap_or(0);
         // Batching policy: `None` keeps the singleton fast path (and
         // the golden fixtures); a `BatchPolicy` enables the kernel's
         // same-module merge with per-module caps resolved from the
@@ -1665,12 +1657,6 @@ impl ServeSession {
                 .collect(),
             _ => Vec::new(),
         };
-        // One sizing rule for every request-lifetime table (request
-        // slab, kernel task/request tables): the in-flight scale, grown
-        // on demand. Slots and task ids recycle and are invisible to
-        // every report, so the only O(requests) state a run keeps is
-        // what its report needs — exact mode's latency samples.
-        let cap_requests = scenario.requests.min(1024);
         let sink = match scenario.streaming.as_ref().and_then(|c| c.sink.as_deref()) {
             Some(path) => {
                 let file = std::fs::File::create(path)
@@ -1682,7 +1668,13 @@ impl ServeSession {
             }
             None => None,
         };
-        let mut kernel: K = Kernel::with_capacity(
+        // Every request-lifetime table (request slab, kernel task,
+        // request and event tables, SLO ring, latency aggregators)
+        // starts empty and grows to what the run holds at once. Slots
+        // and task ids recycle and are invisible to every report, so the
+        // only O(requests) state a run keeps is what its report needs —
+        // exact mode's latency samples.
+        let mut kernel: K = Kernel::new(
             lane_devices,
             KernelPolicy {
                 immediate_head_fire: false,
@@ -1693,8 +1685,6 @@ impl ServeSession {
                 // if it ever grows past the spill threshold.
                 scheduler: Scheduler::Auto,
             },
-            cap_requests.saturating_mul(max_fanout),
-            cap_requests,
         );
         kernel.module_batch_caps = module_batch_caps;
         let exec_overhead_s: Vec<f64> = universe
@@ -1724,7 +1714,7 @@ impl ServeSession {
             n_models,
             devices,
             exec_overhead_s,
-            requests: Slab::new(true, cap_requests),
+            requests: Slab::new(true, 0),
             stream,
             arrival_buf: Vec::new(),
             arrival_cursor: 0,
@@ -1749,7 +1739,7 @@ impl ServeSession {
                 until_snapshot: scenario.snapshot_every.max(1) as u64,
                 max_windows: scenario.max_windows,
                 last_snapshot_seen: 0,
-                latencies: LatAgg::new(streaming, cap_requests),
+                latencies: LatAgg::new(streaming),
                 class_stats,
                 usage,
                 executions: vec![0; n_uni],

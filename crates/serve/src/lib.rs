@@ -17,7 +17,7 @@
 //! - **discrete-event execution** — per-device lanes with module-level
 //!   FIFO queues and head-priority dispatch, mirroring
 //!   `s2m3_sim::engine`'s semantics;
-//! - **SLO tracking** — fixed-size ring-buffer windows summarized into
+//! - **SLO tracking** — bounded ring-buffer windows summarized into
 //!   p50/p95/p99 latency and deadline-miss rates, plus per-device
 //!   utilization;
 //! - **live replanning** — [`FleetEvent`]s (join/leave/slowdown) wake a

@@ -9,14 +9,14 @@
 //! instead of silently aliasing the new occupant.
 //!
 //! Recycling is the only production mode: the serving driver builds
-//! `Slab::new(true, _)` whether or not the scenario streams, because
+//! `Slab::new(true, 0)` whether or not the scenario streams, because
 //! nothing a report carries depends on slot numbering (ordering keys on
-//! the arrival sequence, never on the slot). `Slab::new(false, _)` — a
-//! pure append-only `Vec` where slot i is the i-th insertion and `free`
-//! is a no-op — survives solely because `benchmark/src/replay.rs`
-//! constructs it for its exact-mode slab replay; the next `benchmark`
-//! PR switches that replay to the recycling slab and deletes the mode
-//! (ROADMAP item 2c).
+//! the arrival sequence, never on the slot), and lets the table grow to
+//! the run's in-flight peak. `Slab::new(false, _)` — a pure append-only
+//! `Vec` where slot i is the i-th insertion and `free` is a no-op —
+//! survives solely because `benchmark/src/replay.rs` constructs it for
+//! its exact-mode slab replay; ROADMAP item 9 switches that replay to
+//! the recycling slab, and item 11 then deletes the mode.
 //!
 //! Values and slot state live in separate arrays (`values` /
 //! packed `gen | occupied` words), so handle validation never pulls a

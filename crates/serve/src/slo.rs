@@ -1,4 +1,4 @@
-//! Rolling SLO tracking: a fixed-size ring buffer of recent request
+//! Rolling SLO tracking: a bounded ring buffer of recent request
 //! outcomes, summarized into latency percentiles and deadline-miss rates.
 
 use serde::{Deserialize, Serialize};
@@ -15,32 +15,35 @@ pub struct Outcome {
     pub missed: bool,
 }
 
-/// A fixed-capacity ring buffer of the most recent [`Outcome`]s.
+/// A bounded ring buffer of the most recent [`Outcome`]s.
 #[derive(Debug, Clone)]
 pub struct SloWindow {
     /// Configured ring size (`Vec::capacity` may over-allocate, so the
     /// bound is stored explicitly to keep eviction deterministic).
     capacity: usize,
+    /// The ring: grows from empty until it holds `capacity` outcomes,
+    /// so a window larger than the run costs only what the run records.
     buf: Vec<Outcome>,
     /// Next write position.
     head: usize,
     /// Total outcomes ever recorded.
     seen: u64,
     /// Latency scratch [`SloWindow::snapshot`] selects percentiles in:
-    /// sized once, so a snapshot never allocates.
+    /// it keeps its buffer, so a snapshot allocates only when the ring
+    /// has grown since the last one.
     scratch: Vec<f64>,
 }
 
 impl SloWindow {
-    /// A window retaining the last `capacity` outcomes (≥1).
+    /// A window retaining the last `capacity` outcomes (≥1). It
+    /// allocates nothing up front: `usize::MAX` keeps every outcome.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         SloWindow {
-            capacity,
-            buf: Vec::with_capacity(capacity),
+            capacity: capacity.max(1),
+            buf: Vec::new(),
             head: 0,
             seen: 0,
-            scratch: Vec::with_capacity(capacity),
+            scratch: Vec::new(),
         }
     }
 
@@ -98,24 +101,31 @@ impl SloWindow {
         if n == 0 {
             return 0.0;
         }
-        self.scratch.clear();
-        self.scratch.extend(self.buf.iter().map(|o| o.latency_s));
         *self
-            .scratch
+            .latencies()
             .select_nth_unstable_by(ceil_rank(n, 0.95) - 1, f64::total_cmp)
             .1
     }
 
-    /// Summarizes the current window contents at virtual time `now_s`.
-    /// O(window) and allocation-free: the percentiles are selected
-    /// (highest first, each inside the prefix the previous selection
-    /// left below it) rather than read off a full sort — the values
-    /// [`percentile_sorted`] returns on the sorted window.
-    pub fn snapshot(&mut self, now_s: f64) -> WindowSnapshot {
+    /// The ring's latencies, copied into the scratch buffer. The scratch
+    /// mirrors the ring's capacity, so it grows only after the ring has.
+    fn latencies(&mut self) -> &mut [f64] {
         self.scratch.clear();
+        self.scratch.reserve_exact(self.buf.capacity());
         self.scratch.extend(self.buf.iter().map(|o| o.latency_s));
-        let n = self.scratch.len();
+        &mut self.scratch
+    }
+
+    /// Summarizes the current window contents at virtual time `now_s`.
+    /// O(window), and allocation-free once the ring is full: the
+    /// percentiles are selected (highest first, each inside the prefix
+    /// the previous selection left below it) rather than read off a
+    /// full sort — the values [`percentile_sorted`] returns on the
+    /// sorted window.
+    pub fn snapshot(&mut self, now_s: f64) -> WindowSnapshot {
         let missed = self.buf.iter().filter(|o| o.missed).count();
+        let latencies = self.latencies();
+        let n = latencies.len();
         // Called with descending `p`: each selection partitions only
         // the prefix the previous one left below its rank.
         let mut below = n;
@@ -125,7 +135,7 @@ impl SloWindow {
                 let idx = ceil_rank(n, p) - 1;
                 // Equal ranks (small windows) share the selected value.
                 if idx < below {
-                    value = *self.scratch[..below]
+                    value = *latencies[..below]
                         .select_nth_unstable_by(idx, f64::total_cmp)
                         .1;
                     below = idx;
@@ -253,6 +263,22 @@ mod tests {
         assert_eq!(s.p50_s, 30.0);
         assert_eq!(s.p99_s, 40.0);
         assert!((s.miss_rate - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unbounded_window_grows_with_what_it_holds() {
+        // Reserving `usize::MAX` outcomes up front would abort; the ring
+        // grows on demand and keeps every outcome instead.
+        let mut w = SloWindow::new(usize::MAX);
+        for i in 1..=1000 {
+            w.push(outcome(i as f64, i > 990));
+        }
+        assert_eq!((w.len(), w.total_seen()), (1000, 1000));
+        assert!(w.buf.capacity() < 2 * 1000);
+        let s = w.snapshot(1.0);
+        assert_eq!((s.window, s.p50_s, s.p99_s), (1000, 500.0, 990.0));
+        assert!((s.miss_rate - 0.01).abs() < 1e-12);
+        assert_eq!(w.p95(), 950.0);
     }
 
     #[test]

@@ -652,14 +652,17 @@ pub struct Kernel<X, P> {
 }
 
 impl<X, P> Kernel<X, P> {
-    /// An empty kernel over `devices` under `policy`.
+    /// An empty kernel over `devices` under `policy`, whose task,
+    /// request and event tables grow on demand — what the online
+    /// driver uses, since its in-flight peak is unknown up front.
     pub fn new(devices: Vec<Device>, policy: Policy) -> Self {
         Self::with_capacity(devices, policy, 0, 0)
     }
 
-    /// An empty kernel with task/request table capacity hints — callers
-    /// that know the workload size up front (e.g. a bounded plan or a
-    /// fixed-length arrival stream) avoid the growth reallocations.
+    /// An empty kernel with task/request table capacity hints, for a
+    /// caller that knows its exact task and request counts up front
+    /// (the bounded `engine`, which registers a whole plan before the
+    /// first event) and so skips the growth reallocations.
     pub fn with_capacity(
         devices: Vec<Device>,
         policy: Policy,

@@ -10,11 +10,13 @@
 //! allocations pollute the peaks; the tests within serialize on
 //! [`MEASURING`]).
 //!
-//! The assertion style is *ratio*, not absolute bytes: scale requests
-//! by 10–50× and require the peak-heap delta to stay within a small
-//! constant factor, so the test is insensitive to allocator slop and
-//! debug-vs-release layout while still catching any O(arrivals)
-//! regression (which would scale the peak by the same 10–50×).
+//! The main assertion style is *ratio*, not absolute bytes: scale
+//! requests by 10–50× and require the peak-heap delta to stay within a
+//! small constant factor, so the test is insensitive to allocator slop
+//! and debug-vs-release layout while still catching any O(arrivals)
+//! regression (which would scale the peak by the same 10–50×). One
+//! absolute bound, with ~2× headroom, catches what a ratio cannot: state
+//! reserved up front whatever the load.
 
 use std::sync::Mutex;
 
@@ -84,6 +86,22 @@ fn streaming_peak_heap_is_flat_in_request_count() {
         "streaming peak heap must be flat: {small_n} requests peaked at \
          {small} B but {big_n} requests peaked at {big} B ({scale}x more \
          arrivals must not mean more than ~constant heap)"
+    );
+}
+
+#[test]
+fn streaming_state_is_sized_by_what_it_holds() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    // The ratio bounds cannot see a reservation made whatever the load:
+    // it costs the small run as much as the big one. Under this load a
+    // few dozen requests are in flight, so every request, task, event
+    // and latency table together must stay well under 100 KiB.
+    let _ = peak_delta_of(&scenario(512, true));
+    let peak = peak_delta_of(&scenario(4_000, true));
+    assert!(
+        peak < 96 << 10,
+        "a 4,000-request streaming run peaked at {peak} B: some serve state \
+         is sized by something other than what it holds"
     );
 }
 
