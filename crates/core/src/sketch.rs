@@ -18,12 +18,29 @@
 //! counters (~16 KiB). Every answer is the one the full grid gives, bit
 //! for bit.
 //!
-//! Quantile semantics match
-//! [`percentile_sorted`](../../s2m3_serve/slo/fn.percentile_sorted.html)'s
-//! ceil-rank rule (`k = clamp(⌈p·n⌉, 1, n)`), so with streaming off
-//! and on, the *same* order statistic is being estimated.
+//! Quantiles follow the workspace's one percentile rule, the ceil rank
+//! [`ceil_rank`] (`k = clamp(⌈p·n⌉, 1, n)`), which [`percentile_sorted`]
+//! applies to exact samples, so with streaming off and on, the *same*
+//! order statistic is being estimated.
 
 use serde::{Deserialize, Serialize};
+
+/// 1-based ceil rank of percentile `p` among `n ≥ 1` samples:
+/// `clamp(⌈p·n⌉, 1, n)`.
+#[inline]
+pub fn ceil_rank(n: usize, p: f64) -> usize {
+    ((p * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// Ceil-rank percentile over an ascending-sorted slice (0 when empty):
+/// the exact order statistic [`LatencySketch::quantile`] estimates.
+#[inline]
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[ceil_rank(sorted.len(), p) - 1]
+}
 
 /// Geometric bucket growth factor. Relative quantile error is bounded
 /// by `sqrt(GROWTH) - 1` (≈ 0.995%).
@@ -181,7 +198,7 @@ impl LatencySketch {
         if self.count == 0 {
             return 0.0;
         }
-        let k = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let k = ceil_rank(self.count as usize, p) as u64;
         let mut cum = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
@@ -220,14 +237,6 @@ mod tests {
     use proptest::prelude::*;
 
     use super::*;
-
-    /// Exact ceil-rank order statistic over a sorted slice — the
-    /// reference the sketch approximates.
-    fn exact_quantile(sorted: &[f64], p: f64) -> f64 {
-        let n = sorted.len();
-        let k = ((p * n as f64).ceil() as usize).clamp(1, n);
-        sorted[k - 1]
-    }
 
     #[test]
     fn bucket_count_is_the_grid_formula() {
@@ -269,7 +278,7 @@ mod tests {
         }
         vals.sort_by(|a, b| a.partial_cmp(b).unwrap());
         for &p in &[0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 1.0] {
-            let exact = exact_quantile(&vals, p);
+            let exact = percentile_sorted(&vals, p);
             let approx = s.quantile(p);
             let rel = (approx - exact).abs() / exact;
             assert!(

@@ -140,32 +140,41 @@ impl<W: Write> ColumnWriter<W> {
     }
 }
 
+/// On-disk bytes per row across the five columns.
+const ROW_BYTES: usize = 8 + 8 + 4 + 4 + 8;
+
 /// Reads every row of a sink stream written by [`ColumnWriter`].
 ///
 /// # Errors
 ///
-/// Fails on a bad magic header, a truncated row group, or an
-/// underlying read error.
+/// Fails on a bad magic header, a row-group length of 0 or more than
+/// [`ROWS_PER_GROUP`] (checked before anything is allocated), a stream
+/// that ends inside a row group or its length prefix, or an underlying
+/// read error.
 pub fn read_rows<R: Read>(mut input: R) -> std::io::Result<Vec<CompletionRow>> {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
     if &magic != MAGIC {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not an S2M3COL1 sink file",
-        ));
+        return Err(invalid("not an S2M3COL1 sink file".to_string()));
     }
     let mut rows = Vec::new();
     loop {
         let mut len = [0u8; 4];
-        // A clean EOF exactly at a group boundary ends the file.
-        match input.read_exact(&mut len) {
-            Ok(()) => {}
+        // An end of file exactly at a group boundary ends the stream;
+        // one inside the length prefix is a truncated group.
+        match input.read_exact(&mut len[..1]) {
+            Ok(()) => input.read_exact(&mut len[1..])?,
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(e),
         }
         let n = u32::from_le_bytes(len) as usize;
-        let mut buf = vec![0u8; n * (8 + 8 + 4 + 4 + 8)];
+        if n == 0 || n > ROWS_PER_GROUP {
+            return Err(invalid(format!(
+                "row-group length {n} outside 1..={ROWS_PER_GROUP}"
+            )));
+        }
+        let mut buf = vec![0u8; n * ROW_BYTES];
         input.read_exact(&mut buf)?;
         let u64_at = |off: usize, i: usize| {
             u64::from_le_bytes(buf[off + i * 8..off + i * 8 + 8].try_into().unwrap())
@@ -194,6 +203,8 @@ pub fn read_rows<R: Read>(mut input: R) -> std::io::Result<Vec<CompletionRow>> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn row(i: u64) -> CompletionRow {
@@ -264,5 +275,145 @@ mod tests {
         // Chop the last column short: the group is unreadable.
         buf.truncate(buf.len() - 3);
         assert!(read_rows(buf.as_slice()).is_err());
+    }
+
+    /// A sink file of rows `0..n`, as [`ColumnWriter`] writes it.
+    fn file_of(n: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut w = ColumnWriter::new(&mut buf).unwrap();
+        for i in 0..n as u64 {
+            w.push(row(i)).unwrap();
+        }
+        w.finish().unwrap();
+        buf
+    }
+
+    fn assert_invalid_data(bytes: &[u8]) {
+        let err = read_rows(bytes).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn an_oversized_group_length_is_invalid_data_before_any_allocation() {
+        for n in [u32::MAX, ROWS_PER_GROUP as u32 + 1] {
+            let mut buf = file_of(10);
+            buf[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&n.to_le_bytes());
+            assert_invalid_data(&buf);
+        }
+    }
+
+    #[test]
+    fn a_file_cut_inside_a_length_prefix_is_truncated() {
+        for stray in 1..4 {
+            let mut buf = file_of(10);
+            buf.extend(std::iter::repeat_n(7u8, stray));
+            let err = read_rows(buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_zero_row_group_is_invalid_data() {
+        let mut buf = file_of(10);
+        buf.extend(0u32.to_le_bytes());
+        assert_invalid_data(&buf);
+    }
+
+    /// Row counts spanning 0 to 3 groups, half of them on a group edge:
+    /// an exact multiple of [`ROWS_PER_GROUP`] or one either side.
+    fn arb_rows() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            0..=3 * ROWS_PER_GROUP,
+            (0..=3usize, 0..=2usize).prop_map(|(k, d)| (k * ROWS_PER_GROUP + d)
+                .saturating_sub(1)
+                .min(3 * ROWS_PER_GROUP)),
+        ]
+    }
+
+    /// Where each complete group of an `n`-row file ends, with the rows
+    /// before that point, from the bare header to the end of the file:
+    /// the only cuts that leave a readable file.
+    fn group_ends(n: usize) -> Vec<(usize, usize)> {
+        let mut ends = vec![(MAGIC.len(), 0)];
+        for start in (0..n).step_by(ROWS_PER_GROUP) {
+            let rows = (n - start).min(ROWS_PER_GROUP);
+            let (at, before) = ends[ends.len() - 1];
+            ends.push((at + 4 + rows * ROW_BYTES, before + rows));
+        }
+        ends
+    }
+
+    /// A byte offset at most a few bytes from one of `ends`, inside `len`.
+    fn near(ends: &[(usize, usize)], pick: usize, delta: i64, len: usize) -> usize {
+        (ends[pick % ends.len()].0 as i64 + delta).clamp(0, len as i64) as usize
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// An uncut file reads back every row.
+        #[test]
+        fn an_uncut_file_reads_back_every_row(n in arb_rows()) {
+            let rows = read_rows(file_of(n).as_slice()).unwrap();
+            prop_assert_eq!(rows.len(), n);
+            prop_assert!(rows.iter().enumerate().all(|(i, r)| *r == row(i as u64)));
+        }
+
+        /// A cut at a group boundary reads back exactly the complete
+        /// groups; a cut anywhere else is an error. Each case cuts once
+        /// anywhere and once within a few bytes of a boundary, where a
+        /// length prefix is split.
+        #[test]
+        fn a_cut_file_reads_whole_groups_or_fails(
+            n in arb_rows(),
+            anywhere in 0.0f64..1.0,
+            (pick, delta) in (0usize..4, -3i64..=4),
+        ) {
+            let file = file_of(n);
+            let ends = group_ends(n);
+            prop_assert_eq!(ends[ends.len() - 1], (file.len(), n));
+            let cuts = [
+                (anywhere * file.len() as f64) as usize,
+                near(&ends, pick, delta, file.len()),
+            ];
+            for at in cuts {
+                let read = read_rows(&file[..at]);
+                match ends.iter().find(|&&(end, _)| end == at) {
+                    Some(&(_, whole)) => prop_assert_eq!(read.unwrap().len(), whole),
+                    None => {
+                        prop_assert!(read.is_err(), "cut at {} of {} read back", at, file.len())
+                    }
+                }
+            }
+        }
+
+        /// Any single flipped byte gives `Ok` or `Err`, never a panic or
+        /// an abort; one outside the header and the length prefixes
+        /// changes values, not the row count. Each case flips once
+        /// anywhere and once near a group boundary.
+        #[test]
+        fn a_flipped_byte_never_panics(
+            n in arb_rows(),
+            anywhere in 0.0f64..1.0,
+            (pick, delta) in (0usize..4, 0i64..4),
+            mask in 1u8..=255,
+        ) {
+            let file = file_of(n);
+            let ends = group_ends(n);
+            let flips = [
+                (anywhere * file.len() as f64) as usize,
+                near(&ends, pick, delta, file.len() - 1),
+            ];
+            for at in flips {
+                let mut bent = file.clone();
+                bent[at] ^= mask;
+                let read = read_rows(bent.as_slice());
+                let in_prefix = at < MAGIC.len()
+                    || ends.iter().any(|&(end, _)| (end..end + 4).contains(&at));
+                if !in_prefix {
+                    prop_assert_eq!(read.unwrap().len(), n);
+                }
+            }
+        }
     }
 }

@@ -185,19 +185,21 @@ pub struct KindBatchCap {
 }
 
 /// Memory-flat streaming mode for the serving loop (see the README's
-/// "Memory-flat serving" section). When set on a scenario:
+/// "Memory-flat serving" section).
 ///
-/// - arrivals are pulled lazily from the workload stream (never
-///   materialized as a vector),
-/// - driver-side request slots recycle through a free-list slab, and
-///   the kernel recycles its task table, so resident state is
-///   proportional to *in-flight* work rather than total arrivals,
+/// Every run, exact or streaming, pulls arrivals lazily and recycles
+/// request slots and kernel tasks, so its resident state follows
+/// *in-flight* work (see [`crate::engine`]'s "One request-lifetime
+/// path"). Streaming selects only two things:
+///
 /// - latency summaries (global and per-class) come from the bounded
-///   [`LatencySketch`](s2m3_core::sketch::LatencySketch): count, mean,
-///   and max stay exact, percentiles carry a ≤ 1% relative error.
+///   [`LatencySketch`](s2m3_core::sketch::LatencySketch) instead of
+///   every sample: count, mean, and max stay exact, percentiles carry
+///   a ≤ 1% relative error;
+/// - an optional completion sink records one row per request.
 ///
-/// `None` (the default) keeps the exact path byte-identical to the
-/// golden fixtures.
+/// `None` (the default) keeps exact latency percentiles, byte-identical
+/// to the golden fixtures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct StreamingConfig {
     /// Optional path for the columnar completion-event sink (one row
@@ -264,9 +266,10 @@ pub struct ServeScenario {
     pub slo_window: usize,
     /// Emit a windowed SLO snapshot every this many completions.
     pub snapshot_every: usize,
-    /// Memory-flat streaming mode. `None` (the default, and what every
-    /// pre-streaming scenario JSON parses as — absent and `null` both
-    /// deserialize to `None`) keeps the exact path.
+    /// Streaming latency aggregation and the completion sink. `None`
+    /// (the default, and what every pre-streaming scenario JSON parses
+    /// as — absent and `null` both deserialize to `None`) keeps every
+    /// latency sample for exact percentiles.
     pub streaming: Option<StreamingConfig>,
     /// Cap on retained SLO window snapshots: when the report would
     /// exceed this, every other snapshot is dropped and the snapshot

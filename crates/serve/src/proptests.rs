@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 use s2m3_sim::workload::ArrivalProcess;
 
-use s2m3_core::sketch::LatencySketch;
+use s2m3_core::sketch::{percentile_sorted, LatencySketch};
 
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetPolicy};
 use crate::config::{
@@ -28,7 +28,7 @@ use crate::config::{
 };
 use crate::engine::{serve, ServeError, ServeSession};
 use crate::report::LatencySummary;
-use crate::slo::{percentile_sorted, Outcome, SloWindow, WindowSnapshot};
+use crate::slo::{Outcome, SloWindow, WindowSnapshot};
 
 fn arb_policy() -> impl Strategy<Value = AdmissionPolicy> {
     prop_oneof![

@@ -5,7 +5,9 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use crate::slo::{percentile_sorted, WindowSnapshot};
+use s2m3_core::sketch::percentile_sorted;
+
+use crate::slo::WindowSnapshot;
 
 /// Latency percentile summary over all completed requests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]

@@ -3,6 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use s2m3_core::sketch::ceil_rank;
+
 /// One finished request as the SLO tracker sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outcome {
@@ -120,8 +122,9 @@ impl SloWindow {
     /// O(window), and allocation-free once the ring is full: the
     /// percentiles are selected (highest first, each inside the prefix
     /// the previous selection left below it) rather than read off a
-    /// full sort — the values [`percentile_sorted`] returns on the
-    /// sorted window.
+    /// full sort — the values
+    /// [`percentile_sorted`](s2m3_core::sketch::percentile_sorted)
+    /// returns on the sorted window.
     pub fn snapshot(&mut self, now_s: f64) -> WindowSnapshot {
         let missed = self.buf.iter().filter(|o| o.missed).count();
         let latencies = self.latencies();
@@ -162,22 +165,6 @@ impl SloWindow {
             utilization: 0.0,
         }
     }
-}
-
-/// Ceil-rank percentile over an ascending-sorted slice (0 when empty):
-/// the single percentile definition shared by the rolling windows and
-/// the end-of-run [`LatencySummary`](crate::report::LatencySummary).
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    sorted[ceil_rank(n, p) - 1]
-}
-
-/// 1-based ceil rank of percentile `p` among `n ≥ 1` samples.
-fn ceil_rank(n: usize, p: f64) -> usize {
-    ((p * n as f64).ceil() as usize).clamp(1, n)
 }
 
 /// A point-in-time summary of the rolling window.

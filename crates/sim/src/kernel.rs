@@ -362,9 +362,10 @@ pub struct Policy {
 ///   sift-down that beats std's sift-to-bottom-then-back strategy on
 ///   the *small* heaps the lazy-arrival serving loop keeps (std's
 ///   `BinaryHeap` with the same packed keys measured faster on the
-///   synthetic 4k-event `kernel_step` fanout but consistently slower on
-///   `serve_loop/*` — the product hot path — so small-heap behavior
-///   wins the tie).
+///   synthetic kernel fanout at 2k pending events
+///   (`sim.kernel.*.ns_per_event.p2k`) but consistently slower in the
+///   serving loop — the product hot path — so small-heap behavior wins
+///   the tie).
 ///
 /// Ordering is bit-exact with the old `BinaryHeap<Reverse<(u64, u64,
 /// Event)>>`: keys are unique, min-first by time then push sequence.
@@ -449,7 +450,7 @@ impl<T> KeyHeap<T> {
 
 /// Pending-event count past which an [`Scheduler::Auto`] queue drains
 /// its heap into the timing wheel. Measured crossover: heap and wheel
-/// run at parity near 2k pending events (`kernel_step/2k_req_fanout`);
+/// run at parity near 2k pending events (`sim.kernel.*.ns_per_event.p2k`);
 /// below that the heap wins outright, above it heap depth keeps
 /// growing while the wheel's per-event cost stays flat.
 const WHEEL_SPILL_LEN: usize = 4096;

@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use s2m3_core::error::CoreError;
 use s2m3_core::problem::{DeadlineClass, Instance, Request};
+use s2m3_core::sketch::percentile_sorted;
 use s2m3_tensor::seed::seed_from_label;
 
 use crate::kernel::ns;
@@ -1148,16 +1149,12 @@ pub fn latency_stats(report: &SimReport) -> LatencyStats {
             throughput: 0.0,
         };
     }
-    let pct = |p: f64| -> f64 {
-        let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
-        latencies[idx]
-    };
     LatencyStats {
         n,
         mean: latencies.iter().sum::<f64>() / n as f64,
-        p50: pct(0.50),
-        p95: pct(0.95),
-        p99: pct(0.99),
+        p50: percentile_sorted(&latencies, 0.50),
+        p95: percentile_sorted(&latencies, 0.95),
+        p99: percentile_sorted(&latencies, 0.99),
         max: latencies[n - 1],
         throughput: n as f64 / report.makespan.max(1e-9),
     }

@@ -3,6 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use s2m3_core::sketch::percentile_sorted;
 use s2m3_serve::{ReplanRecord, ServeReport, WindowSnapshot};
 
 /// p50/p95/p99 of one metric across a cell's replicas.
@@ -26,14 +27,10 @@ impl Band {
         }
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pick = |q: f64| {
-            let rank = (q * sorted.len() as f64).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
         Some(Band {
-            p50: pick(0.50),
-            p95: pick(0.95),
-            p99: pick(0.99),
+            p50: percentile_sorted(&sorted, 0.50),
+            p95: percentile_sorted(&sorted, 0.95),
+            p99: percentile_sorted(&sorted, 0.99),
         })
     }
 }
@@ -97,13 +94,9 @@ pub fn bootstrap_ci95(samples: &[f64]) -> Option<Ci95> {
         means.push(sum / n as f64);
     }
     means.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pick = |q: f64| {
-        let rank = (q * means.len() as f64).ceil() as usize;
-        means[rank.clamp(1, means.len()) - 1]
-    };
     Some(Ci95 {
-        lo: pick(0.025),
-        hi: pick(0.975),
+        lo: percentile_sorted(&means, 0.025),
+        hi: percentile_sorted(&means, 0.975),
     })
 }
 
