@@ -94,15 +94,6 @@ pub fn run() -> Table {
     t
 }
 
-/// The distributed loading overhead of the S2M3 plan (end-to-end minus
-/// inference), exposed for Fig. 3.
-pub fn s2m3_loading() -> f64 {
-    let edge = Instance::on_fleet(Fleet::edge_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
-    let q = edge.request(0, MODEL).unwrap();
-    let plan = Plan::greedy(&edge, vec![q]).unwrap();
-    loading_critical_path(&edge, &plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -618,6 +618,8 @@ pub fn dispatch(args: &Args) -> CmdResult {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
     use crate::args::parse;
 
@@ -1052,6 +1054,26 @@ mod tests {
         ] {
             assert!(out.contains(bin), "missing {bin}");
         }
+    }
+
+    #[test]
+    fn experiments_names_exactly_the_experiment_bins() {
+        let out = run(&["experiments"]).unwrap();
+        let listed: BTreeSet<String> = out
+            .split("--bin ")
+            .skip(1)
+            .map(|rest| rest.split_whitespace().next().unwrap().to_string())
+            .collect();
+        // `capture_fixtures` regenerates the goldens: tooling, not an
+        // experiment (the README documents it).
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../bench/src/bin");
+        let bins: BTreeSet<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter_map(|f| f.strip_suffix(".rs").map(str::to_string))
+            .filter(|b| b != "capture_fixtures")
+            .collect();
+        assert_eq!(listed, bins);
     }
 
     #[test]

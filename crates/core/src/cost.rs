@@ -41,12 +41,6 @@ impl CostModel {
         }
     }
 
-    /// Sets (or overrides) one device's rate, builder-style.
-    pub fn with_rate(mut self, device: impl Into<DeviceId>, rate: f64) -> Self {
-        self.set_rate(device, rate);
-        self
-    }
-
     /// Sets (or overrides) one device's rate.
     pub fn set_rate(&mut self, device: impl Into<DeviceId>, rate: f64) {
         self.rate_per_device_s.insert(device.into(), rate);
@@ -59,11 +53,6 @@ impl CostModel {
             .copied()
             .unwrap_or(self.default_rate_per_s)
     }
-
-    /// Cost of `busy_s` seconds of lane time on `device`.
-    pub fn busy_cost(&self, device: &DeviceId, busy_s: f64) -> f64 {
-        self.rate(device) * busy_s
-    }
 }
 
 #[cfg(test)]
@@ -74,22 +63,22 @@ mod tests {
     fn uniform_prices_every_device_alike() {
         let m = CostModel::uniform(2.5);
         assert_eq!(m.rate(&"server".into()), 2.5);
-        assert_eq!(m.busy_cost(&"laptop".into(), 4.0), 10.0);
+        assert_eq!(m.rate(&"laptop".into()), 2.5);
     }
 
     #[test]
     fn named_rates_override_the_default() {
-        let m = CostModel::uniform(1.0).with_rate("server", 230.0);
+        let mut m = CostModel::uniform(1.0);
+        m.set_rate("server", 230.0);
         assert_eq!(m.rate(&"server".into()), 230.0);
         assert_eq!(m.rate(&"jetson-a".into()), 1.0);
-        assert_eq!(m.busy_cost(&"server".into(), 0.5), 115.0);
     }
 
     #[test]
     fn cost_model_json_roundtrip() {
-        let m = CostModel::uniform(0.0)
-            .with_rate("server", 230.0)
-            .with_rate("desktop", 115.0);
+        let mut m = CostModel::uniform(0.0);
+        m.set_rate("server", 230.0);
+        m.set_rate("desktop", 115.0);
         let json = serde_json::to_string(&m).unwrap();
         let back: CostModel = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);

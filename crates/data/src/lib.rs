@@ -37,7 +37,6 @@
 pub mod benchmark;
 pub mod dataset;
 pub mod eval;
-pub mod metrics;
 pub mod sink;
 pub mod table_viii;
 

@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod catalog;
 pub mod exec;
 pub mod input;

@@ -120,19 +120,6 @@ impl Fleet {
         Fleet::new(devices, self.topology.clone(), self.requester.clone())
     }
 
-    /// A copy with a different requester.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if `requester` is not in the fleet.
-    pub fn with_requester(&self, requester: &str) -> Result<Self, String> {
-        Fleet::new(
-            self.devices.clone(),
-            self.topology.clone(),
-            requester.into(),
-        )
-    }
-
     /// The device set `N`.
     pub fn devices(&self) -> &[DeviceSpec] {
         &self.devices
@@ -190,8 +177,8 @@ mod tests {
     #[test]
     fn requester_must_be_member() {
         let f = Fleet::standard_testbed();
-        assert!(f.with_requester("desktop").is_ok());
-        assert!(f.with_requester("ghost").is_err());
+        let topology = f.topology().clone();
+        assert!(Fleet::new(f.devices().to_vec(), topology, "ghost".into()).is_err());
         assert!(f.restricted_to(&["desktop", "laptop"]).is_err()); // loses jetson-a
         assert!(f.restricted_to(&["jetson-a", "laptop"]).is_ok());
     }

@@ -17,9 +17,6 @@ use crate::link::LinkSpec;
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
     access: BTreeMap<DeviceId, LinkSpec>,
-    /// Optional explicit overrides for specific pairs (stored with the
-    /// lexicographically smaller id first).
-    overrides: BTreeMap<(DeviceId, DeviceId), LinkSpec>,
 }
 
 impl Topology {
@@ -31,12 +28,6 @@ impl Topology {
     /// Registers a device's access link.
     pub fn set_access(&mut self, device: DeviceId, link: LinkSpec) {
         self.access.insert(device, link);
-    }
-
-    /// Overrides the path between a specific pair (symmetric).
-    pub fn set_override(&mut self, a: DeviceId, b: DeviceId, link: LinkSpec) {
-        let key = if a <= b { (a, b) } else { (b, a) };
-        self.overrides.insert(key, link);
     }
 
     /// Whether `device` is known to the topology.
@@ -52,14 +43,6 @@ impl Topology {
     pub fn path(&self, a: &DeviceId, b: &DeviceId) -> Result<LinkSpec, DeviceId> {
         if a == b {
             return Ok(LinkSpec::loopback());
-        }
-        let key = if a <= b {
-            (a.clone(), b.clone())
-        } else {
-            (b.clone(), a.clone())
-        };
-        if let Some(l) = self.overrides.get(&key) {
-            return Ok(*l);
         }
         let la = self.access.get(a).ok_or_else(|| a.clone())?;
         let lb = self.access.get(b).ok_or_else(|| b.clone())?;
@@ -128,18 +111,6 @@ mod tests {
         let t = topo();
         let err = t.path(&"desktop".into(), &"ghost".into()).unwrap_err();
         assert_eq!(err.as_str(), "ghost");
-    }
-
-    #[test]
-    fn overrides_take_precedence() {
-        let mut t = topo();
-        t.set_override(
-            "desktop".into(),
-            "laptop".into(),
-            LinkSpec::new(1.0e9, 0.0001),
-        );
-        let p = t.path(&"laptop".into(), &"desktop".into()).unwrap();
-        assert_eq!(p.latency_s, 0.0001);
     }
 
     #[test]

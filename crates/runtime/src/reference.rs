@@ -30,16 +30,6 @@ pub fn run_model(model: &ModelSpec, input: &RequestInput) -> Result<Matrix, Exec
     head.run_head(&encodings, input.query.as_ref())
 }
 
-/// Convenience: predicted index (argmax of the head scores).
-///
-/// # Errors
-///
-/// See [`run_model`]; also fails on empty outputs.
-pub fn predict(model: &ModelSpec, input: &RequestInput) -> Result<usize, ExecError> {
-    let scores = run_model(model, input)?;
-    Ok(s2m3_tensor::ops::argmax_rows(&scores)?[0])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,14 +43,6 @@ mod tests {
             let out = run_model(model, &input).unwrap_or_else(|e| panic!("{}: {e}", model.name));
             assert!(out.rows() >= 1 && out.cols() >= 1, "{}", model.name);
         }
-    }
-
-    #[test]
-    fn predict_is_stable() {
-        let zoo = Zoo::standard();
-        let m = zoo.model("CLIP ViT-B/16").unwrap();
-        let input = RequestInput::synthetic(m, "stable", 8);
-        assert_eq!(predict(m, &input).unwrap(), predict(m, &input).unwrap());
     }
 
     #[test]

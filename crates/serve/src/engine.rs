@@ -52,13 +52,13 @@
 //! Exact and streaming runs drive the same request lifetime: the
 //! driver's request [`Slab`] always recycles, the kernel's task,
 //! request and event tables start empty and grow to the in-flight
-//! peak, and a completed or shed request's slot (with its task buffer)
-//! is reused by a later arrival. Ordering keys on the arrival sequence
-//! (`ReqInfo::seq`), never on the slot, so slot numbering is invisible
-//! to every report. [`ServeScenario::streaming`] selects only how
-//! latencies are *aggregated* — every sample (exact percentiles; the
-//! one O(requests) table an exact run keeps) or a sketch sized by the
-//! latencies' spread — and whether a completion sink is attached.
+//! peak, and a completed or shed request's slot is reused by a later
+//! arrival. Ordering keys on the arrival sequence (`ReqInfo::seq`),
+//! never on the slot, so slot numbering is invisible to every report.
+//! [`ServeScenario::streaming`] selects only how latencies are
+//! *aggregated* — every sample (exact percentiles; the one O(requests)
+//! table an exact run keeps) or a sketch sized by the latencies'
+//! spread — and whether a completion sink is attached.
 //!
 //! ## Hot-path representation
 //!
@@ -188,9 +188,6 @@ struct ReqInfo {
     /// When the budget first deferred this request (`u64::MAX`: never);
     /// the latency price accrues from here at eventual dispatch.
     first_defer_ns: u64,
-    /// Task indices of the current attempt.
-    tasks: Vec<usize>,
-    done: bool,
 }
 
 /// Driver-side per-device serving state (the kernel owns lanes/queues;
@@ -710,7 +707,7 @@ impl Online {
             let handle = ReqHandle::unpack(d.handle);
             // Parked requests can be resolved elsewhere (an early
             // `finish` sheds them): skip anything no longer live.
-            if !self.requests.is_current(handle) || self.requests[handle.slot as usize].done {
+            if !self.requests.is_current(handle) {
                 continue;
             }
             self.admit(k, handle.slot as usize, now);
@@ -744,12 +741,6 @@ impl Online {
                 dur_ns: 0,
             },
         );
-        // The attempt's task list rebuilds inside the slot's existing
-        // buffer (taken so the slab borrow does not overlap the kernel
-        // calls below); recycled slots dispatch with zero allocations.
-        let mut task_ids = std::mem::take(&mut self.requests[rid].tasks);
-        task_ids.clear();
-        task_ids.push(head_task);
 
         // Ready events push inline: task spawning never touches the
         // event queue, so the push sequence (hence the run) is the same
@@ -769,7 +760,6 @@ impl Online {
                     dur_ns: 0,
                 },
             );
-            task_ids.push(tid);
             k.push_ready(now + e.input_tx_ns, tid);
             pending += 1;
         }
@@ -782,11 +772,7 @@ impl Online {
                 head_task,
             },
         );
-        {
-            let r = &mut self.requests[rid];
-            r.tasks = task_ids;
-            r.inflight_on = Some(head_uni);
-        }
+        self.requests[rid].inflight_on = Some(head_uni);
         self.devices[head_uni].inflight += 1;
 
         if pending == 0 {
@@ -797,7 +783,6 @@ impl Online {
     fn complete_request(&mut self, k: &mut K, rid: usize, now: u64) -> Result<(), BoxedErr> {
         let (arrival_ns, deadline_ns, head_dev, class) = {
             let r = &mut self.requests[rid];
-            r.done = true;
             (r.arrival_ns, r.deadline_ns, r.inflight_on.take(), r.class)
         };
         if let Some(ui) = head_dev {
@@ -826,8 +811,7 @@ impl Online {
 
     fn record_shed(&mut self, rid: usize, now: u64) {
         let (deadline_ns, arrival_ns, class) = {
-            let r = &mut self.requests[rid];
-            r.done = true;
+            let r = &self.requests[rid];
             (r.deadline_ns, r.arrival_ns, r.class)
         };
         // A shed request is an SLO miss; the window records it at the
@@ -840,7 +824,7 @@ impl Online {
         self.requests.free(rid);
     }
 
-    /// Cancels a request's current attempt and re-admits it.
+    /// Re-admits a request whose attempt a fleet leave cancelled.
     fn requeue_request(&mut self, k: &mut K, handle: ReqHandle, now: u64) {
         // A stale handle means the slot was resolved (and possibly
         // reused) since the caller collected it; nothing to requeue.
@@ -848,24 +832,9 @@ impl Online {
             return;
         }
         let rid = handle.slot as usize;
-        if self.requests[rid].done {
-            return;
-        }
         if let Some(ui) = self.requests[rid].inflight_on.take() {
             self.devices[ui].inflight = self.devices[ui].inflight.saturating_sub(1);
         }
-        // Cancel in place — the task list is cleared rather than taken,
-        // so the slot keeps its buffer for the next attempt. Only
-        // cancel a task that still belongs to this attempt: with task
-        // recycling, finished slots may already host another request's
-        // task.
-        for i in 0..self.requests[rid].tasks.len() {
-            let tid = self.requests[rid].tasks[i];
-            if k.tasks.req(tid) == rid && !k.tasks.finished(tid) {
-                k.tasks.cancel(tid);
-            }
-        }
-        self.requests[rid].tasks.clear();
         self.report.retried += 1;
         self.admit(k, rid, now);
     }
@@ -970,14 +939,21 @@ impl Online {
             // Scan for stranded live tasks *before* resetting the
             // lanes: with task recycling the reset releases the
             // device's queued task slots, severing their request links.
+            let mut hit = vec![false; self.requests.slots()];
             for tid in 0..k.tasks.len() {
                 if k.tasks.cancelled(tid) || k.tasks.finished(tid) || k.tasks.device(tid) != ui {
                     continue;
                 }
                 let req = k.tasks.req(tid);
-                if !self.requests[req].done {
-                    let seq = self.requests[req].seq;
-                    disturbed.insert((seq, self.requests.handle_of(req).pack()));
+                hit[req] = true;
+                disturbed.insert((self.requests[req].seq, self.requests.handle_of(req).pack()));
+            }
+            // A disturbed request's whole attempt is void, on every
+            // device: its surviving encoders must not feed the fan-in
+            // of the attempt it is re-admitted as.
+            for tid in 0..k.tasks.len() {
+                if !k.tasks.cancelled(tid) && !k.tasks.finished(tid) && hit[k.tasks.req(tid)] {
+                    k.tasks.cancel(tid);
                 }
             }
             k.reset_device_lanes(ui);
@@ -1244,8 +1220,8 @@ impl Online {
         if let Some(ci) = rec.class {
             self.acct.class_arrived(ci);
         }
-        // `insert_with` resets every field in place: a recycled slot
-        // keeps its task buffer's capacity instead of dropping it.
+        // `insert_with` hands back a recycled slot's previous value:
+        // every field is overwritten.
         let handle = self.requests.insert_with(|r| {
             r.seq = seq;
             r.arrival_ns = now;
@@ -1257,8 +1233,6 @@ impl Online {
             r.inflight_on = None;
             r.budget_seen = false;
             r.first_defer_ns = u64::MAX;
-            r.tasks.clear();
-            r.done = false;
         });
         let slot = handle.slot as usize;
         k.set_request(slot, RequestSlot::default());
@@ -1295,7 +1269,6 @@ impl Online {
         let mut inflight: Vec<(u64, usize)> = self
             .requests
             .iter_occupied()
-            .filter(|(_, r)| !r.done)
             .map(|(slot, r)| (r.seq, slot))
             .collect();
         inflight.sort_unstable();

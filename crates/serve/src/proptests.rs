@@ -548,6 +548,32 @@ proptest! {
     }
 }
 
+/// A leave voids a disturbed request's whole attempt, not only its
+/// tasks on the departed device: here a request has an encoder running
+/// on another device when the desktop leaves, and that encoder's
+/// completion must not reach the fan-in of the re-admitted attempt.
+/// (Pinned from a `streaming_mode_tracks_exact_mode` case.)
+#[test]
+fn leave_cancels_the_disturbed_attempt_on_every_device() {
+    let s = scenario(
+        AdmissionPolicy::EarliestDeadlineFirst,
+        ArrivalProcess::Uniform {
+            interval_s: 0.6061792064419379,
+        },
+        vec![FleetEvent {
+            at_s: 67.11296310652918,
+            kind: FleetEventKind::DeviceLeave {
+                device: "desktop".to_string(),
+            },
+        }],
+        101,
+        "prop/streaming".to_string(),
+    );
+    let report = serve(&s).unwrap();
+    assert_eq!(report.completed + report.shed, report.arrived);
+    assert!(report.retried >= 1, "the leave disturbs no request");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -15,14 +15,13 @@
 //! the run's in-flight peak. `Slab::new(false, _)` — a pure append-only
 //! `Vec` where slot i is the i-th insertion and `free` is a no-op —
 //! survives solely because `benchmark/src/replay.rs` constructs it for
-//! its exact-mode slab replay; ROADMAP item 9 switches that replay to
-//! the recycling slab, and item 11 then deletes the mode.
+//! its exact-mode slab replay; ROADMAP item 5(a) switches that replay to
+//! the recycling slab, and item 5(b) then deletes the mode.
 //!
 //! Values and slot state live in separate arrays (`values` /
 //! packed `gen | occupied` words), so handle validation never pulls a
-//! whole `ReqInfo` cache line, and freeing keeps the value in place —
-//! a recycled slot's heap buffers (e.g. a task list) retain their
-//! capacity for the next occupant instead of being dropped to
+//! whole `ReqInfo` cache line, and freeing keeps the value in place for
+//! [`Slab::insert_with`] to overwrite instead of dropping it to
 //! `T::default()`.
 
 /// A generation-tagged reference to one slab slot.
@@ -87,9 +86,8 @@ impl<T: Default> Slab<T> {
     }
 
     /// Inserts by resetting a slot in place, returning its handle. On a
-    /// recycled slot `reset` receives the *previous occupant's* value —
-    /// the caller must overwrite every field, and in exchange keeps any
-    /// heap capacity the old value held. Fresh slots receive
+    /// recycled slot `reset` receives the *previous occupant's* value,
+    /// so the caller must overwrite every field. Fresh slots receive
     /// `T::default()`.
     pub fn insert_with(&mut self, reset: impl FnOnce(&mut T)) -> ReqHandle {
         self.live += 1;

@@ -705,11 +705,6 @@ impl<X, P> Kernel<X, P> {
         self.queue.len()
     }
 
-    /// Virtual time of the next queued event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.queue.peek_key().map(|k| (k >> 64) as u64)
-    }
-
     #[inline]
     fn push(&mut self, at: u64, event: Event<X>) {
         self.seq += 1;

@@ -11,8 +11,9 @@
 //! loading spans, which belong to none — device, module) and a one-byte
 //! phase tag. Recording a span is one store, freeing a million of them
 //! one `dealloc`, and no reference count moves either way. This row is
-//! what a span *sink* (ROADMAP 2e) and per-request lifecycle spans
-//! (ROADMAP 4b) should stream, rather than growing a second span type.
+//! what a span *sink* (ROADMAP item 7) and per-request lifecycle spans
+//! (item 1's span follow-on) should stream, rather than growing a
+//! second span type.
 //!
 //! [`GanttSpan`] and [`Phase`] are the owned view of one row and the
 //! type spans are built from and exchanged as. [`Spans::iter`]

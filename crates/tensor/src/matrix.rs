@@ -238,11 +238,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the transpose.
     pub fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.at(c, r))

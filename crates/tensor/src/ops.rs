@@ -61,30 +61,6 @@ pub fn add(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Adds a `1 x dim` bias row to every row of `a`.
-///
-/// # Errors
-///
-/// [`TensorError::ShapeMismatch`] unless `bias` is `1 x a.cols()`.
-pub fn add_bias(a: &Matrix, bias: &Matrix) -> Result<Matrix> {
-    if bias.rows() != 1 || bias.cols() != a.cols() {
-        return Err(TensorError::ShapeMismatch {
-            op: "add_bias",
-            lhs: a.shape(),
-            rhs: bias.shape(),
-        });
-    }
-    let mut out = a.clone();
-    let n = a.cols();
-    for r in 0..a.rows() {
-        let row = &mut out.as_mut_slice()[r * n..(r + 1) * n];
-        for (o, &b) in row.iter_mut().zip(bias.as_slice()) {
-            *o += b;
-        }
-    }
-    Ok(out)
-}
-
 /// Scales every element by `s`.
 pub fn scale(a: &Matrix, s: f32) -> Matrix {
     let mut out = a.clone();
@@ -101,15 +77,6 @@ pub fn gelu(a: &Matrix) -> Matrix {
         let x = *v;
         let inner = 0.797_884_6 * (x + 0.044_715 * x * x * x);
         *v = 0.5 * x * (1.0 + inner.tanh());
-    }
-    out
-}
-
-/// ReLU activation, element-wise.
-pub fn relu(a: &Matrix) -> Matrix {
-    let mut out = a.clone();
-    for v in out.as_mut_slice() {
-        *v = v.max(0.0);
     }
     out
 }
@@ -264,38 +231,6 @@ pub fn vstack(parts: &[&Matrix]) -> Result<Matrix> {
     Matrix::from_vec(rows, cols, data)
 }
 
-/// Concatenates matrices with equal row counts side-by-side.
-///
-/// # Errors
-///
-/// [`TensorError::Empty`] on an empty input list;
-/// [`TensorError::ShapeMismatch`] if row counts differ.
-pub fn hstack(parts: &[&Matrix]) -> Result<Matrix> {
-    let first = parts.first().ok_or(TensorError::Empty { op: "hstack" })?;
-    let rows = first.rows();
-    for p in parts {
-        if p.rows() != rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "hstack",
-                lhs: first.shape(),
-                rhs: p.shape(),
-            });
-        }
-    }
-    let cols: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut out = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        let mut offset = 0;
-        for p in parts {
-            let src = p.row(r)?;
-            out.as_mut_slice()[r * cols + offset..r * cols + offset + src.len()]
-                .copy_from_slice(src);
-            offset += src.len();
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,12 +270,6 @@ mod tests {
         let a = m(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let b = m(2, 2, &[10.0, 20.0, 30.0, 40.0]);
         assert_eq!(add(&a, &b).unwrap().as_slice(), &[11.0, 22.0, 33.0, 44.0]);
-        let bias = m(1, 2, &[0.5, -0.5]);
-        assert_eq!(
-            add_bias(&a, &bias).unwrap().as_slice(),
-            &[1.5, 1.5, 3.5, 3.5]
-        );
-        assert!(add_bias(&a, &m(1, 3, &[0.0; 3])).is_err());
         assert!(add(&a, &Matrix::zeros(3, 2)).is_err());
     }
 
@@ -351,8 +280,6 @@ mod tests {
         assert!(g.at(0, 1).abs() < 1e-6);
         assert!((g.at(0, 2) - 1.954_5).abs() < 1e-3);
         assert!(g.at(0, 0) < 0.0 && g.at(0, 0) > -0.2);
-        let r = relu(&a);
-        assert_eq!(r.as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
@@ -432,11 +359,8 @@ mod tests {
         let v = vstack(&[&a, &b]).unwrap();
         assert_eq!(v.shape(), (3, 2));
         assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let c = m(1, 1, &[9.0]);
-        let h = hstack(&[&a, &m(1, 1, &[7.0]), &c]).unwrap();
-        assert_eq!(h.as_slice(), &[1.0, 2.0, 7.0, 9.0]);
         assert!(vstack(&[]).is_err());
-        assert!(hstack(&[&a, &b]).is_err());
+        assert!(vstack(&[&a, &Matrix::zeros(1, 3)]).is_err());
     }
 
     #[test]

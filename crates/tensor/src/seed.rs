@@ -42,16 +42,6 @@ pub fn seed_from_label(label: &str) -> [u8; 32] {
     seed
 }
 
-/// Combines a label with a numeric index (e.g. a sample id) into a seed.
-pub fn seed_from_label_index(label: &str, index: u64) -> [u8; 32] {
-    let mut state = fnv1a(label.as_bytes()) ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut seed = [0u8; 32];
-    for chunk in seed.chunks_mut(8) {
-        chunk.copy_from_slice(&splitmix64(&mut state).to_le_bytes());
-    }
-    seed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,14 +62,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, [0u8; 32]);
-    }
-
-    #[test]
-    fn indexed_seeds_differ_per_index() {
-        let s0 = seed_from_label_index("ds", 0);
-        let s1 = seed_from_label_index("ds", 1);
-        assert_ne!(s0, s1);
-        assert_eq!(s0, seed_from_label_index("ds", 0));
     }
 
     #[test]
