@@ -26,9 +26,11 @@
 //! order — once per distinct pair and a
 //! request whose shape and table are both the remembered ones (pointer
 //! identity: [`Request::shares_shape`], [`Route::shares_assignments`])
-//! spawns from it with nothing looked up by name. The key is the whole
-//! pair: the same shape over another table, or the same table under
-//! another shape, is priced on its own. Anything not remembered — a
+//! spawns from it with nothing looked up by name. Its timing rows are
+//! stored once, too: a task's kernel payload is the `u32` index of its
+//! row, and every request spawned from one pricing shares its rows. The
+//! key is the whole pair: the same shape over another table, or the same
+//! table under another shape, is priced on its own. Anything not remembered — a
 //! request with a private shape or table, or one past the small fixed
 //! number of pairs kept — is priced from scratch by the same function, so
 //! there is one pricing path and the cache only decides how often it
@@ -76,9 +78,13 @@ use s2m3_core::problem::{Instance, Request, Route};
 use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
 
 use crate::kernel::{
-    ns, secs, Device, Driver, Kernel, Policy, RequestSlot, Scheduler, MAX_ARRIVAL_S,
+    narrow, ns, secs, Device, Driver, Kernel, Policy, RequestSlot, Scheduler, MAX_ARRIVAL_S,
 };
 use crate::report::{PhaseTag, RequestTiming, SimReport, SpanRow, Spans, NO_REQUEST};
+
+/// The bounded driver's kernel: no custom events, and each task's
+/// payload indexes [`Bounded::timing`].
+type BoundedKernel = Kernel<NoCustom, u32>;
 
 /// Simulation options.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -150,8 +156,10 @@ impl From<CoreError> for SimError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum NoCustom {}
 
-/// Per-task payload stored inline in the kernel's task table. The
-/// owning request is not repeated here: `k.tasks.req(tid)` indexes
+/// A task's timing row in [`Bounded::timing`], which the kernel's task
+/// payload indexes. Requests priced from one remembered pricing share its
+/// rows, so the table holds one row per task of a pricing, not per task.
+/// The owning request is not repeated here: `k.tasks.req(tid)` indexes
 /// `Bounded::ids` and `Bounded::arrivals`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TaskInfo {
@@ -190,13 +198,24 @@ struct Bounded<'a> {
     /// Every span recorded so far, as rows over the resolved instance's
     /// device and module indices.
     spans: Vec<SpanRow>,
-    /// `(id, timing)` per finished request, in completion order.
-    timings: Vec<(u64, RequestTiming)>,
+    /// Timing rows the kernel's task payloads index.
+    timing: Vec<TaskInfo>,
+    /// Per-request completion time, seconds (index-aligned with `ids`;
+    /// meaningful once the request is in `done`).
+    completion: Vec<f64>,
+    /// Request indices in completion order.
+    done: Vec<u32>,
     /// When the last device finishes loading its modules, seconds.
     loading_done: f64,
 }
 
 impl Bounded<'_> {
+    /// Task `tid`'s timing row.
+    #[inline]
+    fn info(&self, k: &BoundedKernel, tid: usize) -> &TaskInfo {
+        &self.timing[*k.tasks.payload(tid) as usize]
+    }
+
     /// Opens the two pre-clock streams for merging: loading spans sorted
     /// by `start` (stably, like everything here), requests in arrival
     /// order.
@@ -236,11 +255,11 @@ impl Bounded<'_> {
     /// a request's head task and then its encoders in dispatch order into
     /// an append-only table, so they are the rows after `head_task` that
     /// still belong to `req`.
-    fn push_input_spans(&mut self, k: &Kernel<NoCustom, TaskInfo>, req: usize) {
+    fn push_input_spans(&mut self, k: &BoundedKernel, req: usize) {
         let arrival = self.arrivals[req];
         let mut tid = k.requests[req].head_task + 1;
         while tid < k.tasks.len() && k.tasks.req(tid) == req {
-            let input_tx = k.tasks.payload(tid).input_tx;
+            let input_tx = self.info(k, tid).input_tx;
             if input_tx > 0.0 {
                 self.spans.push(SpanRow {
                     start: arrival,
@@ -259,7 +278,7 @@ impl Bounded<'_> {
     /// `start` order with loading ahead of input on a tie. The hooks call
     /// this before pushing spans that start at `upto`.
     #[inline]
-    fn emit_due(&mut self, k: &Kernel<NoCustom, TaskInfo>, upto: f64) {
+    fn emit_due(&mut self, k: &BoundedKernel, upto: f64) {
         while self.next_loading.min(self.next_input) <= upto {
             if self.next_loading <= self.next_input {
                 self.spans.extend(self.loading.pop_front());
@@ -277,9 +296,22 @@ impl Bounded<'_> {
     /// `resolved`'s names and this run's request ids.
     fn into_report(self, resolved: &ResolvedInstance) -> SimReport {
         let loading_done = self.loading_done;
-        // Bulk-built from the completion-ordered list: on a repeated id
-        // the later completion wins, as with one insert per completion.
-        let requests: BTreeMap<u64, RequestTiming> = self.timings.into_iter().collect();
+        // Bulk-built from the completion order: on a repeated id the
+        // later completion wins, as with one insert per completion.
+        let requests: BTreeMap<u64, RequestTiming> = self
+            .done
+            .iter()
+            .map(|&r| {
+                let r = r as usize;
+                (
+                    self.ids[r],
+                    RequestTiming {
+                        arrival: self.arrivals[r],
+                        completion: self.completion[r],
+                    },
+                )
+            })
+            .collect();
         let makespan = requests
             .values()
             .map(|r| r.completion)
@@ -304,17 +336,17 @@ impl Bounded<'_> {
 
 impl Driver for Bounded<'_> {
     type Custom = NoCustom;
-    type Payload = TaskInfo;
+    type Payload = u32;
     type Error = SimError;
 
     fn dispatched(
         &mut self,
-        k: &mut Kernel<NoCustom, TaskInfo>,
+        k: &mut BoundedKernel,
         device: usize,
         group: &[usize],
         now: u64,
     ) -> Result<u64, SimError> {
-        let dur: f64 = group.iter().map(|&g| k.tasks.payload(g).dur).sum::<f64>()
+        let dur: f64 = group.iter().map(|&g| self.info(k, g).dur).sum::<f64>()
             - (group.len() as f64 - 1.0) * self.exec_overhead[device];
         let start = secs(now);
         let end = start + dur;
@@ -338,11 +370,11 @@ impl Driver for Bounded<'_> {
 
     fn encoder_ready_ns(
         &mut self,
-        k: &mut Kernel<NoCustom, TaskInfo>,
+        k: &mut BoundedKernel,
         tid: usize,
         now: u64,
     ) -> Result<u64, SimError> {
-        let output_tx = k.tasks.payload(tid).output_tx;
+        let output_tx = self.info(k, tid).output_tx;
         if output_tx > 0.0 {
             let req = k.tasks.req(tid);
             let head_dev = k.tasks.device(k.requests[req].head_task);
@@ -359,19 +391,9 @@ impl Driver for Bounded<'_> {
         Ok(ns(secs(now) + output_tx))
     }
 
-    fn head_done(
-        &mut self,
-        _k: &mut Kernel<NoCustom, TaskInfo>,
-        req: usize,
-        now: u64,
-    ) -> Result<(), SimError> {
-        self.timings.push((
-            self.ids[req],
-            RequestTiming {
-                arrival: self.arrivals[req],
-                completion: secs(now),
-            },
-        ));
+    fn head_done(&mut self, _k: &mut BoundedKernel, req: usize, now: u64) -> Result<(), SimError> {
+        self.completion[req] = secs(now);
+        self.done.push(req as u32);
         Ok(())
     }
 }
@@ -431,17 +453,38 @@ fn price(
     Ok(priced)
 }
 
+/// A remembered pricing: the (shape, table) pair it is for, the pricing,
+/// and the index of its first timing row.
+type Remembered<'p> = (&'p Request, &'p Route, PricedRoute, u32);
+
 /// The pricing remembered for the (shape, table) pair `request` and
-/// `route` hold, by pointer identity on both.
+/// `route` hold, by pointer identity on both, with its first timing row.
 fn priced_for<'p>(
-    cache: &'p [(&Request, &Route, PricedRoute)],
+    cache: &'p [Remembered<'_>],
     request: &Request,
     route: &Route,
-) -> Option<&'p PricedRoute> {
+) -> Option<(&'p PricedRoute, u32)> {
     cache
         .iter()
-        .find(|(q, r, _)| q.shares_shape(request) && r.shares_assignments(route))
-        .map(|(_, _, priced)| priced)
+        .find(|(q, r, _, _)| q.shares_shape(request) && r.shares_assignments(route))
+        .map(|(_, _, priced, first)| (priced, *first))
+}
+
+/// Appends `priced`'s timing rows — the head's, then the encoders' in
+/// send order — and returns the index of the first.
+fn push_rows(timing: &mut Vec<TaskInfo>, priced: &PricedRoute) -> u32 {
+    let first = narrow(timing.len(), "timing row");
+    timing.push(TaskInfo {
+        dur: priced.head.compute,
+        input_tx: 0.0,
+        output_tx: 0.0,
+    });
+    timing.extend(priced.encoders.iter().map(|e| TaskInfo {
+        dur: e.compute,
+        input_tx: e.input_tx,
+        output_tx: e.output_tx,
+    }));
+    first
 }
 
 /// Runs a plan to completion in virtual time.
@@ -498,6 +541,9 @@ pub(crate) fn simulate_caching(
     // Whatever starts after the last run-time span (loading spans of a
     // plan without requests).
     driver.emit_due(&kernel, f64::MAX);
+    // The report needs nothing of the kernel: free its tables before the
+    // request map is built.
+    drop(kernel);
     debug_assert!(driver.spans.is_sorted_by(|a, b| a.start <= b.start));
     debug_assert_eq!(
         driver.spans.capacity(),
@@ -556,7 +602,7 @@ fn prepare<'a>(
     plan: &Plan,
     config: &'a SimConfig,
     capacity: usize,
-) -> Result<(Kernel<NoCustom, TaskInfo>, Bounded<'a>), SimError> {
+) -> Result<(BoundedKernel, Bounded<'a>), SimError> {
     let arrivals: Cow<'a, [f64]> = match &config.arrivals {
         Some(a) => {
             if a.len() != plan.routed.len() {
@@ -615,19 +661,25 @@ fn prepare<'a>(
 
     // --- Price the plan's distinct (shape, table) pairs and size the
     //     tables exactly: one head task per request plus its encoders;
-    //     one span per loaded module, per task, per encoder whose input
-    //     has to travel and per encoder whose embedding has to.
-    let mut cache: Vec<(&Request, &Route, PricedRoute)> = Vec::new();
+    //     one timing row per task of a remembered pricing, once, and per
+    //     task of any other request; one span per loaded module, per
+    //     task, per encoder whose input has to travel and per encoder
+    //     whose embedding has to.
+    let mut cache: Vec<Remembered> = Vec::new();
+    let mut timing = Vec::new();
+    let mut rows_cap = 0;
     let mut tasks_cap = 0;
     let mut n_spans = loading.len();
     for (request, route) in &plan.routed {
         let fresh;
         let priced = match priced_for(&cache, request, route) {
-            Some(priced) => priced,
+            Some((priced, _)) => priced,
             None => {
                 fresh = price(resolved, request, route)?;
+                rows_cap += 1 + fresh.encoders.len();
                 if cache.len() < capacity {
-                    cache.push((request, route, fresh.clone()));
+                    let first = push_rows(&mut timing, &fresh);
+                    cache.push((request, route, fresh.clone(), first));
                 }
                 &fresh
             }
@@ -640,8 +692,9 @@ fn prepare<'a>(
             .sum::<usize>();
     }
     n_spans += tasks_cap;
+    timing.reserve_exact(rows_cap - timing.len());
 
-    let mut kernel: Kernel<NoCustom, TaskInfo> = Kernel::with_capacity(
+    let mut kernel: BoundedKernel = Kernel::with_capacity(
         devices
             .iter()
             .enumerate()
@@ -653,10 +706,9 @@ fn prepare<'a>(
             // Spans index the task table (a request's input transfers are
             // read back from its rows); ids must stay append-only.
             recycle_tasks: false,
-            // Every arrival is pushed before the clock starts, so a large
-            // plan holds far more pending events than the online driver
-            // ever does; `Auto` keeps the heap for small plans and spills
-            // to the wheel past its pending-event threshold.
+            // Arrivals are staged, not queued, so the queue holds only the
+            // run's own events (completions, head readiness, device
+            // wake-ups): a handful, well inside `Auto`'s heap.
             scheduler: Scheduler::Auto,
         },
         tasks_cap,
@@ -664,41 +716,28 @@ fn prepare<'a>(
     );
     let mut ids = Vec::with_capacity(plan.routed.len());
 
-    // --- Build tasks and initial events.
+    // --- Build tasks and stage the arrivals: every one is known before
+    //     the clock starts.
     for (req_idx, ((request, route), &arrival)) in
         plan.routed.iter().zip(arrivals.iter()).enumerate()
     {
         let fresh;
-        let priced = match priced_for(&cache, request, route) {
-            Some(priced) => {
-                debug_assert_eq!(Ok(priced), price(resolved, request, route).as_ref());
-                priced
+        let (priced, first) = match priced_for(&cache, request, route) {
+            Some(hit) => {
+                debug_assert_eq!(Ok(hit.0), price(resolved, request, route).as_ref());
+                hit
             }
             None => {
                 fresh = price(resolved, request, route)?;
-                &fresh
+                let first = push_rows(&mut timing, &fresh);
+                (&fresh, first)
             }
         };
         let head = &priced.head;
-        let head_task = kernel.spawn_task(
-            req_idx,
-            head.module,
-            head.device as usize,
-            true,
-            TaskInfo {
-                dur: head.compute,
-                input_tx: 0.0,
-                output_tx: 0.0,
-            },
-        );
-        for e in &priced.encoders {
-            let info = TaskInfo {
-                dur: e.compute,
-                input_tx: e.input_tx,
-                output_tx: e.output_tx,
-            };
-            let tid = kernel.spawn_task(req_idx, e.module, e.device as usize, false, info);
-            kernel.push_ready(ns(arrival + e.input_tx), tid);
+        let head_task = kernel.spawn_task(req_idx, head.module, head.device as usize, true, first);
+        for (row, e) in (first + 1..).zip(&priced.encoders) {
+            let tid = kernel.spawn_task(req_idx, e.module, e.device as usize, false, row);
+            kernel.stage_ready(ns(arrival + e.input_tx), tid);
         }
 
         ids.push(request.id);
@@ -715,9 +754,10 @@ fn prepare<'a>(
         // Encoder-less models cannot exist (ModelSpec validates ≥1), but
         // guard anyway: head fires directly.
         if priced.encoders.is_empty() {
-            kernel.push_ready(head_ready, head_task);
+            kernel.stage_ready(head_ready, head_task);
         }
     }
+    debug_assert_eq!(timing.len(), rows_cap);
 
     for (i, &at) in open_at.iter().enumerate() {
         if at > 0 {
@@ -727,7 +767,9 @@ fn prepare<'a>(
 
     let driver = Bounded {
         exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
-        timings: Vec::with_capacity(ids.len()),
+        timing,
+        completion: vec![0.0; ids.len()],
+        done: Vec::with_capacity(ids.len()),
         ids,
         arrivals,
         loading,

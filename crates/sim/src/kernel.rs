@@ -81,6 +81,19 @@ pub fn secs(t: u64) -> f64 {
     t as f64 / NS_PER_S
 }
 
+/// `n` as one of the kernel's `u32` indices — a request, device or task
+/// id. Past `u32::MAX` it panics, naming the limit, instead of wrapping
+/// onto another index.
+#[inline]
+pub(crate) fn narrow(n: usize, what: &str) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!(
+            "{what} {n} exceeds the kernel's u32 index limit ({})",
+            u32::MAX
+        )
+    })
+}
+
 /// A kernel event. `X` is the driver's custom-event payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Event<X> {
@@ -257,9 +270,9 @@ pub struct Device {
     /// loading, migration downtime), nanoseconds.
     pub open_at_ns: u64,
     /// Head tasks awaiting a lane (dispatched before `fifo`).
-    pub fifo_heads: VecDeque<usize>,
+    pub fifo_heads: VecDeque<u32>,
     /// Encoder tasks awaiting a lane.
-    pub fifo: VecDeque<usize>,
+    pub fifo: VecDeque<u32>,
 }
 
 impl Device {
@@ -472,11 +485,11 @@ enum EventQueue<X> {
 }
 
 impl<X> EventQueue<X> {
-    fn for_policy(policy: &Policy, cap: usize) -> Self {
+    fn for_policy(policy: &Policy) -> Self {
         match policy.scheduler {
-            Scheduler::Auto => EventQueue::Adaptive(KeyHeap::with_capacity(cap)),
-            Scheduler::Heap => EventQueue::Heap(KeyHeap::with_capacity(cap)),
-            Scheduler::Wheel => EventQueue::Wheel(wheel::TimingWheel::with_capacity(cap)),
+            Scheduler::Auto => EventQueue::Adaptive(KeyHeap::with_capacity(0)),
+            Scheduler::Heap => EventQueue::Heap(KeyHeap::with_capacity(0)),
+            Scheduler::Wheel => EventQueue::Wheel(wheel::TimingWheel::default()),
         }
     }
 
@@ -625,10 +638,25 @@ pub trait Driver: Sized {
 /// `u128` heap key — and the sequence number makes every key unique, so
 /// same-time events fire in push order and a run is a pure function of
 /// the pushes (the determinism both report formats rely on).
+///
+/// A caller that knows its arrivals before the clock starts may
+/// [stage](Kernel::stage_ready) them instead of pushing them: staged
+/// `Ready` events take the first sequence numbers and sit in a plain
+/// vector, sorted once by time, that every pop merges with the queue —
+/// the same `(time, seq)` order, without holding the whole arrival set
+/// in the queue.
 #[derive(Debug)]
 pub struct Kernel<X, P> {
     queue: EventQueue<X>,
     seq: u64,
+    /// Staged pre-clock `Ready` events as `(time_ns, staging index,
+    /// task)`: 16 bytes, as `(u64, u32)` would be with its padding. The
+    /// staging index is the event's sequence number less one.
+    staged: Vec<(u64, u32, u32)>,
+    /// Staged events already popped (the stream's cursor).
+    staged_next: usize,
+    /// Set by the first pop: the stream is sorted and takes no more.
+    staged_sealed: bool,
     now: u64,
     /// Reused dispatch-group buffer (one allocation for the whole run).
     scratch_group: Vec<usize>,
@@ -663,7 +691,9 @@ impl<X, P> Kernel<X, P> {
     /// An empty kernel with task/request table capacity hints, for a
     /// caller that knows its exact task and request counts up front
     /// (the bounded `engine`, which registers a whole plan before the
-    /// first event) and so skips the growth reallocations.
+    /// first event) and so skips the growth reallocations. The event
+    /// queue gets no hint: it grows to the run's pending peak, which is
+    /// small when the arrivals are [staged](Kernel::stage_ready).
     pub fn with_capacity(
         devices: Vec<Device>,
         policy: Policy,
@@ -671,12 +701,11 @@ impl<X, P> Kernel<X, P> {
         requests_cap: usize,
     ) -> Self {
         Kernel {
-            // The event peak is well under the task count (lazy online
-            // arrivals keep it tiny; bounded runs fan in); a clamped
-            // hint skips the growth reallocations without pinning
-            // megabytes for huge request tables.
-            queue: EventQueue::for_policy(&policy, tasks_cap.min(4096)),
+            queue: EventQueue::for_policy(&policy),
             seq: 0,
+            staged: Vec::new(),
+            staged_next: 0,
+            staged_sealed: false,
             now: 0,
             scratch_group: Vec::new(),
             policy,
@@ -700,9 +729,9 @@ impl<X, P> Kernel<X, P> {
         self.tasks.len() - self.free_tasks.len()
     }
 
-    /// Events still queued.
+    /// Events still queued or staged.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.staged.len() - self.staged_next
     }
 
     #[inline]
@@ -717,6 +746,58 @@ impl<X, P> Kernel<X, P> {
     #[inline]
     pub fn push_ready(&mut self, at: u64, tid: usize) {
         self.push(at, Event::Ready(tid));
+    }
+
+    /// Stages task `tid` to become ready at `at` nanoseconds: the same
+    /// event as [`Kernel::push_ready`], held outside the queue.
+    ///
+    /// Legal only before the first push and the first pop, so every
+    /// staged event's sequence number precedes every queued one: a
+    /// staged event wins an equal-time tie with a queued one, and staged
+    /// events tie among themselves in staging order — exactly the order
+    /// pushing them would give.
+    ///
+    /// # Panics
+    ///
+    /// After a push or a pop, or for a task id past `u32::MAX`.
+    pub fn stage_ready(&mut self, at: u64, tid: usize) {
+        assert!(
+            !self.staged_sealed && self.seq == self.staged.len() as u64,
+            "stage_ready after the first push or pop"
+        );
+        let order = narrow(self.staged.len(), "staged event");
+        self.staged.push((at, order, narrow(tid, "task")));
+        self.seq += 1;
+    }
+
+    /// Sorts the staged stream by time, ties in staging order, and
+    /// closes it to further staging. Runs once, at the first pop. The
+    /// keys are unique, so an in-place unstable sort gives the stable
+    /// order without the temporary copy of the stream a stable sort
+    /// allocates.
+    #[cold]
+    fn seal_staged(&mut self) {
+        self.staged
+            .sort_unstable_by_key(|&(at, order, _)| (at, order));
+        self.staged_sealed = true;
+    }
+
+    /// The staged stream's next event if it is due by `until_ns` and
+    /// not later than the queue's head (an equal time is earlier: its
+    /// sequence number is lower), advancing the stream.
+    #[inline(always)]
+    fn pop_staged(&mut self, until_ns: u64) -> Option<(u64, Event<X>)> {
+        let &(at, _, tid) = self.staged.get(self.staged_next)?;
+        if at > until_ns
+            || self
+                .queue
+                .peek_key()
+                .is_some_and(|k| ((k >> 64) as u64) < at)
+        {
+            return None;
+        }
+        self.staged_next += 1;
+        Some((at, Event::Ready(tid as usize)))
     }
 
     /// Schedules a scheduler wake-up for `device` at `at` nanoseconds
@@ -743,9 +824,9 @@ impl<X, P> Kernel<X, P> {
         payload: P,
     ) -> usize {
         let meta = TaskMeta {
-            req: req as u32,
+            req: narrow(req, "request"),
             module,
-            device: device as u32,
+            device: narrow(device, "device"),
             flags: if is_head { TASK_HEAD } else { 0 },
             lane_epoch: 0,
         };
@@ -756,6 +837,8 @@ impl<X, P> Kernel<X, P> {
             }
         }
         let tid = self.tasks.len();
+        // Device queues and the staged stream hold task ids as `u32`.
+        narrow(tid, "task");
         self.tasks.entries.push(TaskEntry { meta, payload });
         tid
     }
@@ -778,12 +861,9 @@ impl<X, P> Kernel<X, P> {
     /// `Device::reset_lanes`.
     pub fn reset_device_lanes(&mut self, di: usize) {
         if self.policy.recycle_tasks {
-            while let Some(t) = self.devices[di].fifo_heads.pop_front() {
-                self.tasks.cancel(t);
-                self.tasks.mark_finished(t);
-                self.free_tasks.push(t);
-            }
-            while let Some(t) = self.devices[di].fifo.pop_front() {
+            let d = &mut self.devices[di];
+            for t in d.fifo_heads.drain(..).chain(d.fifo.drain(..)) {
+                let t = t as usize;
                 self.tasks.cancel(t);
                 self.tasks.mark_finished(t);
                 self.free_tasks.push(t);
@@ -813,10 +893,11 @@ impl<X, P> Kernel<X, P> {
             Event::Ready(tid) => {
                 if !self.tasks.cancelled(tid) {
                     let di = self.tasks.device(tid);
+                    let t = narrow(tid, "task");
                     if self.tasks.is_head(tid) {
-                        self.devices[di].fifo_heads.push_back(tid);
+                        self.devices[di].fifo_heads.push_back(t);
                     } else {
-                        self.devices[di].fifo.push_back(tid);
+                        self.devices[di].fifo.push_back(t);
                     }
                     self.try_dispatch(di, now, driver)?;
                 } else {
@@ -847,10 +928,17 @@ impl<X, P> Kernel<X, P> {
         &mut self,
         driver: &mut D,
     ) -> Result<bool, D::Error> {
-        let Some((key, event)) = self.queue.pop() else {
-            return Ok(false);
+        if !self.staged_sealed {
+            self.seal_staged();
+        }
+        let (at, event) = match self.pop_staged(u64::MAX) {
+            Some(staged) => staged,
+            None => match self.queue.pop() {
+                Some((key, event)) => ((key >> 64) as u64, event),
+                None => return Ok(false),
+            },
         };
-        self.handle((key >> 64) as u64, event, driver)?;
+        self.handle(at, event, driver)?;
         Ok(true)
     }
 
@@ -866,12 +954,22 @@ impl<X, P> Kernel<X, P> {
         driver: &mut D,
         until_ns: u64,
     ) -> Result<u64, D::Error> {
+        if !self.staged_sealed {
+            self.seal_staged();
+        }
         let mut n = 0;
-        while matches!(self.queue.peek_key(), Some(k) if (k >> 64) as u64 <= until_ns) {
-            let Some((key, event)) = self.queue.pop() else {
-                break;
+        loop {
+            let (at, event) = match self.pop_staged(until_ns) {
+                Some(staged) => staged,
+                None => match self.queue.peek_key() {
+                    Some(k) if (k >> 64) as u64 <= until_ns => {
+                        let (key, event) = self.queue.pop().expect("peeked");
+                        ((key >> 64) as u64, event)
+                    }
+                    _ => break,
+                },
             };
-            self.handle((key >> 64) as u64, event, driver)?;
+            self.handle(at, event, driver)?;
             n += 1;
         }
         Ok(n)
@@ -887,9 +985,19 @@ impl<X, P> Kernel<X, P> {
         &mut self,
         driver: &mut D,
     ) -> Result<u64, D::Error> {
+        if !self.staged_sealed {
+            self.seal_staged();
+        }
         let mut n = 0;
-        while let Some((key, event)) = self.queue.pop() {
-            self.handle((key >> 64) as u64, event, driver)?;
+        loop {
+            let (at, event) = match self.pop_staged(u64::MAX) {
+                Some(staged) => staged,
+                None => match self.queue.pop() {
+                    Some((key, event)) => ((key >> 64) as u64, event),
+                    None => break,
+                },
+            };
+            self.handle(at, event, driver)?;
             n += 1;
         }
         Ok(n)
@@ -945,6 +1053,7 @@ impl<X, P> Kernel<X, P> {
                     }
                     let mut next = None;
                     while let Some(t) = d.fifo_heads.pop_front().or_else(|| d.fifo.pop_front()) {
+                        let t = t as usize;
                         if !self.tasks.cancelled(t) {
                             next = Some(t);
                             break;
@@ -981,6 +1090,7 @@ impl<X, P> Kernel<X, P> {
                 // Next non-cancelled task, heads first.
                 let mut next = None;
                 while let Some(t) = d.fifo_heads.pop_front().or_else(|| d.fifo.pop_front()) {
+                    let t = t as usize;
                     if !self.tasks.cancelled(t) {
                         next = Some(t);
                         break;
@@ -1005,13 +1115,15 @@ impl<X, P> Kernel<X, P> {
                         .unwrap_or(global_cap);
                     while group.len() < cap {
                         let Some(&peek) = d.fifo.front() else { break };
+                        let peek = peek as usize;
                         if self.tasks.cancelled(peek)
                             || self.tasks.is_head(peek) != self.tasks.is_head(tid)
                             || self.tasks.module(peek) != self.tasks.module(tid)
                         {
                             break;
                         }
-                        group.push(d.fifo.pop_front().expect("front exists"));
+                        d.fifo.pop_front();
+                        group.push(peek);
                     }
                 }
                 d.lanes_busy += 1;
@@ -1081,7 +1193,9 @@ impl<X, P> Kernel<X, P> {
                     // encoder just freed, ahead of later requests'
                     // queued work.
                     let hdi = self.tasks.device(head_task);
-                    self.devices[hdi].fifo_heads.push_back(head_task);
+                    self.devices[hdi]
+                        .fifo_heads
+                        .push_back(narrow(head_task, "task"));
                     if hdi != di {
                         self.try_dispatch(hdi, now, driver)?;
                     }
@@ -1235,40 +1349,117 @@ mod tests {
         }
     }
 
+    /// `(task or request, time)` pairs in the order a run logged them.
+    type Log = Vec<(usize, u64)>;
+
+    /// Two requests fanning over a two-lane device and a single-lane one
+    /// that opens at t=5, their encoders made ready by `ready`; runs to
+    /// idle, pausing first at `pause_at`. Returns the task completions and
+    /// the head completions.
+    fn run_two_fanouts(
+        ready: fn(&mut Kernel<u32, ()>, u64, usize),
+        pause_at: Option<u64>,
+    ) -> (Log, Log) {
+        let mut k: Kernel<u32, ()> = Kernel::new(
+            vec![Device::new(2, 0), Device::new(1, 5)],
+            Policy::default(),
+        );
+        let mut d = fixed(7);
+        for req in 0..2 {
+            let head = k.spawn_task(req, 9, 0, true, ());
+            let enc = k.spawn_task(req, req as u32, 1, false, ());
+            k.set_request(
+                req,
+                RequestSlot {
+                    pending_encoders: 1,
+                    head_ready_ns: 0,
+                    head_task: head,
+                },
+            );
+            ready(&mut k, req as u64 * 3, enc);
+        }
+        k.push_device_open(5, 1);
+        if let Some(t) = pause_at {
+            k.run_until(&mut d, t).unwrap();
+            // Paused: the kernel holds state; resuming drains it.
+        }
+        k.run_until_idle(&mut d).unwrap();
+        (d.done, d.heads)
+    }
+
     #[test]
     fn run_until_pauses_and_resume_matches_uninterrupted() {
-        let run = |pause_at: Option<u64>| {
-            let mut k: Kernel<u32, ()> = Kernel::new(
-                vec![Device::new(2, 0), Device::new(1, 5)],
-                Policy::default(),
-            );
-            let mut d = fixed(7);
-            // Two requests fanning over both devices.
-            for req in 0..2 {
-                let head = k.spawn_task(req, 9, 0, true, ());
-                let enc = k.spawn_task(req, req as u32, 1, false, ());
-                k.set_request(
-                    req,
-                    RequestSlot {
-                        pending_encoders: 1,
-                        head_ready_ns: 0,
-                        head_task: head,
-                    },
-                );
-                k.push_ready(req as u64 * 3, enc);
-            }
-            k.push_device_open(5, 1);
-            if let Some(t) = pause_at {
-                k.run_until(&mut d, t).unwrap();
-                // Paused: the kernel holds state; resuming drains it.
-            }
-            k.run_until_idle(&mut d).unwrap();
-            (d.done, d.heads)
-        };
-        let uninterrupted = run(None);
+        let uninterrupted = run_two_fanouts(Kernel::push_ready, None);
         for pause in [0, 4, 7, 11, 100] {
-            assert_eq!(run(Some(pause)), uninterrupted, "pause at {pause}");
+            assert_eq!(
+                run_two_fanouts(Kernel::push_ready, Some(pause)),
+                uninterrupted,
+                "pause at {pause}"
+            );
         }
+    }
+
+    #[test]
+    fn staged_arrivals_pause_and_resume_like_pushed_ones() {
+        let pushed = run_two_fanouts(Kernel::push_ready, None);
+        for pause in [None, Some(0), Some(3), Some(5), Some(12), Some(100)] {
+            assert_eq!(
+                run_two_fanouts(Kernel::stage_ready, pause),
+                pushed,
+                "pause at {pause:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pending_events_counts_staged_events() {
+        let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
+        let mut d = fixed(10);
+        let head = k.spawn_task(0, 2, 0, true, ());
+        k.set_request(
+            0,
+            RequestSlot {
+                pending_encoders: 2,
+                head_ready_ns: 0,
+                head_task: head,
+            },
+        );
+        // Staged out of time order: the stream sorts itself at the first
+        // pop.
+        for at in [20, 0] {
+            let e = k.spawn_task(0, 0, 0, false, ());
+            k.stage_ready(at, e);
+        }
+        k.push_device_open(5, 0);
+        assert_eq!(k.pending_events(), 3);
+        // The t=0 arrival: it dispatches at once and queues its `Done`.
+        assert!(k.step(&mut d).unwrap());
+        assert_eq!(k.now(), 0);
+        assert_eq!(k.pending_events(), 3);
+        k.run_until(&mut d, 15).unwrap();
+        // Left: the t=20 arrival, staged.
+        assert_eq!(k.pending_events(), 1);
+        k.run_until_idle(&mut d).unwrap();
+        assert_eq!(k.pending_events(), 0);
+        assert_eq!(d.heads, vec![(0, 40)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stage_ready after the first push or pop")]
+    fn staging_after_a_push_panics() {
+        let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
+        let t = k.spawn_task(0, 0, 0, false, ());
+        k.push_device_open(0, 0);
+        k.stage_ready(0, t);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "request 4294967296 exceeds the kernel's u32 index limit (4294967295)"
+    )]
+    fn spawn_task_rejects_a_request_past_u32() {
+        let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
+        k.spawn_task(1 << 32, 0, 0, false, ());
     }
 
     #[test]
@@ -1498,7 +1689,7 @@ mod tests {
     /// set crosses [`WHEEL_SPILL_LEN`].
     #[test]
     fn adaptive_queue_spills_to_wheel_in_order() {
-        let mut q: EventQueue<()> = EventQueue::for_policy(&Policy::default(), 16);
+        let mut q: EventQueue<()> = EventQueue::for_policy(&Policy::default());
         assert!(matches!(q, EventQueue::Adaptive(_)));
         // A deterministic scatter of times, including duplicates.
         let n = WHEEL_SPILL_LEN + 500;

@@ -10,7 +10,9 @@ use s2m3_net::fleet::Fleet;
 
 use crate::engine::{simulate_caching, simulate_reference, simulate_shared};
 use crate::kernel::wheel::TimingWheel;
-use crate::kernel::{ns, KeyHeap, MAX_ARRIVAL_S};
+use crate::kernel::{
+    ns, Device, Driver, Kernel, KeyHeap, Policy, RequestSlot, Scheduler, MAX_ARRIVAL_S,
+};
 use crate::workload::{
     latency_stats, mixed_stream, ArrivalProcess, ClassShare, ModelMix, ModelWeight, SourceSpec,
     WorkloadSpec,
@@ -113,6 +115,162 @@ fn arb_wheel_ops() -> impl Strategy<Value = Vec<WheelOp>> {
 
 fn pack(time_ns: u64, seq: u64) -> u128 {
     (u128::from(time_ns) << 64) | u128::from(seq)
+}
+
+/// The time grid of the random kernel workloads: arrivals, durations,
+/// transfers and device openings are all multiples of it, so arrivals
+/// tie with run-time events.
+const GRID_NS: u64 = 10;
+
+/// One request of a random kernel workload, in grid ticks: its arrival,
+/// its encoders as `(module, device, duration)` and its head as
+/// `(device, duration)`. Device picks wrap onto the fleet.
+#[derive(Debug, Clone)]
+struct TickRequest {
+    arrival: u64,
+    encoders: Vec<(u32, usize, u64)>,
+    head: (usize, u64),
+}
+
+/// A random kernel workload: devices as `(lanes, open tick)`, requests,
+/// the batch cap (0 = none) and the head-fire policy.
+#[derive(Debug, Clone)]
+struct TickWorkload {
+    devices: Vec<(usize, u64)>,
+    requests: Vec<TickRequest>,
+    max_batch: usize,
+    immediate_head_fire: bool,
+}
+
+fn arb_tick_workload() -> impl Strategy<Value = TickWorkload> {
+    let request = (
+        0u64..12,
+        proptest::collection::vec((0u32..3, 0usize..4, 1u64..4), 1..4),
+        (0usize..4, 1u64..4),
+    )
+        .prop_map(|(arrival, encoders, head)| TickRequest {
+            arrival,
+            encoders,
+            head,
+        });
+    (
+        proptest::collection::vec((1usize..3, 0u64..4), 1..4),
+        proptest::collection::vec(request, 1..24),
+        0usize..4,
+        0u8..2,
+    )
+        .prop_map(|(devices, requests, max_batch, immediate)| TickWorkload {
+            devices,
+            requests,
+            max_batch,
+            immediate_head_fire: immediate == 1,
+        })
+}
+
+/// Logs every task completion; a group runs as long as its longest task,
+/// and an embedding takes one grid step to reach its head.
+#[derive(Default)]
+struct CompletionLog(Vec<(usize, u64)>);
+
+impl Driver for CompletionLog {
+    type Custom = ();
+    type Payload = u64;
+    type Error = std::convert::Infallible;
+
+    fn dispatched(
+        &mut self,
+        k: &mut Kernel<(), u64>,
+        _device: usize,
+        group: &[usize],
+        now: u64,
+    ) -> Result<u64, Self::Error> {
+        Ok(now
+            + group
+                .iter()
+                .map(|&g| *k.tasks.payload(g))
+                .max()
+                .unwrap_or(0))
+    }
+
+    fn task_finished(
+        &mut self,
+        _k: &mut Kernel<(), u64>,
+        tid: usize,
+        now: u64,
+        _lane_live: bool,
+    ) -> Result<(), Self::Error> {
+        self.0.push((tid, now));
+        Ok(())
+    }
+
+    fn encoder_ready_ns(
+        &mut self,
+        _k: &mut Kernel<(), u64>,
+        _tid: usize,
+        now: u64,
+    ) -> Result<u64, Self::Error> {
+        Ok(now + GRID_NS)
+    }
+
+    fn head_done(
+        &mut self,
+        _k: &mut Kernel<(), u64>,
+        _req: usize,
+        _now: u64,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// Runs `w` under `scheduler` with every arrival pushed before the clock
+/// (`pause_at` = `None`) or staged, pausing once at `pause_at` ns; returns
+/// the `(task, time)` completion log.
+fn run_ticks(w: &TickWorkload, scheduler: Scheduler, pause_at: Option<u64>) -> Vec<(usize, u64)> {
+    let nd = w.devices.len();
+    let mut k: Kernel<(), u64> = Kernel::new(
+        w.devices
+            .iter()
+            .map(|&(lanes, open)| Device::new(lanes, open * GRID_NS))
+            .collect(),
+        Policy {
+            immediate_head_fire: w.immediate_head_fire,
+            max_batch: (w.max_batch > 0).then_some(w.max_batch),
+            recycle_tasks: false,
+            scheduler,
+        },
+    );
+    for (req, r) in w.requests.iter().enumerate() {
+        let at = r.arrival * GRID_NS;
+        let head = k.spawn_task(req, 3, r.head.0 % nd, true, r.head.1 * GRID_NS);
+        k.set_request(
+            req,
+            RequestSlot {
+                pending_encoders: r.encoders.len(),
+                head_ready_ns: at,
+                head_task: head,
+            },
+        );
+        for &(module, device, dur) in &r.encoders {
+            let tid = k.spawn_task(req, module, device % nd, false, dur * GRID_NS);
+            if pause_at.is_some() {
+                k.stage_ready(at, tid);
+            } else {
+                k.push_ready(at, tid);
+            }
+        }
+    }
+    for (di, &(_, open)) in w.devices.iter().enumerate() {
+        if open > 0 {
+            k.push_device_open(open * GRID_NS, di);
+        }
+    }
+    let mut log = CompletionLog::default();
+    if let Some(t) = pause_at {
+        k.run_until(&mut log, t).unwrap();
+    }
+    k.run_until_idle(&mut log).unwrap();
+    assert_eq!(k.pending_events(), 0);
+    log.0
 }
 
 proptest! {
@@ -479,6 +637,26 @@ proptest! {
         // A cache too small for the plan's pairs prices the rest afresh.
         let report = simulate_caching(&i, &resolved, &plan, &config, 1 + n % 3).unwrap();
         prop_assert_eq!(&report, &expected);
+    }
+
+    /// Staging arrivals is invisible: on a coarse grid where arrivals tie
+    /// with completions, device openings and head readiness, a run with
+    /// every arrival staged — paused anywhere and resumed — completes the
+    /// same tasks at the same times as one with them pushed before the
+    /// clock, under every scheduler, batched or not.
+    #[test]
+    fn staged_arrivals_run_like_pushed_ones(
+        w in arb_tick_workload(),
+        pause_tick in 0u64..24,
+    ) {
+        let pushed = run_ticks(&w, Scheduler::Heap, None);
+        let completed: usize = w.requests.iter().map(|r| r.encoders.len() + 1).sum();
+        prop_assert_eq!(pushed.len(), completed);
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel, Scheduler::Auto] {
+            prop_assert_eq!(&run_ticks(&w, scheduler, None), &pushed, "{:?} pushed", scheduler);
+            let staged = run_ticks(&w, scheduler, Some(pause_tick * GRID_NS));
+            prop_assert_eq!(&staged, &pushed, "{:?} staged", scheduler);
+        }
     }
 
     /// The timing wheel is a drop-in replacement for the packed-key

@@ -77,14 +77,21 @@ fn bounded_path_peaks_under_a_kilobyte_per_request() {
         let (_, stats, peak) = run(&instance, &spec, n);
         assert_eq!(stats.n, n);
         let per_request = peak / n;
-        // 508 measured. 623 B/request with each request owning its model
-        // name (104 B and a `String`) instead of sharing one shape per
-        // (model, source, class); 855 with each span owning its two names
-        // (72 B, two reference counts) instead of a 32 B row over one name
-        // table; 1,229 with a private route table per request and the
-        // pre-clock spans buffered and then sorted as well.
+        // 382 measured at 20k requests and 402 at 100k. 440 would pass
+        // the second mutant below, so the fence sits under all three:
+        // 423 / 444 with each task's timing row inline in the kernel's
+        // task table instead of one shared row per pricing; 429 / 426 with
+        // the arrivals pushed through the event queue instead of staged;
+        // 432 / 453 with the kernel still alive while the report is
+        // built. Earlier: 518 / 520 before those three, 623 with each
+        // request owning its model name (104 B and a `String`) instead of
+        // sharing one shape per (model, source, class); 855 with each span
+        // owning its two names (72 B, two reference counts) instead of a
+        // 32 B row over one name table; 1,229 with a private route table
+        // per request and the pre-clock spans buffered and then sorted as
+        // well.
         assert!(
-            per_request <= 560,
+            per_request <= 420,
             "{n} requests peaked at {peak} B = {per_request} B/request"
         );
     }
