@@ -766,6 +766,19 @@ mod tests {
                 );
             }
         }
+        // A valid rate too small for the clock: its second arrival is
+        // past the clock's range.
+        let err = run(&[
+            "simulate",
+            model[0],
+            model[1],
+            "--requests",
+            "3",
+            "--rate",
+            "1e-300",
+        ])
+        .unwrap_err();
+        assert!(err.contains("arrival 1 is"), "{err}");
     }
 
     #[test]

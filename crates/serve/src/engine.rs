@@ -2180,7 +2180,7 @@ mod tests {
             cases.push((s, "events[0].factor"));
         }
         // A NaN horizon would clamp to 0 and reject every optional
-        // replan; a zero arrival rate would run at 1e-9 req/s.
+        // replan; a zero arrival rate would draw infinite gaps.
         let mut s = small_scenario(10);
         s.replan.horizon_s = f64::NAN;
         cases.push((s, "replan.horizon_s"));

@@ -160,7 +160,7 @@ enum NoCustom {}
 /// payload indexes. Requests priced from one remembered pricing share its
 /// rows, so the table holds one row per task of a pricing, not per task.
 /// The owning request is not repeated here: `k.tasks.req(tid)` indexes
-/// `Bounded::ids` and `Bounded::arrivals`.
+/// `Bounded::arrivals`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct TaskInfo {
     /// Execution duration, seconds (fixed at task creation).
@@ -178,9 +178,10 @@ struct Bounded<'a> {
     /// Per-device execution overhead, amortized when batching merges
     /// runs.
     exec_overhead: Vec<f64>,
-    /// Per-request id and arrival (index-aligned with
-    /// `Kernel::requests`); a span row's `request` indexes both.
-    ids: Vec<u64>,
+    /// Per-request arrival, indexed like the plan's requests and the
+    /// kernel's fan-in slots. A span row's `request` indexes it and, once
+    /// the run is over, the request ids [`Bounded::into_report`] collects
+    /// from the plan.
     arrivals: Cow<'a, [f64]>,
     /// Model-loading spans not yet in `spans`, front first.
     loading: VecDeque<SpanRow>,
@@ -200,8 +201,8 @@ struct Bounded<'a> {
     spans: Vec<SpanRow>,
     /// Timing rows the kernel's task payloads index.
     timing: Vec<TaskInfo>,
-    /// Per-request completion time, seconds (index-aligned with `ids`;
-    /// meaningful once the request is in `done`).
+    /// Per-request completion time, seconds (index-aligned with
+    /// `arrivals`; meaningful once the request is in `done`).
     completion: Vec<f64>,
     /// Request indices in completion order.
     done: Vec<u32>,
@@ -257,7 +258,7 @@ impl Bounded<'_> {
     /// still belong to `req`.
     fn push_input_spans(&mut self, k: &BoundedKernel, req: usize) {
         let arrival = self.arrivals[req];
-        let mut tid = k.requests[req].head_task + 1;
+        let mut tid = k.request(req).head_task + 1;
         while tid < k.tasks.len() && k.tasks.req(tid) == req {
             let input_tx = self.info(k, tid).input_tx;
             if input_tx > 0.0 {
@@ -293,8 +294,10 @@ impl Bounded<'_> {
     }
 
     /// The finished run's report: `spans` as they stand, over
-    /// `resolved`'s names and this run's request ids.
-    fn into_report(self, resolved: &ResolvedInstance) -> SimReport {
+    /// `resolved`'s names and `plan`'s request ids. The ids are gathered
+    /// only now, so no copy of them is alive while the clock runs.
+    fn into_report(self, resolved: &ResolvedInstance, plan: &Plan) -> SimReport {
+        let ids: Vec<u64> = plan.routed.iter().map(|(q, _)| q.id).collect();
         let loading_done = self.loading_done;
         // Bulk-built from the completion order: on a repeated id the
         // later completion wins, as with one insert per completion.
@@ -304,7 +307,7 @@ impl Bounded<'_> {
             .map(|&r| {
                 let r = r as usize;
                 (
-                    self.ids[r],
+                    ids[r],
                     RequestTiming {
                         arrival: self.arrivals[r],
                         completion: self.completion[r],
@@ -324,7 +327,7 @@ impl Bounded<'_> {
                 (0..resolved.module_count() as u32)
                     .map(|m| resolved.module_name(m).clone())
                     .collect(),
-                self.ids,
+                ids,
                 self.spans,
             ),
             requests,
@@ -377,7 +380,7 @@ impl Driver for Bounded<'_> {
         let output_tx = self.info(k, tid).output_tx;
         if output_tx > 0.0 {
             let req = k.tasks.req(tid);
-            let head_dev = k.tasks.device(k.requests[req].head_task);
+            let head_dev = k.tasks.device(k.request(req).head_task);
             self.emit_due(k, secs(now));
             self.spans.push(SpanRow {
                 start: secs(now),
@@ -551,7 +554,7 @@ pub(crate) fn simulate_caching(
         "spans outgrew their reservation"
     );
     order_tie_groups(&mut driver.spans, resolved);
-    Ok(driver.into_report(resolved))
+    Ok(driver.into_report(resolved, plan))
 }
 
 /// The oracle [`simulate_shared`]'s span order and pricing cache are
@@ -569,7 +572,7 @@ pub(crate) fn simulate_reference(
 ) -> Result<SimReport, SimError> {
     let (mut kernel, mut driver) = prepare(instance, resolved, plan, config, 0)?;
     driver.spans.extend(std::mem::take(&mut driver.loading));
-    for req in 0..driver.ids.len() {
+    for req in 0..driver.arrivals.len() {
         driver.push_input_spans(&kernel, req);
     }
     kernel.run_until_idle(&mut driver)?;
@@ -583,7 +586,7 @@ pub(crate) fn simulate_reference(
                     .cmp(resolved.device_name(b.device))
             })
     });
-    Ok(driver.into_report(resolved))
+    Ok(driver.into_report(resolved, plan))
 }
 
 /// Validates `config` against `plan`, builds every task and initial
@@ -714,7 +717,6 @@ fn prepare<'a>(
         tasks_cap,
         plan.routed.len(),
     );
-    let mut ids = Vec::with_capacity(plan.routed.len());
 
     // --- Build tasks and stage the arrivals: every one is known before
     //     the clock starts.
@@ -740,7 +742,6 @@ fn prepare<'a>(
             kernel.stage_ready(ns(arrival + e.input_tx), tid);
         }
 
-        ids.push(request.id);
         // A generative head's raw query travels at arrival.
         let head_ready = ns(arrival + head.input_tx);
         kernel.set_request(
@@ -768,9 +769,8 @@ fn prepare<'a>(
     let driver = Bounded {
         exec_overhead: devices.iter().map(|d| d.exec_overhead_s).collect(),
         timing,
-        completion: vec![0.0; ids.len()],
-        done: Vec::with_capacity(ids.len()),
-        ids,
+        completion: vec![0.0; arrivals.len()],
+        done: Vec::with_capacity(arrivals.len()),
         arrivals,
         loading,
         by_arrival: None,

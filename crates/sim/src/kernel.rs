@@ -115,7 +115,7 @@ const TASK_HEAD: u8 = 1;
 const TASK_CANCELLED: u8 = 1 << 1;
 const TASK_FINISHED: u8 = 1 << 2;
 
-/// The kernel-facing half of a task, 24 bytes: everything the shared
+/// The kernel-facing half of a task, 20 bytes: everything the shared
 /// event loop reads while scheduling.
 #[derive(Debug, Clone, Copy)]
 struct TaskMeta {
@@ -130,17 +130,17 @@ struct TaskMeta {
     /// The device's lane epoch when this task was dispatched; a stale
     /// epoch means the lane counter was force-reset (the device left
     /// the fleet) and this task no longer holds a lane.
-    lane_epoch: u64,
+    lane_epoch: u32,
 }
 
-/// The task table, struct-of-arrays: scheduling metadata in one dense
-/// vec, driver payloads (durations, transfer times — whatever the
-/// timing hooks need) in a parallel vec.
+/// The task table: one row per task, its 20-byte scheduling metadata
+/// next to the driver's payload — durations, transfer times, whatever
+/// the timing hooks need (the serve driver's 24 bytes, a 48-byte row),
+/// or the `u32` index of a shared timing row (the bounded driver's
+/// 24-byte row).
 ///
-/// The split keeps the event loop's working set tight: dispatch,
-/// cancellation scans, and fan-in bookkeeping walk 24-byte
-/// `TaskMeta` records (the serve driver's payload alone is twice
-/// that), and a payload is only loaded inside the driver hook that
+/// Dispatch, cancellation scans and fan-in bookkeeping read only the
+/// metadata; a payload is only loaded inside the driver hook that
 /// actually prices the task.
 #[derive(Debug)]
 pub struct TaskTable<P> {
@@ -238,7 +238,7 @@ impl<P> TaskTable<P> {
     }
 
     #[inline]
-    fn set_lane_epoch(&mut self, tid: usize, epoch: u64) {
+    fn set_lane_epoch(&mut self, tid: usize, epoch: u32) {
         self.entries[tid].meta.lane_epoch = epoch;
     }
 
@@ -265,7 +265,7 @@ pub struct Device {
     pub lanes_busy: usize,
     /// Bumped whenever `lanes_busy` is force-reset, so completions of
     /// tasks dispatched before the reset do not free phantom lanes.
-    pub lane_epoch: u64,
+    pub lane_epoch: u32,
     /// The device cannot start new tasks before this time (model
     /// loading, migration downtime), nanoseconds.
     pub open_at_ns: u64,
@@ -289,26 +289,84 @@ impl Device {
     /// Force-resets the device's execution state (fleet leave): clears
     /// both queues, zeroes the lane counter, and bumps the epoch so
     /// in-flight completions become stale.
+    ///
+    /// # Panics
+    ///
+    /// On a reset past the `u32` epoch limit, rather than wrapping onto
+    /// an epoch that in-flight tasks may still carry.
     pub fn reset_lanes(&mut self) {
         self.fifo_heads.clear();
         self.fifo.clear();
         self.lanes_busy = 0;
-        self.lane_epoch += 1;
+        self.lane_epoch = self.lane_epoch.checked_add(1).unwrap_or_else(|| {
+            panic!(
+                "lane epoch exceeds its u32 limit ({}): too many lane resets",
+                u32::MAX
+            )
+        });
     }
 }
 
 /// Per-request fan-in state: how many encoders are still running and
 /// when the head may start.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RequestSlot {
     /// Encoder tasks of the current attempt still outstanding.
     pub pending_encoders: usize,
     /// Earliest head start: max over encoder-completion + output
     /// transfer and the raw-query arrival, nanoseconds.
     pub head_ready_ns: u64,
-    /// Task id of the request's head execution.
+    /// Task id of the request's head execution; `usize::MAX` for a
+    /// request whose head never fires.
     pub head_task: usize,
 }
+
+/// A [`RequestSlot`] as the kernel stores it, 16 bytes: the counts and
+/// ids narrowed to `u32`, like the task table's. `head_task` keeps
+/// `usize::MAX` as `u32::MAX`, so a head task id of exactly `u32::MAX`
+/// reads back as `usize::MAX` too — a table that large would hold
+/// 4 billion rows.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fanin {
+    head_ready_ns: u64,
+    head_task: u32,
+    pending_encoders: u32,
+}
+
+impl Fanin {
+    /// `slot`, narrowed.
+    ///
+    /// # Panics
+    ///
+    /// For a head task id (other than `usize::MAX`) or an encoder count
+    /// past `u32::MAX`.
+    fn new(slot: RequestSlot) -> Self {
+        Fanin {
+            head_ready_ns: slot.head_ready_ns,
+            head_task: match slot.head_task {
+                usize::MAX => u32::MAX,
+                t => narrow(t, "head task"),
+            },
+            pending_encoders: narrow(slot.pending_encoders, "pending encoder count"),
+        }
+    }
+
+    /// The head task id, widened back.
+    #[inline]
+    fn head_task(self) -> usize {
+        match self.head_task {
+            u32::MAX => usize::MAX,
+            t => t as usize,
+        }
+    }
+}
+
+// The bounded run holds one task row per task and one fan-in slot per
+// request for its whole clock: keep them at these sizes.
+const _: () = {
+    assert!(std::mem::size_of::<TaskEntry<u32>>() == 24);
+    assert!(std::mem::size_of::<Fanin>() == 16);
+};
 
 /// Which event-queue implementation backs the kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -676,8 +734,9 @@ pub struct Kernel<X, P> {
     pub tasks: TaskTable<P>,
     /// Released task slots awaiting reuse (recycling mode only).
     free_tasks: Vec<usize>,
-    /// Per-request fan-in state, indexed by dense request id.
-    pub requests: Vec<RequestSlot>,
+    /// Per-request fan-in state, indexed by dense request id; read with
+    /// [`Kernel::request`].
+    requests: Vec<Fanin>,
 }
 
 impl<X, P> Kernel<X, P> {
@@ -874,11 +933,29 @@ impl<X, P> Kernel<X, P> {
 
     /// Sets (or overwrites, on re-dispatch) request `req`'s fan-in
     /// state, growing the table as needed.
+    ///
+    /// # Panics
+    ///
+    /// For a head task id (other than `usize::MAX`, "no head") or an
+    /// encoder count past `u32::MAX`.
     pub fn set_request(&mut self, req: usize, slot: RequestSlot) {
         if req >= self.requests.len() {
-            self.requests.resize(req + 1, RequestSlot::default());
+            self.requests.resize(req + 1, Fanin::default());
         }
-        self.requests[req] = slot;
+        self.requests[req] = Fanin::new(slot);
+    }
+
+    /// Request `req`'s fan-in state: as last set, with the encoder
+    /// completions since folded in (fewer pending, a later head ready
+    /// time).
+    #[inline]
+    pub fn request(&self, req: usize) -> RequestSlot {
+        let f = self.requests[req];
+        RequestSlot {
+            pending_encoders: f.pending_encoders as usize,
+            head_ready_ns: f.head_ready_ns,
+            head_task: f.head_task(),
+        }
     }
 
     /// Dispatches one popped event to its handler.
@@ -1187,7 +1264,7 @@ impl<X, P> Kernel<X, P> {
             slot.head_ready_ns = slot.head_ready_ns.max(contrib);
             slot.pending_encoders -= 1;
             if slot.pending_encoders == 0 {
-                let (head_task, at) = (slot.head_task, slot.head_ready_ns);
+                let (head_task, at) = (slot.head_task(), slot.head_ready_ns);
                 if self.policy.immediate_head_fire && at <= now {
                     // Enqueue directly so the head wins the lane this
                     // encoder just freed, ahead of later requests'
@@ -1463,6 +1540,48 @@ mod tests {
     }
 
     #[test]
+    fn a_fan_in_slot_reads_back_as_set() {
+        let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
+        for (req, head_task) in [(0, 0), (3, 7), (4, u32::MAX as usize - 1), (9, usize::MAX)] {
+            let slot = RequestSlot {
+                pending_encoders: req + 2,
+                head_ready_ns: u64::MAX - req as u64,
+                head_task,
+            };
+            k.set_request(req, slot);
+            assert_eq!(k.request(req), slot);
+        }
+        // The slots grown past, never set, read as the default.
+        assert_eq!(k.request(1), RequestSlot::default());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "head task 4294967296 exceeds the kernel's u32 index limit (4294967295)"
+    )]
+    fn set_request_rejects_a_head_task_past_u32() {
+        let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
+        k.set_request(
+            0,
+            RequestSlot {
+                pending_encoders: 1,
+                head_ready_ns: 0,
+                head_task: 1 << 32,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "lane epoch exceeds its u32 limit (4294967295)")]
+    fn a_lane_reset_past_the_u32_epoch_panics() {
+        let mut d = Device::new(1, 0);
+        d.lane_epoch = u32::MAX - 1;
+        d.reset_lanes();
+        assert_eq!(d.lane_epoch, u32::MAX);
+        d.reset_lanes();
+    }
+
+    #[test]
     fn cancelled_tasks_skip_dispatch_and_request_bookkeeping() {
         let mut k: Kernel<u32, ()> = Kernel::new(vec![Device::new(1, 0)], Policy::default());
         let mut d = fixed(10);
@@ -1472,7 +1591,7 @@ mod tests {
         k.tasks.cancel(2);
         k.run_until_idle(&mut d).unwrap();
         assert!(d.heads.is_empty());
-        assert_eq!(k.requests[0].pending_encoders, 1);
+        assert_eq!(k.request(0).pending_encoders, 1);
     }
 
     #[test]

@@ -247,7 +247,7 @@ impl ArrivalStream {
             }
             StreamState::Poisson { rate_per_s, t } => {
                 // Exponential inter-arrival via inverse CDF.
-                *t += -self.unit.next().ln() / rate_per_s.max(1e-9);
+                *t += -self.unit.next().ln() / *rate_per_s;
                 *t
             }
             StreamState::Mmpp {
@@ -723,10 +723,12 @@ fn validate_mix(mix: &ModelMix, models: &[String], at: &str) -> Result<(), Workl
 }
 
 /// Checks one source's arrival process. The generator would otherwise
-/// run a rate of 0 or below at 1e-9 req/s (past the clock's range
-/// within a few requests), an empty or all-zero MMPP at 1 req/s, and a
-/// negative interval as one burst. Trace gaps keep their documented
-/// clamp of negatives to 0.
+/// draw infinite Poisson gaps from a rate of 0 and negative ones from a
+/// rate below, run an empty or all-zero MMPP at 1 req/s, and a negative
+/// interval as one burst. Trace gaps keep their documented clamp of
+/// negatives to 0. A valid rate too small for the clock is not caught
+/// here: its arrivals land past [`MAX_ARRIVAL_S`](crate::kernel::MAX_ARRIVAL_S),
+/// where the engines reject them.
 fn validate_arrivals(process: &ArrivalProcess, source: usize) -> Result<(), WorkloadError> {
     let bad = |field, expected, got: String| {
         Err(WorkloadError::BadArrival {
@@ -1195,6 +1197,15 @@ mod tests {
             ArrivalProcess::Poisson { rate_per_s: 2.0 }.arrivals(8, "x"),
             ArrivalProcess::Poisson { rate_per_s: 2.0 }.arrivals(8, "y")
         );
+    }
+
+    #[test]
+    fn a_tiny_poisson_rate_is_not_floored() {
+        // At 1e-300 req/s the gaps are ~1e300 s: the second arrival is
+        // past the clock's range, where the engines reject it.
+        let a = ArrivalProcess::Poisson { rate_per_s: 1e-300 }.arrivals(2, "tiny");
+        assert_eq!(a[0], 0.0);
+        assert!(a[1] > crate::kernel::MAX_ARRIVAL_S, "{}", a[1]);
     }
 
     #[test]

@@ -77,13 +77,19 @@ fn bounded_path_peaks_under_a_kilobyte_per_request() {
         let (_, stats, peak) = run(&instance, &spec, n);
         assert_eq!(stats.n, n);
         let per_request = peak / n;
-        // 382 measured at 20k requests and 402 at 100k. 440 would pass
-        // the second mutant below, so the fence sits under all three:
-        // 423 / 444 with each task's timing row inline in the kernel's
-        // task table instead of one shared row per pricing; 429 / 426 with
-        // the arrivals pushed through the event queue instead of staged;
-        // 432 / 453 with the kernel still alive while the report is
-        // built. Earlier: 518 / 520 before those three, 623 with each
+        // 345 measured at 20k requests and 366 at 100k. The fence sits
+        // midway between that and the three cuts below, each reverted on
+        // its own: 366 / 386 with a 32 B kernel task row (a `u64` lane
+        // epoch) instead of 24 B; 353 / 374 with 24 B fan-in slots (two
+        // `usize`s) instead of 16 B; 353 / 374 with a copy of the request
+        // ids alive while the clock runs instead of gathered for the
+        // report. 382 / 402 before those cuts, when the fence sat at
+        // 420 and this trio was its check: 423 / 444 with each task's
+        // timing row inline in the kernel's task table instead of one
+        // shared row per pricing; 429 / 426 with the arrivals pushed
+        // through the event queue instead of staged; 432 / 453 with the
+        // kernel still alive while the report is built. Earlier still:
+        // 518 / 520 before that trio, 623 with each
         // request owning its model name (104 B and a `String`) instead of
         // sharing one shape per (model, source, class); 855 with each span
         // owning its two names (72 B, two reference counts) instead of a
@@ -91,7 +97,7 @@ fn bounded_path_peaks_under_a_kilobyte_per_request() {
         // per request and the pre-clock spans buffered and then sorted as
         // well.
         assert!(
-            per_request <= 420,
+            per_request <= 370,
             "{n} requests peaked at {peak} B = {per_request} B/request"
         );
     }
