@@ -21,8 +21,9 @@ use std::process::Command;
 
 use s2m3_core::plan::Plan;
 use s2m3_core::problem::Instance;
-use s2m3_serve::{serve, BatchPolicy, ServeScenario};
+use s2m3_serve::{serve, BatchPolicy, BudgetPolicy, ServeScenario, SloReplanTrigger};
 use s2m3_sim::engine::{simulate, SimConfig};
+use s2m3_sim::workload::ArrivalProcess;
 
 /// The zoo models pinned by the equivalence fixtures.
 pub const FIXTURE_MODELS: [(&str, usize); 3] = [
@@ -108,6 +109,24 @@ fn main() {
     let report = serve(&batched_scenario).expect("batched churn scenario serves");
     let json = serde_json::to_string_pretty(&report).expect("serve report serializes");
     fs::write(dir.join("serve_churn_batched.json"), &json).expect("write batched serve fixture");
+
+    // The SLO-breach golden: what `s2m3 serve --requests 5000 --rate 1.0
+    // --slo-replan 5 --budget-cap 30 --budget-mode defer-shed` serves.
+    // Overloaded and capped, it logs SLO-breach replan records next to
+    // the fleet-event ones, so their rendered trigger text is pinned.
+    let mut slo_scenario = ServeScenario {
+        requests: 5_000,
+        arrivals: ArrivalProcess::Poisson { rate_per_s: 1.0 },
+        budget: Some(BudgetPolicy::device_seconds(30.0)),
+        ..ServeScenario::churn_default()
+    };
+    slo_scenario.replan.slo_trigger = Some(SloReplanTrigger {
+        cooldown_s: 5.0,
+        ..SloReplanTrigger::default()
+    });
+    let report = serve(&slo_scenario).expect("SLO-budget scenario serves");
+    let json = serde_json::to_string_pretty(&report).expect("serve report serializes");
+    fs::write(dir.join("serve_slo_budget.json"), &json).expect("write SLO-budget serve fixture");
 
     println!("fixtures written to {}", dir.display());
 }

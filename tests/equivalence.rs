@@ -137,6 +137,40 @@ fn absent_budget_leaves_every_serve_golden_byte_identical() {
 }
 
 #[test]
+fn slo_breach_replans_match_their_golden_fixture() {
+    // The scenario `s2m3 serve --requests 5000 --rate 1.0 --slo-replan 5
+    // --budget-cap 30 --budget-mode defer-shed` builds (kept in sync
+    // with `capture_fixtures`): overloaded and capped, it logs dozens of
+    // SLO-breach replan records, so the rendered trigger text — not
+    // only the fleet-event descriptions — is pinned byte for byte.
+    use s2m3::serve::{BudgetPolicy, SloReplanTrigger};
+    use s2m3::sim::workload::ArrivalProcess;
+    let mut scenario = ServeScenario {
+        requests: 5_000,
+        arrivals: ArrivalProcess::Poisson { rate_per_s: 1.0 },
+        budget: Some(BudgetPolicy::device_seconds(30.0)),
+        ..ServeScenario::churn_default()
+    };
+    scenario.replan.slo_trigger = Some(SloReplanTrigger {
+        cooldown_s: 5.0,
+        ..SloReplanTrigger::default()
+    });
+    let report = serve(&scenario).unwrap();
+    let json = serde_json::to_string_pretty(&report).unwrap();
+    assert_eq!(
+        json.matches("\"trigger\": \"SLO breach: rolling p95 ")
+            .count(),
+        56,
+        "the golden must keep exercising SLO-breach records"
+    );
+    assert_eq!(
+        json,
+        fixture("serve_slo_budget.json").trim_end(),
+        "SLO-breach ServeReport JSON diverged from its golden fixture"
+    );
+}
+
+#[test]
 fn chunked_serve_session_matches_the_golden_fixture() {
     // The resumable-kernel guarantee against the pinned bytes: running
     // the default churn scenario in 2 500 s virtual-time slices (pause,
