@@ -981,6 +981,19 @@ mod tests {
     }
 
     #[test]
+    fn serve_rejects_a_deadline_at_or_before_arrival() {
+        // These used to run with a 1 ms deadline and report every
+        // request late.
+        for value in ["0", "-5"] {
+            let err = run(&["serve", "--requests", "200", "--deadline", value]).unwrap_err();
+            assert!(
+                err.contains("deadline_s: must be > 0") && err.contains(value),
+                "--deadline {value}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn serve_policies_parse() {
         for policy in ["fifo", "edf", "shed"] {
             let out = run(&[

@@ -476,8 +476,13 @@ impl ServeScenario {
 
         // Seconds that become clock times must fit the clock: `ns` makes
         // NaN 0 and saturates ∞ (a saturated deadline wraps `now +
-        // deadline`). Finite values keep their clamps.
-        on_clock(&mut problems, "deadline_s", self.deadline_s);
+        // deadline`). A deadline must also be positive: a request due
+        // the instant it arrives has no SLO to meet.
+        if self.deadline_s <= 0.0 {
+            problems.push(format!("deadline_s: must be > 0 (got {})", self.deadline_s));
+        } else {
+            on_clock(&mut problems, "deadline_s", self.deadline_s);
+        }
         for (i, c) in workload.classes.iter().enumerate() {
             on_clock(
                 &mut problems,
@@ -564,13 +569,12 @@ impl ServeScenario {
         if !problems.is_empty() {
             return Err(ServeError::BadScenario(problems.join("\n")));
         }
-        let deadline_s = self.deadline_s.max(1e-3);
         Ok(ValidScenario {
             scenario: self,
             class_table: workload
                 .classes
                 .iter()
-                .map(|c| (ns(c.class.deadline_s.max(1e-3)), c.class.priority))
+                .map(|c| (ns(c.class.deadline_s), c.class.priority))
                 .collect(),
             class_names: workload
                 .classes
@@ -582,8 +586,8 @@ impl ServeScenario {
             sources,
             workload,
             model_names,
-            deadline_s,
-            deadline_ns: ns(deadline_s),
+            deadline_s: self.deadline_s,
+            deadline_ns: ns(self.deadline_s),
             slo_cooldown_ns: self.replan.slo_trigger.map_or(0, |t| ns(t.cooldown_s)),
             events,
             _checked: (),
@@ -638,7 +642,7 @@ pub(crate) struct ValidScenario<'a> {
     /// Per-class `(deadline_ns, priority)`, by class id.
     pub(crate) class_table: Vec<(u64, u32)>,
     pub(crate) class_names: Vec<String>,
-    /// The scenario deadline, floored at 1 ms.
+    /// The scenario deadline as written (validated positive), seconds.
     pub(crate) deadline_s: f64,
     pub(crate) deadline_ns: u64,
     /// The SLO trigger's cooldown (0 without a trigger).
@@ -709,6 +713,25 @@ mod tests {
         s.budget = Some(crate::budget::BudgetPolicy::device_seconds(3.5));
         let back = ServeScenario::from_json(&s.to_json().unwrap()).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn a_sub_millisecond_deadline_is_served_as_written() {
+        let s = ServeScenario {
+            deadline_s: 5e-4,
+            classes: vec![ClassShare {
+                class: s2m3_core::problem::DeadlineClass {
+                    name: "tight".to_string(),
+                    deadline_s: 5e-4,
+                    priority: 1,
+                },
+                weight: 1.0,
+            }],
+            ..ServeScenario::churn_default()
+        };
+        let valid = s.validate().unwrap();
+        assert_eq!(valid.deadline_ns, 500_000);
+        assert_eq!(valid.class_table, [(500_000, 1)]);
     }
 
     #[test]

@@ -92,7 +92,9 @@ use crate::accounting::{Accounting, ClassStats, LatAgg};
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetState, Deferred};
 use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
-use crate::report::{ClassReport, DeviceReport, EventRecord, ReplanRecord, ServeReport};
+use crate::report::{
+    ClassReport, DeviceReport, EventRecord, ReplanRecord, ReplanTrigger, ServeReport,
+};
 use crate::slab::{ReqHandle, Slab};
 use crate::slo::{DeviceUsage, SloWindow};
 
@@ -969,7 +971,14 @@ impl Online {
         let mut priced = PricedReplan::new(
             replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?,
         );
-        let accepted = self.gate_and_apply_replan(k, &mut priced, description, ev.at_s, now, 0);
+        let accepted = self.gate_and_apply_replan(
+            k,
+            &mut priced,
+            ReplanTrigger::Text(description),
+            ev.at_s,
+            now,
+            0,
+        );
         if !accepted {
             // Keep serving on the surviving subset of the old
             // placement: drop departed hosts in place.
@@ -1061,7 +1070,7 @@ impl Online {
         &mut self,
         k: &mut K,
         priced: &mut PricedReplan,
-        trigger: String,
+        trigger: ReplanTrigger,
         at_s: f64,
         now: u64,
         queued: u64,
@@ -1162,11 +1171,10 @@ impl Online {
         // The breach may be real while greedy has nothing better to
         // offer (pure overload): then there is no decision to record.
         let accepted = !priced.decision.migrations.is_empty() && {
-            let trigger = format!(
-                "SLO breach: rolling p95 {:.2}s exceeds {:.2}s deadline",
-                self.acct.slo.p95(),
-                self.deadline_s
-            );
+            let trigger = ReplanTrigger::SloBreach {
+                p95_s: self.acct.slo.p95(),
+                deadline_s: self.deadline_s,
+            };
             let queued = self.total_queued();
             self.gate_and_apply_replan(k, &mut priced, trigger, secs(now), now, queued)
         };
@@ -1246,6 +1254,11 @@ impl Online {
     }
 
     fn finish(mut self) -> ServeReport {
+        // The replan log is complete and grew by doubling: an
+        // SLO-triggered run logs tens of thousands of evaluations, so
+        // keep only what it holds, before the report's other parts are
+        // built while the latency samples are still live.
+        self.report.replans.shrink_to_fit();
         let now = self.acct.last_completion_ns;
         // Flush everything still unresolved so arrivals always balance:
         // first the admission queues (a bug if non-empty after an idle
@@ -2179,6 +2192,13 @@ mod tests {
             }];
             cases.push((s, "events[0].factor"));
         }
+        // A deadline at or before arrival is not an SLO: it used to be
+        // served as 1 ms, reporting every request late.
+        for value in [0.0, -5.0, f64::NEG_INFINITY] {
+            let mut s = small_scenario(10);
+            s.deadline_s = value;
+            cases.push((s, "deadline_s: must be > 0"));
+        }
         // A NaN horizon would clamp to 0 and reject every optional
         // replan; a zero arrival rate would draw infinite gaps.
         let mut s = small_scenario(10);
@@ -2194,9 +2214,8 @@ mod tests {
                 "{field}: {err}"
             );
         }
-        // Finite values keep their clamps.
+        // Other finite values keep their clamps.
         let mut clamped = small_scenario(10);
-        clamped.deadline_s = -1.0;
         clamped.replan.horizon_s = -1.0;
         clamped.events = vec![FleetEvent {
             at_s: -5.0,
@@ -2384,13 +2403,16 @@ mod tests {
         // a memoised decision surviving the accept would keep recording.
         assert_eq!(with.replans.len(), 2, "{:#?}", with.replans);
         let event_replan = &with.replans[0];
-        assert!(event_replan.trigger.contains("joins"));
+        assert!(matches!(&event_replan.trigger, ReplanTrigger::Text(t) if t.contains("joins")));
         assert!(
             !event_replan.accepted,
             "the calm-phase join must not clear the gate"
         );
         let slo_replan = &with.replans[1];
-        assert!(slo_replan.trigger.contains("SLO breach"), "{slo_replan:?}");
+        assert!(
+            matches!(slo_replan.trigger, ReplanTrigger::SloBreach { .. }),
+            "{slo_replan:?}"
+        );
         assert!(!slo_replan.mandatory);
         assert!(slo_replan.accepted);
         assert!(slo_replan.migrations >= 1);
@@ -2404,7 +2426,7 @@ mod tests {
         assert!(without
             .replans
             .iter()
-            .all(|r| !r.trigger.contains("SLO breach")));
+            .all(|r| !matches!(r.trigger, ReplanTrigger::SloBreach { .. })));
         assert!(
             with.late < without.late,
             "trigger on: {} late, off: {} late",
@@ -2485,7 +2507,8 @@ mod tests {
 
         let slo_records = |from_s: f64, to_s: f64| {
             report.replans.iter().filter(move |r| {
-                r.trigger.contains("SLO breach") && (from_s..to_s).contains(&r.at_s)
+                matches!(r.trigger, ReplanTrigger::SloBreach { .. })
+                    && (from_s..to_s).contains(&r.at_s)
             })
         };
         assert!(slo_records(40.0, 150.0).count() >= 2, "memo is reused");
@@ -2515,7 +2538,7 @@ mod tests {
         let slo_times: Vec<f64> = report
             .replans
             .iter()
-            .filter(|r| r.trigger.contains("SLO breach"))
+            .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }))
             .map(|r| r.at_s)
             .collect();
         assert!(
@@ -2976,7 +2999,7 @@ mod tests {
         let breaches = report
             .replans
             .iter()
-            .filter(|r| r.trigger.contains("SLO breach"));
+            .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }));
         assert!(breaches.count() >= 2, "{:#?}", report.replans);
         assert_eq!(report.events.len(), 2, "ran through both fleet events");
         assert_streaming_matches_exact(&full);

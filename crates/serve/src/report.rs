@@ -76,13 +76,77 @@ pub struct EventRecord {
     pub description: String,
 }
 
+/// What prompted a replan evaluation.
+///
+/// The report stores values; shared text is rendered when printed. An
+/// SLO-triggered run can log one evaluation per cooldown, tens of
+/// thousands over a long run, all with the same sentence: the record
+/// keeps the two numbers and [`Display`](std::fmt::Display) writes the
+/// sentence. JSON carries the rendered text, and reads back as
+/// [`ReplanTrigger::Text`]; equality compares the rendered text, so a
+/// round trip compares equal.
+#[derive(Debug, Clone)]
+pub enum ReplanTrigger {
+    /// Free text: a fleet-event description (e.g. `"desktop leaves"`),
+    /// or any trigger read back from JSON.
+    Text(String),
+    /// The rolling p95 exceeded the scenario deadline
+    /// ([`ReplanPolicy::slo_trigger`](crate::config::ReplanPolicy)).
+    SloBreach {
+        /// The rolling-window p95 latency, seconds.
+        p95_s: f64,
+        /// The scenario deadline, seconds.
+        deadline_s: f64,
+    },
+}
+
+impl std::fmt::Display for ReplanTrigger {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplanTrigger::Text(text) => f.write_str(text),
+            ReplanTrigger::SloBreach { p95_s, deadline_s } => write!(
+                f,
+                "SLO breach: rolling p95 {p95_s:.2}s exceeds {deadline_s:.2}s deadline"
+            ),
+        }
+    }
+}
+
+impl From<&str> for ReplanTrigger {
+    fn from(text: &str) -> Self {
+        ReplanTrigger::Text(text.to_string())
+    }
+}
+
+impl PartialEq for ReplanTrigger {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl Serialize for ReplanTrigger {
+    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        match self {
+            ReplanTrigger::Text(text) => s.serialize_str(text),
+            breach => s.serialize_str(&breach.to_string()),
+        }
+    }
+}
+
+impl<'de> Deserialize<'de> for ReplanTrigger {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        String::deserialize(d).map(ReplanTrigger::Text)
+    }
+}
+
 /// One replan evaluation by the controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplanRecord {
     /// When the controller ran, seconds.
     pub at_s: f64,
-    /// What prompted it (a fleet event description).
-    pub trigger: String,
+    /// What prompted it: a fleet-event description, or an SLO breach
+    /// kept as its two numbers and rendered when printed.
+    pub trigger: ReplanTrigger,
     /// Whether the old placement could no longer serve (forced switch).
     pub mandatory: bool,
     /// Requests needed to amortize the switch (`None`: never pays off).
@@ -403,5 +467,41 @@ mod tests {
         let text = capped.render_summary();
         assert!(text.contains("budget cap 4.00"));
         assert!(text.contains("latency price 3.2s"));
+
+        // SLO-breach triggers keep their numbers and render the text
+        // the engine used to format per evaluation, rounding edges
+        // included; JSON reads them back as text that compares equal.
+        let mut breached = report.clone();
+        for (i, p95_s) in [0.125, 2.675, 0.0, 1e6].into_iter().enumerate() {
+            let trigger = ReplanTrigger::SloBreach {
+                p95_s,
+                deadline_s: 15.0,
+            };
+            assert_eq!(
+                trigger.to_string(),
+                format!("SLO breach: rolling p95 {p95_s:.2}s exceeds 15.00s deadline")
+            );
+            breached.replans.push(ReplanRecord {
+                at_s: 60.0 * (i + 1) as f64,
+                trigger,
+                accepted: false,
+                mandatory: false,
+                switching_cost_s: 0.0,
+                migrations: 0,
+                ..report.replans[0].clone()
+            });
+        }
+        assert_eq!(
+            breached.replans[1].trigger.to_string(),
+            "SLO breach: rolling p95 0.12s exceeds 15.00s deadline"
+        );
+        let json = breached.to_json().unwrap();
+        assert!(json.contains("\"trigger\": \"SLO breach: rolling p95 1000000.00s exceeds"));
+        let back: ServeReport = serde_json::from_str(&json).unwrap();
+        assert!(matches!(back.replans[1].trigger, ReplanTrigger::Text(_)));
+        assert_eq!(breached, back);
+        assert_eq!(back.to_json().unwrap(), json);
+        let text = breached.render_summary();
+        assert!(text.contains("SLO breach: rolling p95 2.67s exceeds 15.00s deadline"));
     }
 }

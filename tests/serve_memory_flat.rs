@@ -172,3 +172,81 @@ fn printing_a_report_holds_only_its_text() {
         json.len()
     );
 }
+
+#[test]
+fn replan_log_holds_no_text_per_slo_evaluation() {
+    use s2m3::serve::{
+        BatchPolicy, BudgetPolicy, ModelDeployment, ModelMix, ModelWeight, ReplanRecord,
+        ReplanTrigger, SloReplanTrigger,
+    };
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    // Five models under MMPP traffic, batched, budget-capped, with the
+    // SLO trigger on: the budget gate rejects the memoised candidate at
+    // every cooldown, so the run logs one evaluation per minute of
+    // virtual time — over a thousand here.
+    let models = [
+        ("CLIP ViT-B/16", 101),
+        ("Encoder-only VQA (Small)", 1),
+        ("AlignBind-B", 16),
+        ("CLIP-Classifier Food-101", 0),
+        ("Flint-v0.5-1B", 1),
+    ];
+    let budget_run = |n: usize| {
+        let mut s = ServeScenario::churn_default();
+        s.models = models
+            .iter()
+            .map(|&(name, candidates)| ModelDeployment {
+                name: name.to_string(),
+                candidates,
+            })
+            .collect();
+        s.mix = Some(ModelMix::Weighted {
+            weights: models
+                .iter()
+                .enumerate()
+                .map(|(i, &(name, _))| ModelWeight {
+                    model: name.to_string(),
+                    weight: (i + 1) as f64,
+                })
+                .collect(),
+        });
+        s.arrivals = ArrivalProcess::Mmpp {
+            rates_per_s: vec![0.25, 1.0],
+            mean_dwell_s: 120.0,
+        };
+        s.admission = AdmissionPolicy::EarliestDeadlineFirst;
+        s.batch = Some(BatchPolicy {
+            max_batch: 4,
+            per_kind: vec![],
+        });
+        s.budget = Some(BudgetPolicy::device_seconds(30.0));
+        s.replan.slo_trigger = Some(SloReplanTrigger::default());
+        s.requests = n;
+        s
+    };
+    let _ = measure(&budget_run(512));
+
+    let before = ALLOC.live_bytes();
+    let report = s2m3::serve::serve(&budget_run(50_000)).unwrap();
+    let held = ALLOC.live_bytes().saturating_sub(before);
+    let records = report.replans.len();
+    let breaches = report
+        .replans
+        .iter()
+        .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }))
+        .count();
+    assert!(breaches >= 1_000, "only {breaches} SLO-breach records");
+    // Each record may cost its own bytes plus a little slack; 64 KiB
+    // covers the rest of the report (window rows, budget windows,
+    // devices: about 32 KiB here). Against this bound's 183,424 B for
+    // 1,228 records: records carrying their own trigger text (88 B
+    // each) in a log with doubling slack held 303,992 B; text-free
+    // records with the slack kept held 196,104 B; the trimmed log
+    // holds 130,504 B.
+    let bound = records * (std::mem::size_of::<ReplanRecord>() + 16) + (64 << 10);
+    assert!(
+        held <= bound,
+        "the returned report holds {held} B for {records} replan records \
+         ({breaches} SLO breaches); at most {bound} B expected"
+    );
+}
