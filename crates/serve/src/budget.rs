@@ -193,8 +193,9 @@ pub struct BudgetReport {
 }
 
 impl BudgetReport {
-    /// Retained per-window rows: long streaming runs keep the newest
-    /// activity bounded while the scalar totals stay exact.
+    /// Retained per-window rows: a long run keeps its first this many
+    /// active windows and drops the rest, while the scalar totals stay
+    /// exact.
     pub const MAX_WINDOW_ROWS: usize = 512;
 }
 
@@ -462,6 +463,25 @@ mod tests {
         assert_eq!(r.spend_total, 3.0);
         assert_eq!(r.windows_over_cap, 0);
         assert_eq!(r.adherence, 1.0);
+    }
+
+    #[test]
+    fn window_rows_keep_the_first_active_windows() {
+        let mut b = BudgetState::new(policy(5.0, BudgetEnforcement::Shed), 0);
+        let active = BudgetReport::MAX_WINDOW_ROWS as u64 + 88;
+        // One charge in every other 10 s window: the idle ones between
+        // are skipped, so row `i` is window `2 * i`.
+        for i in 0..active {
+            b.roll(i * 20_000_000_000);
+            b.charge(1.0);
+        }
+        let r = b.finish(&[], &[]);
+        assert_eq!(r.windows_total, active);
+        assert_eq!(r.windows.len(), BudgetReport::MAX_WINDOW_ROWS);
+        for (i, w) in r.windows.iter().enumerate() {
+            assert_eq!(w.index, 2 * i as u64);
+        }
+        assert_eq!(r.spend_total, active as f64);
     }
 
     #[test]

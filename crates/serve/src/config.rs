@@ -110,9 +110,10 @@ impl Default for SloReplanTrigger {
 /// Replan-controller knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplanPolicy {
-    /// Horizon over which a switch must amortize, seconds: a replan is
-    /// accepted when its `break_even_requests` is at most the observed
-    /// arrival rate times this horizon (mandatory replans always apply).
+    /// Horizon over which a switch must amortize, seconds (finite and
+    /// ≥ 0): a replan is accepted when its `break_even_requests` is at
+    /// most the observed arrival rate times this horizon (mandatory
+    /// replans always apply).
     pub horizon_s: f64,
     /// Whether migration costs are charged as downtime on destination
     /// devices (they cannot start new work while weights stream in).
@@ -254,7 +255,8 @@ pub struct ServeScenario {
     pub deadline_s: f64,
     /// Admission queue policy.
     pub admission: AdmissionPolicy,
-    /// Concurrent requests a device serves before queuing more.
+    /// Concurrent requests a device serves before queuing more (at
+    /// least 1).
     pub max_inflight_per_device: usize,
     /// Replan-controller knobs.
     pub replan: ReplanPolicy,
@@ -264,7 +266,8 @@ pub struct ServeScenario {
     /// grows to it on demand, so a window past the run's length keeps
     /// every outcome.
     pub slo_window: usize,
-    /// Emit a windowed SLO snapshot every this many completions.
+    /// Emit a windowed SLO snapshot every this many completions (at
+    /// least 1).
     pub snapshot_every: usize,
     /// Streaming latency aggregation and the completion sink. `None`
     /// (the default, and what every pre-streaming scenario JSON parses
@@ -421,6 +424,12 @@ impl ServeScenario {
         if self.requests == 0 {
             problems.push("requests: must be > 0 (got 0)".into());
         }
+        if self.max_inflight_per_device == 0 {
+            problems.push("max_inflight_per_device: must be >= 1 (got 0)".into());
+        }
+        if self.snapshot_every == 0 {
+            problems.push("snapshot_every: must be >= 1 (got 0)".into());
+        }
         let mut active = vec![false; names.len()];
         for (i, name) in self.initial_devices.iter().enumerate() {
             match index(name) {
@@ -491,8 +500,8 @@ impl ServeScenario {
             );
         }
         // A NaN or negative cooldown would silently mean "evaluate on
-        // every completion" (`NaN.max(0.0)` is 0), and a NaN horizon
-        // would reject every optional replan.
+        // every completion" (`NaN.max(0.0)` is 0), and a NaN or negative
+        // horizon would reject every optional replan.
         if let Some(trig) = self.replan.slo_trigger {
             if !trig.cooldown_s.is_finite() || trig.cooldown_s < 0.0 {
                 problems.push(format!(
@@ -501,9 +510,9 @@ impl ServeScenario {
                 ));
             }
         }
-        if !self.replan.horizon_s.is_finite() {
+        if !(self.replan.horizon_s.is_finite() && self.replan.horizon_s >= 0.0) {
             problems.push(format!(
-                "replan.horizon_s: must be finite (got {})",
+                "replan.horizon_s: must be finite and >= 0 (got {})",
                 self.replan.horizon_s
             ));
         }

@@ -1710,8 +1710,8 @@ impl ServeSession {
             events: valid.events.clone(),
             deadline_ns: valid.deadline_ns,
             deadline_s: valid.deadline_s,
-            max_inflight: scenario.max_inflight_per_device.max(1),
-            horizon_s: scenario.replan.horizon_s.max(0.0),
+            max_inflight: scenario.max_inflight_per_device,
+            horizon_s: scenario.replan.horizon_s,
             charge_switching_downtime: scenario.replan.charge_switching_downtime,
             slo_trigger: scenario
                 .replan
@@ -1721,8 +1721,8 @@ impl ServeSession {
             slo_replan: None,
             acct: Accounting {
                 slo: SloWindow::new(scenario.slo_window.max(1)),
-                snapshot_stride: scenario.snapshot_every.max(1) as u64,
-                until_snapshot: scenario.snapshot_every.max(1) as u64,
+                snapshot_stride: scenario.snapshot_every as u64,
+                until_snapshot: scenario.snapshot_every as u64,
                 max_windows: scenario.max_windows,
                 last_snapshot_seen: 0,
                 latencies: LatAgg::new(streaming),
@@ -2199,11 +2199,21 @@ mod tests {
             s.deadline_s = value;
             cases.push((s, "deadline_s: must be > 0"));
         }
-        // A NaN horizon would clamp to 0 and reject every optional
-        // replan; a zero arrival rate would draw infinite gaps.
+        // A NaN or negative horizon would clamp to 0 and reject every
+        // optional replan; a zero arrival rate would draw infinite gaps.
+        for value in [f64::NAN, -5.0] {
+            let mut s = small_scenario(10);
+            s.replan.horizon_s = value;
+            cases.push((s, "replan.horizon_s: must be finite and >= 0"));
+        }
+        // Zeros used to be served as 1: one in-flight request per
+        // device, a snapshot on every completion.
         let mut s = small_scenario(10);
-        s.replan.horizon_s = f64::NAN;
-        cases.push((s, "replan.horizon_s"));
+        s.max_inflight_per_device = 0;
+        cases.push((s, "max_inflight_per_device: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.snapshot_every = 0;
+        cases.push((s, "snapshot_every: must be >= 1 (got 0)"));
         let mut s = small_scenario(10);
         s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
         cases.push((s, "arrivals.rate_per_s"));
@@ -2216,7 +2226,6 @@ mod tests {
         }
         // Other finite values keep their clamps.
         let mut clamped = small_scenario(10);
-        clamped.replan.horizon_s = -1.0;
         clamped.events = vec![FleetEvent {
             at_s: -5.0,
             kind: slowdown(0.0),

@@ -133,12 +133,14 @@ struct TickRequest {
 }
 
 /// A random kernel workload: devices as `(lanes, open tick)`, requests,
-/// the batch cap (0 = none) and the head-fire policy.
+/// the batch cap (0 = none), the per-module caps and the head-fire
+/// policy.
 #[derive(Debug, Clone)]
 struct TickWorkload {
     devices: Vec<(usize, u64)>,
     requests: Vec<TickRequest>,
     max_batch: usize,
+    module_batch_caps: Vec<usize>,
     immediate_head_fire: bool,
 }
 
@@ -163,6 +165,7 @@ fn arb_tick_workload() -> impl Strategy<Value = TickWorkload> {
             devices,
             requests,
             max_batch,
+            module_batch_caps: Vec::new(),
             immediate_head_fire: immediate == 1,
         })
 }
@@ -239,6 +242,7 @@ fn run_ticks(w: &TickWorkload, scheduler: Scheduler, pause_at: Option<u64>) -> V
             scheduler,
         },
     );
+    k.module_batch_caps.clone_from(&w.module_batch_caps);
     for (req, r) in w.requests.iter().enumerate() {
         let at = r.arrival * GRID_NS;
         let head = k.spawn_task(req, 3, r.head.0 % nd, true, r.head.1 * GRID_NS);
@@ -656,6 +660,23 @@ proptest! {
             prop_assert_eq!(&run_ticks(&w, scheduler, None), &pushed, "{:?} pushed", scheduler);
             let staged = run_ticks(&w, scheduler, Some(pause_tick * GRID_NS));
             prop_assert_eq!(&staged, &pushed, "{:?} staged", scheduler);
+        }
+    }
+
+    /// The singleton dispatch loop is exactly the batched loop at cap 1:
+    /// with no batching, a global cap of 1, or a larger global cap under
+    /// an all-ones per-module table, every task completes at the same
+    /// time, under every scheduler.
+    #[test]
+    fn singleton_dispatch_equals_batching_at_cap_one(w in arb_tick_workload()) {
+        let unbatched = TickWorkload { max_batch: 0, ..w.clone() };
+        let cap_one = TickWorkload { max_batch: 1, ..w.clone() };
+        // Encoders use modules 0..3 and heads module 3.
+        let all_ones = TickWorkload { max_batch: 3, module_batch_caps: vec![1; 4], ..w };
+        for scheduler in [Scheduler::Heap, Scheduler::Wheel, Scheduler::Auto] {
+            let want = run_ticks(&unbatched, scheduler, None);
+            prop_assert_eq!(&run_ticks(&cap_one, scheduler, None), &want, "{:?} cap 1", scheduler);
+            prop_assert_eq!(&run_ticks(&all_ones, scheduler, None), &want, "{:?} all-ones", scheduler);
         }
     }
 
