@@ -189,9 +189,9 @@ pub fn plan(args: &Args) -> CmdResult {
     Ok(out)
 }
 
-/// `--batch`, if given: at least 1. The kernel and the serve engine clamp
-/// a cap of 0 to 1 (old configs must load), so `--batch 0` would run
-/// unbatched while claiming otherwise.
+/// `--batch`, if given: at least 1. The kernel runs a cap of 0 as 1, so
+/// `simulate --batch 0` would run unbatched while claiming otherwise,
+/// and a serve scenario rejects a zero cap by its path.
 fn batch_cap(args: &Args) -> Result<Option<usize>, ArgError> {
     Ok(args
         .get_opt_num::<std::num::NonZeroUsize>("batch")?

@@ -2,13 +2,17 @@
 //!
 //! A [`BudgetPolicy`] caps what the fleet may *spend* per accounting
 //! window of `window_s` virtual seconds. Spend is priced by a
-//! [`CostModel`](s2m3_core::cost::CostModel) built from the policy's
-//! [`BudgetMetric`]: marginal energy (joules, from the
-//! `s2m3_sim::energy` power profiles), raw busy device-seconds, or a
-//! custom flat rate. The serve engine reserves a request's full route
-//! cost — head plus encoder compute seconds, each times its device's
-//! rate — at dispatch time, so a window's recorded spend can never
-//! exceed the cap.
+//! [`CostModel`] built from the policy's [`BudgetMetric`]: marginal
+//! energy (joules, from the `s2m3_sim::energy` power profiles), raw busy
+//! device-seconds, or a custom flat rate. A request's cost is its
+//! route's compute seconds — head plus encoders, each times its
+//! device's rate — and a dispatch reserves it in full, so a window's
+//! recorded spend can never exceed the cap.
+//!
+//! The whole policy lives here, behind the crate-private `BudgetState`,
+//! so it is tested without a kernel. The serve engine asks it for a
+//! verdict per popped request, the next window wake after a defer or a
+//! wake, and whether a replan candidate's mean route cost is affordable.
 //!
 //! When a dispatch would breach the cap, [`BudgetEnforcement`] decides
 //! what happens. Admission queues pop EDF-ordered (priority first, then
@@ -25,7 +29,7 @@
 //! A request whose solo cost exceeds the cap can never fit any window
 //! and is shed under every mode (deferring it would stall it forever).
 //!
-//! The engine also keeps an *uncapped shadow counter* — what the run
+//! The state also keeps an *uncapped shadow counter* — what the run
 //! would have spent had every request dispatched on first attempt — and
 //! the *latency price*: the total extra seconds deferred requests spent
 //! parked. Both land in the final [`BudgetReport`], next to per-window
@@ -35,8 +39,12 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use s2m3_core::resolved::PricedRoute;
+use s2m3_core::CostModel;
 use s2m3_sim::kernel::{ns, secs};
 use serde::{Deserialize, Serialize};
+
+use crate::queue::QueuedRequest;
 
 /// What a unit of spend measures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -199,21 +207,49 @@ impl BudgetReport {
     pub const MAX_WINDOW_ROWS: usize = 512;
 }
 
+/// What the gate decided for a popped request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// Within budget: its cost is reserved, dispatch now.
+    Dispatch,
+    /// Parked until a later window.
+    Defer,
+    /// Rejected by enforcement (counts as a shed).
+    Shed,
+}
+
+/// One request's history at the gate, one word in the driver's request
+/// table: `NEW`, `PRICED` (never deferred), or the virtual time of its
+/// first deferral (clock times stay below both).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Mark(u64);
+
+impl Mark {
+    const NEW: u64 = u64::MAX;
+    const PRICED: u64 = u64::MAX - 1;
+}
+
+impl Default for Mark {
+    fn default() -> Self {
+        Mark(Mark::NEW)
+    }
+}
+
 /// A parked request awaiting headroom, EDF-ordered: priority first
 /// (`urgency` is `u32::MAX - priority`, so lower priority pops later),
 /// then deadline, arrival, and the monotone arrival sequence number —
 /// the same key shape the EDF admission queue uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Deferred {
-    pub urgency: u32,
-    pub deadline_ns: u64,
-    pub arrival_ns: u64,
-    pub seq: u64,
+struct Deferred {
+    urgency: u32,
+    deadline_ns: u64,
+    arrival_ns: u64,
+    seq: u64,
     /// Packed [`ReqHandle`](crate::slab::ReqHandle) of the parked slot.
-    pub handle: u64,
+    handle: u64,
 }
 
-/// Running accumulator for the window currently open.
+/// Running counts of the window currently open, or of the whole run.
 #[derive(Debug, Clone, Copy, Default)]
 struct WindowAccum {
     spend: f64,
@@ -229,48 +265,63 @@ impl WindowAccum {
     }
 }
 
-/// The engine-side budget state: window accounting, the deferred heap,
-/// and the running totals the final [`BudgetReport`] folds from.
+/// The engine-side budget state: the policy, per-device cost rates,
+/// window accounting, the deferred heap, the pending wake, and the
+/// running totals the final [`BudgetReport`] folds from.
 #[derive(Debug)]
 pub(crate) struct BudgetState {
-    pub policy: BudgetPolicy,
+    policy: BudgetPolicy,
+    /// Spend per busy second of each universe device, priced once from
+    /// the policy's metric (rates never change mid-run).
+    rates: Vec<f64>,
     window_ns: u64,
     cur_index: u64,
     cur: WindowAccum,
+    total: WindowAccum,
     windows: Vec<BudgetWindow>,
     windows_total: u64,
     windows_over_cap: u64,
-    spend_total: f64,
-    shadow_total: f64,
-    dispatched: u64,
-    deferred_total: u64,
-    shed_total: u64,
     latency_price_ns: u64,
     /// `[deferred, shed]` per deadline class.
     by_class: Vec<[u64; 2]>,
     deferred: BinaryHeap<Reverse<Deferred>>,
-    /// Virtual time of the pending `BudgetWake` event, if one is
-    /// scheduled (dedups wake pushes).
-    pub wake_at: Option<u64>,
+    /// Virtual time of the pending wake, if any (at most one is).
+    wake_at: Option<u64>,
 }
 
 impl BudgetState {
-    /// Builds the engine state for a validated policy.
-    pub fn new(policy: BudgetPolicy, n_classes: usize) -> Self {
+    /// Builds the state for a validated policy over the universe
+    /// `devices` (by universe index) and `n_classes` deadline classes.
+    pub fn new(policy: BudgetPolicy, n_classes: usize, devices: &[String]) -> Self {
+        let cost_model = match policy.metric {
+            BudgetMetric::DeviceSeconds => CostModel::uniform(1.0),
+            BudgetMetric::Custom { per_device_rate } => CostModel::uniform(per_device_rate),
+            // Marginal energy: joules per busy second above idle, from
+            // the simulator's default power profiles. Unprofiled devices
+            // cost nothing (the model's default rate stays 0).
+            BudgetMetric::Energy => {
+                let mut model = CostModel::uniform(0.0);
+                for (device, profile) in s2m3_sim::energy::default_profiles() {
+                    model.set_rate(device, (profile.active_w - profile.idle_w).max(0.0));
+                }
+                model
+            }
+        };
+        let rates = devices
+            .iter()
+            .map(|n| cost_model.rate(&n.as_str().into()))
+            .collect();
         let window_ns = ns(policy.window_s).max(1);
         BudgetState {
             policy,
+            rates,
             window_ns,
             cur_index: 0,
             cur: WindowAccum::default(),
+            total: WindowAccum::default(),
             windows: Vec::new(),
             windows_total: 0,
             windows_over_cap: 0,
-            spend_total: 0.0,
-            shadow_total: 0.0,
-            dispatched: 0,
-            deferred_total: 0,
-            shed_total: 0,
             latency_price_ns: 0,
             by_class: vec![[0, 0]; n_classes],
             deferred: BinaryHeap::new(),
@@ -278,10 +329,110 @@ impl BudgetState {
         }
     }
 
+    /// The spend one request on `route` reserves: each task's compute
+    /// seconds times its device's rate (`uni_of_res` maps resolved to
+    /// universe devices), summed head first, then encoders in send order.
+    /// Compute ignores the query's origin: any source's pricing will do.
+    pub fn route_cost(&self, route: &PricedRoute, uni_of_res: &[usize]) -> f64 {
+        let rate = |d: u32| self.rates[uni_of_res[d as usize]];
+        let mut cost = route.head.compute * rate(route.head.device);
+        for e in &route.encoders {
+            cost += e.compute * rate(e.device);
+        }
+        cost
+    }
+
+    /// The replan gate's feasibility term: whether a placement whose
+    /// mean route cost is `mean_cost` keeps its steady-state spend —
+    /// `rate_per_s` arrivals over one window — under the cap.
+    pub fn affords(&self, rate_per_s: f64, mean_cost: f64) -> bool {
+        rate_per_s * self.policy.window_s * mean_cost <= self.policy.cap_per_window
+    }
+
+    /// Prices the popped request `qr` (of deadline class `class`, gate
+    /// history `mark`, route cost `cost`) against the window open at
+    /// `now`. The shadow counter charges each request once, however
+    /// often it is offered; `Dispatch` reserves `cost` and pays the
+    /// latency price from the first deferral; `Defer` parks `qr`.
+    pub fn gate(
+        &mut self,
+        qr: &QueuedRequest,
+        mark: &mut Mark,
+        class: Option<u32>,
+        cost: f64,
+        now: u64,
+    ) -> Verdict {
+        self.roll(now);
+        if mark.0 == Mark::NEW {
+            mark.0 = Mark::PRICED;
+            self.tally(|w| w.shadow += cost);
+        }
+        if self.fits(cost) {
+            self.charge(cost);
+            if mark.0 != Mark::PRICED {
+                self.latency_price_ns += now.saturating_sub(mark.0);
+            }
+            return Verdict::Dispatch;
+        }
+        // The open window cannot afford it. A request whose solo cost
+        // exceeds the cap can never fit any window: shed it under every
+        // mode rather than park it forever.
+        let shed = cost > self.policy.cap_per_window
+            || match self.policy.enforcement {
+                BudgetEnforcement::Shed => true,
+                BudgetEnforcement::Defer => false,
+                BudgetEnforcement::DeferThenShed => now > qr.deadline_ns,
+            };
+        if shed {
+            self.tally(|w| w.shed += 1);
+            self.note_class(class, 1);
+            return Verdict::Shed;
+        }
+        if mark.0 == Mark::PRICED {
+            debug_assert!(now < Mark::PRICED, "clock times stay below the sentinels");
+            mark.0 = now;
+            self.tally(|w| w.deferred += 1);
+            self.note_class(class, 0);
+        }
+        self.deferred.push(Reverse(Deferred {
+            urgency: u32::MAX - qr.priority,
+            deadline_ns: qr.deadline_ns,
+            arrival_ns: qr.arrival_ns,
+            seq: qr.id,
+            handle: qr.handle,
+        }));
+        Verdict::Defer
+    }
+
+    /// The wake to schedule after a defer or a wake: the next window's
+    /// start while any request is parked, unless that wake is already
+    /// pending (at most one is).
+    pub fn next_wake(&mut self) -> Option<u64> {
+        let at = (self.cur_index + 1).saturating_mul(self.window_ns);
+        if self.deferred.is_empty() || self.wake_at == Some(at) {
+            return None;
+        }
+        self.wake_at = Some(at);
+        Some(at)
+    }
+
+    /// A wake fired at `now`: opens the window and hands back every
+    /// parked request's packed handle, EDF order (highest priority, then
+    /// earliest deadline, first). The heap is empty on return, so a
+    /// request the new window still cannot afford re-parks through
+    /// [`BudgetState::gate`] without being handed back again.
+    pub fn wake(&mut self, now: u64) -> Vec<u64> {
+        if self.wake_at == Some(now) {
+            self.wake_at = None;
+        }
+        self.roll(now);
+        std::iter::from_fn(|| self.deferred.pop().map(|Reverse(d)| d.handle)).collect()
+    }
+
     /// Advances window accounting to `now`, closing the open window
     /// (and recording it, if it saw activity) when `now` has crossed
     /// its end. Idle windows in between are skipped entirely.
-    pub fn roll(&mut self, now_ns: u64) {
+    fn roll(&mut self, now_ns: u64) {
         let idx = now_ns / self.window_ns;
         if idx <= self.cur_index {
             return;
@@ -312,71 +463,29 @@ impl BudgetState {
     }
 
     /// Whether `cost` still fits under the open window's cap.
-    pub fn fits(&self, cost: f64) -> bool {
+    fn fits(&self, cost: f64) -> bool {
         self.cur.spend + cost <= self.policy.cap_per_window
     }
 
     /// Reserves `cost` in the open window (the request dispatches).
-    pub fn charge(&mut self, cost: f64) {
-        self.cur.spend += cost;
-        self.cur.dispatched += 1;
-        self.spend_total += cost;
-        self.dispatched += 1;
+    fn charge(&mut self, cost: f64) {
+        self.tally(|w| {
+            w.spend += cost;
+            w.dispatched += 1;
+        });
     }
 
-    /// Accrues `cost` on the uncapped shadow counter (once per
-    /// request, at its first budget evaluation).
-    pub fn charge_shadow(&mut self, cost: f64) {
-        self.cur.shadow += cost;
-        self.shadow_total += cost;
+    /// Applies `count` to the open window and to the run's totals.
+    fn tally(&mut self, count: impl Fn(&mut WindowAccum)) {
+        count(&mut self.cur);
+        count(&mut self.total);
     }
 
-    /// Records a request's first deferral.
-    pub fn note_deferred(&mut self, class: Option<u32>) {
-        self.cur.deferred += 1;
-        self.deferred_total += 1;
+    /// Counts a deferral (`column` 0) or a shed (1) against `class`.
+    fn note_class(&mut self, class: Option<u32>, column: usize) {
         if let Some(ci) = class {
-            self.by_class[ci as usize][0] += 1;
+            self.by_class[ci as usize][column] += 1;
         }
-    }
-
-    /// Records a budget shed.
-    pub fn note_shed(&mut self, class: Option<u32>) {
-        self.cur.shed += 1;
-        self.shed_total += 1;
-        if let Some(ci) = class {
-            self.by_class[ci as usize][1] += 1;
-        }
-    }
-
-    /// Accrues the waiting time a deferred request paid before its
-    /// eventual dispatch.
-    pub fn pay_latency_price(&mut self, waited_ns: u64) {
-        self.latency_price_ns += waited_ns;
-    }
-
-    /// Parks a request in the deferred heap.
-    pub fn push_deferred(&mut self, d: Deferred) {
-        self.deferred.push(Reverse(d));
-    }
-
-    /// Whether any request is parked.
-    pub fn has_deferred(&self) -> bool {
-        !self.deferred.is_empty()
-    }
-
-    /// Drains every parked request into `into`, EDF order (highest
-    /// priority, then earliest deadline, first).
-    pub fn drain_deferred_into(&mut self, into: &mut Vec<Deferred>) {
-        into.clear();
-        while let Some(Reverse(d)) = self.deferred.pop() {
-            into.push(d);
-        }
-    }
-
-    /// Start of the window after the one currently open, ns.
-    pub fn next_window_start_ns(&self) -> u64 {
-        (self.cur_index + 1).saturating_mul(self.window_ns)
     }
 
     /// Closes the open window and folds everything into the report.
@@ -406,11 +515,11 @@ impl BudgetState {
             windows_total: self.windows_total,
             windows_over_cap: self.windows_over_cap,
             adherence,
-            spend_total: self.spend_total,
-            shadow_spend_total: self.shadow_total,
-            dispatched: self.dispatched,
-            deferred: self.deferred_total,
-            shed: self.shed_total,
+            spend_total: self.total.spend,
+            shadow_spend_total: self.total.shadow,
+            dispatched: self.total.dispatched,
+            deferred: self.total.deferred,
+            shed: self.total.shed,
             latency_price_s: secs(self.latency_price_ns),
             classes,
             windows: self.windows,
@@ -421,6 +530,10 @@ impl BudgetState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{serve, ServeScenario};
+    use s2m3_core::resolved::PricedTask;
+
+    const S: u64 = 1_000_000_000;
 
     fn policy(cap: f64, enforcement: BudgetEnforcement) -> BudgetPolicy {
         BudgetPolicy {
@@ -429,6 +542,33 @@ mod tests {
             window_s: 10.0,
             enforcement,
         }
+    }
+
+    fn state(cap: f64, enforcement: BudgetEnforcement) -> BudgetState {
+        BudgetState::new(policy(cap, enforcement), 2, &[])
+    }
+
+    /// A popped request: arrival sequence `seq` (also its handle),
+    /// priority 0, due at `deadline_ns`.
+    fn queued(seq: u64, deadline_ns: u64) -> QueuedRequest {
+        QueuedRequest {
+            id: seq,
+            handle: seq,
+            arrival_ns: 0,
+            deadline_ns,
+            priority: 0,
+        }
+    }
+
+    /// Offers a fresh request of `cost` at `now`, due far in the future.
+    fn offer(b: &mut BudgetState, seq: u64, cost: f64, now: u64) -> Verdict {
+        b.gate(
+            &queued(seq, u64::MAX / 2),
+            &mut Mark::default(),
+            None,
+            cost,
+            now,
+        )
     }
 
     #[test]
@@ -450,10 +590,10 @@ mod tests {
 
     #[test]
     fn windows_roll_and_skip_idle_spans() {
-        let mut b = BudgetState::new(policy(5.0, BudgetEnforcement::Shed), 0);
+        let mut b = state(5.0, BudgetEnforcement::Shed);
         b.charge(2.0);
         // Jump 5 windows ahead: only the active one is recorded.
-        b.roll(52_000_000_000);
+        b.roll(52 * S);
         b.charge(1.0);
         let r = b.finish(&[], &[]);
         assert_eq!(r.windows_total, 2);
@@ -467,12 +607,12 @@ mod tests {
 
     #[test]
     fn window_rows_keep_the_first_active_windows() {
-        let mut b = BudgetState::new(policy(5.0, BudgetEnforcement::Shed), 0);
+        let mut b = state(5.0, BudgetEnforcement::Shed);
         let active = BudgetReport::MAX_WINDOW_ROWS as u64 + 88;
         // One charge in every other 10 s window: the idle ones between
         // are skipped, so row `i` is window `2 * i`.
         for i in 0..active {
-            b.roll(i * 20_000_000_000);
+            b.roll(i * 20 * S);
             b.charge(1.0);
         }
         let r = b.finish(&[], &[]);
@@ -486,44 +626,149 @@ mod tests {
 
     #[test]
     fn fits_is_exact_at_the_cap() {
-        let mut b = BudgetState::new(policy(5.0, BudgetEnforcement::Shed), 0);
+        let mut b = state(5.0, BudgetEnforcement::Shed);
         assert!(b.fits(5.0));
         b.charge(5.0);
         assert!(!b.fits(0.1));
         assert!(b.fits(0.0));
-        b.roll(10_000_000_000);
+        b.roll(10 * S);
         assert!(b.fits(5.0), "a fresh window restores headroom");
     }
 
     #[test]
+    fn a_cost_exactly_at_the_cap_dispatches() {
+        let mut b = state(5.0, BudgetEnforcement::Defer);
+        assert_eq!(offer(&mut b, 0, 5.0, 0), Verdict::Dispatch);
+        assert_eq!(offer(&mut b, 1, 0.1, S), Verdict::Defer);
+        assert_eq!(offer(&mut b, 2, 5.0, 10 * S), Verdict::Dispatch);
+        let r = b.finish(&[], &[]);
+        assert_eq!((r.dispatched, r.deferred, r.shed), (2, 1, 0));
+        assert_eq!(r.spend_total, 10.0);
+    }
+
+    #[test]
+    fn a_solo_cost_above_the_cap_sheds_under_every_mode() {
+        for mode in [
+            BudgetEnforcement::Defer,
+            BudgetEnforcement::Shed,
+            BudgetEnforcement::DeferThenShed,
+        ] {
+            let mut b = state(5.0, mode);
+            // An empty window and a deadline far ahead: nothing but the
+            // cap itself refuses it.
+            assert_eq!(offer(&mut b, 0, 5.5, 0), Verdict::Shed, "{mode:?}");
+            assert_eq!(b.next_wake(), None, "{mode:?}: nothing parked");
+            let r = b.finish(&[], &[]);
+            assert_eq!((r.dispatched, r.deferred, r.shed), (0, 0, 1), "{mode:?}");
+            assert_eq!(r.shadow_spend_total, 5.5, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn defer_then_shed_parks_at_the_deadline_and_sheds_past_it() {
+        let deadline_ns = 5 * S;
+        let mut b = state(1.0, BudgetEnforcement::DeferThenShed);
+        assert_eq!(offer(&mut b, 0, 1.0, 0), Verdict::Dispatch);
+        let mut mark = Mark::default();
+        let qr = queued(1, deadline_ns);
+        assert_eq!(
+            b.gate(&qr, &mut mark, Some(1), 1.0, deadline_ns),
+            Verdict::Defer
+        );
+        assert_eq!(
+            b.gate(&qr, &mut mark, Some(1), 1.0, deadline_ns + 1),
+            Verdict::Shed
+        );
+        let r = b.finish(&["a".into(), "b".into()], &[1, 0]);
+        assert_eq!((r.deferred, r.shed), (1, 1));
+        assert_eq!((r.classes[1].deferred, r.classes[1].shed), (1, 1));
+        assert_eq!((r.classes[0].deferred, r.classes[0].shed), (0, 0));
+    }
+
+    #[test]
+    fn the_shadow_spend_is_charged_once_across_a_retry() {
+        let mut b = state(10.0, BudgetEnforcement::Defer);
+        let mut mark = Mark::default();
+        let qr = queued(0, u64::MAX / 2);
+        assert_eq!(b.gate(&qr, &mut mark, None, 3.0, 0), Verdict::Dispatch);
+        // A fleet leave voided the attempt: the retry reserves again,
+        // but the uncapped run would have paid for it only once.
+        assert_eq!(b.gate(&qr, &mut mark, None, 3.0, S), Verdict::Dispatch);
+        let r = b.finish(&[], &[]);
+        assert_eq!(r.shadow_spend_total, 3.0);
+        assert_eq!(r.spend_total, 6.0);
+        assert_eq!(r.dispatched, 2);
+    }
+
+    #[test]
+    fn the_latency_price_runs_from_the_first_deferral() {
+        let mut b = state(1.0, BudgetEnforcement::Defer);
+        let mut mark = Mark::default();
+        let late = queued(9, u64::MAX / 2);
+        assert_eq!(offer(&mut b, 0, 1.0, 0), Verdict::Dispatch);
+        assert_eq!(b.gate(&late, &mut mark, None, 1.0, S), Verdict::Defer);
+        assert_eq!(b.next_wake(), Some(10 * S));
+        assert_eq!(b.next_wake(), None, "one pending wake at a time");
+        // The next window's headroom goes to other work first: the
+        // request parks a second time, still priced from 1 s.
+        assert_eq!(b.wake(10 * S), vec![9]);
+        assert_eq!(offer(&mut b, 1, 1.0, 10 * S), Verdict::Dispatch);
+        assert_eq!(b.gate(&late, &mut mark, None, 1.0, 10 * S), Verdict::Defer);
+        assert_eq!(b.next_wake(), Some(20 * S));
+        assert_eq!(b.wake(20 * S), vec![9]);
+        assert_eq!(
+            b.gate(&late, &mut mark, None, 1.0, 20 * S),
+            Verdict::Dispatch
+        );
+        assert_eq!(b.next_wake(), None);
+        let r = b.finish(&[], &[]);
+        assert_eq!(r.latency_price_s, 19.0);
+        assert_eq!(r.deferred, 1, "a request counts as deferred once");
+        assert_eq!(r.shadow_spend_total, 3.0);
+    }
+
+    #[test]
     fn deferred_heap_pops_priority_then_deadline() {
-        let mut b = BudgetState::new(policy(0.0, BudgetEnforcement::Defer), 0);
-        let d = |urgency, deadline_ns, seq| Deferred {
-            urgency,
-            deadline_ns,
-            arrival_ns: 0,
-            seq,
-            handle: seq,
-        };
-        b.push_deferred(d(u32::MAX, 50, 0)); // priority 0, late deadline
-        b.push_deferred(d(u32::MAX - 7, 90, 1)); // priority 7
-        b.push_deferred(d(u32::MAX, 10, 2)); // priority 0, early deadline
-        let mut out = Vec::new();
-        b.drain_deferred_into(&mut out);
-        let seqs: Vec<u64> = out.iter().map(|d| d.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 0]);
+        let mut b = state(1.0, BudgetEnforcement::Defer);
+        assert_eq!(offer(&mut b, 99, 1.0, 0), Verdict::Dispatch);
+        // Priority 0 with a late deadline, priority 7, then priority 0
+        // with an early deadline.
+        for (seq, priority, deadline_ns) in [(0, 0, 50), (1, 7, 90), (2, 0, 10)] {
+            let qr = QueuedRequest {
+                priority,
+                ..queued(seq, deadline_ns)
+            };
+            assert_eq!(
+                b.gate(&qr, &mut Mark::default(), None, 1.0, 0),
+                Verdict::Defer
+            );
+        }
+        assert_eq!(b.wake(10 * S), vec![1, 2, 0]);
+        assert_eq!(b.next_wake(), None, "the heap is empty after a wake");
     }
 
     #[test]
     fn report_folds_classes_and_latency_price() {
         let names = vec!["interactive".to_string(), "batch".to_string()];
         let prios = vec![5, 0];
-        let mut b = BudgetState::new(policy(1.0, BudgetEnforcement::DeferThenShed), 2);
-        b.charge_shadow(3.0);
-        b.note_deferred(Some(1));
-        b.note_shed(Some(1));
-        b.note_shed(None);
-        b.pay_latency_price(2_500_000_000);
+        let mut b = state(1.0, BudgetEnforcement::DeferThenShed);
+        let far = u64::MAX / 2;
+        assert_eq!(offer(&mut b, 0, 1.0, 0), Verdict::Dispatch);
+        // A batch request defers at 0 s and dispatches at 12.5 s; another
+        // sheds past its deadline; an unclassed one is too big to fit.
+        let mut parked = Mark::default();
+        let qr = queued(1, far);
+        assert_eq!(b.gate(&qr, &mut parked, Some(1), 1.0, 0), Verdict::Defer);
+        let late = queued(2, 0);
+        let shed = b.gate(&late, &mut Mark::default(), Some(1), 1.0, 1);
+        assert_eq!(shed, Verdict::Shed);
+        assert_eq!(offer(&mut b, 3, 2.0, 1), Verdict::Shed);
+        assert_eq!(b.wake(10 * S), vec![1]);
+        let at = 12 * S + S / 2;
+        assert_eq!(
+            b.gate(&qr, &mut parked, Some(1), 1.0, at),
+            Verdict::Dispatch
+        );
         let r = b.finish(&names, &prios);
         assert_eq!(r.deferred, 1);
         assert_eq!(r.shed, 2);
@@ -532,8 +777,47 @@ mod tests {
         assert_eq!(r.classes[1].deferred, 1);
         assert_eq!(r.classes[1].shed, 1);
         assert_eq!(r.classes[0].deferred, 0);
-        assert_eq!(r.latency_price_s, 2.5);
-        assert_eq!(r.shadow_spend_total, 3.0);
+        assert_eq!(r.latency_price_s, 12.5);
+        assert_eq!(r.shadow_spend_total, 5.0);
+        assert_eq!(r.spend_total, 2.0);
+    }
+
+    #[test]
+    fn routes_are_priced_head_first_at_each_device_rate() {
+        let task = |device, compute| PricedTask {
+            device,
+            compute,
+            ..PricedTask::default()
+        };
+        let mut route = PricedRoute::default();
+        route.head = task(0, 1.5);
+        route.encoders = vec![task(1, 0.5), task(0, 0.25)];
+        // Resolved devices 0 and 1 are universe devices 2 and 0.
+        let uni_of_res = [2, 0];
+        let devices: Vec<String> = ["server", "laptop", "unprofiled"]
+            .map(String::from)
+            .to_vec();
+        let mut custom = policy(1.0, BudgetEnforcement::Shed);
+        custom.metric = BudgetMetric::Custom {
+            per_device_rate: 2.0,
+        };
+        let b = BudgetState::new(custom, 0, &devices);
+        assert_eq!(b.route_cost(&route, &uni_of_res), 4.5);
+        let mut energy = policy(1.0, BudgetEnforcement::Shed);
+        energy.metric = BudgetMetric::Energy;
+        let b = BudgetState::new(energy, 0, &devices);
+        // Only the encoder on the profiled server (320 W active, 90 W
+        // idle) costs anything.
+        assert_eq!(b.route_cost(&route, &uni_of_res), 0.5 * 230.0);
+    }
+
+    #[test]
+    fn a_placement_is_affordable_up_to_the_cap() {
+        let b = state(5.0, BudgetEnforcement::Defer);
+        // 0.5 req/s over a 10 s window at 1.0 each spends exactly 5.
+        assert!(b.affords(0.5, 1.0));
+        assert!(!b.affords(0.6, 1.0));
+        assert!(b.affords(0.0, f64::MAX));
     }
 
     #[test]
@@ -558,6 +842,94 @@ mod tests {
             let json = serde_json::to_string(&p).unwrap();
             let back: BudgetPolicy = serde_json::from_str(&json).unwrap();
             assert_eq!(p, back);
+        }
+    }
+
+    // Through the serve engine.
+
+    fn small_scenario(n: usize) -> ServeScenario {
+        ServeScenario {
+            requests: n,
+            events: vec![],
+            ..ServeScenario::churn_default()
+        }
+    }
+
+    fn device_seconds(cap: f64, window_s: f64, enforcement: BudgetEnforcement) -> BudgetPolicy {
+        BudgetPolicy {
+            window_s,
+            enforcement,
+            ..BudgetPolicy::device_seconds(cap)
+        }
+    }
+
+    #[test]
+    fn roomy_budget_changes_nothing_but_adds_the_report() {
+        let uncapped = serve(&small_scenario(300)).unwrap();
+        let mut s = small_scenario(300);
+        s.budget = Some(device_seconds(1e18, 60.0, BudgetEnforcement::DeferThenShed));
+        let mut capped = serve(&s).unwrap();
+        let b = capped.budget.take().expect("budget report present");
+        assert_eq!(capped, uncapped, "a roomy cap must not alter serving");
+        assert_eq!(b.deferred, 0);
+        assert_eq!(b.shed, 0);
+        assert_eq!(b.adherence, 1.0);
+        assert!(b.spend_total > 0.0);
+        assert!((b.spend_total - b.shadow_spend_total).abs() < 1e-9);
+        assert_eq!(b.dispatched, capped.completed);
+    }
+
+    #[test]
+    fn tight_budget_defers_within_cap_and_recovers() {
+        let uncapped = serve(&small_scenario(200)).unwrap();
+        let busy: f64 = uncapped.devices.iter().map(|d| d.busy_s).sum();
+        let cost_per_req = busy / uncapped.completed as f64;
+        let mut s = small_scenario(200);
+        s.budget = Some(device_seconds(
+            3.0 * cost_per_req,
+            uncapped.makespan_s / 10.0,
+            BudgetEnforcement::Defer,
+        ));
+        let r = serve(&s).unwrap();
+        assert_eq!(r.arrived, 200);
+        assert_eq!(r.completed + r.shed, 200, "deferred requests are conserved");
+        let b = r.budget.as_ref().unwrap();
+        assert!(b.deferred > 0, "a ~3-requests-per-window cap must defer");
+        assert!(b.latency_price_s > 0.0);
+        assert_eq!(
+            b.windows_over_cap, 0,
+            "reserve-at-dispatch never overspends"
+        );
+        assert_eq!(b.adherence, 1.0);
+        for w in &b.windows {
+            assert!(w.spend <= b.cap_per_window + 1e-9);
+        }
+        assert!(b.shadow_spend_total >= b.spend_total - 1e-9);
+        assert!(
+            r.latency.p95_s >= uncapped.latency.p95_s,
+            "deferral cannot speed requests up"
+        );
+    }
+
+    #[test]
+    fn budget_shed_mode_rejects_what_it_cannot_afford() {
+        let uncapped = serve(&small_scenario(200)).unwrap();
+        let busy: f64 = uncapped.devices.iter().map(|d| d.busy_s).sum();
+        let cost_per_req = busy / uncapped.completed as f64;
+        let mut s = small_scenario(200);
+        s.budget = Some(device_seconds(
+            2.0 * cost_per_req,
+            uncapped.makespan_s / 5.0,
+            BudgetEnforcement::Shed,
+        ));
+        let r = serve(&s).unwrap();
+        let b = r.budget.as_ref().unwrap();
+        assert_eq!(r.completed + r.shed, r.arrived);
+        assert!(b.shed > 0, "a tight cap under Shed must reject work");
+        assert_eq!(b.deferred, 0, "Shed mode never defers");
+        assert!(r.shed >= b.shed, "budget sheds are sheds");
+        for w in &b.windows {
+            assert!(w.spend <= b.cap_per_window + 1e-9);
         }
     }
 }

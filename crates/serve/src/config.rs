@@ -69,7 +69,7 @@ pub enum FleetEventKind {
     DeviceSlowdown {
         /// Device name.
         device: String,
-        /// Speed multiplier applied to the device's base GFLOP/s.
+        /// Speed multiplier on the device's base GFLOP/s (at least 0.001).
         factor: f64,
     },
 }
@@ -168,7 +168,7 @@ pub struct TrafficSource {
 /// fixture via `capture_fixtures`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BatchPolicy {
-    /// Global per-dispatch batch cap (≥ 2 to have any effect).
+    /// Global per-dispatch batch cap (at least 1; ≥ 2 to have any effect).
     pub max_batch: usize,
     /// Per-module-kind overrides of the global cap (e.g. batch text
     /// encoders 8-deep but never batch generative heads: `max_batch: 1`
@@ -181,7 +181,7 @@ pub struct BatchPolicy {
 pub struct KindBatchCap {
     /// The module kind the override applies to.
     pub kind: ModuleKind,
-    /// Batch cap for modules of this kind (1 disables batching).
+    /// Batch cap for modules of this kind (at least 1; 1 disables batching).
     pub max_batch: usize,
 }
 
@@ -262,9 +262,9 @@ pub struct ServeScenario {
     pub replan: ReplanPolicy,
     /// Scheduled fleet churn.
     pub events: Vec<FleetEvent>,
-    /// SLO ring-buffer window size, in completed requests. The ring
-    /// grows to it on demand, so a window past the run's length keeps
-    /// every outcome.
+    /// SLO ring-buffer window size, in completed requests (at least 1).
+    /// The ring grows to it on demand, so a window past the run's length
+    /// keeps every outcome.
     pub slo_window: usize,
     /// Emit a windowed SLO snapshot every this many completions (at
     /// least 1).
@@ -424,11 +424,19 @@ impl ServeScenario {
         if self.requests == 0 {
             problems.push("requests: must be > 0 (got 0)".into());
         }
-        if self.max_inflight_per_device == 0 {
-            problems.push("max_inflight_per_device: must be >= 1 (got 0)".into());
-        }
-        if self.snapshot_every == 0 {
-            problems.push("snapshot_every: must be >= 1 (got 0)".into());
+        at_least_one(
+            &mut problems,
+            "max_inflight_per_device",
+            self.max_inflight_per_device,
+        );
+        at_least_one(&mut problems, "snapshot_every", self.snapshot_every);
+        at_least_one(&mut problems, "slo_window", self.slo_window);
+        if let Some(batch) = &self.batch {
+            at_least_one(&mut problems, "batch.max_batch", batch.max_batch);
+            for (i, cap) in batch.per_kind.iter().enumerate() {
+                let path = format_args!("batch.per_kind[{i}].max_batch");
+                at_least_one(&mut problems, path, cap.max_batch);
+            }
         }
         let mut active = vec![false; names.len()];
         for (i, name) in self.initial_devices.iter().enumerate() {
@@ -540,8 +548,10 @@ impl ServeScenario {
                 FleetEventKind::DeviceJoin { device } => (device, FleetChange::Join),
                 FleetEventKind::DeviceLeave { device } => (device, FleetChange::Leave),
                 FleetEventKind::DeviceSlowdown { device, factor } => {
-                    if !factor.is_finite() {
-                        problems.push(format!("events[{i}].factor: must be finite (got {factor})"));
+                    if !(factor.is_finite() && *factor >= 1e-3) {
+                        problems.push(format!(
+                            "events[{i}].factor: must be finite and >= 0.001 (got {factor})"
+                        ));
                     }
                     (device, FleetChange::Slowdown(*factor))
                 }
@@ -604,6 +614,13 @@ impl ServeScenario {
     }
 }
 
+/// Records `path` as a problem when `value`, a count, is 0.
+fn at_least_one(problems: &mut Vec<String>, path: impl Display, value: usize) {
+    if value == 0 {
+        problems.push(format!("{path}: must be >= 1 (got 0)"));
+    }
+}
+
 /// Records `path` as a problem unless `value` seconds fit the clock.
 fn on_clock(problems: &mut Vec<String>, path: impl Display, value: f64) {
     if !(value.is_finite() && value <= MAX_ARRIVAL_S) {
@@ -618,7 +635,7 @@ fn on_clock(problems: &mut Vec<String>, path: impl Display, value: f64) {
 pub(crate) enum FleetChange {
     Join,
     Leave,
-    /// Speed multiplier as written (the engine floors it at 1e-3).
+    /// Speed multiplier as written (validated finite and >= 0.001).
     Slowdown(f64),
 }
 

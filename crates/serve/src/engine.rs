@@ -68,9 +68,10 @@
 //! per-model, per-source route (placement and instance change only at
 //! replans) is priced by [`ResolvedInstance::price_route`] — the same
 //! arithmetic the bounded simulator and the replan objective use — and
-//! cached in nanoseconds as a `ModelRoute`, along with the budget's
-//! per-model route cost. String ids survive only at the boundary:
-//! scenario parsing, replan diffs, and the serialized [`ServeReport`].
+//! cached in nanoseconds as a `ModelRoute`; a budget's rules and route
+//! costs live in [`crate::budget`], which the driver only asks. String
+//! ids survive only at the boundary: scenario parsing, replan diffs,
+//! and the serialized [`ServeReport`].
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -89,7 +90,7 @@ use s2m3_sim::kernel::{
 use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
 use crate::accounting::{Accounting, ClassStats, LatAgg};
-use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetState, Deferred};
+use crate::budget::{BudgetState, Mark, Verdict};
 use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
 use crate::report::{
@@ -138,17 +139,6 @@ enum ServeEv {
     BudgetWake,
 }
 
-/// What the budget gate decided for a popped request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BudgetVerdict {
-    /// Within budget (or no budget): dispatch now.
-    Dispatch,
-    /// Parked in the deferred heap until the next window.
-    Defer,
-    /// Rejected by enforcement (counts as a shed).
-    Shed,
-}
-
 /// Per-task payload stored inline in the kernel's task table.
 #[derive(Debug, Clone, Copy, Default)]
 struct TaskInfo {
@@ -184,12 +174,8 @@ struct ReqInfo {
     /// Universe index of the device charged with this request's
     /// in-flight slot, when dispatched.
     inflight_on: Option<usize>,
-    /// Whether the budget gate has priced this request (the uncapped
-    /// shadow counter charges once per request).
-    budget_seen: bool,
-    /// When the budget first deferred this request (`u64::MAX`: never);
-    /// the latency price accrues from here at eventual dispatch.
-    first_defer_ns: u64,
+    /// The budget gate's history of this request.
+    budget: Mark,
 }
 
 /// Driver-side per-device serving state (the kernel owns lanes/queues;
@@ -234,16 +220,16 @@ struct ModelRoute {
 /// priced at most once per decision.
 struct PricedReplan {
     decision: ReplanDecision,
-    /// [`Online::mean_route_cost`] of `decision.placement` (`None` until
-    /// the gate first needs it).
-    mean_route_cost: Option<f64>,
+    /// [`Online::mean_spend`] of `decision.placement` (`None` until the
+    /// gate first needs it).
+    mean_spend: Option<f64>,
 }
 
 impl PricedReplan {
     fn new(decision: ReplanDecision) -> Self {
         PricedReplan {
             decision,
-            mean_route_cost: None,
+            mean_spend: None,
         }
     }
 }
@@ -345,16 +331,10 @@ struct Online {
     /// Budget-enforcement state (`scenario.budget`); `None` serves
     /// uncapped, byte-identical to the pre-budget engine.
     budget: Option<BudgetState>,
-    /// Per-universe-device cost rate (spend units per busy second),
-    /// priced from the policy's metric. Empty without a budget.
-    cost_rates: Vec<f64>,
-    /// Per-model route cost under the current placement — head plus
-    /// encoder compute seconds, each times its host's rate. Refreshed
-    /// with the route cache; empty without a budget.
+    /// Per-model route cost under the current placement
+    /// ([`BudgetState::route_cost`]). Refreshed with the route cache;
+    /// empty without a budget.
     route_costs: Vec<f64>,
-    /// Re-admission scratch: the deferred heap drains here before
-    /// requests re-enter `admit` (which may re-defer into the heap).
-    budget_wake_scratch: Vec<Deferred>,
     report: ServeReport,
 }
 
@@ -542,16 +522,10 @@ impl Online {
                     enc_len: self.route_encs.len() as u32 - enc_start,
                 }));
             }
-            if self.budget.is_some() {
-                // Compute times ignore the query's origin, so the last
-                // source's pricing costs the route for all of them: head
-                // first, then encoders in send order.
-                let rate = |d: u32| self.cost_rates[self.uni_of_res[d as usize]];
-                let mut cost = priced.head.compute * rate(priced.head.device);
-                for e in &priced.encoders {
-                    cost += e.compute * rate(e.device);
-                }
-                self.route_costs.push(cost);
+            if let Some(budget) = &self.budget {
+                // The last source's pricing costs the route for all.
+                self.route_costs
+                    .push(budget.route_cost(&priced, &self.uni_of_res));
             }
         }
         self.route_scratch = route;
@@ -610,113 +584,43 @@ impl Online {
             let Some(qr) = popped else { return };
             let handle = ReqHandle::unpack(qr.handle);
             debug_assert!(self.requests.is_current(handle));
-            match self.budget_gate(k, &qr, now) {
-                BudgetVerdict::Dispatch => self.dispatch_request(k, handle.slot as usize, now),
+            let slot = handle.slot as usize;
+            let verdict = self.budget.as_mut().map_or(Verdict::Dispatch, |budget| {
+                let r = &mut self.requests[slot];
+                budget.gate(&qr, &mut r.budget, r.class, self.route_costs[r.model], now)
+            });
+            match verdict {
+                Verdict::Dispatch => self.dispatch_request(k, slot, now),
                 // Parked (or rejected): the pop freed no request slot,
                 // so keep draining — EDF pop order already gave this
                 // window's headroom to the highest-priority work first.
-                BudgetVerdict::Defer => {}
-                BudgetVerdict::Shed => self.record_shed(handle.slot as usize, now),
+                Verdict::Defer => self.push_budget_wake(k),
+                Verdict::Shed => self.record_shed(slot, now),
             }
         }
     }
 
-    /// Prices a popped request against the open budget window. Always
-    /// `Dispatch` without a budget (the zero-cost fast path).
-    fn budget_gate(&mut self, k: &mut K, qr: &QueuedRequest, now: u64) -> BudgetVerdict {
-        let Some(budget) = self.budget.as_mut() else {
-            return BudgetVerdict::Dispatch;
-        };
-        let slot = ReqHandle::unpack(qr.handle).slot as usize;
-        let (model, class) = {
-            let r = &self.requests[slot];
-            (r.model, r.class)
-        };
-        let cost = self.route_costs[model];
-        budget.roll(now);
-        if !self.requests[slot].budget_seen {
-            self.requests[slot].budget_seen = true;
-            budget.charge_shadow(cost);
-        }
-        if budget.fits(cost) {
-            budget.charge(cost);
-            let first_defer = self.requests[slot].first_defer_ns;
-            if first_defer != u64::MAX {
-                budget.pay_latency_price(now.saturating_sub(first_defer));
-            }
-            return BudgetVerdict::Dispatch;
-        }
-        // The open window cannot afford it. A request whose solo cost
-        // exceeds the cap can never fit any window: shed it under every
-        // mode rather than park it forever.
-        let shed = cost > budget.policy.cap_per_window
-            || match budget.policy.enforcement {
-                BudgetEnforcement::Shed => true,
-                BudgetEnforcement::Defer => false,
-                BudgetEnforcement::DeferThenShed => now > qr.deadline_ns,
-            };
-        if shed {
-            budget.note_shed(class);
-            return BudgetVerdict::Shed;
-        }
-        if self.requests[slot].first_defer_ns == u64::MAX {
-            self.requests[slot].first_defer_ns = now;
-            budget.note_deferred(class);
-        }
-        budget.push_deferred(Deferred {
-            urgency: u32::MAX - qr.priority,
-            deadline_ns: qr.deadline_ns,
-            arrival_ns: qr.arrival_ns,
-            seq: qr.id,
-            handle: qr.handle,
-        });
-        self.schedule_budget_wake(k);
-        BudgetVerdict::Defer
-    }
-
-    /// Schedules a `BudgetWake` at the next window boundary (deduped:
-    /// at most one pending wake) while any request sits parked.
-    fn schedule_budget_wake(&mut self, k: &mut K) {
-        let Some(budget) = self.budget.as_mut() else {
-            return;
-        };
-        if !budget.has_deferred() {
-            return;
-        }
-        let at = budget.next_window_start_ns();
-        if budget.wake_at != Some(at) {
-            budget.wake_at = Some(at);
+    /// Pushes the budget's next window wake, if it wants one.
+    fn push_budget_wake(&mut self, k: &mut K) {
+        if let Some(at) = self.budget.as_mut().and_then(BudgetState::next_wake) {
             k.push_custom(at, ServeEv::BudgetWake);
         }
     }
 
     /// A fresh budget window opened: re-admit every parked request,
-    /// EDF order. Re-admission runs through the normal `admit` path, so
-    /// a request the new window still cannot afford simply re-parks
-    /// (via the drained scratch, never the live heap — no livelock).
+    /// EDF order, through the normal `admit` path (a request the new
+    /// window still cannot afford simply re-parks).
     fn budget_wake(&mut self, k: &mut K, now: u64) {
-        let Some(budget) = self.budget.as_mut() else {
-            return;
-        };
-        if budget.wake_at == Some(now) {
-            budget.wake_at = None;
-        }
-        budget.roll(now);
-        // Taken only past the guard, so no return path drops the buffer.
-        let mut scratch = std::mem::take(&mut self.budget_wake_scratch);
-        budget.drain_deferred_into(&mut scratch);
-        for d in &scratch {
-            let handle = ReqHandle::unpack(d.handle);
+        let parked = self.budget.as_mut().map_or_else(Vec::new, |b| b.wake(now));
+        for handle in parked {
+            let handle = ReqHandle::unpack(handle);
             // Parked requests can be resolved elsewhere (an early
             // `finish` sheds them): skip anything no longer live.
-            if !self.requests.is_current(handle) {
-                continue;
+            if self.requests.is_current(handle) {
+                self.admit(k, handle.slot as usize, now);
             }
-            self.admit(k, handle.slot as usize, now);
         }
-        scratch.clear();
-        self.budget_wake_scratch = scratch;
-        self.schedule_budget_wake(k);
+        self.push_budget_wake(k);
     }
 
     /// Expands a request into module tasks from its model's cached route.
@@ -919,7 +823,7 @@ impl Online {
                 format!("{device} leaves")
             }
             FleetChange::Slowdown(factor) => {
-                self.slowdown[ui] = Some(factor.max(1e-3));
+                self.slowdown[ui] = Some(factor);
                 format!("{device} slows to {factor:.2}x")
             }
         };
@@ -1009,41 +913,31 @@ impl Online {
     }
 
     /// Mean per-request route cost (over routable models) the fleet
-    /// would pay under `placement`, priced by the active cost rates.
-    /// Clobbers the routing scratch — callers always run
-    /// [`Online::refresh_model_routes`] after any placement change, so
-    /// the scratch is re-derived either way.
-    fn mean_route_cost(&mut self, placement: &Placement) -> f64 {
-        self.resolved
-            .resolve_placement_into(placement, &mut self.hosts_scratch);
-        let mut route = std::mem::take(&mut self.route_scratch);
-        let mut total = 0.0;
-        let mut routable = 0usize;
+    /// would pay under `placement`, each model's route priced as
+    /// [`Online::refresh_model_routes`] prices the live placement's.
+    /// Clobbers the routing and pricing scratch — callers always run
+    /// `refresh_model_routes` after any placement change, so the scratch
+    /// is re-derived either way.
+    fn mean_spend(&mut self, placement: &Placement) -> f64 {
+        let Some(budget) = &self.budget else {
+            return 0.0;
+        };
+        let resolved = &*self.resolved;
+        resolved.resolve_placement_into(placement, &mut self.hosts_scratch);
+        let source = self.res_of_uni[*self.sources.last().expect("a scenario has sources")]
+            .expect("sources never leave the fleet");
+        let (route, priced) = (&mut self.route_scratch, &mut self.priced_scratch);
+        let (mut total, mut routable) = (0.0, 0usize);
         for m in 0..self.n_models {
-            let profile = self.resolved.models()[m].profile;
-            if !self
-                .resolved
-                .route_model_into(m, &profile, &self.hosts_scratch, &mut route)
-            {
-                continue;
+            let profile = resolved.models()[m].profile;
+            if resolved.route_model_into(m, &profile, &self.hosts_scratch, route) {
+                resolved.price_route(&profile, source, route, priced);
+                total += budget.route_cost(priced, &self.uni_of_res);
+                routable += 1;
             }
-            // The route's last entry is the head: summing every module
-            // covers head + encoders alike.
-            let mut cost = 0.0;
-            for &(em, ed) in route.iter() {
-                let units = profile.units(self.resolved.module_kind(em));
-                cost += self.resolved.compute_time_units(em, ed, units)
-                    * self.cost_rates[self.uni_of_res[ed as usize]];
-            }
-            total += cost;
-            routable += 1;
         }
-        self.route_scratch = route;
-        if routable == 0 {
-            0.0
-        } else {
-            total / routable as f64
-        }
+        // No routable model: `total` is 0 and so is the mean.
+        total / routable.max(1) as f64
     }
 
     /// The shared replan gate: computes the observed-rate break-even
@@ -1088,18 +982,13 @@ impl Online {
         // (observed rate × window × mean route cost) would breach the
         // cap is rejected before the latency comparison. Mandatory
         // switches bypass it — refusing them would strand the fleet.
-        let budget_feasible = match self
-            .budget
-            .as_ref()
-            .map(|b| (b.policy.window_s, b.policy.cap_per_window))
-        {
-            Some((window_s, cap)) if !mandatory => {
-                let mean_cost = *priced
-                    .mean_route_cost
-                    .get_or_insert_with(|| self.mean_route_cost(&priced.decision.placement));
-                observed_rate * window_s * mean_cost <= cap
-            }
-            _ => true,
+        let budget_feasible = mandatory || self.budget.is_none() || {
+            let mean_spend = *priced
+                .mean_spend
+                .get_or_insert_with(|| self.mean_spend(&priced.decision.placement));
+            self.budget
+                .as_ref()
+                .is_some_and(|b| b.affords(observed_rate, mean_spend))
         };
         let accepted = mandatory
             || (budget_feasible
@@ -1239,8 +1128,7 @@ impl Online {
             r.priority = priority;
             r.class = rec.class;
             r.inflight_on = None;
-            r.budget_seen = false;
-            r.first_defer_ns = u64::MAX;
+            r.budget = Mark::default();
         });
         let slot = handle.slot as usize;
         k.set_request(slot, RequestSlot::default());
@@ -1359,25 +1247,6 @@ impl Online {
             self.report.budget = Some(budget.finish(&class_names, &priorities));
         }
         self.report
-    }
-}
-
-/// Builds the [`CostModel`](s2m3_core::CostModel) a budget metric
-/// prices busy device-seconds with.
-fn budget_cost_model(metric: &BudgetMetric) -> s2m3_core::CostModel {
-    match metric {
-        BudgetMetric::DeviceSeconds => s2m3_core::CostModel::uniform(1.0),
-        BudgetMetric::Custom { per_device_rate } => s2m3_core::CostModel::uniform(*per_device_rate),
-        // Marginal energy: joules per busy second above idle, from the
-        // simulator's default power profiles. Unprofiled devices cost
-        // nothing (the model's default rate stays 0).
-        BudgetMetric::Energy => {
-            let mut model = s2m3_core::CostModel::uniform(0.0);
-            for (device, profile) in s2m3_sim::energy::default_profiles() {
-                model.set_rate(device, (profile.active_w - profile.idle_w).max(0.0));
-            }
-            model
-        }
     }
 }
 
@@ -1563,22 +1432,10 @@ impl ServeSession {
             })
             .collect();
 
-        // Budget enforcement: price every universe device once (rates
-        // never change mid-run).
         let budget = scenario
             .budget
             .as_ref()
-            .map(|policy| BudgetState::new(policy.clone(), valid.class_names.len()));
-        let cost_rates: Vec<f64> = match &scenario.budget {
-            Some(policy) => {
-                let cost_model = budget_cost_model(&policy.metric);
-                uni_names
-                    .iter()
-                    .map(|n| cost_model.rate(&n.as_str().into()))
-                    .collect()
-            }
-            None => Vec::new(),
-        };
+            .map(|policy| BudgetState::new(policy.clone(), valid.class_names.len(), &uni_names));
 
         // --- Instance, placement, resolved index maps: the
         //     replica-invariant prefix, shared instead of rebuilt. ---
@@ -1630,7 +1487,7 @@ impl ServeSession {
         // per-kind overrides (module interning is stable across fleet
         // rebuilds — the model set never changes — so the cap table
         // survives replans).
-        let batch = scenario.batch.as_ref().map(|b| b.max_batch.max(1));
+        let batch = scenario.batch.as_ref().map(|b| b.max_batch);
         let module_batch_caps: Vec<usize> = match &scenario.batch {
             Some(b) if !b.per_kind.is_empty() => (0..resolved.module_count() as u32)
                 .map(|m| {
@@ -1638,7 +1495,7 @@ impl ServeSession {
                     b.per_kind
                         .iter()
                         .find(|c| c.kind == kind)
-                        .map_or(b.max_batch.max(1), |c| c.max_batch.max(1))
+                        .map_or(b.max_batch, |c| c.max_batch)
                 })
                 .collect(),
             _ => Vec::new(),
@@ -1720,7 +1577,7 @@ impl ServeSession {
             last_slo_eval_ns: 0,
             slo_replan: None,
             acct: Accounting {
-                slo: SloWindow::new(scenario.slo_window.max(1)),
+                slo: SloWindow::new(scenario.slo_window),
                 snapshot_stride: scenario.snapshot_every as u64,
                 until_snapshot: scenario.snapshot_every as u64,
                 max_windows: scenario.max_windows,
@@ -1737,9 +1594,7 @@ impl ServeSession {
                 last_completion_ns: 0,
             },
             budget,
-            cost_rates,
             route_costs: Vec::new(),
-            budget_wake_scratch: Vec::new(),
             report: ServeReport {
                 seed: scenario.seed.clone(),
                 ..ServeReport::default()
@@ -1827,6 +1682,7 @@ mod tests {
         AdmissionPolicy, FleetEvent, FleetEventKind, ModelDeployment, ReplanPolicy,
         SloReplanTrigger, TrafficSource,
     };
+    use s2m3_models::module::ModuleKind;
     use s2m3_sim::workload::ArrivalProcess;
 
     fn small_scenario(n: usize) -> ServeScenario {
@@ -1845,89 +1701,6 @@ mod tests {
         assert!(report.latency.p50_s > 0.0);
         assert!(report.throughput_per_s > 0.0);
         assert!(!report.windows.is_empty());
-    }
-
-    fn budget_policy(
-        cap: f64,
-        window_s: f64,
-        enforcement: BudgetEnforcement,
-    ) -> crate::budget::BudgetPolicy {
-        crate::budget::BudgetPolicy {
-            cap_per_window: cap,
-            metric: crate::budget::BudgetMetric::DeviceSeconds,
-            window_s,
-            enforcement,
-        }
-    }
-
-    #[test]
-    fn roomy_budget_changes_nothing_but_adds_the_report() {
-        let uncapped = serve(&small_scenario(300)).unwrap();
-        let mut s = small_scenario(300);
-        s.budget = Some(budget_policy(1e18, 60.0, BudgetEnforcement::DeferThenShed));
-        let mut capped = serve(&s).unwrap();
-        let b = capped.budget.take().expect("budget report present");
-        assert_eq!(capped, uncapped, "a roomy cap must not alter serving");
-        assert_eq!(b.deferred, 0);
-        assert_eq!(b.shed, 0);
-        assert_eq!(b.adherence, 1.0);
-        assert!(b.spend_total > 0.0);
-        assert!((b.spend_total - b.shadow_spend_total).abs() < 1e-9);
-        assert_eq!(b.dispatched, capped.completed);
-    }
-
-    #[test]
-    fn tight_budget_defers_within_cap_and_recovers() {
-        let uncapped = serve(&small_scenario(200)).unwrap();
-        let busy: f64 = uncapped.devices.iter().map(|d| d.busy_s).sum();
-        let cost_per_req = busy / uncapped.completed as f64;
-        let mut s = small_scenario(200);
-        s.budget = Some(budget_policy(
-            3.0 * cost_per_req,
-            uncapped.makespan_s / 10.0,
-            BudgetEnforcement::Defer,
-        ));
-        let r = serve(&s).unwrap();
-        assert_eq!(r.arrived, 200);
-        assert_eq!(r.completed + r.shed, 200, "deferred requests are conserved");
-        let b = r.budget.as_ref().unwrap();
-        assert!(b.deferred > 0, "a ~3-requests-per-window cap must defer");
-        assert!(b.latency_price_s > 0.0);
-        assert_eq!(
-            b.windows_over_cap, 0,
-            "reserve-at-dispatch never overspends"
-        );
-        assert_eq!(b.adherence, 1.0);
-        for w in &b.windows {
-            assert!(w.spend <= b.cap_per_window + 1e-9);
-        }
-        assert!(b.shadow_spend_total >= b.spend_total - 1e-9);
-        assert!(
-            r.latency.p95_s >= uncapped.latency.p95_s,
-            "deferral cannot speed requests up"
-        );
-    }
-
-    #[test]
-    fn budget_shed_mode_rejects_what_it_cannot_afford() {
-        let uncapped = serve(&small_scenario(200)).unwrap();
-        let busy: f64 = uncapped.devices.iter().map(|d| d.busy_s).sum();
-        let cost_per_req = busy / uncapped.completed as f64;
-        let mut s = small_scenario(200);
-        s.budget = Some(budget_policy(
-            2.0 * cost_per_req,
-            uncapped.makespan_s / 5.0,
-            BudgetEnforcement::Shed,
-        ));
-        let r = serve(&s).unwrap();
-        let b = r.budget.as_ref().unwrap();
-        assert_eq!(r.completed + r.shed, r.arrived);
-        assert!(b.shed > 0, "a tight cap under Shed must reject work");
-        assert_eq!(b.deferred, 0, "Shed mode never defers");
-        assert!(r.shed >= b.shed, "budget sheds are sheds");
-        for w in &b.windows {
-            assert!(w.spend <= b.cap_per_window + 1e-9);
-        }
     }
 
     #[test]
@@ -2184,7 +1957,15 @@ mod tests {
             }];
             cases.push((s, "events[0].at_s"));
         }
-        for factor in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        // A factor below a thousandth used to be served as 0.001.
+        for factor in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -1.0,
+            0.000_999,
+        ] {
             let mut s = small_scenario(10);
             s.events = vec![FleetEvent {
                 at_s: 1.0,
@@ -2215,6 +1996,23 @@ mod tests {
         s.snapshot_every = 0;
         cases.push((s, "snapshot_every: must be >= 1 (got 0)"));
         let mut s = small_scenario(10);
+        s.slo_window = 0;
+        cases.push((s, "slo_window: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.batch = Some(crate::config::BatchPolicy {
+            max_batch: 0,
+            per_kind: Vec::new(),
+        });
+        cases.push((s, "batch.max_batch: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.batch = Some(crate::config::BatchPolicy {
+            max_batch: 4,
+            per_kind: [(ModuleKind::TextEncoder, 2), (ModuleKind::LanguageModel, 0)]
+                .map(|(kind, max_batch)| crate::config::KindBatchCap { kind, max_batch })
+                .to_vec(),
+        });
+        cases.push((s, "batch.per_kind[1].max_batch: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
         s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
         cases.push((s, "arrivals.rate_per_s"));
         for (s, field) in cases {
@@ -2224,11 +2022,12 @@ mod tests {
                 "{field}: {err}"
             );
         }
-        // Other finite values keep their clamps.
+        // A negative event time still clamps to 0, and the smallest
+        // factor is served as written.
         let mut clamped = small_scenario(10);
         clamped.events = vec![FleetEvent {
             at_s: -5.0,
-            kind: slowdown(0.0),
+            kind: slowdown(0.001),
         }];
         assert!(serve(&clamped).is_ok());
 
@@ -2786,7 +2585,6 @@ mod tests {
     #[test]
     fn per_kind_caps_bound_the_batched_speedup() {
         use crate::config::{BatchPolicy, KindBatchCap};
-        use s2m3_models::module::ModuleKind;
         let mut s = small_scenario(80);
         s.arrivals = ArrivalProcess::Simultaneous;
         s.admission = AdmissionPolicy::Fifo;
