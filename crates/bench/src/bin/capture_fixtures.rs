@@ -112,8 +112,8 @@ fn main() {
 
     // The SLO-breach golden: what `s2m3 serve --requests 5000 --rate 1.0
     // --slo-replan 5 --budget-cap 30 --budget-mode defer-shed` serves.
-    // Overloaded and capped, it logs SLO-breach replan records next to
-    // the fleet-event ones, so their rendered trigger text is pinned.
+    // Overloaded and capped, it rejects SLO-breach replan evaluations
+    // after the fleet-event ones, so their run is pinned.
     let mut slo_scenario = ServeScenario {
         requests: 5_000,
         arrivals: ArrivalProcess::Poisson { rate_per_s: 1.0 },

@@ -18,15 +18,59 @@ use crate::slo::{DeviceUsage, Outcome, SloWindow, WindowSnapshot};
 /// unbounded runs. Both start empty and grow with what they hold.
 #[derive(Debug, Clone)]
 pub(crate) enum LatAgg {
-    /// Every sample, summarized by an in-place sort at the end.
-    Exact(Vec<f64>),
+    /// Every sample, summarized by one sort at the end.
+    Exact(ExactSamples),
     /// Bounded-memory log-bucket histogram (≤ 1% quantile error).
     Sketch(LatencySketch),
 }
 
+/// Samples per block of [`ExactSamples`]: 32 KiB.
+const BLOCK: usize = 4096;
+
+/// Exact latency samples, in arrival order, grown in fixed blocks: the
+/// tail `Vec` grows by doubling up to [`BLOCK`] samples, exactly as a
+/// plain `Vec` would, and a full tail moves (uncopied) into `blocks`
+/// while the next tail reserves one block. A doubling `Vec` holds up to
+/// twice its samples while it grows; this holds the samples plus one
+/// block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ExactSamples {
+    /// Full blocks of `BLOCK` samples each, oldest first.
+    blocks: Vec<Vec<f64>>,
+    /// The samples after the last full block.
+    tail: Vec<f64>,
+}
+
+impl ExactSamples {
+    #[inline]
+    fn push(&mut self, v: f64) {
+        if self.tail.len() == BLOCK {
+            let full = std::mem::replace(&mut self.tail, Vec::with_capacity(BLOCK));
+            self.blocks.push(full);
+        }
+        self.tail.push(v);
+    }
+
+    /// Every sample in one slice. The blocks move into the first one,
+    /// which grows by exactly one block per block copied, and each
+    /// block is freed once copied: the samples plus about one block are
+    /// live at any point.
+    fn gather(&mut self) -> &mut [f64] {
+        let mut blocks = std::mem::take(&mut self.blocks).into_iter();
+        if let Some(mut all) = blocks.next() {
+            for block in blocks.chain([std::mem::take(&mut self.tail)]) {
+                all.reserve_exact(block.len());
+                all.extend_from_slice(&block);
+            }
+            self.tail = all;
+        }
+        &mut self.tail
+    }
+}
+
 impl Default for LatAgg {
     fn default() -> Self {
-        LatAgg::Exact(Vec::new())
+        LatAgg::Exact(ExactSamples::default())
     }
 }
 
@@ -35,7 +79,7 @@ impl LatAgg {
         if streaming {
             LatAgg::Sketch(LatencySketch::new())
         } else {
-            LatAgg::Exact(Vec::new())
+            LatAgg::default()
         }
     }
 
@@ -47,13 +91,14 @@ impl LatAgg {
         }
     }
 
-    /// Folds the accumulator into a summary. Sorts the exact buffer in
-    /// place — one pass, no clone or reallocation. Latencies are finite
-    /// and ≥ +0.0, where `total_cmp` agrees with `<` and equal samples
-    /// are bit-equal, so the unstable sort yields the stable sort's bytes.
+    /// Folds the accumulator into a summary. Gathers the exact samples
+    /// into one buffer and sorts it in place. Latencies are finite and
+    /// ≥ +0.0, where `total_cmp` agrees with `<` and equal samples are
+    /// bit-equal, so the unstable sort yields the stable sort's bytes.
     pub(crate) fn summarize(&mut self) -> LatencySummary {
         match self {
             LatAgg::Exact(samples) => {
+                let samples = samples.gather();
                 debug_assert!(samples.iter().all(|v| !v.is_nan()), "NaN latency sample");
                 samples.sort_unstable_by(f64::total_cmp);
                 LatencySummary::from_sorted(samples)
@@ -254,5 +299,40 @@ impl Accounting {
         } else {
             (busy / offered).min(1.0)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exact_samples_up_to_one_block_hold_what_a_plain_vec_holds() {
+        for n in [0, 1, 3, 4, 5, 100, 1_000, BLOCK - 1, BLOCK] {
+            let mut samples = ExactSamples::default();
+            let mut plain = Vec::new();
+            for i in 0..n {
+                samples.push(i as f64);
+                plain.push(i as f64);
+            }
+            assert!(samples.blocks.is_empty(), "{n} samples");
+            assert_eq!(samples.tail.capacity(), plain.capacity(), "{n} samples");
+        }
+    }
+
+    #[test]
+    fn exact_samples_past_one_block_reserve_one_block_at_a_time() {
+        let mut samples = ExactSamples::default();
+        for i in 0..3 * BLOCK + 1 {
+            samples.push(i as f64);
+        }
+        assert_eq!(samples.blocks.len(), 3);
+        assert!(samples.blocks.iter().all(|b| b.capacity() == BLOCK));
+        assert_eq!(samples.tail.capacity(), BLOCK);
+        let all = samples.gather();
+        assert_eq!(all.len(), 3 * BLOCK + 1);
+        assert!(all.iter().enumerate().all(|(i, &v)| v == i as f64));
+        assert_eq!(samples.tail.capacity(), 3 * BLOCK + 1);
+        assert!(samples.blocks.is_empty());
     }
 }

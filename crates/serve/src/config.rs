@@ -91,7 +91,8 @@ pub struct FleetEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SloReplanTrigger {
     /// Completions required in the rolling window before the trigger
-    /// arms (avoids reacting to startup noise).
+    /// arms (avoids reacting to startup noise); at least 1, and at most
+    /// the window's capacity counts.
     pub min_window: usize,
     /// Minimum virtual seconds between trigger evaluations; the window
     /// is sampled at most once per cooldown.
@@ -516,6 +517,9 @@ impl ServeScenario {
                     "replan.slo_trigger.cooldown_s: must be finite and >= 0 (got {})",
                     trig.cooldown_s
                 ));
+            }
+            if trig.min_window == 0 {
+                problems.push("replan.slo_trigger.min_window: must be >= 1 (got 0)".to_string());
             }
         }
         if !(self.replan.horizon_s.is_finite() && self.replan.horizon_s >= 0.0) {

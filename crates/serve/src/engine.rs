@@ -94,7 +94,8 @@ use crate::budget::{BudgetState, Mark, Verdict};
 use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
 use crate::report::{
-    ClassReport, DeviceReport, EventRecord, ReplanRecord, ReplanTrigger, ServeReport,
+    ClassReport, DeviceReport, EventRecord, RejectedSloRun, ReplanRecord, ReplanTrigger,
+    ServeReport,
 };
 use crate::slab::{ReqHandle, Slab};
 use crate::slo::{DeviceUsage, SloWindow};
@@ -223,6 +224,10 @@ struct PricedReplan {
     /// [`Online::mean_spend`] of `decision.placement` (`None` until the
     /// gate first needs it).
     mean_spend: Option<f64>,
+    /// Whether a rejected SLO-breach evaluation of this candidate has
+    /// opened its run: the last of [`ServeReport::rejected_slo`], since
+    /// a fresh candidate's first rejection opens the next one.
+    opened_run: bool,
 }
 
 impl PricedReplan {
@@ -230,6 +235,7 @@ impl PricedReplan {
         PricedReplan {
             decision,
             mean_spend: None,
+            opened_run: false,
         }
     }
 }
@@ -943,9 +949,11 @@ impl Online {
     /// The shared replan gate: computes the observed-rate break-even
     /// acceptance test, records the evaluation in the report, and — if
     /// accepted — installs the new placement and charges migration
-    /// downtime. Both the fleet-event controller and the SLO-breach
-    /// trigger go through here, so the gate cannot diverge between
-    /// them. Returns whether the switch was accepted.
+    /// downtime. A rejected SLO-breach evaluation extends its
+    /// candidate's [`RejectedSloRun`]; every other evaluation is a
+    /// [`ReplanRecord`]. Both the fleet-event controller and the
+    /// SLO-breach trigger go through here, so the gate cannot diverge
+    /// between them. Returns whether the switch was accepted.
     ///
     /// `queued` is the queue-drain credit
     /// ([`ReplanDecision::break_even_requests_with_queue`]): waiting
@@ -993,6 +1001,27 @@ impl Online {
         let accepted = mandatory
             || (budget_feasible
                 && matches!(effective, Some(b) if (b as f64) <= expected_in_horizon));
+        if !accepted && matches!(trigger, ReplanTrigger::SloBreach { .. }) {
+            let runs = &mut self.report.rejected_slo;
+            if !priced.opened_run {
+                priced.opened_run = true;
+                runs.push(RejectedSloRun {
+                    first_at_s: at_s,
+                    last_at_s: at_s,
+                    over_budget: 0,
+                    below_break_even: 0,
+                    break_even_requests: break_even,
+                });
+            }
+            let run = runs.last_mut().expect("the candidate's run is open");
+            run.last_at_s = at_s;
+            if budget_feasible {
+                run.below_break_even += 1;
+            } else {
+                run.over_budget += 1;
+            }
+            return false;
+        }
         let decision = &mut priced.decision;
         self.report.replans.push(ReplanRecord {
             at_s,
@@ -1035,7 +1064,7 @@ impl Online {
         // `min_window` is clamped to the ring's capacity: a scenario
         // whose `slo_window` is smaller than the trigger's arming
         // threshold would otherwise never evaluate.
-        let arm_at = min_window.max(1).min(self.acct.slo.capacity());
+        let arm_at = min_window.min(self.acct.slo.capacity());
         if self.acct.slo.len() < arm_at || now < self.last_slo_eval_ns.saturating_add(cooldown_ns) {
             return Ok(());
         }
@@ -1142,10 +1171,9 @@ impl Online {
     }
 
     fn finish(mut self) -> ServeReport {
-        // The replan log is complete and grew by doubling: an
-        // SLO-triggered run logs tens of thousands of evaluations, so
-        // keep only what it holds, before the report's other parts are
-        // built while the latency samples are still live.
+        // The report outlives the run, and a streaming run's peak heap
+        // is its report plus the printed JSON: drop the replan log's
+        // doubling slack.
         self.report.replans.shrink_to_fit();
         let now = self.acct.last_completion_ns;
         // Flush everything still unresolved so arrivals always balance:
@@ -1999,6 +2027,12 @@ mod tests {
         s.slo_window = 0;
         cases.push((s, "slo_window: must be >= 1 (got 0)"));
         let mut s = small_scenario(10);
+        s.replan.slo_trigger = Some(SloReplanTrigger {
+            min_window: 0,
+            cooldown_s: 60.0,
+        });
+        cases.push((s, "replan.slo_trigger.min_window: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
         s.batch = Some(crate::config::BatchPolicy {
             max_batch: 0,
             per_kind: Vec::new(),
@@ -2210,6 +2244,7 @@ mod tests {
         // Exactly two: the window stays in breach after the switch, and
         // a memoised decision surviving the accept would keep recording.
         assert_eq!(with.replans.len(), 2, "{:#?}", with.replans);
+        assert!(with.rejected_slo.is_empty(), "{:#?}", with.rejected_slo);
         let event_replan = &with.replans[0];
         assert!(matches!(&event_replan.trigger, ReplanTrigger::Text(t) if t.contains("joins")));
         assert!(
@@ -2313,22 +2348,26 @@ mod tests {
             "the server must change the candidate, or the test shows nothing"
         );
 
-        let slo_records = |from_s: f64, to_s: f64| {
-            report.replans.iter().filter(move |r| {
-                matches!(r.trigger, ReplanTrigger::SloBreach { .. })
-                    && (from_s..to_s).contains(&r.at_s)
-            })
+        // Every breach evaluation is rejected: one run per candidate,
+        // each re-gating its memoised candidate more than once.
+        assert!(report
+            .replans
+            .iter()
+            .all(|r| !matches!(r.trigger, ReplanTrigger::SloBreach { .. })));
+        let [before, after] = report.rejected_slo.as_slice() else {
+            panic!("one run per candidate: {:#?}", report.rejected_slo);
         };
-        assert!(slo_records(40.0, 150.0).count() >= 2, "memo is reused");
-        assert!(slo_records(150.0, f64::MAX).count() >= 2);
-        for (records, want) in [
-            (slo_records(40.0, 150.0), &pre_join),
-            (slo_records(150.0, f64::MAX), &post_join),
+        for (run, want, (from_s, to_s)) in [
+            (before, &pre_join, (40.0, 150.0)),
+            (after, &post_join, (150.0, f64::MAX)),
         ] {
-            for r in records {
-                assert_eq!(r.break_even_requests, want.break_even_requests(), "{r:?}");
-                assert!(!r.accepted && !r.mandatory, "{r:?}");
-            }
+            assert!(run.evaluations() >= 2, "memo is reused: {run:?}");
+            assert!(from_s <= run.first_at_s && run.last_at_s < to_s, "{run:?}");
+            assert_eq!(
+                run.break_even_requests,
+                want.break_even_requests(),
+                "{run:?}"
+            );
         }
     }
 
@@ -2340,7 +2379,7 @@ mod tests {
         }));
         // No fleet events at all: pure overload. The trigger may sample
         // and (with nothing better to place) record nothing, but any
-        // records it does produce must be spaced by the cooldown.
+        // evaluations it does record must be spaced by the cooldown.
         s.events.clear();
         let report = serve(&s).unwrap();
         let slo_times: Vec<f64> = report
@@ -2353,6 +2392,13 @@ mod tests {
             slo_times.windows(2).all(|w| w[1] - w[0] >= 45.0 - 1e-6),
             "{slo_times:?}"
         );
+        for run in &report.rejected_slo {
+            let gaps = run.evaluations().saturating_sub(1) as f64;
+            assert!(
+                run.last_at_s - run.first_at_s >= gaps * 45.0 - 1e-6,
+                "{run:?}"
+            );
+        }
         assert_eq!(report.completed + report.shed, report.arrived);
     }
 
@@ -2803,11 +2849,18 @@ mod tests {
         let report = serve(&full).unwrap();
         let budget = report.budget.as_ref().expect("budget report");
         assert!(budget.deferred > 0 && budget.shed > 0, "{budget:?}");
-        let breaches = report
+        let accepted = report
             .replans
             .iter()
-            .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }));
-        assert!(breaches.count() >= 2, "{:#?}", report.replans);
+            .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }))
+            .count() as u64;
+        let rejected: u64 = report.rejected_slo.iter().map(|r| r.evaluations()).sum();
+        assert!(
+            accepted + rejected >= 2,
+            "{:#?} {:#?}",
+            report.replans,
+            report.rejected_slo
+        );
         assert_eq!(report.events.len(), 2, "ran through both fleet events");
         assert_streaming_matches_exact(&full);
     }

@@ -69,8 +69,8 @@ pub use engine::{prepare, serve, ServeError, ServeSession, SharedStart};
 // The unified workload layer lives in `s2m3_sim::workload`; re-export
 // the pieces serving scenarios embed so configs build from one import.
 pub use report::{
-    ClassReport, DeviceReport, EventRecord, LatencySummary, ReplanRecord, ReplanTrigger,
-    ServeReport,
+    ClassReport, DeviceReport, EventRecord, LatencySummary, RejectedSloRun, ReplanRecord,
+    ReplanTrigger, ServeReport,
 };
 pub use s2m3_sim::workload::{ClassShare, ModelMix, ModelWeight, WorkloadSpec};
 pub use slo::{SloWindow, WindowSnapshot};

@@ -22,6 +22,7 @@ use s2m3_sim::workload::ArrivalProcess;
 
 use s2m3_core::sketch::{percentile_sorted, LatencySketch};
 
+use crate::accounting::LatAgg;
 use crate::budget::{BudgetEnforcement, BudgetMetric, BudgetPolicy};
 use crate::config::{
     AdmissionPolicy, FleetEvent, FleetEventKind, ReplanPolicy, ServeScenario, TrafficSource,
@@ -545,6 +546,46 @@ proptest! {
             let err = (got - want).abs() / want;
             prop_assert!(err < 0.01, "sketch {} vs exact {}: {}% error", got, want, 100.0 * err);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Exact mode's block-grown samples summarize to the bits of one
+    /// sorted `Vec`, at and around the block boundaries, over tied
+    /// latencies and `+0.0`.
+    #[test]
+    fn exact_latency_blocks_summarize_like_one_vec(
+        len_at in 0usize..7,
+        seed in 0u64..u64::MAX,
+    ) {
+        const BLOCK: usize = 4096;
+        let len = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 1, 3 * BLOCK + 1][len_at];
+        let mut x = seed | 1;
+        let latencies: Vec<f64> = (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                match x % 3 {
+                    0 => 0.0,
+                    1 => ((x >> 8) % 16) as f64 * 0.25,
+                    _ => (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0,
+                }
+            })
+            .collect();
+        let mut agg = LatAgg::new(false);
+        for &v in &latencies {
+            agg.record(v);
+        }
+        let bits = |s: LatencySummary| {
+            [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s].map(f64::to_bits)
+        };
+        let got = agg.summarize();
+        let want = LatencySummary::from_latencies(latencies);
+        prop_assert_eq!(got.completed, want.completed);
+        prop_assert_eq!(bits(got), bits(want));
     }
 }
 

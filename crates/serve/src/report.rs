@@ -79,12 +79,10 @@ pub struct EventRecord {
 /// What prompted a replan evaluation.
 ///
 /// The report stores values; shared text is rendered when printed. An
-/// SLO-triggered run can log one evaluation per cooldown, tens of
-/// thousands over a long run, all with the same sentence: the record
-/// keeps the two numbers and [`Display`](std::fmt::Display) writes the
-/// sentence. JSON carries the rendered text, and reads back as
-/// [`ReplanTrigger::Text`]; equality compares the rendered text, so a
-/// round trip compares equal.
+/// accepted SLO-breach switch keeps the two numbers and
+/// [`Display`](std::fmt::Display) writes the sentence. JSON carries the
+/// rendered text, and reads back as [`ReplanTrigger::Text`]; equality
+/// compares the rendered text, so a round trip compares equal.
 #[derive(Debug, Clone)]
 pub enum ReplanTrigger {
     /// Free text: a fleet-event description (e.g. `"desktop leaves"`),
@@ -139,7 +137,8 @@ impl<'de> Deserialize<'de> for ReplanTrigger {
     }
 }
 
-/// One replan evaluation by the controller.
+/// One replan decision by the controller: a fleet-event evaluation,
+/// accepted or not, or an accepted SLO-breach switch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplanRecord {
     /// When the controller ran, seconds.
@@ -159,6 +158,36 @@ pub struct ReplanRecord {
     pub switching_cost_s: f64,
     /// Modules moved (0 when rejected).
     pub migrations: usize,
+}
+
+/// A run of rejected SLO-breach replan evaluations of one candidate.
+///
+/// Between fleet events and accepted switches the trigger re-gates the
+/// same memoised candidate at every cooldown, and a long run rejects it
+/// thousands of times. The report keeps one run per candidate: its
+/// first and last evaluation and why each was rejected. A new run
+/// starts whenever the trigger solves a fresh candidate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RejectedSloRun {
+    /// The run's first rejected evaluation, seconds.
+    pub first_at_s: f64,
+    /// The run's last rejected evaluation, seconds.
+    pub last_at_s: f64,
+    /// Evaluations rejected by the budget-feasibility term.
+    pub over_budget: u64,
+    /// Evaluations rejected because the switch would not amortize
+    /// within the horizon at the observed rate (queue credit included).
+    pub below_break_even: u64,
+    /// The candidate's steady-state break-even, requests (`None`:
+    /// never pays off).
+    pub break_even_requests: Option<u64>,
+}
+
+impl RejectedSloRun {
+    /// Evaluations in the run.
+    pub fn evaluations(&self) -> u64 {
+        self.over_budget + self.below_break_even
+    }
 }
 
 /// Per-[`DeadlineClass`](s2m3_core::problem::DeadlineClass) serving
@@ -201,9 +230,9 @@ pub struct DeviceReport {
 
 /// The full, deterministic output of a serving run.
 ///
-/// Serialization note: `budget` is omitted when `None`, so budget-free
-/// runs keep the exact JSON shape pinned by
-/// `tests/fixtures/serve_churn_*.json`.
+/// Serialization note: `rejected_slo` is omitted when empty and
+/// `budget` when `None`, so runs without them keep the exact JSON shape
+/// pinned by `tests/fixtures/serve_churn_*.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ServeReport {
     /// Scenario seed label (same seed ⇒ identical report).
@@ -233,8 +262,14 @@ pub struct ServeReport {
     pub windows: Vec<WindowSnapshot>,
     /// Fleet events applied.
     pub events: Vec<EventRecord>,
-    /// Replan evaluations (accepted and rejected).
+    /// Replan decisions: every fleet-event evaluation, accepted or
+    /// not, and every accepted SLO-breach switch. Rejected SLO-breach
+    /// evaluations are counted in `rejected_slo` instead.
     pub replans: Vec<ReplanRecord>,
+    /// Rejected SLO-breach evaluations, one run per candidate, in time
+    /// order (empty without the SLO trigger).
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    pub rejected_slo: Vec<RejectedSloRun>,
     /// Per-device serving statistics, in name order.
     pub devices: Vec<DeviceReport>,
     /// Budget-enforcement summary; present only when the scenario ran
@@ -309,19 +344,28 @@ impl ServeReport {
             } else {
                 "rejected".to_string()
             };
-            let be = match r.break_even_requests {
-                Some(b) => b.to_string(),
-                None => "∞".to_string(),
-            };
             let _ = writeln!(
                 out,
                 "replan t={:>7.0}s  {}  break-even {} req @ {:.2} req/s  {}{}",
                 r.at_s,
                 r.trigger,
-                be,
+                break_even_text(r.break_even_requests),
                 r.observed_rate_per_s,
                 if r.mandatory { "mandatory " } else { "" },
                 verdict
+            );
+        }
+        for r in &self.rejected_slo {
+            let _ = writeln!(
+                out,
+                "replan t={:>7.0}s..{:.0}s  SLO breach  break-even {} req  \
+                 {} rejected ({} over budget, {} below break-even)",
+                r.first_at_s,
+                r.last_at_s,
+                break_even_text(r.break_even_requests),
+                r.evaluations(),
+                r.over_budget,
+                r.below_break_even
             );
         }
         for d in &self.devices {
@@ -359,6 +403,11 @@ impl ServeReport {
         }
         out
     }
+}
+
+/// A break-even for printing (`∞`: never pays off).
+fn break_even_text(requests: Option<u64>) -> String {
+    requests.map_or_else(|| "∞".to_string(), |b| b.to_string())
 }
 
 #[cfg(test)]
@@ -413,13 +462,16 @@ mod tests {
                 switching_cost_s: 12.0,
                 migrations: 2,
             }],
+            rejected_slo: vec![],
             devices: vec![],
             budget: None,
         };
         let json = report.to_json().unwrap();
-        // `budget: None` must leave the JSON shape untouched — the
-        // pre-budget golden fixtures depend on the key being absent.
+        // `budget: None` and no rejected SLO evaluation must leave the
+        // JSON shape untouched — the golden fixtures without them
+        // depend on the keys being absent.
         assert!(!json.contains("\"budget\""));
+        assert!(!json.contains("\"rejected_slo\""));
         let back: ServeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
         assert_eq!(report.accepted_replans(), 1);
@@ -503,5 +555,35 @@ mod tests {
         assert_eq!(back.to_json().unwrap(), json);
         let text = breached.render_summary();
         assert!(text.contains("SLO breach: rolling p95 2.67s exceeds 15.00s deadline"));
+
+        // Rejected SLO evaluations are runs: one JSON entry and one
+        // summary line each, however many evaluations they count.
+        let mut rejected = report.clone();
+        rejected.rejected_slo = vec![
+            RejectedSloRun {
+                first_at_s: 60.0,
+                last_at_s: 1_260.0,
+                over_budget: 20,
+                below_break_even: 1,
+                break_even_requests: Some(8),
+            },
+            RejectedSloRun {
+                first_at_s: 1_900.0,
+                last_at_s: 1_900.0,
+                over_budget: 0,
+                below_break_even: 1,
+                break_even_requests: None,
+            },
+        ];
+        let json = rejected.to_json().unwrap();
+        assert_eq!(json.matches("\"first_at_s\"").count(), 2);
+        let back: ServeReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(rejected, back);
+        let text = rejected.render_summary();
+        assert!(text.contains(
+            "replan t=     60s..1260s  SLO breach  break-even 8 req  \
+             21 rejected (20 over budget, 1 below break-even)"
+        ));
+        assert!(text.contains("break-even ∞ req  1 rejected (0 over budget, 1 below"));
     }
 }

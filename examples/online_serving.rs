@@ -184,6 +184,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.observed_rate_per_s,
         );
     }
+    for r in &report.rejected_slo {
+        println!(
+            "SLO-breach replans rejected from t={:.0}s to t={:.0}s: {} over budget, \
+             {} below break-even (break-even {:?} requests)",
+            r.first_at_s, r.last_at_s, r.over_budget, r.below_break_even, r.break_even_requests,
+        );
+    }
 
     // Every arrival is accounted for: completed or (visibly) shed.
     assert_eq!(report.completed + report.shed, report.arrived);

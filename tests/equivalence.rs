@@ -136,13 +136,11 @@ fn absent_budget_leaves_every_serve_golden_byte_identical() {
     );
 }
 
-#[test]
-fn slo_breach_replans_match_their_golden_fixture() {
-    // The scenario `s2m3 serve --requests 5000 --rate 1.0 --slo-replan 5
-    // --budget-cap 30 --budget-mode defer-shed` builds (kept in sync
-    // with `capture_fixtures`): overloaded and capped, it logs dozens of
-    // SLO-breach replan records, so the rendered trigger text — not
-    // only the fleet-event descriptions — is pinned byte for byte.
+/// The scenario `s2m3 serve --requests 5000 --rate 1.0 --slo-replan 5
+/// --budget-cap 30 --budget-mode defer-shed` builds (kept in sync with
+/// `capture_fixtures`): overloaded and capped, it rejects dozens of
+/// SLO-breach replan evaluations after the server join.
+fn slo_budget_scenario() -> ServeScenario {
     use s2m3::serve::{BudgetPolicy, SloReplanTrigger};
     use s2m3::sim::workload::ArrivalProcess;
     let mut scenario = ServeScenario {
@@ -155,18 +153,58 @@ fn slo_breach_replans_match_their_golden_fixture() {
         cooldown_s: 5.0,
         ..SloReplanTrigger::default()
     });
-    let report = serve(&scenario).unwrap();
+    scenario
+}
+
+#[test]
+fn slo_breach_replans_match_their_golden_fixture() {
+    let report = serve(&slo_budget_scenario()).unwrap();
     let json = serde_json::to_string_pretty(&report).unwrap();
-    assert_eq!(
-        json.matches("\"trigger\": \"SLO breach: rolling p95 ")
-            .count(),
-        56,
-        "the golden must keep exercising SLO-breach records"
+    assert!(
+        json.contains("\"rejected_slo\""),
+        "the golden must keep exercising rejected SLO-breach evaluations"
     );
     assert_eq!(
         json,
         fixture("serve_slo_budget.json").trim_end(),
         "SLO-breach ServeReport JSON diverged from its golden fixture"
+    );
+}
+
+#[test]
+fn rejected_slo_runs_count_the_evaluations_once_logged_one_by_one() {
+    // Before the report kept runs, this scenario's golden logged 58
+    // replan records: the two fleet-event records below, then 56
+    // rejected SLO-breach evaluations from t = 4210.400216426 s to
+    // t = 5006.8057272 s, each with a break-even of 8 requests.
+    use s2m3::serve::{ReplanRecord, ReplanTrigger};
+    let report = serve(&slo_budget_scenario()).unwrap();
+    let runs = &report.rejected_slo;
+    assert!(!runs.is_empty());
+    assert_eq!(runs.iter().map(|r| r.evaluations()).sum::<u64>(), 56);
+    assert_eq!(runs[0].first_at_s, 4210.400216426);
+    assert_eq!(runs[runs.len() - 1].last_at_s, 5006.8057272);
+    assert!(
+        runs.iter().all(|r| r.break_even_requests == Some(8)),
+        "{runs:#?}"
+    );
+    let record =
+        |at_s: f64, trigger: &str, mandatory: bool, break_even: u64, rate: f64| ReplanRecord {
+            at_s,
+            trigger: ReplanTrigger::from(trigger),
+            mandatory,
+            break_even_requests: Some(break_even),
+            observed_rate_per_s: rate,
+            accepted: mandatory,
+            switching_cost_s: if mandatory { 2.144 } else { 0.0 },
+            migrations: usize::from(mandatory),
+        };
+    assert_eq!(
+        report.replans,
+        [
+            record(1800.0, "desktop leaves", true, 0, 1.0222222222222221),
+            record(4200.0, "server joins", false, 8, 1.0085714285714287),
+        ]
     );
 }
 

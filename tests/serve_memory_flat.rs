@@ -125,16 +125,19 @@ fn exact_peak_heap_is_flat_beyond_latency_samples() {
         s
     };
     let sample_bytes = |r: &ServeReport| 8 * r.completed as usize * 2;
+    // Past one block, each aggregator (the run's and two classes')
+    // holds its samples plus at most one block it is filling and one
+    // it is gathering into: 4,096 samples of 8 B each.
+    let block_slack = 3 * 2 * 4_096 * 8;
     let _ = measure(&classed(512));
 
     let (small_n, big_n) = (20_000, 200_000);
     let (small_report, small) = measure(&classed(small_n));
     let (big_report, big) = measure(&classed(big_n));
     assert!(big_report.completed > 8 * small_report.completed);
-    // A growing `Vec` holds at most twice its length, plus the buffer
-    // it is moving out of while it grows: three times the sample bytes
-    // bounds what the vectors can pin; the rest must not scale.
-    let beyond_samples = big.saturating_sub(3 * sample_bytes(&big_report));
+    // The samples themselves and the blocks' slack bound what the
+    // aggregators can pin; the rest must not scale.
+    let beyond_samples = big.saturating_sub(sample_bytes(&big_report) + block_slack);
     assert!(
         beyond_samples < small.saturating_mul(3) + (1 << 20),
         "exact mode must keep only latency samples per request: {small_n} \
@@ -174,16 +177,16 @@ fn printing_a_report_holds_only_its_text() {
 }
 
 #[test]
-fn replan_log_holds_no_text_per_slo_evaluation() {
+fn the_replan_log_does_not_grow_with_rejected_evaluations() {
     use s2m3::serve::{
-        BatchPolicy, BudgetPolicy, ModelDeployment, ModelMix, ModelWeight, ReplanRecord,
-        ReplanTrigger, SloReplanTrigger,
+        BatchPolicy, BudgetPolicy, ModelDeployment, ModelMix, ModelWeight, RejectedSloRun,
+        ReplanRecord, SloReplanTrigger, WindowSnapshot,
     };
     let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     // Five models under MMPP traffic, batched, budget-capped, with the
     // SLO trigger on: the budget gate rejects the memoised candidate at
-    // every cooldown, so the run logs one evaluation per minute of
-    // virtual time — over a thousand here.
+    // every cooldown, so the run evaluates once per minute of virtual
+    // time — over a thousand times here.
     let models = [
         ("CLIP ViT-B/16", 101),
         ("Encoder-only VQA (Small)", 1),
@@ -230,23 +233,24 @@ fn replan_log_holds_no_text_per_slo_evaluation() {
     let report = s2m3::serve::serve(&budget_run(50_000)).unwrap();
     let held = ALLOC.live_bytes().saturating_sub(before);
     let records = report.replans.len();
-    let breaches = report
-        .replans
-        .iter()
-        .filter(|r| matches!(r.trigger, ReplanTrigger::SloBreach { .. }))
-        .count();
-    assert!(breaches >= 1_000, "only {breaches} SLO-breach records");
-    // Each record may cost its own bytes plus a little slack; 64 KiB
-    // covers the rest of the report (window rows, budget windows,
-    // devices: about 32 KiB here). Against this bound's 183,424 B for
-    // 1,228 records: records carrying their own trigger text (88 B
-    // each) in a log with doubling slack held 303,992 B; text-free
-    // records with the slack kept held 196,104 B; the trimmed log
-    // holds 130,504 B.
-    let bound = records * (std::mem::size_of::<ReplanRecord>() + 16) + (64 << 10);
+    let runs = report.rejected_slo.len();
+    let rejected: u64 = report.rejected_slo.iter().map(|r| r.evaluations()).sum();
+    assert!(
+        rejected >= 1_000,
+        "only {rejected} rejected SLO evaluations"
+    );
+    // The report holds its window rows, its replan records and its
+    // rejected runs; 64 KiB covers the rest (budget windows, devices,
+    // growth slack). Nothing is held per rejected evaluation: the run
+    // holds 32,776 B against this bound's 71,344 B, where a log of one
+    // record per evaluation held 130,504 B.
+    let bound = report.windows.len() * std::mem::size_of::<WindowSnapshot>()
+        + records * std::mem::size_of::<ReplanRecord>()
+        + runs * std::mem::size_of::<RejectedSloRun>()
+        + (64 << 10);
     assert!(
         held <= bound,
-        "the returned report holds {held} B for {records} replan records \
-         ({breaches} SLO breaches); at most {bound} B expected"
+        "the returned report holds {held} B for {records} replan records and \
+         {runs} runs of {rejected} rejected SLO evaluations; at most {bound} B expected"
     );
 }
