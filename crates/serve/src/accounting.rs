@@ -1,14 +1,19 @@
-//! Run accounting: SLO windows, latency aggregation, per-class
-//! counters, per-device usage, and the optional columnar completion
-//! sink — everything the report derives from completions, kept apart
-//! from the serving driver that feeds it.
+//! Run accounting: request counters, SLO windows, latency aggregation,
+//! per-class counters, per-device usage, and the optional columnar
+//! completion sink — everything the report derives from arrivals and
+//! outcomes, kept apart from the serving driver that feeds it, and
+//! folded into the report by [`Accounting::finish`].
+
+use std::fs::File;
+use std::io::BufWriter;
 
 use s2m3_core::sketch::LatencySketch;
 use s2m3_data::sink::{ColumnWriter, CompletionRow};
 use s2m3_sim::kernel::secs;
 
+use crate::config::ValidScenario;
 use crate::engine::ServeError;
-use crate::report::LatencySummary;
+use crate::report::{ClassReport, DeviceReport, LatencySummary, ServeReport};
 use crate::slo::{DeviceUsage, Outcome, SloWindow, WindowSnapshot};
 
 /// Latency accumulator behind [`LatencySummary`]: exact mode keeps
@@ -108,54 +113,127 @@ impl LatAgg {
     }
 }
 
-/// Running per-deadline-class counters, folded into
-/// [`ClassReport`](crate::report::ClassReport)s at the end of the run.
+/// Running request counters of the whole run or of one deadline class,
+/// folded into the report at the end of the run.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct ClassStats {
-    pub arrived: u64,
-    pub completed: u64,
-    pub shed: u64,
-    pub late: u64,
-    pub latencies: LatAgg,
+struct ClassStats {
+    arrived: u64,
+    completed: u64,
+    shed: u64,
+    late: u64,
+    latencies: LatAgg,
 }
 
-/// The accounting state of one serving run. Owns everything the report
-/// derives from completions: the SLO ring, snapshot cadence, latency
-/// aggregators, class counters, per-device usage/executions, and the
-/// streaming sink.
+impl ClassStats {
+    fn new(streaming: bool) -> Self {
+        ClassStats {
+            latencies: LatAgg::new(streaming),
+            ..ClassStats::default()
+        }
+    }
+
+    #[inline]
+    fn complete(&mut self, missed: bool, latency_s: f64) {
+        self.completed += 1;
+        self.late += u64::from(missed);
+        self.latencies.record(latency_s);
+    }
+
+    /// Deadline-miss rate: (late + shed) / arrived, 0 before any arrival.
+    fn miss_rate(&self) -> f64 {
+        if self.arrived == 0 {
+            0.0
+        } else {
+            (self.late + self.shed) as f64 / self.arrived as f64
+        }
+    }
+}
+
+/// The accounting state of one serving run: everything the report
+/// derives from arrivals and outcomes.
 #[derive(Debug)]
 pub(crate) struct Accounting {
-    pub slo: SloWindow,
+    /// The scenario's seed label, the report's first field.
+    seed: String,
+    slo: SloWindow,
     /// Completions between window snapshots. Starts at the scenario's
     /// `snapshot_every` and doubles whenever `max_windows` forces a
     /// downsample.
-    pub snapshot_stride: u64,
+    snapshot_stride: u64,
     /// Outcomes left until the next snapshot — the running remainder
     /// of `snapshot_stride`, kept so the per-outcome hot path is a
     /// decrement instead of a 64-bit modulo.
-    pub until_snapshot: u64,
+    until_snapshot: u64,
     /// Snapshot-count cap (`None`: retain every snapshot).
-    pub max_windows: Option<usize>,
-    pub last_snapshot_seen: u64,
-    pub latencies: LatAgg,
-    pub class_stats: Vec<ClassStats>,
+    max_windows: Option<usize>,
+    last_snapshot_seen: u64,
+    /// The whole run's counters and latencies.
+    total: ClassStats,
+    class_stats: Vec<ClassStats>,
     /// Per-universe-device usage, indexed by universe device index.
-    pub usage: Vec<DeviceUsage>,
+    usage: Vec<DeviceUsage>,
     /// Per-universe-device execution counts.
-    pub executions: Vec<u64>,
+    executions: Vec<u64>,
     /// Optional columnar per-completion event sink (streaming mode
     /// only): one row per completed request, O(1) memory.
-    pub sink: Option<ColumnWriter<std::io::BufWriter<std::fs::File>>>,
-    pub completed: u64,
-    pub late: u64,
-    pub shed: u64,
+    sink: Option<ColumnWriter<BufWriter<File>>>,
+    retried: u64,
     /// Rolling-window snapshots, in completion order (moved into the
     /// report at `finish`).
-    pub windows: Vec<WindowSnapshot>,
-    pub last_completion_ns: u64,
+    windows: Vec<WindowSnapshot>,
+    last_completion_ns: u64,
 }
 
 impl Accounting {
+    /// The accounting state of a run of `valid` over its universe (a
+    /// streaming run's completion sink is created here).
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Sink`] when the sink cannot be created.
+    pub fn new(valid: &ValidScenario) -> Result<Self, ServeError> {
+        let scenario = valid.scenario;
+        let streaming = scenario.streaming.is_some();
+        let sink = match scenario.streaming.as_ref().and_then(|c| c.sink.as_deref()) {
+            Some(path) => {
+                let file = File::create(path)
+                    .map_err(|e| ServeError::Sink(format!("create {path}: {e}")))?;
+                Some(
+                    ColumnWriter::new(BufWriter::new(file))
+                        .map_err(|e| ServeError::Sink(format!("write {path}: {e}")))?,
+                )
+            }
+            None => None,
+        };
+        let devices = valid.universe.devices();
+        Ok(Accounting {
+            seed: scenario.seed.clone(),
+            slo: SloWindow::new(scenario.slo_window),
+            snapshot_stride: scenario.snapshot_every as u64,
+            until_snapshot: scenario.snapshot_every as u64,
+            max_windows: scenario.max_windows,
+            last_snapshot_seen: 0,
+            total: ClassStats::new(streaming),
+            class_stats: (0..valid.class_names.len())
+                .map(|_| ClassStats::new(streaming))
+                .collect(),
+            usage: devices
+                .iter()
+                .zip(&valid.active)
+                .map(|(d, &active)| DeviceUsage {
+                    active,
+                    lanes: d.parallelism.max(1),
+                    ..DeviceUsage::default()
+                })
+                .collect(),
+            executions: vec![0; devices.len()],
+            sink,
+            retried: 0,
+            windows: Vec::new(),
+            last_completion_ns: 0,
+        })
+    }
+
     /// A request completed: counters, latency aggregation, the SLO
     /// window, and the optional sink row. `device` is the universe
     /// index of the head device (`u32::MAX`: none).
@@ -183,19 +261,10 @@ impl Accounting {
             })
             .map_err(|e| ServeError::Sink(e.to_string()))?;
         }
-        self.completed += 1;
-        if missed {
-            self.late += 1;
-        }
         if let Some(ci) = class {
-            let cs = &mut self.class_stats[ci as usize];
-            cs.completed += 1;
-            if missed {
-                cs.late += 1;
-            }
-            cs.latencies.record(latency_s);
+            self.class_stats[ci as usize].complete(missed, latency_s);
         }
-        self.latencies.record(latency_s);
+        self.total.complete(missed, latency_s);
         self.last_completion_ns = self.last_completion_ns.max(finish_ns);
         self.outcome(Outcome {
             completed_at_s: secs(finish_ns),
@@ -211,7 +280,7 @@ impl Accounting {
     /// percentiles reflect the rejection.
     #[inline]
     pub fn shed(&mut self, at_s: f64, latency_s: f64, class: Option<u32>) {
-        self.shed += 1;
+        self.total.shed += 1;
         if let Some(ci) = class {
             self.class_stats[ci as usize].shed += 1;
         }
@@ -222,10 +291,43 @@ impl Accounting {
         });
     }
 
-    /// A classed request arrived.
+    /// A request of deadline class `class` arrived.
     #[inline]
-    pub fn class_arrived(&mut self, class: u32) {
-        self.class_stats[class as usize].arrived += 1;
+    pub fn arrive(&mut self, class: Option<u32>) {
+        self.total.arrived += 1;
+        if let Some(ci) = class {
+            self.class_stats[ci as usize].arrived += 1;
+        }
+    }
+
+    /// A request lost its device mid-flight and is re-admitted.
+    pub fn retry(&mut self) {
+        self.retried += 1;
+    }
+
+    /// The arrival rate observed by `now`, requests per second (0 at
+    /// the first instant).
+    pub fn observed_rate(&self, now: u64) -> f64 {
+        if now == 0 {
+            0.0
+        } else {
+            self.total.arrived as f64 / secs(now)
+        }
+    }
+
+    /// The rolling SLO window.
+    pub fn slo(&self) -> &SloWindow {
+        &self.slo
+    }
+
+    /// The rolling SLO window's p95 latency, seconds.
+    pub fn slo_p95(&mut self) -> f64 {
+        self.slo.p95()
+    }
+
+    /// Virtual time of the latest completion, ns.
+    pub fn last_completion_ns(&self) -> u64 {
+        self.last_completion_ns
     }
 
     /// Device `ui` finished an execution whose lane survived: charge
@@ -258,8 +360,7 @@ impl Accounting {
         self.slo.push(outcome);
         self.until_snapshot -= 1;
         if self.until_snapshot == 0 {
-            let mut snap = self.slo.snapshot(outcome.completed_at_s);
-            snap.utilization = self.utilization(outcome.completed_at_s);
+            let snap = self.snapshot(outcome.completed_at_s);
             self.windows.push(snap);
             self.last_snapshot_seen = self.slo.total_seen();
             // Bounded-report mode: over the cap, drop every other
@@ -284,27 +385,203 @@ impl Accounting {
         }
     }
 
-    /// Fleet-wide utilization at `now_s`: busy lane-seconds over
-    /// offered lane-seconds summed in universe device order
-    /// (deterministic).
-    pub fn utilization(&self, now_s: f64) -> f64 {
-        let mut busy = 0.0;
-        let mut offered = 0.0;
+    /// The rolling window's snapshot at `now_s`, stamped with the
+    /// fleet-wide utilization: busy lane-seconds over offered
+    /// lane-seconds, summed in universe device order (deterministic).
+    fn snapshot(&mut self, now_s: f64) -> WindowSnapshot {
+        let mut snap = self.slo.snapshot(now_s);
+        let (mut busy, mut offered) = (0.0, 0.0);
         for u in &self.usage {
             busy += u.busy_s;
             offered += u.active_total_s(now_s) * u.lanes.max(1) as f64;
         }
-        if offered <= 0.0 {
+        snap.utilization = if offered <= 0.0 {
             0.0
         } else {
             (busy / offered).min(1.0)
+        };
+        snap
+    }
+
+    /// Folds the run into its report at `now`, the last completion (ns),
+    /// with class reports by `class_names` and device reports in
+    /// `by_name_order` (indices into `device_names`). The fleet events,
+    /// replans and budget are the caller's to add.
+    pub fn finish(
+        mut self,
+        now: u64,
+        class_names: &[String],
+        device_names: &[String],
+        by_name_order: &[usize],
+    ) -> ServeReport {
+        // Flush the sink's buffered tail. Best-effort: `finish` has no
+        // error channel, and every full row group already surfaced its
+        // write errors through `complete`.
+        if let Some(w) = self.sink.take() {
+            let _ = w.finish();
+        }
+        let now_s = secs(now);
+        let latency = self.total.latencies.summarize();
+        // Final rolling-window snapshot (unless one just landed there).
+        if self.slo.total_seen() != self.last_snapshot_seen {
+            let snap = self.snapshot(now_s);
+            self.windows.push(snap);
+        }
+        let classes = class_names
+            .iter()
+            .zip(&mut self.class_stats)
+            .map(|(name, cs)| ClassReport {
+                class: name.clone(),
+                arrived: cs.arrived,
+                completed: cs.completed,
+                shed: cs.shed,
+                late: cs.late,
+                miss_rate: cs.miss_rate(),
+                latency: cs.latencies.summarize(),
+            })
+            .collect();
+        let devices = by_name_order
+            .iter()
+            .map(|&ui| {
+                let u = &self.usage[ui];
+                DeviceReport {
+                    device: device_names[ui].clone(),
+                    executions: self.executions[ui],
+                    busy_s: u.busy_s,
+                    active_s: u.active_total_s(now_s),
+                    utilization: u.utilization(now_s),
+                }
+            })
+            .collect();
+        let total = &self.total;
+        ServeReport {
+            seed: self.seed,
+            arrived: total.arrived,
+            completed: total.completed,
+            shed: total.shed,
+            late: total.late,
+            miss_rate: total.miss_rate(),
+            retried: self.retried,
+            latency,
+            throughput_per_s: if now_s > 0.0 {
+                total.completed as f64 / now_s
+            } else {
+                0.0
+            },
+            makespan_s: now_s,
+            classes,
+            windows: self.windows,
+            devices,
+            ..ServeReport::default()
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use s2m3_core::problem::DeadlineClass;
+    use s2m3_sim::workload::ClassShare;
+
     use super::*;
+    use crate::config::ServeScenario;
+
+    /// Folds `acct` at `now` over the churn scenario's fleet.
+    fn fold(acct: Accounting, valid: &ValidScenario, now: u64, classes: &[String]) -> ServeReport {
+        let names: Vec<String> = valid
+            .universe
+            .devices()
+            .iter()
+            .map(|d| d.id.to_string())
+            .collect();
+        let order: Vec<usize> = (0..names.len()).collect();
+        acct.finish(now, classes, &names, &order)
+    }
+
+    #[test]
+    fn a_run_without_arrivals_folds_to_zero_rates() {
+        let scenario = ServeScenario::churn_default();
+        let valid = scenario.validate().unwrap();
+        let report = fold(Accounting::new(&valid).unwrap(), &valid, 0, &[]);
+        assert_eq!((report.arrived, report.completed, report.shed), (0, 0, 0));
+        assert_eq!(report.miss_rate, 0.0);
+        assert_eq!(report.throughput_per_s, 0.0);
+        assert!(report.windows.is_empty(), "no outcome, no final snapshot");
+        assert_eq!(report.seed, scenario.seed);
+        assert_eq!(report.devices.len(), valid.universe.devices().len());
+    }
+
+    #[test]
+    fn the_final_snapshot_is_not_taken_twice() {
+        let scenario = ServeScenario {
+            snapshot_every: 2,
+            ..ServeScenario::churn_default()
+        };
+        let valid = scenario.validate().unwrap();
+        for (completions, windows) in [(2, 1), (3, 2), (4, 2)] {
+            let mut acct = Accounting::new(&valid).unwrap();
+            for i in 1..=completions {
+                acct.arrive(None);
+                let at = i * 1_000_000_000;
+                acct.complete(0, at, 0, None, false, secs(at)).unwrap();
+            }
+            let now = acct.last_completion_ns();
+            let report = fold(acct, &valid, now, &[]);
+            assert_eq!(report.windows.len(), windows, "{completions} completions");
+            assert_eq!(report.windows.last().unwrap().at_s, completions as f64);
+        }
+    }
+
+    #[test]
+    fn per_class_miss_rates_fold_late_and_shed_over_arrivals() {
+        let class = |name: &str| ClassShare {
+            class: DeadlineClass {
+                name: name.to_string(),
+                deadline_s: 1.0,
+                priority: 0,
+            },
+            weight: 1.0,
+        };
+        let scenario = ServeScenario {
+            classes: vec![class("interactive"), class("batch")],
+            ..ServeScenario::churn_default()
+        };
+        let valid = scenario.validate().unwrap();
+        let mut acct = Accounting::new(&valid).unwrap();
+        // interactive: 4 arrive, 2 on time, 1 late, 1 shed; batch: 2
+        // arrive, 1 on time, 1 still in flight.
+        for class in [0, 0, 0, 0, 1, 1] {
+            acct.arrive(Some(class));
+        }
+        for (class, missed) in [(0, false), (0, false), (0, true), (1, false)] {
+            acct.complete(0, 2_000_000_000, 0, Some(class), missed, 2.0)
+                .unwrap();
+        }
+        acct.shed(2.0, 1.0, Some(0));
+        let names = valid.class_names.clone();
+        let report = fold(acct, &valid, 2_000_000_000, &names);
+        let folded: Vec<_> = report
+            .classes
+            .iter()
+            .map(|c| {
+                (
+                    c.class.as_str(),
+                    c.arrived,
+                    c.completed,
+                    c.late,
+                    c.shed,
+                    c.miss_rate,
+                )
+            })
+            .collect();
+        assert_eq!(
+            folded,
+            [("interactive", 4, 3, 1, 1, 0.5), ("batch", 2, 1, 0, 0, 0.0)]
+        );
+        assert_eq!(report.classes[0].latency.completed, 3);
+        assert_eq!((report.arrived, report.late, report.shed), (6, 1, 1));
+        assert_eq!(report.miss_rate, 2.0 / 6.0);
+        assert_eq!(report.throughput_per_s, 2.0);
+    }
 
     #[test]
     fn exact_samples_up_to_one_block_hold_what_a_plain_vec_holds() {

@@ -77,7 +77,8 @@ pub enum FleetEventKind {
 /// A scheduled fleet change.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetEvent {
-    /// Simulated time at which the change takes effect, seconds.
+    /// Simulated time at which the change takes effect, seconds (at
+    /// least 0).
     pub at_s: f64,
     /// The change.
     pub kind: FleetEventKind,
@@ -547,7 +548,11 @@ impl ServeScenario {
         let mut member = active.clone();
         for i in order {
             let ev = &self.events[i];
-            on_clock(&mut problems, format_args!("events[{i}].at_s"), ev.at_s);
+            if ev.at_s < 0.0 {
+                problems.push(format!("events[{i}].at_s: must be >= 0 (got {})", ev.at_s));
+            } else {
+                on_clock(&mut problems, format_args!("events[{i}].at_s"), ev.at_s);
+            }
             let (name, change) = match &ev.kind {
                 FleetEventKind::DeviceJoin { device } => (device, FleetChange::Join),
                 FleetEventKind::DeviceLeave { device } => (device, FleetChange::Leave),
@@ -579,7 +584,7 @@ impl ServeScenario {
                     }
                     events.push(ValidEvent {
                         at_s: ev.at_s,
-                        at_ns: ns(ev.at_s.max(0.0)),
+                        at_ns: ns(ev.at_s),
                         device,
                         change,
                     });
@@ -649,7 +654,7 @@ pub(crate) enum FleetChange {
 pub(crate) struct ValidEvent {
     /// Event time as written, seconds (what the report records).
     pub(crate) at_s: f64,
-    /// Clock time the kernel fires it at (negative times clamp to 0).
+    /// Clock time the kernel fires it at.
     pub(crate) at_ns: u64,
     /// Universe device index.
     pub(crate) device: usize,

@@ -15,73 +15,69 @@
 //! expands the request into encoder tasks (with modeled input-transfer
 //! delays) plus one head task that fires when the last embedding lands.
 //! Lane counts, FIFO module queues, and head-priority dispatch are the
-//! kernel's — the *same* event loop the offline simulator runs; this
-//! module only supplies the online hooks (admission, SLO windows,
-//! churn, replanning).
+//! kernel's — the *same* event loop the offline simulator runs.
 //!
 //! [`FleetEvent`](crate::config::FleetEvent)s change the active fleet at
-//! simulated timestamps. Every event wakes the replan controller, which
-//! calls [`s2m3_core::adaptive::replan`] against the pre-event placement
-//! and accepts the migration when it is mandatory (the old placement lost
-//! a module) or when its
-//! [`break_even_requests`](s2m3_core::adaptive::ReplanDecision::break_even_requests)
-//! clears the requests expected within the configured horizon at the
-//! *observed* arrival rate. With
-//! [`ReplanPolicy::slo_trigger`](crate::config::ReplanPolicy) set, a
-//! rolling-p95 breach of the deadline wakes the same controller between
-//! fleet events. Accepted migrations charge their download + load cost
-//! as downtime on the destination devices; the controller runs while
-//! the kernel is paused between events — drain, requeue, resume — so no
-//! request is ever silently lost: every arrival ends as exactly one
-//! completion or one shed.
+//! simulated timestamps and wake the replan controller, as does a
+//! rolling-p95 breach of the deadline when
+//! [`ReplanPolicy::slo_trigger`](crate::config::ReplanPolicy) is set. It
+//! runs while the kernel is paused between events — drain, requeue,
+//! resume — so every arrival ends as exactly one completion or one shed.
+//!
+//! ## Stages
+//!
+//! The engine owns the request lifetime — arrival → admit → drain →
+//! dispatch → complete or shed — and fleet membership, and asks each
+//! stage questions instead of writing its state:
+//!
+//! - [`crate::budget`]: the cost cap — dispatch verdicts, window wakes,
+//!   route pricing, and the replan gate's feasibility term;
+//! - `replan`: the replan controller — the SLO trigger, the memoised
+//!   candidate, the break-even gate, and the fleet-event, replan and
+//!   rejected-run records;
+//! - `accounting`: request counters, the SLO window, latency
+//!   aggregation, device usage and the completion sink, folded into the
+//!   report at the end.
+//!
+//! The engine charges an accepted switch's download + load cost as
+//! downtime on its destination devices and re-routes: both need the
+//! kernel.
 //!
 //! ## Checked before the first event
 //!
 //! [`prepare`], [`ServeSession::new`] and [`ServeSession::with_shared`]
-//! all validate the scenario in one pass (see [`crate::config`]) and
-//! report every problem at once. The driver is built from the
-//! validated scenario alone: fleet events arrive with their universe
-//! device index and a membership change already known to be legal,
-//! sources are universe indices, and times are clock nanoseconds, so
-//! the driver holds no input checks. The one exception is an arrival
-//! past the clock's range: the stream is lazy, so that fault is found
-//! where the arrival is scheduled.
+//! validate the scenario in one pass ([`crate::config`]), so the driver
+//! holds no input checks: fleet events carry their universe device index
+//! and a membership change known to be legal, sources are universe
+//! indices, and times are clock nanoseconds. The one exception is an
+//! arrival past the clock's range, found where the lazy stream draws it.
 //!
 //! ## One request-lifetime path
 //!
 //! Exact and streaming runs drive the same request lifetime: the
-//! driver's request [`Slab`] always recycles, the kernel's task,
-//! request and event tables start empty and grow to the in-flight
-//! peak, and a completed or shed request's slot is reused by a later
-//! arrival. Ordering keys on the arrival sequence (`ReqInfo::seq`),
-//! never on the slot, so slot numbering is invisible to every report.
-//! [`ServeScenario::streaming`] selects only how latencies are
-//! *aggregated* — every sample (exact percentiles; the one O(requests)
-//! table an exact run keeps) or a sketch sized by the latencies'
-//! spread — and whether a completion sink is attached.
+//! request [`Slab`] recycles, the kernel's tables start empty and grow
+//! to the in-flight peak, and ordering keys on the arrival sequence
+//! (`ReqInfo::seq`), never on the slot, so slot reuse is invisible to
+//! every report. [`ServeScenario::streaming`] selects only how latencies
+//! are *aggregated* — every sample (the one O(requests) table an exact
+//! run keeps) or a sketch — and whether a completion sink is attached.
 //!
 //! ## Hot-path representation
 //!
-//! The loop runs entirely on [`ResolvedInstance`] indices: devices and
-//! modules are dense `u32`/`usize` ids, per-device state lives in `Vec`s
-//! indexed by *universe* device index, events carry indices, and the
-//! per-model, per-source route (placement and instance change only at
-//! replans) is priced by [`ResolvedInstance::price_route`] — the same
-//! arithmetic the bounded simulator and the replan objective use — and
-//! cached in nanoseconds as a `ModelRoute`; a budget's rules and route
-//! costs live in [`crate::budget`], which the driver only asks. String
-//! ids survive only at the boundary: scenario parsing, replan diffs,
-//! and the serialized [`ServeReport`].
+//! The loop runs on [`ResolvedInstance`] indices, per-device state lives
+//! in `Vec`s by *universe* device index, and each per-model, per-source
+//! route is priced by [`ResolvedInstance::price_route`] and cached in
+//! nanoseconds until the next replan. String ids survive only at the
+//! boundary: scenario parsing, replan diffs, and the [`ServeReport`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use s2m3_core::adaptive::{replan, ReplanDecision};
+use s2m3_core::adaptive::Migration;
 use s2m3_core::error::CoreError;
 use s2m3_core::placement::{greedy_place_resolved, PlacementOptions};
 use s2m3_core::problem::{Instance, Placement};
 use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
-use s2m3_data::sink::ColumnWriter;
 use s2m3_net::fleet::Fleet;
 use s2m3_sim::kernel::{
     ns, secs, Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
@@ -89,16 +85,13 @@ use s2m3_sim::kernel::{
 };
 use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
-use crate::accounting::{Accounting, ClassStats, LatAgg};
+use crate::accounting::Accounting;
 use crate::budget::{BudgetState, Mark, Verdict};
 use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
 use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
-use crate::report::{
-    ClassReport, DeviceReport, EventRecord, RejectedSloRun, ReplanRecord, ReplanTrigger,
-    ServeReport,
-};
+use crate::replan::Replanner;
+use crate::report::{ReplanTrigger, ServeReport};
 use crate::slab::{ReqHandle, Slab};
-use crate::slo::{DeviceUsage, SloWindow};
 
 /// Errors surfaced by the serving loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -143,8 +136,7 @@ enum ServeEv {
 /// Per-task payload stored inline in the kernel's task table.
 #[derive(Debug, Clone, Copy, Default)]
 struct TaskInfo {
-    /// Work units of this execution (profile-dependent), fixed at
-    /// dispatch.
+    /// Work units of this execution, fixed at dispatch.
     units: f64,
     /// Embedding transfer time to the head device (encoders only), ns.
     output_tx_ns: u64,
@@ -155,25 +147,20 @@ struct TaskInfo {
 /// Driver-side request bookkeeping (the kernel keeps the fan-in state).
 #[derive(Debug, Clone, Default)]
 struct ReqInfo {
-    /// Arrival sequence number: unique and monotone in arrival order.
-    /// Queue ordering and re-admission tie-breaks key on this, never on
-    /// the (recyclable) slab slot, so slot reuse cannot perturb dispatch
-    /// order.
+    /// Arrival sequence number, unique and monotone: queue ordering and
+    /// re-admission key on it, never on the recyclable slab slot.
     seq: u64,
     arrival_ns: u64,
     deadline_ns: u64,
     /// Rank of the traffic source that emitted this request.
     source: usize,
-    /// Deployed-model index this request asks for (assigned by the
-    /// workload layer's model mix).
+    /// Deployed-model index, drawn by the workload's model mix.
     model: usize,
-    /// Admission priority from the request's deadline class (0 without
-    /// classes).
+    /// Admission priority of the deadline class (0 without classes).
     priority: u32,
     /// Deadline-class index (`None` for unclassed scenarios).
     class: Option<u32>,
-    /// Universe index of the device charged with this request's
-    /// in-flight slot, when dispatched.
+    /// Universe index of the device holding its in-flight slot.
     inflight_on: Option<usize>,
     /// The budget gate's history of this request.
     budget: Mark,
@@ -217,27 +204,16 @@ struct ModelRoute {
     enc_len: u32,
 }
 
-/// A replan outcome plus the gate's budget-feasibility input, which is
-/// priced at most once per decision.
-struct PricedReplan {
-    decision: ReplanDecision,
-    /// [`Online::mean_spend`] of `decision.placement` (`None` until the
-    /// gate first needs it).
-    mean_spend: Option<f64>,
-    /// Whether a rejected SLO-breach evaluation of this candidate has
-    /// opened its run: the last of [`ServeReport::rejected_slo`], since
-    /// a fresh candidate's first rejection opens the next one.
-    opened_run: bool,
-}
-
-impl PricedReplan {
-    fn new(decision: ReplanDecision) -> Self {
-        PricedReplan {
-            decision,
-            mean_spend: None,
-            opened_run: false,
-        }
-    }
+/// Scratch reused across route pricing, so a route refresh allocates
+/// nothing after warm-up.
+#[derive(Debug, Default)]
+struct RouteScratch {
+    /// Per-module host table.
+    hosts: Vec<Vec<u32>>,
+    /// One model's module route.
+    route: Vec<(u32, u32)>,
+    /// One route's pricing.
+    priced: PricedRoute,
 }
 
 /// The online driver: everything scenario-specific the kernel does not
@@ -246,13 +222,11 @@ struct Online {
     universe: Fleet,
     /// Universe device names, by universe index.
     uni_names: Vec<String>,
-    /// Universe indices in lexicographic name order (the iteration
-    /// order the string-keyed maps used).
+    /// Universe indices in name order.
     by_name_order: Vec<usize>,
     slowdown: Vec<Option<f64>>,
     instance: Instance,
-    /// The interned hot-path view, behind `Arc` so parallel replicas of
-    /// the same scenario share one table set instead of re-interning.
+    /// The interned hot-path view, shared by a sweep's replicas.
     resolved: Arc<ResolvedInstance>,
     /// Universe index of each resolved (active-fleet) device.
     uni_of_res: Vec<usize>,
@@ -261,54 +235,28 @@ struct Online {
     placement: Placement,
     /// Universe index of each traffic source, by rank.
     sources: Vec<usize>,
-    /// Cached route per deployed model and source rank, flattened as
-    /// `model * n_sources + source` (`None` = placement cannot serve
-    /// it; arrivals shed).
+    /// Cached route per `model * n_sources + source` (`None`: the
+    /// placement cannot serve it, and arrivals shed).
     model_routes: Vec<Option<ModelRoute>>,
-    /// Flattened encoder pool: every [`ModelRoute`] names its encoders
-    /// as a `(start, len)` slice here, so a route refresh refills one
-    /// allocation instead of one `Vec` per (model, source) pair.
+    /// Encoder pool every [`ModelRoute`] slices, refilled in place.
     route_encs: Vec<EncRoute>,
-    /// Per-module host table reused across route refreshes.
-    hosts_scratch: Vec<Vec<u32>>,
-    /// Module-route scratch reused across route refreshes.
-    route_scratch: Vec<(u32, u32)>,
-    /// Pricing scratch reused across route refreshes.
-    priced_scratch: PricedRoute,
-    /// Universe-indexed migration-cost accumulator
-    /// ([`Online::charge_migrations`] scratch).
-    migrate_cost: Vec<f64>,
-    /// Devices touched by the migration batch being charged.
-    migrate_hit: Vec<bool>,
-    n_models: usize,
+    scratch: RouteScratch,
     devices: Vec<DevExtra>,
-    /// Per-universe-device execution overhead, amortized when batching
-    /// merges runs (mirrors the bounded engine's batch arithmetic).
-    exec_overhead_s: Vec<f64>,
-    /// Driver-side request table. Slot-indexed (the kernel's request
-    /// ids are slots); completed/shed slots recycle through the slab's
-    /// free list so the table stays O(in-flight).
+    /// Request table by slot (the kernel's request ids): freed slots
+    /// recycle, so it stays O(in-flight).
     requests: Slab<ReqInfo>,
     // --- workload ---
-    /// The lazily pulled merged arrival stream: the driver holds at
-    /// most one sampled batch (in `arrival_buf`) plus the
-    /// constant-size per-source stream states — never the full
-    /// materialized schedule.
+    /// The lazily pulled merged arrival stream, never materialized.
     stream: WorkloadStream,
-    /// Upcoming arrivals, sampled in batches so the per-source stream
-    /// merge amortizes; the event queue still holds at most one future
-    /// arrival at a time, and draw order matches one-at-a-time pulls
-    /// exactly (the stream owns its generators). Consumed front to
-    /// back via `arrival_cursor`, then refilled in place — a plain
-    /// `Vec` + index, so the per-arrival reads are straight-line
-    /// indexing with no ring-buffer wrap math.
+    /// Upcoming arrivals, sampled in batches so the stream merge
+    /// amortizes (draws stay in stream order), read front to back via
+    /// `arrival_cursor`. The event queue holds one future arrival.
     arrival_buf: Vec<WorkloadRequest>,
     /// Next unconsumed index into `arrival_buf`.
     arrival_cursor: usize,
     /// Arrival sequence counter (`ReqInfo::seq` of the next arrival).
     next_seq: u64,
-    /// Per-class `(deadline_ns, priority)` from the scenario's workload
-    /// classes, indexed by class id.
+    /// Per-class `(deadline_ns, priority)`, by class id.
     class_table: Vec<(u64, u32)>,
     /// Class names, indexed by class id (report boundary).
     class_names: Vec<String>,
@@ -317,31 +265,17 @@ struct Online {
     deadline_ns: u64,
     deadline_s: f64,
     max_inflight: usize,
-    horizon_s: f64,
     charge_switching_downtime: bool,
-    /// The SLO trigger's `(min_window, cooldown ns)`, when set.
-    slo_trigger: Option<(usize, u64)>,
-    /// Last virtual time the SLO trigger sampled the window, ns.
-    last_slo_eval_ns: u64,
-    /// The SLO trigger's memoised `replan(&instance, &placement)`: a
-    /// pure function of two values that change only in
-    /// [`Online::rebuild_instance`] (which clears it) and on an accepted
-    /// switch (the trigger takes the entry out to gate it and restores
-    /// it only when rejected), so every breach evaluation in between
-    /// reuses one greedy solve (debug builds re-solve and compare).
-    slo_replan: Option<PricedReplan>,
-    // --- accounting ---
-    /// The extracted accounting state ([`crate::accounting`]).
+    // --- stages ---
+    /// The replan controller ([`crate::replan`]).
+    replan: Replanner,
+    /// Counters, windows and usage ([`crate::accounting`]).
     acct: Accounting,
-    // --- budget ---
-    /// Budget-enforcement state (`scenario.budget`); `None` serves
-    /// uncapped, byte-identical to the pre-budget engine.
+    /// Budget-enforcement state (`None`: uncapped).
     budget: Option<BudgetState>,
-    /// Per-model route cost under the current placement
-    /// ([`BudgetState::route_cost`]). Refreshed with the route cache;
-    /// empty without a budget.
+    /// Per-model route cost under the current placement, refreshed with
+    /// the route cache (empty without a budget).
     route_costs: Vec<f64>,
-    report: ServeReport,
 }
 
 type K = Kernel<ServeEv, TaskInfo>;
@@ -367,22 +301,19 @@ impl Driver for Online {
         // path); under a `BatchPolicy` same-module queued runs merge and
         // the per-execution overhead is paid once — the same arithmetic
         // the bounded engine uses for `SimConfig::max_batch`.
-        let rd = self.res_of_uni[device];
+        // A leave cancels the device's tasks and re-indexes the fleet
+        // before the kernel runs again.
+        let rd = self.res_of_uni[device].expect("tasks dispatch only on active devices");
         let mut dur_s = 0.0;
         for &tid in group {
-            dur_s += match rd {
-                Some(rd) => self.resolved.compute_time_units(
-                    k.tasks.module(tid),
-                    rd,
-                    k.tasks.payload(tid).units,
-                ),
-                // Defensive: the device left between queueing and
-                // dispatch (its tasks are normally cancelled first).
-                None => 0.1,
-            };
+            dur_s += self.resolved.compute_time_units(
+                k.tasks.module(tid),
+                rd,
+                k.tasks.payload(tid).units,
+            );
         }
         if group.len() > 1 {
-            dur_s -= (group.len() - 1) as f64 * self.exec_overhead_s[device];
+            dur_s -= (group.len() - 1) as f64 * self.universe.devices()[device].exec_overhead_s;
         }
         let dur_ns = ns(dur_s);
         // The leader owns the lane: busy time (and the device's
@@ -441,25 +372,18 @@ impl Driver for Online {
 }
 
 impl Online {
-    fn uni_index(&self, name: &str) -> Option<usize> {
-        self.uni_names.iter().position(|n| n == name)
-    }
-
     /// Rebuilds the instance over the active fleet with slowdowns
     /// applied, re-interning the resolved view and the index maps.
     fn rebuild_instance(&mut self, k: &K) -> Result<(), ServeError> {
+        self.reindex(|ui| k.devices[ui].active);
         let mut specs = Vec::new();
-        let mut uni_of_res = Vec::new();
-        for (ui, d) in self.universe.devices().iter().enumerate() {
-            if !k.devices[ui].active {
-                continue;
-            }
+        for &ui in &self.uni_of_res {
+            let d = &self.universe.devices()[ui];
             let mut spec = d.clone();
             if let Some(factor) = self.slowdown[ui] {
                 spec.speed_gflops = (d.speed_gflops * factor).max(1e-6);
             }
             specs.push(spec);
-            uni_of_res.push(ui);
         }
         let fleet = Fleet::new(
             specs,
@@ -468,48 +392,50 @@ impl Online {
         )
         .expect("a validated schedule never removes the requester");
         self.instance = self.instance.with_fleet(fleet)?;
-        self.slo_replan = None;
+        self.replan.forget();
         self.resolved = Arc::new(ResolvedInstance::new(&self.instance)?);
-        self.res_of_uni = vec![None; self.uni_names.len()];
-        for (ri, &ui) in uni_of_res.iter().enumerate() {
-            self.res_of_uni[ui] = Some(ri as u32);
-        }
-        self.uni_of_res = uni_of_res;
         Ok(())
     }
 
-    /// Recomputes the per-(model, source) route cache against the
-    /// current placement and instance. Called after every placement
-    /// change. Each pair is priced by [`ResolvedInstance::price_route`].
-    /// Allocation-free after warm-up: the host table, the route and
-    /// pricing scratch, and the flattened encoder pool all refill in place.
+    /// Re-derives the resolved ↔ universe index maps for the devices
+    /// `active` accepts.
+    fn reindex(&mut self, active: impl Fn(usize) -> bool) {
+        self.uni_of_res = (0..self.uni_names.len()).filter(|&ui| active(ui)).collect();
+        self.res_of_uni = vec![None; self.uni_names.len()];
+        for (ri, &ui) in self.uni_of_res.iter().enumerate() {
+            self.res_of_uni[ui] = Some(ri as u32);
+        }
+    }
+
+    /// The resolved index of the last traffic source, whose route
+    /// prices a model's budget cost.
+    fn last_source(&self) -> u32 {
+        self.res_of_uni[*self.sources.last().expect("a scenario has sources")]
+            .expect("sources never leave the fleet")
+    }
+
+    /// Recomputes the per-(model, source) route cache, and the budget's
+    /// route costs, after a placement change. Allocation-free after
+    /// warm-up: the scratch and the encoder pool refill in place.
     fn refresh_model_routes(&mut self) {
-        self.resolved
-            .resolve_placement_into(&self.placement, &mut self.hosts_scratch);
+        let RouteScratch {
+            hosts,
+            route,
+            priced,
+        } = &mut self.scratch;
+        self.resolved.resolve_placement_into(&self.placement, hosts);
         let n_sources = self.sources.len();
         self.model_routes.clear();
         self.route_encs.clear();
-        self.route_costs.clear();
-        let mut route = std::mem::take(&mut self.route_scratch);
-        let mut priced = std::mem::take(&mut self.priced_scratch);
-        for m in 0..self.n_models {
-            let profile = self.resolved.models()[m].profile;
-            if !self
-                .resolved
-                .route_model_into(m, &profile, &self.hosts_scratch, &mut route)
-            {
+        for (m, model) in self.resolved.models().iter().enumerate() {
+            let profile = model.profile;
+            if !self.resolved.route_model_into(m, &profile, hosts, route) {
                 self.model_routes.extend((0..n_sources).map(|_| None));
-                if self.budget.is_some() {
-                    // Unroutable models shed at admission, before the
-                    // budget gate: the placeholder keeps model indexing.
-                    self.route_costs.push(0.0);
-                }
                 continue;
             }
             for &src in &self.sources {
                 let source = self.res_of_uni[src].expect("sources never leave the fleet");
-                self.resolved
-                    .price_route(&profile, source, &route, &mut priced);
+                self.resolved.price_route(&profile, source, route, priced);
                 let enc_start = self.route_encs.len() as u32;
                 self.route_encs
                     .extend(priced.encoders.iter().map(|e| EncRoute {
@@ -528,30 +454,24 @@ impl Online {
                     enc_len: self.route_encs.len() as u32 - enc_start,
                 }));
             }
-            if let Some(budget) = &self.budget {
-                // The last source's pricing costs the route for all.
-                self.route_costs
-                    .push(budget.route_cost(&priced, &self.uni_of_res));
+        }
+        if let Some(budget) = &self.budget {
+            let cost = |priced: &PricedRoute| budget.route_cost(priced, &self.uni_of_res);
+            let (source, scratch) = (self.last_source(), &mut self.scratch);
+            let costs = model_route_costs(&self.resolved, &self.placement, source, scratch, cost);
+            self.route_costs.clear();
+            // Unroutable models shed at admission, before the budget
+            // gate: their 0 keeps model indexing.
+            for cost in costs {
+                self.route_costs.push(cost.unwrap_or(0.0));
             }
         }
-        self.route_scratch = route;
-        self.priced_scratch = priced;
     }
 
     /// Offers a request to its head device's admission queue.
     fn admit(&mut self, k: &mut K, rid: usize, now: u64) {
-        let (model, source, seq, arrival_ns, deadline_ns, priority) = {
-            let r = &self.requests[rid];
-            (
-                r.model,
-                r.source,
-                r.seq,
-                r.arrival_ns,
-                r.deadline_ns,
-                r.priority,
-            )
-        };
-        let Some(head_uni) = self.model_routes[model * self.sources.len() + source]
+        let r = &self.requests[rid];
+        let Some(head_uni) = self.model_routes[r.model * self.sources.len() + r.source]
             .as_ref()
             .map(|mr| mr.head_uni)
         else {
@@ -559,11 +479,11 @@ impl Online {
             return;
         };
         let outcome = self.devices[head_uni].admission.offer(QueuedRequest {
-            id: seq,
+            id: r.seq,
             handle: self.requests.handle_of(rid).pack(),
-            arrival_ns,
-            deadline_ns,
-            priority,
+            arrival_ns: r.arrival_ns,
+            deadline_ns: r.deadline_ns,
+            priority: r.priority,
         });
         if outcome == Admission::Shed {
             self.record_shed(rid, now);
@@ -631,11 +551,8 @@ impl Online {
 
     /// Expands a request into module tasks from its model's cached route.
     fn dispatch_request(&mut self, k: &mut K, rid: usize, now: u64) {
-        let (model, source) = {
-            let r = &self.requests[rid];
-            (r.model, r.source)
-        };
-        let Some(mr) = self.model_routes[model * self.sources.len() + source] else {
+        let r = &self.requests[rid];
+        let Some(mr) = self.model_routes[r.model * self.sources.len() + r.source] else {
             self.record_shed(rid, now);
             return;
         };
@@ -715,24 +632,20 @@ impl Online {
         if let Some(ui) = head_dev {
             self.drain_admission(k, ui, now);
         }
-        self.maybe_slo_replan(k, now)?;
+        if self.replan.slo_due(self.acct.slo(), self.deadline_s, now) {
+            self.slo_breach(k, now)?;
+        }
         // The request is fully accounted: release its slot.
         self.requests.free(rid);
         Ok(())
     }
 
     fn record_shed(&mut self, rid: usize, now: u64) {
-        let (deadline_ns, arrival_ns, class) = {
-            let r = &self.requests[rid];
-            (r.deadline_ns, r.arrival_ns, r.class)
-        };
+        let r = &self.requests[rid];
         // A shed request is an SLO miss; the window records it at the
         // deadline bound so percentiles reflect the rejection.
-        self.acct.shed(
-            secs(now),
-            secs(deadline_ns.saturating_sub(arrival_ns)),
-            class,
-        );
+        let bound_s = secs(r.deadline_ns.saturating_sub(r.arrival_ns));
+        self.acct.shed(secs(now), bound_s, r.class);
         self.requests.free(rid);
     }
 
@@ -747,37 +660,24 @@ impl Online {
         if let Some(ui) = self.requests[rid].inflight_on.take() {
             self.devices[ui].inflight = self.devices[ui].inflight.saturating_sub(1);
         }
-        self.report.retried += 1;
+        self.acct.retry();
         self.admit(k, rid, now);
     }
 
     /// Charges accepted migrations as downtime on their destination
     /// devices and schedules scheduler wake-ups when the weights land.
-    fn charge_migrations(
-        &mut self,
-        k: &mut K,
-        now: u64,
-        migrations: &[s2m3_core::adaptive::Migration],
-    ) {
-        // Accumulate per-destination cost in universe-indexed scratch;
-        // the name-ordered sweep below reproduces the event order the
-        // old string-keyed map iteration gave — including the wake-up
-        // pushed for zero-cost destinations.
+    fn charge_migrations(&self, k: &mut K, now: u64, migrations: &[Migration]) {
+        // Sum each destination's cost in migration order, then charge
+        // the destinations in name order — including the wake-up pushed
+        // for a zero-cost destination.
+        let mut cost_by_name: BTreeMap<&str, f64> = BTreeMap::new();
         for m in migrations {
-            let ui = self
-                .uni_index(m.to.as_str())
-                .expect("migration target exists");
-            self.migrate_cost[ui] += m.cost_s;
-            self.migrate_hit[ui] = true;
+            *cost_by_name.entry(m.to.as_str()).or_insert(0.0) += m.cost_s;
         }
-        for i in 0..self.by_name_order.len() {
-            let ui = self.by_name_order[i];
-            if !self.migrate_hit[ui] {
+        for &ui in &self.by_name_order {
+            let Some(&cost) = cost_by_name.get(self.uni_names[ui].as_str()) else {
                 continue;
-            }
-            let cost = self.migrate_cost[ui];
-            self.migrate_hit[ui] = false;
-            self.migrate_cost[ui] = 0.0;
+            };
             let dev = &mut k.devices[ui];
             dev.open_at_ns = dev.open_at_ns.max(now + ns(cost));
             // Wake the scheduler when the weights finish loading;
@@ -833,10 +733,7 @@ impl Online {
                 format!("{device} slows to {factor:.2}x")
             }
         };
-        self.report.events.push(EventRecord {
-            at_s: ev.at_s,
-            description: description.clone(),
-        });
+        self.replan.record_event(ev.at_s, description.clone());
 
         // Collect every request disturbed by a leave: queued in the
         // departed device's admission queue, or with live tasks there.
@@ -873,33 +770,18 @@ impl Online {
 
         self.rebuild_instance(k).map_err(Box::new)?;
 
-        // Replan controller: mandatory switches always apply; optional
-        // ones must amortize within the horizon at the observed rate.
-        // (`rebuild_instance` never touches the placement and the gate
-        // only swaps it on accept, so replanning reads the current
-        // placement in place — no clone.)
-        let mut priced = PricedReplan::new(
-            replan(&self.instance, &self.placement).map_err(|e| Box::new(ServeError::Core(e)))?,
-        );
-        let accepted = self.gate_and_apply_replan(
-            k,
-            &mut priced,
-            ReplanTrigger::Text(description),
-            ev.at_s,
-            now,
-            0,
-        );
-        if !accepted {
+        // The controller solves against the current placement in place:
+        // `rebuild_instance` never touches it, and only an accepted
+        // switch replaces it — no clone.
+        let solved = self.replan.candidate(&self.instance, &self.placement);
+        solved.map_err(Box::new)?;
+        if !self.switch(k, ReplanTrigger::Text(description), 0, ev.at_s, now) {
             // Keep serving on the surviving subset of the old
-            // placement: drop departed hosts in place.
-            let uni_names = &self.uni_names;
-            let devices = &k.devices;
-            self.placement.retain(|_, d| {
-                uni_names
-                    .iter()
-                    .position(|n| n == d.as_str())
-                    .is_some_and(|ui| devices[ui].active)
-            });
+            // placement: drop departed hosts in place (the rebuilt
+            // instance holds exactly the active devices).
+            let resolved = &self.resolved;
+            self.placement
+                .retain(|_, d| resolved.device_index(d).is_some());
         }
         self.refresh_model_routes();
 
@@ -912,198 +794,58 @@ impl Online {
         self.kick_all(k, now)
     }
 
-    /// Requests waiting in admission queues across the fleet — the
-    /// backlog a replan would drain.
-    fn total_queued(&self) -> u64 {
-        self.devices.iter().map(|d| d.admission.len() as u64).sum()
-    }
-
-    /// Mean per-request route cost (over routable models) the fleet
-    /// would pay under `placement`, each model's route priced as
-    /// [`Online::refresh_model_routes`] prices the live placement's.
-    /// Clobbers the routing and pricing scratch — callers always run
-    /// `refresh_model_routes` after any placement change, so the scratch
-    /// is re-derived either way.
-    fn mean_spend(&mut self, placement: &Placement) -> f64 {
-        let Some(budget) = &self.budget else {
-            return 0.0;
-        };
-        let resolved = &*self.resolved;
-        resolved.resolve_placement_into(placement, &mut self.hosts_scratch);
-        let source = self.res_of_uni[*self.sources.last().expect("a scenario has sources")]
-            .expect("sources never leave the fleet");
-        let (route, priced) = (&mut self.route_scratch, &mut self.priced_scratch);
-        let (mut total, mut routable) = (0.0, 0usize);
-        for m in 0..self.n_models {
-            let profile = resolved.models()[m].profile;
-            if resolved.route_model_into(m, &profile, &self.hosts_scratch, route) {
-                resolved.price_route(&profile, source, route, priced);
-                total += budget.route_cost(priced, &self.uni_of_res);
-                routable += 1;
-            }
-        }
-        // No routable model: `total` is 0 and so is the mean.
-        total / routable.max(1) as f64
-    }
-
-    /// The shared replan gate: computes the observed-rate break-even
-    /// acceptance test, records the evaluation in the report, and — if
-    /// accepted — installs the new placement and charges migration
-    /// downtime. A rejected SLO-breach evaluation extends its
-    /// candidate's [`RejectedSloRun`]; every other evaluation is a
-    /// [`ReplanRecord`]. Both the fleet-event controller and the
-    /// SLO-breach trigger go through here, so the gate cannot diverge
-    /// between them. Returns whether the switch was accepted.
-    ///
-    /// `queued` is the queue-drain credit
-    /// ([`ReplanDecision::break_even_requests_with_queue`]): waiting
-    /// requests realize the per-request gain immediately, so an
-    /// overloaded fleet accepts earlier than the steady-state gate
-    /// would. The fleet-event path passes 0 (pure steady-state, the
-    /// byte-pinned historic behavior); the SLO-breach path — which only
-    /// fires *because* of backlog symptoms — passes the live queue
-    /// depth. The record keeps the steady-state break-even so both
-    /// paths stay comparable in reports.
-    ///
-    /// `priced` is borrowed: a rejected candidate stays intact (and keeps
-    /// its route price) for the caller to reuse; an accepted one has its
-    /// placement and migrations moved out.
-    fn gate_and_apply_replan(
+    /// Asks the replan controller for its verdict on its candidate (see
+    /// `Replanner::verdict`); an accepted switch installs its placement
+    /// and charges its downtime. Returns whether it did.
+    fn switch(
         &mut self,
         k: &mut K,
-        priced: &mut PricedReplan,
         trigger: ReplanTrigger,
+        queued: u64,
         at_s: f64,
         now: u64,
-        queued: u64,
     ) -> bool {
-        let observed_rate = if now == 0 {
-            0.0
-        } else {
-            self.report.arrived as f64 / secs(now)
+        let source = self.last_source();
+        let (resolved, scratch, uni_of_res) = (&self.resolved, &mut self.scratch, &self.uni_of_res);
+        let rate = self.acct.observed_rate(now);
+        let spend = |budget: &BudgetState, placement: &Placement| {
+            let cost = |priced: &PricedRoute| budget.route_cost(priced, uni_of_res);
+            let (total, routable) = model_route_costs(resolved, placement, source, scratch, cost)
+                .flatten()
+                .fold((0.0, 0usize), |(total, n), cost| (total + cost, n + 1));
+            // No routable model: `total` is 0 and so is the mean.
+            total / routable.max(1) as f64
         };
-        let expected_in_horizon = observed_rate * self.horizon_s;
-        let mandatory = priced.decision.mandatory();
-        let break_even = priced.decision.break_even_requests();
-        let effective = priced.decision.break_even_requests_with_queue(queued);
-        // Budget-feasibility term: a candidate whose steady-state spend
-        // (observed rate × window × mean route cost) would breach the
-        // cap is rejected before the latency comparison. Mandatory
-        // switches bypass it — refusing them would strand the fleet.
-        let budget_feasible = mandatory || self.budget.is_none() || {
-            let mean_spend = *priced
-                .mean_spend
-                .get_or_insert_with(|| self.mean_spend(&priced.decision.placement));
-            self.budget
-                .as_ref()
-                .is_some_and(|b| b.affords(observed_rate, mean_spend))
-        };
-        let accepted = mandatory
-            || (budget_feasible
-                && matches!(effective, Some(b) if (b as f64) <= expected_in_horizon));
-        if !accepted && matches!(trigger, ReplanTrigger::SloBreach { .. }) {
-            let runs = &mut self.report.rejected_slo;
-            if !priced.opened_run {
-                priced.opened_run = true;
-                runs.push(RejectedSloRun {
-                    first_at_s: at_s,
-                    last_at_s: at_s,
-                    over_budget: 0,
-                    below_break_even: 0,
-                    break_even_requests: break_even,
-                });
-            }
-            let run = runs.last_mut().expect("the candidate's run is open");
-            run.last_at_s = at_s;
-            if budget_feasible {
-                run.below_break_even += 1;
-            } else {
-                run.over_budget += 1;
-            }
+        let (budget, replan) = (self.budget.as_ref(), &mut self.replan);
+        let Some(decision) = replan.verdict(trigger, queued, at_s, rate, budget, spend) else {
             return false;
+        };
+        self.placement = decision.placement;
+        if self.charge_switching_downtime {
+            self.charge_migrations(k, now, &decision.migrations);
         }
-        let decision = &mut priced.decision;
-        self.report.replans.push(ReplanRecord {
-            at_s,
-            trigger,
-            mandatory,
-            break_even_requests: break_even,
-            observed_rate_per_s: observed_rate,
-            accepted,
-            switching_cost_s: if accepted {
-                decision.switching_cost_s
-            } else {
-                0.0
-            },
-            migrations: if accepted {
-                decision.migrations.len()
-            } else {
-                0
-            },
-        });
-        if accepted {
-            let migrations = std::mem::take(&mut decision.migrations);
-            self.placement = std::mem::take(&mut decision.placement);
-            if self.charge_switching_downtime {
-                self.charge_migrations(k, now, &migrations);
-            }
-        }
-        accepted
+        true
     }
 
-    /// The SLO-breach replan path ([`ReplanPolicy::slo_trigger`]): at
-    /// most once per cooldown, sample the rolling window; when its p95
-    /// exceeds the deadline and a migration is on the table, run the
-    /// same break-even gate the fleet-event controller uses.
-    ///
-    /// [`ReplanPolicy::slo_trigger`]: crate::config::ReplanPolicy
-    fn maybe_slo_replan(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
-        let Some((min_window, cooldown_ns)) = self.slo_trigger else {
-            return Ok(());
-        };
-        // `min_window` is clamped to the ring's capacity: a scenario
-        // whose `slo_window` is smaller than the trigger's arming
-        // threshold would otherwise never evaluate.
-        let arm_at = min_window.min(self.acct.slo.capacity());
-        if self.acct.slo.len() < arm_at || now < self.last_slo_eval_ns.saturating_add(cooldown_ns) {
-            return Ok(());
-        }
-        self.last_slo_eval_ns = now;
-        if !self.acct.slo.p95_exceeds(self.deadline_s) {
-            return Ok(());
-        }
-        let mut priced = match self.slo_replan.take() {
-            Some(priced) => {
-                debug_assert_eq!(
-                    Ok(&priced.decision),
-                    replan(&self.instance, &self.placement).as_ref(),
-                    "memoised replan decision went stale"
-                );
-                priced
-            }
-            None => PricedReplan::new(
-                replan(&self.instance, &self.placement)
-                    .map_err(|e| Box::new(ServeError::Core(e)))?,
-            ),
-        };
+    /// The SLO trigger fired: gate the candidate with the queue credit,
+    /// and re-route after an accepted switch.
+    fn slo_breach(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
         // The breach may be real while greedy has nothing better to
         // offer (pure overload): then there is no decision to record.
-        let accepted = !priced.decision.migrations.is_empty() && {
-            let trigger = ReplanTrigger::SloBreach {
-                p95_s: self.acct.slo.p95(),
-                deadline_s: self.deadline_s,
-            };
-            let queued = self.total_queued();
-            self.gate_and_apply_replan(k, &mut priced, trigger, secs(now), now, queued)
+        let solved = self.replan.candidate(&self.instance, &self.placement);
+        if !solved.map_err(Box::new)? {
+            return Ok(());
+        }
+        let trigger = ReplanTrigger::SloBreach {
+            p95_s: self.acct.slo_p95(),
+            deadline_s: self.deadline_s,
         };
-        if accepted {
-            // The placement the memo was solved against is gone: the
-            // taken entry is dropped, not restored.
+        // The backlog a switch would drain earns the queue credit.
+        let queued = self.devices.iter().map(|d| d.admission.len() as u64).sum();
+        if self.switch(k, trigger, queued, secs(now), now) {
             self.refresh_model_routes();
             self.rekey_waiting(k, now);
             self.kick_all(k, now)?;
-        } else {
-            self.slo_replan = Some(priced);
         }
         Ok(())
     }
@@ -1118,18 +860,14 @@ impl Online {
         if self.arrival_cursor == self.arrival_buf.len() {
             self.arrival_cursor = 0;
             self.arrival_buf.clear();
-            for _ in 0..Self::ARRIVAL_BATCH {
-                match self.stream.next_request() {
-                    Some(r) => self.arrival_buf.push(r),
-                    None => break,
-                }
-            }
+            let stream = &mut self.stream;
+            self.arrival_buf
+                .extend(std::iter::from_fn(|| stream.next_request()).take(Self::ARRIVAL_BATCH));
         }
         self.arrival_buf.get(self.arrival_cursor)
     }
 
     fn arrival(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
-        self.report.arrived += 1;
         let rec = *self
             .arrival_buf
             .get(self.arrival_cursor)
@@ -1143,9 +881,7 @@ impl Online {
             Some(ci) => self.class_table[ci as usize],
             None => (self.deadline_ns, 0),
         };
-        if let Some(ci) = rec.class {
-            self.acct.class_arrived(ci);
-        }
+        self.acct.arrive(rec.class);
         // `insert_with` hands back a recycled slot's previous value:
         // every field is overwritten.
         let handle = self.requests.insert_with(|r| {
@@ -1171,11 +907,8 @@ impl Online {
     }
 
     fn finish(mut self) -> ServeReport {
-        // The report outlives the run, and a streaming run's peak heap
-        // is its report plus the printed JSON: drop the replan log's
-        // doubling slack.
-        self.report.replans.shrink_to_fit();
-        let now = self.acct.last_completion_ns;
+        let (events, replans, rejected_slo) = self.replan.finish();
+        let now = self.acct.last_completion_ns();
         // Flush everything still unresolved so arrivals always balance:
         // first the admission queues (a bug if non-empty after an idle
         // run), then any request caught mid-flight — which exists only
@@ -1205,77 +938,47 @@ impl Online {
             self.record_shed(rid, now);
         }
 
-        // Flush the sink's buffered tail. Best-effort: `finish()` has
-        // no error channel, and every full row group already surfaced
-        // its write errors through `complete_request`.
-        if let Some(w) = self.acct.sink.take() {
-            let _ = w.finish();
-        }
-
-        // Fold the extracted accounting state into the report.
-        self.report.completed = self.acct.completed;
-        self.report.late = self.acct.late;
-        self.report.shed = self.acct.shed;
-        self.report.windows = std::mem::take(&mut self.acct.windows);
-
-        let now_s = secs(now);
-        self.report.makespan_s = now_s;
-        self.report.latency = self.acct.latencies.summarize();
-        self.report.throughput_per_s = if now_s > 0.0 {
-            self.report.completed as f64 / now_s
-        } else {
-            0.0
-        };
-        self.report.miss_rate = if self.report.arrived == 0 {
-            0.0
-        } else {
-            (self.report.late + self.report.shed) as f64 / self.report.arrived as f64
-        };
-        // Final rolling-window snapshot (unless one just landed there).
-        if self.acct.slo.total_seen() != self.acct.last_snapshot_seen {
-            let mut final_snap = self.acct.slo.snapshot(now_s);
-            final_snap.utilization = self.acct.utilization(now_s);
-            self.report.windows.push(final_snap);
-        }
-        let class_names = std::mem::take(&mut self.class_names);
-        let mut class_stats = std::mem::take(&mut self.acct.class_stats);
-        self.report.classes = class_names
-            .iter()
-            .zip(class_stats.iter_mut())
-            .map(|(name, cs)| ClassReport {
-                class: name.clone(),
-                arrived: cs.arrived,
-                completed: cs.completed,
-                shed: cs.shed,
-                late: cs.late,
-                miss_rate: if cs.arrived == 0 {
-                    0.0
-                } else {
-                    (cs.late + cs.shed) as f64 / cs.arrived as f64
-                },
-                latency: cs.latencies.summarize(),
-            })
-            .collect();
-        self.report.devices = self
-            .by_name_order
-            .iter()
-            .map(|&ui| {
-                let u = &self.acct.usage[ui];
-                DeviceReport {
-                    device: self.uni_names[ui].clone(),
-                    executions: self.acct.executions[ui],
-                    busy_s: u.busy_s,
-                    active_s: u.active_total_s(now_s),
-                    utilization: u.utilization(now_s),
-                }
-            })
-            .collect();
-        if let Some(budget) = self.budget.take() {
+        let report = self
+            .acct
+            .finish(now, &self.class_names, &self.uni_names, &self.by_name_order);
+        let budget = self.budget.map(|budget| {
             let priorities: Vec<u32> = self.class_table.iter().map(|&(_, p)| p).collect();
-            self.report.budget = Some(budget.finish(&class_names, &priorities));
+            budget.finish(&self.class_names, &priorities)
+        });
+        ServeReport {
+            events,
+            replans,
+            rejected_slo,
+            budget,
+            ..report
         }
-        self.report
     }
+}
+
+/// Every deployed model's per-request route cost under `placement`, in
+/// model order (`None`: `placement` cannot route it), as `cost` prices
+/// the route from `source` — compute ignores the query's origin, so one
+/// source's pricing costs the route for all.
+fn model_route_costs<'a>(
+    resolved: &'a ResolvedInstance,
+    placement: &Placement,
+    source: u32,
+    scratch: &'a mut RouteScratch,
+    cost: impl Fn(&PricedRoute) -> f64 + 'a,
+) -> impl Iterator<Item = Option<f64>> + 'a {
+    resolved.resolve_placement_into(placement, &mut scratch.hosts);
+    resolved.models().iter().enumerate().map(move |(m, model)| {
+        let RouteScratch {
+            hosts,
+            route,
+            priced,
+        } = &mut *scratch;
+        let routable = resolved.route_model_into(m, &model.profile, hosts, route);
+        routable.then(|| {
+            resolved.price_route(&model.profile, source, route, priced);
+            cost(priced)
+        })
+    })
 }
 
 /// The clock time of a sampled arrival. The stream is lazy, so an
@@ -1314,22 +1017,16 @@ pub struct SharedStart {
 }
 
 impl SharedStart {
-    /// The shared interned view (one allocation for all replicas).
-    pub fn resolved(&self) -> &Arc<ResolvedInstance> {
-        &self.resolved
-    }
-
     /// Whether `scenario` deploys the same fleet, initial devices, and
     /// models this shared start was built from.
     pub fn matches(&self, scenario: &ServeScenario) -> bool {
+        let models = scenario
+            .models
+            .iter()
+            .map(|m| (m.name.as_str(), m.candidates));
         self.fleet == scenario.fleet
             && self.initial_devices == scenario.initial_devices
-            && self.models.len() == scenario.models.len()
-            && self
-                .models
-                .iter()
-                .zip(&scenario.models)
-                .all(|(a, b)| a.0 == b.name && a.1 == b.candidates)
+            && self.models.iter().map(|(n, c)| (n.as_str(), *c)).eq(models)
     }
 }
 
@@ -1363,22 +1060,19 @@ fn prepare_valid(valid: &ValidScenario) -> Result<SharedStart, ServeError> {
         universe.requester().clone(),
     )
     .expect("a validated scenario starts with its requester");
-    let model_pairs: Vec<(&str, usize)> = scenario
+    let models: Vec<(String, usize)> = scenario
         .models
         .iter()
-        .map(|m| (m.name.as_str(), m.candidates))
+        .map(|m| (m.name.clone(), m.candidates))
         .collect();
+    let model_pairs: Vec<(&str, usize)> = models.iter().map(|(n, c)| (n.as_str(), *c)).collect();
     let instance = Instance::on_fleet(initial_fleet, &model_pairs)?;
     let resolved = Arc::new(ResolvedInstance::new(&instance)?);
     let placement = greedy_place_resolved(&resolved, PlacementOptions::default())?;
     Ok(SharedStart {
         fleet: scenario.fleet.clone(),
         initial_devices: scenario.initial_devices.clone(),
-        models: scenario
-            .models
-            .iter()
-            .map(|m| (m.name.clone(), m.candidates))
-            .collect(),
+        models,
         instance,
         resolved,
         placement,
@@ -1438,11 +1132,8 @@ impl ServeSession {
             .iter()
             .map(|d| d.id.as_str().to_string())
             .collect();
-        let by_name_order = {
-            let mut order: Vec<usize> = (0..uni_names.len()).collect();
-            order.sort_by(|&a, &b| uni_names[a].cmp(&uni_names[b]));
-            order
-        };
+        let mut by_name_order: Vec<usize> = (0..uni_names.len()).collect();
+        by_name_order.sort_by_key(|&ui| &uni_names[ui]);
         let active = &valid.active;
 
         // The merged arrival stream, from the unified workload layer:
@@ -1452,13 +1143,6 @@ impl ServeSession {
             .workload
             .stream(scenario.requests, &valid.model_names)
             .map_err(|e| ServeError::BadScenario(e.to_string()))?;
-        let streaming = scenario.streaming.is_some();
-        let class_stats: Vec<ClassStats> = (0..valid.class_names.len())
-            .map(|_| ClassStats {
-                latencies: LatAgg::new(streaming),
-                ..ClassStats::default()
-            })
-            .collect();
 
         let budget = scenario
             .budget
@@ -1470,44 +1154,25 @@ impl ServeSession {
         let instance = shared.instance.clone();
         let resolved = Arc::clone(&shared.resolved);
         let placement = shared.placement.clone();
-        let uni_of_res: Vec<usize> = (0..uni_names.len()).filter(|&ui| active[ui]).collect();
-        let mut res_of_uni: Vec<Option<u32>> = vec![None; uni_names.len()];
-        for (ri, &ui) in uni_of_res.iter().enumerate() {
-            res_of_uni[ui] = Some(ri as u32);
-        }
-        let n_models = instance.deployments().len();
 
         // --- Kernel + driver device state over the whole universe. ---
-        let lane_devices: Vec<LaneDevice> = universe
+        let (lane_devices, devices): (Vec<LaneDevice>, Vec<DevExtra>) = universe
             .devices()
             .iter()
-            .enumerate()
-            .map(|(ui, d)| {
+            .zip(active)
+            .map(|(d, &active)| {
                 let mut lanes = LaneDevice::new(d.parallelism.max(1), 0);
-                lanes.active = active[ui];
-                lanes
+                lanes.active = active;
+                let admission = AdmissionQueue::new(scenario.admission.clone());
+                (
+                    lanes,
+                    DevExtra {
+                        inflight: 0,
+                        admission,
+                    },
+                )
             })
-            .collect();
-        let devices: Vec<DevExtra> = universe
-            .devices()
-            .iter()
-            .map(|_| DevExtra {
-                inflight: 0,
-                admission: AdmissionQueue::new(scenario.admission.clone()),
-            })
-            .collect();
-        let usage: Vec<DeviceUsage> = universe
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(ui, d)| DeviceUsage {
-                busy_s: 0.0,
-                active_since_s: 0.0,
-                active_s: 0.0,
-                active: active[ui],
-                lanes: d.parallelism.max(1),
-            })
-            .collect();
+            .unzip();
 
         // Batching policy: `None` keeps the singleton fast path (and
         // the golden fixtures); a `BatchPolicy` enables the kernel's
@@ -1528,23 +1193,8 @@ impl ServeSession {
                 .collect(),
             _ => Vec::new(),
         };
-        let sink = match scenario.streaming.as_ref().and_then(|c| c.sink.as_deref()) {
-            Some(path) => {
-                let file = std::fs::File::create(path)
-                    .map_err(|e| ServeError::Sink(format!("create {path}: {e}")))?;
-                Some(
-                    ColumnWriter::new(std::io::BufWriter::new(file))
-                        .map_err(|e| ServeError::Sink(format!("write {path}: {e}")))?,
-                )
-            }
-            None => None,
-        };
-        // Every request-lifetime table (request slab, kernel task,
-        // request and event tables, SLO ring, latency aggregators)
-        // starts empty and grows to what the run holds at once. Slots
-        // and task ids recycle and are invisible to every report, so the
-        // only O(requests) state a run keeps is what its report needs —
-        // exact mode's latency samples.
+        // Every request-lifetime table starts empty and grows to what
+        // the run holds at once (see "One request-lifetime path").
         let mut kernel: K = Kernel::new(
             lane_devices,
             KernelPolicy {
@@ -1558,33 +1208,21 @@ impl ServeSession {
             },
         );
         kernel.module_batch_caps = module_batch_caps;
-        let exec_overhead_s: Vec<f64> = universe
-            .devices()
-            .iter()
-            .map(|d| d.exec_overhead_s)
-            .collect();
-        let n_uni = uni_names.len();
         let mut driver = Online {
             universe,
             uni_names,
             by_name_order,
-            slowdown: vec![None; res_of_uni.len()],
+            slowdown: vec![None; active.len()],
             instance,
             resolved,
-            uni_of_res,
-            res_of_uni,
+            uni_of_res: Vec::new(),
+            res_of_uni: Vec::new(),
             placement,
             sources: valid.sources.clone(),
             model_routes: Vec::new(),
             route_encs: Vec::new(),
-            hosts_scratch: Vec::new(),
-            route_scratch: Vec::new(),
-            priced_scratch: PricedRoute::default(),
-            migrate_cost: vec![0.0; n_uni],
-            migrate_hit: vec![false; n_uni],
-            n_models,
+            scratch: RouteScratch::default(),
             devices,
-            exec_overhead_s,
             requests: Slab::new(true, 0),
             stream,
             arrival_buf: Vec::new(),
@@ -1596,38 +1234,13 @@ impl ServeSession {
             deadline_ns: valid.deadline_ns,
             deadline_s: valid.deadline_s,
             max_inflight: scenario.max_inflight_per_device,
-            horizon_s: scenario.replan.horizon_s,
             charge_switching_downtime: scenario.replan.charge_switching_downtime,
-            slo_trigger: scenario
-                .replan
-                .slo_trigger
-                .map(|t| (t.min_window, valid.slo_cooldown_ns)),
-            last_slo_eval_ns: 0,
-            slo_replan: None,
-            acct: Accounting {
-                slo: SloWindow::new(scenario.slo_window),
-                snapshot_stride: scenario.snapshot_every as u64,
-                until_snapshot: scenario.snapshot_every as u64,
-                max_windows: scenario.max_windows,
-                last_snapshot_seen: 0,
-                latencies: LatAgg::new(streaming),
-                class_stats,
-                usage,
-                executions: vec![0; n_uni],
-                sink,
-                completed: 0,
-                late: 0,
-                shed: 0,
-                windows: Vec::new(),
-                last_completion_ns: 0,
-            },
+            replan: Replanner::new(&scenario.replan, valid.slo_cooldown_ns),
+            acct: Accounting::new(valid)?,
             budget,
             route_costs: Vec::new(),
-            report: ServeReport {
-                seed: scenario.seed.clone(),
-                ..ServeReport::default()
-            },
         };
+        driver.reindex(|ui| active[ui]);
         driver.refresh_model_routes();
 
         for (idx, ev) in driver.events.iter().enumerate() {
@@ -1710,6 +1323,8 @@ mod tests {
         AdmissionPolicy, FleetEvent, FleetEventKind, ModelDeployment, ReplanPolicy,
         SloReplanTrigger, TrafficSource,
     };
+    use crate::report::ReplanTrigger;
+    use s2m3_core::adaptive::replan;
     use s2m3_models::module::ModuleKind;
     use s2m3_sim::workload::ArrivalProcess;
 
@@ -2049,6 +1664,14 @@ mod tests {
         let mut s = small_scenario(10);
         s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
         cases.push((s, "arrivals.rate_per_s"));
+        // A negative event time used to be served at 0 while the report
+        // recorded it as written.
+        let mut s = small_scenario(10);
+        s.events = vec![FleetEvent {
+            at_s: -5.0,
+            kind: slowdown(0.001),
+        }];
+        cases.push((s, "events[0].at_s: must be >= 0 (got -5)"));
         for (s, field) in cases {
             let err = serve(&s).unwrap_err();
             assert!(
@@ -2056,14 +1679,13 @@ mod tests {
                 "{field}: {err}"
             );
         }
-        // A negative event time still clamps to 0, and the smallest
-        // factor is served as written.
-        let mut clamped = small_scenario(10);
-        clamped.events = vec![FleetEvent {
-            at_s: -5.0,
+        // The smallest factor is served as written.
+        let mut smallest = small_scenario(10);
+        smallest.events = vec![FleetEvent {
+            at_s: 5.0,
             kind: slowdown(0.001),
         }];
-        assert!(serve(&clamped).is_ok());
+        assert!(serve(&smallest).is_ok());
 
         // Every problem is reported, one line each, not only the first.
         let mut three = small_scenario(10);
@@ -2251,16 +1873,16 @@ mod tests {
             !event_replan.accepted,
             "the calm-phase join must not clear the gate"
         );
-        let slo_replan = &with.replans[1];
+        let breach_switch = &with.replans[1];
         assert!(
-            matches!(slo_replan.trigger, ReplanTrigger::SloBreach { .. }),
-            "{slo_replan:?}"
+            matches!(breach_switch.trigger, ReplanTrigger::SloBreach { .. }),
+            "{breach_switch:?}"
         );
-        assert!(!slo_replan.mandatory);
-        assert!(slo_replan.accepted);
-        assert!(slo_replan.migrations >= 1);
-        assert!(slo_replan.switching_cost_s > 0.0);
-        assert!(slo_replan.observed_rate_per_s > event_replan.observed_rate_per_s);
+        assert!(!breach_switch.mandatory);
+        assert!(breach_switch.accepted);
+        assert!(breach_switch.migrations >= 1);
+        assert!(breach_switch.switching_cost_s > 0.0);
+        assert!(breach_switch.observed_rate_per_s > event_replan.observed_rate_per_s);
 
         // Without the trigger the rejected join is never revisited and
         // the storm runs on the slow placement: strictly worse SLO.

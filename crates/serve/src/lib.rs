@@ -20,10 +20,10 @@
 //! - **SLO tracking** — bounded ring-buffer windows summarized into
 //!   p50/p95/p99 latency and deadline-miss rates, plus per-device
 //!   utilization;
-//! - **live replanning** — [`FleetEvent`]s (join/leave/slowdown) wake a
-//!   controller that calls [`s2m3_core::adaptive::replan`], accepts
-//!   migrations only when their break-even clears the observed arrival
-//!   rate, and charges switching costs as destination-device downtime;
+//! - **live replanning** — [`FleetEvent`]s and rolling-p95 breaches wake
+//!   the controller in `serve::replan`, which calls
+//!   [`s2m3_core::adaptive::replan`], accepts migrations only when they
+//!   break even at the observed arrival rate, and costs them downtime;
 //! - **budget enforcement** — an optional per-window fleet-wide cost
 //!   cap ([`budget`]): dispatches reserve their route's priced cost and
 //!   the lowest-priority work defers or sheds when a window runs dry.
@@ -50,6 +50,7 @@ pub mod budget;
 pub mod config;
 pub mod engine;
 pub mod queue;
+mod replan;
 pub mod report;
 pub mod slab;
 pub mod slo;

@@ -42,6 +42,17 @@ pub enum Admission {
 /// never affects the order.
 type EdfKey = (u32, u64, u64, u64, u64);
 
+/// The request an EDF heap key was built from.
+fn from_key((inv_priority, deadline_ns, arrival_ns, id, handle): EdfKey) -> QueuedRequest {
+    QueuedRequest {
+        id,
+        handle,
+        arrival_ns,
+        deadline_ns,
+        priority: u32::MAX - inv_priority,
+    }
+}
+
 /// One device's admission queue.
 ///
 /// FIFO and shed-on-overload use arrival order (a `VecDeque`);
@@ -102,15 +113,7 @@ impl AdmissionQueue {
     /// Removes and returns the next request to dispatch, per policy.
     pub fn pop(&mut self) -> Option<QueuedRequest> {
         if self.is_edf() {
-            let Reverse((inv_priority, deadline_ns, arrival_ns, id, handle)) =
-                self.by_deadline.pop()?;
-            return Some(QueuedRequest {
-                id,
-                handle,
-                arrival_ns,
-                deadline_ns,
-                priority: u32::MAX - inv_priority,
-            });
+            return self.by_deadline.pop().map(|Reverse(key)| from_key(key));
         }
         self.waiting.pop_front()
     }
@@ -130,15 +133,7 @@ impl AdmissionQueue {
     /// (`(arrival_ns, id)`), the canonical re-admission order.
     pub fn drain(&mut self) -> Vec<QueuedRequest> {
         let mut out: Vec<QueuedRequest> = self.waiting.drain(..).collect();
-        out.extend(self.by_deadline.drain().map(
-            |Reverse((inv_priority, deadline_ns, arrival_ns, id, handle))| QueuedRequest {
-                id,
-                handle,
-                arrival_ns,
-                deadline_ns,
-                priority: u32::MAX - inv_priority,
-            },
-        ));
+        out.extend(self.by_deadline.drain().map(|Reverse(key)| from_key(key)));
         out.sort_by_key(|qr| (qr.arrival_ns, qr.id));
         out
     }
