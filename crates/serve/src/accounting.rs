@@ -11,6 +11,7 @@ use s2m3_core::sketch::LatencySketch;
 use s2m3_data::sink::{ColumnWriter, CompletionRow};
 use s2m3_sim::kernel::secs;
 
+use crate::arrivals::Arrived;
 use crate::config::ValidScenario;
 use crate::engine::ServeError;
 use crate::report::{ClassReport, DeviceReport, LatencySummary, ServeReport};
@@ -234,59 +235,52 @@ impl Accounting {
         })
     }
 
-    /// A request completed: counters, latency aggregation, the SLO
-    /// window, and the optional sink row. `device` is the universe
-    /// index of the head device (`u32::MAX`: none).
+    /// `req` completed at `now` with its head on universe device
+    /// `device`: counters, latency aggregation, the SLO window, and the
+    /// optional sink row.
     ///
     /// # Errors
     ///
     /// [`ServeError::Sink`] when the sink row cannot be written.
     #[inline]
-    pub fn complete(
-        &mut self,
-        arrival_ns: u64,
-        finish_ns: u64,
-        device: u32,
-        class: Option<u32>,
-        missed: bool,
-        latency_s: f64,
-    ) -> Result<(), ServeError> {
+    pub fn complete(&mut self, req: &Arrived, now: u64, device: usize) -> Result<(), ServeError> {
+        let (latency_s, missed) = (secs(now - req.arrival_ns), now > req.deadline_ns);
         if let Some(w) = self.sink.as_mut() {
             w.push(CompletionRow {
-                arrival_ns,
-                finish_ns,
-                device,
-                class,
+                arrival_ns: req.arrival_ns,
+                finish_ns: now,
+                device: device as u32,
+                class: req.class,
                 latency_s,
             })
             .map_err(|e| ServeError::Sink(e.to_string()))?;
         }
-        if let Some(ci) = class {
+        if let Some(ci) = req.class {
             self.class_stats[ci as usize].complete(missed, latency_s);
         }
         self.total.complete(missed, latency_s);
-        self.last_completion_ns = self.last_completion_ns.max(finish_ns);
+        self.last_completion_ns = self.last_completion_ns.max(now);
         self.outcome(Outcome {
-            completed_at_s: secs(finish_ns),
+            completed_at_s: secs(now),
             latency_s,
             missed,
         });
         Ok(())
     }
 
-    /// A request was shed at `at_s`: counters and the SLO window only —
-    /// no latency sample, no sink row. A shed request is an SLO miss;
-    /// the window records it at `latency_s` (the deadline bound) so
-    /// percentiles reflect the rejection.
+    /// `req` was shed at `now`: counters and the SLO window only — no
+    /// latency sample, no sink row. A shed request is an SLO miss; the
+    /// window records it at its deadline bound so percentiles reflect
+    /// the rejection.
     #[inline]
-    pub fn shed(&mut self, at_s: f64, latency_s: f64, class: Option<u32>) {
+    pub fn shed(&mut self, req: &Arrived, now: u64) {
         self.total.shed += 1;
-        if let Some(ci) = class {
+        if let Some(ci) = req.class {
             self.class_stats[ci as usize].shed += 1;
         }
         self.outcome(Outcome {
-            completed_at_s: at_s,
-            latency_s,
+            completed_at_s: secs(now),
+            latency_s: secs(req.deadline_ns - req.arrival_ns),
             missed: true,
         });
     }
@@ -517,12 +511,15 @@ mod tests {
             ..ServeScenario::churn_default()
         };
         let valid = scenario.validate().unwrap();
+        let on_time = Arrived {
+            deadline_ns: u64::MAX,
+            ..Arrived::default()
+        };
         for (completions, windows) in [(2, 1), (3, 2), (4, 2)] {
             let mut acct = Accounting::new(&valid).unwrap();
             for i in 1..=completions {
                 acct.arrive(None);
-                let at = i * 1_000_000_000;
-                acct.complete(0, at, 0, None, false, secs(at)).unwrap();
+                acct.complete(&on_time, i * 1_000_000_000, 0).unwrap();
             }
             let now = acct.last_completion_ns();
             let report = fold(acct, &valid, now, &[]);
@@ -552,11 +549,22 @@ mod tests {
         for class in [0, 0, 0, 0, 1, 1] {
             acct.arrive(Some(class));
         }
+        // Arrived at 0 and done at 2 s, due at 3 s (on time) or 1 s.
         for (class, missed) in [(0, false), (0, false), (0, true), (1, false)] {
-            acct.complete(0, 2_000_000_000, 0, Some(class), missed, 2.0)
-                .unwrap();
+            let req = Arrived {
+                class: Some(class),
+                deadline_ns: if missed { 1 } else { 3 } * 1_000_000_000,
+                ..Arrived::default()
+            };
+            acct.complete(&req, 2_000_000_000, 0).unwrap();
         }
-        acct.shed(2.0, 1.0, Some(0));
+        let shed = Arrived {
+            class: Some(0),
+            arrival_ns: 1_000_000_000,
+            deadline_ns: 2_000_000_000,
+            ..Arrived::default()
+        };
+        acct.shed(&shed, 2_000_000_000);
         let names = valid.class_names.clone();
         let report = fold(acct, &valid, 2_000_000_000, &names);
         let folded: Vec<_> = report

@@ -282,8 +282,8 @@ pub(crate) struct BudgetState {
     windows_total: u64,
     windows_over_cap: u64,
     latency_price_ns: u64,
-    /// `[deferred, shed]` per deadline class.
-    by_class: Vec<[u64; 2]>,
+    /// `(priority, [deferred, shed])` per deadline class.
+    by_class: Vec<(u32, [u64; 2])>,
     deferred: BinaryHeap<Reverse<Deferred>>,
     /// Virtual time of the pending wake, if any (at most one is).
     wake_at: Option<u64>,
@@ -291,8 +291,8 @@ pub(crate) struct BudgetState {
 
 impl BudgetState {
     /// Builds the state for a validated policy over the universe
-    /// `devices` (by universe index) and `n_classes` deadline classes.
-    pub fn new(policy: BudgetPolicy, n_classes: usize, devices: &[String]) -> Self {
+    /// `devices` and the deadline classes' `class_priorities`, by index.
+    pub fn new(policy: BudgetPolicy, class_priorities: &[u32], devices: &[String]) -> Self {
         let cost_model = match policy.metric {
             BudgetMetric::DeviceSeconds => CostModel::uniform(1.0),
             BudgetMetric::Custom { per_device_rate } => CostModel::uniform(per_device_rate),
@@ -323,7 +323,7 @@ impl BudgetState {
             windows_total: 0,
             windows_over_cap: 0,
             latency_price_ns: 0,
-            by_class: vec![[0, 0]; n_classes],
+            by_class: class_priorities.iter().map(|&p| (p, [0, 0])).collect(),
             deferred: BinaryHeap::new(),
             wake_at: None,
         }
@@ -484,12 +484,12 @@ impl BudgetState {
     /// Counts a deferral (`column` 0) or a shed (1) against `class`.
     fn note_class(&mut self, class: Option<u32>, column: usize) {
         if let Some(ci) = class {
-            self.by_class[ci as usize][column] += 1;
+            self.by_class[ci as usize].1[column] += 1;
         }
     }
 
     /// Closes the open window and folds everything into the report.
-    pub fn finish(mut self, class_names: &[String], class_priorities: &[u32]) -> BudgetReport {
+    pub fn finish(mut self, class_names: &[String]) -> BudgetReport {
         self.close_current();
         let adherence = if self.windows_total == 0 {
             1.0
@@ -498,9 +498,8 @@ impl BudgetState {
         };
         let classes = class_names
             .iter()
-            .zip(class_priorities)
             .zip(&self.by_class)
-            .map(|((name, &priority), &[deferred, shed])| BudgetClassReport {
+            .map(|(name, &(priority, [deferred, shed]))| BudgetClassReport {
                 class: name.clone(),
                 priority,
                 deferred,
@@ -545,7 +544,7 @@ mod tests {
     }
 
     fn state(cap: f64, enforcement: BudgetEnforcement) -> BudgetState {
-        BudgetState::new(policy(cap, enforcement), 2, &[])
+        BudgetState::new(policy(cap, enforcement), &[5, 0], &[])
     }
 
     /// A popped request: arrival sequence `seq` (also its handle),
@@ -595,7 +594,7 @@ mod tests {
         // Jump 5 windows ahead: only the active one is recorded.
         b.roll(52 * S);
         b.charge(1.0);
-        let r = b.finish(&[], &[]);
+        let r = b.finish(&[]);
         assert_eq!(r.windows_total, 2);
         assert_eq!(r.windows.len(), 2);
         assert_eq!(r.windows[0].index, 0);
@@ -615,7 +614,7 @@ mod tests {
             b.roll(i * 20 * S);
             b.charge(1.0);
         }
-        let r = b.finish(&[], &[]);
+        let r = b.finish(&[]);
         assert_eq!(r.windows_total, active);
         assert_eq!(r.windows.len(), BudgetReport::MAX_WINDOW_ROWS);
         for (i, w) in r.windows.iter().enumerate() {
@@ -641,7 +640,7 @@ mod tests {
         assert_eq!(offer(&mut b, 0, 5.0, 0), Verdict::Dispatch);
         assert_eq!(offer(&mut b, 1, 0.1, S), Verdict::Defer);
         assert_eq!(offer(&mut b, 2, 5.0, 10 * S), Verdict::Dispatch);
-        let r = b.finish(&[], &[]);
+        let r = b.finish(&[]);
         assert_eq!((r.dispatched, r.deferred, r.shed), (2, 1, 0));
         assert_eq!(r.spend_total, 10.0);
     }
@@ -658,7 +657,7 @@ mod tests {
             // cap itself refuses it.
             assert_eq!(offer(&mut b, 0, 5.5, 0), Verdict::Shed, "{mode:?}");
             assert_eq!(b.next_wake(), None, "{mode:?}: nothing parked");
-            let r = b.finish(&[], &[]);
+            let r = b.finish(&[]);
             assert_eq!((r.dispatched, r.deferred, r.shed), (0, 0, 1), "{mode:?}");
             assert_eq!(r.shadow_spend_total, 5.5, "{mode:?}");
         }
@@ -679,7 +678,7 @@ mod tests {
             b.gate(&qr, &mut mark, Some(1), 1.0, deadline_ns + 1),
             Verdict::Shed
         );
-        let r = b.finish(&["a".into(), "b".into()], &[1, 0]);
+        let r = b.finish(&["a".into(), "b".into()]);
         assert_eq!((r.deferred, r.shed), (1, 1));
         assert_eq!((r.classes[1].deferred, r.classes[1].shed), (1, 1));
         assert_eq!((r.classes[0].deferred, r.classes[0].shed), (0, 0));
@@ -694,7 +693,7 @@ mod tests {
         // A fleet leave voided the attempt: the retry reserves again,
         // but the uncapped run would have paid for it only once.
         assert_eq!(b.gate(&qr, &mut mark, None, 3.0, S), Verdict::Dispatch);
-        let r = b.finish(&[], &[]);
+        let r = b.finish(&[]);
         assert_eq!(r.shadow_spend_total, 3.0);
         assert_eq!(r.spend_total, 6.0);
         assert_eq!(r.dispatched, 2);
@@ -721,7 +720,7 @@ mod tests {
             Verdict::Dispatch
         );
         assert_eq!(b.next_wake(), None);
-        let r = b.finish(&[], &[]);
+        let r = b.finish(&[]);
         assert_eq!(r.latency_price_s, 19.0);
         assert_eq!(r.deferred, 1, "a request counts as deferred once");
         assert_eq!(r.shadow_spend_total, 3.0);
@@ -750,7 +749,6 @@ mod tests {
     #[test]
     fn report_folds_classes_and_latency_price() {
         let names = vec!["interactive".to_string(), "batch".to_string()];
-        let prios = vec![5, 0];
         let mut b = state(1.0, BudgetEnforcement::DeferThenShed);
         let far = u64::MAX / 2;
         assert_eq!(offer(&mut b, 0, 1.0, 0), Verdict::Dispatch);
@@ -769,11 +767,12 @@ mod tests {
             b.gate(&qr, &mut parked, Some(1), 1.0, at),
             Verdict::Dispatch
         );
-        let r = b.finish(&names, &prios);
+        let r = b.finish(&names);
         assert_eq!(r.deferred, 1);
         assert_eq!(r.shed, 2);
         assert_eq!(r.classes.len(), 2);
         assert_eq!(r.classes[1].class, "batch");
+        assert_eq!((r.classes[0].priority, r.classes[1].priority), (5, 0));
         assert_eq!(r.classes[1].deferred, 1);
         assert_eq!(r.classes[1].shed, 1);
         assert_eq!(r.classes[0].deferred, 0);
@@ -801,11 +800,11 @@ mod tests {
         custom.metric = BudgetMetric::Custom {
             per_device_rate: 2.0,
         };
-        let b = BudgetState::new(custom, 0, &devices);
+        let b = BudgetState::new(custom, &[], &devices);
         assert_eq!(b.route_cost(&route, &uni_of_res), 4.5);
         let mut energy = policy(1.0, BudgetEnforcement::Shed);
         energy.metric = BudgetMetric::Energy;
-        let b = BudgetState::new(energy, 0, &devices);
+        let b = BudgetState::new(energy, &[], &devices);
         // Only the encoder on the profiled server (320 W active, 90 W
         // idle) costs anything.
         assert_eq!(b.route_cost(&route, &uni_of_res), 0.5 * 230.0);

@@ -690,6 +690,7 @@ pub(crate) struct ValidScenario<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::serve;
 
     #[test]
     fn default_scenario_meets_acceptance_shape() {
@@ -776,5 +777,209 @@ mod tests {
         let back = ServeScenario::from_json(&j).unwrap();
         assert_eq!(s, back);
         assert!(ServeScenario::from_json("{not json").is_err());
+    }
+
+    fn small_scenario(n: usize) -> ServeScenario {
+        ServeScenario {
+            requests: n,
+            events: vec![],
+            ..ServeScenario::churn_default()
+        }
+    }
+
+    #[test]
+    fn bad_scenarios_are_rejected() {
+        let mut no_requester = small_scenario(10);
+        no_requester.initial_devices = vec!["desktop".to_string(), "laptop".to_string()];
+        assert!(matches!(
+            serve(&no_requester),
+            Err(ServeError::BadScenario(_))
+        ));
+
+        let mut requester_leaves = small_scenario(10);
+        requester_leaves.events = vec![FleetEvent {
+            at_s: 1.0,
+            kind: FleetEventKind::DeviceLeave {
+                device: "jetson-a".to_string(),
+            },
+        }];
+        assert!(matches!(
+            serve(&requester_leaves),
+            Err(ServeError::BadScenario(_))
+        ));
+
+        let mut bad_fleet = small_scenario(10);
+        bad_fleet.fleet = "mars".to_string();
+        assert!(serve(&bad_fleet).is_err());
+
+        let mut unknown_model = small_scenario(10);
+        unknown_model.models = vec![ModelDeployment {
+            name: "CLIP ViT-Z/99".to_string(),
+            candidates: 1,
+        }];
+        assert!(matches!(serve(&unknown_model), Err(ServeError::Core(_))));
+
+        for cooldown_s in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut bad_cooldown = small_scenario(10);
+            bad_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
+                min_window: 4,
+                cooldown_s,
+            });
+            let err = serve(&bad_cooldown).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadScenario(m) if m.contains("cooldown_s")),
+                "{cooldown_s}: {err}"
+            );
+        }
+        let mut zero_cooldown = small_scenario(10);
+        zero_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
+            min_window: 4,
+            cooldown_s: 0.0,
+        });
+        assert!(serve(&zero_cooldown).is_ok(), "0 = every completion");
+
+        // Times past the clock's range, or not numbers at all, are
+        // rejected by name rather than saturated or clamped.
+        let slowdown = |factor| FleetEventKind::DeviceSlowdown {
+            device: "desktop".to_string(),
+            factor,
+        };
+        let mut cases: Vec<(ServeScenario, &str)> = Vec::new();
+        for value in [f64::NAN, f64::INFINITY, 1.0e300] {
+            let mut s = small_scenario(10);
+            s.deadline_s = value;
+            cases.push((s, "deadline_s"));
+            let mut s = small_scenario(10);
+            s.classes = vec![s2m3_sim::workload::ClassShare {
+                class: s2m3_core::problem::DeadlineClass {
+                    name: "far".to_string(),
+                    deadline_s: value,
+                    priority: 0,
+                },
+                weight: 1.0,
+            }];
+            // The workload layer already rejects a non-finite one.
+            cases.push((s, "deadline"));
+            let mut s = small_scenario(10);
+            s.events = vec![FleetEvent {
+                at_s: value,
+                kind: slowdown(0.5),
+            }];
+            cases.push((s, "events[0].at_s"));
+        }
+        // A factor below a thousandth used to be served as 0.001.
+        for factor in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -1.0,
+            0.000_999,
+        ] {
+            let mut s = small_scenario(10);
+            s.events = vec![FleetEvent {
+                at_s: 1.0,
+                kind: slowdown(factor),
+            }];
+            cases.push((s, "events[0].factor"));
+        }
+        // A deadline at or before arrival is not an SLO: it used to be
+        // served as 1 ms, reporting every request late.
+        for value in [0.0, -5.0, f64::NEG_INFINITY] {
+            let mut s = small_scenario(10);
+            s.deadline_s = value;
+            cases.push((s, "deadline_s: must be > 0"));
+        }
+        // A NaN or negative horizon would clamp to 0 and reject every
+        // optional replan; a zero arrival rate would draw infinite gaps.
+        for value in [f64::NAN, -5.0] {
+            let mut s = small_scenario(10);
+            s.replan.horizon_s = value;
+            cases.push((s, "replan.horizon_s: must be finite and >= 0"));
+        }
+        // Zeros used to be served as 1: one in-flight request per
+        // device, a snapshot on every completion.
+        let mut s = small_scenario(10);
+        s.max_inflight_per_device = 0;
+        cases.push((s, "max_inflight_per_device: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.snapshot_every = 0;
+        cases.push((s, "snapshot_every: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.slo_window = 0;
+        cases.push((s, "slo_window: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.replan.slo_trigger = Some(SloReplanTrigger {
+            min_window: 0,
+            cooldown_s: 60.0,
+        });
+        cases.push((s, "replan.slo_trigger.min_window: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.batch = Some(crate::config::BatchPolicy {
+            max_batch: 0,
+            per_kind: Vec::new(),
+        });
+        cases.push((s, "batch.max_batch: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.batch = Some(crate::config::BatchPolicy {
+            max_batch: 4,
+            per_kind: [(ModuleKind::TextEncoder, 2), (ModuleKind::LanguageModel, 0)]
+                .map(|(kind, max_batch)| crate::config::KindBatchCap { kind, max_batch })
+                .to_vec(),
+        });
+        cases.push((s, "batch.per_kind[1].max_batch: must be >= 1 (got 0)"));
+        let mut s = small_scenario(10);
+        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
+        cases.push((s, "arrivals.rate_per_s"));
+        // A negative event time used to be served at 0 while the report
+        // recorded it as written.
+        let mut s = small_scenario(10);
+        s.events = vec![FleetEvent {
+            at_s: -5.0,
+            kind: slowdown(0.001),
+        }];
+        cases.push((s, "events[0].at_s: must be >= 0 (got -5)"));
+        for (s, field) in cases {
+            let err = serve(&s).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadScenario(m) if m.contains(field)),
+                "{field}: {err}"
+            );
+        }
+        // The smallest factor is served as written.
+        let mut smallest = small_scenario(10);
+        smallest.events = vec![FleetEvent {
+            at_s: 5.0,
+            kind: slowdown(0.001),
+        }];
+        assert!(serve(&smallest).is_ok());
+
+        // Every problem is reported, one line each, not only the first.
+        let mut three = small_scenario(10);
+        three.deadline_s = f64::NAN;
+        three.sources = vec![TrafficSource {
+            device: "mars".to_string(),
+            arrivals: ArrivalProcess::Poisson { rate_per_s: 0.5 },
+            weight: None,
+            mix: None,
+        }];
+        three.events = vec![FleetEvent {
+            at_s: 5.0,
+            kind: FleetEventKind::DeviceJoin {
+                device: "laptop".to_string(),
+            },
+        }];
+        let Err(ServeError::BadScenario(msg)) = serve(&three) else {
+            panic!("three faults must be a bad scenario");
+        };
+        let lines: Vec<&str> = msg.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "sources[0].device: not in the standard fleet (got `mars`)",
+                "deadline_s: must be finite and at most 9223372036.854776 s (got NaN)",
+                "events[0]: joins a device already active (got `laptop`)",
+            ]
+        );
     }
 }

@@ -26,22 +26,24 @@
 //!
 //! ## Stages
 //!
-//! The engine owns the request lifetime — arrival → admit → drain →
-//! dispatch → complete or shed — and fleet membership, and asks each
-//! stage questions instead of writing its state:
+//! The engine keeps the glue of the request lifetime — arrival → admit →
+//! budget gate → dispatch → complete or shed — fleet membership, and
+//! every write to the kernel: dispatch expands a request into tasks, and
+//! an accepted switch's download + load cost is charged as downtime on
+//! its destination devices. The loop runs on [`ResolvedInstance`]
+//! indices and keeps per-device state by *universe* device index;
+//! string ids survive only at the boundary (scenario parsing, replan
+//! diffs, the [`ServeReport`]). Each stage owns its state and is tested
+//! without a kernel:
 //!
-//! - [`crate::budget`]: the cost cap — dispatch verdicts, window wakes,
-//!   route pricing, and the replan gate's feasibility term;
-//! - `replan`: the replan controller — the SLO trigger, the memoised
-//!   candidate, the break-even gate, and the fleet-event, replan and
-//!   rejected-run records;
-//! - `accounting`: request counters, the SLO window, latency
-//!   aggregation, device usage and the completion sink, folded into the
-//!   report at the end.
-//!
-//! The engine charges an accepted switch's download + load cost as
-//! downtime on its destination devices and re-routes: both need the
-//! kernel.
+//! - `arrivals`: the lazy workload stream, numbering, deadlines, priorities;
+//! - [`crate::queue`]: the per-device admission queues and in-flight slots;
+//! - `routes`: the per-(model, source) route cache and per-model costs;
+//! - [`crate::budget`]: the cost cap — verdicts, window wakes, pricing;
+//! - `replan`: the SLO trigger, the memoised candidate, the break-even
+//!   and feasibility gate, and the event, replan and rejected-run records;
+//! - `accounting`: counters, the SLO window, latency aggregation, device
+//!   usage and the completion sink, folded into the report at the end.
 //!
 //! ## Checked before the first event
 //!
@@ -56,19 +58,11 @@
 //!
 //! Exact and streaming runs drive the same request lifetime: the
 //! request [`Slab`] recycles, the kernel's tables start empty and grow
-//! to the in-flight peak, and ordering keys on the arrival sequence
-//! (`ReqInfo::seq`), never on the slot, so slot reuse is invisible to
-//! every report. [`ServeScenario::streaming`] selects only how latencies
-//! are *aggregated* — every sample (the one O(requests) table an exact
-//! run keeps) or a sketch — and whether a completion sink is attached.
-//!
-//! ## Hot-path representation
-//!
-//! The loop runs on [`ResolvedInstance`] indices, per-device state lives
-//! in `Vec`s by *universe* device index, and each per-model, per-source
-//! route is priced by [`ResolvedInstance::price_route`] and cached in
-//! nanoseconds until the next replan. String ids survive only at the
-//! boundary: scenario parsing, replan diffs, and the [`ServeReport`].
+//! to the in-flight peak, and ordering keys on the arrival sequence,
+//! never on the slot, so slot reuse is invisible to every report.
+//! [`ServeScenario::streaming`] selects only how latencies are
+//! *aggregated* — every sample (the one O(requests) table an exact run
+//! keeps) or a sketch — and whether a completion sink is attached.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -77,20 +71,20 @@ use s2m3_core::adaptive::Migration;
 use s2m3_core::error::CoreError;
 use s2m3_core::placement::{greedy_place_resolved, PlacementOptions};
 use s2m3_core::problem::{Instance, Placement};
-use s2m3_core::resolved::{PricedRoute, ResolvedInstance};
+use s2m3_core::resolved::ResolvedInstance;
 use s2m3_net::fleet::Fleet;
 use s2m3_sim::kernel::{
     ns, secs, Device as LaneDevice, Driver, Kernel, Policy as KernelPolicy, RequestSlot, Scheduler,
-    MAX_ARRIVAL_S,
 };
-use s2m3_sim::workload::{WorkloadRequest, WorkloadStream};
 
 use crate::accounting::Accounting;
+use crate::arrivals::{Arrivals, Arrived};
 use crate::budget::{BudgetState, Mark, Verdict};
 use crate::config::{FleetChange, ServeScenario, ValidEvent, ValidScenario};
-use crate::queue::{Admission, AdmissionQueue, QueuedRequest};
+use crate::queue::{Admission, QueuedRequest, Queues};
 use crate::replan::Replanner;
 use crate::report::{ReplanTrigger, ServeReport};
+use crate::routes::{RoutedTask, Routes};
 use crate::slab::{ReqHandle, Slab};
 
 /// Errors surfaced by the serving loop.
@@ -127,7 +121,7 @@ impl From<CoreError> for ServeError {
 enum ServeEv {
     /// A scheduled fleet change (index into the time-sorted event list).
     Fleet(usize),
-    /// The next buffered request arrives (`Online::next_seq` numbers it).
+    /// The next arrival [`Arrivals::next_ns`] announced.
     Arrival,
     /// A fresh budget window opens: re-admit deferred requests.
     BudgetWake,
@@ -147,73 +141,13 @@ struct TaskInfo {
 /// Driver-side request bookkeeping (the kernel keeps the fan-in state).
 #[derive(Debug, Clone, Default)]
 struct ReqInfo {
-    /// Arrival sequence number, unique and monotone: queue ordering and
-    /// re-admission key on it, never on the recyclable slab slot.
-    seq: u64,
-    arrival_ns: u64,
-    deadline_ns: u64,
-    /// Rank of the traffic source that emitted this request.
-    source: usize,
-    /// Deployed-model index, drawn by the workload's model mix.
-    model: usize,
-    /// Admission priority of the deadline class (0 without classes).
-    priority: u32,
-    /// Deadline-class index (`None` for unclassed scenarios).
-    class: Option<u32>,
+    /// The request as it arrived. Queue ordering and re-admission key on
+    /// its sequence number, never on the recyclable slab slot.
+    req: Arrived,
     /// Universe index of the device holding its in-flight slot.
     inflight_on: Option<usize>,
     /// The budget gate's history of this request.
     budget: Mark,
-}
-
-/// Driver-side per-device serving state (the kernel owns lanes/queues;
-/// usage accounting lives in [`Accounting`]).
-#[derive(Debug)]
-struct DevExtra {
-    /// Requests dispatched and not yet finished whose head lives here.
-    inflight: usize,
-    admission: AdmissionQueue,
-}
-
-/// One routed encoder of a cached per-model route.
-#[derive(Debug, Clone, Copy)]
-struct EncRoute {
-    module: u32,
-    /// Universe device index.
-    uni: usize,
-    units: f64,
-    input_tx_ns: u64,
-    output_tx_ns: u64,
-}
-
-/// The Eq. 7 route of one deployed model under the current placement
-/// and instance *for one traffic source*, with every dispatch-time
-/// transfer precomputed. Valid until the next replan; every request of
-/// the (model, source) pair shares it.
-#[derive(Debug, Clone, Copy)]
-struct ModelRoute {
-    head_module: u32,
-    head_uni: usize,
-    head_units: f64,
-    /// Raw-query transfer to the head device (generative heads), ns.
-    head_query_tx_ns: u64,
-    /// Start of this route's encoders in [`Online::route_encs`], in
-    /// dispatch order (longest compute first).
-    enc_start: u32,
-    /// Number of encoders in this route.
-    enc_len: u32,
-}
-
-/// Scratch reused across route pricing, so a route refresh allocates
-/// nothing after warm-up.
-#[derive(Debug, Default)]
-struct RouteScratch {
-    /// Per-module host table.
-    hosts: Vec<Vec<u32>>,
-    /// One model's module route.
-    route: Vec<(u32, u32)>,
-    /// One route's pricing.
-    priced: PricedRoute,
 }
 
 /// The online driver: everything scenario-specific the kernel does not
@@ -233,49 +167,23 @@ struct Online {
     /// Resolved index of each universe device (`None` while inactive).
     res_of_uni: Vec<Option<u32>>,
     placement: Placement,
-    /// Universe index of each traffic source, by rank.
-    sources: Vec<usize>,
-    /// Cached route per `model * n_sources + source` (`None`: the
-    /// placement cannot serve it, and arrivals shed).
-    model_routes: Vec<Option<ModelRoute>>,
-    /// Encoder pool every [`ModelRoute`] slices, refilled in place.
-    route_encs: Vec<EncRoute>,
-    scratch: RouteScratch,
-    devices: Vec<DevExtra>,
     /// Request table by slot (the kernel's request ids): freed slots
     /// recycle, so it stays O(in-flight).
     requests: Slab<ReqInfo>,
-    // --- workload ---
-    /// The lazily pulled merged arrival stream, never materialized.
-    stream: WorkloadStream,
-    /// Upcoming arrivals, sampled in batches so the stream merge
-    /// amortizes (draws stay in stream order), read front to back via
-    /// `arrival_cursor`. The event queue holds one future arrival.
-    arrival_buf: Vec<WorkloadRequest>,
-    /// Next unconsumed index into `arrival_buf`.
-    arrival_cursor: usize,
-    /// Arrival sequence counter (`ReqInfo::seq` of the next arrival).
-    next_seq: u64,
-    /// Per-class `(deadline_ns, priority)`, by class id.
-    class_table: Vec<(u64, u32)>,
     /// Class names, indexed by class id (report boundary).
     class_names: Vec<String>,
     /// The fleet schedule in firing order (`ServeEv::Fleet` indexes it).
     events: Vec<ValidEvent>,
-    deadline_ns: u64,
     deadline_s: f64,
-    max_inflight: usize,
     charge_switching_downtime: bool,
     // --- stages ---
-    /// The replan controller ([`crate::replan`]).
+    arrivals: Arrivals,
+    queues: Queues,
+    routes: Routes,
     replan: Replanner,
-    /// Counters, windows and usage ([`crate::accounting`]).
     acct: Accounting,
     /// Budget-enforcement state (`None`: uncapped).
     budget: Option<BudgetState>,
-    /// Per-model route cost under the current placement, refreshed with
-    /// the route cache (empty without a budget).
-    route_costs: Vec<f64>,
 }
 
 type K = Kernel<ServeEv, TaskInfo>;
@@ -297,12 +205,11 @@ impl Driver for Online {
         group: &[usize],
         now: u64,
     ) -> Result<u64, BoxedErr> {
-        // With `batch: None` the group is always a single task (the hot
-        // path); under a `BatchPolicy` same-module queued runs merge and
-        // the per-execution overhead is paid once — the same arithmetic
-        // the bounded engine uses for `SimConfig::max_batch`.
-        // A leave cancels the device's tasks and re-indexes the fleet
-        // before the kernel runs again.
+        // A group is one task unless a `BatchPolicy` merges same-module
+        // queued runs, paying the per-execution overhead once (the
+        // bounded engine's `SimConfig::max_batch` arithmetic). A leave
+        // cancels the device's tasks and re-indexes the fleet before
+        // the kernel runs again.
         let rd = self.res_of_uni[device].expect("tasks dispatch only on active devices");
         let mut dur_s = 0.0;
         for &tid in group {
@@ -376,21 +283,7 @@ impl Online {
     /// applied, re-interning the resolved view and the index maps.
     fn rebuild_instance(&mut self, k: &K) -> Result<(), ServeError> {
         self.reindex(|ui| k.devices[ui].active);
-        let mut specs = Vec::new();
-        for &ui in &self.uni_of_res {
-            let d = &self.universe.devices()[ui];
-            let mut spec = d.clone();
-            if let Some(factor) = self.slowdown[ui] {
-                spec.speed_gflops = (d.speed_gflops * factor).max(1e-6);
-            }
-            specs.push(spec);
-        }
-        let fleet = Fleet::new(
-            specs,
-            self.universe.topology().clone(),
-            self.universe.requester().clone(),
-        )
-        .expect("a validated schedule never removes the requester");
+        let fleet = sub_fleet(&self.universe, &self.uni_of_res, &self.slowdown);
         self.instance = self.instance.with_fleet(fleet)?;
         self.replan.forget();
         self.resolved = Arc::new(ResolvedInstance::new(&self.instance)?);
@@ -407,113 +300,42 @@ impl Online {
         }
     }
 
-    /// The resolved index of the last traffic source, whose route
-    /// prices a model's budget cost.
-    fn last_source(&self) -> u32 {
-        self.res_of_uni[*self.sources.last().expect("a scenario has sources")]
-            .expect("sources never leave the fleet")
-    }
-
-    /// Recomputes the per-(model, source) route cache, and the budget's
-    /// route costs, after a placement change. Allocation-free after
-    /// warm-up: the scratch and the encoder pool refill in place.
-    fn refresh_model_routes(&mut self) {
-        let RouteScratch {
-            hosts,
-            route,
-            priced,
-        } = &mut self.scratch;
-        self.resolved.resolve_placement_into(&self.placement, hosts);
-        let n_sources = self.sources.len();
-        self.model_routes.clear();
-        self.route_encs.clear();
-        for (m, model) in self.resolved.models().iter().enumerate() {
-            let profile = model.profile;
-            if !self.resolved.route_model_into(m, &profile, hosts, route) {
-                self.model_routes.extend((0..n_sources).map(|_| None));
-                continue;
-            }
-            for &src in &self.sources {
-                let source = self.res_of_uni[src].expect("sources never leave the fleet");
-                self.resolved.price_route(&profile, source, route, priced);
-                let enc_start = self.route_encs.len() as u32;
-                self.route_encs
-                    .extend(priced.encoders.iter().map(|e| EncRoute {
-                        module: e.module,
-                        uni: self.uni_of_res[e.device as usize],
-                        units: e.units,
-                        input_tx_ns: ns(e.input_tx),
-                        output_tx_ns: ns(e.output_tx),
-                    }));
-                self.model_routes.push(Some(ModelRoute {
-                    head_module: priced.head.module,
-                    head_uni: self.uni_of_res[priced.head.device as usize],
-                    head_units: priced.head.units,
-                    head_query_tx_ns: ns(priced.head.input_tx),
-                    enc_start,
-                    enc_len: self.route_encs.len() as u32 - enc_start,
-                }));
-            }
-        }
-        if let Some(budget) = &self.budget {
-            let cost = |priced: &PricedRoute| budget.route_cost(priced, &self.uni_of_res);
-            let (source, scratch) = (self.last_source(), &mut self.scratch);
-            let costs = model_route_costs(&self.resolved, &self.placement, source, scratch, cost);
-            self.route_costs.clear();
-            // Unroutable models shed at admission, before the budget
-            // gate: their 0 keeps model indexing.
-            for cost in costs {
-                self.route_costs.push(cost.unwrap_or(0.0));
-            }
-        }
+    /// Re-prices the route cache after a placement or fleet change.
+    fn refresh_routes(&mut self) {
+        let (uni, res, budget) = (&self.uni_of_res, &self.res_of_uni, self.budget.as_ref());
+        self.routes
+            .refresh(&self.resolved, &self.placement, uni, res, budget);
     }
 
     /// Offers a request to its head device's admission queue.
     fn admit(&mut self, k: &mut K, rid: usize, now: u64) {
-        let r = &self.requests[rid];
-        let Some(head_uni) = self.model_routes[r.model * self.sources.len() + r.source]
-            .as_ref()
-            .map(|mr| mr.head_uni)
-        else {
-            self.record_shed(rid, now);
-            return;
-        };
-        let outcome = self.devices[head_uni].admission.offer(QueuedRequest {
-            id: r.seq,
+        let req = self.requests[rid].req;
+        let queued = QueuedRequest {
+            id: req.seq,
             handle: self.requests.handle_of(rid).pack(),
-            arrival_ns: r.arrival_ns,
-            deadline_ns: r.deadline_ns,
-            priority: r.priority,
-        });
-        if outcome == Admission::Shed {
-            self.record_shed(rid, now);
-        } else {
-            self.drain_admission(k, head_uni, now);
+            arrival_ns: req.arrival_ns,
+            deadline_ns: req.deadline_ns,
+            priority: req.priority,
+        };
+        // An unroutable request sheds before it queues.
+        match self.routes.get(req.model, req.source).map(|mr| mr.head.uni) {
+            Some(ui) if self.queues.offer(ui, queued) == Admission::Queued => {
+                self.drain_admission(k, ui, now)
+            }
+            _ => self.record_shed(rid, now),
         }
     }
 
     /// Dispatches queued requests while the device has free request slots.
     fn drain_admission(&mut self, k: &mut K, device: usize, now: u64) {
-        loop {
-            let popped = {
-                let dev = &mut self.devices[device];
-                // Empty-queue first: the common case bails without
-                // touching the kernel's device table at all.
-                if dev.admission.is_empty()
-                    || dev.inflight >= self.max_inflight
-                    || !k.devices[device].active
-                {
-                    return;
-                }
-                dev.admission.pop()
-            };
-            let Some(qr) = popped else { return };
+        while let Some(qr) = self.queues.pop_ready(device, || k.devices[device].active) {
             let handle = ReqHandle::unpack(qr.handle);
             debug_assert!(self.requests.is_current(handle));
             let slot = handle.slot as usize;
             let verdict = self.budget.as_mut().map_or(Verdict::Dispatch, |budget| {
                 let r = &mut self.requests[slot];
-                budget.gate(&qr, &mut r.budget, r.class, self.route_costs[r.model], now)
+                let cost = self.routes.cost(r.req.model);
+                budget.gate(&qr, &mut r.budget, r.req.class, cost, now)
             });
             match verdict {
                 Verdict::Dispatch => self.dispatch_request(k, slot, now),
@@ -551,87 +373,46 @@ impl Online {
 
     /// Expands a request into module tasks from its model's cached route.
     fn dispatch_request(&mut self, k: &mut K, rid: usize, now: u64) {
-        let r = &self.requests[rid];
-        let Some(mr) = self.model_routes[r.model * self.sources.len() + r.source] else {
-            self.record_shed(rid, now);
-            return;
-        };
-        let head_uni = mr.head_uni;
-        let head_ready = now + mr.head_query_tx_ns;
-
-        let head_task = k.spawn_task(
-            rid,
-            mr.head_module,
-            head_uni,
-            true,
-            TaskInfo {
-                units: mr.head_units,
-                output_tx_ns: 0,
-                dur_ns: 0,
-            },
+        let req = &self.requests[rid].req;
+        let mr = *self.routes.get(req.model, req.source).expect(
+            "only routable requests queue: admission sheds the rest, \
+             and every route change re-admits the waiting",
         );
-
+        let task = |t: &RoutedTask| TaskInfo {
+            units: t.units,
+            output_tx_ns: t.output_tx_ns,
+            dur_ns: 0,
+        };
+        let head_task = k.spawn_task(rid, mr.head.module, mr.head.uni, true, task(&mr.head));
         // Ready events push inline: task spawning never touches the
         // event queue, so the push sequence (hence the run) is the same
         // as staging them — without a second per-request allocation.
-        let encs = mr.enc_start as usize..(mr.enc_start + mr.enc_len) as usize;
-        let mut pending = 0usize;
-        for ei in encs {
-            let e = self.route_encs[ei];
-            let tid = k.spawn_task(
-                rid,
-                e.module,
-                e.uni,
-                false,
-                TaskInfo {
-                    units: e.units,
-                    output_tx_ns: e.output_tx_ns,
-                    dur_ns: 0,
-                },
-            );
+        let encoders = self.routes.encoders(&mr);
+        for e in encoders {
+            let tid = k.spawn_task(rid, e.module, e.uni, false, task(e));
             k.push_ready(now + e.input_tx_ns, tid);
-            pending += 1;
         }
-
-        k.set_request(
-            rid,
-            RequestSlot {
-                pending_encoders: pending,
-                head_ready_ns: head_ready,
-                head_task,
-            },
-        );
-        self.requests[rid].inflight_on = Some(head_uni);
-        self.devices[head_uni].inflight += 1;
-
-        if pending == 0 {
+        let head_ready = now + mr.head.input_tx_ns;
+        let slot = RequestSlot {
+            pending_encoders: encoders.len(),
+            head_ready_ns: head_ready,
+            head_task,
+        };
+        k.set_request(rid, slot);
+        self.requests[rid].inflight_on = Some(mr.head.uni);
+        self.queues.dispatched(mr.head.uni);
+        if slot.pending_encoders == 0 {
             k.push_ready(head_ready, head_task);
         }
     }
 
     fn complete_request(&mut self, k: &mut K, rid: usize, now: u64) -> Result<(), BoxedErr> {
-        let (arrival_ns, deadline_ns, head_dev, class) = {
-            let r = &mut self.requests[rid];
-            (r.arrival_ns, r.deadline_ns, r.inflight_on.take(), r.class)
-        };
-        if let Some(ui) = head_dev {
-            self.devices[ui].inflight = self.devices[ui].inflight.saturating_sub(1);
-        }
-        let latency = secs(now - arrival_ns);
-        let missed = now > deadline_ns;
-        self.acct
-            .complete(
-                arrival_ns,
-                now,
-                head_dev.map_or(u32::MAX, |u| u as u32),
-                class,
-                missed,
-                latency,
-            )
-            .map_err(Box::new)?;
-        if let Some(ui) = head_dev {
-            self.drain_admission(k, ui, now);
-        }
+        let r = &mut self.requests[rid];
+        let (req, head) = (r.req, r.inflight_on.take());
+        let head = head.expect("a completing request holds a slot");
+        self.queues.release(head);
+        self.acct.complete(&req, now, head).map_err(Box::new)?;
+        self.drain_admission(k, head, now);
         if self.replan.slo_due(self.acct.slo(), self.deadline_s, now) {
             self.slo_breach(k, now)?;
         }
@@ -641,11 +422,7 @@ impl Online {
     }
 
     fn record_shed(&mut self, rid: usize, now: u64) {
-        let r = &self.requests[rid];
-        // A shed request is an SLO miss; the window records it at the
-        // deadline bound so percentiles reflect the rejection.
-        let bound_s = secs(r.deadline_ns.saturating_sub(r.arrival_ns));
-        self.acct.shed(secs(now), bound_s, r.class);
+        self.acct.shed(&self.requests[rid].req, now);
         self.requests.free(rid);
     }
 
@@ -658,7 +435,7 @@ impl Online {
         }
         let rid = handle.slot as usize;
         if let Some(ui) = self.requests[rid].inflight_on.take() {
-            self.devices[ui].inflight = self.devices[ui].inflight.saturating_sub(1);
+            self.queues.release(ui);
         }
         self.acct.retry();
         self.admit(k, rid, now);
@@ -688,22 +465,22 @@ impl Online {
         }
     }
 
-    /// Re-keys every waiting request against the current placement,
-    /// oldest arrivals first.
-    fn rekey_waiting(&mut self, k: &mut K, now: u64) {
-        let mut waiting: Vec<QueuedRequest> = Vec::new();
-        for i in 0..self.by_name_order.len() {
-            let ui = self.by_name_order[i];
-            waiting.extend(self.devices[ui].admission.drain());
-        }
-        waiting.sort_by_key(|qr| (qr.arrival_ns, qr.id));
-        for qr in waiting {
+    /// Re-routes after a placement or fleet change: re-keys the waiting,
+    /// then re-admits the `disturbed`, each oldest arrival first, then
+    /// runs one dispatch + admission round over every device by name.
+    fn reroute(
+        &mut self,
+        k: &mut K,
+        disturbed: BTreeSet<(u64, u64)>,
+        now: u64,
+    ) -> Result<(), BoxedErr> {
+        self.refresh_routes();
+        for qr in self.queues.drain_waiting(&self.by_name_order) {
             self.admit(k, ReqHandle::unpack(qr.handle).slot as usize, now);
         }
-    }
-
-    /// One dispatch + admission round over every device, in name order.
-    fn kick_all(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
+        for (_, handle) in disturbed {
+            self.requeue_request(k, ReqHandle::unpack(handle), now);
+        }
         for i in 0..self.by_name_order.len() {
             let ui = self.by_name_order[i];
             k.try_dispatch(ui, now, self)?;
@@ -741,10 +518,8 @@ impl Online {
         // first regardless of slab slot numbering.
         let mut disturbed: BTreeSet<(u64, u64)> = BTreeSet::new();
         if let FleetChange::Leave = ev.change {
-            for qr in self.devices[ui].admission.drain() {
-                disturbed.insert((qr.id, qr.handle));
-            }
-            self.devices[ui].inflight = 0;
+            // Its in-flight requests release their slots as they requeue.
+            disturbed.extend(self.queues.leave(ui).iter().map(|qr| (qr.id, qr.handle)));
             // Scan for stranded live tasks *before* resetting the
             // lanes: with task recycling the reset releases the
             // device's queued task slots, severing their request links.
@@ -755,7 +530,10 @@ impl Online {
                 }
                 let req = k.tasks.req(tid);
                 hit[req] = true;
-                disturbed.insert((self.requests[req].seq, self.requests.handle_of(req).pack()));
+                disturbed.insert((
+                    self.requests[req].req.seq,
+                    self.requests.handle_of(req).pack(),
+                ));
             }
             // A disturbed request's whole attempt is void, on every
             // device: its surviving encoders must not feed the fan-in
@@ -783,15 +561,7 @@ impl Online {
             self.placement
                 .retain(|_, d| resolved.device_index(d).is_some());
         }
-        self.refresh_model_routes();
-
-        // Re-key every waiting request against the (possibly new)
-        // placement, oldest arrivals first, then re-admit the disturbed.
-        self.rekey_waiting(k, now);
-        for (_, handle) in disturbed {
-            self.requeue_request(k, ReqHandle::unpack(handle), now);
-        }
-        self.kick_all(k, now)
+        self.reroute(k, disturbed, now)
     }
 
     /// Asks the replan controller for its verdict on its candidate (see
@@ -805,16 +575,11 @@ impl Online {
         at_s: f64,
         now: u64,
     ) -> bool {
-        let source = self.last_source();
-        let (resolved, scratch, uni_of_res) = (&self.resolved, &mut self.scratch, &self.uni_of_res);
         let rate = self.acct.observed_rate(now);
-        let spend = |budget: &BudgetState, placement: &Placement| {
-            let cost = |priced: &PricedRoute| budget.route_cost(priced, uni_of_res);
-            let (total, routable) = model_route_costs(resolved, placement, source, scratch, cost)
-                .flatten()
-                .fold((0.0, 0usize), |(total, n), cost| (total + cost, n + 1));
-            // No routable model: `total` is 0 and so is the mean.
-            total / routable.max(1) as f64
+        let (routes, resolved) = (&mut self.routes, &self.resolved);
+        let (uni, res) = (&self.uni_of_res, &self.res_of_uni);
+        let spend = |budget: &BudgetState, candidate: &Placement| {
+            routes.mean_cost(candidate, resolved, uni, res, budget)
         };
         let (budget, replan) = (self.budget.as_ref(), &mut self.replan);
         let Some(decision) = replan.verdict(trigger, queued, at_s, rate, budget, spend) else {
@@ -841,57 +606,20 @@ impl Online {
             deadline_s: self.deadline_s,
         };
         // The backlog a switch would drain earns the queue credit.
-        let queued = self.devices.iter().map(|d| d.admission.len() as u64).sum();
+        let queued = self.queues.queued();
         if self.switch(k, trigger, queued, secs(now), now) {
-            self.refresh_model_routes();
-            self.rekey_waiting(k, now);
-            self.kick_all(k, now)?;
+            self.reroute(k, BTreeSet::new(), now)?;
         }
         Ok(())
     }
 
-    /// Arrivals sampled from the workload stream per buffer refill.
-    const ARRIVAL_BATCH: usize = 64;
-
-    /// The next unscheduled arrival, sampling a fresh batch from the
-    /// stream when the buffer runs dry. Draws stay in stream order, so
-    /// batching is invisible to the generated workload.
-    fn peek_arrival(&mut self) -> Option<&WorkloadRequest> {
-        if self.arrival_cursor == self.arrival_buf.len() {
-            self.arrival_cursor = 0;
-            self.arrival_buf.clear();
-            let stream = &mut self.stream;
-            self.arrival_buf
-                .extend(std::iter::from_fn(|| stream.next_request()).take(Self::ARRIVAL_BATCH));
-        }
-        self.arrival_buf.get(self.arrival_cursor)
-    }
-
     fn arrival(&mut self, k: &mut K, now: u64) -> Result<(), BoxedErr> {
-        let rec = *self
-            .arrival_buf
-            .get(self.arrival_cursor)
-            .expect("arrival event fired without a buffered record");
-        self.arrival_cursor += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        // A classed request carries its own SLO; unclassed requests use
-        // the scenario-wide deadline at priority 0.
-        let (deadline_ns, priority) = match rec.class {
-            Some(ci) => self.class_table[ci as usize],
-            None => (self.deadline_ns, 0),
-        };
-        self.acct.arrive(rec.class);
+        let req = self.arrivals.take(now);
+        self.acct.arrive(req.class);
         // `insert_with` hands back a recycled slot's previous value:
         // every field is overwritten.
         let handle = self.requests.insert_with(|r| {
-            r.seq = seq;
-            r.arrival_ns = now;
-            r.deadline_ns = now + deadline_ns;
-            r.source = rec.source as usize;
-            r.model = rec.model as usize;
-            r.priority = priority;
-            r.class = rec.class;
+            r.req = req;
             r.inflight_on = None;
             r.budget = Mark::default();
         });
@@ -899,8 +627,8 @@ impl Online {
         k.set_request(slot, RequestSlot::default());
         // Schedule the next arrival lazily: the event queue holds at
         // most one future arrival at a time.
-        if let Some(&next) = self.peek_arrival() {
-            k.push_custom(arrival_ns(&next, self.next_seq)?, ServeEv::Arrival);
+        if let Some(at) = self.arrivals.next_ns().map_err(Box::new)? {
+            k.push_custom(at, ServeEv::Arrival);
         }
         self.admit(k, slot, now);
         Ok(())
@@ -915,15 +643,8 @@ impl Online {
         // when a session is finished before running to idle (its kernel
         // events are dropped with the session, so the request can never
         // complete; shedding it keeps `arrived == completed + shed`).
-        let leftover: Vec<usize> = self
-            .by_name_order
-            .clone()
-            .into_iter()
-            .flat_map(|ui| self.devices[ui].admission.drain())
-            .map(|qr| ReqHandle::unpack(qr.handle).slot as usize)
-            .collect();
-        for rid in leftover {
-            self.record_shed(rid, now);
+        for qr in self.queues.drain(&self.by_name_order) {
+            self.record_shed(ReqHandle::unpack(qr.handle).slot as usize, now);
         }
         // Mid-flight requests, shed oldest arrival first: seq order
         // keeps the flush deterministic under slot reuse. The slab
@@ -931,7 +652,7 @@ impl Online {
         let mut inflight: Vec<(u64, usize)> = self
             .requests
             .iter_occupied()
-            .map(|(slot, r)| (r.seq, slot))
+            .map(|(slot, r)| (r.req.seq, slot))
             .collect();
         inflight.sort_unstable();
         for (_, rid) in inflight {
@@ -941,58 +662,29 @@ impl Online {
         let report = self
             .acct
             .finish(now, &self.class_names, &self.uni_names, &self.by_name_order);
-        let budget = self.budget.map(|budget| {
-            let priorities: Vec<u32> = self.class_table.iter().map(|&(_, p)| p).collect();
-            budget.finish(&self.class_names, &priorities)
-        });
         ServeReport {
             events,
             replans,
             rejected_slo,
-            budget,
+            budget: self.budget.map(|budget| budget.finish(&self.class_names)),
             ..report
         }
     }
 }
 
-/// Every deployed model's per-request route cost under `placement`, in
-/// model order (`None`: `placement` cannot route it), as `cost` prices
-/// the route from `source` — compute ignores the query's origin, so one
-/// source's pricing costs the route for all.
-fn model_route_costs<'a>(
-    resolved: &'a ResolvedInstance,
-    placement: &Placement,
-    source: u32,
-    scratch: &'a mut RouteScratch,
-    cost: impl Fn(&PricedRoute) -> f64 + 'a,
-) -> impl Iterator<Item = Option<f64>> + 'a {
-    resolved.resolve_placement_into(placement, &mut scratch.hosts);
-    resolved.models().iter().enumerate().map(move |(m, model)| {
-        let RouteScratch {
-            hosts,
-            route,
-            priced,
-        } = &mut *scratch;
-        let routable = resolved.route_model_into(m, &model.profile, hosts, route);
-        routable.then(|| {
-            resolved.price_route(&model.profile, source, route, priced);
-            cost(priced)
-        })
-    })
-}
-
-/// The clock time of a sampled arrival. The stream is lazy, so an
-/// arrival past the clock's range is the one scenario fault that can
-/// only show when it is drawn; `index` numbers it in arrival order.
-#[inline]
-fn arrival_ns(arrival: &WorkloadRequest, index: u64) -> Result<u64, BoxedErr> {
-    if arrival.at_ns > 1 << 63 {
-        return Err(Box::new(ServeError::BadScenario(format!(
-            "arrival {index}: at_s must be at most {MAX_ARRIVAL_S} s (got {:e})",
-            arrival.at_s
-        ))));
+/// The fleet of the universe devices `members`, each slowed by its
+/// `slowdown` factor. A validated scenario never removes the requester.
+fn sub_fleet(universe: &Fleet, members: &[usize], slowdown: &[Option<f64>]) -> Fleet {
+    let mut specs = Vec::new();
+    for &ui in members {
+        let mut spec = universe.devices()[ui].clone();
+        if let Some(factor) = slowdown[ui] {
+            spec.speed_gflops = (spec.speed_gflops * factor).max(1e-6);
+        }
+        specs.push(spec);
     }
-    Ok(arrival.at_ns)
+    let (topology, requester) = (universe.topology().clone(), universe.requester().clone());
+    Fleet::new(specs, topology, requester).expect("the requester is a member")
 }
 
 /// The replica-invariant prefix of a serving run: the initial instance,
@@ -1046,20 +738,9 @@ pub fn prepare(scenario: &ServeScenario) -> Result<SharedStart, ServeError> {
 
 fn prepare_valid(valid: &ValidScenario) -> Result<SharedStart, ServeError> {
     let scenario = valid.scenario;
-    let universe = &valid.universe;
-    let devices: Vec<_> = universe
-        .devices()
-        .iter()
-        .zip(&valid.active)
-        .filter(|(_, &a)| a)
-        .map(|(d, _)| d.clone())
-        .collect();
-    let initial_fleet = Fleet::new(
-        devices,
-        universe.topology().clone(),
-        universe.requester().clone(),
-    )
-    .expect("a validated scenario starts with its requester");
+    let active = &valid.active;
+    let members: Vec<usize> = (0..active.len()).filter(|&ui| active[ui]).collect();
+    let initial_fleet = sub_fleet(&valid.universe, &members, &vec![None; active.len()]);
     let models: Vec<(String, usize)> = scenario
         .models
         .iter()
@@ -1136,55 +817,33 @@ impl ServeSession {
         by_name_order.sort_by_key(|&ui| &uni_names[ui]);
         let active = &valid.active;
 
-        // The merged arrival stream, from the unified workload layer:
-        // sim and serve share this generator (see
-        // `s2m3_sim::workload::WorkloadSpec`).
-        let stream = valid
-            .workload
-            .stream(scenario.requests, &valid.model_names)
-            .map_err(|e| ServeError::BadScenario(e.to_string()))?;
+        let arrivals = Arrivals::new(valid)?;
+        let budget = scenario.budget.as_ref().map(|policy| {
+            let classes = &valid.workload.classes;
+            let priorities: Vec<u32> = classes.iter().map(|c| c.class.priority).collect();
+            BudgetState::new(policy.clone(), &priorities, &uni_names)
+        });
 
-        let budget = scenario
-            .budget
-            .as_ref()
-            .map(|policy| BudgetState::new(policy.clone(), valid.class_names.len(), &uni_names));
-
-        // --- Instance, placement, resolved index maps: the
-        //     replica-invariant prefix, shared instead of rebuilt. ---
-        let instance = shared.instance.clone();
-        let resolved = Arc::clone(&shared.resolved);
-        let placement = shared.placement.clone();
-
-        // --- Kernel + driver device state over the whole universe. ---
-        let (lane_devices, devices): (Vec<LaneDevice>, Vec<DevExtra>) = universe
+        let lane_devices: Vec<LaneDevice> = universe
             .devices()
             .iter()
             .zip(active)
             .map(|(d, &active)| {
                 let mut lanes = LaneDevice::new(d.parallelism.max(1), 0);
                 lanes.active = active;
-                let admission = AdmissionQueue::new(scenario.admission.clone());
-                (
-                    lanes,
-                    DevExtra {
-                        inflight: 0,
-                        admission,
-                    },
-                )
+                lanes
             })
-            .unzip();
+            .collect();
 
-        // Batching policy: `None` keeps the singleton fast path (and
-        // the golden fixtures); a `BatchPolicy` enables the kernel's
-        // same-module merge with per-module caps resolved from the
-        // per-kind overrides (module interning is stable across fleet
-        // rebuilds — the model set never changes — so the cap table
-        // survives replans).
+        // Batching: `None` keeps the singleton fast path (and the golden
+        // fixtures); a `BatchPolicy` merges same-module runs under
+        // per-module caps from the per-kind overrides, which survive
+        // replans (the model set, hence module interning, never changes).
         let batch = scenario.batch.as_ref().map(|b| b.max_batch);
         let module_batch_caps: Vec<usize> = match &scenario.batch {
-            Some(b) if !b.per_kind.is_empty() => (0..resolved.module_count() as u32)
+            Some(b) if !b.per_kind.is_empty() => (0..shared.resolved.module_count() as u32)
                 .map(|m| {
-                    let kind = resolved.module_kind(m);
+                    let kind = shared.resolved.module_kind(m);
                     b.per_kind
                         .iter()
                         .find(|c| c.kind == kind)
@@ -1213,43 +872,33 @@ impl ServeSession {
             uni_names,
             by_name_order,
             slowdown: vec![None; active.len()],
-            instance,
-            resolved,
+            // The replica-invariant prefix, shared instead of rebuilt.
+            instance: shared.instance.clone(),
+            resolved: Arc::clone(&shared.resolved),
             uni_of_res: Vec::new(),
             res_of_uni: Vec::new(),
-            placement,
-            sources: valid.sources.clone(),
-            model_routes: Vec::new(),
-            route_encs: Vec::new(),
-            scratch: RouteScratch::default(),
-            devices,
+            placement: shared.placement.clone(),
             requests: Slab::new(true, 0),
-            stream,
-            arrival_buf: Vec::new(),
-            arrival_cursor: 0,
-            next_seq: 0,
-            class_table: valid.class_table.clone(),
             class_names: valid.class_names.clone(),
             events: valid.events.clone(),
-            deadline_ns: valid.deadline_ns,
             deadline_s: valid.deadline_s,
-            max_inflight: scenario.max_inflight_per_device,
             charge_switching_downtime: scenario.replan.charge_switching_downtime,
+            arrivals,
+            queues: Queues::new(valid),
+            routes: Routes::new(valid),
             replan: Replanner::new(&scenario.replan, valid.slo_cooldown_ns),
             acct: Accounting::new(valid)?,
             budget,
-            route_costs: Vec::new(),
         };
         driver.reindex(|ui| active[ui]);
-        driver.refresh_model_routes();
+        driver.refresh_routes();
 
         for (idx, ev) in driver.events.iter().enumerate() {
             kernel.push_custom(ev.at_ns, ServeEv::Fleet(idx));
         }
-        let first = *driver
-            .peek_arrival()
-            .expect("a non-empty stream yields a first arrival");
-        kernel.push_custom(arrival_ns(&first, 0).map_err(|e| *e)?, ServeEv::Arrival);
+        let first = driver.arrivals.next_ns()?;
+        let first = first.expect("a non-empty stream yields a first arrival");
+        kernel.push_custom(first, ServeEv::Arrival);
 
         Ok(ServeSession { kernel, driver })
     }
@@ -1326,6 +975,7 @@ mod tests {
     use crate::report::ReplanTrigger;
     use s2m3_core::adaptive::replan;
     use s2m3_models::module::ModuleKind;
+    use s2m3_sim::kernel::MAX_ARRIVAL_S;
     use s2m3_sim::workload::ArrivalProcess;
 
     fn small_scenario(n: usize) -> ServeScenario {
@@ -1518,202 +1168,6 @@ mod tests {
         assert!(report.events[0].description.contains("slows"));
         assert_eq!(report.replans.len(), 1);
         assert_eq!(report.completed + report.shed, report.arrived);
-    }
-
-    #[test]
-    fn bad_scenarios_are_rejected() {
-        let mut no_requester = small_scenario(10);
-        no_requester.initial_devices = vec!["desktop".to_string(), "laptop".to_string()];
-        assert!(matches!(
-            serve(&no_requester),
-            Err(ServeError::BadScenario(_))
-        ));
-
-        let mut requester_leaves = small_scenario(10);
-        requester_leaves.events = vec![FleetEvent {
-            at_s: 1.0,
-            kind: FleetEventKind::DeviceLeave {
-                device: "jetson-a".to_string(),
-            },
-        }];
-        assert!(matches!(
-            serve(&requester_leaves),
-            Err(ServeError::BadScenario(_))
-        ));
-
-        let mut bad_fleet = small_scenario(10);
-        bad_fleet.fleet = "mars".to_string();
-        assert!(serve(&bad_fleet).is_err());
-
-        let mut unknown_model = small_scenario(10);
-        unknown_model.models = vec![ModelDeployment {
-            name: "CLIP ViT-Z/99".to_string(),
-            candidates: 1,
-        }];
-        assert!(matches!(serve(&unknown_model), Err(ServeError::Core(_))));
-
-        for cooldown_s in [f64::NAN, f64::INFINITY, -1.0] {
-            let mut bad_cooldown = small_scenario(10);
-            bad_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
-                min_window: 4,
-                cooldown_s,
-            });
-            let err = serve(&bad_cooldown).unwrap_err();
-            assert!(
-                matches!(&err, ServeError::BadScenario(m) if m.contains("cooldown_s")),
-                "{cooldown_s}: {err}"
-            );
-        }
-        let mut zero_cooldown = small_scenario(10);
-        zero_cooldown.replan.slo_trigger = Some(SloReplanTrigger {
-            min_window: 4,
-            cooldown_s: 0.0,
-        });
-        assert!(serve(&zero_cooldown).is_ok(), "0 = every completion");
-
-        // Times past the clock's range, or not numbers at all, are
-        // rejected by name rather than saturated or clamped.
-        let slowdown = |factor| FleetEventKind::DeviceSlowdown {
-            device: "desktop".to_string(),
-            factor,
-        };
-        let mut cases: Vec<(ServeScenario, &str)> = Vec::new();
-        for value in [f64::NAN, f64::INFINITY, 1.0e300] {
-            let mut s = small_scenario(10);
-            s.deadline_s = value;
-            cases.push((s, "deadline_s"));
-            let mut s = small_scenario(10);
-            s.classes = vec![s2m3_sim::workload::ClassShare {
-                class: s2m3_core::problem::DeadlineClass {
-                    name: "far".to_string(),
-                    deadline_s: value,
-                    priority: 0,
-                },
-                weight: 1.0,
-            }];
-            // The workload layer already rejects a non-finite one.
-            cases.push((s, "deadline"));
-            let mut s = small_scenario(10);
-            s.events = vec![FleetEvent {
-                at_s: value,
-                kind: slowdown(0.5),
-            }];
-            cases.push((s, "events[0].at_s"));
-        }
-        // A factor below a thousandth used to be served as 0.001.
-        for factor in [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -1.0,
-            0.000_999,
-        ] {
-            let mut s = small_scenario(10);
-            s.events = vec![FleetEvent {
-                at_s: 1.0,
-                kind: slowdown(factor),
-            }];
-            cases.push((s, "events[0].factor"));
-        }
-        // A deadline at or before arrival is not an SLO: it used to be
-        // served as 1 ms, reporting every request late.
-        for value in [0.0, -5.0, f64::NEG_INFINITY] {
-            let mut s = small_scenario(10);
-            s.deadline_s = value;
-            cases.push((s, "deadline_s: must be > 0"));
-        }
-        // A NaN or negative horizon would clamp to 0 and reject every
-        // optional replan; a zero arrival rate would draw infinite gaps.
-        for value in [f64::NAN, -5.0] {
-            let mut s = small_scenario(10);
-            s.replan.horizon_s = value;
-            cases.push((s, "replan.horizon_s: must be finite and >= 0"));
-        }
-        // Zeros used to be served as 1: one in-flight request per
-        // device, a snapshot on every completion.
-        let mut s = small_scenario(10);
-        s.max_inflight_per_device = 0;
-        cases.push((s, "max_inflight_per_device: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.snapshot_every = 0;
-        cases.push((s, "snapshot_every: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.slo_window = 0;
-        cases.push((s, "slo_window: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.replan.slo_trigger = Some(SloReplanTrigger {
-            min_window: 0,
-            cooldown_s: 60.0,
-        });
-        cases.push((s, "replan.slo_trigger.min_window: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.batch = Some(crate::config::BatchPolicy {
-            max_batch: 0,
-            per_kind: Vec::new(),
-        });
-        cases.push((s, "batch.max_batch: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.batch = Some(crate::config::BatchPolicy {
-            max_batch: 4,
-            per_kind: [(ModuleKind::TextEncoder, 2), (ModuleKind::LanguageModel, 0)]
-                .map(|(kind, max_batch)| crate::config::KindBatchCap { kind, max_batch })
-                .to_vec(),
-        });
-        cases.push((s, "batch.per_kind[1].max_batch: must be >= 1 (got 0)"));
-        let mut s = small_scenario(10);
-        s.arrivals = ArrivalProcess::Poisson { rate_per_s: 0.0 };
-        cases.push((s, "arrivals.rate_per_s"));
-        // A negative event time used to be served at 0 while the report
-        // recorded it as written.
-        let mut s = small_scenario(10);
-        s.events = vec![FleetEvent {
-            at_s: -5.0,
-            kind: slowdown(0.001),
-        }];
-        cases.push((s, "events[0].at_s: must be >= 0 (got -5)"));
-        for (s, field) in cases {
-            let err = serve(&s).unwrap_err();
-            assert!(
-                matches!(&err, ServeError::BadScenario(m) if m.contains(field)),
-                "{field}: {err}"
-            );
-        }
-        // The smallest factor is served as written.
-        let mut smallest = small_scenario(10);
-        smallest.events = vec![FleetEvent {
-            at_s: 5.0,
-            kind: slowdown(0.001),
-        }];
-        assert!(serve(&smallest).is_ok());
-
-        // Every problem is reported, one line each, not only the first.
-        let mut three = small_scenario(10);
-        three.deadline_s = f64::NAN;
-        three.sources = vec![TrafficSource {
-            device: "mars".to_string(),
-            arrivals: ArrivalProcess::Poisson { rate_per_s: 0.5 },
-            weight: None,
-            mix: None,
-        }];
-        three.events = vec![FleetEvent {
-            at_s: 5.0,
-            kind: FleetEventKind::DeviceJoin {
-                device: "laptop".to_string(),
-            },
-        }];
-        let Err(ServeError::BadScenario(msg)) = serve(&three) else {
-            panic!("three faults must be a bad scenario");
-        };
-        let lines: Vec<&str> = msg.lines().collect();
-        assert_eq!(
-            lines,
-            [
-                "sources[0].device: not in the standard fleet (got `mars`)",
-                "deadline_s: must be finite and at most 9223372036.854776 s (got NaN)",
-                "events[0]: joins a device already active (got `laptop`)",
-            ]
-        );
     }
 
     #[test]
@@ -2511,7 +1965,10 @@ mod tests {
         let n_classes = report.classes.len() as u32;
         for r in &rows {
             assert!(r.finish_ns >= r.arrival_ns);
-            assert!(r.device != u32::MAX, "completions carry their head device");
+            assert!(
+                (r.device as usize) < report.devices.len(),
+                "completions carry their head device"
+            );
             if let Some(c) = r.class {
                 assert!(c < n_classes);
             }

@@ -10,10 +10,13 @@
 //!
 //! - **request streams** — any seeded
 //!   [`ArrivalProcess`](s2m3_sim::workload::ArrivalProcess), including
-//!   the bursty MMPP, diurnal, and trace-replay variants;
+//!   the bursty MMPP, diurnal, and trace-replay variants, drawn lazily
+//!   (`serve::arrivals`);
 //! - **admission control** — per-device queues under
-//!   [`AdmissionPolicy`]: FIFO, earliest-deadline-first, or
-//!   shed-on-overload;
+//!   [`AdmissionPolicy`] (FIFO, earliest-deadline-first, or
+//!   shed-on-overload) and in-flight request slots ([`queue`]);
+//! - **parallel routing** — every (model, source) route priced once per
+//!   placement and cached in nanoseconds (`serve::routes`);
 //! - **discrete-event execution** — per-device lanes with module-level
 //!   FIFO queues and head-priority dispatch, mirroring
 //!   `s2m3_sim::engine`'s semantics;
@@ -27,6 +30,9 @@
 //! - **budget enforcement** — an optional per-window fleet-wide cost
 //!   cap ([`budget`]): dispatches reserve their route's priced cost and
 //!   the lowest-priority work defers or sheds when a window runs dry.
+//!
+//! Each stage owns its state and is tested without a kernel;
+//! [`engine`] keeps the request lifetime and every write to the kernel.
 //!
 //! ## Example
 //!
@@ -46,12 +52,14 @@
 #![forbid(unsafe_code)]
 
 mod accounting;
+mod arrivals;
 pub mod budget;
 pub mod config;
 pub mod engine;
 pub mod queue;
 mod replan;
 pub mod report;
+mod routes;
 pub mod slab;
 pub mod slo;
 pub mod trace;

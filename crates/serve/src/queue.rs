@@ -4,7 +4,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::config::AdmissionPolicy;
+use crate::config::{AdmissionPolicy, ValidScenario};
 
 /// A queued request: everything the dispatcher needs to order it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -139,9 +139,92 @@ impl AdmissionQueue {
     }
 }
 
+/// The online engine's admission stage: per device (by universe index)
+/// an [`AdmissionQueue`] and its in-flight requests, under a shared cap.
+pub(crate) struct Queues {
+    queues: Vec<AdmissionQueue>,
+    inflight: Vec<usize>,
+    max_inflight: usize,
+}
+
+impl Queues {
+    /// Empty queues for every device of a validated scenario's fleet.
+    pub(crate) fn new(valid: &ValidScenario) -> Self {
+        let n = valid.universe.devices().len();
+        Queues {
+            queues: vec![AdmissionQueue::new(valid.scenario.admission.clone()); n],
+            inflight: vec![0; n],
+            max_inflight: valid.scenario.max_inflight_per_device,
+        }
+    }
+
+    /// Offers `request` to device `ui`'s queue.
+    #[inline]
+    pub(crate) fn offer(&mut self, ui: usize, request: QueuedRequest) -> Admission {
+        self.queues[ui].offer(request)
+    }
+
+    /// The next request device `ui` may dispatch: none while its queue
+    /// is empty, its slots are full or `active()` says it is out. The
+    /// empty check comes first, so the common case asks nothing else.
+    #[inline]
+    pub(crate) fn pop_ready(
+        &mut self,
+        ui: usize,
+        active: impl FnOnce() -> bool,
+    ) -> Option<QueuedRequest> {
+        let queue = &mut self.queues[ui];
+        if queue.is_empty() || self.inflight[ui] >= self.max_inflight || !active() {
+            return None;
+        }
+        queue.pop()
+    }
+
+    /// A request was dispatched with its head on `ui`: it holds a slot.
+    #[inline]
+    pub(crate) fn dispatched(&mut self, ui: usize) {
+        self.inflight[ui] += 1;
+    }
+
+    /// A request holding a slot on `ui` finished or was cancelled.
+    #[inline]
+    pub(crate) fn release(&mut self, ui: usize) {
+        debug_assert!(self.inflight[ui] > 0, "device {ui} holds no slot");
+        self.inflight[ui] -= 1;
+    }
+
+    /// Device `ui` left: its waiting requests, in arrival order.
+    pub(crate) fn leave(&mut self, ui: usize) -> Vec<QueuedRequest> {
+        self.queues[ui].drain()
+    }
+
+    /// Empties the queues of the devices in `order`, each in arrival order.
+    pub(crate) fn drain(&mut self, order: &[usize]) -> Vec<QueuedRequest> {
+        let mut out = Vec::new();
+        for &ui in order {
+            out.extend(self.queues[ui].drain());
+        }
+        out
+    }
+
+    /// Empties every queue (visited in `order`) for re-keying: oldest
+    /// arrival first, `(arrival_ns, id)`.
+    pub(crate) fn drain_waiting(&mut self, order: &[usize]) -> Vec<QueuedRequest> {
+        let mut waiting = self.drain(order);
+        waiting.sort_by_key(|qr| (qr.arrival_ns, qr.id));
+        waiting
+    }
+
+    /// Requests waiting across every queue.
+    pub(crate) fn queued(&self) -> u64 {
+        self.queues.iter().map(|q| q.len() as u64).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ServeScenario;
 
     fn req(id: u64, arrival_ns: u64, deadline_ns: u64) -> QueuedRequest {
         QueuedRequest {
@@ -258,5 +341,98 @@ mod tests {
         let drained: Vec<u64> = q.drain().iter().map(|r| r.id).collect();
         assert_eq!(drained, vec![0, 1, 2]);
         assert!(q.is_empty());
+    }
+
+    /// Queues over the standard fleet's devices under `admission`, at
+    /// most `max_inflight` dispatched requests per device.
+    fn queues(admission: AdmissionPolicy, max_inflight: usize) -> Queues {
+        let s = ServeScenario {
+            admission,
+            max_inflight_per_device: max_inflight,
+            ..ServeScenario::churn_default()
+        };
+        Queues::new(&s.validate().unwrap())
+    }
+
+    /// Pops device `ui` dry, dispatching each request it yields.
+    fn pop_all(q: &mut Queues, ui: usize) -> Vec<u64> {
+        let mut ids = Vec::new();
+        while let Some(qr) = q.pop_ready(ui, || true) {
+            q.dispatched(ui);
+            ids.push(qr.id);
+        }
+        ids
+    }
+
+    #[test]
+    fn the_inflight_cap_holds_until_a_slot_is_released() {
+        let mut q = queues(AdmissionPolicy::Fifo, 2);
+        for i in 0..5 {
+            q.offer(1, req(i, i, 100));
+        }
+        assert_eq!(pop_all(&mut q, 1), [0, 1]);
+        q.release(1);
+        assert_eq!(pop_all(&mut q, 1), [2]);
+        assert_eq!(q.queued(), 2);
+    }
+
+    #[test]
+    fn an_inactive_device_pops_nothing() {
+        let mut q = queues(AdmissionPolicy::Fifo, 4);
+        q.offer(0, req(0, 0, 100));
+        assert_eq!(q.pop_ready(0, || false), None);
+        let mut asked = false;
+        assert_eq!(
+            q.pop_ready(2, || {
+                asked = true;
+                true
+            }),
+            None
+        );
+        assert!(!asked, "an empty queue answers before asking");
+        assert_eq!(pop_all(&mut q, 0), [0]);
+    }
+
+    #[test]
+    fn drain_waiting_comes_out_oldest_arrival_first() {
+        let mut q = queues(AdmissionPolicy::EarliestDeadlineFirst, 1);
+        q.offer(2, req(4, 30, 10));
+        q.offer(0, req(1, 10, 900));
+        q.offer(1, req(3, 10, 5));
+        q.offer(0, req(2, 20, 1));
+        assert_eq!(q.queued(), 4);
+        let ids: Vec<u64> = q.drain_waiting(&[2, 0, 1]).iter().map(|r| r.id).collect();
+        assert_eq!(ids, [1, 3, 2, 4]);
+        assert_eq!(q.queued(), 0);
+    }
+
+    #[test]
+    fn queued_sums_every_queue() {
+        let mut q = queues(AdmissionPolicy::ShedOnOverload { max_queue: 2 }, 1);
+        for (ui, id) in [(0, 0), (0, 1), (0, 2), (3, 3)] {
+            q.offer(ui, req(id, id, 100));
+        }
+        assert_eq!(q.queued(), 3, "the third offer to device 0 shed");
+        assert_eq!(q.drain(&[3, 0]).len(), 3);
+    }
+
+    #[test]
+    fn a_leave_keeps_inflight_slots_until_each_request_releases_its_own() {
+        let mut q = queues(AdmissionPolicy::Fifo, 2);
+        for i in 0..4 {
+            q.offer(1, req(i, i, 100));
+        }
+        assert_eq!(pop_all(&mut q, 1), [0, 1]);
+        let waiting: Vec<u64> = q.leave(1).iter().map(|r| r.id).collect();
+        assert_eq!(waiting, [2, 3]);
+        // The engine requeues the two cancelled in-flight requests, each
+        // releasing the slot it held.
+        q.release(1);
+        q.release(1);
+        // Rejoined, the device dispatches up to the cap again.
+        for i in 4..8 {
+            q.offer(1, req(i, i, 100));
+        }
+        assert_eq!(pop_all(&mut q, 1), [4, 5]);
     }
 }

@@ -262,7 +262,7 @@ mod tests {
 
     /// A device-seconds budget of `cap` per 60 s window.
     fn budget(cap: f64) -> BudgetState {
-        BudgetState::new(BudgetPolicy::device_seconds(cap), 0, &[])
+        BudgetState::new(BudgetPolicy::device_seconds(cap), &[], &[])
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! the run's in-flight peak. `Slab::new(false, _)` — a pure append-only
 //! `Vec` where slot i is the i-th insertion and `free` is a no-op —
 //! survives solely because `benchmark/src/replay.rs` constructs it for
-//! its exact-mode slab replay; ROADMAP item 5(a) switches that replay to
-//! the recycling slab, and item 5(b) then deletes the mode.
+//! its exact-mode slab replay: once that replay runs the recycling slab,
+//! the mode and its `!recycle` branches can go.
 //!
 //! Values and slot state live in separate arrays (`values` /
 //! packed `gen | occupied` words), so handle validation never pulls a

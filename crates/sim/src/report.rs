@@ -11,8 +11,8 @@
 //! loading spans, which belong to none — device, module) and a one-byte
 //! phase tag. Recording a span is one store, freeing a million of them
 //! one `dealloc`, and no reference count moves either way. This row is
-//! what a span *sink* (ROADMAP item 7) and per-request lifecycle spans
-//! (item 1's span follow-on) should stream, rather than growing a
+//! what a span sink streaming through `data::sink` and sampled
+//! per-request lifecycle spans should write, rather than growing a
 //! second span type.
 //!
 //! [`GanttSpan`] and [`Phase`] are the owned view of one row and the
