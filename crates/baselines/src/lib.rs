@@ -19,9 +19,6 @@
 //! All baselines consume the same [`Instance`](s2m3_core::problem::Instance)
 //! and cost model as S2M3 itself, so comparisons are apples-to-apples.
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod ablations;
 pub mod centralized;
 pub mod estimators;

@@ -17,9 +17,6 @@
 //! | Footnote 4 batch scaling                   | [`batching`]   | `batching` |
 //! | Mechanism ablations (DESIGN.md)            | [`ablations`]  | `ablations` |
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod ablations;
 pub mod batching;
 pub mod churn;

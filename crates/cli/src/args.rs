@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Parsed command line.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Args {
+pub(crate) struct Args {
     /// The subcommand (first positional).
     pub command: String,
     /// `--flag value` pairs.
@@ -84,7 +84,7 @@ impl From<ArgError> for String {
 
 /// Parses `argv` (without the program name). `switches` names the
 /// boolean flags that take no value.
-pub fn parse(argv: &[String], switches: &[&str]) -> Result<Args, ArgError> {
+pub(crate) fn parse(argv: &[String], switches: &[&str]) -> Result<Args, ArgError> {
     let mut it = argv.iter().peekable();
     let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
     let mut args = Args {
@@ -111,7 +111,7 @@ pub fn parse(argv: &[String], switches: &[&str]) -> Result<Args, ArgError> {
 
 impl Args {
     /// A string flag with a default.
-    pub fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
+    pub(crate) fn get_or<'a>(&'a self, name: &str, default: &'a str) -> &'a str {
         self.flags.get(name).map(String::as_str).unwrap_or(default)
     }
 
@@ -120,7 +120,10 @@ impl Args {
     /// # Errors
     ///
     /// [`ArgError::BadValue`] when the value does not parse.
-    pub fn get_opt_num<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, ArgError> {
+    pub(crate) fn get_opt_num<T: std::str::FromStr>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, ArgError> {
         self.flags
             .get(name)
             .map(|v| {
@@ -137,7 +140,11 @@ impl Args {
     /// # Errors
     ///
     /// [`ArgError::BadValue`] when the value does not parse.
-    pub fn get_num<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_num<T: std::str::FromStr>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         Ok(self.get_opt_num(name)?.unwrap_or(default))
     }
 
@@ -148,7 +155,7 @@ impl Args {
     ///
     /// [`ArgError::BadValue`] when the value does not parse,
     /// [`ArgError::BadRate`] when it is NaN, infinite, zero or negative.
-    pub fn get_opt_rate(&self, name: &str) -> Result<Option<f64>, ArgError> {
+    pub(crate) fn get_opt_rate(&self, name: &str) -> Result<Option<f64>, ArgError> {
         match self.get_opt_num::<f64>(name)? {
             Some(r) if !(r.is_finite() && r > 0.0) => Err(ArgError::BadRate {
                 flag: name.to_string(),
@@ -159,7 +166,7 @@ impl Args {
     }
 
     /// Whether a boolean switch was given.
-    pub fn has(&self, switch: &str) -> bool {
+    pub(crate) fn has(&self, switch: &str) -> bool {
         self.switches.iter().any(|s| s == switch)
     }
 
@@ -171,7 +178,7 @@ impl Args {
     /// [`ArgError::UnknownFlag`] for the first name not in `known`,
     /// suggesting the known name within a third of its length in edits
     /// (at least one) when there is one.
-    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+    pub(crate) fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
         let mut given = self.flags.keys().chain(&self.switches);
         let Some(flag) = given.find(|f| !known.contains(&f.as_str())) else {
             return Ok(());

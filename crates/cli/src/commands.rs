@@ -24,7 +24,7 @@ use s2m3_sweep::{run_sweep, SweepSpec};
 use crate::args::{ArgError, Args};
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+pub(crate) const USAGE: &str = "\
 s2m3 — split-and-share multi-modal inference on the edge
 
 USAGE: s2m3 <command> [options]
@@ -92,7 +92,7 @@ FLEETS: edge (default; desktop+laptop+2 Jetsons) | standard (adds the GPU server
 ";
 
 /// Command errors (message-carrying).
-pub type CmdResult = Result<String, String>;
+pub(crate) type CmdResult = Result<String, String>;
 
 fn fleet_for(args: &Args) -> Result<Fleet, String> {
     match args.get_or("fleet", "edge") {
@@ -115,7 +115,7 @@ fn instance_for(args: &Args) -> Result<(Instance, String, usize), String> {
 }
 
 /// `s2m3 zoo`.
-pub fn zoo(_args: &Args) -> CmdResult {
+pub(crate) fn zoo(_args: &Args) -> CmdResult {
     let zoo = Zoo::standard();
     let mut out = String::new();
     let _ = writeln!(
@@ -137,7 +137,7 @@ pub fn zoo(_args: &Args) -> CmdResult {
 }
 
 /// `s2m3 fleet`.
-pub fn fleet(args: &Args) -> CmdResult {
+pub(crate) fn fleet(args: &Args) -> CmdResult {
     let f = fleet_for(args)?;
     let mut out = String::new();
     let _ = writeln!(out, "requester: {}", f.requester());
@@ -156,7 +156,7 @@ pub fn fleet(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 plan`.
-pub fn plan(args: &Args) -> CmdResult {
+pub(crate) fn plan(args: &Args) -> CmdResult {
     let (instance, model, _) = instance_for(args)?;
     let placement = greedy_place_with(
         &instance,
@@ -199,7 +199,7 @@ fn batch_cap(args: &Args) -> Result<Option<usize>, ArgError> {
 }
 
 /// `s2m3 simulate`.
-pub fn simulate_cmd(args: &Args) -> CmdResult {
+pub(crate) fn simulate_cmd(args: &Args) -> CmdResult {
     let (instance, _, _) = instance_for(args)?;
     let n = args.get_num("requests", 20usize)?;
     let rate = args.get_opt_rate("rate")?.unwrap_or(0.5);
@@ -236,7 +236,7 @@ pub fn simulate_cmd(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 serve`.
-pub fn serve_cmd(args: &Args) -> CmdResult {
+pub(crate) fn serve_cmd(args: &Args) -> CmdResult {
     let mut scenario = match args.flags.get("config") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -399,7 +399,7 @@ pub fn serve_cmd(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 sweep`.
-pub fn sweep_cmd(args: &Args) -> CmdResult {
+pub(crate) fn sweep_cmd(args: &Args) -> CmdResult {
     let mut spec = match args.flags.get("config") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -439,7 +439,7 @@ pub fn sweep_cmd(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 evaluate`.
-pub fn evaluate_cmd(args: &Args) -> CmdResult {
+pub(crate) fn evaluate_cmd(args: &Args) -> CmdResult {
     let model_name = args
         .flags
         .get("model")
@@ -464,7 +464,7 @@ pub fn evaluate_cmd(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 infer`.
-pub fn infer(args: &Args) -> CmdResult {
+pub(crate) fn infer(args: &Args) -> CmdResult {
     let (instance, model_name, candidates) = instance_for(args)?;
     let label = args.get_or("label", "cli-input");
     let request = instance
@@ -493,7 +493,7 @@ pub fn infer(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 compare`.
-pub fn compare(args: &Args) -> CmdResult {
+pub(crate) fn compare(args: &Args) -> CmdResult {
     let model = args
         .flags
         .get("model")
@@ -523,7 +523,7 @@ pub fn compare(args: &Args) -> CmdResult {
 }
 
 /// `s2m3 experiments`.
-pub fn experiments(_args: &Args) -> CmdResult {
+pub(crate) fn experiments(_args: &Args) -> CmdResult {
     Ok(
         "The evaluation lives in the s2m3-bench crate; regenerate any artifact with:
 
@@ -596,7 +596,7 @@ fn known_flags(command: &str) -> Option<&'static [&'static str]> {
 }
 
 /// Dispatches a parsed command.
-pub fn dispatch(args: &Args) -> CmdResult {
+pub(crate) fn dispatch(args: &Args) -> CmdResult {
     if let Some(known) = known_flags(&args.command) {
         args.reject_unknown(known)?;
     }

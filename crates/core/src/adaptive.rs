@@ -65,7 +65,7 @@ impl ReplanDecision {
     /// Per-request gain of switching, seconds (0 when the old placement
     /// cannot serve — the gain is then infinite in spirit; callers check
     /// [`Self::mandatory`]).
-    pub fn per_request_gain_s(&self) -> f64 {
+    pub(crate) fn per_request_gain_s(&self) -> f64 {
         match self.old_latency_s {
             Some(old) => (old - self.new_latency_s).max(0.0),
             None => f64::INFINITY,

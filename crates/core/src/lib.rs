@@ -54,9 +54,6 @@
 //! assert!(latency > 0.0 && latency < 10.0);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod adaptive;
 pub mod cost;
 pub mod error;

@@ -37,7 +37,7 @@ pub struct EncoderPath {
 
 impl EncoderPath {
     /// End-to-end length of this encoder path.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.input_tx + self.compute + self.output_tx
     }
 }
@@ -95,7 +95,7 @@ pub fn encoder_paths(
 /// # Errors
 ///
 /// See [`encoder_paths`].
-pub fn encoder_latency(
+pub(crate) fn encoder_latency(
     instance: &Instance,
     route: &Route,
     request: &Request,
@@ -151,7 +151,7 @@ pub fn encoder_latency(
 /// # Errors
 ///
 /// See [`encoder_paths`].
-pub fn encoder_latency_sequential(
+pub(crate) fn encoder_latency_sequential(
     instance: &Instance,
     route: &Route,
     request: &Request,

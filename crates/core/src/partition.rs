@@ -111,13 +111,6 @@ pub struct PartitionedPlacement {
     pub sharded: Vec<ShardPlan>,
 }
 
-impl PartitionedPlacement {
-    /// Whether partitioning was needed at all.
-    pub fn any_sharded(&self) -> bool {
-        !self.sharded.is_empty()
-    }
-}
-
 /// Greedy placement with the Sec. V-B partitioning fallback: modules that
 /// fit nowhere are split into 2, 3, … [`MAX_SHARDS`] pipeline shards until
 /// every shard finds a device.
@@ -249,7 +242,7 @@ mod tests {
         ));
         // ...but the partitioning fallback shards it across devices.
         let pp = greedy_place_partitioned(&i).unwrap();
-        assert!(pp.any_sharded());
+        assert!(!pp.sharded.is_empty());
         let plan = &pp.sharded[0];
         assert!(plan.base.id.as_str().contains("Vicuna-13B"));
         assert!(plan.shard_count() >= 2);
@@ -296,7 +289,7 @@ mod tests {
     fn no_sharding_when_everything_fits() {
         let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
         let pp = greedy_place_partitioned(&i).unwrap();
-        assert!(!pp.any_sharded());
+        assert!(pp.sharded.is_empty());
         assert_eq!(pp.placement.modules().count(), i.distinct_modules().len());
     }
 

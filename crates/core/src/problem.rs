@@ -43,7 +43,7 @@ use crate::error::CoreError;
 
 /// Default number of tokens a generative head processes per request
 /// (prompt prefill plus decoded answer).
-pub const DEFAULT_LLM_TOKENS: f64 = 128.0;
+pub(crate) const DEFAULT_LLM_TOKENS: f64 = 128.0;
 
 /// Per-request workload profile: how many work units each module kind
 /// performs for one inference of this model.
@@ -61,7 +61,7 @@ pub struct RequestProfile {
 
 impl RequestProfile {
     /// The canonical profile for `task` with `candidates` classes.
-    pub fn for_task(task: Task, candidates: usize) -> Self {
+    pub(crate) fn for_task(task: Task, candidates: usize) -> Self {
         match task {
             Task::ImageTextRetrieval | Task::CrossModalAlignment => RequestProfile {
                 text_units: candidates as f64,
@@ -326,7 +326,8 @@ impl Placement {
     }
 
     /// Distinct modules placed.
-    pub fn modules(&self) -> impl Iterator<Item = &ModuleId> {
+    #[cfg(test)]
+    pub(crate) fn modules(&self) -> impl Iterator<Item = &ModuleId> {
         self.assignments.keys()
     }
 
@@ -457,17 +458,6 @@ impl Instance {
         &self.fleet
     }
 
-    /// An interned-index view of this instance for hot loops: dense
-    /// `u32` device/module ids and flat compute/link tables. See
-    /// [`crate::resolved::ResolvedInstance`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::EmptyFleet`] on an empty fleet.
-    pub fn resolved(&self) -> Result<crate::resolved::ResolvedInstance, CoreError> {
-        crate::resolved::ResolvedInstance::new(self)
-    }
-
     /// A copy of this instance on a different fleet (Table IX sweeps).
     pub fn with_fleet(&self, fleet: Fleet) -> Result<Self, CoreError> {
         Instance::new(fleet, self.deployments.clone())
@@ -508,7 +498,7 @@ impl Instance {
 
     /// Work units to assume for `module` at *placement* time: the maximum
     /// over deployed models that use it (conservative for shared modules).
-    pub fn placement_units(&self, module: &ModuleSpec) -> f64 {
+    pub(crate) fn placement_units(&self, module: &ModuleSpec) -> f64 {
         self.deployments
             .iter()
             .filter(|d| d.model.modules().any(|m| m.id == module.id))
@@ -521,7 +511,12 @@ impl Instance {
     /// # Errors
     ///
     /// [`CoreError::UnknownDevice`] for devices outside the fleet.
-    pub fn compute_time(&self, module: &ModuleSpec, device: &DeviceId) -> Result<f64, CoreError> {
+    #[cfg(test)]
+    pub(crate) fn compute_time(
+        &self,
+        module: &ModuleSpec,
+        device: &DeviceId,
+    ) -> Result<f64, CoreError> {
         let d = self.device(device)?;
         Ok(d.compute_time(module, self.placement_units(module)))
     }
@@ -531,7 +526,7 @@ impl Instance {
     /// # Errors
     ///
     /// [`CoreError::UnknownDevice`] for devices outside the fleet.
-    pub fn compute_time_for(
+    pub(crate) fn compute_time_for(
         &self,
         module: &ModuleSpec,
         device: &DeviceId,

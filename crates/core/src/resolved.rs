@@ -68,7 +68,7 @@ pub struct ResolvedModel {
 impl ResolvedModel {
     /// Every module of the model, encoders first and the head last — the
     /// order of a routed request's `(module, device)` pairs.
-    pub fn modules(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn modules(&self) -> impl Iterator<Item = u32> + '_ {
         self.encoders
             .iter()
             .copied()
@@ -260,17 +260,17 @@ impl ResolvedInstance {
     }
 
     /// Resident memory requirement `r_m` of module `m`, bytes.
-    pub fn module_memory(&self, m: u32) -> u64 {
+    pub(crate) fn module_memory(&self, m: u32) -> u64 {
         self.module_memory[m as usize]
     }
 
     /// Memory budget `R_n` of device `d`, bytes.
-    pub fn device_budget(&self, d: u32) -> u64 {
+    pub(crate) fn device_budget(&self, d: u32) -> u64 {
         self.device_budget[d as usize]
     }
 
     /// Concurrent execution lanes of device `d` (≥ 1).
-    pub fn parallelism(&self, d: u32) -> usize {
+    pub(crate) fn parallelism(&self, d: u32) -> usize {
         self.device_parallelism[d as usize]
     }
 
@@ -304,13 +304,13 @@ impl ResolvedInstance {
 
     /// `t_comp(m, n)` at placement-time units (Eqs. 5/6 scoring).
     #[inline]
-    pub fn placement_compute(&self, m: u32, d: u32) -> f64 {
+    pub(crate) fn placement_compute(&self, m: u32, d: u32) -> f64 {
         self.placement_compute[m as usize * self.device_names.len() + d as usize]
     }
 
     /// Seconds to move `bytes` from device `a` to device `b`.
     #[inline]
-    pub fn transfer_time(&self, a: u32, b: u32, bytes: u64) -> f64 {
+    pub(crate) fn transfer_time(&self, a: u32, b: u32, bytes: u64) -> f64 {
         self.links[a as usize * self.device_names.len() + b as usize].transfer_time(bytes)
     }
 

@@ -103,7 +103,7 @@ pub fn route_requests_balanced(
 ///
 /// [`CoreError::UnknownModel`] / [`CoreError::Unrouted`] as in
 /// [`route_request`].
-pub fn head_assignment<'a>(
+pub(crate) fn head_assignment<'a>(
     instance: &'a Instance,
     route: &Route,
     request: &Request,

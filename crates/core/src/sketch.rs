@@ -48,11 +48,11 @@ pub const GROWTH: f64 = 1.02;
 
 /// Smallest representable value, seconds (1 ns). Values below clamp
 /// into the first bucket.
-pub const MIN_VALUE: f64 = 1.0e-9;
+pub(crate) const MIN_VALUE: f64 = 1.0e-9;
 
 /// Largest representable value, seconds. Values above clamp into the
 /// last bucket.
-pub const MAX_VALUE: f64 = 1.0e9;
+pub(crate) const MAX_VALUE: f64 = 1.0e9;
 
 /// Number of geometric buckets covering `[MIN_VALUE, MAX_VALUE]`:
 /// `ceil(ln(MAX/MIN) / ln(GROWTH))` at the constants above
@@ -181,7 +181,8 @@ impl LatencySketch {
     }
 
     /// Exact minimum recorded value (0 when empty).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -208,27 +209,6 @@ impl LatencySketch {
             }
         }
         self.max()
-    }
-
-    /// Merges another sketch into this one (bucket-wise).
-    pub fn merge(&mut self, other: &LatencySketch) {
-        if let Some(last) = other.counts.len().checked_sub(1) {
-            self.cover(other.lo, other.lo + last);
-            let at = other.lo - self.lo;
-            for (a, b) in self.counts[at..].iter_mut().zip(&other.counts) {
-                *a += b;
-            }
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            if other.min < self.min {
-                self.min = other.min;
-            }
-            if other.max > self.max {
-                self.max = other.max;
-            }
-        }
     }
 }
 
@@ -311,24 +291,6 @@ mod tests {
         assert_eq!(s.count(), 4);
         assert!(s.quantile(0.5).is_finite());
         assert!(s.quantile(1.0).is_finite());
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let mut a = LatencySketch::new();
-        let mut b = LatencySketch::new();
-        let mut all = LatencySketch::new();
-        for i in 1..200 {
-            let v = 0.01 * i as f64;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]
@@ -447,22 +409,6 @@ mod tests {
                 }
                 self.max()
             }
-
-            pub(super) fn merge(&mut self, other: &LatencySketch) {
-                for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-                    *a += b;
-                }
-                self.count += other.count;
-                self.sum += other.sum;
-                if other.count > 0 {
-                    if other.min < self.min {
-                        self.min = other.min;
-                    }
-                    if other.max > self.max {
-                        self.max = other.max;
-                    }
-                }
-            }
         }
     }
 
@@ -532,36 +478,6 @@ mod tests {
                 prop_assert!(s.counts.capacity() <= BUCKETS);
             }
             assert_answers_match(&s, &oracle, p);
-        }
-
-        /// Merging two sketches equals recording everything into one
-        /// (the mean is the oracle's merge: sums add per part), and the
-        /// merged window stays within the grid.
-        #[test]
-        fn merge_answers_like_recording_into_one(
-            values in arb_values(),
-            cut in 0.0f64..1.0,
-            p in 0.0f64..1.0,
-        ) {
-            let (left, right) = values.split_at((cut * values.len() as f64) as usize);
-            let sketch_of = |vs: &[f64]| {
-                let mut s = LatencySketch::new();
-                vs.iter().for_each(|&v| s.record(v));
-                s
-            };
-            let oracle_of = |vs: &[f64]| {
-                let mut s = reference::LatencySketch::new();
-                vs.iter().for_each(|&v| s.record(v));
-                s
-            };
-            let mut merged = sketch_of(left);
-            merged.merge(&sketch_of(right));
-            let mut oracle = oracle_of(left);
-            oracle.merge(&oracle_of(right));
-            assert_answers_match(&merged, &oracle, p);
-            let all = sketch_of(&values);
-            prop_assert_eq!((&merged.counts, merged.lo), (&all.counts, all.lo));
-            prop_assert!(merged.counts.capacity() <= BUCKETS);
         }
     }
 }

@@ -36,7 +36,7 @@ impl Benchmark {
     }
 
     /// Food-101 (image-text retrieval / classification), 101 classes.
-    pub fn food101() -> Self {
+    pub(crate) fn food101() -> Self {
         Self::new("food101", Task::ImageTextRetrieval, 101, 1.8, 0.0)
     }
 
@@ -46,7 +46,7 @@ impl Benchmark {
     }
 
     /// CIFAR-100, 100 classes.
-    pub fn cifar100() -> Self {
+    pub(crate) fn cifar100() -> Self {
         Self::new("cifar100", Task::ImageTextRetrieval, 100, 2.35, 0.0)
     }
 
@@ -56,14 +56,14 @@ impl Benchmark {
     }
 
     /// Flowers-102, 102 classes.
-    pub fn flowers102() -> Self {
+    pub(crate) fn flowers102() -> Self {
         Self::new("flowers102", Task::ImageTextRetrieval, 102, 2.3, 0.0)
     }
 
     /// MS COCO yes/no questions for encoder-only VQA, 2 classes.
     /// The namespace matches the classifier head id
     /// (`head/classifier-vqa-coco-s` → `vqa-coco-s`).
-    pub fn coco_vqa() -> Self {
+    pub(crate) fn coco_vqa() -> Self {
         Self::new("vqa-coco-s", Task::EncoderVqa, 2, 2.5, 0.0)
     }
 
@@ -73,30 +73,31 @@ impl Benchmark {
     }
 
     /// ScienceQA — harder reasoning, noisier questions.
-    pub fn science_qa() -> Self {
+    pub(crate) fn science_qa() -> Self {
         Self::new("scienceqa", Task::DecoderVqa, 32, 0.4, 2.35)
     }
 
     /// TextVQA — reading text in images; hardest of the three.
-    pub fn text_vqa() -> Self {
+    pub(crate) fn text_vqa() -> Self {
         Self::new("textvqa", Task::DecoderVqa, 32, 0.4, 2.75)
     }
 
     /// AudioSet-style cross-modal alignment (the paper's As-A), 16
     /// classes.
-    pub fn audio_set() -> Self {
+    pub(crate) fn audio_set() -> Self {
         Self::new("as-a", Task::CrossModalAlignment, 16, 2.0, 0.0)
     }
 
     /// Food-101 as an image-classification benchmark (the paper's fifth
     /// task reuses Food-101 with a classifier head). The namespace
     /// matches `head/classifier-food101`.
-    pub fn food101_classification() -> Self {
+    #[cfg(test)]
+    pub(crate) fn food101_classification() -> Self {
         Self::new("food101", Task::ImageClassification, 101, 1.8, 0.0)
     }
 
     /// All ten benchmarks of Sec. VI.
-    pub fn all() -> Vec<Benchmark> {
+    pub(crate) fn all() -> Vec<Benchmark> {
         vec![
             Self::food101(),
             Self::cifar10(),

@@ -23,7 +23,7 @@ pub struct LabeledSample {
 
 impl LabeledSample {
     /// The payload for a given modality, if present.
-    pub fn modality(&self, m: Modality) -> Option<&ModalityInput> {
+    pub(crate) fn modality(&self, m: Modality) -> Option<&ModalityInput> {
         self.modalities.iter().find(|i| i.modality == m)
     }
 }
@@ -44,7 +44,7 @@ fn noisy(proto: &Matrix, noise: f32, seed: &str) -> Matrix {
 
 /// The candidate-prompt matrix for a benchmark: one clean class prototype
 /// per row (what zero-shot retrieval feeds the text encoder).
-pub fn candidate_prompts(benchmark: &Benchmark) -> Matrix {
+pub(crate) fn candidate_prompts(benchmark: &Benchmark) -> Matrix {
     let mut m = Matrix::zeros(benchmark.n_classes, RAW_FEATURE_DIM);
     for c in 0..benchmark.n_classes {
         let p = class_prototype(&benchmark.name, c);
@@ -71,7 +71,7 @@ impl Dataset {
     }
 
     /// Generates the `i`-th sample with a chosen label.
-    pub fn sample(benchmark: &Benchmark, i: u64, label: usize) -> LabeledSample {
+    pub(crate) fn sample(benchmark: &Benchmark, i: u64, label: usize) -> LabeledSample {
         let b = benchmark;
         match b.task {
             Task::ImageTextRetrieval | Task::ImageClassification => {

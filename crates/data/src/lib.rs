@@ -31,9 +31,6 @@
 //! assert!(result.accuracy() > 0.5); // CIFAR-10 is the easy one
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod benchmark;
 pub mod dataset;
 pub mod eval;

@@ -30,7 +30,7 @@
 use std::io::{Read, Write};
 
 /// Magic bytes opening every sink file (format version 1).
-pub const MAGIC: &[u8; 8] = b"S2M3COL1";
+pub(crate) const MAGIC: &[u8; 8] = b"S2M3COL1";
 
 /// Rows buffered per row group before a flush.
 pub const ROWS_PER_GROUP: usize = 4096;
@@ -92,11 +92,6 @@ impl<W: Write> ColumnWriter<W> {
             self.flush_group()?;
         }
         Ok(())
-    }
-
-    /// Total rows pushed so far (flushed or buffered).
-    pub fn rows_written(&self) -> u64 {
-        self.written + self.rows.len() as u64
     }
 
     /// Flushes the buffered tail and the underlying writer, returning
@@ -230,7 +225,6 @@ mod tests {
             w.push(row(i)).unwrap();
             assert!(w.rows.len() < ROWS_PER_GROUP, "full groups flush eagerly");
         }
-        assert_eq!(w.rows_written(), n);
         assert_eq!(w.written, ROWS_PER_GROUP as u64 * 2, "two groups on disk");
         assert_eq!(w.finish().unwrap(), n);
         let rows = read_rows(buf.as_slice()).unwrap();

@@ -166,12 +166,12 @@ impl Catalog {
     }
 
     /// Inserts (or replaces) a module spec.
-    pub fn insert(&mut self, spec: ModuleSpec) {
+    pub(crate) fn insert(&mut self, spec: ModuleSpec) {
         self.modules.insert(spec.id.clone(), spec);
     }
 
     /// Looks up a module by id.
-    pub fn get(&self, id: &ModuleId) -> Option<&ModuleSpec> {
+    pub(crate) fn get(&self, id: &ModuleId) -> Option<&ModuleSpec> {
         self.modules.get(id)
     }
 
@@ -181,18 +181,9 @@ impl Catalog {
     }
 
     /// All modules, in stable id order.
-    pub fn iter(&self) -> impl Iterator<Item = &ModuleSpec> {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &ModuleSpec> {
         self.modules.values()
-    }
-
-    /// Number of modules in the catalog.
-    pub fn len(&self) -> usize {
-        self.modules.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.modules.is_empty()
     }
 }
 
@@ -204,7 +195,7 @@ mod tests {
     fn catalog_has_all_table_v_families() {
         let c = Catalog::standard();
         // 10 vision + 10 text + 1 audio + 5 LLM + 2 distance + 3 classifiers.
-        assert_eq!(c.len(), 31);
+        assert_eq!(c.modules.len(), 31);
         assert_eq!(
             c.iter()
                 .filter(|m| m.kind == ModuleKind::VisionEncoder)
@@ -310,6 +301,6 @@ mod tests {
     fn lookup_missing_returns_none() {
         let c = Catalog::standard();
         assert!(c.get_by_name("vision/nonexistent").is_none());
-        assert!(!c.is_empty());
+        assert!(!c.modules.is_empty());
     }
 }

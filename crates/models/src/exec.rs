@@ -26,7 +26,7 @@ use crate::module::{ModuleId, ModuleKind, ModuleSpec};
 
 /// Number of candidate answers in the synthetic generative answer space
 /// (decoder VQA / captioning heads score these candidates).
-pub const ANSWER_SPACE: usize = 32;
+pub(crate) const ANSWER_SPACE: usize = 32;
 
 /// Relative weight of the image embedding inside a generative head's
 /// combined representation (questions dominate, as in VQA language bias).
@@ -85,7 +85,7 @@ impl From<TensorError> for ExecError {
 /// The shared semantic projection for embedding width `dim`
 /// (raw `RAW_FEATURE_DIM` → `dim`). All encoder towers of the same width
 /// share it — the synthetic analogue of contrastive co-training.
-pub fn semantic_core(dim: usize) -> Matrix {
+pub(crate) fn semantic_core(dim: usize) -> Matrix {
     Matrix::seeded_gaussian(&format!("semantic-core/{dim}"), RAW_FEATURE_DIM, dim, 1.0)
 }
 
@@ -104,7 +104,7 @@ pub fn class_prototype(benchmark: &str, class: usize) -> Matrix {
 /// bridge matrix — the synthetic analogue of ImageBind-style per-modality
 /// projection heads that map every tower into one joint space. Identity
 /// when the width already matches.
-pub fn bridge_to(m: &Matrix, dim: usize) -> Matrix {
+pub(crate) fn bridge_to(m: &Matrix, dim: usize) -> Matrix {
     if m.cols() == dim {
         return m.clone();
     }
@@ -125,7 +125,7 @@ pub fn answer_prototype(a: usize) -> Matrix {
 /// Per-module distortion level: the synthetic encoder-quality knob.
 /// Smaller is better; values are calibrated so Table VIII's ordering
 /// (ViT-L > ViT-B, 13B > 7B > 1B) is reproduced by `s2m3-data`.
-pub fn distortion_for(id: &ModuleId) -> f32 {
+pub(crate) fn distortion_for(id: &ModuleId) -> f32 {
     match id.as_str() {
         "vision/RN50" => 1.05,
         "vision/RN101" => 1.0,
@@ -168,7 +168,7 @@ impl SyntheticEncoder {
     /// # Errors
     ///
     /// [`ExecError::NotAnEncoder`] if `spec` is a head.
-    pub fn new(spec: ModuleSpec) -> Result<Self, ExecError> {
+    pub(crate) fn new(spec: ModuleSpec) -> Result<Self, ExecError> {
         if !spec.kind.is_encoder() {
             return Err(ExecError::NotAnEncoder(spec.id));
         }
@@ -194,7 +194,7 @@ impl SyntheticEncoder {
     }
 
     /// The module spec.
-    pub fn spec(&self) -> &ModuleSpec {
+    pub(crate) fn spec(&self) -> &ModuleSpec {
         &self.spec
     }
 
@@ -204,7 +204,7 @@ impl SyntheticEncoder {
     ///
     /// [`ExecError::WrongModality`] if the input modality does not match
     /// this encoder's kind; tensor errors on malformed content.
-    pub fn encode(&self, input: &ModalityInput) -> Result<Matrix, ExecError> {
+    pub(crate) fn encode(&self, input: &ModalityInput) -> Result<Matrix, ExecError> {
         if self.spec.kind.modality() != Some(input.modality) {
             return Err(ExecError::WrongModality {
                 module: self.spec.id.clone(),
@@ -245,7 +245,7 @@ impl SyntheticLlm {
     /// # Errors
     ///
     /// [`ExecError::NotAHead`] unless `spec` is a [`ModuleKind::LanguageModel`].
-    pub fn new(spec: ModuleSpec) -> Result<Self, ExecError> {
+    pub(crate) fn new(spec: ModuleSpec) -> Result<Self, ExecError> {
         if spec.kind != ModuleKind::LanguageModel {
             return Err(ExecError::NotAHead(spec.id));
         }
@@ -282,7 +282,7 @@ impl SyntheticLlm {
     }
 
     /// The module spec.
-    pub fn spec(&self) -> &ModuleSpec {
+    pub(crate) fn spec(&self) -> &ModuleSpec {
         &self.spec
     }
 
@@ -295,7 +295,7 @@ impl SyntheticLlm {
     /// # Errors
     ///
     /// Tensor errors on malformed shapes.
-    pub fn generate(
+    pub(crate) fn generate(
         &self,
         vision: &Matrix,
         query: Option<&ModalityInput>,
@@ -373,7 +373,7 @@ impl DistanceHead {
     ///
     /// [`ExecError::MissingEncoding`] without both a vision and a text
     /// encoding.
-    pub fn score(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
+    pub(crate) fn score(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
         let image = find_encoding(encodings, ModuleKind::VisionEncoder)?;
         let text = find_encoding(encodings, ModuleKind::TextEncoder)?;
         let anchor = bridge_to(&ops::mean_rows(image)?, text.cols());
@@ -388,7 +388,7 @@ impl InfoNceHead {
     ///
     /// [`ExecError::MissingEncoding`] without a text encoding plus at
     /// least one other modality.
-    pub fn score(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
+    pub(crate) fn score(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
         let text = find_encoding(encodings, ModuleKind::TextEncoder)?;
         let mut anchor: Option<Matrix> = None;
         for (kind, enc) in encodings {
@@ -432,7 +432,7 @@ impl ClassifierHead {
     /// # Errors
     ///
     /// [`ExecError::MissingEncoding`] if no encodings were supplied.
-    pub fn classify(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
+    pub(crate) fn classify(&self, encodings: &[(ModuleKind, Matrix)]) -> Result<Matrix, ExecError> {
         let target = encodings
             .first()
             .ok_or(ExecError::MissingEncoding(ModuleKind::VisionEncoder))?

@@ -40,9 +40,6 @@
 //! assert!(clip.max_module_params() < clip.total_params());
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod catalog;
 pub mod exec;
 pub mod input;

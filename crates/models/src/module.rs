@@ -77,7 +77,7 @@ impl ModuleKind {
     }
 
     /// Whether this module is a task head (runs after all encoders).
-    pub fn is_head(self) -> bool {
+    pub(crate) fn is_head(self) -> bool {
         !self.is_encoder()
     }
 
@@ -131,7 +131,7 @@ pub enum Precision {
 
 impl Precision {
     /// Bytes occupied by one parameter.
-    pub fn bytes_per_param(self) -> u64 {
+    pub(crate) fn bytes_per_param(self) -> u64 {
         match self {
             Precision::Fp32 => 4,
             Precision::Fp16 => 2,
@@ -194,21 +194,8 @@ impl ModuleSpec {
     }
 
     /// Parameter count in millions, as the paper reports it.
-    pub fn mparams(&self) -> f64 {
+    pub(crate) fn mparams(&self) -> f64 {
         self.params as f64 / 1.0e6
-    }
-
-    /// A quantized variant of this module: same architecture and FLOPs,
-    /// halved weight storage (fp16), derived identity. S2M3 is explicitly
-    /// *compatible* with compression (Sec. IV-A: intra-module techniques
-    /// are orthogonal and composable) — a quantized module is just
-    /// another interchangeable module in the catalog, placeable wherever
-    /// the smaller footprint now fits.
-    pub fn quantized(&self) -> ModuleSpec {
-        let mut q = self.clone();
-        q.id = ModuleId::new(format!("{}@fp16", self.id));
-        q.precision = Precision::Fp16;
-        q
     }
 }
 
@@ -322,17 +309,6 @@ mod tests {
         let s = spec(ModuleKind::VisionEncoder, 1, 1.0);
         assert_eq!(s.output_bytes(0.0), 512 * 4);
         assert_eq!(s.output_bytes(3.0), 3 * 512 * 4);
-    }
-
-    #[test]
-    fn quantized_variant_halves_weights_keeps_flops() {
-        let s = spec(ModuleKind::VisionEncoder, 86_000_000, 17.6);
-        let q = s.quantized();
-        assert_eq!(q.weight_bytes() * 2, s.weight_bytes());
-        assert_eq!(q.gflops_per_unit, s.gflops_per_unit);
-        assert_ne!(q.id, s.id);
-        assert!(q.id.as_str().ends_with("@fp16"));
-        assert!(q.memory_bytes() < s.memory_bytes());
     }
 
     #[test]

@@ -35,29 +35,6 @@ pub enum Task {
     ImageCaptioning,
 }
 
-impl Task {
-    /// Whether this task has ≥2 encoders and thus benefits from S2M3's
-    /// per-request parallel routing (Table IV's `||` markers).
-    pub fn is_parallelizable(self) -> bool {
-        matches!(
-            self,
-            Task::ImageTextRetrieval | Task::EncoderVqa | Task::CrossModalAlignment
-        )
-    }
-
-    /// All tasks in stable order.
-    pub fn all() -> [Task; 6] {
-        [
-            Task::ImageTextRetrieval,
-            Task::EncoderVqa,
-            Task::DecoderVqa,
-            Task::CrossModalAlignment,
-            Task::ImageClassification,
-            Task::ImageCaptioning,
-        ]
-    }
-}
-
 impl std::fmt::Display for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -130,7 +107,7 @@ impl ModelSpec {
     }
 
     /// All module ids.
-    pub fn module_ids(&self) -> Vec<ModuleId> {
+    pub(crate) fn module_ids(&self) -> Vec<ModuleId> {
         self.modules().map(|m| m.id.clone()).collect()
     }
 
@@ -144,16 +121,6 @@ impl ModelSpec {
     /// `max_m r_m` of Sec. IV-A.
     pub fn max_module_params(&self) -> u64 {
         self.modules().map(|m| m.params).max().unwrap_or(0)
-    }
-
-    /// Total resident memory of a centralized deployment, in bytes.
-    pub fn total_memory_bytes(&self) -> u64 {
-        self.modules().map(|m| m.memory_bytes()).sum()
-    }
-
-    /// Whether this model can exploit per-request parallel routing.
-    pub fn is_parallelizable(&self) -> bool {
-        self.encoders.len() >= 2
     }
 }
 
@@ -292,15 +259,10 @@ impl Zoo {
         self.models.iter().find(|m| m.name == name)
     }
 
-    /// Models of one task family.
-    pub fn models_for_task(&self, task: Task) -> Vec<&ModelSpec> {
-        self.models.iter().filter(|m| m.task == task).collect()
-    }
-
     /// Distinct module ids across a set of models — the shared module set
     /// `M = ∪_k M_k` of Sec. IV-B. Its size `c` is what the shared
     /// deployment pays for; without sharing the cost is `Σ_k |M_k|`.
-    pub fn distinct_modules<'a>(
+    pub(crate) fn distinct_modules<'a>(
         models: impl IntoIterator<Item = &'a ModelSpec>,
     ) -> BTreeSet<ModuleId> {
         let mut set = BTreeSet::new();
@@ -319,12 +281,6 @@ impl Zoo {
             .map(|m| m.params)
             .sum()
     }
-
-    /// Total parameters of a *dedicated* (non-shared) deployment of
-    /// `models` (duplicates counted per model).
-    pub fn dedicated_params<'a>(models: impl IntoIterator<Item = &'a ModelSpec>) -> u64 {
-        models.into_iter().map(|m| m.total_params()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -335,9 +291,9 @@ mod tests {
     fn zoo_covers_all_tasks_and_paper_scale() {
         let zoo = Zoo::standard();
         assert!(zoo.models().len() >= 14, "only {}", zoo.models().len());
-        for t in Task::all() {
-            assert!(!zoo.models_for_task(t).is_empty(), "no models for {t}");
-        }
+        // Every one of the six task families has a model.
+        let tasks: BTreeSet<_> = zoo.models().iter().map(|m| m.task).collect();
+        assert_eq!(tasks.len(), 6);
     }
 
     #[test]
@@ -373,20 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn retrieval_models_are_parallelizable_decoder_vqa_not() {
-        let zoo = Zoo::standard();
-        assert!(zoo.model("CLIP ViT-B/16").unwrap().is_parallelizable());
-        assert!(zoo.model("ImageBind").unwrap().is_parallelizable());
-        assert!(!zoo.model("LLaVA-v1.5-7B").unwrap().is_parallelizable());
-        assert!(!zoo
-            .model("NLP Connect ViT-GPT2")
-            .unwrap()
-            .is_parallelizable());
-        assert!(Task::ImageTextRetrieval.is_parallelizable());
-        assert!(!Task::DecoderVqa.is_parallelizable());
-    }
-
-    #[test]
     fn sharing_matches_table_x_progression() {
         // Retrieval → +EncoderVQA → +AlignBind-B → +Classification:
         // shared params 124M → 124M(+1K) → 209M → 209M(+52K).
@@ -404,7 +346,7 @@ mod tests {
         assert_eq!(shared_m(3), 209); // +85M audio encoder
         assert_eq!(shared_m(4), 209); // +52K classifier only
                                       // Dedicated deployment grows with every task instead.
-        let dedicated = Zoo::dedicated_params(models.iter().copied()) / 1_000_000;
+        let dedicated = models.iter().map(|m| m.total_params()).sum::<u64>() / 1_000_000;
         assert_eq!(dedicated, 124 + 124 + 209 + 86);
     }
 
@@ -483,25 +425,6 @@ mod tests {
         // Image classification: vision + classifier only.
         let c = kinds("CLIP-Classifier Food-101");
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn quantized_modules_compose_into_models() {
-        // Sec. IV-A compatibility: swap a quantized tower into a model.
-        let zoo = Zoo::standard();
-        let clip = zoo.model("CLIP ViT-B/16").unwrap();
-        let qvision = clip.encoders()[0].quantized();
-        let model = ModelSpec::new(
-            "CLIP ViT-B/16 (int-quantized vision)",
-            Task::ImageTextRetrieval,
-            vec![qvision, clip.encoders()[1].clone()],
-            clip.head().clone(),
-        )
-        .unwrap();
-        assert!(model.total_memory_bytes() < clip.total_memory_bytes());
-        // Quantized module has a distinct identity: it is NOT shared with
-        // the fp32 tower (different weights after quantization).
-        assert_ne!(model.encoders()[0].id, clip.encoders()[0].id);
     }
 
     #[test]

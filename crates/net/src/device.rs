@@ -62,7 +62,7 @@ pub struct DeviceId(Arc<str>);
 
 impl DeviceId {
     /// Creates a device id.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>) -> Self {
         DeviceId(Arc::from(name.into()))
     }
 
@@ -139,11 +139,6 @@ impl DeviceSpec {
         self.memory_bytes
     }
 
-    /// Whether module `m` fits in `remaining` bytes of this device.
-    pub fn fits(&self, m: &ModuleSpec, remaining: u64) -> bool {
-        m.memory_bytes() <= remaining
-    }
-
     /// Time to load module `m`'s weights into this device's memory,
     /// seconds (the end-to-end latency component of Table VII / Fig. 3).
     pub fn load_time(&self, m: &ModuleSpec) -> f64 {
@@ -155,7 +150,7 @@ impl DeviceSpec {
     }
 
     /// The Tesla P40 server (GPU path), one MAN hop away.
-    pub fn server() -> Self {
+    pub(crate) fn server() -> Self {
         DeviceSpec {
             id: "server".into(),
             description: "Intel Xeon Gold 5115 (33.7 GB) + Tesla P40 (23.9 GB)".into(),
@@ -376,14 +371,6 @@ mod tests {
     fn nonparametric_heads_load_instantly() {
         let head = module("head/cosine");
         assert_eq!(DeviceSpec::jetson("jetson-b").load_time(&head), 0.0);
-    }
-
-    #[test]
-    fn fits_is_a_simple_budget_check() {
-        let vision = module("vision/ViT-B-16");
-        let d = DeviceSpec::desktop();
-        assert!(d.fits(&vision, vision.memory_bytes()));
-        assert!(!d.fits(&vision, vision.memory_bytes() - 1));
     }
 
     #[test]

@@ -35,9 +35,6 @@
 //! assert!(jetson.compute_time(vision, 1.0) > 5.0 * laptop.compute_time(vision, 1.0));
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod calibration;
 pub mod device;
 pub mod envelope;

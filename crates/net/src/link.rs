@@ -43,7 +43,7 @@ impl LinkSpec {
 
     /// Composes two access links into an end-to-end path (through the home
     /// router / MAN gateway): latencies add, bandwidth is the bottleneck.
-    pub fn compose(&self, other: &LinkSpec) -> LinkSpec {
+    pub(crate) fn compose(&self, other: &LinkSpec) -> LinkSpec {
         LinkSpec {
             bandwidth_bps: self.bandwidth_bps.min(other.bandwidth_bps),
             latency_s: self.latency_s + other.latency_s,

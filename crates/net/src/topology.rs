@@ -31,7 +31,7 @@ impl Topology {
     }
 
     /// Whether `device` is known to the topology.
-    pub fn contains(&self, device: &DeviceId) -> bool {
+    pub(crate) fn contains(&self, device: &DeviceId) -> bool {
         self.access.contains_key(device)
     }
 
@@ -56,11 +56,6 @@ impl Topology {
     /// Returns the unknown device id if either endpoint is unregistered.
     pub fn transfer_time(&self, a: &DeviceId, b: &DeviceId, bytes: u64) -> Result<f64, DeviceId> {
         Ok(self.path(a, b)?.transfer_time(bytes))
-    }
-
-    /// Registered devices in stable order.
-    pub fn devices(&self) -> impl Iterator<Item = &DeviceId> {
-        self.access.keys()
     }
 }
 

@@ -45,7 +45,7 @@ impl RequestInput {
     }
 
     /// The input for a given encoder kind, if present.
-    pub fn for_kind(&self, kind: ModuleKind) -> Option<&ModalityInput> {
+    pub(crate) fn for_kind(&self, kind: ModuleKind) -> Option<&ModalityInput> {
         let m = kind.modality()?;
         self.modalities.iter().find(|i| i.modality == m)
     }

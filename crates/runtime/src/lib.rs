@@ -36,9 +36,6 @@
 //! assert_eq!(distributed, central); // bit-identical
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod input;
 pub mod messages;
 pub mod reference;

@@ -8,15 +8,15 @@ use s2m3_net::device::DeviceId;
 use s2m3_tensor::Matrix;
 
 /// The node name the coordinating client registers under.
-pub const COORDINATOR: &str = "__coordinator";
+pub(crate) const COORDINATOR: &str = "__coordinator";
 
 /// Envelope tag used by all runtime messages.
-pub const TAG: &str = "s2m3-runtime";
+pub(crate) const TAG: &str = "s2m3-runtime";
 
 /// Routing context a message carries so the head device can aggregate
 /// without global state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HeadContext {
+pub(crate) struct HeadContext {
     /// The head module to execute.
     pub head_module: ModuleId,
     /// The device hosting it for this request.
@@ -29,7 +29,7 @@ pub struct HeadContext {
 
 /// Messages between the coordinator and device workers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RuntimeMsg {
+pub(crate) enum RuntimeMsg {
     /// Run `module` on `input` and forward the embedding to the head.
     Encode {
         /// Request id.

@@ -192,7 +192,7 @@ impl Accounting {
     /// # Errors
     ///
     /// [`ServeError::Sink`] when the sink cannot be created.
-    pub fn new(valid: &ValidScenario) -> Result<Self, ServeError> {
+    pub(crate) fn new(valid: &ValidScenario) -> Result<Self, ServeError> {
         let scenario = valid.scenario;
         let streaming = scenario.streaming.is_some();
         let sink = match scenario.streaming.as_ref().and_then(|c| c.sink.as_deref()) {
@@ -243,7 +243,12 @@ impl Accounting {
     ///
     /// [`ServeError::Sink`] when the sink row cannot be written.
     #[inline]
-    pub fn complete(&mut self, req: &Arrived, now: u64, device: usize) -> Result<(), ServeError> {
+    pub(crate) fn complete(
+        &mut self,
+        req: &Arrived,
+        now: u64,
+        device: usize,
+    ) -> Result<(), ServeError> {
         let (latency_s, missed) = (secs(now - req.arrival_ns), now > req.deadline_ns);
         if let Some(w) = self.sink.as_mut() {
             w.push(CompletionRow {
@@ -273,7 +278,7 @@ impl Accounting {
     /// window records it at its deadline bound so percentiles reflect
     /// the rejection.
     #[inline]
-    pub fn shed(&mut self, req: &Arrived, now: u64) {
+    pub(crate) fn shed(&mut self, req: &Arrived, now: u64) {
         self.total.shed += 1;
         if let Some(ci) = req.class {
             self.class_stats[ci as usize].shed += 1;
@@ -287,7 +292,7 @@ impl Accounting {
 
     /// A request of deadline class `class` arrived.
     #[inline]
-    pub fn arrive(&mut self, class: Option<u32>) {
+    pub(crate) fn arrive(&mut self, class: Option<u32>) {
         self.total.arrived += 1;
         if let Some(ci) = class {
             self.class_stats[ci as usize].arrived += 1;
@@ -295,13 +300,13 @@ impl Accounting {
     }
 
     /// A request lost its device mid-flight and is re-admitted.
-    pub fn retry(&mut self) {
+    pub(crate) fn retry(&mut self) {
         self.retried += 1;
     }
 
     /// The arrival rate observed by `now`, requests per second (0 at
     /// the first instant).
-    pub fn observed_rate(&self, now: u64) -> f64 {
+    pub(crate) fn observed_rate(&self, now: u64) -> f64 {
         if now == 0 {
             0.0
         } else {
@@ -310,37 +315,37 @@ impl Accounting {
     }
 
     /// The rolling SLO window.
-    pub fn slo(&self) -> &SloWindow {
+    pub(crate) fn slo(&self) -> &SloWindow {
         &self.slo
     }
 
     /// The rolling SLO window's p95 latency, seconds.
-    pub fn slo_p95(&mut self) -> f64 {
+    pub(crate) fn slo_p95(&mut self) -> f64 {
         self.slo.p95()
     }
 
     /// Virtual time of the latest completion, ns.
-    pub fn last_completion_ns(&self) -> u64 {
+    pub(crate) fn last_completion_ns(&self) -> u64 {
         self.last_completion_ns
     }
 
     /// Device `ui` finished an execution whose lane survived: charge
     /// busy time and bump the execution count.
     #[inline]
-    pub fn charge(&mut self, ui: usize, dur_ns: u64) {
+    pub(crate) fn charge(&mut self, ui: usize, dur_ns: u64) {
         self.usage[ui].busy_s += secs(dur_ns);
         self.executions[ui] += 1;
     }
 
     /// Device `ui` joined the fleet at `at_s`.
-    pub fn join(&mut self, ui: usize, at_s: f64) {
+    pub(crate) fn join(&mut self, ui: usize, at_s: f64) {
         let u = &mut self.usage[ui];
         u.active = true;
         u.active_since_s = at_s;
     }
 
     /// Device `ui` left the fleet at `at_s`.
-    pub fn leave(&mut self, ui: usize, at_s: f64) {
+    pub(crate) fn leave(&mut self, ui: usize, at_s: f64) {
         let u = &mut self.usage[ui];
         if u.active {
             u.active = false;
@@ -401,7 +406,7 @@ impl Accounting {
     /// with class reports by `class_names` and device reports in
     /// `by_name_order` (indices into `device_names`). The fleet events,
     /// replans and budget are the caller's to add.
-    pub fn finish(
+    pub(crate) fn finish(
         mut self,
         now: u64,
         class_names: &[String],

@@ -292,7 +292,7 @@ pub(crate) struct BudgetState {
 impl BudgetState {
     /// Builds the state for a validated policy over the universe
     /// `devices` and the deadline classes' `class_priorities`, by index.
-    pub fn new(policy: BudgetPolicy, class_priorities: &[u32], devices: &[String]) -> Self {
+    pub(crate) fn new(policy: BudgetPolicy, class_priorities: &[u32], devices: &[String]) -> Self {
         let cost_model = match policy.metric {
             BudgetMetric::DeviceSeconds => CostModel::uniform(1.0),
             BudgetMetric::Custom { per_device_rate } => CostModel::uniform(per_device_rate),
@@ -333,7 +333,7 @@ impl BudgetState {
     /// seconds times its device's rate (`uni_of_res` maps resolved to
     /// universe devices), summed head first, then encoders in send order.
     /// Compute ignores the query's origin: any source's pricing will do.
-    pub fn route_cost(&self, route: &PricedRoute, uni_of_res: &[usize]) -> f64 {
+    pub(crate) fn route_cost(&self, route: &PricedRoute, uni_of_res: &[usize]) -> f64 {
         let rate = |d: u32| self.rates[uni_of_res[d as usize]];
         let mut cost = route.head.compute * rate(route.head.device);
         for e in &route.encoders {
@@ -345,7 +345,7 @@ impl BudgetState {
     /// The replan gate's feasibility term: whether a placement whose
     /// mean route cost is `mean_cost` keeps its steady-state spend —
     /// `rate_per_s` arrivals over one window — under the cap.
-    pub fn affords(&self, rate_per_s: f64, mean_cost: f64) -> bool {
+    pub(crate) fn affords(&self, rate_per_s: f64, mean_cost: f64) -> bool {
         rate_per_s * self.policy.window_s * mean_cost <= self.policy.cap_per_window
     }
 
@@ -354,7 +354,7 @@ impl BudgetState {
     /// `now`. The shadow counter charges each request once, however
     /// often it is offered; `Dispatch` reserves `cost` and pays the
     /// latency price from the first deferral; `Defer` parks `qr`.
-    pub fn gate(
+    pub(crate) fn gate(
         &mut self,
         qr: &QueuedRequest,
         mark: &mut Mark,
@@ -407,7 +407,7 @@ impl BudgetState {
     /// The wake to schedule after a defer or a wake: the next window's
     /// start while any request is parked, unless that wake is already
     /// pending (at most one is).
-    pub fn next_wake(&mut self) -> Option<u64> {
+    pub(crate) fn next_wake(&mut self) -> Option<u64> {
         let at = (self.cur_index + 1).saturating_mul(self.window_ns);
         if self.deferred.is_empty() || self.wake_at == Some(at) {
             return None;
@@ -421,7 +421,7 @@ impl BudgetState {
     /// earliest deadline, first). The heap is empty on return, so a
     /// request the new window still cannot afford re-parks through
     /// [`BudgetState::gate`] without being handed back again.
-    pub fn wake(&mut self, now: u64) -> Vec<u64> {
+    pub(crate) fn wake(&mut self, now: u64) -> Vec<u64> {
         if self.wake_at == Some(now) {
             self.wake_at = None;
         }
@@ -489,7 +489,7 @@ impl BudgetState {
     }
 
     /// Closes the open window and folds everything into the report.
-    pub fn finish(mut self, class_names: &[String]) -> BudgetReport {
+    pub(crate) fn finish(mut self, class_names: &[String]) -> BudgetReport {
         self.close_current();
         let adherence = if self.windows_total == 0 {
             1.0

@@ -711,7 +711,7 @@ pub struct SharedStart {
 impl SharedStart {
     /// Whether `scenario` deploys the same fleet, initial devices, and
     /// models this shared start was built from.
-    pub fn matches(&self, scenario: &ServeScenario) -> bool {
+    pub(crate) fn matches(&self, scenario: &ServeScenario) -> bool {
         let models = scenario
             .models
             .iter()
@@ -935,7 +935,8 @@ impl ServeSession {
     }
 
     /// Virtual time of the last processed event, seconds.
-    pub fn now_s(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn now_s(&self) -> f64 {
         secs(self.kernel.now())
     }
 

@@ -48,9 +48,6 @@
 //! assert!(report.latency.p50_s <= report.latency.p99_s);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod accounting;
 mod arrivals;
 pub mod budget;

@@ -520,7 +520,7 @@ proptest! {
     /// The sketch's quantile error bound holds for *arbitrary* latency
     /// distributions, not just the ones serving runs happen to produce:
     /// every percentile of `from_sketch` lands within 1% of the exact
-    /// `from_latencies` value.
+    /// summary of the sorted latencies.
     #[test]
     fn sketch_summary_tracks_exact_summary(
         mut latencies in proptest::collection::vec(1e-6f64..1e4, 1..400),
@@ -529,7 +529,9 @@ proptest! {
         for v in &mut latencies {
             *v *= scale;
         }
-        let exact = LatencySummary::from_latencies(latencies.clone());
+        let mut sorted = latencies.clone();
+        sorted.sort_by(f64::total_cmp);
+        let exact = LatencySummary::from_sorted(&sorted);
         let mut sketch = LatencySketch::new();
         for &v in &latencies {
             sketch.record(v);
@@ -563,7 +565,7 @@ proptest! {
         const BLOCK: usize = 4096;
         let len = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 1, 3 * BLOCK + 1][len_at];
         let mut x = seed | 1;
-        let latencies: Vec<f64> = (0..len)
+        let mut latencies: Vec<f64> = (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
@@ -583,7 +585,8 @@ proptest! {
             [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s].map(f64::to_bits)
         };
         let got = agg.summarize();
-        let want = LatencySummary::from_latencies(latencies);
+        latencies.sort_by(f64::total_cmp);
+        let want = LatencySummary::from_sorted(&latencies);
         prop_assert_eq!(got.completed, want.completed);
         prop_assert_eq!(bits(got), bits(want));
     }

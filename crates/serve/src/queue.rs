@@ -119,19 +119,19 @@ impl AdmissionQueue {
     }
 
     /// Requests currently waiting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.waiting.len() + self.by_deadline.len()
     }
 
     /// Whether nothing is waiting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drains every waiting request (used when a device leaves and its
     /// queue must be re-admitted elsewhere). Returned in arrival order
     /// (`(arrival_ns, id)`), the canonical re-admission order.
-    pub fn drain(&mut self) -> Vec<QueuedRequest> {
+    pub(crate) fn drain(&mut self) -> Vec<QueuedRequest> {
         let mut out: Vec<QueuedRequest> = self.waiting.drain(..).collect();
         out.extend(self.by_deadline.drain().map(|Reverse(key)| from_key(key)));
         out.sort_by_key(|qr| (qr.arrival_ns, qr.id));

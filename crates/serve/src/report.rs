@@ -27,16 +27,10 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Builds a summary from raw latencies (unsorted is fine).
-    pub fn from_latencies(mut latencies: Vec<f64>) -> Self {
-        latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        Self::from_sorted(&latencies)
-    }
-
     /// Builds a summary from already-sorted latencies without copying
     /// or reallocating (the exact serve path sorts its buffer in place
     /// once and summarizes through here).
-    pub fn from_sorted(latencies: &[f64]) -> Self {
+    pub(crate) fn from_sorted(latencies: &[f64]) -> Self {
         let n = latencies.len();
         if n == 0 {
             return LatencySummary::default();
@@ -416,13 +410,14 @@ mod tests {
 
     #[test]
     fn latency_summary_percentiles() {
-        let s = LatencySummary::from_latencies((1..=200).map(|i| i as f64).collect());
+        let latencies: Vec<f64> = (1..=200).map(|i| i as f64).collect();
+        let s = LatencySummary::from_sorted(&latencies);
         assert_eq!(s.completed, 200);
         assert_eq!(s.p50_s, 100.0);
         assert_eq!(s.p95_s, 190.0);
         assert_eq!(s.p99_s, 198.0);
         assert_eq!(s.max_s, 200.0);
-        assert_eq!(LatencySummary::from_latencies(vec![]).completed, 0);
+        assert_eq!(LatencySummary::from_sorted(&[]).completed, 0);
     }
 
     #[test]
@@ -435,7 +430,7 @@ mod tests {
             late: 1,
             miss_rate: 0.3,
             retried: 1,
-            latency: LatencySummary::from_latencies(vec![1.0, 2.0, 3.0]),
+            latency: LatencySummary::from_sorted(&[1.0, 2.0, 3.0]),
             throughput_per_s: 0.5,
             makespan_s: 20.0,
             classes: vec![ClassReport {
@@ -445,7 +440,7 @@ mod tests {
                 shed: 1,
                 late: 1,
                 miss_rate: 2.0 / 6.0,
-                latency: LatencySummary::from_latencies(vec![1.0, 2.0]),
+                latency: LatencySummary::from_sorted(&[1.0, 2.0]),
             }],
             windows: vec![],
             events: vec![EventRecord {

@@ -36,12 +36,12 @@ pub struct ReqHandle {
 impl ReqHandle {
     /// Packs the handle into one `u64` (`gen` high, `slot` low) for
     /// embedding in ordering keys and queue records.
-    pub fn pack(self) -> u64 {
+    pub(crate) fn pack(self) -> u64 {
         (u64::from(self.gen) << 32) | u64::from(self.slot)
     }
 
     /// Unpacks a handle packed by [`ReqHandle::pack`].
-    pub fn unpack(bits: u64) -> Self {
+    pub(crate) fn unpack(bits: u64) -> Self {
         ReqHandle {
             slot: bits as u32,
             gen: (bits >> 32) as u32,
@@ -77,12 +77,6 @@ impl<T: Default> Slab<T> {
             recycle,
             live: 0,
         }
-    }
-
-    /// Inserts a value, returning its handle. Reuses a freed slot (and
-    /// bumps its generation) when recycling.
-    pub fn insert(&mut self, value: T) -> ReqHandle {
-        self.insert_with(|v| *v = value)
     }
 
     /// Inserts by resetting a slot in place, returning its handle. On a
@@ -128,7 +122,7 @@ impl<T: Default> Slab<T> {
     }
 
     /// The current handle of an occupied slot.
-    pub fn handle_of(&self, slot: usize) -> ReqHandle {
+    pub(crate) fn handle_of(&self, slot: usize) -> ReqHandle {
         debug_assert!(self.state[slot] & OCCUPIED != 0);
         ReqHandle {
             slot: slot as u32,
@@ -138,7 +132,7 @@ impl<T: Default> Slab<T> {
 
     /// Whether `handle` still names the value it was issued for.
     #[inline]
-    pub fn is_current(&self, handle: ReqHandle) -> bool {
+    pub(crate) fn is_current(&self, handle: ReqHandle) -> bool {
         // Append-only mode never frees and never bumps generations:
         // any gen-0 handle inside the table is current, no state load.
         if !self.recycle {
@@ -155,12 +149,12 @@ impl<T: Default> Slab<T> {
     }
 
     /// Total slots ever allocated (the table's high-water mark).
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.values.len()
     }
 
     /// Iterates occupied `(slot, value)` pairs in slot order.
-    pub fn iter_occupied(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub(crate) fn iter_occupied(&self) -> impl Iterator<Item = (usize, &T)> {
         self.values
             .iter()
             .enumerate()
@@ -200,25 +194,25 @@ mod tests {
     fn append_only_mode_numbers_slots_by_insertion() {
         let mut s: Slab<u64> = Slab::new(false, 4);
         for i in 0..10u64 {
-            assert_eq!(s.insert(i).slot as u64, i);
+            assert_eq!(s.insert_with(|v| *v = i).slot as u64, i);
         }
         s.free(3);
         // Freeing is a no-op append-only: the slot survives and the
         // table keeps growing at the end.
         assert_eq!(s[3], 3);
-        assert_eq!(s.insert(10).slot, 10);
+        assert_eq!(s.insert_with(|v| *v = 10).slot, 10);
         assert_eq!(s.slots(), 11);
     }
 
     #[test]
     fn recycling_reuses_slots_and_bumps_generations() {
         let mut s: Slab<u64> = Slab::new(true, 4);
-        let a = s.insert(7);
-        let b = s.insert(8);
+        let a = s.insert_with(|v| *v = 7);
+        let b = s.insert_with(|v| *v = 8);
         assert_eq!((a.slot, b.slot), (0, 1));
         s.free(a.slot as usize);
         assert!(!s.is_current(a));
-        let c = s.insert(9);
+        let c = s.insert_with(|v| *v = 9);
         assert_eq!(c.slot, 0, "freed slot is reused before growth");
         assert_eq!(c.gen, 1, "reuse bumps the generation");
         assert!(s.is_current(c));
@@ -241,7 +235,7 @@ mod tests {
     fn iter_occupied_skips_freed_slots() {
         let mut s: Slab<u64> = Slab::new(true, 4);
         for i in 0..5u64 {
-            s.insert(i);
+            s.insert_with(|v| *v = i);
         }
         s.free(1);
         s.free(3);

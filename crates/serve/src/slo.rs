@@ -69,25 +69,20 @@ impl SloWindow {
     }
 
     /// Configured ring size.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Outcomes currently held (≤ capacity).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Whether the window's p95 latency is above `bound_s` — the same
     /// answer as `snapshot(..).p95_s > bound_s` in one pass over the
     /// ring, with no selection: the ceil-rank p95 exceeds the bound
     /// exactly when fewer than `rank` latencies are at or below it.
-    pub fn p95_exceeds(&self, bound_s: f64) -> bool {
+    pub(crate) fn p95_exceeds(&self, bound_s: f64) -> bool {
         let n = self.buf.len();
         if n == 0 {
             return 0.0 > bound_s;
@@ -98,7 +93,7 @@ impl SloWindow {
 
     /// The window's p95 latency (0 when empty): `snapshot(..).p95_s`
     /// from one selection, for callers that need no other percentile.
-    pub fn p95(&mut self) -> f64 {
+    pub(crate) fn p95(&mut self) -> f64 {
         let n = self.buf.len();
         if n == 0 {
             return 0.0;
@@ -189,7 +184,7 @@ pub struct WindowSnapshot {
 
 /// Per-device busy-time accounting for utilization reporting.
 #[derive(Debug, Clone, Default)]
-pub struct DeviceUsage {
+pub(crate) struct DeviceUsage {
     /// Seconds of lane-busy time accumulated.
     pub busy_s: f64,
     /// Virtual time at which the device became active (joined), seconds.
@@ -204,7 +199,7 @@ pub struct DeviceUsage {
 
 impl DeviceUsage {
     /// Closes the books at `now_s` and returns total active seconds.
-    pub fn active_total_s(&self, now_s: f64) -> f64 {
+    pub(crate) fn active_total_s(&self, now_s: f64) -> f64 {
         self.active_s
             + if self.active {
                 (now_s - self.active_since_s).max(0.0)
@@ -215,7 +210,7 @@ impl DeviceUsage {
 
     /// Utilization in `[0, 1]`: busy lane-seconds over offered
     /// lane-seconds at `now_s`.
-    pub fn utilization(&self, now_s: f64) -> f64 {
+    pub(crate) fn utilization(&self, now_s: f64) -> f64 {
         let offered = self.active_total_s(now_s) * self.lanes.max(1) as f64;
         if offered <= 0.0 {
             0.0

@@ -855,7 +855,6 @@ mod tests {
             (l1 - l0).abs() > 0.5 || l1 > l0 + 0.5 || l0 > l1 + 0.5,
             "one of the colliding requests must queue: {l0:.2} vs {l1:.2}"
         );
-        assert!(r.max_latency() > r.mean_latency());
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl<P> TaskTable<P> {
 
     /// Head tasks dispatch ahead of queued encoder work.
     #[inline]
-    pub fn is_head(&self, tid: usize) -> bool {
+    pub(crate) fn is_head(&self, tid: usize) -> bool {
         self.entries[tid].meta.flags & TASK_HEAD != 0
     }
 
@@ -754,7 +754,7 @@ impl<X, P> Kernel<X, P> {
     /// first event) and so skips the growth reallocations. The event
     /// queue gets no hint: it grows to the run's pending peak, which is
     /// small when the arrivals are [staged](Kernel::stage_ready).
-    pub fn with_capacity(
+    pub(crate) fn with_capacity(
         devices: Vec<Device>,
         policy: Policy,
         tasks_cap: usize,
@@ -785,7 +785,8 @@ impl<X, P> Kernel<X, P> {
     /// Task-table slots currently holding a live (unreleased) task —
     /// with [`Policy::recycle_tasks`] this tracks in-flight work, not
     /// total spawns.
-    pub fn live_tasks(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn live_tasks(&self) -> usize {
         self.tasks.len() - self.free_tasks.len()
     }
 
@@ -958,7 +959,7 @@ impl<X, P> Kernel<X, P> {
     /// completions since folded in (fewer pending, a later head ready
     /// time).
     #[inline]
-    pub fn request(&self, req: usize) -> RequestSlot {
+    pub(crate) fn request(&self, req: usize) -> RequestSlot {
         let f = self.requests[req];
         RequestSlot {
             pending_encoders: f.pending_encoders as usize,

@@ -102,7 +102,7 @@ impl<T> Default for TimingWheel<T> {
 
 impl<T> TimingWheel<T> {
     /// An empty wheel whose near heap reserves `cap` slots.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         TimingWheel {
             near: KeyHeap::with_capacity(cap),
             levels: (0..LEVELS)
@@ -119,25 +119,20 @@ impl<T> TimingWheel<T> {
     }
 
     /// Events stored across the near heap, all levels, and the far list.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether the wheel holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// The minimum stored key, without popping. Always the near root:
     /// pops eagerly refill the near heap while events remain.
     #[inline]
-    pub fn peek_key(&self) -> Option<u128> {
+    pub(crate) fn peek_key(&self) -> Option<u128> {
         self.near.peek_key()
     }
 
     /// Inserts `key` → `item`.
     #[inline]
-    pub fn push(&mut self, key: u128, item: T) {
+    pub(crate) fn push(&mut self, key: u128, item: T) {
         if self.len == 0 {
             // Empty wheel: advance the frontier past this event's
             // level-0 bucket so it lands in the near heap. Runs that
@@ -335,7 +330,7 @@ mod tests {
         assert_eq!(w.len(), keys.len());
         keys.sort_unstable();
         assert_eq!(drain(&mut w), keys);
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]

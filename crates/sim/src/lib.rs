@@ -35,9 +35,6 @@
 //! assert!((report.request_latency(0).unwrap() - analytic).abs() < 0.15);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod batching;
 pub mod energy;
 pub mod engine;

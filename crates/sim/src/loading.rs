@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Per-device loading time for a placement: each device streams its
 /// placed modules' weights sequentially.
-pub fn loading_times(instance: &Instance, plan: &Plan) -> BTreeMap<DeviceId, f64> {
+pub(crate) fn loading_times(instance: &Instance, plan: &Plan) -> BTreeMap<DeviceId, f64> {
     let specs: BTreeMap<_, _> = instance
         .distinct_modules()
         .into_iter()

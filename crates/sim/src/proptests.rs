@@ -726,7 +726,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty());
+        prop_assert_eq!(wheel.len(), 0);
     }
 }
 

@@ -46,17 +46,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Short label for timeline rendering (matches Fig. 3's legend).
-    pub fn label(&self) -> String {
-        match self {
-            Phase::ModelLoading(_) => "load".into(),
-            Phase::InputTx(_) => "tx-in".into(),
-            Phase::Encode(m) => format!("encode {}", short(m)),
-            Phase::OutputTx(_) => "tx-out".into(),
-            Phase::Head(m) => format!("head {}", short(m)),
-        }
-    }
-
     fn split(&self) -> (PhaseTag, &ModuleId) {
         match self {
             Phase::ModelLoading(m) => (PhaseTag::ModelLoading, m),
@@ -66,10 +55,6 @@ impl Phase {
             Phase::Head(m) => (PhaseTag::Head, m),
         }
     }
-}
-
-fn short(m: &ModuleId) -> &str {
-    m.as_str().rsplit('/').next().unwrap_or(m.as_str())
 }
 
 /// One bar of the timeline.
@@ -306,18 +291,6 @@ impl SimReport {
         self.requests.get(&id).map(RequestTiming::latency)
     }
 
-    /// Mean latency over all requests (objective 4a normalized).
-    pub fn mean_latency(&self) -> f64 {
-        if self.requests.is_empty() {
-            return 0.0;
-        }
-        self.requests
-            .values()
-            .map(RequestTiming::latency)
-            .sum::<f64>()
-            / self.requests.len() as f64
-    }
-
     /// Maximum latency over all requests.
     pub fn max_latency(&self) -> f64 {
         self.requests
@@ -365,15 +338,6 @@ impl SimReport {
         out.push_str("legend: L=model loading  t=transfer  E=encode  H=task head\n");
         out
     }
-
-    /// JSON export of the timeline (for external plotting).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failure (should not happen for this type).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
 }
 
 #[cfg(test)]
@@ -410,13 +374,7 @@ mod tests {
         );
         assert_eq!(r.request_latency(0), Some(2.5));
         assert_eq!(r.request_latency(9), None);
-        assert!((r.mean_latency() - 1.75).abs() < 1e-12);
         assert!((r.max_latency() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_report_mean_is_zero() {
-        assert_eq!(SimReport::default().mean_latency(), 0.0);
     }
 
     #[test]
@@ -457,7 +415,7 @@ mod tests {
             makespan: 0.1,
             ..Default::default()
         };
-        let j = r.to_json().unwrap();
+        let j = serde_json::to_string(&r).unwrap();
         let back: SimReport = serde_json::from_str(&j).unwrap();
         assert_eq!(r, back);
     }
@@ -581,14 +539,5 @@ mod tests {
                 prop_assert_ne!(&reversed_layout(&changed), &table);
             }
         }
-    }
-
-    #[test]
-    fn phase_labels_are_short() {
-        assert_eq!(
-            Phase::Encode("vision/ViT-B-16".into()).label(),
-            "encode ViT-B-16"
-        );
-        assert_eq!(Phase::ModelLoading("x".into()).label(), "load");
     }
 }

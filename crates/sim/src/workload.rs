@@ -525,11 +525,6 @@ pub struct WorkloadStream {
 }
 
 impl WorkloadStream {
-    /// Requests the stream will still yield.
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
     /// Pops the next request in merged `(arrival, source rank)` order.
     pub fn next_request(&mut self) -> Option<WorkloadRequest> {
         if self.remaining == 0 {
@@ -1614,10 +1609,10 @@ mod tests {
         for n in [0, 1, 7, 250] {
             let batch = spec.generate(n, &models).unwrap();
             let mut stream = spec.stream(n, &models).unwrap();
-            assert_eq!(stream.remaining(), n);
+            assert_eq!(stream.remaining, n);
             let lazy: Vec<WorkloadRequest> = (&mut stream).collect();
             assert_eq!(batch, lazy, "n={n}");
-            assert_eq!(stream.remaining(), 0);
+            assert_eq!(stream.remaining, 0);
             assert!(stream.next_request().is_none());
         }
         // Simultaneous arrivals everywhere: the all-ties merge still

@@ -47,9 +47,6 @@
 //! assert_eq!(report.frontier.len(), 1);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod report;
 pub mod run;
 pub mod spec;

@@ -41,7 +41,7 @@ proptest! {
 
     /// Same grid at 1, 2, and 4 threads ⇒ byte-identical JSON report —
     /// in both latency-aggregation modes (`arb_spec` flips streaming),
-    /// since per-replica sketches are merged in deterministic order.
+    /// since replicas are aggregated in index order.
     #[test]
     fn report_is_thread_count_invariant(mut spec in arb_spec()) {
         let mut reports = Vec::new();

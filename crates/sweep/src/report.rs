@@ -21,7 +21,7 @@ impl Band {
     /// Ceil-rank percentile bands over `samples` (order irrelevant —
     /// the values are sorted here, which is what makes the aggregate
     /// independent of replica completion order).
-    pub fn from_samples(samples: &[f64]) -> Option<Self> {
+    pub(crate) fn from_samples(samples: &[f64]) -> Option<Self> {
         if samples.is_empty() {
             return None;
         }
@@ -271,15 +271,6 @@ impl SweepReport {
         serde_json::to_string_pretty(self)
     }
 
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the parse failure.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
-
     /// Human-readable frontier + per-cell table.
     pub fn render_summary(&self) -> String {
         let mut out = String::new();
@@ -411,7 +402,7 @@ pub struct ReplicaSummary {
 impl ReplicaSummary {
     /// Reduces a full serving report to the sweep's per-replica view,
     /// binning window snapshots at `bin_s`.
-    pub fn from_report(report: &ServeReport, bin_s: f64) -> Self {
+    pub(crate) fn from_report(report: &ServeReport, bin_s: f64) -> Self {
         let mut bins: Vec<(usize, f64, f64, f64)> = Vec::new();
         for w in &report.windows {
             let idx = (w.at_s / bin_s).floor() as usize;
@@ -441,7 +432,7 @@ impl ReplicaSummary {
 
 /// Aggregates one cell's replicas (in replica-index order — the caller
 /// guarantees the slice order, which fixes every floating-point sum).
-pub fn aggregate_cell(
+pub(crate) fn aggregate_cell(
     fleet_size: usize,
     rate_scale: f64,
     offered_rate_per_s: Option<f64>,
@@ -529,7 +520,7 @@ pub fn aggregate_cell(
 
 /// Scans each fleet size's cells in ascending rate-scale order and
 /// keeps the largest scale whose mean miss rate stays within `budget`.
-pub fn capacity_frontier(cells: &[CellReport], budget: f64) -> Vec<FrontierPoint> {
+pub(crate) fn capacity_frontier(cells: &[CellReport], budget: f64) -> Vec<FrontierPoint> {
     let mut sizes: Vec<usize> = cells.iter().map(|c| c.fleet_size).collect();
     sizes.dedup();
     sizes
@@ -828,7 +819,7 @@ mod tests {
             frontier: capacity_frontier(&[cell(2, 1.0, 0.0)], 0.01),
             cost_slo: None,
         };
-        let back = SweepReport::from_json(&report.to_json().unwrap()).unwrap();
+        let back = serde_json::from_str::<SweepReport>(&report.to_json().unwrap()).unwrap();
         assert_eq!(report, back);
         let text = report.render_summary();
         assert!(text.contains("capacity frontier"));
@@ -895,7 +886,7 @@ mod tests {
         assert!(text.contains("cost x SLO frontier"), "{text}");
         assert!(text.contains("spend 4.00/window"), "{text}");
         assert!(text.contains("adherence 95.0%"), "{text}");
-        let back = SweepReport::from_json(&report.to_json().unwrap()).unwrap();
+        let back = serde_json::from_str::<SweepReport>(&report.to_json().unwrap()).unwrap();
         assert_eq!(report, back);
     }
 
@@ -922,7 +913,7 @@ mod tests {
             .join("\n")
             .replace("\"makespan_mean_s\": 10.0,", "\"makespan_mean_s\": 10.0")
             .replace("\"frontier\": [],", "\"frontier\": []");
-        let back = SweepReport::from_json(&json).unwrap();
+        let back = serde_json::from_str::<SweepReport>(&json).unwrap();
         assert_eq!(report, back);
     }
 }

@@ -152,7 +152,7 @@ impl SweepSpec {
     ///
     /// [`SweepError::BadSpec`] when a traffic source's device falls
     /// outside the cell fleet (sources must be active at t = 0).
-    pub fn cell_scenario(
+    pub(crate) fn cell_scenario(
         &self,
         rate_scale: f64,
         fleet_size: usize,
@@ -195,7 +195,7 @@ impl SweepSpec {
     /// per second: the sum of the scaled per-source mean rates (or the
     /// scenario-level process when no sources are configured). `None`
     /// when any process has no mean rate (simultaneous bursts).
-    pub fn offered_rate_per_s(&self, rate_scale: f64) -> Option<f64> {
+    pub(crate) fn offered_rate_per_s(&self, rate_scale: f64) -> Option<f64> {
         if self.base.sources.is_empty() {
             return self.base.arrivals.mean_rate_per_s().map(|r| r * rate_scale);
         }

@@ -13,9 +13,9 @@
 //! 2. **Seedable**: module weights are derived from a stable label
 //!    (e.g. `"vision/ViT-B-16"`) so every process reconstructs the same
 //!    weights without shipping checkpoint files.
-//! 3. **Cheap but real**: encoders genuinely compute (projections, layer
-//!    norms, attention-shaped mixing), so the runtime's parallel routing is
-//!    exercised by real work rather than sleeps.
+//! 3. **Cheap but real**: encoders genuinely compute (projections, GELU,
+//!    L2 normalization, residual mixing), so the runtime's parallel routing
+//!    is exercised by real work rather than sleeps.
 //!
 //! The crate deliberately implements only what the zoo needs: a dense
 //! row-major [`Matrix`], the handful of kernels in [`ops`], and stable
@@ -38,9 +38,6 @@
 //! assert_eq!(y, y2);
 //! ```
 
-#![warn(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod matrix;
 pub mod ops;
 pub mod seed;
@@ -48,7 +45,7 @@ pub mod seed;
 pub use matrix::{Matrix, TensorError};
 
 /// Convenience result alias for fallible tensor operations.
-pub type Result<T> = std::result::Result<T, TensorError>;
+pub(crate) type Result<T> = std::result::Result<T, TensorError>;
 
 #[cfg(test)]
 mod proptests;

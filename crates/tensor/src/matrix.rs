@@ -23,16 +23,6 @@ pub enum TensorError {
         /// Shape of the right operand.
         rhs: (usize, usize),
     },
-    /// A constructor was given a buffer whose length does not match
-    /// `rows * cols`.
-    BadBuffer {
-        /// Requested number of rows.
-        rows: usize,
-        /// Requested number of columns.
-        cols: usize,
-        /// Actual buffer length supplied.
-        len: usize,
-    },
     /// An operation required a non-empty matrix but got zero rows/cols.
     Empty {
         /// Operation that failed.
@@ -56,11 +46,6 @@ impl fmt::Display for TensorError {
                 f,
                 "{op}: shape mismatch {}x{} vs {}x{}",
                 lhs.0, lhs.1, rhs.0, rhs.1
-            ),
-            TensorError::BadBuffer { rows, cols, len } => write!(
-                f,
-                "buffer length {len} does not match {rows}x{cols} = {}",
-                rows * cols
             ),
             TensorError::Empty { op } => write!(f, "{op}: empty matrix"),
             TensorError::OutOfBounds { op, index, bound } => {
@@ -93,33 +78,12 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix filled with `value`.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
-    /// Creates a matrix from a row-major buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::BadBuffer`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> crate::Result<Self> {
-        if data.len() != rows * cols {
-            return Err(TensorError::BadBuffer {
-                rows,
-                cols,
-                len: data.len(),
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Creates a matrix by evaluating `f(row, col)` for every element.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f32,
+    ) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -151,11 +115,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates an identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -169,16 +128,6 @@ impl Matrix {
     /// `(rows, cols)` pair.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Total number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the matrix holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Element accessor. Panics on out-of-bounds (use in hot inner loops
@@ -229,33 +178,43 @@ impl Matrix {
     }
 
     /// The underlying row-major buffer.
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         &self.data
     }
 
     /// Mutable view of the underlying row-major buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
     }
 
     /// Returns the transpose.
-    pub fn transposed(&self) -> Matrix {
+    pub(crate) fn transposed(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.at(c, r))
     }
+}
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
+/// Constructors and comparisons the crate's tests share.
+#[cfg(test)]
+impl Matrix {
+    /// Creates a matrix from a row-major buffer of `rows * cols` values.
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+        assert_eq!(data.len(), rows * cols, "buffer length");
+        Matrix { rows, cols, data }
+    }
+
+    /// Creates an identity matrix of size `n`.
+    pub(crate) fn identity(n: usize) -> Self {
+        Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
     }
 
     /// Maximum absolute element, or 0 for an empty matrix.
-    pub fn max_abs(&self) -> f32 {
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0_f32, |m, v| m.max(v.abs()))
     }
 
-    /// Approximate equality within `eps`, used by tests comparing
+    /// Approximate equality within `eps`, for comparing
     /// mathematically-equal but differently-ordered computations.
-    pub fn approx_eq(&self, other: &Matrix, eps: f32) -> bool {
+    pub(crate) fn approx_eq(&self, other: &Matrix, eps: f32) -> bool {
         self.shape() == other.shape()
             && self
                 .data
@@ -299,15 +258,8 @@ mod tests {
     fn zeros_has_right_shape_and_content() {
         let m = Matrix::zeros(3, 4);
         assert_eq!(m.shape(), (3, 4));
-        assert_eq!(m.len(), 12);
+        assert_eq!(m.as_slice().len(), 12);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
-        let err = Matrix::from_vec(2, 2, vec![1.0; 5]).unwrap_err();
-        assert!(matches!(err, TensorError::BadBuffer { len: 5, .. }));
     }
 
     #[test]
@@ -334,8 +286,8 @@ mod tests {
             assert!((x * 0.5 - y).abs() < 1e-6);
         }
         // Sample std should be near 1 for 2500 samples.
-        let n = a.len() as f32;
-        let mean = a.sum() / n;
+        let n = a.as_slice().len() as f32;
+        let mean = a.as_slice().iter().sum::<f32>() / n;
         let var = a.as_slice().iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
         assert!((var.sqrt() - 1.0).abs() < 0.1, "std = {}", var.sqrt());
     }
@@ -366,7 +318,7 @@ mod tests {
 
     #[test]
     fn approx_eq_tolerates_small_differences() {
-        let a = Matrix::full(2, 2, 1.0);
+        let a = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let mut b = a.clone();
         *b.at_mut(0, 0) = 1.0 + 1e-7;
         assert!(a.approx_eq(&b, 1e-6));

@@ -81,51 +81,6 @@ pub fn gelu(a: &Matrix) -> Matrix {
     out
 }
 
-/// Row-wise layer normalization (zero mean, unit variance per row, eps
-/// for stability). Rows of length zero are left untouched.
-pub fn layer_norm(a: &Matrix) -> Matrix {
-    const EPS: f32 = 1e-5;
-    let mut out = a.clone();
-    let n = a.cols();
-    if n == 0 {
-        return out;
-    }
-    for r in 0..a.rows() {
-        let row = &mut out.as_mut_slice()[r * n..(r + 1) * n];
-        let mean = row.iter().sum::<f32>() / n as f32;
-        let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n as f32;
-        let inv = 1.0 / (var + EPS).sqrt();
-        for v in row.iter_mut() {
-            *v = (*v - mean) * inv;
-        }
-    }
-    out
-}
-
-/// Row-wise softmax with the usual max-subtraction for stability.
-pub fn softmax(a: &Matrix) -> Matrix {
-    let mut out = a.clone();
-    let n = a.cols();
-    if n == 0 {
-        return out;
-    }
-    for r in 0..a.rows() {
-        let row = &mut out.as_mut_slice()[r * n..(r + 1) * n];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        if sum > 0.0 {
-            for v in row.iter_mut() {
-                *v /= sum;
-            }
-        }
-    }
-    out
-}
-
 /// Normalizes each row to unit L2 norm. Zero rows stay zero.
 pub fn l2_normalize(a: &Matrix) -> Matrix {
     let mut out = a.clone();
@@ -206,37 +161,12 @@ pub fn mean_rows(a: &Matrix) -> Result<Matrix> {
     Ok(out)
 }
 
-/// Concatenates matrices with equal column counts by stacking rows.
-///
-/// # Errors
-///
-/// [`TensorError::Empty`] on an empty input list;
-/// [`TensorError::ShapeMismatch`] if column counts differ.
-pub fn vstack(parts: &[&Matrix]) -> Result<Matrix> {
-    let first = parts.first().ok_or(TensorError::Empty { op: "vstack" })?;
-    let cols = first.cols();
-    let mut data = Vec::new();
-    let mut rows = 0;
-    for p in parts {
-        if p.cols() != cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "vstack",
-                lhs: (rows, cols),
-                rhs: p.shape(),
-            });
-        }
-        data.extend_from_slice(p.as_slice());
-        rows += p.rows();
-    }
-    Matrix::from_vec(rows, cols, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn m(rows: usize, cols: usize, v: &[f32]) -> Matrix {
-        Matrix::from_vec(rows, cols, v.to_vec()).unwrap()
+        Matrix::from_vec(rows, cols, v.to_vec())
     }
 
     #[test]
@@ -283,35 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn layer_norm_rows_have_zero_mean_unit_var() {
-        let a = Matrix::seeded_gaussian("ln", 3, 64, 3.0);
-        let n = layer_norm(&a);
-        for r in 0..3 {
-            let row = n.row(r).unwrap();
-            let mean: f32 = row.iter().sum::<f32>() / 64.0;
-            let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 64.0;
-            assert!(mean.abs() < 1e-4);
-            assert!((var - 1.0).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one_and_order_preserved() {
-        let a = m(1, 3, &[1.0, 3.0, 2.0]);
-        let s = softmax(&a);
-        let sum: f32 = s.row(0).unwrap().iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(s.at(0, 1) > s.at(0, 2) && s.at(0, 2) > s.at(0, 0));
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant() {
-        let a = m(1, 4, &[0.0, 1.0, 2.0, 3.0]);
-        let b = m(1, 4, &[100.0, 101.0, 102.0, 103.0]);
-        assert!(softmax(&a).approx_eq(&softmax(&b), 1e-6));
-    }
-
-    #[test]
     fn l2_normalize_unit_rows_and_zero_rows() {
         let a = m(2, 2, &[3.0, 4.0, 0.0, 0.0]);
         let n = l2_normalize(&a);
@@ -350,17 +251,6 @@ mod tests {
         let mr = mean_rows(&a).unwrap();
         assert_eq!(mr.as_slice(), &[2.0, 3.0]);
         assert!(mean_rows(&Matrix::zeros(0, 2)).is_err());
-    }
-
-    #[test]
-    fn stack_operations() {
-        let a = m(1, 2, &[1.0, 2.0]);
-        let b = m(2, 2, &[3.0, 4.0, 5.0, 6.0]);
-        let v = vstack(&[&a, &b]).unwrap();
-        assert_eq!(v.shape(), (3, 2));
-        assert_eq!(v.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert!(vstack(&[]).is_err());
-        assert!(vstack(&[&a, &Matrix::zeros(1, 3)]).is_err());
     }
 
     #[test]

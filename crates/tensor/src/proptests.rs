@@ -7,7 +7,7 @@ use crate::{ops, Matrix};
 fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     (1..=max_dim, 1..=max_dim).prop_flat_map(|(r, c)| {
         proptest::collection::vec(-10.0f32..10.0, r * c)
-            .prop_map(move |v| Matrix::from_vec(r, c, v).unwrap())
+            .prop_map(move |v| Matrix::from_vec(r, c, v))
     })
 }
 
@@ -34,17 +34,6 @@ proptest! {
     }
 
     #[test]
-    fn softmax_rows_are_distributions(m in arb_matrix(8)) {
-        let s = ops::softmax(&m);
-        for r in 0..s.rows() {
-            let row = s.row(r).unwrap();
-            let sum: f32 = row.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-4);
-            prop_assert!(row.iter().all(|&v| (0.0..=1.0 + 1e-6).contains(&v)));
-        }
-    }
-
-    #[test]
     fn l2_normalized_rows_have_unit_or_zero_norm(m in arb_matrix(8)) {
         let n = ops::l2_normalize(&m);
         for r in 0..n.rows() {
@@ -68,37 +57,10 @@ proptest! {
     }
 
     #[test]
-    fn layer_norm_idempotent_up_to_eps(m in arb_matrix(8)) {
-        // layer_norm(layer_norm(x)) ~= layer_norm(x) for rows whose
-        // variance is not eps-dominated; near-constant rows legitimately
-        // renormalize (the stability epsilon swamps their variance), so
-        // exclude them.
-        let n = m.cols() as f32;
-        let degenerate = (0..m.rows()).any(|r| {
-            let row = m.row(r).unwrap();
-            let mean: f32 = row.iter().sum::<f32>() / n;
-            let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-            var < 1e-3
-        });
-        prop_assume!(!degenerate);
-        let once = ops::layer_norm(&m);
-        let twice = ops::layer_norm(&once);
-        prop_assert!(once.approx_eq(&twice, 5e-2));
-    }
-
-    #[test]
     fn argmax_within_bounds(m in arb_matrix(8)) {
         let idx = ops::argmax_rows(&m).unwrap();
         prop_assert_eq!(idx.len(), m.rows());
         prop_assert!(idx.iter().all(|&i| i < m.cols()));
-    }
-
-    #[test]
-    fn vstack_preserves_rows((a, b) in (arb_matrix(5), arb_matrix(5))) {
-        let b2 = Matrix::from_fn(b.rows(), a.cols(), |r, c| b.at(r, c % b.cols()));
-        let v = ops::vstack(&[&a, &b2]).unwrap();
-        prop_assert_eq!(v.rows(), a.rows() + b2.rows());
-        prop_assert_eq!(v.row(0).unwrap(), a.row(0).unwrap());
     }
 
     #[test]

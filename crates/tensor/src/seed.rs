@@ -8,7 +8,7 @@
 //! stable across Rust releases).
 
 /// FNV-1a 64-bit hash of a byte string. Stable by construction.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x100_0000_01b3;
     let mut h = OFFSET;
@@ -21,7 +21,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// SplitMix64 step: a high-quality 64-bit mixer used to expand one hash
 /// word into a full seed.
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
