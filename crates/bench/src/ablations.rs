@@ -1,6 +1,6 @@
 //! Design-choice ablations beyond the paper's printed tables: each row
-//! isolates one S2M3 mechanism called out in DESIGN.md and quantifies it
-//! on the standard workloads.
+//! isolates one S2M3 mechanism (replication, batching, partitioning,
+//! energy) and quantifies it on the standard workloads.
 
 use s2m3_core::partition::greedy_place_partitioned;
 use s2m3_core::placement::{greedy_place_with, PlacementOptions};

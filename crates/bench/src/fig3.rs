@@ -41,8 +41,9 @@ fn timeline(include_loading: bool) -> SimReport {
     .unwrap()
 }
 
-/// Summary rows comparing the three deployments of Fig. 3.
-pub fn run() -> (Table, String) {
+/// Summary rows comparing the three deployments of Fig. 3, with the
+/// per-phase Gantt as the table's figure.
+pub fn run() -> Table {
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
     let report = s2m3_timeline();
 
@@ -79,8 +80,8 @@ pub fn run() -> (Table, String) {
          as in the paper's Fig. 3.",
     );
 
-    let gantt = report.render_gantt(90);
-    (t, gantt)
+    t.figure = Some(report.render_gantt(90));
+    t
 }
 
 #[cfg(test)]
@@ -129,8 +130,9 @@ mod tests {
 
     #[test]
     fn summary_table_and_gantt_render() {
-        let (t, gantt) = run();
+        let t = run();
         assert_eq!(t.rows.len(), 3);
+        let gantt = t.figure.unwrap();
         assert!(gantt.contains("legend"));
         assert!(gantt.contains('E'));
     }

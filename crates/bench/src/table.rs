@@ -1,9 +1,7 @@
 //! Minimal tabular report type shared by all experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// A rendered experiment table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment title (e.g. `"Table VI — deployment cost and latency"`).
     pub title: String,
@@ -13,6 +11,8 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes (paper-vs-measured commentary).
     pub notes: Vec<String>,
+    /// A plain-text figure rendered after the table (Fig. 3's Gantt).
+    pub figure: Option<String>,
 }
 
 impl Table {
@@ -23,6 +23,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            figure: None,
         }
     }
 
@@ -76,6 +77,9 @@ impl Table {
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
+        if let Some(figure) = &self.figure {
+            out.push_str(&format!("\n{figure}"));
+        }
         out
     }
 
@@ -97,6 +101,9 @@ impl Table {
         }
         for n in &self.notes {
             out.push_str(&format!("\n> {n}\n"));
+        }
+        if let Some(figure) = &self.figure {
+            out.push_str(&format!("\n```text\n{figure}```\n"));
         }
         out
     }
@@ -139,6 +146,10 @@ mod tests {
         assert!(s.contains("note: hello"));
         let md = t.render_markdown();
         assert!(md.contains("| a | bbbb |"));
+        t.figure = Some("gantt\n".into());
+        assert!(t.render().ends_with("note: hello\n\ngantt\n"));
+        let md = t.render_markdown();
+        assert!(md.ends_with("> hello\n\n```text\ngantt\n```\n"));
     }
 
     #[test]

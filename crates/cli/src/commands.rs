@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 
 use s2m3_baselines::centralized::centralized_latency;
+use s2m3_bench::EXPERIMENTS;
 use s2m3_core::objective::total_latency;
 use s2m3_core::placement::{greedy_place_with, PlacementOptions};
 use s2m3_core::plan::Plan;
@@ -86,7 +87,7 @@ COMMANDS:
                                verified bit-identical vs centralized
   compare    --model M [--candidates N]
                                S2M3 vs every centralized deployment
-  experiments                  list the paper-reproduction binaries
+  experiments                  list the paper-reproduction experiments
 
 FLEETS: edge (default; desktop+laptop+2 Jetsons) | standard (adds the GPU server)
 ";
@@ -95,11 +96,8 @@ FLEETS: edge (default; desktop+laptop+2 Jetsons) | standard (adds the GPU server
 pub(crate) type CmdResult = Result<String, String>;
 
 fn fleet_for(args: &Args) -> Result<Fleet, String> {
-    match args.get_or("fleet", "edge") {
-        "edge" => Ok(Fleet::edge_testbed()),
-        "standard" => Ok(Fleet::standard_testbed()),
-        other => Err(format!("unknown fleet '{other}' (edge|standard)")),
-    }
+    let name = args.get_or("fleet", "edge");
+    Fleet::by_name(name).ok_or_else(|| format!("unknown fleet '{name}' (edge|standard)"))
 }
 
 fn instance_for(args: &Args) -> Result<(Instance, String, usize), String> {
@@ -524,27 +522,17 @@ pub(crate) fn compare(args: &Args) -> CmdResult {
 
 /// `s2m3 experiments`.
 pub(crate) fn experiments(_args: &Args) -> CmdResult {
-    Ok(
-        "The evaluation lives in the s2m3-bench crate; regenerate any artifact with:
-
-  cargo run --release -p s2m3-bench --bin table6        Table VI   cost & latency per architecture
-  cargo run --release -p s2m3-bench --bin table7        Table VII  deployment comparison (+ loading)
-  cargo run --release -p s2m3-bench --bin fig3          Fig. 3     inference timeline (ASCII Gantt)
-  cargo run --release -p s2m3-bench --bin table8        Table VIII zero-shot accuracy
-  cargo run --release -p s2m3-bench --bin table9        Table IX   device availability
-  cargo run --release -p s2m3-bench --bin table10       Table X    multi-task sharing
-  cargo run --release -p s2m3-bench --bin table11       Table XI   baseline comparison
-  cargo run --release -p s2m3-bench --bin optimality    Sec. VI-A  greedy vs brute force (19x5)
-  cargo run --release -p s2m3-bench --bin batching      footnote 4 batch scaling
-  cargo run --release -p s2m3-bench --bin ablations     mechanism ablations
-  cargo run --release -p s2m3-bench --bin load_sweep    queuing knee under Poisson load
-  cargo run --release -p s2m3-bench --bin churn         serving SLOs under fleet churn
-  cargo run --release -p s2m3-bench --bin sweep         Monte Carlo capacity frontier (all cores)
-  cargo run --release -p s2m3-bench --bin scalability   placement cost vs fleet size
-  cargo run --release -p s2m3-bench --bin all_experiments  everything + markdown export
-"
-        .to_string(),
-    )
+    let mut out = String::from(
+        "The evaluation lives in the s2m3-bench crate. Regenerate every artifact \
+         below (and experiments_measured.md) with\n\n  \
+         cargo run --release -p s2m3-bench --bin experiments\n\n\
+         or only the named ones, in the order given, with\n\n  \
+         cargo run --release -p s2m3-bench --bin experiments -- NAME...\n\n",
+    );
+    for e in EXPERIMENTS {
+        let _ = writeln!(out, "  {:<12} {}", e.name, e.artifact);
+    }
+    Ok(out)
 }
 
 /// Every `--flag` and `--switch` a command reads (`None`: not a
@@ -618,8 +606,6 @@ pub(crate) fn dispatch(args: &Args) -> CmdResult {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeSet;
-
     use super::*;
     use crate::args::parse;
 
@@ -1066,40 +1052,6 @@ mod tests {
         let out = run(&["compare", "--model", "ImageBind", "--candidates", "8"]).unwrap();
         assert!(out.contains("does not fit"));
         assert!(out.contains("S2M3"));
-    }
-
-    #[test]
-    fn experiments_lists_all_binaries() {
-        let out = run(&["experiments"]).unwrap();
-        for bin in [
-            "table6",
-            "table11",
-            "optimality",
-            "scalability",
-            "all_experiments",
-        ] {
-            assert!(out.contains(bin), "missing {bin}");
-        }
-    }
-
-    #[test]
-    fn experiments_names_exactly_the_experiment_bins() {
-        let out = run(&["experiments"]).unwrap();
-        let listed: BTreeSet<String> = out
-            .split("--bin ")
-            .skip(1)
-            .map(|rest| rest.split_whitespace().next().unwrap().to_string())
-            .collect();
-        // `capture_fixtures` regenerates the goldens: tooling, not an
-        // experiment (the README documents it).
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../bench/src/bin");
-        let bins: BTreeSet<String> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter_map(|f| f.strip_suffix(".rs").map(str::to_string))
-            .filter(|b| b != "capture_fixtures")
-            .collect();
-        assert_eq!(listed, bins);
     }
 
     #[test]

@@ -271,20 +271,28 @@ impl Serialize for Request {
     }
 }
 
-impl<'de> serde::Deserialize<'de> for Request {
+/// The flat JSON form of a [`Request`], which `Deserialize` reads
+/// before sharing the shape.
+#[derive(Deserialize)]
+struct FlatRequest {
+    id: u64,
+    model: String,
+    source: DeviceId,
+    profile: RequestProfile,
+    #[serde(default)]
+    class: Option<DeadlineClass>,
+}
+
+impl<'de> Deserialize<'de> for Request {
     fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let v = d.into_value()?;
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::msg(format!("expected object for Request, got {v:?}")))?;
-        let field = |name: &str| serde::value::get_field(obj, name);
+        let flat = FlatRequest::deserialize(d)?;
         Ok(Request::new(
-            serde::from_value(field("id")?)?,
+            flat.id,
             RequestShape {
-                model: serde::from_value(field("model")?)?,
-                source: serde::from_value(field("source")?)?,
-                profile: serde::from_value(field("profile")?)?,
-                class: serde::from_value(serde::value::get_field_or_null(obj, "class"))?,
+                model: flat.model,
+                source: flat.source,
+                profile: flat.profile,
+                class: flat.class,
             },
         ))
     }
@@ -709,6 +717,19 @@ mod tests {
         assert_eq!(q.source.as_str(), "jetson-a");
         assert_eq!(q.profile.text_units, 101.0);
         assert!(i.request(4, "nope").is_err());
+    }
+
+    #[test]
+    fn request_json_parses_with_and_without_class_and_round_trips() {
+        let bare = r#"{"id":3,"model":"CLIP ViT-B/16","source":"jetson-a","profile":{"text_units":101.0,"llm_tokens":0.0}}"#;
+        let q: Request = serde_json::from_str(bare).unwrap();
+        assert_eq!(q.class, None);
+        assert_eq!(serde_json::to_string(&q).unwrap(), bare);
+
+        let classed = r#"{"id":4,"model":"CLIP ViT-B/16","source":"jetson-a","profile":{"text_units":1.0,"llm_tokens":0.0},"class":{"name":"batch","deadline_s":30.0,"priority":0}}"#;
+        let q: Request = serde_json::from_str(classed).unwrap();
+        assert_eq!(q.class.as_ref().map(|c| c.name.as_str()), Some("batch"));
+        assert_eq!(serde_json::to_string(&q).unwrap(), classed);
     }
 
     #[test]

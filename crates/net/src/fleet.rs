@@ -84,6 +84,16 @@ impl Fleet {
         Self::standard_testbed().without(&["server"])
     }
 
+    /// The testbed named `"edge"` ([`Fleet::edge_testbed`]) or
+    /// `"standard"` ([`Fleet::standard_testbed`]); `None` for any other.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "edge" => Some(Self::edge_testbed()),
+            "standard" => Some(Self::standard_testbed()),
+            _ => None,
+        }
+    }
+
     /// A copy of this fleet without the named devices.
     ///
     /// Used for Table IX's device-availability sweeps. Keeps the same
@@ -172,6 +182,13 @@ mod tests {
         assert_eq!(f.len(), 4);
         assert!(f.device("server").is_none());
         assert_eq!(f.requester().as_str(), "jetson-a");
+    }
+
+    #[test]
+    fn by_name_knows_both_testbeds_and_nothing_else() {
+        assert_eq!(Fleet::by_name("edge").unwrap().len(), 4);
+        assert_eq!(Fleet::by_name("standard").unwrap().len(), 5);
+        assert!(Fleet::by_name("mars").is_none());
     }
 
     #[test]

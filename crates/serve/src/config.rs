@@ -406,15 +406,9 @@ impl ServeScenario {
     /// [`ServeError::BadScenario`] listing every problem found.
     pub(crate) fn validate(&self) -> Result<ValidScenario<'_>, ServeError> {
         let fleet = &self.fleet;
-        let universe = match fleet.as_str() {
-            "edge" => Fleet::edge_testbed(),
-            "standard" => Fleet::standard_testbed(),
-            other => {
-                return Err(ServeError::BadScenario(format!(
-                    "fleet: must be edge or standard (got `{other}`)"
-                )))
-            }
-        };
+        let universe = Fleet::by_name(fleet).ok_or_else(|| {
+            ServeError::BadScenario(format!("fleet: must be edge or standard (got `{fleet}`)"))
+        })?;
         let names: Vec<&str> = universe.devices().iter().map(|d| d.id.as_str()).collect();
         let index = |name: &str| names.iter().position(|n| *n == name);
         let requester = universe.requester().as_str();

@@ -111,15 +111,10 @@ impl SweepSpec {
     /// The base scenario's initial devices with the requester moved to
     /// the front: the prefix order fleet sizes cut from.
     pub(crate) fn device_order(&self) -> Result<Vec<String>, SweepError> {
-        let universe = match self.base.fleet.as_str() {
-            "edge" => Fleet::edge_testbed(),
-            "standard" => Fleet::standard_testbed(),
-            other => {
-                return Err(SweepError::BadSpec(format!(
-                    "unknown fleet `{other}` (edge|standard)"
-                )))
-            }
-        };
+        let fleet = &self.base.fleet;
+        let universe = Fleet::by_name(fleet).ok_or_else(|| {
+            SweepError::BadSpec(format!("unknown fleet `{fleet}` (edge|standard)"))
+        })?;
         let requester = universe.requester().as_str().to_string();
         if !self.base.initial_devices.contains(&requester) {
             return Err(SweepError::BadSpec(format!(

@@ -3,7 +3,8 @@
 //!
 //! A fleet is a set of devices. Listing the same devices in another
 //! order must not move greedy's latency (Algorithm 1's placement and
-//! routing, priced by Eq. 1) or Upper's optimum by a single bit.
+//! routing, priced by Eq. 1) or Upper's optimum by a single bit. Adding
+//! a device only adds placements, so Upper's optimum can only improve.
 
 use s2m3::core::objective::total_latency;
 use s2m3::core::plan::Plan;
@@ -84,6 +85,59 @@ fn greedy_and_upper_latency_ignore_device_order() {
     assert!(
         broken.is_empty(),
         "device order moved a latency:\n{}",
+        broken.join("\n")
+    );
+}
+
+/// Upper's latency for one model on one fleet; `None` when no placement
+/// fits.
+fn upper(fleet: Fleet, model: &str, candidates: usize) -> Option<f64> {
+    let instance = Instance::on_fleet(fleet, &[(model, candidates)]).unwrap();
+    optimal_placement(&instance).ok().map(|r| r.latency)
+}
+
+#[test]
+fn upper_never_gets_worse_when_a_device_joins() {
+    let full = Fleet::standard_testbed();
+    let requester = full.requester().as_str();
+    let others: Vec<&str> = full
+        .devices()
+        .iter()
+        .map(|d| d.id.as_str())
+        .filter(|n| *n != requester)
+        .collect();
+    let (mut compared, mut infeasible) = (0, 0);
+    let mut broken = Vec::new();
+    // Every subset of the testbed that holds the requester, grown by
+    // each device it lacks.
+    for mask in 0..1u32 << others.len() {
+        let (held, absent): (Vec<_>, Vec<_>) = (0..others.len()).partition(|i| mask >> i & 1 == 1);
+        let mut fleet: Vec<&str> = held.iter().map(|&i| others[i]).collect();
+        fleet.push(requester);
+        for joiner in absent.iter().map(|&i| others[i]) {
+            let grown = [fleet.as_slice(), &[joiner]].concat();
+            for (model, candidates) in MODELS {
+                let small = full.restricted_to(&fleet).unwrap();
+                let Some(before) = upper(small, model, candidates) else {
+                    infeasible += 1;
+                    continue;
+                };
+                compared += 1;
+                match upper(full.restricted_to(&grown).unwrap(), model, candidates) {
+                    Some(after) if after <= before => {}
+                    after => broken.push(format!(
+                        "{model} on {fleet:?} + {joiner}: Upper {before} -> {after:?}"
+                    )),
+                }
+            }
+        }
+    }
+    // 7 models x 32 (subset, joiner) pairs; a smaller fleet that fits
+    // no placement has nothing to compare.
+    assert_eq!((compared, infeasible), (187, 37));
+    assert!(
+        broken.is_empty(),
+        "a joining device made Upper worse:\n{}",
         broken.join("\n")
     );
 }
