@@ -30,7 +30,7 @@ fn burst_plan(replicate: bool) -> (Instance, Plan) {
 /// replication (Sec. V-B's final step). Replicas only matter with
 /// load-aware routing, so the replicated case routes with
 /// [`route_requests_balanced`].
-pub fn replication_gain() -> (f64, f64) {
+fn replication_gain() -> (f64, f64) {
     let (i, plain) = burst_plan(false);
     let a = simulate(&i, &plain, &SimConfig::default())
         .unwrap()
@@ -51,7 +51,7 @@ pub fn replication_gain() -> (f64, f64) {
 
 /// Batching ablation: burst makespan with and without module-level batch
 /// aggregation (Sec. VI-C).
-pub fn batching_gain() -> (f64, f64) {
+fn batching_gain() -> (f64, f64) {
     let (i, plan) = burst_plan(false);
     let plain = simulate(&i, &plan, &SimConfig::default()).unwrap().makespan;
     let batched = simulate(
@@ -70,7 +70,7 @@ pub fn batching_gain() -> (f64, f64) {
 /// Partitioning ablation: LLaVA-v1.5-13B is infeasible whole on the edge
 /// fleet; the Sec. V-B fallback shards its LLM into pipeline stages.
 /// Returns (shard count, pipelined head latency).
-pub fn partitioning_result() -> (usize, f64) {
+fn partitioning_result() -> (usize, f64) {
     let i = Instance::single_model("LLaVA-v1.5-13B", 1).unwrap();
     let pp = greedy_place_partitioned(&i).unwrap();
     let plan = &pp.sharded[0];
@@ -83,7 +83,7 @@ pub fn partitioning_result() -> (usize, f64) {
 
 /// Energy ablation: marginal joules per request, edge S2M3 vs the
 /// centralized GPU server (the paper's future-work metric).
-pub fn energy_comparison() -> (f64, f64) {
+fn energy_comparison() -> (f64, f64) {
     let i = Instance::single_model(MODEL, CANDIDATES).unwrap();
     let q = i.request(0, MODEL).unwrap();
     let plan = Plan::greedy(&i, vec![q]).unwrap();
@@ -100,7 +100,7 @@ pub fn energy_comparison() -> (f64, f64) {
 }
 
 /// Regenerates the ablation table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut t = Table::new(
         "Ablations — isolating each S2M3 mechanism",
         &["Mechanism", "Without", "With", "Effect"],

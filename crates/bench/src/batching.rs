@@ -11,7 +11,7 @@ use crate::table::Table;
 const TOKENS: f64 = 128.0;
 
 /// Regenerates the footnote-4 batch-scaling measurement.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let catalog = Catalog::standard();
     let vicuna = catalog
         .get_by_name("llm/Vicuna-7B")

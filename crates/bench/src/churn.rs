@@ -15,16 +15,15 @@ use crate::table::Table;
 
 /// Requests per churn run (kept below the CLI default so the full
 /// experiment suite stays fast; the `serve` command runs the 10k version).
-pub const REQUESTS: usize = 2_000;
+pub(crate) const REQUESTS: usize = 2_000;
 
 /// The churn scenario under a given admission policy and replan horizon.
-pub fn scenario(policy: AdmissionPolicy, horizon_s: f64) -> ServeScenario {
+fn scenario(policy: AdmissionPolicy, horizon_s: f64) -> ServeScenario {
     ServeScenario {
         requests: REQUESTS,
         admission: policy,
         replan: ReplanPolicy {
             horizon_s,
-            charge_switching_downtime: true,
             ..ReplanPolicy::default()
         },
         ..ServeScenario::churn_default()
@@ -36,13 +35,13 @@ pub fn scenario(policy: AdmissionPolicy, horizon_s: f64) -> ServeScenario {
 /// # Panics
 ///
 /// On serve-loop failures (the default scenario is valid).
-pub fn point(policy: AdmissionPolicy, horizon_s: f64) -> ServeReport {
+fn point(policy: AdmissionPolicy, horizon_s: f64) -> ServeReport {
     serve(&scenario(policy, horizon_s)).expect("churn scenario serves")
 }
 
 /// The churn scenario with module-level batching enabled (the workload
 /// layer's `batch` knob wired through the kernel's `max_batch`).
-pub fn batched_point(policy: AdmissionPolicy, horizon_s: f64, max_batch: usize) -> ServeReport {
+fn batched_point(policy: AdmissionPolicy, horizon_s: f64, max_batch: usize) -> ServeReport {
     let mut s = scenario(policy, horizon_s);
     s.batch = Some(BatchPolicy {
         max_batch,
@@ -52,7 +51,7 @@ pub fn batched_point(policy: AdmissionPolicy, horizon_s: f64, max_batch: usize) 
 }
 
 /// Regenerates the churn-under-load table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut t = Table::new(
         "Churn under load — 2k-request Poisson stream, desktop leaves @1800s, server joins @4200s",
         &[

@@ -13,18 +13,9 @@ use crate::table::{fmt_secs, Table};
 const MODEL: &str = "CLIP ViT-B/16";
 const CANDIDATES: usize = 101;
 
-/// The simulated S2M3 timeline (with model loading), ready for Gantt
-/// rendering.
-pub fn s2m3_timeline() -> SimReport {
-    timeline(true)
-}
-
-/// The serving-only timeline (models already loaded — the paper's
+/// The simulated S2M3 timeline, ready for Gantt rendering: with model
+/// loading, or serving only (models already loaded — the paper's
 /// steady-state view where encoders visibly overlap).
-pub fn s2m3_serving_timeline() -> SimReport {
-    timeline(false)
-}
-
 fn timeline(include_loading: bool) -> SimReport {
     let edge = Instance::on_fleet(Fleet::edge_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
     let q = edge.request(0, MODEL).unwrap();
@@ -43,9 +34,9 @@ fn timeline(include_loading: bool) -> SimReport {
 
 /// Summary rows comparing the three deployments of Fig. 3, with the
 /// per-phase Gantt as the table's figure.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
-    let report = s2m3_timeline();
+    let report = timeline(true);
 
     let mut t = Table::new(
         "Fig. 3 — inference timeline summary (CLIP ViT-B/16)",
@@ -91,7 +82,7 @@ mod tests {
 
     #[test]
     fn timeline_has_all_phases() {
-        let r = s2m3_timeline();
+        let r = timeline(true);
         let has = |f: fn(&Phase) -> bool| r.spans.iter().any(|s| f(&s.phase));
         assert!(has(|p| matches!(p, Phase::ModelLoading(_))));
         assert!(has(|p| matches!(p, Phase::InputTx(_))));
@@ -103,7 +94,7 @@ mod tests {
     fn encoders_overlap_in_time() {
         // The core of Fig. 3: image and text encoding run simultaneously
         // on different devices (steady state: models already loaded).
-        let r = s2m3_serving_timeline();
+        let r = timeline(false);
         let encodes: Vec<_> = r
             .spans
             .iter()
@@ -118,7 +109,7 @@ mod tests {
 
     #[test]
     fn transmission_is_nearly_invisible() {
-        let r = s2m3_serving_timeline();
+        let r = timeline(false);
         let tx_total: f64 = r
             .spans
             .iter()

@@ -4,22 +4,22 @@
 //! paper's evaluation section (and per extension beyond it), each a row
 //! of [`EXPERIMENTS`], which the `experiments` binary runs.
 
-pub mod ablations;
-pub mod batching;
-pub mod churn;
-pub mod fig3;
-pub mod load_sweep;
-pub mod optimality;
-pub mod perturb;
-pub mod scalability;
-pub mod sweep;
-pub mod table;
-pub mod table10;
-pub mod table11;
-pub mod table6;
-pub mod table7;
-pub mod table8;
-pub mod table9;
+mod ablations;
+mod batching;
+mod churn;
+mod fig3;
+mod load_sweep;
+mod optimality;
+mod perturb;
+mod scalability;
+mod sweep;
+mod table;
+mod table10;
+mod table11;
+mod table6;
+mod table7;
+mod table8;
+mod table9;
 
 pub use table::Table;
 
@@ -59,7 +59,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     row!(batching, "footnote 4: batch scaling"),
     row!(ablations, "mechanism ablations"),
     row!(load_sweep, "queuing knee under Poisson load"),
-    row!(scalability, "placement cost vs fleet size"),
+    row!(scalability, "placement latency vs fleet size"),
     row!(churn, "serving SLOs under fleet churn"),
     row!(sweep, "Monte Carlo capacity frontier (all cores)"),
 ];

@@ -17,12 +17,12 @@ use s2m3_sim::{simulate, SimConfig};
 use crate::table::Table;
 
 /// Requests per sweep point.
-pub const REQUESTS: usize = 40;
+const REQUESTS: usize = 40;
 /// Offered rates to sweep, requests/second.
-pub const RATES: [f64; 5] = [0.1, 0.2, 0.4, 0.8, 1.6];
+const RATES: [f64; 5] = [0.1, 0.2, 0.4, 0.8, 1.6];
 
 /// The four-task deployment of Table X.
-pub fn instance() -> Instance {
+fn instance() -> Instance {
     Instance::on_fleet(
         Fleet::edge_testbed(),
         &[
@@ -42,7 +42,7 @@ pub fn instance() -> Instance {
 /// # Panics
 ///
 /// On internal plan/simulation failures (the standard instance is valid).
-pub fn point(instance: &Instance, rate: f64, max_batch: Option<usize>) -> LatencyStats {
+fn point(instance: &Instance, rate: f64, max_batch: Option<usize>) -> LatencyStats {
     let spec = WorkloadSpec::single_source(
         ArrivalProcess::Poisson { rate_per_s: rate },
         format!("sweep/{rate}"),
@@ -65,7 +65,7 @@ pub fn point(instance: &Instance, rate: f64, max_batch: Option<usize>) -> Latenc
 }
 
 /// Regenerates the load sweep.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let shared = instance();
     let dedicated = shared.dedicated();
     let mut t = Table::new(

@@ -18,12 +18,12 @@ use crate::table::Table;
 /// roughly 3–4% — gaps below that are indistinguishable from the optimum
 /// on the real testbed (e.g. a 5 ms head-transfer difference on a 0.19 s
 /// encoder-VQA request).
-pub const OPT_TOLERANCE: f64 = 0.03;
+const OPT_TOLERANCE: f64 = 0.03;
 
 /// The 19 (model, candidate-count, label) combinations: 5 retrieval
 /// benchmarks × 2 CLIP towers, 3 VQA benchmarks × 2 LLaVA-family models,
 /// MS COCO × 2 encoder-only models, and As-A × the tri-modal aligner.
-pub fn combinations() -> Vec<(&'static str, usize, String)> {
+fn combinations() -> Vec<(&'static str, usize, String)> {
     let mut out = Vec::new();
     for bench in [
         ("food101", 101),
@@ -50,21 +50,21 @@ pub fn combinations() -> Vec<(&'static str, usize, String)> {
 
 /// Result of the sweep.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OptimalityResult {
+struct OptimalityResult {
     /// Instances where greedy latency matches the brute-force optimum
     /// within [`OPT_TOLERANCE`].
-    pub optimal: usize,
+    optimal: usize,
     /// Total instances evaluated.
-    pub total: usize,
+    total: usize,
     /// Worst relative gap observed (greedy/optimal − 1).
-    pub worst_gap: f64,
+    worst_gap: f64,
     /// Per-combination optimal counts (label, optimal-of-trials).
-    pub per_combo: Vec<(String, usize)>,
+    per_combo: Vec<(String, usize)>,
 }
 
 impl OptimalityResult {
     /// Optimality rate in percent.
-    pub fn rate(&self) -> f64 {
+    fn rate(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
@@ -80,7 +80,7 @@ impl OptimalityResult {
 /// decisions under perturbed runtime conditions (the measurement noise
 /// of a real testbed). Greedy counts as optimal in a trial when its
 /// evaluated latency is within [`OPT_TOLERANCE`] of the Upper plan's.
-pub fn sweep(trials: usize) -> OptimalityResult {
+fn sweep(trials: usize) -> OptimalityResult {
     let base = Fleet::edge_testbed();
     let mut optimal = 0;
     let mut total = 0;
@@ -144,7 +144,7 @@ pub fn sweep(trials: usize) -> OptimalityResult {
 }
 
 /// Regenerates the optimality claim as a table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let result = sweep(5);
     let mut t = Table::new(
         "§VI-A — greedy vs brute-force optimal placement (19 combos x 5 trials)",

@@ -16,7 +16,7 @@ use s2m3_tensor::seed::seed_from_label;
 
 /// Returns a copy of `fleet` with per-trial perturbations derived from
 /// `label` (use e.g. `"trial/3"`).
-pub fn perturbed_fleet(fleet: &Fleet, label: &str) -> Fleet {
+pub(crate) fn perturbed_fleet(fleet: &Fleet, label: &str) -> Fleet {
     let mut rng = ChaCha8Rng::from_seed(seed_from_label(&format!("perturb/{label}")));
     let mut uniform = move |lo: f64, hi: f64| {
         let u = (rng.next_u32() >> 8) as f64 / (1u32 << 24) as f64;

@@ -16,11 +16,11 @@ use crate::table::Table;
 
 /// Requests per replica (the grid multiplies this by
 /// `seeds x scales x fleet sizes`, so it stays below [`crate::churn::REQUESTS`]).
-pub const REQUESTS: usize = 400;
+const REQUESTS: usize = 400;
 
 /// The sweep grid: 3 seeds x 3 rate scales x 3 fleet sizes over the
 /// churn scenario.
-pub fn spec() -> SweepSpec {
+fn spec() -> SweepSpec {
     let mut base = ServeScenario::churn_default();
     base.requests = REQUESTS;
     base.snapshot_every = 50;
@@ -40,12 +40,12 @@ pub fn spec() -> SweepSpec {
 /// # Panics
 ///
 /// On sweep failures (the grid above is valid).
-pub fn report() -> SweepReport {
+fn report() -> SweepReport {
     run_sweep(&spec()).expect("sweep grid runs")
 }
 
 /// Regenerates the capacity-frontier table.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let r = report();
     let mut t = Table::new(
         "Monte Carlo sweep — churn scenario over 3 seeds x 3 rates x 3 fleet sizes",

@@ -4,20 +4,20 @@
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Experiment title (e.g. `"Table VI — deployment cost and latency"`).
-    pub title: String,
+    title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    headers: Vec<String>,
     /// Row cells (already formatted).
-    pub rows: Vec<Vec<String>>,
+    pub(crate) rows: Vec<Vec<String>>,
     /// Free-form notes (paper-vs-measured commentary).
-    pub notes: Vec<String>,
+    notes: Vec<String>,
     /// A plain-text figure rendered after the table (Fig. 3's Gantt).
-    pub figure: Option<String>,
+    pub(crate) figure: Option<String>,
 }
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -28,12 +28,12 @@ impl Table {
     }
 
     /// Appends a row.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
     /// Appends a note.
-    pub fn push_note(&mut self, note: impl Into<String>) {
+    pub(crate) fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
 
@@ -111,7 +111,7 @@ impl Table {
 
 /// Formats seconds with 2 decimals, or "–" for `None` (the paper's dash
 /// for infeasible cells).
-pub fn fmt_secs(v: Option<f64>) -> String {
+pub(crate) fn fmt_secs(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.2}"),
         None => "–".to_string(),
@@ -119,7 +119,7 @@ pub fn fmt_secs(v: Option<f64>) -> String {
 }
 
 /// Formats a parameter count in millions (`"124M"`) or billions.
-pub fn fmt_params(params: u64) -> String {
+pub(crate) fn fmt_params(params: u64) -> String {
     if params >= 1_000_000_000 {
         format!("{:.1}B", params as f64 / 1.0e9)
     } else if params >= 1_000_000 {

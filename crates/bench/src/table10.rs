@@ -9,7 +9,7 @@ use s2m3_net::fleet::Fleet;
 use crate::table::{fmt_params, fmt_secs, Table};
 
 /// The task-addition order of Table X.
-pub fn task_sequence() -> Vec<(&'static str, usize)> {
+fn task_sequence() -> Vec<(&'static str, usize)> {
     vec![
         ("CLIP ViT-B/16", 101),
         ("Encoder-only VQA (Small)", 1),
@@ -19,13 +19,13 @@ pub fn task_sequence() -> Vec<(&'static str, usize)> {
 }
 
 /// Instance with the first `k` tasks deployed.
-pub fn instance_with(k: usize) -> Instance {
+fn instance_with(k: usize) -> Instance {
     let seq = task_sequence();
     Instance::on_fleet(Fleet::edge_testbed(), &seq[..k]).unwrap()
 }
 
 /// Regenerates Table X.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut t = Table::new(
         "Table X — multi-task sharing (simultaneous requests from all deployed tasks)",
         &[

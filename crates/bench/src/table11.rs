@@ -13,7 +13,7 @@ fn single(model: &str, candidates: usize) -> Instance {
 }
 
 /// Regenerates Table XI.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut t = Table::new(
         "Table XI — baseline comparison (edge fleet)",
         &[

@@ -13,7 +13,7 @@ use crate::table::{fmt_params, fmt_secs, Table};
 /// encoder-VQA rows encode a single question; the ImageBind row evaluates
 /// an As-A style clip against a small candidate-label set, which is what
 /// makes its S2M3 latency land just below the cloud's as in the paper.
-pub fn architectures() -> Vec<(&'static str, usize)> {
+fn architectures() -> Vec<(&'static str, usize)> {
     vec![
         ("CLIP ResNet-50", 101),
         ("CLIP ResNet-101", 101),
@@ -32,7 +32,7 @@ pub fn architectures() -> Vec<(&'static str, usize)> {
 
 /// Computes one architecture's row: (centralized params, split params,
 /// cloud latency, local latency, S2M3 latency).
-pub fn row(name: &str, candidates: usize) -> (u64, u64, Option<f64>, Option<f64>, Option<f64>) {
+fn row(name: &str, candidates: usize) -> (u64, u64, Option<f64>, Option<f64>, Option<f64>) {
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(name, candidates)])
         .expect("standard zoo model");
     let model = &full.deployment(name).expect("deployed").model;
@@ -54,7 +54,7 @@ pub fn row(name: &str, candidates: usize) -> (u64, u64, Option<f64>, Option<f64>
 }
 
 /// Regenerates Table VI.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let mut t = Table::new(
         "Table VI — deployment cost and latency per architecture",
         &[

@@ -32,7 +32,7 @@ fn cpu_server_fleet() -> Fleet {
 }
 
 /// Regenerates Table VII.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
     let cpu = Instance::on_fleet(cpu_server_fleet(), &[(MODEL, CANDIDATES)]).unwrap();
     let edge = Instance::on_fleet(Fleet::edge_testbed(), &[(MODEL, CANDIDATES)]).unwrap();

@@ -15,19 +15,15 @@ use s2m3_tensor::ops;
 use crate::table::Table;
 
 /// Samples per (model, benchmark) cell.
-pub const SAMPLES: usize = 500;
+const SAMPLES: usize = 500;
 /// Samples pushed through the *distributed* runtime per cell to certify
 /// split = centralized.
-pub const SPLIT_CHECK_SAMPLES: usize = 8;
+const SPLIT_CHECK_SAMPLES: usize = 8;
 
 /// Verifies that the distributed execution of `model` over the greedy
 /// placement predicts identically to centralized execution on the first
 /// `n` samples of `dataset`. Returns the number of identical outputs.
-pub fn split_equality_check(
-    model_name: &str,
-    dataset: &Dataset,
-    n: usize,
-) -> Result<usize, String> {
+fn split_equality_check(model_name: &str, dataset: &Dataset, n: usize) -> Result<usize, String> {
     let candidates = dataset.benchmark.n_classes;
     let instance = Instance::single_model(model_name, candidates).map_err(|e| e.to_string())?;
     let request = instance.request(0, model_name).map_err(|e| e.to_string())?;
@@ -59,7 +55,7 @@ pub fn split_equality_check(
 }
 
 /// Regenerates Table VIII.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let zoo = Zoo::standard();
     let mut t = Table::new(
         "Table VIII — zero-shot accuracy (S2M3 measured vs paper)",

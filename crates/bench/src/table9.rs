@@ -13,7 +13,7 @@ const MODEL: &str = "CLIP ViT-B/16";
 const CANDIDATES: usize = 101;
 
 /// S2M3 latency on a device subset (names per Table III shorthand).
-pub fn s2m3_on(names: &[&str]) -> Option<f64> {
+fn s2m3_on(names: &[&str]) -> Option<f64> {
     let fleet = Fleet::standard_testbed().restricted_to(names).ok()?;
     let i = Instance::on_fleet(fleet, &[(MODEL, CANDIDATES)]).ok()?;
     let q = i.request(0, MODEL).ok()?;
@@ -22,7 +22,7 @@ pub fn s2m3_on(names: &[&str]) -> Option<f64> {
 }
 
 /// Regenerates Table IX.
-pub fn run() -> Table {
+pub(crate) fn run() -> Table {
     let full = Instance::on_fleet(Fleet::standard_testbed(), &[(MODEL, CANDIDATES)]).unwrap();
     let model = &full.deployment(MODEL).unwrap().model;
 

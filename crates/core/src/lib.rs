@@ -55,7 +55,6 @@
 //! ```
 
 pub mod adaptive;
-pub mod cost;
 pub mod error;
 pub mod objective;
 pub mod partition;
@@ -71,7 +70,6 @@ pub mod upper;
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::adaptive::{replan, ReplanDecision};
-    pub use crate::cost::CostModel;
     pub use crate::error::CoreError;
     pub use crate::objective::{total_latency, validate};
     pub use crate::partition::greedy_place_partitioned;
@@ -84,6 +82,5 @@ pub mod prelude {
     pub use crate::upper::optimal_placement;
 }
 
-pub use cost::CostModel;
 pub use error::CoreError;
 pub use problem::{Instance, Placement, Request, RequestProfile, RequestShape, Route};

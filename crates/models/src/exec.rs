@@ -53,8 +53,6 @@ pub enum ExecError {
     },
     /// A head required an encoding of this kind but none was provided.
     MissingEncoding(ModuleKind),
-    /// A generative head required the raw query but none was provided.
-    MissingQuery(ModuleId),
     /// An underlying tensor operation failed (shape bug).
     Tensor(TensorError),
 }
@@ -68,7 +66,6 @@ impl std::fmt::Display for ExecError {
                 write!(f, "{module}: wrong input modality {got}")
             }
             ExecError::MissingEncoding(kind) => write!(f, "missing encoding from {kind}"),
-            ExecError::MissingQuery(id) => write!(f, "{id}: generative head needs the query"),
             ExecError::Tensor(e) => write!(f, "tensor error: {e}"),
         }
     }

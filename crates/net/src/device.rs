@@ -120,8 +120,6 @@ pub struct DeviceSpec {
     pub load_fixed_s: f64,
     /// Model-loading: streaming rate, MB/s.
     pub load_rate_mbps: f64,
-    /// Whether this device has a GPU (report formatting only).
-    pub has_gpu: bool,
     /// Per-module-kind throughput multipliers.
     pub efficiency: KindEfficiency,
 }
@@ -161,7 +159,6 @@ impl DeviceSpec {
             parallelism: cal::SERVER_PARALLELISM,
             load_fixed_s: cal::SERVER_LOAD.0,
             load_rate_mbps: cal::SERVER_LOAD.1,
-            has_gpu: true,
             efficiency: KindEfficiency::default(),
         }
     }
@@ -171,7 +168,6 @@ impl DeviceSpec {
         DeviceSpec {
             speed_gflops: cal::SERVER_CPU_GFLOPS,
             parallelism: cal::EDGE_PARALLELISM,
-            has_gpu: false,
             description: "Intel Xeon Gold 5115 (33.7 GB), GPU disabled".into(),
             ..Self::server()
         }
@@ -189,7 +185,6 @@ impl DeviceSpec {
             parallelism: cal::EDGE_PARALLELISM,
             load_fixed_s: cal::DESKTOP_LOAD.0,
             load_rate_mbps: cal::DESKTOP_LOAD.1,
-            has_gpu: false,
             efficiency: KindEfficiency {
                 vision: cal::DESKTOP_VISION_EFFICIENCY,
                 ..KindEfficiency::default()
@@ -209,7 +204,6 @@ impl DeviceSpec {
             parallelism: cal::EDGE_PARALLELISM,
             load_fixed_s: cal::LAPTOP_LOAD.0,
             load_rate_mbps: cal::LAPTOP_LOAD.1,
-            has_gpu: false,
             efficiency: KindEfficiency::default(),
         }
     }
@@ -227,7 +221,6 @@ impl DeviceSpec {
             parallelism: cal::EDGE_PARALLELISM,
             load_fixed_s: cal::JETSON_LOAD.0,
             load_rate_mbps: cal::JETSON_LOAD.1,
-            has_gpu: false,
             efficiency: KindEfficiency::default(),
         }
     }

@@ -140,10 +140,10 @@ mod tests {
         for n in [1, 63, 64, 65, 129] {
             let s = scenario(n);
             let valid = s.validate().unwrap();
-            let want = valid.workload.generate(n, &valid.model_names).unwrap();
+            let want = valid.workload.stream(n, &valid.model_names).unwrap();
             let got = drain(&s);
             assert_eq!(got.len(), n);
-            for (i, ((at, a), w)) in got.iter().zip(&want).enumerate() {
+            for (i, ((at, a), w)) in got.iter().zip(want).enumerate() {
                 assert_eq!(*at, w.at_ns, "{n}: arrival {i}");
                 assert_eq!(a.seq, i as u64);
                 assert_eq!((a.source, a.model), (w.source as usize, w.model as usize));

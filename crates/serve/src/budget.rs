@@ -2,7 +2,7 @@
 //!
 //! A [`BudgetPolicy`] caps what the fleet may *spend* per accounting
 //! window of `window_s` virtual seconds. Spend is priced by a
-//! [`CostModel`] built from the policy's [`BudgetMetric`]: marginal
+//! per-device rate from the policy's [`BudgetMetric`]: marginal
 //! energy (joules, from the `s2m3_sim::energy` power profiles), raw busy
 //! device-seconds, or a custom flat rate. A request's cost is its
 //! route's compute seconds — head plus encoders, each times its
@@ -40,8 +40,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use s2m3_core::resolved::PricedRoute;
-use s2m3_core::CostModel;
-use s2m3_sim::kernel::{ns, secs};
+use s2m3_sim::kernel::ns;
 use serde::{Deserialize, Serialize};
 
 use crate::queue::QueuedRequest;
@@ -106,7 +105,7 @@ impl BudgetPolicy {
     ///
     /// A human-readable message on a non-finite/negative cap, a
     /// non-positive window, or a non-finite custom rate.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.cap_per_window.is_finite() || self.cap_per_window < 0.0 {
             return Err(format!(
                 "budget.cap_per_window: must be finite and >= 0 (got {})",
@@ -281,7 +280,8 @@ pub(crate) struct BudgetState {
     windows: Vec<BudgetWindow>,
     windows_total: u64,
     windows_over_cap: u64,
-    latency_price_ns: u64,
+    /// Wide enough that no run's sum of parked times can overflow it.
+    latency_price_ns: u128,
     /// `(priority, [deferred, shed])` per deadline class.
     by_class: Vec<(u32, [u64; 2])>,
     deferred: BinaryHeap<Reverse<Deferred>>,
@@ -289,27 +289,31 @@ pub(crate) struct BudgetState {
     wake_at: Option<u64>,
 }
 
+/// The latest window start a wake may be scheduled at: the clock's
+/// range, `ns(MAX_ARRIVAL_S)`, so a wake plus a transfer time cannot
+/// overflow the `u64` clock.
+const LAST_WAKE_NS: u64 = 1 << 63;
+
 impl BudgetState {
     /// Builds the state for a validated policy over the universe
     /// `devices` and the deadline classes' `class_priorities`, by index.
     pub(crate) fn new(policy: BudgetPolicy, class_priorities: &[u32], devices: &[String]) -> Self {
-        let cost_model = match policy.metric {
-            BudgetMetric::DeviceSeconds => CostModel::uniform(1.0),
-            BudgetMetric::Custom { per_device_rate } => CostModel::uniform(per_device_rate),
-            // Marginal energy: joules per busy second above idle, from
-            // the simulator's default power profiles. Unprofiled devices
-            // cost nothing (the model's default rate stays 0).
-            BudgetMetric::Energy => {
-                let mut model = CostModel::uniform(0.0);
-                for (device, profile) in s2m3_sim::energy::default_profiles() {
-                    model.set_rate(device, (profile.active_w - profile.idle_w).max(0.0));
-                }
-                model
-            }
+        let profiles = match policy.metric {
+            BudgetMetric::Energy => s2m3_sim::energy::default_profiles(),
+            _ => Default::default(),
         };
         let rates = devices
             .iter()
-            .map(|n| cost_model.rate(&n.as_str().into()))
+            .map(|n| match policy.metric {
+                BudgetMetric::DeviceSeconds => 1.0,
+                BudgetMetric::Custom { per_device_rate } => per_device_rate,
+                // Marginal energy: joules per busy second above idle,
+                // from the simulator's default power profiles.
+                // Unprofiled devices cost nothing.
+                BudgetMetric::Energy => profiles
+                    .get(&n.as_str().into())
+                    .map_or(0.0, |p| (p.active_w - p.idle_w).max(0.0)),
+            })
             .collect();
         let window_ns = ns(policy.window_s).max(1);
         BudgetState {
@@ -370,7 +374,7 @@ impl BudgetState {
         if self.fits(cost) {
             self.charge(cost);
             if mark.0 != Mark::PRICED {
-                self.latency_price_ns += now.saturating_sub(mark.0);
+                self.latency_price_ns += u128::from(now.saturating_sub(mark.0));
             }
             return Verdict::Dispatch;
         }
@@ -406,9 +410,13 @@ impl BudgetState {
 
     /// The wake to schedule after a defer or a wake: the next window's
     /// start while any request is parked, unless that wake is already
-    /// pending (at most one is).
+    /// pending (at most one is). A window that would open past the
+    /// clock's range never opens: what is parked for it stays parked,
+    /// and the run's `finish` sheds it.
     pub(crate) fn next_wake(&mut self) -> Option<u64> {
-        let at = (self.cur_index + 1).saturating_mul(self.window_ns);
+        let at = (self.cur_index + 1)
+            .checked_mul(self.window_ns)
+            .filter(|&at| at <= LAST_WAKE_NS)?;
         if self.deferred.is_empty() || self.wake_at == Some(at) {
             return None;
         }
@@ -519,7 +527,8 @@ impl BudgetState {
             dispatched: self.total.dispatched,
             deferred: self.total.deferred,
             shed: self.total.shed,
-            latency_price_s: secs(self.latency_price_ns),
+            // `secs`, widened: the same rounding for every `u64` sum.
+            latency_price_s: self.latency_price_ns as f64 / 1e9,
             classes,
             windows: self.windows,
         }

@@ -117,9 +117,6 @@ pub struct ReplanPolicy {
     /// most the observed arrival rate times this horizon (mandatory
     /// replans always apply).
     pub horizon_s: f64,
-    /// Whether migration costs are charged as downtime on destination
-    /// devices (they cannot start new work while weights stream in).
-    pub charge_switching_downtime: bool,
     /// Optional SLO-breach trigger: when set, a rolling-p95 breach of
     /// the deadline also wakes the replan controller (same break-even
     /// gate as fleet events). `None` (the default) reacts to fleet
@@ -131,7 +128,6 @@ impl Default for ReplanPolicy {
     fn default() -> Self {
         ReplanPolicy {
             horizon_s: 600.0,
-            charge_switching_downtime: true,
             slo_trigger: None,
         }
     }
@@ -524,8 +520,9 @@ impl ServeScenario {
             ));
         }
         if let Some(policy) = &self.budget {
-            if let Err(msg) = policy.validate() {
-                problems.push(msg);
+            match policy.validate() {
+                Err(msg) => problems.push(msg),
+                Ok(()) => on_clock(&mut problems, "budget.window_s", policy.window_s),
             }
         }
 
@@ -860,6 +857,12 @@ mod tests {
                 kind: slowdown(0.5),
             }];
             cases.push((s, "events[0].at_s"));
+            let mut s = small_scenario(10);
+            s.budget = Some(crate::budget::BudgetPolicy {
+                window_s: value,
+                ..crate::budget::BudgetPolicy::device_seconds(20.0)
+            });
+            cases.push((s, "budget.window_s"));
         }
         // A factor below a thousandth used to be served as 0.001.
         for factor in [

@@ -175,7 +175,6 @@ struct Online {
     /// The fleet schedule in firing order (`ServeEv::Fleet` indexes it).
     events: Vec<ValidEvent>,
     deadline_s: f64,
-    charge_switching_downtime: bool,
     // --- stages ---
     arrivals: Arrivals,
     queues: Queues,
@@ -586,9 +585,7 @@ impl Online {
             return false;
         };
         self.placement = decision.placement;
-        if self.charge_switching_downtime {
-            self.charge_migrations(k, now, &decision.migrations);
-        }
+        self.charge_migrations(k, now, &decision.migrations);
         true
     }
 
@@ -882,7 +879,6 @@ impl ServeSession {
             class_names: valid.class_names.clone(),
             events: valid.events.clone(),
             deadline_s: valid.deadline_s,
-            charge_switching_downtime: scenario.replan.charge_switching_downtime,
             arrivals,
             queues: Queues::new(valid),
             routes: Routes::new(valid),
@@ -1055,7 +1051,6 @@ mod tests {
         busy.events = vec![join.clone()];
         busy.replan = ReplanPolicy {
             horizon_s: 3600.0,
-            charge_switching_downtime: true,
             ..ReplanPolicy::default()
         };
         let busy_report = serve(&busy).unwrap();
@@ -1074,7 +1069,6 @@ mod tests {
         idle.events = vec![join];
         idle.replan = ReplanPolicy {
             horizon_s: 1.0,
-            charge_switching_downtime: true,
             ..ReplanPolicy::default()
         };
         let idle_report = serve(&idle).unwrap();
@@ -1221,6 +1215,26 @@ mod tests {
     }
 
     #[test]
+    fn the_widest_budget_window_serves_without_overflowing_the_clock() {
+        // Requests parked in the first window wake at 2^63 ns; the next
+        // window would open past the clock, so what parks there is shed.
+        for window_s in [MAX_ARRIVAL_S, MAX_ARRIVAL_S / 3.0] {
+            let mut s = small_scenario(60);
+            s.budget = Some(crate::budget::BudgetPolicy {
+                window_s,
+                enforcement: crate::budget::BudgetEnforcement::Defer,
+                ..crate::budget::BudgetPolicy::device_seconds(20.0)
+            });
+            let report = serve(&s).unwrap();
+            assert_eq!(report.arrived, 60);
+            assert_eq!(report.completed + report.shed, 60, "{window_s}");
+            let budget = report.budget.as_ref().unwrap();
+            assert!(budget.deferred > 0 && report.shed > 0, "{window_s}");
+            assert!(budget.latency_price_s > MAX_ARRIVAL_S / 3.0, "{window_s}");
+        }
+    }
+
+    #[test]
     fn leave_then_rejoin_keeps_lane_accounting_sane() {
         // The desktop leaves while it is executing work, then rejoins:
         // completions of pre-leave tasks must not free phantom lanes
@@ -1304,7 +1318,6 @@ mod tests {
         }];
         s.replan = ReplanPolicy {
             horizon_s: 120.0,
-            charge_switching_downtime: true,
             slo_trigger: trigger,
         };
         s
@@ -1390,7 +1403,6 @@ mod tests {
             .to_vec();
         s.replan = ReplanPolicy {
             horizon_s: 1e-3,
-            charge_switching_downtime: true,
             slo_trigger: Some(SloReplanTrigger {
                 min_window: 8,
                 cooldown_s: 10.0,

@@ -185,7 +185,6 @@ fn scenario(
         deadline_s: 12.0,
         replan: ReplanPolicy {
             horizon_s: 300.0,
-            charge_switching_downtime: true,
             ..ReplanPolicy::default()
         },
         ..ServeScenario::churn_default()

@@ -49,7 +49,6 @@ pub fn l40s() -> DeviceSpec {
         parallelism: 2,
         load_fixed_s: 5.0,
         load_rate_mbps: 1200.0,
-        has_gpu: true,
         efficiency: KindEfficiency::default(),
     }
 }

@@ -12,9 +12,8 @@
 //!
 //! These profiles also price the serve-time budget cap: with the
 //! `Energy` metric, `s2m3_serve::budget` charges each dispatch
-//! `(active_w − idle_w)` joules per busy second through a
-//! `s2m3_core::CostModel` built from [`default_profiles`], enforcing a
-//! per-window joule budget online.
+//! `(active_w − idle_w)` joules per busy second, rated from
+//! [`default_profiles`], enforcing a per-window joule budget online.
 
 use std::collections::BTreeMap;
 

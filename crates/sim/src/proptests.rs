@@ -308,7 +308,7 @@ proptest! {
         n_models in 1usize..5,
     ) {
         let models: Vec<String> = (0..n_models).map(|k| format!("model-{k}")).collect();
-        let stream = spec.generate(n, &models).unwrap();
+        let stream: Vec<_> = spec.stream(n, &models).unwrap().collect();
         prop_assert_eq!(stream.len(), n);
         for (rid, wr) in stream.iter().enumerate() {
             prop_assert_eq!(wr.model as usize, rid % n_models, "rid {rid}");
@@ -353,14 +353,14 @@ proptest! {
                 ModelWeight { model: "c".to_string(), weight: w1 },
             ],
         };
-        let stream = spec.generate(n, &models).unwrap();
-        prop_assert_eq!(&stream, &spec.generate(n, &models).unwrap());
+        let stream: Vec<_> = spec.stream(n, &models).unwrap().collect();
+        prop_assert_eq!(&stream, &spec.stream(n, &models).unwrap().collect::<Vec<_>>());
         // Model "b" (weight 0 ≡ absent) never appears; a and c both
         // can.
         prop_assert!(stream.iter().all(|wr| wr.model == 0 || wr.model == 2));
         let mut other = spec.clone();
         other.sources[0].label = format!("{seed}-x");
-        prop_assert_ne!(&stream, &other.generate(n, &models).unwrap());
+        prop_assert_ne!(&stream, &other.stream(n, &models).unwrap().collect::<Vec<_>>());
     }
 
     /// Weight validation rejects non-finite, non-positive, unknown-model,
@@ -379,21 +379,21 @@ proptest! {
         spec.mix = ModelMix::Weighted {
             weights: vec![ModelWeight { model: "a".to_string(), weight: bad_weight }],
         };
-        prop_assert!(spec.generate(8, &models).is_err());
+        prop_assert!(spec.stream(8, &models).is_err());
 
         let mut unknown = WorkloadSpec::single_source(ArrivalProcess::Simultaneous, "w");
         unknown.mix = ModelMix::Weighted {
             weights: vec![ModelWeight { model: "ghost".to_string(), weight: 1.0 }],
         };
-        prop_assert!(unknown.generate(8, &models).is_err());
+        prop_assert!(unknown.stream(8, &models).is_err());
 
         let mut empty = WorkloadSpec::single_source(ArrivalProcess::Simultaneous, "w");
         empty.mix = ModelMix::Weighted { weights: vec![] };
-        prop_assert!(empty.generate(8, &models).is_err());
+        prop_assert!(empty.stream(8, &models).is_err());
 
         let mut source_weight = WorkloadSpec::single_source(ArrivalProcess::Simultaneous, "w");
         source_weight.sources[0].weight = Some(bad_weight);
-        prop_assert!(source_weight.generate(8, &models).is_err());
+        prop_assert!(source_weight.stream(8, &models).is_err());
     }
 
     /// Weighted source splits hand out exactly `n` requests whatever the
@@ -419,7 +419,7 @@ proptest! {
             classes: Vec::new(),
             seed: "split".to_string(),
         };
-        let stream = spec.generate(n, &["m".to_string()]).unwrap();
+        let stream: Vec<_> = spec.stream(n, &["m".to_string()]).unwrap().collect();
         prop_assert_eq!(stream.len(), n);
     }
 

@@ -17,7 +17,7 @@
 //! set ([`WorkloadSpec::materialize`] → requests + arrival times for
 //! `SimConfig::arrivals`), and the `s2m3-serve` control plane
 //! **streams** the same merged sequence unbounded
-//! ([`WorkloadSpec::generate`], assembled from a scenario by
+//! ([`WorkloadSpec::stream`], assembled from a scenario by
 //! `ServeScenario::workload`). Identical specs (including seeds) give
 //! identical traffic in both, which is what makes serving reports
 //! reproducible — and [`ModelMix::LegacyRoundRobin`] reproduces the
@@ -401,7 +401,7 @@ pub struct SourceSpec {
 /// simulator materializes `n` [`Request`]s from it
 /// ([`WorkloadSpec::materialize`]); the serving control plane consumes
 /// the same generator as an unbounded merged stream
-/// ([`WorkloadSpec::generate`]). Identical specs (including seeds)
+/// ([`WorkloadSpec::stream`]). Identical specs (including seeds)
 /// produce identical traffic in both worlds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
@@ -508,8 +508,7 @@ struct ClassSampler {
 
 /// A bounded, lazily-generated workload: the k-way merge of the spec's
 /// per-source arrival streams, yielding [`WorkloadRequest`]s one at a
-/// time in O(sources) memory. Produced by [`WorkloadSpec::stream`];
-/// bit-identical to [`WorkloadSpec::generate`] (see there for why).
+/// time in O(sources) memory. Produced by [`WorkloadSpec::stream`].
 #[derive(Debug, Clone)]
 pub struct WorkloadStream {
     sources: Vec<SourceStream>,
@@ -531,7 +530,7 @@ impl WorkloadStream {
             return None;
         }
         // Minimum (at_ns, rank) candidate; strict `<` keeps the lowest
-        // rank on ties, matching the batch generator's stable sort.
+        // rank on ties, as a stable sort by arrival time would.
         let mut best: Option<(u64, usize)> = None;
         for (rank, s) in self.sources.iter().enumerate() {
             if let Some((at_ns, _, _)) = s.head {
@@ -905,36 +904,20 @@ impl WorkloadSpec {
         counts
     }
 
-    /// Generates the first `n` requests of the stream, merged across
-    /// sources by `(arrival time, source rank, per-source emission
-    /// order)` and annotated with model and class choices. Deterministic:
-    /// equal specs (including seeds) produce equal streams. A bounded
-    /// collect of [`WorkloadSpec::stream`] — the lazy and batch paths
-    /// are the same generator.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkloadError`] if the spec does not validate against `models`.
-    pub fn generate(
-        &self,
-        n: usize,
-        models: &[String],
-    ) -> Result<Vec<WorkloadRequest>, WorkloadError> {
-        Ok(self.stream(n, models)?.collect())
-    }
-
-    /// The lazy form of [`WorkloadSpec::generate`]: the same merged
-    /// request sequence, produced one request at a time in O(sources)
-    /// memory instead of O(n).
+    /// The first `n` requests of the workload, merged across sources by
+    /// `(arrival time, source rank, per-source emission order)` and
+    /// annotated with model and class choices, produced one request at
+    /// a time in O(sources) memory. Deterministic: equal specs
+    /// (including seeds) produce bit-identical streams, whether
+    /// collected at once or consumed lazily.
     ///
     /// Per-source arrival iterators are time-sorted with emission order
     /// preserved, and each stochastic choice (a source's arrival gaps,
     /// its weighted model mix, the spec-level class assignment) draws
     /// from its *own* labeled sampler, so a k-way merge popping the
-    /// minimum `(arrival ns, source rank)` candidate replays exactly
-    /// the stable sort the batch generator performs — the request
-    /// sequences are bit-identical (pinned by the golden fixtures and
-    /// this crate's tests).
+    /// minimum `(arrival ns, source rank)` candidate is a stable sort
+    /// of the sources' emissions by arrival time (pinned by the golden
+    /// fixtures and this crate's tests).
     ///
     /// # Errors
     ///
@@ -1368,7 +1351,10 @@ mod tests {
                 },
             ],
         };
-        let stream = spec.generate(4000, &names(&i)).unwrap();
+        let collect = |spec: &WorkloadSpec| -> Vec<WorkloadRequest> {
+            spec.stream(4000, &names(&i)).unwrap().collect()
+        };
+        let stream = collect(&spec);
         let clip = stream.iter().filter(|r| r.model == 0).count();
         let share = clip as f64 / 4000.0;
         assert!(
@@ -1376,10 +1362,10 @@ mod tests {
             "3:1 weights drew a {share:.3} share"
         );
         // Determinism: same spec, same stream; different seed differs.
-        assert_eq!(stream, spec.generate(4000, &names(&i)).unwrap());
+        assert_eq!(stream, collect(&spec));
         let mut other = spec.clone();
         other.sources[0].label = "other".to_string();
-        assert_ne!(stream, other.generate(4000, &names(&i)).unwrap());
+        assert_ne!(stream, collect(&other));
     }
 
     #[test]
@@ -1495,7 +1481,7 @@ mod tests {
         let models = names(&i);
         for (k, (r, wr)) in requests
             .iter()
-            .zip(spec.generate(400, &models).unwrap())
+            .zip(spec.stream(400, &models).unwrap())
             .enumerate()
         {
             let mut own = i.request(k as u64, &models[wr.model as usize]).unwrap();
@@ -1537,7 +1523,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_yields_exactly_the_batch_sequence() {
+    fn stream_yields_n_requests_in_merge_order() {
         // A deliberately heterogeneous spec: three sources with distinct
         // processes and budgets, per-source mix overrides, weighted
         // classes — every code path the lazy generator must replay.
@@ -1606,24 +1592,30 @@ mod tests {
             ],
             seed: "stream-eq".to_string(),
         };
+        // Merged by (arrival, source rank): a stable sort of the
+        // sources' time-sorted emissions.
+        let merged = |w: &[WorkloadRequest]| {
+            w.windows(2)
+                .all(|p| (p[0].at_ns, p[0].source) <= (p[1].at_ns, p[1].source))
+        };
         for n in [0, 1, 7, 250] {
-            let batch = spec.generate(n, &models).unwrap();
             let mut stream = spec.stream(n, &models).unwrap();
             assert_eq!(stream.remaining, n);
             let lazy: Vec<WorkloadRequest> = (&mut stream).collect();
-            assert_eq!(batch, lazy, "n={n}");
+            assert_eq!(lazy.len(), n);
+            assert!(merged(&lazy), "n={n}");
             assert_eq!(stream.remaining, 0);
             assert!(stream.next_request().is_none());
         }
-        // Simultaneous arrivals everywhere: the all-ties merge still
-        // reproduces the stable source-major order.
+        // Simultaneous arrivals everywhere: the all-ties merge is
+        // source-major.
         let mut ties = spec.clone();
         for s in &mut ties.sources {
             s.arrivals = ArrivalProcess::Simultaneous;
         }
-        let batch = ties.generate(30, &models).unwrap();
         let lazy: Vec<WorkloadRequest> = ties.stream(30, &models).unwrap().collect();
-        assert_eq!(batch, lazy);
+        assert!(lazy.iter().all(|r| r.at_ns == 0));
+        assert!(merged(&lazy));
     }
 
     #[test]

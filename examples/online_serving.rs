@@ -128,7 +128,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     scenario.replan = ReplanPolicy {
         horizon_s: 900.0,
-        charge_switching_downtime: true,
         ..ReplanPolicy::default()
     };
     // Fleet churn: the desktop (vision host, and a traffic source — it

@@ -5,11 +5,18 @@
 //! order must not move greedy's latency (Algorithm 1's placement and
 //! routing, priced by Eq. 1) or Upper's optimum by a single bit. Adding
 //! a device only adds placements, so Upper's optimum can only improve.
+//! Shrinking every device's memory to exactly what Upper's optimum puts
+//! there only removes placements, the optimum not among them, so the
+//! optimum stays.
+
+use std::collections::BTreeMap;
 
 use s2m3::core::objective::total_latency;
 use s2m3::core::plan::Plan;
 use s2m3::core::problem::Instance;
+use s2m3::core::resolved::ResolvedInstance;
 use s2m3::core::upper::optimal_placement;
+use s2m3::net::device::DeviceSpec;
 use s2m3::net::fleet::Fleet;
 
 /// The §VI-A models, each with the candidate count of one of its
@@ -138,6 +145,54 @@ fn upper_never_gets_worse_when_a_device_joins() {
     assert!(
         broken.is_empty(),
         "a joining device made Upper worse:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
+fn upper_keeps_its_optimum_when_memory_shrinks_to_fit_it() {
+    let mut checks = 0;
+    let mut broken = Vec::new();
+    for (testbed, fleet) in [
+        ("standard", Fleet::standard_testbed()),
+        ("edge", Fleet::edge_testbed()),
+    ] {
+        for (model, candidates) in MODELS {
+            let instance = Instance::on_fleet(fleet.clone(), &[(model, candidates)]).unwrap();
+            let best = optimal_placement(&instance).unwrap();
+            let resolved = ResolvedInstance::new(&instance).unwrap();
+            // The bytes the optimum places on each device; a device that
+            // hosts nothing gets 0.
+            let mut used: BTreeMap<&str, u64> = BTreeMap::new();
+            for (module, device) in best.placement.iter() {
+                let m = resolved.module_index(module).unwrap();
+                *used.entry(device.as_str()).or_default() += resolved.module_spec(m).memory_bytes();
+            }
+            let devices = fleet
+                .devices()
+                .iter()
+                .map(|d| DeviceSpec {
+                    memory_bytes: used.get(d.id.as_str()).copied().unwrap_or(0),
+                    ..d.clone()
+                })
+                .collect();
+            let tight = Fleet::new(devices, fleet.topology().clone(), fleet.requester().clone())
+                .expect("the same devices form a valid fleet");
+            checks += 1;
+            match upper(tight, model, candidates) {
+                Some(u) if u.to_bits() == best.latency.to_bits() => {}
+                u => broken.push(format!(
+                    "{model} on the {testbed} testbed: Upper {} -> {u:?}",
+                    best.latency
+                )),
+            }
+        }
+    }
+    // 7 models x 2 testbeds.
+    assert_eq!(checks, 14);
+    assert!(
+        broken.is_empty(),
+        "memory at the optimum's boundary moved Upper:\n{}",
         broken.join("\n")
     );
 }
