@@ -102,7 +102,9 @@ impl Arrivals {
             model: rec.model as usize,
             class: rec.class,
             arrival_ns: now,
-            deadline_ns: now + deadline_ns,
+            // Both terms reach 2^63 ns; a deadline past the clock is
+            // never missed.
+            deadline_ns: now.saturating_add(deadline_ns),
             priority,
         }
     }

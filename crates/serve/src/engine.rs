@@ -1215,6 +1215,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_past_the_clock_range_is_never_late() {
+        // The second arrival lands at 2^63 ns, the clock's last valid
+        // time, and its deadline is as far again.
+        let mut s = small_scenario(2);
+        s.arrivals = ArrivalProcess::Trace {
+            inter_arrival_s: vec![MAX_ARRIVAL_S],
+        };
+        s.deadline_s = MAX_ARRIVAL_S;
+        let report = serve(&s).unwrap();
+        assert_eq!(report.arrived, 2);
+        assert_eq!(report.completed + report.shed, report.arrived);
+        assert_eq!(report.late, 0);
+    }
+
+    #[test]
     fn the_widest_budget_window_serves_without_overflowing_the_clock() {
         // Requests parked in the first window wake at 2^63 ns; the next
         // window would open past the clock, so what parks there is shed.

@@ -24,10 +24,10 @@
 //! ## Determinism contract
 //!
 //! The same spec produces a byte-identical JSON report at **any**
-//! thread count. Replica execution order varies with scheduling, but
-//! each result lands in its replica's slot and every aggregate
-//! (floating-point sums included) folds in replica-index order. The
-//! thread-invariance proptest pins this.
+//! thread count. Replicas run in any order, but the thread that lands a
+//! cell's last replica folds the cell in seed order, so every aggregate
+//! (floating-point sums included) and the error returned are a
+//! sequential run's. The thread-invariance proptest pins this.
 //!
 //! ## Example
 //!
@@ -56,16 +56,20 @@ mod proptests;
 
 #[cfg(test)]
 mod tests {
-    use crate::run::par_map;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use crate::run::{par_each, run_sweep};
+    use crate::spec::SweepSpec;
 
     #[test]
-    fn par_map_preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
+    fn par_each_runs_every_index_once() {
         for threads in [1, 2, 4, 9] {
-            assert_eq!(
-                par_map(&items, threads, |x| x * x),
-                expected,
+            let seen: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            par_each(seen.len(), threads, |i| {
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                seen.iter().all(|n| n.load(Ordering::Relaxed) == 1),
                 "{threads} threads"
             );
         }
@@ -73,17 +77,23 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_thread_counts() {
-        // Uneven per-item cost so the threads interleave.
-        let work =
-            |&x: &u64| (0..(x % 7) * 50).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k));
-        let items: Vec<u64> = (0..64).collect();
-        let baseline = par_map(&items, 1, work);
+        // Rate scales far apart make replicas of uneven length, so the
+        // threads (more of them than cores, too) interleave across cells
+        // and fold them out of order.
+        let mut base = s2m3_serve::ServeScenario::churn_default();
+        base.requests = 24;
+        let spec = |threads| SweepSpec {
+            seeds: 3,
+            rate_scales: vec![0.25, 4.0, 1.0],
+            fleet_sizes: vec![1, 4],
+            bin_s: 300.0,
+            threads,
+            ..SweepSpec::quick(base.clone())
+        };
+        let baseline = run_sweep(&spec(1)).unwrap().to_json().unwrap();
         for threads in [2, 3, 8] {
-            assert_eq!(
-                par_map(&items, threads, work),
-                baseline,
-                "{threads} threads"
-            );
+            let report = run_sweep(&spec(threads)).unwrap().to_json().unwrap();
+            assert_eq!(report, baseline, "{threads} threads");
         }
     }
 }

@@ -1,13 +1,13 @@
-//! Replica execution: the grid fanned over scoped threads, with
-//! results re-assembled in replica-index order so the aggregate is
-//! byte-identical at any thread count.
+//! Replica execution: threads claim replicas one at a time; the thread
+//! that lands a cell's last replica folds it in seed order, so only
+//! running cells hold summaries and any thread count gives the same bytes.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Mutex;
 use std::thread;
 
-use s2m3_serve::{prepare, ServeError, ServeSession, SharedStart};
+use s2m3_serve::{prepare, ServeError, ServeSession};
 
 use crate::report::{
     aggregate_cell, capacity_frontier, cost_slo_frontier, CellReport, ReplicaSummary, SweepReport,
@@ -15,13 +15,12 @@ use crate::report::{
 use crate::spec::SweepSpec;
 use crate::SweepError;
 
-/// One replica's work order: its grid coordinates and the cell-shared
-/// start (instance + interned tables + placement, built once per fleet
-/// size and shared via [`Arc`]). The worker derives the scenario.
-struct ReplicaJob {
-    cell: usize,
-    seed_idx: usize,
-    shared: Arc<SharedStart>,
+/// One grid cell: each landed replica's seed index and outcome until the
+/// last lands, then its report or its first failure in seed order.
+#[derive(Default)]
+struct Cell {
+    landed: Vec<(usize, Result<ReplicaSummary, SweepError>)>,
+    folded: Option<Result<CellReport, SweepError>>,
 }
 
 /// Runs the sweep on `spec.threads` threads (0 = all available cores).
@@ -33,9 +32,9 @@ struct ReplicaJob {
 /// # Errors
 ///
 /// [`SweepError::BadSpec`] for an invalid grid; [`SweepError::Serve`]
-/// when any replica fails to prepare or execute.
+/// when a replica fails to prepare or execute (the first in job order).
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
-    spec.validate()?;
+    let order = spec.validated_order()?;
 
     // Cells are fleet-size-major so one SharedStart (the replica-
     // invariant prefix: instance, interned view, greedy placement)
@@ -44,52 +43,60 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
     // the scenario. Deriving the representative here also surfaces a
     // cell that cannot be derived before any replica runs: only the
     // fleet size decides whether `cell_scenario` fails.
-    let mut jobs: Vec<ReplicaJob> = Vec::with_capacity(spec.replica_count());
-    let mut cells_meta: Vec<(usize, f64)> = Vec::with_capacity(spec.cell_count());
-    for &fleet_size in &spec.fleet_sizes {
-        let representative = spec.cell_scenario(spec.rate_scales[0], fleet_size, 0)?;
-        let shared = Arc::new(prepare(&representative).map_err(serve_error)?);
-        for &rate_scale in &spec.rate_scales {
-            let cell = cells_meta.len();
-            cells_meta.push((fleet_size, rate_scale));
-            for seed_idx in 0..spec.seeds {
-                jobs.push(ReplicaJob {
-                    cell,
-                    seed_idx,
-                    shared: Arc::clone(&shared),
-                });
-            }
-        }
-    }
+    let starts = spec
+        .fleet_sizes
+        .iter()
+        .map(|&fleet_size| {
+            let representative = spec.cell_scenario(&order, spec.rate_scales[0], fleet_size, 0)?;
+            prepare(&representative).map_err(serve_error)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let cells: Vec<Mutex<Cell>> = (0..spec.cell_count()).map(|_| Mutex::default()).collect();
 
-    let outcomes = par_map(&jobs, spec.threads, |job| {
-        let (fleet_size, rate_scale) = cells_meta[job.cell];
-        let scenario = spec.cell_scenario(rate_scale, fleet_size, job.seed_idx)?;
-        let mut session = ServeSession::with_shared(&scenario, &job.shared).map_err(serve_error)?;
-        session.run_to_idle().map_err(serve_error)?;
-        Ok(ReplicaSummary::from_report(&session.finish(), spec.bin_s))
+    // Replica `i` is seed `i % seeds` of cell `i / seeds`, and cell `c`
+    // is rate scale `c % scales` of fleet size `c / scales`. Replicas
+    // are claimed in that order, so a cell holding summaries has one in
+    // progress: at most `threads` cells hold summaries.
+    let scales = spec.rate_scales.len();
+    par_each(spec.replica_count(), spec.threads, |i| {
+        let (cell, seed_idx) = (i / spec.seeds, i % spec.seeds);
+        let (fleet, rate_scale) = (cell / scales, spec.rate_scales[cell % scales]);
+        let fleet_size = spec.fleet_sizes[fleet];
+        let outcome = spec
+            .cell_scenario(&order, rate_scale, fleet_size, seed_idx)
+            .and_then(|scenario| {
+                let mut session =
+                    ServeSession::with_shared(&scenario, &starts[fleet]).map_err(serve_error)?;
+                session.run_to_idle().map_err(serve_error)?;
+                Ok(ReplicaSummary::from_report(&session.finish(), spec.bin_s))
+            });
+        let mut guard = cells[cell].lock().expect("a cell's fold is its last lock");
+        let Cell { landed, folded } = &mut *guard;
+        // Sized on the cell's first landing: no growth slack.
+        landed.reserve_exact(spec.seeds - landed.len());
+        landed.push((seed_idx, outcome));
+        if landed.len() == spec.seeds {
+            // Seed order fixes every float sum and the bootstrap stream,
+            // and picks the cell's first failure.
+            let mut landed = std::mem::take(landed);
+            landed.sort_unstable_by_key(|&(seed_idx, _)| seed_idx);
+            let replicas: Result<Vec<_>, _> = landed.into_iter().map(|(_, o)| o).collect();
+            *folded = Some(replicas.map(|replicas| {
+                let offered = spec.offered_rate_per_s(rate_scale);
+                aggregate_cell(fleet_size, rate_scale, offered, &replicas, spec.bin_s)
+            }));
+        }
     });
 
-    // Outcomes are in job order, so each cell's replicas land in
-    // replica-index order and the first failure in job order wins.
-    let mut per_cell: Vec<Vec<ReplicaSummary>> = cells_meta.iter().map(|_| Vec::new()).collect();
-    for (job, outcome) in jobs.iter().zip(outcomes) {
-        per_cell[job.cell].push(outcome?);
-    }
-
-    let cells: Vec<CellReport> = cells_meta
-        .iter()
-        .zip(&per_cell)
-        .map(|(&(fleet_size, rate_scale), replicas)| {
-            aggregate_cell(
-                fleet_size,
-                rate_scale,
-                spec.offered_rate_per_s(rate_scale),
-                replicas,
-                spec.bin_s,
-            )
+    // Cells in order, each holding its first failure in seed order: the
+    // first failure in replica-index order wins.
+    let cells = cells
+        .into_iter()
+        .map(|cell| {
+            let cell = cell.into_inner().expect("par_each re-raises panics");
+            cell.folded.expect("every replica lands")
         })
-        .collect();
+        .collect::<Result<Vec<_>, _>>()?;
     let frontier = capacity_frontier(&cells, spec.miss_budget);
     let points = cost_slo_frontier(&cells);
     let cost_slo = (!points.is_empty()).then_some(points);
@@ -109,30 +116,25 @@ fn serve_error(e: ServeError) -> SweepError {
     SweepError::Serve(e.to_string())
 }
 
-/// Maps `items` through `f` on `threads` scoped threads (0 = all
-/// available cores), the caller among them, capped at the item count.
-/// Each thread claims the next unclaimed index and fills that index's
-/// slot, so the returned results are in input order at any thread
-/// count. A panicking item panics the caller, with the item's own
-/// payload, once every thread stops.
-pub(crate) fn par_map<T: Sync, R: Send + Sync>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
+/// Calls `f` on every index in `0..n` on `threads` scoped threads (0 =
+/// all available cores), the caller among them, capped at `n`. Each
+/// thread claims the next unclaimed index, so every index runs exactly
+/// once and they start in ascending order. A panicking call panics the
+/// caller, with its own payload, once every thread stops.
+pub(crate) fn par_each(n: usize, threads: usize, f: impl Fn(usize) + Sync) {
     let threads = match threads {
         0 => thread::available_parallelism().map_or(1, NonZeroUsize::get),
-        n => n,
+        t => t,
     }
-    .min(items.len());
+    .min(n);
     let next = AtomicUsize::new(0);
-    let slots: Vec<OnceLock<R>> = items.iter().map(|_| OnceLock::new()).collect();
     // `Relaxed` suffices: the cursor only hands out indices; results
-    // publish through their `OnceLock`s and the scope's join.
-    let work = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(item) = items.get(i) else { break };
-        let _ = slots[i].set(f(item));
+    // publish through `f`'s own synchronization and the scope's join.
+    let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < n);
+    let work = || {
+        while let Some(i) = claim() {
+            f(i);
+        }
     };
     thread::scope(|scope| {
         let workers: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
@@ -145,10 +147,6 @@ pub(crate) fn par_map<T: Sync, R: Send + Sync>(
             }
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every index is claimed once"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -233,19 +231,56 @@ mod tests {
     }
 
     #[test]
-    fn par_map_handles_empty_and_singleton_inputs() {
-        assert_eq!(par_map(&[] as &[u8], 4, |&x| x), Vec::<u8>::new());
-        // More threads than items.
-        assert_eq!(par_map(&[41], 4, |&x| x + 1), vec![42]);
-        assert_eq!(par_map(&[1, 2, 3], 8, |&x| x * 2), vec![2, 4, 6]);
+    fn a_failing_cell_fails_the_sweep_with_its_first_replica_error() {
+        // A 1e-300 rate scale draws the second arrival past the clock's
+        // range, so that cell's replicas prepare but fail mid-run, each
+        // naming its own arrival time. The first failing cell in job
+        // order is (2 devices, 1e-300), and its first failure in seed
+        // order is seed 0's; the 1e-299 cells fail with other times.
+        let spec = SweepSpec {
+            rate_scales: vec![1.0, 1e-300, 1e-299],
+            ..tiny_spec()
+        };
+        let first = SweepSpec {
+            seeds: 1,
+            rate_scales: vec![1e-300],
+            fleet_sizes: vec![2],
+            ..tiny_spec()
+        };
+        let expected = run_sweep(&first).unwrap_err();
+        assert!(
+            matches!(&expected, SweepError::Serve(msg) if msg.contains("at_s must be at most")),
+            "{expected:?}"
+        );
+        for threads in [1, 2, 4] {
+            let spec = SweepSpec {
+                threads,
+                ..spec.clone()
+            };
+            assert_eq!(run_sweep(&spec).unwrap_err(), expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn par_each_handles_empty_and_singleton_grids() {
+        let visits = |n: usize, threads: usize| {
+            let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            par_each(n, threads, |i| {
+                seen[i].fetch_add(1, Ordering::Relaxed);
+            });
+            seen.into_iter()
+                .map(AtomicUsize::into_inner)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(visits(0, 4), Vec::<usize>::new());
+        // More threads than indices.
+        assert_eq!(visits(1, 4), vec![1]);
+        assert_eq!(visits(3, 8), vec![1, 1, 1]);
     }
 
     #[test]
     #[should_panic(expected = "boom at 13")]
     fn panics_propagate_to_the_caller() {
-        par_map(&(0..32u32).collect::<Vec<_>>(), 4, |&x| {
-            assert_ne!(x, 13, "boom at 13");
-            x
-        });
+        par_each(32, 4, |i| assert_ne!(i, 13, "boom at 13"));
     }
 }

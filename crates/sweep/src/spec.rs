@@ -72,6 +72,13 @@ impl SweepSpec {
     /// [`SweepError::BadSpec`] on an empty grid axis, a non-positive
     /// rate scale, or a fleet size the base scenario cannot provide.
     pub fn validate(&self) -> Result<(), SweepError> {
+        self.validated_order().map(drop)
+    }
+
+    /// [`SweepSpec::validate`]'s checks, returning the base scenario's
+    /// initial devices with the requester moved to the front: the prefix
+    /// order fleet sizes cut from.
+    pub(crate) fn validated_order(&self) -> Result<Vec<String>, SweepError> {
         if self.seeds == 0 {
             return Err(SweepError::BadSpec("seeds must be >= 1".into()));
         }
@@ -96,21 +103,6 @@ impl SweepSpec {
                 )));
             }
         }
-        let ordered = self.device_order()?;
-        for &k in &self.fleet_sizes {
-            if k == 0 || k > ordered.len() {
-                return Err(SweepError::BadSpec(format!(
-                    "fleet size {k} out of range 1..={} (base initial devices)",
-                    ordered.len()
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The base scenario's initial devices with the requester moved to
-    /// the front: the prefix order fleet sizes cut from.
-    pub(crate) fn device_order(&self) -> Result<Vec<String>, SweepError> {
         let fleet = &self.base.fleet;
         let universe = Fleet::by_name(fleet).ok_or_else(|| {
             SweepError::BadSpec(format!("unknown fleet `{fleet}` (edge|standard)"))
@@ -129,11 +121,19 @@ impl SweepSpec {
                 .filter(|d| **d != requester)
                 .cloned(),
         );
+        for &k in &self.fleet_sizes {
+            if k == 0 || k > order.len() {
+                return Err(SweepError::BadSpec(format!(
+                    "fleet size {k} out of range 1..={} (base initial devices)",
+                    order.len()
+                )));
+            }
+        }
         Ok(order)
     }
 
     /// Derives one replica's scenario for cell (`rate_scale`,
-    /// `fleet_size`) and replica `seed_idx`.
+    /// `fleet_size`) and replica `seed_idx` from the device `order`.
     ///
     /// - the seed label becomes `{base.seed}/r{seed_idx}` (identical
     ///   across cells: common random numbers);
@@ -149,12 +149,12 @@ impl SweepSpec {
     /// outside the cell fleet (sources must be active at t = 0).
     pub(crate) fn cell_scenario(
         &self,
+        order: &[String],
         rate_scale: f64,
         fleet_size: usize,
         seed_idx: usize,
     ) -> Result<ServeScenario, SweepError> {
-        let order = self.device_order()?;
-        let devices: Vec<String> = order.into_iter().take(fleet_size).collect();
+        let devices = &order[..fleet_size];
         let mut s = self.base.clone();
         s.seed = format!("{}/r{}", self.base.seed, seed_idx);
         s.arrivals = scale_arrivals(&s.arrivals, rate_scale);
@@ -175,7 +175,7 @@ impl SweepSpec {
             };
             devices.contains(device) != joins
         });
-        s.initial_devices = devices;
+        s.initial_devices = devices.to_vec();
         // Replicas run concurrently: a shared sink path would interleave
         // row groups from different replicas, so the per-replica
         // scenario keeps streaming mode but drops the file sink (sweeps
@@ -312,13 +312,14 @@ mod tests {
         // churn_default: initial [desktop, laptop, jetson-b, jetson-a],
         // requester jetson-a, desktop leaves @1800s, server joins @4200s.
         let s = spec();
-        let two = s.cell_scenario(1.0, 2, 0).unwrap();
+        let order = s.validated_order().unwrap();
+        let two = s.cell_scenario(&order, 1.0, 2, 0).unwrap();
         assert_eq!(two.initial_devices, vec!["jetson-a", "desktop"]);
         assert_eq!(two.seed, format!("{}/r0", s.base.seed));
         // Desktop is in the cell: its leave stays. Server join stays.
         assert_eq!(two.events.len(), s.base.events.len());
 
-        let solo = s.cell_scenario(1.0, 1, 2).unwrap();
+        let solo = s.cell_scenario(&order, 1.0, 1, 2).unwrap();
         assert_eq!(solo.initial_devices, vec!["jetson-a"]);
         // Desktop excluded: its leave is dropped; the join survives.
         assert!(solo.events.iter().all(|e| !matches!(
@@ -330,8 +331,9 @@ mod tests {
     #[test]
     fn seeds_are_shared_across_cells() {
         let s = spec();
-        let a = s.cell_scenario(0.5, 2, 3).unwrap();
-        let b = s.cell_scenario(2.0, 4, 3).unwrap();
+        let order = s.validated_order().unwrap();
+        let a = s.cell_scenario(&order, 0.5, 2, 3).unwrap();
+        let b = s.cell_scenario(&order, 2.0, 4, 3).unwrap();
         assert_eq!(a.seed, b.seed, "common random numbers across cells");
     }
 
