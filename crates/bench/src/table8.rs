@@ -32,15 +32,13 @@ fn split_equality_check(model_name: &str, dataset: &Dataset, n: usize) -> Result
     let runtime = Runtime::start(&instance, &plan).map_err(|e| e.to_string())?;
 
     let mut identical = 0;
-    for (i, sample) in dataset.samples.iter().take(n).enumerate() {
+    for sample in dataset.samples.iter().take(n) {
         let input = RequestInput {
             modalities: sample.modalities.clone(),
             query: sample.query.clone(),
         };
-        let mut req = request.clone();
-        req.id = i as u64;
         let distributed = runtime
-            .infer(&req, &plan.routed[0].1, &input)
+            .infer(&request, &plan.routed[0].1, &input)
             .map_err(|e| e.to_string())?;
         let central = reference::run_model(model, &input).map_err(|e| e.to_string())?;
         if distributed == central
@@ -50,7 +48,6 @@ fn split_equality_check(model_name: &str, dataset: &Dataset, n: usize) -> Result
             identical += 1;
         }
     }
-    runtime.shutdown();
     Ok(identical)
 }
 

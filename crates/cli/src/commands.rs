@@ -83,8 +83,9 @@ COMMANDS:
   evaluate   --model M --benchmark B [--samples N]
                                zero-shot accuracy on a synthetic benchmark
   infer      --model M [--label L] [--candidates N]
-                               one distributed inference on the runtime,
-                               verified bit-identical vs centralized
+                               one split inference, each module on its
+                               routed device, verified bit-identical
+                               vs centralized
   compare    --model M [--candidates N]
                                S2M3 vs every centralized deployment
   experiments                  list the paper-reproduction experiments
@@ -479,7 +480,6 @@ pub(crate) fn infer(args: &Args) -> CmdResult {
     let output = runtime
         .infer(&request, &plan.routed[0].1, &input)
         .map_err(|e| e.to_string())?;
-    runtime.shutdown();
     let central = reference::run_model(&model, &input).map_err(|e| e.to_string())?;
     let identical = output == central;
     let top = s2m3_tensor::ops::argmax_rows(&output).map_err(|e| e.to_string())?[0];

@@ -1,8 +1,7 @@
 //! # s2m3-net
 //!
 //! The platform substrate for S2M3: the **device fleet** of the paper's
-//! Table III, the **home-PAN / MAN network** connecting it, and an
-//! in-process **transport** used by the distributed runtime.
+//! Table III and the **home-PAN / MAN network** connecting it.
 //!
 //! The paper's testbed is five physical machines (GPU server, desktop,
 //! laptop, two 4 GB Jetson Nanos) in a home network with the server one
@@ -37,11 +36,9 @@
 
 pub mod calibration;
 pub mod device;
-pub mod envelope;
 pub mod fleet;
 pub mod link;
 pub mod topology;
-pub mod transport;
 
 #[cfg(test)]
 mod proptests;

@@ -1,12 +1,12 @@
 //! # s2m3-runtime
 //!
-//! An executable distributed runtime for S2M3 plans: every device of the
-//! fleet becomes a worker thread hosting the synthetic modules its
-//! placement assigns, connected by the in-process message bus of
-//! [`s2m3_net::transport`]. Requests fan their modality inputs out to the
-//! encoder devices *in parallel* (real threads, real channels, real —
-//! small — tensor computation), embeddings converge on the head device,
-//! and the head's output returns to the requester.
+//! The split executor for S2M3 plans: [`Runtime::start`] builds the
+//! synthetic modules each device hosts under the plan's placement, and
+//! [`Runtime::infer`] runs a request along its route — every encoder on
+//! its routed device, then the head on the head's device — on the
+//! caller's thread. Each value that crosses devices (the modality inputs,
+//! the embeddings, the query and the output) crosses as serialized bytes,
+//! so the run computes on exactly what the wire format carries.
 //!
 //! This is the correctness substrate for the paper's Table VIII: the same
 //! request executed through *any* placement produces **bit-identical**
@@ -28,7 +28,6 @@
 //!
 //! let runtime = Runtime::start(&instance, &plan).unwrap();
 //! let distributed = runtime.infer(&request, &plan.routed[0].1, &input).unwrap();
-//! runtime.shutdown();
 //!
 //! // Centralized single-process execution of the same model and input:
 //! let central = reference::run_model(
@@ -37,10 +36,8 @@
 //! ```
 
 pub mod input;
-pub mod messages;
 pub mod reference;
 mod runtime;
-mod worker;
 
 pub use input::RequestInput;
 pub use runtime::{Runtime, RuntimeError};

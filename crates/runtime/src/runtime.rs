@@ -1,8 +1,9 @@
-//! The coordinator-side runtime handle.
+//! The split executor: each module of a request runs on the device its
+//! route names, and every value that crosses devices crosses as bytes.
 
 use std::collections::BTreeMap;
-use std::thread::JoinHandle;
-use std::time::Duration;
+
+use serde::{Deserialize, Serialize};
 
 use s2m3_core::error::CoreError;
 use s2m3_core::plan::Plan;
@@ -11,40 +12,24 @@ use s2m3_models::exec::Executable;
 use s2m3_models::module::{ModuleId, ModuleKind};
 use s2m3_models::zoo::ModelSpec;
 use s2m3_net::device::DeviceId;
-use s2m3_net::envelope::Envelope;
-use s2m3_net::transport::{InMemoryNetwork, Mailbox, TransportError};
 use s2m3_tensor::Matrix;
 
 use crate::input::RequestInput;
-use crate::messages::{HeadContext, RuntimeMsg, COORDINATOR, TAG};
-use crate::worker::Worker;
-
-/// Default wait for a request's result.
-const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Runtime errors.
 #[derive(Debug)]
 pub enum RuntimeError {
     /// A core-layer lookup failed.
     Core(CoreError),
-    /// Message transport failed.
-    Transport(TransportError),
-    /// Building an executable module failed.
+    /// Building or running an executable module failed.
     Exec(String),
-    /// A worker reported a failure for this request.
-    Worker {
-        /// The failing request.
-        request: u64,
-        /// The worker's reason.
-        reason: String,
-    },
-    /// The timeout passed with no further result while waiting for
-    /// `expected` results, of which `arrived` had come in.
-    Timeout {
-        /// Results received before the wait gave up.
-        arrived: usize,
-        /// Results the wait was for.
-        expected: usize,
+    /// The route sends a module to a device the placement does not put
+    /// it on.
+    NotHosted {
+        /// The device the route names.
+        device: DeviceId,
+        /// The module it does not host.
+        module: ModuleId,
     },
     /// The request input lacks a payload for an encoder kind.
     MissingInput(ModuleKind),
@@ -60,13 +45,9 @@ impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RuntimeError::Core(e) => write!(f, "core: {e}"),
-            RuntimeError::Transport(e) => write!(f, "transport: {e}"),
             RuntimeError::Exec(e) => write!(f, "exec: {e}"),
-            RuntimeError::Worker { request, reason } => {
-                write!(f, "worker failure for request {request}: {reason}")
-            }
-            RuntimeError::Timeout { arrived, expected } => {
-                write!(f, "timed out with {arrived} of {expected} results")
+            RuntimeError::NotHosted { device, module } => {
+                write!(f, "{device}: module {module} not hosted")
             }
             RuntimeError::MissingInput(k) => write!(f, "no input payload for {k}"),
             RuntimeError::NoInput(id) => write!(f, "no input for request {id}"),
@@ -84,215 +65,128 @@ impl From<CoreError> for RuntimeError {
     }
 }
 
-impl From<TransportError> for RuntimeError {
-    fn from(e: TransportError) -> Self {
-        RuntimeError::Transport(e)
-    }
-}
-
-/// A running fleet of device workers executing one plan's placement,
-/// one thread per device, connected by an [`InMemoryNetwork`].
+/// One plan's placement, built: the executable modules each device
+/// hosts. A request runs on the caller's thread and keeps no state
+/// behind, so a failed request leaves nothing a retry could trip on.
 pub struct Runtime {
-    net: InMemoryNetwork,
-    coordinator: Mailbox,
-    devices: Vec<DeviceId>,
-    handles: Vec<JoinHandle<()>>,
+    hosted: BTreeMap<DeviceId, BTreeMap<ModuleId, Executable>>,
     models: BTreeMap<String, ModelSpec>,
-    timeout: Duration,
 }
 
 impl Runtime {
-    /// Boots one worker thread per fleet device on a fresh bus.
+    /// Builds the executable modules every device hosts under `plan`'s
+    /// placement.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::Exec`] if an executable module cannot be built.
     pub fn start(instance: &Instance, plan: &Plan) -> Result<Self, RuntimeError> {
-        let net = InMemoryNetwork::new();
-        let coordinator = net.register(COORDINATOR.into());
-
         let specs: BTreeMap<ModuleId, _> = instance
             .distinct_modules()
             .into_iter()
-            .map(|m| (m.id.clone(), m.clone()))
+            .map(|m| (m.id.clone(), m))
             .collect();
-
-        let mut handles = Vec::new();
-        let mut devices = Vec::new();
-        for dev in instance.fleet().devices() {
-            let mut modules = BTreeMap::new();
-            for (m, n) in plan.placement.iter() {
-                if n != &dev.id {
-                    continue;
-                }
-                let Some(spec) = specs.get(m) else { continue };
-                let exec =
-                    Executable::for_spec(spec).map_err(|e| RuntimeError::Exec(e.to_string()))?;
-                modules.insert(m.clone(), exec);
-            }
-            let mailbox = net.register(dev.id.clone());
-            handles.push(Worker::spawn(dev.id.clone(), modules, net.clone(), mailbox));
-            devices.push(dev.id.clone());
+        let mut hosted: BTreeMap<DeviceId, BTreeMap<ModuleId, Executable>> = BTreeMap::new();
+        for (m, n) in plan.placement.iter() {
+            let Some(spec) = specs.get(m) else { continue };
+            let exec = Executable::for_spec(spec).map_err(exec_error)?;
+            hosted.entry(n.clone()).or_default().insert(m.clone(), exec);
         }
-
         let models = instance
             .deployments()
             .iter()
             .map(|d| (d.model.name.clone(), d.model.clone()))
             .collect();
-
-        Ok(Runtime {
-            net,
-            coordinator,
-            devices,
-            handles,
-            models,
-            timeout: DEFAULT_TIMEOUT,
-        })
+        Ok(Runtime { hosted, models })
     }
 
-    /// Changes the result-wait timeout.
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// Submits a request without waiting: modality inputs are dispatched
-    /// to the routed encoder devices in parallel.
-    ///
-    /// Request ids must be unique per submission: the head device
-    /// aggregates encoder outputs keyed by id, and a failed request may
-    /// leave a partial aggregation behind that a reused id would join.
+    /// Runs one request along `route`: each encoder on its routed device,
+    /// then the head on the head's device. The modality inputs, the
+    /// embeddings, the query and the output each cross to the next device
+    /// through the wire format.
     ///
     /// # Errors
     ///
-    /// [`RuntimeError`] variants on unknown models, unplaced modules, or
-    /// missing payloads.
-    pub fn submit(
-        &self,
-        request: &Request,
-        route: &Route,
-        input: &RequestInput,
-    ) -> Result<(), RuntimeError> {
-        let model = self
-            .models
-            .get(&request.model)
-            .ok_or_else(|| RuntimeError::Core(CoreError::UnknownModel(request.model.clone())))?;
-        let head = model.head();
-        let head_device = route
-            .device_for(&head.id)
-            .ok_or_else(|| RuntimeError::NotPlaced(head.id.clone()))?
-            .clone();
-        let ctx = HeadContext {
-            head_module: head.id.clone(),
-            head_device,
-            expected_encoders: model.encoders().len(),
-            query: input.query.clone(),
-        };
-        for enc in model.encoders() {
-            let dev = route
-                .device_for(&enc.id)
-                .ok_or_else(|| RuntimeError::NotPlaced(enc.id.clone()))?;
-            let payload = input
-                .for_kind(enc.kind)
-                .ok_or(RuntimeError::MissingInput(enc.kind))?;
-            let msg = RuntimeMsg::Encode {
-                request: request.id,
-                module: enc.id.clone(),
-                input: payload.clone(),
-                head: ctx.clone(),
-            };
-            let env = Envelope::encode(request.source.clone(), dev.clone(), TAG, &msg)
-                .map_err(|e| RuntimeError::Serde(e.to_string()))?;
-            self.net.send(env)?;
-        }
-        Ok(())
-    }
-
-    /// Waits for `n` results, keyed by request id.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Timeout`] if a result does not arrive in time;
-    /// [`RuntimeError::Worker`] if a worker reported failure.
-    pub fn collect(&self, n: usize) -> Result<BTreeMap<u64, Matrix>, RuntimeError> {
-        let mut out = BTreeMap::new();
-        while out.len() < n {
-            let env =
-                self.coordinator
-                    .recv_timeout(self.timeout)
-                    .map_err(|_| RuntimeError::Timeout {
-                        arrived: out.len(),
-                        expected: n,
-                    })?;
-            match env.decode::<RuntimeMsg>() {
-                Ok(RuntimeMsg::Result { request, output }) => {
-                    out.insert(request, output);
-                }
-                Ok(RuntimeMsg::Failure { request, reason }) => {
-                    return Err(RuntimeError::Worker { request, reason });
-                }
-                _ => {}
-            }
-        }
-        Ok(out)
-    }
-
-    /// Submit-and-wait for a single request.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::submit`] and [`Runtime::collect`].
+    /// [`RuntimeError`] variants on unknown models, unplaced or unhosted
+    /// modules, missing payloads, and module failures.
     pub fn infer(
         &self,
         request: &Request,
         route: &Route,
         input: &RequestInput,
     ) -> Result<Matrix, RuntimeError> {
-        self.submit(request, route, input)?;
-        // A result for another request (submitted but never collected)
-        // is skipped: this call waits for its own.
-        loop {
-            if let Some(output) = self.collect(1)?.remove(&request.id) {
-                return Ok(output);
-            }
+        let model = self
+            .models
+            .get(&request.model)
+            .ok_or_else(|| RuntimeError::Core(CoreError::UnknownModel(request.model.clone())))?;
+        let head = model.head();
+        let mut encodings = Vec::with_capacity(model.encoders().len());
+        for enc in model.encoders() {
+            let payload = input
+                .for_kind(enc.kind)
+                .ok_or(RuntimeError::MissingInput(enc.kind))?;
+            let embedding = self
+                .module(route, &enc.id)?
+                .encode(&wire(payload)?)
+                .map_err(exec_error)?;
+            encodings.push((enc.kind, wire(&embedding)?));
         }
+        let query = input.query.as_ref().map(wire).transpose()?;
+        let output = self
+            .module(route, &head.id)?
+            .run_head(&encodings, query.as_ref())
+            .map_err(exec_error)?;
+        wire(&output)
     }
 
-    /// Executes every routed request of a plan (submitted concurrently,
-    /// like the paper's simultaneous multi-task burst) and returns the
-    /// outputs keyed by request id.
+    /// Runs every routed request of a plan and returns the outputs keyed
+    /// by request id.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::NoInput`] for a request `inputs` lacks; otherwise
-    /// see [`Runtime::submit`] and [`Runtime::collect`].
+    /// see [`Runtime::infer`].
     pub fn execute_plan(
         &self,
         plan: &Plan,
         inputs: &BTreeMap<u64, RequestInput>,
     ) -> Result<BTreeMap<u64, Matrix>, RuntimeError> {
-        for (request, route) in &plan.routed {
-            let input = inputs
-                .get(&request.id)
-                .ok_or(RuntimeError::NoInput(request.id))?;
-            self.submit(request, route, input)?;
-        }
-        self.collect(plan.routed.len())
+        plan.routed
+            .iter()
+            .map(|(request, route)| {
+                let input = inputs
+                    .get(&request.id)
+                    .ok_or(RuntimeError::NoInput(request.id))?;
+                Ok((request.id, self.infer(request, route, input)?))
+            })
+            .collect()
     }
 
-    /// Gracefully stops all workers.
-    pub fn shutdown(self) {
-        for dev in &self.devices {
-            if let Ok(env) =
-                Envelope::encode(COORDINATOR.into(), dev.clone(), TAG, &RuntimeMsg::Shutdown)
-            {
-                let _ = self.net.send(env);
-            }
-        }
-        for h in self.handles {
-            let _ = h.join();
-        }
+    /// The executable of `module` on the device `route` sends it to.
+    fn module(&self, route: &Route, module: &ModuleId) -> Result<&Executable, RuntimeError> {
+        let device = route
+            .device_for(module)
+            .ok_or_else(|| RuntimeError::NotPlaced(module.clone()))?;
+        self.hosted
+            .get(device)
+            .and_then(|modules| modules.get(module))
+            .ok_or_else(|| RuntimeError::NotHosted {
+                device: device.clone(),
+                module: module.clone(),
+            })
     }
+}
+
+fn exec_error(e: impl std::fmt::Display) -> RuntimeError {
+    RuntimeError::Exec(e.to_string())
+}
+
+/// Carries `value` across a device boundary: serialized to bytes and read
+/// back, so a split run computes on exactly what the wire format holds.
+fn wire<T: Serialize + for<'de> Deserialize<'de>>(value: &T) -> Result<T, RuntimeError> {
+    let serde_error = |e: serde_json::Error| RuntimeError::Serde(e.to_string());
+    let bytes = serde_json::to_vec(value).map_err(serde_error)?;
+    serde_json::from_slice(&bytes).map_err(serde_error)
 }
 
 #[cfg(test)]
@@ -323,7 +217,6 @@ mod tests {
             let input = RequestInput::synthetic(model, "sample-7", c.max(1));
             let rt = Runtime::start(&i, &plan).unwrap();
             let distributed = rt.infer(&q, &plan.routed[0].1, &input).unwrap();
-            rt.shutdown();
             let central = reference::run_model(model, &input).unwrap();
             assert_eq!(distributed, central, "{name}: split changed the output");
         }
@@ -342,7 +235,6 @@ mod tests {
             .collect();
         let rt = Runtime::start(&i, &plan).unwrap();
         let results = rt.execute_plan(&plan, &inputs).unwrap();
-        rt.shutdown();
         assert_eq!(results.len(), 6);
         // Different inputs produce different outputs; same inputs would
         // be identical.
@@ -359,7 +251,6 @@ mod tests {
             .modalities
             .retain(|m| m.modality != s2m3_models::input::Modality::Text);
         let err = rt.infer(&q, &plan.routed[0].1, &input).unwrap_err();
-        rt.shutdown();
         assert!(matches!(
             err,
             RuntimeError::MissingInput(ModuleKind::TextEncoder)
@@ -373,17 +264,14 @@ mod tests {
         let input = RequestInput::synthetic(&i.deployment("CLIP ViT-B/16").unwrap().model, "x", 8);
         let bad_route = Route::new(q.id); // empty
         let err = rt.infer(&q, &bad_route, &input).unwrap_err();
-        rt.shutdown();
         assert!(matches!(err, RuntimeError::NotPlaced(_)));
     }
 
     #[test]
     fn worker_failure_surfaces_wrong_host() {
-        // Route the vision encoder to a device that does not host it: the
-        // worker reports a failure instead of hanging.
+        // Route the vision encoder to a device that does not host it.
         let (i, plan, q) = setup("CLIP ViT-B/16", 8);
-        let mut rt = Runtime::start(&i, &plan).unwrap();
-        rt.set_timeout(Duration::from_secs(5));
+        let rt = Runtime::start(&i, &plan).unwrap();
         let input = RequestInput::synthetic(&i.deployment("CLIP ViT-B/16").unwrap().model, "x", 8);
         let mut bad_route = plan.routed[0].1.clone();
         let vision: ModuleId = "vision/ViT-B-16".into();
@@ -392,13 +280,17 @@ mod tests {
         } else {
             "jetson-a".into()
         };
-        bad_route.assign(vision, wrong);
+        bad_route.assign(vision.clone(), wrong.clone());
         let err = rt.infer(&q, &bad_route, &input).unwrap_err();
-        rt.shutdown();
-        match err {
-            RuntimeError::Worker { reason, .. } => assert!(reason.contains("not hosted")),
-            other => panic!("expected worker failure, got {other}"),
-        }
+        assert_eq!(
+            err.to_string(),
+            format!("{wrong}: module {vision} not hosted")
+        );
+        assert!(
+            matches!(&err, RuntimeError::NotHosted { device, module }
+                if *device == wrong && *module == vision),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -420,21 +312,9 @@ mod tests {
 
         let rt_a = Runtime::start(&i, &plan_a).unwrap();
         let out_a = rt_a.infer(&q, &plan_a.routed[0].1, &input).unwrap();
-        rt_a.shutdown();
         let rt_b = Runtime::start(&i, &plan_b).unwrap();
         let out_b = rt_b.infer(&q, &plan_b.routed[0].1, &input).unwrap();
-        rt_b.shutdown();
         assert_eq!(out_a, out_b);
-    }
-
-    #[test]
-    fn timeout_counts_the_results_that_arrived() {
-        let (i, plan, _) = setup("CLIP ViT-B/16", 8);
-        let mut rt = Runtime::start(&i, &plan).unwrap();
-        rt.set_timeout(Duration::from_millis(10));
-        let err = rt.collect(1).unwrap_err();
-        rt.shutdown();
-        assert_eq!(err.to_string(), "timed out with 0 of 1 results");
     }
 
     #[test]
@@ -442,11 +322,42 @@ mod tests {
         let (i, plan, q) = setup("CLIP ViT-B/16", 8);
         let rt = Runtime::start(&i, &plan).unwrap();
         let err = rt.execute_plan(&plan, &BTreeMap::new()).unwrap_err();
-        rt.shutdown();
         assert!(
             matches!(err, RuntimeError::NoInput(id) if id == q.id),
             "{err}"
         );
         assert_eq!(err.to_string(), format!("no input for request {}", q.id));
+    }
+
+    #[test]
+    fn wire_keeps_every_f32_bit_and_rejects_nan() {
+        let edge = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+            f32::MAX,
+            f32::MIN,
+            f32::EPSILON,
+            1.0 + f32::EPSILON,
+        ];
+        let mut m = Matrix::zeros(1, edge.len());
+        m.row_mut(0).unwrap().copy_from_slice(&edge);
+        let back = wire(&m).unwrap();
+        let bits = |m: &Matrix| {
+            m.row(0)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&back), bits(&m));
+
+        let mut nan = Matrix::zeros(1, 1);
+        *nan.at_mut(0, 0) = f32::NAN;
+        match wire(&nan) {
+            Err(RuntimeError::Serde(e)) => assert!(e.contains("data"), "{e}"),
+            other => panic!("expected a serialization error, got {other:?}"),
+        }
     }
 }

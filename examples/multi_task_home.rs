@@ -80,7 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let runtime = Runtime::start(&instance, &plan)?;
     let outputs = runtime.execute_plan(&plan, &inputs)?;
-    runtime.shutdown();
     println!(
         "\ndistributed runtime completed {} requests ✓",
         outputs.len()

@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let latency = total_latency(&instance, &plan.routed[0].1, &request)?;
     println!("\npredicted end-to-end latency: {latency:.2} s (paper: ~2.48 s)");
 
-    // 4. Execute for real: device worker threads, parallel encoder
-    //    fan-out, head aggregation.
+    // 4. Execute for real: each encoder on its routed device, then the
+    //    head, every cross-device value through the wire format.
     let model = instance
         .deployment("CLIP ViT-B/16")
         .expect("model was deployed above")
@@ -38,7 +38,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let input = RequestInput::synthetic(&model, "quickstart-image", 101);
     let runtime = Runtime::start(&instance, &plan)?;
     let distributed = runtime.infer(&request, &plan.routed[0].1, &input)?;
-    runtime.shutdown();
 
     // 5. The split changes *where* modules run, never *what* they compute:
     //    outputs are bit-identical to a single-process run.

@@ -40,19 +40,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = Dataset::generate(&bench, QUESTIONS);
     let runtime = Runtime::start(&instance, &plan)?;
     let mut correct = 0;
-    for (i, sample) in dataset.samples.iter().enumerate() {
+    for sample in &dataset.samples {
         let input = RequestInput {
             modalities: sample.modalities.clone(),
             query: sample.query.clone(),
         };
-        let mut q = request.clone();
-        q.id = i as u64;
-        let logits = runtime.infer(&q, &plan.routed[0].1, &input)?;
+        let logits = runtime.infer(&request, &plan.routed[0].1, &input)?;
         if ops::argmax_rows(&logits)?[0] == sample.label {
             correct += 1;
         }
     }
-    runtime.shutdown();
 
     let acc = 100.0 * correct as f64 / QUESTIONS as f64;
     let paper = table_viii::rows()

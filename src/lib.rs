@@ -18,8 +18,8 @@
 //! - [`sweep`] — parallel Monte Carlo sweeps: seeded replica grids on
 //!   scoped threads, aggregated into deterministic distribution
 //!   bands and a capacity frontier;
-//! - [`runtime`] — an executable distributed runtime over real threads
-//!   and channels with bit-identical split-vs-centralized outputs;
+//! - [`runtime`] — a split executor that runs each module on its routed
+//!   device, with bit-identical split-vs-centralized outputs;
 //! - [`data`] — ten synthetic benchmarks and the Table VIII accuracy
 //!   harness;
 //! - [`baselines`] — centralized, Megatron-style TP, Optimus/DistMM

@@ -37,13 +37,12 @@ fn every_task_family_runs_end_to_end() {
         let input = RequestInput::synthetic(&model, "e2e", candidates.max(1));
         let runtime = Runtime::start(&instance, &plan).unwrap();
         let out = runtime.infer(&request, &plan.routed[0].1, &input).unwrap();
-        runtime.shutdown();
         let reference = reference::run_model(&model, &input).unwrap();
         assert_eq!(out, reference, "{name}: split changed the output");
     }
 }
 
-/// The full multi-task deployment executes concurrently and the shared
+/// The full multi-task deployment executes as one burst and the shared
 /// vision tower produces consistent embeddings for all tasks.
 #[test]
 fn multi_task_shared_runtime_burst() {
@@ -75,7 +74,6 @@ fn multi_task_shared_runtime_burst() {
         .collect();
     let runtime = Runtime::start(&instance, &plan).unwrap();
     let outputs = runtime.execute_plan(&plan, &inputs).unwrap();
-    runtime.shutdown();
     assert_eq!(outputs.len(), 4);
     for (id, out) in &outputs {
         let model = &instance
@@ -102,23 +100,20 @@ fn distributed_accuracy_equals_centralized_accuracy() {
 
     // Distributed accuracy via the runtime.
     let instance = Instance::single_model("CLIP ViT-B/16", bench.n_classes).unwrap();
-    let base_request = instance.request(0, "CLIP ViT-B/16").unwrap();
-    let plan = Plan::greedy(&instance, vec![base_request.clone()]).unwrap();
+    let request = instance.request(0, "CLIP ViT-B/16").unwrap();
+    let plan = Plan::greedy(&instance, vec![request.clone()]).unwrap();
     let runtime = Runtime::start(&instance, &plan).unwrap();
     let mut correct = 0;
-    for (i, sample) in dataset.samples.iter().enumerate() {
+    for sample in &dataset.samples {
         let input = RequestInput {
             modalities: sample.modalities.clone(),
             query: sample.query.clone(),
         };
-        let mut q = base_request.clone();
-        q.id = i as u64;
-        let logits = runtime.infer(&q, &plan.routed[0].1, &input).unwrap();
+        let logits = runtime.infer(&request, &plan.routed[0].1, &input).unwrap();
         if ops::argmax_rows(&logits).unwrap()[0] == sample.label {
             correct += 1;
         }
     }
-    runtime.shutdown();
     assert_eq!(correct, central.correct, "accuracy changed under splitting");
 }
 
