@@ -21,7 +21,9 @@ use std::process::Command;
 
 use s2m3_core::plan::Plan;
 use s2m3_core::problem::Instance;
-use s2m3_serve::{serve, BatchPolicy, BudgetPolicy, ServeScenario, SloReplanTrigger};
+use s2m3_serve::{
+    serve, AdmissionPolicy, BatchPolicy, BudgetPolicy, ServeScenario, SloReplanTrigger,
+};
 use s2m3_sim::engine::{simulate, SimConfig};
 use s2m3_sim::workload::ArrivalProcess;
 
@@ -127,6 +129,21 @@ fn main() {
     let report = serve(&slo_scenario).expect("SLO-budget scenario serves");
     let json = serde_json::to_string_pretty(&report).expect("serve report serializes");
     fs::write(dir.join("serve_slo_budget.json"), &json).expect("write SLO-budget serve fixture");
+
+    // The FIFO-overload golden: what `s2m3 serve --policy fifo --rate
+    // 0.7 --requests 6000` serves. Nothing is shed, so the queue grows
+    // and the latencies straddle 2^40 ns (≈ 1,099.5 s): the median is
+    // below it, the p95 and the maximum above.
+    let fifo_scenario = ServeScenario {
+        requests: 6_000,
+        arrivals: ArrivalProcess::Poisson { rate_per_s: 0.7 },
+        admission: AdmissionPolicy::Fifo,
+        ..ServeScenario::churn_default()
+    };
+    let report = serve(&fifo_scenario).expect("FIFO-overload scenario serves");
+    let json = serde_json::to_string_pretty(&report).expect("serve report serializes");
+    fs::write(dir.join("serve_fifo_overload.json"), &json)
+        .expect("write FIFO-overload serve fixture");
 
     println!("fixtures written to {}", dir.display());
 }

@@ -172,6 +172,32 @@ fn slo_breach_replans_match_their_golden_fixture() {
 }
 
 #[test]
+fn fifo_overload_latencies_across_2_pow_40_ns_match_their_golden_fixture() {
+    // `s2m3 serve --policy fifo --rate 0.7 --requests 6000` (kept in
+    // sync with `capture_fixtures`): nothing is shed, so latencies grow
+    // past 2^40 ns (≈ 1,099.5 s). Exact mode summarizes samples on both
+    // sides of that line, and the bytes must not depend on which side.
+    use s2m3::serve::AdmissionPolicy;
+    use s2m3::sim::workload::ArrivalProcess;
+    let scenario = ServeScenario {
+        requests: 6_000,
+        arrivals: ArrivalProcess::Poisson { rate_per_s: 0.7 },
+        admission: AdmissionPolicy::Fifo,
+        ..ServeScenario::churn_default()
+    };
+    let report = serve(&scenario).unwrap();
+    let line_s = (1u64 << 40) as f64 / 1e9;
+    assert_eq!(report.completed, 6_000);
+    assert!(report.latency.p50_s < line_s && report.latency.max_s > line_s);
+    let json = serde_json::to_string_pretty(&report).unwrap();
+    assert_eq!(
+        json,
+        fixture("serve_fifo_overload.json").trim_end(),
+        "FIFO-overload ServeReport JSON diverged from its golden fixture"
+    );
+}
+
+#[test]
 fn rejected_slo_runs_count_the_evaluations_once_logged_one_by_one() {
     // Before the report kept runs, this scenario's golden logged 58
     // replan records: the two fleet-event records below, then 56
