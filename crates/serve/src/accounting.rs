@@ -18,59 +18,178 @@ use crate::report::{ClassReport, DeviceReport, LatencySummary, ServeReport};
 use crate::slo::{DeviceUsage, Outcome, SloWindow, WindowSnapshot};
 
 /// Latency accumulator behind [`LatencySummary`]: exact mode keeps
-/// every sample (sorted once at `finish`, byte-identical to the golden
-/// fixtures) — the only O(requests) state a run holds — and streaming
-/// mode folds into a [`LatencySketch`] so memory stays flat over
-/// unbounded runs. Both start empty and grow with what they hold.
+/// every sample as integer nanoseconds (sorted at `finish`,
+/// byte-identical to the golden fixtures) — the only O(requests) state
+/// a run holds — and streaming mode folds into a [`LatencySketch`] so
+/// memory stays flat over unbounded runs. Both start empty and grow
+/// with what they hold.
 #[derive(Debug, Clone)]
 pub(crate) enum LatAgg {
-    /// Every sample, summarized by one sort at the end.
+    /// Every sample, in 4 or 5 bytes each, sorted once at the end.
     Exact(ExactSamples),
     /// Bounded-memory log-bucket histogram (≤ 1% quantile error).
     Sketch(LatencySketch),
 }
 
-/// Samples per block of [`ExactSamples`]: 32 KiB.
+/// Samples per block of [`Blocks`] (16 KiB), and the most samples
+/// [`ExactSamples`] keeps packed before it files them by top byte.
 const BLOCK: usize = 4096;
 
-/// Exact latency samples, in arrival order, grown in fixed blocks: the
-/// tail `Vec` grows by doubling up to [`BLOCK`] samples, exactly as a
-/// plain `Vec` would, and a full tail moves (uncopied) into `blocks`
-/// while the next tail reserves one block. A doubling `Vec` holds up to
-/// twice its samples while it grows; this holds the samples plus one
-/// block.
+/// Samples from here on (2^40 ns ≈ 1,099.5 s) do not fit in 5 bytes
+/// and are kept whole.
+const WIDE_NS: u64 = 1 << 40;
+
+/// Exact latency samples in integer nanoseconds.
+///
+/// A sample below 2^40 ns is narrow. The first [`BLOCK`] narrow samples
+/// are packed in 5 bytes each; once there are more, every narrow sample
+/// keeps only its low 32 bits, in the bucket of its top byte (bits
+/// 32–39), so it costs 4 bytes and every sample of a bucket lies below
+/// every sample of the next. A sample of 2^40 ns or more is wide: kept
+/// whole, above every narrow one. Sorting the packed samples, then each
+/// bucket on its own in bucket order, then the wide ones, sorts them
+/// all. Packing first keeps a short run (a sweep replica) to one small
+/// `Vec`, not one per top byte in use; filing lets a long run sort
+/// `u32` buckets instead of one buffer of every sample, and faster.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExactSamples {
-    /// Full blocks of `BLOCK` samples each, oldest first.
-    blocks: Vec<Vec<f64>>,
-    /// The samples after the last full block.
-    tail: Vec<f64>,
+    /// The samples below 2^40 ns.
+    narrow: Narrow,
+    /// The samples of 2^40 ns or more.
+    wide: Vec<u64>,
+}
+
+/// The narrow samples of [`ExactSamples`].
+#[derive(Debug, Clone)]
+enum Narrow {
+    /// At most `BLOCK` samples, each in 5 big-endian bytes.
+    Packed(Vec<[u8; 5]>),
+    /// `Filed(by_top)`: `by_top[b]` holds the low halves of the samples
+    /// in `[b · 2^32, (b + 1) · 2^32)` ns, up to the highest top byte
+    /// seen.
+    Filed(Vec<Blocks>),
+}
+
+impl Default for Narrow {
+    fn default() -> Self {
+        Narrow::Packed(Vec::new())
+    }
 }
 
 impl ExactSamples {
     #[inline]
-    fn push(&mut self, v: f64) {
+    fn push(&mut self, latency_ns: u64) {
+        if latency_ns >= WIDE_NS {
+            self.wide.push(latency_ns);
+            return;
+        }
+        match &mut self.narrow {
+            Narrow::Packed(packed) if packed.len() < BLOCK => packed.push(pack(latency_ns)),
+            Narrow::Packed(packed) => {
+                let mut by_top = Vec::new();
+                for p in std::mem::take(packed) {
+                    file(&mut by_top, unpack(p));
+                }
+                file(&mut by_top, latency_ns);
+                self.narrow = Narrow::Filed(by_top);
+            }
+            Narrow::Filed(by_top) => file(by_top, latency_ns),
+        }
+    }
+
+    fn len(&self) -> usize {
+        let narrow = match &self.narrow {
+            Narrow::Packed(packed) => packed.len(),
+            Narrow::Filed(by_top) => by_top.iter().map(Blocks::len).sum(),
+        };
+        narrow + self.wide.len()
+    }
+
+    /// Every sample in ascending order. Each bucket is gathered into one
+    /// `Vec`, sorted in place and freed before the next is gathered, so
+    /// no buffer of all the samples ever exists.
+    fn into_ascending(self) -> impl Iterator<Item = u64> {
+        let (mut packed, by_top) = match self.narrow {
+            Narrow::Packed(packed) => (packed, Vec::new()),
+            Narrow::Filed(by_top) => (Vec::new(), by_top),
+        };
+        let mut wide = self.wide;
+        packed.sort_unstable_by_key(|&p| unpack(p));
+        wide.sort_unstable();
+        let filed = (0u64..).zip(by_top).flat_map(|(top, blocks)| {
+            let mut low = blocks.gather();
+            low.sort_unstable();
+            low.into_iter().map(move |lo| top << 32 | u64::from(lo))
+        });
+        packed.into_iter().map(unpack).chain(filed).chain(wide)
+    }
+}
+
+/// Files narrow `latency_ns` under its top byte in `by_top`.
+#[inline]
+fn file(by_top: &mut Vec<Blocks>, latency_ns: u64) {
+    let top = (latency_ns >> 32) as usize;
+    if top >= by_top.len() {
+        by_top.resize_with(top + 1, Blocks::default);
+    }
+    by_top[top].push(latency_ns as u32);
+}
+
+/// Narrow `latency_ns` in 5 big-endian bytes.
+#[inline]
+fn pack(latency_ns: u64) -> [u8; 5] {
+    let [_, _, _, b @ ..] = latency_ns.to_be_bytes();
+    b
+}
+
+/// The nanoseconds [`pack`] packed.
+#[inline]
+fn unpack([b0, b1, b2, b3, b4]: [u8; 5]) -> u64 {
+    u64::from_be_bytes([0, 0, 0, b0, b1, b2, b3, b4])
+}
+
+/// One bucket's samples, in arrival order, grown in fixed blocks: the
+/// tail `Vec` grows by doubling up to [`BLOCK`] samples, exactly as a
+/// plain `Vec` would, and a full tail moves (uncopied) into `full`
+/// while the next tail reserves one block. A doubling `Vec` holds up to
+/// twice its samples while it grows; this holds the samples plus one
+/// block.
+#[derive(Debug, Clone, Default)]
+struct Blocks {
+    /// Full blocks of `BLOCK` samples each, oldest first.
+    full: Vec<Vec<u32>>,
+    /// The samples after the last full block.
+    tail: Vec<u32>,
+}
+
+impl Blocks {
+    #[inline]
+    fn push(&mut self, v: u32) {
         if self.tail.len() == BLOCK {
             let full = std::mem::replace(&mut self.tail, Vec::with_capacity(BLOCK));
-            self.blocks.push(full);
+            self.full.push(full);
         }
         self.tail.push(v);
     }
 
-    /// Every sample in one slice. The blocks move into the first one,
+    fn len(&self) -> usize {
+        self.full.len() * BLOCK + self.tail.len()
+    }
+
+    /// Every sample in one `Vec`. The blocks move into the first one,
     /// which grows by exactly one block per block copied, and each
     /// block is freed once copied: the samples plus about one block are
     /// live at any point.
-    fn gather(&mut self) -> &mut [f64] {
-        let mut blocks = std::mem::take(&mut self.blocks).into_iter();
-        if let Some(mut all) = blocks.next() {
-            for block in blocks.chain([std::mem::take(&mut self.tail)]) {
-                all.reserve_exact(block.len());
-                all.extend_from_slice(&block);
-            }
-            self.tail = all;
+    fn gather(self) -> Vec<u32> {
+        let mut blocks = self.full.into_iter();
+        let Some(mut all) = blocks.next() else {
+            return self.tail;
+        };
+        for block in blocks.chain([self.tail]) {
+            all.reserve_exact(block.len());
+            all.extend_from_slice(&block);
         }
-        &mut self.tail
+        all
     }
 }
 
@@ -90,24 +209,22 @@ impl LatAgg {
     }
 
     #[inline]
-    pub(crate) fn record(&mut self, v: f64) {
+    pub(crate) fn record(&mut self, latency_ns: u64) {
         match self {
-            LatAgg::Exact(samples) => samples.push(v),
-            LatAgg::Sketch(sketch) => sketch.record(v),
+            LatAgg::Exact(samples) => samples.push(latency_ns),
+            LatAgg::Sketch(sketch) => sketch.record(secs(latency_ns)),
         }
     }
 
-    /// Folds the accumulator into a summary. Gathers the exact samples
-    /// into one buffer and sorts it in place. Latencies are finite and
-    /// ≥ +0.0, where `total_cmp` agrees with `<` and equal samples are
-    /// bit-equal, so the unstable sort yields the stable sort's bytes.
+    /// Folds the accumulator into a summary, leaving exact mode's store
+    /// empty. [`secs`] is monotone and maps equal integers to equal
+    /// `f64`s, so the samples in ascending nanoseconds are the seconds
+    /// in the order one sort of the seconds gives.
     pub(crate) fn summarize(&mut self) -> LatencySummary {
         match self {
             LatAgg::Exact(samples) => {
-                let samples = samples.gather();
-                debug_assert!(samples.iter().all(|v| !v.is_nan()), "NaN latency sample");
-                samples.sort_unstable_by(f64::total_cmp);
-                LatencySummary::from_sorted(samples)
+                let samples = std::mem::take(samples);
+                LatencySummary::from_ascending(samples.len(), samples.into_ascending().map(secs))
             }
             LatAgg::Sketch(sketch) => LatencySummary::from_sketch(sketch),
         }
@@ -134,10 +251,10 @@ impl ClassStats {
     }
 
     #[inline]
-    fn complete(&mut self, missed: bool, latency_s: f64) {
+    fn complete(&mut self, missed: bool, latency_ns: u64) {
         self.completed += 1;
         self.late += u64::from(missed);
-        self.latencies.record(latency_s);
+        self.latencies.record(latency_ns);
     }
 
     /// Deadline-miss rate: (late + shed) / arrived, 0 before any arrival.
@@ -249,7 +366,8 @@ impl Accounting {
         now: u64,
         device: usize,
     ) -> Result<(), ServeError> {
-        let (latency_s, missed) = (secs(now - req.arrival_ns), now > req.deadline_ns);
+        let (latency_ns, missed) = (now - req.arrival_ns, now > req.deadline_ns);
+        let latency_s = secs(latency_ns);
         if let Some(w) = self.sink.as_mut() {
             w.push(CompletionRow {
                 arrival_ns: req.arrival_ns,
@@ -261,9 +379,9 @@ impl Accounting {
             .map_err(|e| ServeError::Sink(e.to_string()))?;
         }
         if let Some(ci) = req.class {
-            self.class_stats[ci as usize].complete(missed, latency_s);
+            self.class_stats[ci as usize].complete(missed, latency_ns);
         }
-        self.total.complete(missed, latency_s);
+        self.total.complete(missed, latency_ns);
         self.last_completion_ns = self.last_completion_ns.max(now);
         self.outcome(Outcome {
             completed_at_s: secs(now),
@@ -367,7 +485,7 @@ impl Accounting {
             // holds at most `max_windows` entries at a geometrically
             // coarsening (still deterministic) cadence.
             if let Some(cap) = self.max_windows {
-                if self.windows.len() >= cap.max(2) {
+                if self.windows.len() >= cap {
                     let mut keep = false;
                     self.windows.retain(|_| {
                         keep = !keep;
@@ -599,30 +717,87 @@ mod tests {
     #[test]
     fn exact_samples_up_to_one_block_hold_what_a_plain_vec_holds() {
         for n in [0, 1, 3, 4, 5, 100, 1_000, BLOCK - 1, BLOCK] {
-            let mut samples = ExactSamples::default();
+            let mut blocks = Blocks::default();
             let mut plain = Vec::new();
             for i in 0..n {
-                samples.push(i as f64);
-                plain.push(i as f64);
+                blocks.push(i as u32);
+                plain.push(i as u32);
             }
-            assert!(samples.blocks.is_empty(), "{n} samples");
-            assert_eq!(samples.tail.capacity(), plain.capacity(), "{n} samples");
+            assert!(blocks.full.is_empty(), "{n} samples");
+            assert_eq!(blocks.tail.capacity(), plain.capacity(), "{n} samples");
         }
     }
 
     #[test]
     fn exact_samples_past_one_block_reserve_one_block_at_a_time() {
-        let mut samples = ExactSamples::default();
+        let mut blocks = Blocks::default();
         for i in 0..3 * BLOCK + 1 {
-            samples.push(i as f64);
+            blocks.push(i as u32);
         }
-        assert_eq!(samples.blocks.len(), 3);
-        assert!(samples.blocks.iter().all(|b| b.capacity() == BLOCK));
-        assert_eq!(samples.tail.capacity(), BLOCK);
-        let all = samples.gather();
+        assert_eq!(blocks.full.len(), 3);
+        assert!(blocks.full.iter().all(|b| b.capacity() == BLOCK));
+        assert_eq!(blocks.tail.capacity(), BLOCK);
+        assert_eq!(blocks.len(), 3 * BLOCK + 1);
+        let all = blocks.gather();
         assert_eq!(all.len(), 3 * BLOCK + 1);
-        assert!(all.iter().enumerate().all(|(i, &v)| v == i as f64));
-        assert_eq!(samples.tail.capacity(), 3 * BLOCK + 1);
-        assert!(samples.blocks.is_empty());
+        assert!(all.iter().enumerate().all(|(i, &v)| v == i as u32));
+        assert_eq!(all.capacity(), 3 * BLOCK + 1);
+    }
+
+    #[test]
+    fn exact_samples_are_packed_until_one_block_then_filed_by_top_byte() {
+        let mut samples = ExactSamples::default();
+        for _ in 0..BLOCK {
+            samples.push(0);
+        }
+        assert!(matches!(&samples.narrow, Narrow::Packed(p) if p.len() == BLOCK));
+        for ns in [5 << 32 | 7, 3, WIDE_NS - 1, u64::from(u32::MAX), 1 << 32] {
+            samples.push(ns);
+        }
+        let Narrow::Filed(by_top) = &samples.narrow else {
+            panic!("{} samples are still packed", BLOCK + 5);
+        };
+        let held: Vec<usize> = by_top.iter().map(Blocks::len).collect();
+        assert_eq!(held.len(), 256, "2^40 - 1 is in the last bucket");
+        assert_eq!(&held[..6], [BLOCK + 2, 1, 0, 0, 0, 1]);
+        assert_eq!(held[255], 1);
+        assert!(samples.wide.is_empty());
+        assert_eq!(samples.len(), BLOCK + 5);
+    }
+
+    #[test]
+    fn a_wide_sample_sorts_after_every_packed_one() {
+        let pushed = [WIDE_NS + 9, WIDE_NS, 0, WIDE_NS - 1, 1 << 32, WIDE_NS, 17];
+        let narrow = [0, 17, 1 << 32, WIDE_NS - 1];
+        let wide = [WIDE_NS, WIDE_NS, WIDE_NS + 9];
+        // Packed, then filed by top byte behind a block of zeros.
+        for zeros in [0, BLOCK] {
+            let mut samples = ExactSamples::default();
+            for ns in std::iter::repeat_n(0, zeros).chain(pushed) {
+                samples.push(ns);
+            }
+            assert_eq!(
+                matches!(samples.narrow, Narrow::Packed(_)),
+                zeros == 0,
+                "{zeros} zeros"
+            );
+            assert_eq!(samples.wide, [WIDE_NS + 9, WIDE_NS, WIDE_NS]);
+            assert_eq!(samples.len(), zeros + pushed.len());
+            let ascending: Vec<u64> = samples.into_ascending().skip(zeros).collect();
+            assert_eq!(
+                ascending,
+                [&narrow[..], &wide[..]].concat(),
+                "{zeros} zeros"
+            );
+        }
+    }
+
+    #[test]
+    fn packing_keeps_the_order_of_narrow_samples() {
+        let narrow = [0, 1, 255, 256, u64::from(u32::MAX), 1 << 32, WIDE_NS - 1];
+        for pair in narrow.windows(2) {
+            assert_eq!(unpack(pack(pair[0])), pair[0]);
+            assert!(pack(pair[0]) < pack(pair[1]), "{pair:?}");
+        }
     }
 }

@@ -18,6 +18,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use s2m3_sim::kernel::secs;
 use s2m3_sim::workload::ArrivalProcess;
 
 use s2m3_core::sketch::{percentile_sorted, LatencySketch};
@@ -553,39 +554,49 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Exact mode's block-grown samples summarize to the bits of one
-    /// sorted `Vec`, at and around the block boundaries, over tied
-    /// latencies and `+0.0`.
+    /// Exact mode's integer samples summarize to the bits of one sorted
+    /// `Vec` of their seconds: packed (up to one block) and filed by top
+    /// byte (past it), at and around the block boundaries (with
+    /// `one_bucket == 1`, every sample is below 2^32 ns and so in one
+    /// bucket), over zeros and tied latencies, and on both sides of
+    /// 2^40 ns, where a sample stops fitting in 5 bytes and is kept
+    /// whole.
     #[test]
     fn exact_latency_blocks_summarize_like_one_vec(
         len_at in 0usize..7,
+        one_bucket in 0u8..2,
         seed in 0u64..u64::MAX,
     ) {
         const BLOCK: usize = 4096;
+        const WIDE_NS: u64 = 1 << 40;
         let len = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 1, 3 * BLOCK + 1][len_at];
         let mut x = seed | 1;
-        let mut latencies: Vec<f64> = (0..len)
+        let latencies: Vec<u64> = (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
-                match x % 3 {
-                    0 => 0.0,
-                    1 => ((x >> 8) % 16) as f64 * 0.25,
-                    _ => (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0,
+                match x % 5 {
+                    0 => 0,
+                    1 => (x >> 8) % 16 * 250_000_000,
+                    _ if one_bucket == 1 => (x >> 11) % (1 << 32),
+                    2 => (x >> 11) % WIDE_NS,
+                    3 => WIDE_NS - 2 + (x >> 8) % 4,
+                    _ => WIDE_NS + (x >> 24),
                 }
             })
             .collect();
         let mut agg = LatAgg::new(false);
-        for &v in &latencies {
-            agg.record(v);
+        for &ns in &latencies {
+            agg.record(ns);
         }
         let bits = |s: LatencySummary| {
             [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.max_s].map(f64::to_bits)
         };
         let got = agg.summarize();
-        latencies.sort_by(f64::total_cmp);
-        let want = LatencySummary::from_sorted(&latencies);
+        let mut seconds: Vec<f64> = latencies.iter().map(|&ns| secs(ns)).collect();
+        seconds.sort_by(f64::total_cmp);
+        let want = LatencySummary::from_sorted(&seconds);
         prop_assert_eq!(got.completed, want.completed);
         prop_assert_eq!(bits(got), bits(want));
     }

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
-use s2m3_core::sketch::percentile_sorted;
+use s2m3_core::sketch::ceil_rank;
 
 use crate::slo::WindowSnapshot;
 
@@ -27,21 +27,40 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Builds a summary from already-sorted latencies without copying
-    /// or reallocating (the exact serve path sorts its buffer in place
-    /// once and summarizes through here).
+    /// Builds a summary from already-sorted latencies.
+    #[cfg(test)]
     pub(crate) fn from_sorted(latencies: &[f64]) -> Self {
-        let n = latencies.len();
+        Self::from_ascending(latencies.len(), latencies.iter().copied())
+    }
+
+    /// Builds a summary from `n` latencies in ascending order, in one
+    /// pass: the mean sums them in that order, each percentile is the
+    /// sample at its [`ceil_rank`], and the maximum is the last sample.
+    pub(crate) fn from_ascending(n: usize, ascending: impl IntoIterator<Item = f64>) -> Self {
         if n == 0 {
             return LatencySummary::default();
         }
+        let ranks = [0.50, 0.95, 0.99].map(|p| ceil_rank(n, p));
+        let (mut seen, mut sum, mut at, mut max_s) = (0, 0.0, [0.0; 3], 0.0);
+        for v in ascending {
+            seen += 1;
+            sum += v;
+            for (slot, &rank) in at.iter_mut().zip(&ranks) {
+                if seen == rank {
+                    *slot = v;
+                }
+            }
+            max_s = v;
+        }
+        debug_assert_eq!(seen, n, "latency count");
+        let [p50_s, p95_s, p99_s] = at;
         LatencySummary {
             completed: n as u64,
-            mean_s: latencies.iter().sum::<f64>() / n as f64,
-            p50_s: percentile_sorted(latencies, 0.50),
-            p95_s: percentile_sorted(latencies, 0.95),
-            p99_s: percentile_sorted(latencies, 0.99),
-            max_s: latencies[n - 1],
+            mean_s: sum / n as f64,
+            p50_s,
+            p95_s,
+            p99_s,
+            max_s,
         }
     }
 
