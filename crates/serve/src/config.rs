@@ -274,8 +274,9 @@ pub struct ServeScenario {
     pub streaming: Option<StreamingConfig>,
     /// Cap on retained SLO window snapshots: when the report would
     /// exceed this, every other snapshot is dropped and the snapshot
-    /// stride doubles, bounding `report.windows` for unbounded runs.
-    /// `None` (the default) retains every snapshot.
+    /// stride doubles, bounding `report.windows` for unbounded runs (at
+    /// least 2: halving one snapshot keeps it). `None` (the default)
+    /// retains every snapshot.
     pub max_windows: Option<usize>,
     /// Optional per-window fleet-wide cost cap (see [`crate::budget`]).
     /// `None` (the default, and what every pre-budget scenario JSON
@@ -423,6 +424,9 @@ impl ServeScenario {
         );
         at_least_one(&mut problems, "snapshot_every", self.snapshot_every);
         at_least_one(&mut problems, "slo_window", self.slo_window);
+        if let Some(cap) = self.max_windows.filter(|&cap| cap < 2) {
+            problems.push(format!("max_windows: must be >= 2 (got {cap})"));
+        }
         if let Some(batch) = &self.batch {
             at_least_one(&mut problems, "batch.max_batch", batch.max_batch);
             for (i, cap) in batch.per_kind.iter().enumerate() {
@@ -905,6 +909,16 @@ mod tests {
         let mut s = small_scenario(10);
         s.slo_window = 0;
         cases.push((s, "slo_window: must be >= 1 (got 0)"));
+        // A cap below 2 used to be served as 2: the report held two
+        // windows where the scenario asked for at most none or one.
+        for (cap, problem) in [
+            (0, "max_windows: must be >= 2 (got 0)"),
+            (1, "max_windows: must be >= 2 (got 1)"),
+        ] {
+            let mut s = small_scenario(10);
+            s.max_windows = Some(cap);
+            cases.push((s, problem));
+        }
         let mut s = small_scenario(10);
         s.replan.slo_trigger = Some(SloReplanTrigger {
             min_window: 0,
