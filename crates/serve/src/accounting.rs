@@ -62,7 +62,8 @@ pub(crate) struct ExactSamples {
 /// The narrow samples of [`ExactSamples`].
 #[derive(Debug, Clone)]
 enum Narrow {
-    /// At most `BLOCK` samples, each in 5 big-endian bytes.
+    /// At most `BLOCK` samples, each in 5 big-endian bytes, so their
+    /// derived order is their numeric order.
     Packed(Vec<[u8; 5]>),
     /// `Filed(by_top)`: `by_top[b]` holds the low halves of the samples
     /// in `[b · 2^32, (b + 1) · 2^32)` ns, up to the highest top byte
@@ -79,18 +80,11 @@ impl Default for Narrow {
 impl ExactSamples {
     #[inline]
     fn push(&mut self, latency_ns: u64) {
-        if latency_ns >= WIDE_NS {
-            self.wide.push(latency_ns);
-            return;
-        }
         match &mut self.narrow {
+            _ if latency_ns >= WIDE_NS => self.wide.push(latency_ns),
             Narrow::Packed(packed) if packed.len() < BLOCK => packed.push(pack(latency_ns)),
             Narrow::Packed(packed) => {
-                let mut by_top = Vec::new();
-                for p in std::mem::take(packed) {
-                    file(&mut by_top, unpack(p));
-                }
-                file(&mut by_top, latency_ns);
+                let by_top = file_all(std::mem::take(packed), latency_ns);
                 self.narrow = Narrow::Filed(by_top);
             }
             Narrow::Filed(by_top) => file(by_top, latency_ns),
@@ -114,7 +108,7 @@ impl ExactSamples {
             Narrow::Filed(by_top) => (Vec::new(), by_top),
         };
         let mut wide = self.wide;
-        packed.sort_unstable_by_key(|&p| unpack(p));
+        packed.sort_unstable();
         wide.sort_unstable();
         let filed = (0u64..).zip(by_top).flat_map(|(top, blocks)| {
             let mut low = blocks.gather();
@@ -123,6 +117,18 @@ impl ExactSamples {
         });
         packed.into_iter().map(unpack).chain(filed).chain(wide)
     }
+}
+
+/// The full block of `packed` samples and narrow `latency_ns`, filed
+/// by top byte.
+#[cold]
+fn file_all(packed: Vec<[u8; 5]>, latency_ns: u64) -> Vec<Blocks> {
+    let mut by_top = Vec::new();
+    for p in packed {
+        file(&mut by_top, unpack(p));
+    }
+    file(&mut by_top, latency_ns);
+    by_top
 }
 
 /// Files narrow `latency_ns` under its top byte in `by_top`.
