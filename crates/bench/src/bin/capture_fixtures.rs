@@ -1,8 +1,8 @@
 //! Regenerates the golden fixtures under `tests/fixtures/` used by the
 //! workspace equivalence tests (`tests/equivalence.rs`).
 //!
-//! The fixtures pin the exact JSON of `Plan`, `SimReport`, and
-//! `ServeReport` for canonical scenarios, so hot-path refactors (like the
+//! The fixtures pin the exact JSON of `Plan`, `SimReport`,
+//! `ServeReport` and `SweepReport` for canonical scenarios, so hot-path refactors (like the
 //! interned-index `ResolvedInstance` layer) can prove byte-identical
 //! behavior against the pre-refactor outputs. Run from the repo root:
 //!
@@ -26,6 +26,7 @@ use s2m3_serve::{
 };
 use s2m3_sim::engine::{simulate, SimConfig};
 use s2m3_sim::workload::ArrivalProcess;
+use s2m3_sweep::{run_sweep, SweepSpec};
 
 /// The zoo models pinned by the equivalence fixtures.
 pub const FIXTURE_MODELS: [(&str, usize); 3] = [
@@ -40,6 +41,19 @@ fn plan_for(name: &str, candidates: usize, n_requests: usize) -> Plan {
         .map(|k| i.request(k as u64, name).expect("deployed model"))
         .collect();
     Plan::greedy(&i, requests).expect("fixture plan builds")
+}
+
+/// The sweep the sweep golden pins (kept in sync with
+/// `tests/equivalence.rs`).
+fn sweep_fixture_spec() -> SweepSpec {
+    let base = ServeScenario {
+        requests: 100,
+        ..ServeScenario::churn_default()
+    };
+    SweepSpec {
+        threads: 2,
+        ..SweepSpec::quick(base)
+    }
 }
 
 /// Fails loudly when the git tree has uncommitted changes: goldens
@@ -144,6 +158,12 @@ fn main() {
     let json = serde_json::to_string_pretty(&report).expect("serve report serializes");
     fs::write(dir.join("serve_fifo_overload.json"), &json)
         .expect("write FIFO-overload serve fixture");
+
+    // The sweep golden: the quick grid over a 100-request churn base
+    // at 2 threads (the report is the same at any thread count).
+    let report = run_sweep(&sweep_fixture_spec()).expect("sweep fixture runs");
+    let json = serde_json::to_string_pretty(&report).expect("sweep report serializes");
+    fs::write(dir.join("sweep_quick_100.json"), &json).expect("write sweep fixture");
 
     println!("fixtures written to {}", dir.display());
 }

@@ -3,8 +3,8 @@
 //! The `ResolvedInstance` refactor replaced every string-keyed map in
 //! placement, objective evaluation, the Upper-bound search, and both
 //! discrete-event engines with dense `u32` indices. These tests prove
-//! the rewrite changed *nothing observable*: `Plan`, `SimReport`, and
-//! `ServeReport` JSON is byte-identical to golden fixtures captured
+//! the rewrite changed *nothing observable*: `Plan`, `SimReport`,
+//! `ServeReport` and `SweepReport` JSON is byte-identical to golden fixtures captured
 //! from the pre-refactor tree (regenerate with
 //! `cargo run --release -p s2m3-bench --bin capture_fixtures`), and
 //! interning round-trips every id (property-tested over arbitrary
@@ -250,6 +250,27 @@ fn chunked_serve_session_matches_the_golden_fixture() {
         json,
         fixture("serve_churn_default.json").trim_end(),
         "chunked session diverged from the uninterrupted fixture"
+    );
+}
+
+#[test]
+fn sweep_report_matches_its_golden_fixture() {
+    // The quick grid over a 100-request churn base at 2 threads (kept
+    // in sync with `capture_fixtures`): 4 seeds x 3 rate scales x every
+    // fleet size, folded into bands, cell scalars and both frontiers.
+    let base = ServeScenario {
+        requests: 100,
+        ..ServeScenario::churn_default()
+    };
+    let spec = SweepSpec {
+        threads: 2,
+        ..SweepSpec::quick(base)
+    };
+    let json = serde_json::to_string_pretty(&run_sweep(&spec).unwrap()).unwrap();
+    assert_eq!(
+        json,
+        fixture("sweep_quick_100.json").trim_end(),
+        "SweepReport JSON diverged from its golden fixture"
     );
 }
 
