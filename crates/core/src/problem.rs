@@ -51,7 +51,7 @@ pub(crate) const DEFAULT_LLM_TOKENS: f64 = 128.0;
 /// Zero-shot retrieval/alignment encode one prompt per candidate class;
 /// encoder-VQA encodes a single question; generative heads process
 /// `llm_tokens` tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RequestProfile {
     /// Work units for the text encoder (candidate prompts or questions).
     pub text_units: f64,
@@ -107,7 +107,7 @@ impl RequestProfile {
 }
 
 /// One model deployed in an instance, with its canonical workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     /// The model.
     pub model: ModelSpec,
@@ -121,6 +121,7 @@ pub struct Deployment {
 /// weighted sampling; a request without a class falls back to whatever
 /// scenario-wide deadline its consumer defines.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DeadlineClass {
     /// Human-readable class name (e.g. `"interactive"`, `"batch"`).
     pub name: String,
@@ -166,8 +167,8 @@ pub struct RequestShape {
 /// The [module docs](self) say who shares shapes and why a loop should
 /// clone a template rather than call [`Instance::request`] per request.
 ///
-/// Serialization note: `class` is omitted when `None` (hand-written
-/// impls below) so plans from class-free workloads keep the exact JSON
+/// Serialization note: `class` is omitted when `None` (the hand-written
+/// `Serialize` below) so plans from class-free workloads keep the exact JSON
 /// shape pinned by `tests/fixtures/plan_*.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -271,36 +272,9 @@ impl Serialize for Request {
     }
 }
 
-/// The flat JSON form of a [`Request`], which `Deserialize` reads
-/// before sharing the shape.
-#[derive(Deserialize)]
-struct FlatRequest {
-    id: u64,
-    model: String,
-    source: DeviceId,
-    profile: RequestProfile,
-    #[serde(default)]
-    class: Option<DeadlineClass>,
-}
-
-impl<'de> Deserialize<'de> for Request {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let flat = FlatRequest::deserialize(d)?;
-        Ok(Request::new(
-            flat.id,
-            RequestShape {
-                model: flat.model,
-                source: flat.source,
-                profile: flat.profile,
-                class: flat.class,
-            },
-        ))
-    }
-}
-
 /// Placement decision `x`: which devices host each module. A module may
 /// be replicated on several devices.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Placement {
     assignments: BTreeMap<ModuleId, BTreeSet<DeviceId>>,
 }
@@ -372,7 +346,7 @@ impl Placement {
 /// (copy-on-write), and equality and JSON read the table's contents.
 /// [`Route::shares_assignments`] is the cheap identity test caches use
 /// before falling back to comparing contents.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Route {
     /// The request this route serves.
     pub request_id: u64,
@@ -412,7 +386,7 @@ impl Route {
 
 /// A complete problem instance: the fleet `N` and the deployed models `K`
 /// with their workload profiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     fleet: Fleet,
     deployments: Vec<Deployment>,
@@ -720,15 +694,18 @@ mod tests {
     }
 
     #[test]
-    fn request_json_parses_with_and_without_class_and_round_trips() {
+    fn request_json_omits_an_absent_class() {
+        let i = Instance::single_model("CLIP ViT-B/16", 101).unwrap();
         let bare = r#"{"id":3,"model":"CLIP ViT-B/16","source":"jetson-a","profile":{"text_units":101.0,"llm_tokens":0.0}}"#;
-        let q: Request = serde_json::from_str(bare).unwrap();
-        assert_eq!(q.class, None);
+        let mut q = i.request(3, "CLIP ViT-B/16").unwrap();
         assert_eq!(serde_json::to_string(&q).unwrap(), bare);
 
-        let classed = r#"{"id":4,"model":"CLIP ViT-B/16","source":"jetson-a","profile":{"text_units":1.0,"llm_tokens":0.0},"class":{"name":"batch","deadline_s":30.0,"priority":0}}"#;
-        let q: Request = serde_json::from_str(classed).unwrap();
-        assert_eq!(q.class.as_ref().map(|c| c.name.as_str()), Some("batch"));
+        let classed = r#"{"id":3,"model":"CLIP ViT-B/16","source":"jetson-a","profile":{"text_units":101.0,"llm_tokens":0.0},"class":{"name":"batch","deadline_s":30.0,"priority":0}}"#;
+        q.shape_mut().class = Some(DeadlineClass {
+            name: "batch".into(),
+            deadline_s: 30.0,
+            priority: 0,
+        });
         assert_eq!(serde_json::to_string(&q).unwrap(), classed);
     }
 

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use s2m3_models::module::ModuleId;
 
 use crate::problem::Instance;
 
 /// One row of the sharing progression: cumulative deployment cost after
 /// each task is added, with and without module sharing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharingRow {
     /// The model added at this step.
     pub model: String,
@@ -23,7 +21,7 @@ pub struct SharingRow {
 }
 
 /// The full progression over an instance's deployments, in order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharingReport {
     /// One row per deployed model, in deployment order.
     pub rows: Vec<SharingRow>,

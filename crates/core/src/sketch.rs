@@ -23,8 +23,6 @@
 //! applies to exact samples, so with streaming off and on, the *same*
 //! order statistic is being estimated.
 
-use serde::{Deserialize, Serialize};
-
 /// 1-based ceil rank of percentile `p` among `n ≥ 1` samples:
 /// `clamp(⌈p·n⌉, 1, n)`.
 #[inline]
@@ -74,7 +72,7 @@ fn bucket_of(v: f64) -> usize {
 /// Records are `O(1)` (amortized over the window's doubling growth);
 /// quantiles are one pass over the window. See the module docs for the
 /// error bound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencySketch {
     /// Counts of grid buckets `lo..lo + counts.len()`, empty until the
     /// first record; grid bucket `i` covers

@@ -1,13 +1,11 @@
 //! Benchmark definitions mirroring the paper's Sec. VI "Tasks and
 //! benchmarks" list.
 
-use serde::{Deserialize, Serialize};
-
 use s2m3_models::zoo::Task;
 
 /// A synthetic benchmark: name, task family, class structure, and a
 /// calibrated difficulty (per-sample noise level).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Benchmark {
     /// Canonical name (doubles as the prototype seed namespace).
     pub name: String,

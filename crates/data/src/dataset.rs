@@ -1,7 +1,5 @@
 //! Dataset synthesis: class-structured samples around seeded prototypes.
 
-use serde::{Deserialize, Serialize};
-
 use s2m3_models::exec::{answer_prototype, class_prototype};
 use s2m3_models::input::{Modality, ModalityInput, RAW_FEATURE_DIM};
 use s2m3_models::zoo::Task;
@@ -11,7 +9,7 @@ use crate::benchmark::Benchmark;
 
 /// One evaluation sample: modality payloads, optional raw query, and the
 /// ground-truth label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledSample {
     /// Inputs for the model's encoders.
     pub modalities: Vec<ModalityInput>,
@@ -29,7 +27,7 @@ impl LabeledSample {
 }
 
 /// A generated dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// The benchmark this dataset realizes.
     pub benchmark: Benchmark,

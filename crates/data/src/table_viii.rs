@@ -1,12 +1,10 @@
 //! The Table VIII reference grid: which (model, benchmark) pairs the
 //! paper reports, with the paper's S2M3 and "Reported" accuracy columns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::benchmark::Benchmark;
 
 /// One row of Table VIII.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableViiiRow {
     /// Model name (standard-zoo key).
     pub model: &'static str,

@@ -8,14 +8,12 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::Catalog;
 use crate::module::{ModuleId, ModuleSpec};
 
 /// The five multi-modal task families of Table IV (captioning folded in as
 /// the paper's sixth architecture family).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Task {
     /// Zero-shot image-text retrieval (CLIP-style): image + candidate
     /// prompts → cosine ranking. Parallelizable across two encoders.
@@ -50,7 +48,7 @@ impl std::fmt::Display for Task {
 
 /// One multi-modal model: a named composition of encoder modules and a
 /// single task head (Insight 1's split).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSpec {
     /// Human-readable model name as the paper uses it.
     pub name: String,

@@ -1,7 +1,5 @@
 //! The assembled testbed: devices + topology + default requester.
 
-use serde::{Deserialize, Serialize};
-
 use crate::calibration as cal;
 use crate::device::{DeviceId, DeviceSpec};
 use crate::link::LinkSpec;
@@ -9,7 +7,7 @@ use crate::topology::Topology;
 
 /// A concrete deployment environment: the device set `N`, the network
 /// connecting it, and the device that originates requests (`n_q`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fleet {
     devices: Vec<DeviceSpec>,
     topology: Topology,

@@ -1,14 +1,12 @@
 //! Point-to-point link model.
 
-use serde::{Deserialize, Serialize};
-
 /// A (directed-symmetric) link: one-way latency plus bandwidth.
 ///
 /// Transfer time for `b` bytes is `latency + 8·b / bandwidth` — the
 /// standard first-order model; the paper's own measurements (Fig. 3) show
 /// communication is latency-dominated and negligible next to computation,
 /// and the same conclusion emerges here.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Bandwidth in bits per second.
     pub bandwidth_bps: f64,

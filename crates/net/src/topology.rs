@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceId;
 use crate::link::LinkSpec;
 
@@ -14,7 +12,7 @@ use crate::link::LinkSpec;
 /// Ethernet, Wi-Fi, or a MAN uplink for the out-of-home server). The
 /// end-to-end path between two devices composes their access links;
 /// a device reaching itself is free.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     access: BTreeMap<DeviceId, LinkSpec>,
 }

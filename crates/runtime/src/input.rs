@@ -1,14 +1,12 @@
 //! Request inputs: one payload per encoder modality plus the optional
 //! raw query consumed by generative heads.
 
-use serde::{Deserialize, Serialize};
-
 use s2m3_models::input::{Modality, ModalityInput};
 use s2m3_models::module::ModuleKind;
 use s2m3_models::zoo::{ModelSpec, Task};
 
 /// Everything a single inference request carries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestInput {
     /// One input per modality the model's encoders consume.
     pub modalities: Vec<ModalityInput>,

@@ -47,6 +47,7 @@ use crate::queue::QueuedRequest;
 
 /// What a unit of spend measures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum BudgetMetric {
     /// Marginal energy, joules: each device's busy seconds cost
     /// `active_w - idle_w` from the `s2m3_sim::energy` default
@@ -76,6 +77,7 @@ pub enum BudgetEnforcement {
 /// A per-window fleet-wide cost cap, enforced online by the serve
 /// engine's admission/dispatch path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BudgetPolicy {
     /// Maximum spend per accounting window, in the metric's units.
     pub cap_per_window: f64,
@@ -130,7 +132,7 @@ impl BudgetPolicy {
 }
 
 /// One closed accounting window's spend record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BudgetWindow {
     /// Window index (`floor(virtual time / window_s)`).
     pub index: u64,
@@ -147,7 +149,7 @@ pub struct BudgetWindow {
 }
 
 /// Per-class budget enforcement counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BudgetClassReport {
     /// Deadline-class name.
     pub class: String,
@@ -161,7 +163,7 @@ pub struct BudgetClassReport {
 
 /// The budget section of a [`ServeReport`](crate::ServeReport):
 /// present only when the scenario ran with a [`BudgetPolicy`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BudgetReport {
     /// The enforced cap, per window.
     pub cap_per_window: f64,

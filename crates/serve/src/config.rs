@@ -26,6 +26,7 @@ use crate::engine::ServeError;
 
 /// How a device's admission queue orders and bounds waiting requests.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum AdmissionPolicy {
     /// First-in first-out, unbounded.
     #[default]
@@ -44,6 +45,7 @@ pub enum AdmissionPolicy {
 
 /// One model to deploy in the scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ModelDeployment {
     /// Zoo model name (see `s2m3 zoo`).
     pub name: String,
@@ -53,6 +55,7 @@ pub struct ModelDeployment {
 
 /// What happens to the fleet, and when.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum FleetEventKind {
     /// A device (named in the universe fleet) joins the active fleet.
     DeviceJoin {
@@ -76,6 +79,7 @@ pub enum FleetEventKind {
 
 /// A scheduled fleet change.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetEvent {
     /// Simulated time at which the change takes effect, seconds (at
     /// least 0).
@@ -90,6 +94,7 @@ pub struct FleetEvent {
 /// though the fleet itself did not change (e.g. after a rejected
 /// event-replan, or under traffic the analytic model did not foresee).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SloReplanTrigger {
     /// Completions required in the rolling window before the trigger
     /// arms (avoids reacting to startup noise); at least 1, and at most
@@ -111,6 +116,7 @@ impl Default for SloReplanTrigger {
 
 /// Replan-controller knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ReplanPolicy {
     /// Horizon over which a switch must amortize, seconds (finite and
     /// ≥ 0): a replan is accepted when its `break_even_requests` is at
@@ -136,6 +142,7 @@ impl Default for ReplanPolicy {
 /// One extra request source: a fleet device that emits its own seeded
 /// arrival stream (see [`ServeScenario::sources`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TrafficSource {
     /// Device name in the universe fleet. Must be active at t = 0 and
     /// may never leave (like the requester).
@@ -165,6 +172,7 @@ pub struct TrafficSource {
 /// semantics intentionally means regenerating *only* the batched
 /// fixture via `capture_fixtures`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct BatchPolicy {
     /// Global per-dispatch batch cap (at least 1; ≥ 2 to have any effect).
     pub max_batch: usize,
@@ -176,6 +184,7 @@ pub struct BatchPolicy {
 
 /// One module kind's batch cap (see [`BatchPolicy::per_kind`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct KindBatchCap {
     /// The module kind the override applies to.
     pub kind: ModuleKind,
@@ -200,6 +209,7 @@ pub struct KindBatchCap {
 /// `None` (the default) keeps exact latency percentiles, byte-identical
 /// to the golden fixtures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[serde(deny_unknown_fields)]
 pub struct StreamingConfig {
     /// Optional path for the columnar completion-event sink (one row
     /// per completed request; see `s2m3_data::sink`). `None` records
@@ -209,6 +219,7 @@ pub struct StreamingConfig {
 
 /// A complete serving scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServeScenario {
     /// Universe fleet: `"edge"` (no server) or `"standard"`. Devices in
     /// the universe but not in `initial_devices` may join later.
@@ -728,14 +739,18 @@ mod tests {
         assert_eq!(parsed.budget, None);
         assert_eq!(parsed, s);
 
-        // A scenario written while `threads` was a field still loads:
-        // unknown keys are ignored.
+        // A scenario written while `threads` was a field is refused by
+        // that key's name: no key is silently ignored.
         let with_threads = s
             .to_json()
             .unwrap()
             .replace("\"budget\": null", "\"threads\": 4,\n  \"budget\": null");
         assert!(with_threads.contains("\"threads\": 4"));
-        assert_eq!(ServeScenario::from_json(&with_threads).unwrap(), s);
+        let err = ServeScenario::from_json(&with_threads).unwrap_err();
+        assert!(
+            err.contains("unknown field `threads`, expected one of `fleet`, "),
+            "{err}"
+        );
 
         s.streaming = Some(StreamingConfig {
             sink: Some("completions.bin".to_string()),

@@ -3,14 +3,14 @@
 
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use s2m3_core::sketch::ceil_rank;
 
 use crate::slo::WindowSnapshot;
 
 /// Latency percentile summary over all completed requests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct LatencySummary {
     /// Completed requests.
     pub completed: u64,
@@ -81,7 +81,7 @@ impl LatencySummary {
 }
 
 /// One applied fleet event, as recorded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventRecord {
     /// When it took effect, seconds.
     pub at_s: f64,
@@ -93,13 +93,11 @@ pub struct EventRecord {
 ///
 /// The report stores values; shared text is rendered when printed. An
 /// accepted SLO-breach switch keeps the two numbers and
-/// [`Display`](std::fmt::Display) writes the sentence. JSON carries the
-/// rendered text, and reads back as [`ReplanTrigger::Text`]; equality
-/// compares the rendered text, so a round trip compares equal.
-#[derive(Debug, Clone)]
+/// [`Display`](std::fmt::Display) writes the sentence, and JSON carries
+/// the rendered text.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReplanTrigger {
-    /// Free text: a fleet-event description (e.g. `"desktop leaves"`),
-    /// or any trigger read back from JSON.
+    /// Free text: a fleet-event description (e.g. `"desktop leaves"`).
     Text(String),
     /// The rolling p95 exceeded the scenario deadline
     /// ([`ReplanPolicy::slo_trigger`](crate::config::ReplanPolicy)).
@@ -129,12 +127,6 @@ impl From<&str> for ReplanTrigger {
     }
 }
 
-impl PartialEq for ReplanTrigger {
-    fn eq(&self, other: &Self) -> bool {
-        self.to_string() == other.to_string()
-    }
-}
-
 impl Serialize for ReplanTrigger {
     fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         match self {
@@ -144,15 +136,9 @@ impl Serialize for ReplanTrigger {
     }
 }
 
-impl<'de> Deserialize<'de> for ReplanTrigger {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        String::deserialize(d).map(ReplanTrigger::Text)
-    }
-}
-
 /// One replan decision by the controller: a fleet-event evaluation,
 /// accepted or not, or an accepted SLO-breach switch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ReplanRecord {
     /// When the controller ran, seconds.
     pub at_s: f64,
@@ -180,7 +166,7 @@ pub struct ReplanRecord {
 /// thousands of times. The report keeps one run per candidate: its
 /// first and last evaluation and why each was rejected. A new run
 /// starts whenever the trigger solves a fresh candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RejectedSloRun {
     /// The run's first rejected evaluation, seconds.
     pub first_at_s: f64,
@@ -208,7 +194,7 @@ impl RejectedSloRun {
 /// by the class each request drew from the workload's
 /// [`ClassShare`](s2m3_sim::workload::ClassShare)s. Empty when the
 /// scenario defines no classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassReport {
     /// Class name (from the workload's `DeadlineClass`).
     pub class: String,
@@ -227,7 +213,7 @@ pub struct ClassReport {
 }
 
 /// Per-device serving statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceReport {
     /// Device name.
     pub device: String,
@@ -246,7 +232,7 @@ pub struct DeviceReport {
 /// Serialization note: `rejected_slo` is omitted when empty and
 /// `budget` when `None`, so runs without them keep the exact JSON shape
 /// pinned by `tests/fixtures/serve_churn_*.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct ServeReport {
     /// Scenario seed label (same seed ⇒ identical report).
     pub seed: String,
@@ -281,7 +267,7 @@ pub struct ServeReport {
     pub replans: Vec<ReplanRecord>,
     /// Rejected SLO-breach evaluations, one run per candidate, in time
     /// order (empty without the SLO trigger).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub rejected_slo: Vec<RejectedSloRun>,
     /// Per-device serving statistics, in name order.
     pub devices: Vec<DeviceReport>,
@@ -486,8 +472,7 @@ mod tests {
         // depend on the keys being absent.
         assert!(!json.contains("\"budget\""));
         assert!(!json.contains("\"rejected_slo\""));
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(report, back);
+        assert!(json.contains("\"trigger\": \"desktop leaves\""));
         assert_eq!(report.accepted_replans(), 1);
         let text = report.render_summary();
         assert!(text.contains("ACCEPTED"));
@@ -528,15 +513,15 @@ mod tests {
         });
         let json = capped.to_json().unwrap();
         assert!(json.contains("\"budget\""));
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(capped, back);
+        assert!(json.contains("\"enforcement\": \"DeferThenShed\""));
+        assert!(json.contains("\"latency_price_s\": 3.25"));
         let text = capped.render_summary();
         assert!(text.contains("budget cap 4.00"));
         assert!(text.contains("latency price 3.2s"));
 
         // SLO-breach triggers keep their numbers and render the text
         // the engine used to format per evaluation, rounding edges
-        // included; JSON reads them back as text that compares equal.
+        // included, and JSON carries that text.
         let mut breached = report.clone();
         for (i, p95_s) in [0.125, 2.675, 0.0, 1e6].into_iter().enumerate() {
             let trigger = ReplanTrigger::SloBreach {
@@ -563,10 +548,9 @@ mod tests {
         );
         let json = breached.to_json().unwrap();
         assert!(json.contains("\"trigger\": \"SLO breach: rolling p95 1000000.00s exceeds"));
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert!(matches!(back.replans[1].trigger, ReplanTrigger::Text(_)));
-        assert_eq!(breached, back);
-        assert_eq!(back.to_json().unwrap(), json);
+        assert!(
+            json.contains("\"trigger\": \"SLO breach: rolling p95 0.12s exceeds 15.00s deadline\"")
+        );
         let text = breached.render_summary();
         assert!(text.contains("SLO breach: rolling p95 2.67s exceeds 15.00s deadline"));
 
@@ -591,8 +575,7 @@ mod tests {
         ];
         let json = rejected.to_json().unwrap();
         assert_eq!(json.matches("\"first_at_s\"").count(), 2);
-        let back: ServeReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(rejected, back);
+        assert!(json.contains("\"break_even_requests\": null"));
         let text = rejected.render_summary();
         assert!(text.contains(
             "replan t=     60s..1260s  SLO breach  break-even 8 req  \

@@ -1,7 +1,7 @@
 //! Rolling SLO tracking: a bounded ring buffer of recent request
 //! outcomes, summarized into latency percentiles and deadline-miss rates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use s2m3_core::sketch::ceil_rank;
 
@@ -163,7 +163,7 @@ impl SloWindow {
 }
 
 /// A point-in-time summary of the rolling window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WindowSnapshot {
     /// Virtual time of the snapshot, seconds.
     pub at_s: f64,

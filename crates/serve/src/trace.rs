@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 /// One recorded request of a trace file: when it arrived and which
 /// deployed model it asked for.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct TraceRecord {
     /// Absolute arrival time, seconds from run start.
     pub at_s: f64,
@@ -185,6 +186,14 @@ mod tests {
         assert_eq!(records[0].model, "m");
         let err = parse("{\"at_s\":1.5,\"model\":\"m\"}\nnot json\n").unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // A key the record does not have is an error naming it, not
+        // silently dropped.
+        let err =
+            parse("{\"at_s\":1.5,\"model\":\"m\"}\n{\"at_s\":2.0,\"modle\":\"m\"}\n").unwrap_err();
+        assert_eq!(
+            err,
+            "trace line 2: unknown field `modle`, expected `at_s` or `model`"
+        );
     }
 
     #[test]

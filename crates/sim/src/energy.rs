@@ -17,14 +17,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use s2m3_net::device::DeviceId;
 
 use crate::report::{PhaseTag, SimReport};
 
 /// Power profile of one device, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Idle draw.
     pub idle_w: f64,
@@ -81,7 +79,7 @@ pub fn default_profiles() -> BTreeMap<DeviceId, PowerProfile> {
 }
 
 /// Energy breakdown of one simulation, joules.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyReport {
     /// Active (compute + load) energy per device.
     pub active_j: BTreeMap<DeviceId, f64>,

@@ -21,17 +21,17 @@
 //! span; the rows never do. Two tables are equal when they list equal
 //! spans in the same order, whatever the order or contents of their name
 //! tables, and the JSON of a table is exactly the JSON of the
-//! `Vec<GanttSpan>` it lists — in both directions.
+//! `Vec<GanttSpan>` it lists.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Serialize, Serializer};
 
 use s2m3_models::module::ModuleId;
 use s2m3_net::device::DeviceId;
 
 /// What a Gantt span represents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Phase {
     /// Loading a module's weights onto the device.
     ModelLoading(ModuleId),
@@ -58,7 +58,7 @@ impl Phase {
 }
 
 /// One bar of the timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GanttSpan {
     /// Device the span occurred on (transfers are attributed to the
     /// receiving device).
@@ -249,14 +249,8 @@ impl Serialize for Spans {
     }
 }
 
-impl<'de> Deserialize<'de> for Spans {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Vec::<GanttSpan>::deserialize(d).map(Spans::from)
-    }
-}
-
 /// Per-request timing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RequestTiming {
     /// Arrival (submission) time.
     pub arrival: f64,
@@ -272,7 +266,7 @@ impl RequestTiming {
 }
 
 /// The full simulation result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SimReport {
     /// All timeline spans, in start order.
     pub spans: Spans,
@@ -415,9 +409,10 @@ mod tests {
             makespan: 0.1,
             ..Default::default()
         };
-        let j = serde_json::to_string(&r).unwrap();
-        let back: SimReport = serde_json::from_str(&j).unwrap();
-        assert_eq!(r, back);
+        assert_eq!(
+            serde_json::to_string(&r).unwrap(),
+            r#"{"spans":[{"device":"laptop","request":0,"phase":{"InputTx":"text/CLIP-B-16"},"start":0.0,"end":0.1}],"requests":{},"loading_done":0.0,"makespan":0.1}"#
+        );
     }
 
     /// Names the arbitrary span lists draw from; with at most a dozen
@@ -498,7 +493,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// A table is its span list: `iter()` gives the list back, the
-        /// JSON is the list's JSON and parses back equal, and equality
+        /// JSON is the list's JSON, and equality
         /// sees span contents only — not how the name tables are laid
         /// out, and every single field of every span.
         #[test]
@@ -515,8 +510,6 @@ mod tests {
 
             let json = serde_json::to_string(&table).unwrap();
             prop_assert_eq!(&json, &serde_json::to_string(&list).unwrap());
-            prop_assert_eq!(&serde_json::from_str::<Spans>(&json).unwrap(), &table);
-            prop_assert_eq!(&serde_json::from_str::<Vec<GanttSpan>>(&json).unwrap(), &list);
 
             let relaid = reversed_layout(&drawn);
             prop_assert_eq!(&relaid, &table);

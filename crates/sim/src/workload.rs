@@ -45,6 +45,7 @@ use crate::report::SimReport;
 /// request source; the bursty and time-varying variants exist so churn
 /// experiments can stress admission control the way real traffic does.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ArrivalProcess {
     /// All requests at t = 0 (the Table X burst).
     Simultaneous,
@@ -329,6 +330,7 @@ impl ArrivalStream {
 /// through [`WorkloadSpec`], so a mix defined once means the same thing
 /// in a one-shot `load_sweep` run and a 10k-request serving scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub enum ModelMix {
     /// The historic default: model = stream index mod the number of
     /// deployed models. At the spec level the index is the *merged*
@@ -355,6 +357,7 @@ pub enum ModelMix {
 
 /// One model's share of a [`ModelMix::Weighted`] mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ModelWeight {
     /// Deployed model name.
     pub model: String,
@@ -366,6 +369,7 @@ pub struct ModelWeight {
 /// [`DeadlineClass`] with probability `weight / Σ weights` (seeded by
 /// the spec seed, so the class sequence is deterministic).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClassShare {
     /// The deadline/priority class assigned to sampled requests.
     pub class: DeadlineClass,
@@ -1091,7 +1095,7 @@ pub fn mixed_stream(instance: &Instance, n: usize) -> Result<Vec<Request>, Workl
 }
 
 /// Latency distribution summary of a simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Number of completed requests.
     pub n: usize,

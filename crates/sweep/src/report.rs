@@ -1,13 +1,13 @@
 //! Cross-replica aggregation: per-cell scalar summaries, per-timestep
 //! distribution bands, and the capacity frontier.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use s2m3_core::sketch::percentile_sorted;
 use s2m3_serve::{ReplanRecord, ServeReport, WindowSnapshot};
 
 /// p50/p95/p99 of one metric across a cell's replicas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Band {
     /// Median across replicas.
     pub p50: f64,
@@ -36,7 +36,7 @@ impl Band {
 }
 
 /// Distribution bands of the serving metrics in one aggregation bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimeBand {
     /// End of the bin, virtual seconds.
     pub t_s: f64,
@@ -51,7 +51,7 @@ pub struct TimeBand {
 }
 
 /// A 95% confidence interval from the replica-indexed bootstrap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Ci95 {
     /// Lower bound (2.5th percentile of the bootstrap distribution).
     pub lo: f64,
@@ -134,21 +134,18 @@ pub fn replan_gain(
 }
 
 /// Scalar whole-run summaries of one cell, averaged over replicas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellScalars {
     /// Mean deadline-miss rate: (late + shed) / arrived.
     pub miss_rate_mean: f64,
     /// 95% bootstrap CI on the mean miss rate (`null` for empty cells).
-    #[serde(default)]
     pub miss_rate_ci95: Option<Ci95>,
     /// Worst replica's miss rate.
     pub miss_rate_max: f64,
     /// Mean replan gain over replicas with a measurable gain (`null`
     /// when no replica accepted a replan with windows on both sides).
-    #[serde(default)]
     pub replan_gain_mean: Option<f64>,
     /// 95% bootstrap CI on the mean replan gain.
-    #[serde(default)]
     pub replan_gain_ci95: Option<Ci95>,
     /// Mean of per-replica p95 latency, seconds.
     pub latency_p95_mean_s: f64,
@@ -160,21 +157,17 @@ pub struct CellScalars {
     pub makespan_mean_s: f64,
     /// Mean budget adherence (fraction of windows at or under the cap)
     /// over replicas that served under a budget; `null` when none did.
-    #[serde(default)]
     pub budget_adherence_mean: Option<f64>,
     /// p50/p95/p99 of per-replica budget adherence.
-    #[serde(default)]
     pub budget_adherence_band: Option<Band>,
     /// Mean per-window budget spend across budgeted replicas.
-    #[serde(default)]
     pub budget_spend_mean_per_window: Option<f64>,
     /// Mean total queueing delay charged to the budget gate, seconds.
-    #[serde(default)]
     pub budget_latency_price_mean_s: Option<f64>,
 }
 
 /// One (rate-scale × fleet-size) grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CellReport {
     /// Active devices at t = 0.
     pub fleet_size: usize,
@@ -192,7 +185,7 @@ pub struct CellReport {
 }
 
 /// The largest sustainable rate scale for one fleet size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FrontierPoint {
     /// Active devices at t = 0.
     pub fleet_size: usize,
@@ -204,21 +197,18 @@ pub struct FrontierPoint {
     /// Mean miss rate observed at the frontier scale.
     pub miss_rate: Option<f64>,
     /// 95% bootstrap CI on that miss rate.
-    #[serde(default)]
     pub miss_rate_ci95: Option<Ci95>,
     /// Mean replan gain at the frontier scale (see
     /// [`CellScalars::replan_gain_mean`]).
-    #[serde(default)]
     pub replan_gain: Option<f64>,
     /// 95% bootstrap CI on that replan gain.
-    #[serde(default)]
     pub replan_gain_ci95: Option<Ci95>,
 }
 
 /// One cell's position on the cost × SLO frontier: what the budget
 /// bought (per-window spend, adherence) against what it cost in
 /// service quality (p95 latency, miss rate, queueing delay).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CostSloPoint {
     /// Active devices at t = 0.
     pub fleet_size: usize,
@@ -238,7 +228,7 @@ pub struct CostSloPoint {
 
 /// The deterministic product of a sweep: same spec ⇒ byte-identical
 /// JSON at any thread count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepReport {
     /// Base seed label the replica seeds derive from.
     pub seed: String,
@@ -255,9 +245,8 @@ pub struct SweepReport {
     /// Max sustainable rate per fleet size (the capacity frontier).
     pub frontier: Vec<FrontierPoint>,
     /// Cost × SLO frontier: one point per cell whose replicas served
-    /// under a budget, in cell order. `None` for budget-free sweeps
-    /// (an `Option` so pre-budget report JSON still parses).
-    #[serde(default)]
+    /// under a budget, in cell order. `None` (JSON `null`) for
+    /// budget-free sweeps.
     pub cost_slo: Option<Vec<CostSloPoint>>,
 }
 
@@ -819,8 +808,10 @@ mod tests {
             frontier: capacity_frontier(&[cell(2, 1.0, 0.0)], 0.01),
             cost_slo: None,
         };
-        let back = serde_json::from_str::<SweepReport>(&report.to_json().unwrap()).unwrap();
-        assert_eq!(report, back);
+        let json = report.to_json().unwrap();
+        assert!(json.contains("\"fleet_size\": 2,"), "{json}");
+        assert!(json.contains("\"budget_adherence_band\": null,"), "{json}");
+        assert!(json.ends_with("\"cost_slo\": null\n}"), "{json}");
         let text = report.render_summary();
         assert!(text.contains("capacity frontier"));
         assert!(text.contains("2 devices"));
@@ -886,34 +877,10 @@ mod tests {
         assert!(text.contains("cost x SLO frontier"), "{text}");
         assert!(text.contains("spend 4.00/window"), "{text}");
         assert!(text.contains("adherence 95.0%"), "{text}");
-        let back = serde_json::from_str::<SweepReport>(&report.to_json().unwrap()).unwrap();
-        assert_eq!(report, back);
-    }
-
-    #[test]
-    fn old_sweep_json_without_budget_fields_still_parses() {
-        let report = SweepReport {
-            seed: "s".into(),
-            seeds_per_cell: 1,
-            replicas: 1,
-            miss_budget: 0.01,
-            bin_s: 600.0,
-            cells: vec![cell(2, 1.0, 0.0)],
-            frontier: Vec::new(),
-            cost_slo: None,
-        };
-        // Strip every budget line the way a pre-budget report would
-        // have looked, then parse: the new fields must default.
-        let json: String = report
-            .to_json()
-            .unwrap()
-            .lines()
-            .filter(|l| !l.contains("budget_") && !l.contains("cost_slo"))
-            .collect::<Vec<_>>()
-            .join("\n")
-            .replace("\"makespan_mean_s\": 10.0,", "\"makespan_mean_s\": 10.0")
-            .replace("\"frontier\": [],", "\"frontier\": []");
-        let back = serde_json::from_str::<SweepReport>(&json).unwrap();
-        assert_eq!(report, back);
+        let json = report.to_json().unwrap();
+        assert!(
+            json.contains("\"cost_slo\": [\n    {\n      \"fleet_size\": 2,"),
+            "{json}"
+        );
     }
 }

@@ -16,6 +16,7 @@ use crate::SweepError;
 /// `base.seed` by replica index — the *same* per-replica label in every
 /// cell, so cells are compared under common random numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SweepSpec {
     /// The scenario each replica derives from (its `seed`,
     /// `initial_devices`, and arrival rates are overridden per cell).
@@ -372,12 +373,16 @@ mod tests {
         let back = SweepSpec::from_json(&s.to_json().unwrap()).unwrap();
         assert_eq!(s, back);
         // A spec whose `base` was written while the scenario had a
-        // `threads` field still loads: unknown keys are ignored.
+        // `threads` field is refused by that key's name and path.
         let old = s
             .to_json()
             .unwrap()
             .replace("\"budget\": null", "\"threads\": 4,\n    \"budget\": null");
         assert!(old.contains("\"threads\": 4,"));
-        assert_eq!(SweepSpec::from_json(&old).unwrap(), s);
+        let err = SweepSpec::from_json(&old).unwrap_err();
+        assert!(
+            err.contains("field `base`: unknown field `threads`"),
+            "{err}"
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::seed;
 ///
 /// Carries enough context to debug a shape mismatch without a debugger:
 /// the operation name and the offending dimensions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TensorError {
     /// Two operands had incompatible shapes for the named operation.
     ShapeMismatch {

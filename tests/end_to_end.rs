@@ -116,19 +116,3 @@ fn distributed_accuracy_equals_centralized_accuracy() {
     }
     assert_eq!(correct, central.correct, "accuracy changed under splitting");
 }
-
-/// Plans survive a serde round-trip and replay identically in the
-/// simulator (operational state is exportable/re-loadable).
-#[test]
-fn plans_serialize_and_replay() {
-    let instance = Instance::single_model("CLIP ViT-B/16", 32).unwrap();
-    let requests: Vec<_> = (0..3)
-        .map(|k| instance.request(k, "CLIP ViT-B/16").unwrap())
-        .collect();
-    let plan = Plan::greedy(&instance, requests).unwrap();
-    let json = serde_json::to_string(&plan).unwrap();
-    let restored: Plan = serde_json::from_str(&json).unwrap();
-    let a = simulate(&instance, &plan, &SimConfig::default()).unwrap();
-    let b = simulate(&instance, &restored, &SimConfig::default()).unwrap();
-    assert_eq!(a, b);
-}

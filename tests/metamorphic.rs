@@ -5,6 +5,8 @@
 //! order must not move greedy's latency (Algorithm 1's placement and
 //! routing, priced by Eq. 1) or Upper's optimum by a single bit. Adding
 //! a device only adds placements, so Upper's optimum can only improve.
+//! Speeding a device up lowers every compute time on it and leaves the
+//! placements as they were, so Upper's optimum can only improve too.
 //! Shrinking every device's memory to exactly what Upper's optimum puts
 //! there only removes placements, the optimum not among them, so the
 //! optimum stays.
@@ -96,6 +98,14 @@ fn greedy_and_upper_latency_ignore_device_order() {
     );
 }
 
+/// `fleet` with every device replaced by `f` of it, in the same order,
+/// topology and requester.
+fn remade(fleet: &Fleet, f: impl FnMut(&DeviceSpec) -> DeviceSpec) -> Fleet {
+    let devices = fleet.devices().iter().map(f).collect();
+    Fleet::new(devices, fleet.topology().clone(), fleet.requester().clone())
+        .expect("the same devices form a valid fleet")
+}
+
 /// Upper's latency for one model on one fleet; `None` when no placement
 /// fits.
 fn upper(fleet: Fleet, model: &str, candidates: usize) -> Option<f64> {
@@ -150,6 +160,41 @@ fn upper_never_gets_worse_when_a_device_joins() {
 }
 
 #[test]
+fn upper_never_gets_worse_when_a_device_gets_faster() {
+    let mut checks = 0;
+    let mut broken = Vec::new();
+    for (testbed, fleet) in [
+        ("standard", Fleet::standard_testbed()),
+        ("edge", Fleet::edge_testbed()),
+    ] {
+        for (model, candidates) in MODELS {
+            let before = upper(fleet.clone(), model, candidates).unwrap();
+            for fast in fleet.devices() {
+                let faster = remade(&fleet, |d| DeviceSpec {
+                    speed_gflops: d.speed_gflops * if d.id == fast.id { 2.0 } else { 1.0 },
+                    ..d.clone()
+                });
+                checks += 1;
+                match upper(faster, model, candidates) {
+                    Some(after) if after <= before => {}
+                    after => broken.push(format!(
+                        "{model} on the {testbed} testbed, {} at 2x GFLOP/s: Upper {before} -> {after:?}",
+                        fast.id.as_str()
+                    )),
+                }
+            }
+        }
+    }
+    // 7 models x (5 standard + 4 edge devices).
+    assert_eq!(checks, 63);
+    assert!(
+        broken.is_empty(),
+        "a faster device made Upper worse:\n{}",
+        broken.join("\n")
+    );
+}
+
+#[test]
 fn upper_keeps_its_optimum_when_memory_shrinks_to_fit_it() {
     let mut checks = 0;
     let mut broken = Vec::new();
@@ -168,16 +213,10 @@ fn upper_keeps_its_optimum_when_memory_shrinks_to_fit_it() {
                 let m = resolved.module_index(module).unwrap();
                 *used.entry(device.as_str()).or_default() += resolved.module_spec(m).memory_bytes();
             }
-            let devices = fleet
-                .devices()
-                .iter()
-                .map(|d| DeviceSpec {
-                    memory_bytes: used.get(d.id.as_str()).copied().unwrap_or(0),
-                    ..d.clone()
-                })
-                .collect();
-            let tight = Fleet::new(devices, fleet.topology().clone(), fleet.requester().clone())
-                .expect("the same devices form a valid fleet");
+            let tight = remade(&fleet, |d| DeviceSpec {
+                memory_bytes: used.get(d.id.as_str()).copied().unwrap_or(0),
+                ..d.clone()
+            });
             checks += 1;
             match upper(tight, model, candidates) {
                 Some(u) if u.to_bits() == best.latency.to_bits() => {}

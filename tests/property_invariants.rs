@@ -430,12 +430,9 @@ proptest! {
         prop_assert_eq!(&shared_json, &expected);
         prop_assert_eq!(&serde_json::to_string(&build(id, &shape)).unwrap(), &expected);
         prop_assert_eq!(shared_json.contains("\"class\""), class.is_some());
-        let back: Request = serde_json::from_str(&shared_json).unwrap();
-        prop_assert_eq!(&back, &snapshot);
-        prop_assert!(!back.shares_shape(&snapshot));
 
         // A plan over shared shapes is, to JSON and `==`, the plan over
-        // private copies, and round-trips.
+        // private copies.
         let route = |id: u64| {
             let mut r = Route::new(id);
             r.assign("m".into(), "d".into());
@@ -459,8 +456,6 @@ proptest! {
         prop_assert_eq!(&shared_plan, &private_plan);
         let plan_json = serde_json::to_string(&shared_plan).unwrap();
         prop_assert_eq!(&plan_json, &serde_json::to_string(&private_plan).unwrap());
-        let back: Plan = serde_json::from_str(&plan_json).unwrap();
-        prop_assert_eq!(&back, &shared_plan);
     }
 
     /// A route's assignment table may be shared between routes; nothing
@@ -512,14 +507,11 @@ proptest! {
         original.assign(extra.0.as_str().into(), extra.1.as_str().into());
         prop_assert_eq!(&snapshot, &build(id, &pairs));
         prop_assert_eq!(&original, &build(id, &with_extra));
-
-        let back: Route = serde_json::from_str(&serde_json::to_string(&snapshot).unwrap()).unwrap();
-        prop_assert_eq!(&back, &snapshot);
     }
 
     /// `Plan::route_all` hands every request of a (model, profile) one
     /// table; the plan's JSON is that of a plan whose routes were each
-    /// built privately, and it round-trips.
+    /// built privately.
     #[test]
     fn plans_over_shared_tables_serialize_like_private_ones(
         picks in proptest::collection::vec((0usize..3, prop_oneof![Just(None), Just(Some(7.0))]), 1..40),
@@ -570,8 +562,6 @@ proptest! {
         prop_assert_eq!(&plan, &private);
         let json = serde_json::to_string(&plan).unwrap();
         prop_assert_eq!(&json, &serde_json::to_string(&private).unwrap());
-        let back: Plan = serde_json::from_str(&json).unwrap();
-        prop_assert_eq!(&back, &plan);
     }
 
     /// `validate` checks (4b)/(4c) once per (deployment, table) rather
