@@ -2,9 +2,10 @@
 //! workspace equivalence tests (`tests/equivalence.rs`).
 //!
 //! The fixtures pin the exact JSON of `Plan`, `SimReport`,
-//! `ServeReport` and `SweepReport` for canonical scenarios, so hot-path refactors (like the
-//! interned-index `ResolvedInstance` layer) can prove byte-identical
-//! behavior against the pre-refactor outputs. Run from the repo root:
+//! `ServeReport` and `SweepReport` for canonical scenarios, so hot-path
+//! refactors (like the interned-index `ResolvedInstance` layer) can
+//! prove byte-identical behavior against the pre-refactor outputs. Run
+//! from the repo root:
 //!
 //! ```text
 //! cargo run --release -p s2m3-bench --bin capture_fixtures

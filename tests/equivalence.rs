@@ -4,8 +4,8 @@
 //! placement, objective evaluation, the Upper-bound search, and both
 //! discrete-event engines with dense `u32` indices. These tests prove
 //! the rewrite changed *nothing observable*: `Plan`, `SimReport`,
-//! `ServeReport` and `SweepReport` JSON is byte-identical to golden fixtures captured
-//! from the pre-refactor tree (regenerate with
+//! `ServeReport` and `SweepReport` JSON is byte-identical to golden
+//! fixtures captured from the pre-refactor tree (regenerate with
 //! `cargo run --release -p s2m3-bench --bin capture_fixtures`), and
 //! interning round-trips every id (property-tested over arbitrary
 //! multi-model instances).
